@@ -11,7 +11,7 @@
 //!   triangle sets) on both codecs, and
 //! * the compact store touches at least 25% fewer heap pages per query
 //!   (the heap-page component is isolated from index I/O by replaying
-//!   each query's exact boxes through `fetch_box_counted`).
+//!   each query's exact boxes through `candidate_pages`).
 //!
 //! Numbers land in `BENCH_compact.json` (override with `DM_COMPACT_OUT`);
 //! `DM_SCALE` picks the terrain size.

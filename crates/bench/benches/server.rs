@@ -40,7 +40,7 @@ use dm_bench::{random_rois, Scale};
 use dm_core::{DirectMeshDb, DmBuildOptions, FetchCounters};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
 use dm_net::frame::write_frame;
-use dm_net::{canonical_mesh, Client, QueryOpts, Request};
+use dm_net::{canonical_flat, Client, QueryOpts, Request};
 use dm_server::{Server, ServerConfig};
 use dm_storage::{thread_reads, BufferPool, MemStore};
 use dm_terrain::{generate, TriMesh};
@@ -188,10 +188,10 @@ fn main() {
             let reads0 = thread_reads();
             let mut counters = FetchCounters::default();
             let (local, _report) = db
-                .try_vi_query_counted(roi, avg_lod, &mut counters)
+                .try_vi_query_flat_counted(roi, avg_lod, &mut counters)
                 .expect("local VI");
             let local_disk = thread_reads() - reads0;
-            let (lv, lf) = canonical_mesh(&local.front);
+            let (lv, lf) = canonical_flat(&local.nodes, &local.faces);
             assert_eq!(remote.vertices, lv, "remote vertex set diverged");
             assert_eq!(remote.faces, lf, "remote face set diverged");
             assert_eq!(

@@ -1229,6 +1229,40 @@ fn maybe_export_wire(args: &Args, m: &dm_net::MeshResult) -> Result<(), String> 
     Ok(())
 }
 
+/// `remote-query --verify-local <db>`: re-run `queries` on the local
+/// store (after one flush when the remote run was `--cold`) and require
+/// every remote answer to match its local twin — mesh bit for bit, and
+/// the fetched-record count. Returns each local run's disk accesses.
+fn verify_local(
+    args: &Args,
+    db_path: &str,
+    label: &str,
+    queries: &[(Rect, f64)],
+    items: &[dm_net::MeshResult],
+) -> Result<Vec<u64>, String> {
+    let db = open_db(db_path, args)?;
+    if args.has("cold") {
+        db.try_cold_start().map_err(|e| e.to_string())?;
+    }
+    let mut local_disk = Vec::with_capacity(items.len());
+    for (i, ((roi, e), item)) in queries.iter().zip(items).enumerate() {
+        let reads_before = dm_storage::thread_reads();
+        let (res, _report) = db
+            .try_vi_query_flat_counted(roi, *e, &mut FetchCounters::default())
+            .map_err(|e| e.to_string())?;
+        local_disk.push(dm_storage::thread_reads() - reads_before);
+        let (lv, lf) = dm_net::canonical_flat(&res.nodes, &res.faces);
+        mesh_matches(&format!("{label} {i}"), item, &lv, &lf)?;
+        if res.fetched_records as u64 != item.fetched_records {
+            return Err(format!(
+                "{label} {i}: fetched records differ: remote {} vs local {}",
+                item.fetched_records, res.fetched_records
+            ));
+        }
+    }
+    Ok(local_disk)
+}
+
 fn cmd_remote_query(args: Args) -> Result<(), String> {
     let addr = args.require("addr")?;
     let mut client = dm_net::Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
@@ -1276,15 +1310,7 @@ fn cmd_remote_query(args: Args) -> Result<(), String> {
              {disk} disk accesses"
         );
         if let Some(db_path) = args.get("verify-local") {
-            let db = open_db(db_path, &args)?;
-            if opts.cold {
-                db.try_cold_start().map_err(|e| e.to_string())?;
-            }
-            for (i, ((roi, e), item)) in queries.iter().zip(&items).enumerate() {
-                let (res, _report) = db.try_vi_query(roi, *e).map_err(|e| e.to_string())?;
-                let (lv, lf) = dm_net::canonical_mesh(&res.front);
-                mesh_matches(&format!("pipelined item {i}"), item, &lv, &lf)?;
-            }
+            verify_local(&args, db_path, "pipelined item", &queries, &items)?;
             println!(
                 "remote ≡ local: {} pipelined sub-queries verified",
                 items.len()
@@ -1307,15 +1333,7 @@ fn cmd_remote_query(args: Args) -> Result<(), String> {
              {total_disk} disk accesses"
         );
         if let Some(db_path) = args.get("verify-local") {
-            let db = open_db(db_path, &args)?;
-            if opts.cold {
-                db.try_cold_start().map_err(|e| e.to_string())?;
-            }
-            for (i, ((roi, e), item)) in queries.iter().zip(&items).enumerate() {
-                let (res, _report) = db.try_vi_query(roi, *e).map_err(|e| e.to_string())?;
-                let (lv, lf) = dm_net::canonical_mesh(&res.front);
-                mesh_matches(&format!("batch item {i}"), item, &lv, &lf)?;
-            }
+            verify_local(&args, db_path, "batch item", &queries, &items)?;
             println!("remote ≡ local: {} sub-queries verified", items.len());
         }
         return Ok(());
@@ -1353,24 +1371,13 @@ fn cmd_remote_query(args: Args) -> Result<(), String> {
         m.counters.records_examined
     );
     if let Some(db_path) = args.get("verify-local") {
-        let db = open_db(db_path, &args)?;
-        if opts.cold {
-            db.try_cold_start().map_err(|e| e.to_string())?;
-        }
-        let reads_before = dm_storage::thread_reads();
-        let mut counters = FetchCounters::default();
-        let (res, _report) = db
-            .try_vi_query_counted(&roi, e, &mut counters)
-            .map_err(|e| e.to_string())?;
-        let local_disk = dm_storage::thread_reads() - reads_before;
-        let (lv, lf) = dm_net::canonical_mesh(&res.front);
-        mesh_matches("query", &m, &lv, &lf)?;
-        if res.fetched_records as u64 != m.fetched_records {
-            return Err(format!(
-                "fetched records differ: remote {} vs local {}",
-                m.fetched_records, res.fetched_records
-            ));
-        }
+        let local_disk = verify_local(
+            &args,
+            db_path,
+            "query",
+            &[(roi, e)],
+            std::slice::from_ref(&m),
+        )?[0];
         if opts.cold && local_disk != m.disk_accesses {
             return Err(format!(
                 "cold disk accesses differ: remote {} vs local {local_disk}",

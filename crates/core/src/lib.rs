@@ -20,6 +20,16 @@
 //!   individually smaller query cubes whenever the R-tree disk-access
 //!   model (eq. 1–7) predicts a win.
 //!
+//! Each query body exists once, in [`query`], generic over the
+//! [`RecordStore`] seam (plane fetch, staircase fetch, point lookup, the
+//! planner's cost probe): [`query::vi_query_flat`],
+//! [`query::plan_multi_base`], [`query::vd_with_strips`] and
+//! [`query::vd_multi_base`]. A [`DirectMeshDb`] implements the seam with
+//! its two page scans ([`DirectMeshDb::fetch_box_flat_counted`],
+//! [`DirectMeshDb::fetch_boxes_counted`]); the `dm-world` catalog
+//! implements it by fanning out to regions. The methods above and their
+//! fallible `try_*` forms are one-line callers of those bodies.
+//!
 //! Modules: [`record`] (on-disk codec), [`store`] (database build and
 //! fetch paths), [`faces`] (planar face extraction from connection
 //! lists), [`query`] (the three query algorithms and the optimizer),
@@ -65,7 +75,7 @@ pub use live::{LiveDb, LiveOptions, PatchStats, RecoveryInfo};
 pub use navigation::{FrameStats, NavigationSession, PlanDecision, PlanMode, SpliceDelta};
 pub use parallel::{vd_query_batch, vi_query_batch};
 pub use query::{
-    equal_strips, topmost_front, uniform_cut, BoundaryPolicy, ElevationStats, VdQuery, VdResult,
+    equal_strips, uniform_cut, BoundaryPolicy, ElevationStats, RecordStore, VdQuery, VdResult,
     ViFlatResult, ViResult,
 };
 pub use record::{DmRecord, FetchedSet};

@@ -37,7 +37,7 @@ use dm_storage::StorageResult;
 use fxhash::{FxHashMap, FxHashSet};
 
 use crate::faces::extract_faces;
-use crate::query::{BoundaryPolicy, DbSource, VdQuery};
+use crate::query::{refine_accounted, staircase, BoundaryPolicy, VdQuery};
 use crate::record::DmRecord;
 use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
 
@@ -282,11 +282,7 @@ impl<'a> NavigationSession<'a> {
         // Plan this frame's strips and cubes (same planner as a cold
         // multi-base query, so coverage is identical).
         let strips = self.db.plan_multi_base(q, self.max_cubes);
-        let mut new_cubes: Vec<Box3> = Vec::with_capacity(strips.len());
-        for rect in &strips {
-            let (lo, hi) = q.e_range(rect);
-            new_cubes.push(Box3::prism(*rect, lo, self.db.clamp_e(hi)));
-        }
+        let new_cubes = staircase(self.db, q, &strips);
 
         // Delta planning: the parts of the new cubes that the previous
         // frame's cubes did not cover. A full requery needs no pieces.
@@ -381,10 +377,14 @@ impl<'a> NavigationSession<'a> {
         // land in the source's own overlay so they never contaminate the
         // working set across frames.
         let mut front = self.seed_front.clone();
-        let mut source = DbSource::borrowed(self.db, &self.working, self.policy);
-        let refine = self
-            .db
-            .refine_accounted(&mut front, &mut source, q, &mut report);
+        let (refine, _boundary_fetches) = refine_accounted(
+            &mut front,
+            self.db,
+            &self.working,
+            self.policy,
+            q,
+            &mut report,
+        );
         let stats = FrameStats {
             disk_accesses: dm_storage::thread_reads() - reads_before,
             fetched_records: fetched,

@@ -15,14 +15,12 @@
 //! per worker — never one task per item — matching the vendored `rayon`
 //! shim, where each `spawn` is one OS thread.
 
-use dm_geom::{Box3, Rect};
-use dm_mtm::PmNode;
+use dm_geom::Rect;
 use dm_storage::StorageResult;
-use fxhash::FxHashMap;
 
-use crate::query::{BoundaryPolicy, DbSource, VdQuery, VdResult, ViResult};
+use crate::query::{assemble_refine, staircase, BoundaryPolicy, VdQuery, VdResult, ViResult};
 use crate::record::DmRecord;
-use crate::store::{DirectMeshDb, IntegrityReport};
+use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
 
 /// Resolve a caller-facing thread count: `0` means "use the current
 /// rayon context width" (the installed pool inside
@@ -98,11 +96,11 @@ pub fn vd_query_batch(
 
 /// Parallel multi-base query: plan the strip decomposition like
 /// [`DirectMeshDb::try_vd_multi_base`], fetch the per-strip cubes on up
-/// to `threads` workers, then stitch deterministically — per-strip
-/// record maps merge in strip order (first strip wins on shared ids,
-/// matching the sequential `entry().or_insert()` pass) and the per-strip
-/// [`IntegrityReport`]s merge in the same order — before the single
-/// global refinement.
+/// to `threads` workers, then stitch deterministically — the per-strip
+/// fetches concatenate in strip order (the shared tail keeps the first
+/// strip's copy of a shared id, matching the sequential pass) and the
+/// per-strip [`IntegrityReport`]s merge in the same order — before the
+/// single global refinement.
 pub fn vd_multi_base_parallel(
     db: &DirectMeshDb,
     q: &VdQuery,
@@ -111,53 +109,33 @@ pub fn vd_multi_base_parallel(
     threads: usize,
 ) -> StorageResult<(VdResult, IntegrityReport)> {
     let strips = db.plan_multi_base(q, max_cubes);
+    let cubes = staircase(db, q, &strips);
 
     // Fan the strip fetches out; each worker degrades and accounts into
     // its own report (retry deltas are thread-attributed, so concurrent
     // retries on a shared page never double-count).
-    type StripFetch = StorageResult<(Box3, Vec<DmRecord>, IntegrityReport)>;
-    let fetched: Vec<StripFetch> = par_map(&strips, threads, |rect| {
-        let (lo, hi) = q.e_range(rect);
-        let cube = Box3::prism(*rect, lo, db.clamp_e(hi));
+    type StripFetch = StorageResult<(Vec<DmRecord>, IntegrityReport)>;
+    let fetched: Vec<StripFetch> = par_map(&cubes, threads, |cube| {
         let mut report = IntegrityReport::default();
-        let recs = db.fetch_box_degraded(&cube, &mut report)?;
-        Ok((cube, recs, report))
+        let recs = db.fetch_boxes_counted(
+            std::slice::from_ref(cube),
+            &mut report,
+            &mut FetchCounters::default(),
+        )?;
+        Ok((recs, report))
     });
 
     // Deterministic stitch in strip order. An index-descent error in any
     // strip fails the query with the *first* strip's error, exactly as
     // the sequential loop would have.
     let mut report = IntegrityReport::default();
-    let mut cubes = Vec::with_capacity(strips.len());
-    let mut all: FxHashMap<u32, DmRecord> = FxHashMap::default();
-    let mut fetched_records = 0usize;
+    let mut all: Vec<DmRecord> = Vec::new();
     for strip in fetched {
-        let (cube, recs, strip_report) = strip?;
+        let (recs, strip_report) = strip?;
         report.merge(strip_report);
-        fetched_records += recs.len();
-        for r in recs {
-            all.entry(r.node.id).or_insert(r);
-        }
-        cubes.push(cube);
+        all.extend(recs);
     }
-
-    // Same tail as the sequential path: topmost-front seeding over the
-    // union fetch, then one global refinement to the query plane.
-    let recs: Vec<DmRecord> = all.values().cloned().collect();
-    let mut front = crate::query::assemble_topmost_front(recs, &q.roi);
-    let map: FxHashMap<u32, PmNode> = all.values().map(|r| (r.node.id, r.node)).collect();
-    let mut source = DbSource::new(db, map, policy);
-    let stats = db.refine_accounted(&mut front, &mut source, q, &mut report);
-    Ok((
-        VdResult {
-            front,
-            refine: stats,
-            fetched_records,
-            cubes,
-            boundary_fetches: source.misses_fetched,
-        },
-        report,
-    ))
+    Ok(assemble_refine(db, q, policy, cubes, all, report))
 }
 
 #[cfg(test)]

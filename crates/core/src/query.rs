@@ -7,7 +7,7 @@ use dm_mtm::refine::{refine, FrontMesh, LodTarget, RecordSource, RefineStats};
 use dm_mtm::{PlaneTarget, PmNode};
 use fxhash::FxHashMap;
 
-use dm_storage::{StorageError, StorageResult};
+use dm_storage::StorageResult;
 
 use crate::faces::{extract_faces_dense_owned, DenseAdjacency};
 use crate::record::{DmRecord, FetchedSet};
@@ -172,86 +172,301 @@ pub struct VdResult {
     pub boundary_fetches: usize,
 }
 
-/// A [`RecordSource`] backed by the fetched record map, with optional
-/// fall-through to the database on miss.
-pub struct DbSource<'a> {
-    db: &'a DirectMeshDb,
-    /// Borrowed base record set (a navigation session's working set).
-    /// Checked first; never written — boundary fetches land in the owned
-    /// overlay `map` so they cannot leak into a longer-lived cache.
-    base: Option<&'a FxHashMap<u32, DmRecord>>,
-    pub map: FxHashMap<u32, PmNode>,
+/// The one seam under every query: what the shared cut / plan /
+/// assemble-refine bodies below need from whatever holds the records. A
+/// [`DirectMeshDb`] implements it directly; the world catalog implements
+/// it by routing to the overlapping regions, fetching per region,
+/// remapping into the world frame and concatenating in ascending region
+/// order. Records of one id may therefore arrive more than once — the
+/// shared bodies keep the first and count them all as fetched.
+pub trait RecordStore: Sync {
+    /// Clamp a query LOD into the indexed range.
+    fn clamp_e(&self, e: f64) -> f64;
+
+    /// Every record whose vertical segment crosses the query plane, in
+    /// arena form (the VI fetch).
+    fn fetch_plane(
+        &self,
+        plane: &Box3,
+        report: &mut IntegrityReport,
+        counters: &mut FetchCounters,
+    ) -> StorageResult<FetchedSet>;
+
+    /// Every record whose vertical segment intersects any cube, as owned
+    /// records (the VD staircase fetch).
+    fn fetch_cubes(
+        &self,
+        cubes: &[Box3],
+        report: &mut IntegrityReport,
+        counters: &mut FetchCounters,
+    ) -> StorageResult<Vec<DmRecord>>;
+
+    /// Point lookup by id (the `FetchOnMiss` boundary policy).
+    fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>>;
+
+    /// The planner's cost probe: how many pages the optimizer statistics
+    /// predict for `cubes` together (a page shared by neighbouring cubes
+    /// counts once). Every cube lies over `roi`, which a multi-region
+    /// store routes by.
+    fn union_page_count(&self, roi: &Rect, cubes: &[Box3]) -> StorageResult<usize>;
+}
+
+impl RecordStore for DirectMeshDb {
+    fn clamp_e(&self, e: f64) -> f64 {
+        DirectMeshDb::clamp_e(self, e)
+    }
+
+    fn fetch_plane(
+        &self,
+        plane: &Box3,
+        report: &mut IntegrityReport,
+        counters: &mut FetchCounters,
+    ) -> StorageResult<FetchedSet> {
+        self.fetch_box_flat_counted(plane, report, counters)
+    }
+
+    fn fetch_cubes(
+        &self,
+        cubes: &[Box3],
+        report: &mut IntegrityReport,
+        counters: &mut FetchCounters,
+    ) -> StorageResult<Vec<DmRecord>> {
+        // One batched fetch for the whole staircase: a heap page shared
+        // by several strip cubes is header-scanned once, not once per
+        // strip, and the index descends once for the batch.
+        self.fetch_boxes_counted(cubes, report, counters)
+    }
+
+    fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>> {
+        DirectMeshDb::try_fetch_by_id(self, id)
+    }
+
+    fn union_page_count(&self, _roi: &Rect, cubes: &[Box3]) -> StorageResult<usize> {
+        Ok(self.cost_model().count_union(cubes))
+    }
+}
+
+/// The refinement's [`RecordSource`]: the fetched record set first, then
+/// (under [`BoundaryPolicy::FetchOnMiss`]) a point lookup through the
+/// store.
+struct StoreSource<'a, S: RecordStore + ?Sized> {
+    store: &'a S,
+    /// The fetched records (a cold query's union fetch, or a navigation
+    /// session's working set). Never written — boundary fetches land in
+    /// `overlay` so they cannot leak into a longer-lived cache.
+    base: &'a FxHashMap<u32, DmRecord>,
+    overlay: FxHashMap<u32, PmNode>,
     policy: BoundaryPolicy,
-    pub misses_fetched: usize,
-    /// Fall-through fetches that failed with a storage error. The record
-    /// is reported to the refinement as missing (same as `Skip`), so the
-    /// query completes with a slightly coarser border; callers decide
-    /// whether that is acceptable by inspecting [`Self::first_error`].
-    pub fetch_errors: usize,
-    /// The first storage error absorbed, for diagnostics.
-    pub first_error: Option<StorageError>,
+    misses_fetched: usize,
+    /// Fall-through fetches that failed with a storage error are
+    /// accounted here (each loses at most that one point; the first
+    /// error is kept for diagnostics) and reported to the refinement as
+    /// missing, same as `Skip`: the query completes with a slightly
+    /// coarser border.
+    report: &'a mut IntegrityReport,
+    errored: bool,
 }
 
-impl<'a> DbSource<'a> {
-    pub fn new(db: &'a DirectMeshDb, map: FxHashMap<u32, PmNode>, policy: BoundaryPolicy) -> Self {
-        DbSource {
-            db,
-            base: None,
-            map,
-            policy,
-            misses_fetched: 0,
-            fetch_errors: 0,
-            first_error: None,
-        }
-    }
-
-    /// A source reading from a borrowed record map without copying it —
-    /// the navigation hot path, where the working set is large and
-    /// rebuilt-per-frame node maps were the dominant allocation.
-    pub fn borrowed(
-        db: &'a DirectMeshDb,
-        base: &'a FxHashMap<u32, DmRecord>,
-        policy: BoundaryPolicy,
-    ) -> Self {
-        DbSource {
-            db,
-            base: Some(base),
-            map: FxHashMap::default(),
-            policy,
-            misses_fetched: 0,
-            fetch_errors: 0,
-            first_error: None,
-        }
-    }
-}
-
-impl RecordSource for DbSource<'_> {
+impl<S: RecordStore + ?Sized> RecordSource for StoreSource<'_, S> {
     fn fetch(&mut self, id: u32) -> Option<PmNode> {
-        if let Some(r) = self.base.and_then(|b| b.get(&id)) {
+        if let Some(r) = self.base.get(&id) {
             return Some(r.node);
         }
-        if let Some(n) = self.map.get(&id) {
+        if let Some(n) = self.overlay.get(&id) {
             return Some(*n);
         }
         match self.policy {
             BoundaryPolicy::Skip => None,
-            BoundaryPolicy::FetchOnMiss => match self.db.try_fetch_by_id(id) {
+            BoundaryPolicy::FetchOnMiss => match self.store.try_fetch_by_id(id) {
                 Ok(Some(rec)) => {
                     self.misses_fetched += 1;
-                    self.map.insert(id, rec.node);
+                    self.overlay.insert(id, rec.node);
                     Some(rec.node)
                 }
                 Ok(None) => None,
                 Err(e) => {
-                    self.fetch_errors += 1;
-                    if self.first_error.is_none() {
-                        self.first_error = Some(e);
+                    self.report.points_lost += 1;
+                    if !self.errored && self.report.errors.len() < IntegrityReport::MAX_ERRORS {
+                        self.report.errors.push(format!("boundary fetch: {e}"));
                     }
+                    self.errored = true;
                     None
                 }
             },
         }
     }
+}
+
+/// Viewpoint-independent query `Q(M, r, e)` over any store: one
+/// query-plane range fetch, then topology from the connection lists
+/// (paper §5.1), in flat canonical form — active nodes ascending by id
+/// and the extracted CCW faces. Heap pages that stay unreadable after
+/// retries are skipped and accounted in the [`IntegrityReport`]
+/// (`is_clean()` ⇒ the result is exact); `Err` means an index descent
+/// (or a region open) failed and no meaningful partial answer exists.
+pub fn vi_query_flat<S: RecordStore + ?Sized>(
+    store: &S,
+    roi: &Rect,
+    e: f64,
+    counters: &mut FetchCounters,
+) -> StorageResult<(ViFlatResult, IntegrityReport)> {
+    let mut report = IntegrityReport::default();
+    let e = store.clamp_e(e);
+    let set = store.fetch_plane(&Box3::prism(*roi, e, e), &mut report, counters)?;
+    let (nodes, faces) = uniform_cut(&set, roi, e);
+    Ok((
+        ViFlatResult {
+            nodes,
+            faces,
+            fetched_records: set.len(),
+        },
+        report,
+    ))
+}
+
+/// One query cube per strip, each bounded by the plane's local LOD range
+/// — the staircase under the tilted plane.
+pub(crate) fn staircase<S: RecordStore + ?Sized>(
+    store: &S,
+    q: &VdQuery,
+    strips: &[Rect],
+) -> Vec<Box3> {
+    strips
+        .iter()
+        .map(|rect| {
+            let (lo, hi) = q.e_range(rect);
+            Box3::prism(*rect, lo, store.clamp_e(hi))
+        })
+        .collect()
+}
+
+/// Plan the multi-base strip decomposition (paper §5.3): recursively
+/// halve the ROI along the LOD gradient — each plan is a staircase of
+/// equal strips — and keep the plan the optimizer statistics predict to
+/// be cheapest. Costs are *union* page counts (pages shared by
+/// neighbouring cubes are fetched once) plus an index-descent overhead
+/// per extra cube. Deterministic for a given store: the cost models are
+/// built from catalog statistics, not from cache state.
+pub fn plan_multi_base<S: RecordStore + ?Sized>(
+    store: &S,
+    q: &VdQuery,
+    max_cubes: usize,
+) -> StorageResult<Vec<Rect>> {
+    let overhead_per_cube = 3.0;
+    let along_x = q.target.dir.x.abs() >= q.target.dir.y.abs();
+    let mut best: Vec<Rect> = vec![q.roi];
+    let mut best_cost = f64::INFINITY;
+    let mut n = 1usize;
+    while n <= max_cubes.max(1) {
+        let strips = equal_strips(&q.roi, n, along_x);
+        let pages = store.union_page_count(&q.roi, &staircase(store, q, &strips))?;
+        let cost = pages as f64 + overhead_per_cube * (n as f64 - 1.0);
+        if cost < best_cost {
+            best_cost = cost;
+            best = strips;
+        }
+        n *= 2;
+    }
+    Ok(best)
+}
+
+/// Viewpoint-dependent query, multi-base, over any store: plan the
+/// strips, then [`vd_with_strips`].
+pub fn vd_multi_base<S: RecordStore + ?Sized>(
+    store: &S,
+    q: &VdQuery,
+    policy: BoundaryPolicy,
+    max_cubes: usize,
+    counters: &mut FetchCounters,
+) -> StorageResult<(VdResult, IntegrityReport)> {
+    let strips = plan_multi_base(store, q, max_cubes)?;
+    vd_with_strips(store, q, policy, &strips, counters)
+}
+
+/// Viewpoint-dependent query over a fixed strip decomposition: fetch the
+/// staircase cubes in one batch, seed the front with the locally topmost
+/// records, refine once to the query plane. A single strip covering the
+/// ROI is the paper's single-base Algorithm 1.
+///
+/// Unreadable heap pages are skipped (the mesh completes from the
+/// surviving records' connection lists, slightly coarser where data
+/// vanished) and failed boundary fetches degrade to `Skip` behaviour.
+/// `Err` only when an index descent (or a region open) fails.
+pub fn vd_with_strips<S: RecordStore + ?Sized>(
+    store: &S,
+    q: &VdQuery,
+    policy: BoundaryPolicy,
+    strips: &[Rect],
+    counters: &mut FetchCounters,
+) -> StorageResult<(VdResult, IntegrityReport)> {
+    let mut report = IntegrityReport::default();
+    let cubes = staircase(store, q, strips);
+    let recs = store.fetch_cubes(&cubes, &mut report, counters)?;
+    Ok(assemble_refine(store, q, policy, cubes, recs, report))
+}
+
+/// The viewpoint-dependent tail every path shares: deduplicate the fetch
+/// (first writer wins — strip order, ascending region order), seed the
+/// front with the locally topmost records (the staircase cubes provide
+/// each strip's top level; topmost seeding handles the strip steps and
+/// the ROI clipping in one rule), then one global refinement to the
+/// query plane with its boundary fetches accounted.
+pub(crate) fn assemble_refine<S: RecordStore + ?Sized>(
+    store: &S,
+    q: &VdQuery,
+    policy: BoundaryPolicy,
+    cubes: Vec<Box3>,
+    recs: Vec<DmRecord>,
+    mut report: IntegrityReport,
+) -> (VdResult, IntegrityReport) {
+    let fetched_records = recs.len();
+    let mut all: FxHashMap<u32, DmRecord> = FxHashMap::default();
+    for r in recs {
+        all.entry(r.node.id).or_insert(r);
+    }
+    let mut front = assemble_topmost_front(&all, &q.roi);
+    let (refine, boundary_fetches) =
+        refine_accounted(&mut front, store, &all, policy, q, &mut report);
+    (
+        VdResult {
+            front,
+            refine,
+            fetched_records,
+            cubes,
+            boundary_fetches,
+        },
+        report,
+    )
+}
+
+/// Refine `front` to the query plane reading `base` (falling through to
+/// `store` as `policy` allows), with boundary-fetch failures and retry
+/// spend folded into `report`. Returns the refinement counters and the
+/// number of boundary fetches.
+pub(crate) fn refine_accounted<S: RecordStore + ?Sized>(
+    front: &mut FrontMesh,
+    store: &S,
+    base: &FxHashMap<u32, DmRecord>,
+    policy: BoundaryPolicy,
+    q: &VdQuery,
+    report: &mut IntegrityReport,
+) -> (RefineStats, usize) {
+    // Thread-attributed delta: the pool counter is shared, so under
+    // concurrent workers it would tally other threads' retries too.
+    let retries_before = dm_storage::thread_retries();
+    let mut source = StoreSource {
+        store,
+        base,
+        overlay: FxHashMap::default(),
+        policy,
+        misses_fetched: 0,
+        report,
+        errored: false,
+    };
+    let stats = refine(front, &mut source, &q.target);
+    let boundary_fetches = source.misses_fetched;
+    report.retries += dm_storage::thread_retries() - retries_before;
+    (stats, boundary_fetches)
 }
 
 impl DirectMeshDb {
@@ -267,69 +482,35 @@ impl DirectMeshDb {
         res
     }
 
-    /// Fault-tolerant viewpoint-independent query: heap pages that stay
-    /// unreadable after retries are skipped and the mesh is assembled
-    /// from the surviving connection lists. The [`IntegrityReport`] says
-    /// what was lost (`is_clean()` ⇒ the result is exact). `Err` means
-    /// the R\*-tree descent itself failed — no meaningful partial answer
-    /// exists.
+    /// Fault-tolerant viewpoint-independent query: [`vi_query_flat`]
+    /// with the cut assembled into a [`FrontMesh`].
     pub fn try_vi_query(&self, roi: &Rect, e: f64) -> StorageResult<(ViResult, IntegrityReport)> {
-        self.try_vi_query_counted(roi, e, &mut FetchCounters::default())
-    }
-
-    /// [`Self::try_vi_query`] that additionally accumulates per-request
-    /// [`FetchCounters`] — the accounting the network service reports
-    /// with every response.
-    pub fn try_vi_query_counted(
-        &self,
-        roi: &Rect,
-        e: f64,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<(ViResult, IntegrityReport)> {
-        let mut report = IntegrityReport::default();
-        let e = self.clamp_e(e);
-        let plane = Box3::prism(*roi, e, e);
-        let recs = self.fetch_box_flat_counted(&plane, &mut report, counters)?;
-        let fetched = recs.len();
-        let front = assemble_uniform_front(&recs, roi, e);
+        let (flat, report) = vi_query_flat(self, roi, e, &mut FetchCounters::default())?;
+        let front = FrontMesh::from_parts(flat.nodes, &flat.faces);
         Ok((
             ViResult {
                 points: front.num_vertices(),
                 front,
-                fetched_records: fetched,
+                fetched_records: flat.fetched_records,
             },
             report,
         ))
     }
 
-    /// [`Self::try_vi_query_counted`] without the [`FrontMesh`] build —
-    /// the serving fast path. Returns the same cut in flat form: the
-    /// canonical vertex set is exactly the active nodes ascending by id,
-    /// and the faces are exactly what face extraction emits. Extraction
-    /// only ever emits strictly-CCW, non-degenerate faces, so
-    /// `FrontMesh::from_parts` (the full path) neither drops nor reorients
-    /// any of them: canonicalizing this flat answer is bit-identical to
-    /// canonicalizing the assembled front.
+    /// [`vi_query_flat`] on this store, accumulating the per-request
+    /// [`FetchCounters`] the network service reports with every
+    /// response — the serving fast path, without the [`FrontMesh`]
+    /// build. Extraction only ever emits strictly-CCW, non-degenerate
+    /// faces, so `FrontMesh::from_parts` neither drops nor reorients any
+    /// of them: canonicalizing this flat answer is bit-identical to
+    /// canonicalizing [`Self::try_vi_query`]'s front.
     pub fn try_vi_query_flat_counted(
         &self,
         roi: &Rect,
         e: f64,
         counters: &mut FetchCounters,
     ) -> StorageResult<(ViFlatResult, IntegrityReport)> {
-        let mut report = IntegrityReport::default();
-        let e = self.clamp_e(e);
-        let plane = Box3::prism(*roi, e, e);
-        let recs = self.fetch_box_flat_counted(&plane, &mut report, counters)?;
-        let fetched = recs.len();
-        let (nodes, faces) = uniform_cut(&recs, roi, e);
-        Ok((
-            ViFlatResult {
-                nodes,
-                faces,
-                fetched_records: fetched,
-            },
-            report,
-        ))
+        vi_query_flat(self, roi, e, counters)
     }
 
     /// Viewpoint-dependent query, single-base (paper Algorithm 1): fetch
@@ -343,74 +524,17 @@ impl DirectMeshDb {
     /// the mesh). `BoundaryPolicy::FetchOnMiss` reduces the effect; a
     /// [`crate::NavigationSession`] amortizes it across frames.
     pub fn vd_single_base(&self, q: &VdQuery, policy: BoundaryPolicy) -> VdResult {
-        let (res, report) = self
-            .try_vd_single_base(q, policy)
-            .unwrap_or_else(|e| panic!("vd query: {e}"));
-        assert!(report.is_clean(), "vd query lost data: {report}");
-        res
+        self.vd_multi_base_with_strips(q, policy, &[q.roi])
     }
 
-    /// Fault-tolerant single-base query: unreadable heap pages are
-    /// skipped (the mesh completes from the surviving records' connection
-    /// lists, slightly coarser where data vanished) and failed boundary
-    /// fetches degrade to `Skip` behaviour. `Err` only when the index
-    /// descent fails.
+    /// Fault-tolerant single-base query: [`vd_with_strips`] over the one
+    /// strip that is the whole ROI.
     pub fn try_vd_single_base(
         &self,
         q: &VdQuery,
         policy: BoundaryPolicy,
     ) -> StorageResult<(VdResult, IntegrityReport)> {
-        let mut report = IntegrityReport::default();
-        let (e_lo, e_hi) = q.e_range(&q.roi);
-        let e_hi = self.clamp_e(e_hi);
-        let cube = Box3::prism(q.roi, e_lo, e_hi);
-        let recs = self.fetch_box_degraded(&cube, &mut report)?;
-        let fetched = recs.len();
-
-        // Initial front: the locally topmost fetched records. For a ROI
-        // covering the terrain this is exactly the top-plane cut (the
-        // paper's "construct a mesh on the top plane"); for a sub-ROI it
-        // additionally seeds regions whose coarse ancestors sit outside
-        // the ROI and were deliberately not fetched.
-        let map: FxHashMap<u32, PmNode> = recs.iter().map(|r| (r.node.id, r.node)).collect();
-        let mut front = assemble_topmost_front(recs, &q.roi);
-        let mut source = DbSource::new(self, map, policy);
-        let stats = self.refine_accounted(&mut front, &mut source, q, &mut report);
-        Ok((
-            VdResult {
-                front,
-                refine: stats,
-                fetched_records: fetched,
-                cubes: vec![cube],
-                boundary_fetches: source.misses_fetched,
-            },
-            report,
-        ))
-    }
-
-    /// Run the refinement and fold its boundary-fetch failures and retry
-    /// spend into `report`. Crate-visible so the parallel multi-base path
-    /// ([`crate::parallel`]) can share the stitch-then-refine tail.
-    pub(crate) fn refine_accounted(
-        &self,
-        front: &mut FrontMesh,
-        source: &mut DbSource<'_>,
-        q: &VdQuery,
-        report: &mut IntegrityReport,
-    ) -> RefineStats {
-        // Thread-attributed delta: the pool counter is shared, so under
-        // concurrent workers it would tally other threads' retries too.
-        let retries_before = dm_storage::thread_retries();
-        let stats = refine(front, source, &q.target);
-        report.retries += dm_storage::thread_retries() - retries_before;
-        // A failed point lookup loses at most that one point.
-        report.points_lost += source.fetch_errors as u64;
-        if let Some(e) = &source.first_error {
-            if report.errors.len() < IntegrityReport::MAX_ERRORS {
-                report.errors.push(format!("boundary fetch: {e}"));
-            }
-        }
-        stats
+        vd_with_strips(self, q, policy, &[q.roi], &mut FetchCounters::default())
     }
 
     /// Aggregate query: elevation statistics of the approximation at LOD
@@ -438,56 +562,27 @@ impl DirectMeshDb {
         out
     }
 
-    /// Plan the multi-base strip decomposition (paper §5.3): recursively
-    /// halve the ROI along the LOD gradient — each plan is a staircase of
-    /// equal strips — and keep the plan the optimizer statistics predict
-    /// to be cheapest. Costs are *union* page counts (pages shared by
-    /// neighbouring cubes are fetched once) plus an index-descent
-    /// overhead per extra cube.
+    /// [`plan_multi_base`] on this store.
     pub fn plan_multi_base(&self, q: &VdQuery, max_cubes: usize) -> Vec<Rect> {
-        let overhead_per_cube = 3.0;
-        let along_x = q.target.dir.x.abs() >= q.target.dir.y.abs();
-        let cube_of = |r: &Rect| {
-            let (lo, hi) = q.e_range(r);
-            Box3::prism(*r, lo, self.clamp_e(hi))
-        };
-        let mut best: Vec<Rect> = vec![q.roi];
-        let mut best_cost = f64::INFINITY;
-        let mut n = 1usize;
-        while n <= max_cubes.max(1) {
-            let strips = equal_strips(&q.roi, n, along_x);
-            let cubes: Vec<Box3> = strips.iter().map(cube_of).collect();
-            let cost =
-                self.cost_model().count_union(&cubes) as f64 + overhead_per_cube * (n as f64 - 1.0);
-            if cost < best_cost {
-                best_cost = cost;
-                best = strips;
-            }
-            n *= 2;
-        }
-        best
+        plan_multi_base(self, q, max_cubes).expect("a store's cost model is in memory")
     }
 
     /// Viewpoint-dependent query, multi-base: one query cube per planned
-    /// strip (each bounded by the plane's local LOD range — the staircase
-    /// under the tilted plane), then the final front is assembled
-    /// directly from the union of the fetched records.
+    /// strip, then the final front is assembled directly from the union
+    /// of the fetched records. Panics on storage errors or lost data.
     pub fn vd_multi_base(&self, q: &VdQuery, policy: BoundaryPolicy, max_cubes: usize) -> VdResult {
         let strips = self.plan_multi_base(q, max_cubes);
         self.vd_multi_base_with_strips(q, policy, &strips)
     }
 
-    /// Fault-tolerant multi-base query; see [`Self::try_vd_single_base`]
-    /// for the degradation semantics. A page shared by neighbouring cubes
-    /// that stays unreadable is counted once per cube that needed it.
+    /// Fault-tolerant multi-base query ([`vd_multi_base`] on this store).
     pub fn try_vd_multi_base(
         &self,
         q: &VdQuery,
         policy: BoundaryPolicy,
         max_cubes: usize,
     ) -> StorageResult<(VdResult, IntegrityReport)> {
-        let strips = self.plan_multi_base(q, max_cubes);
-        self.try_vd_multi_base_with_strips(q, policy, &strips)
+        vd_multi_base(self, q, policy, max_cubes, &mut FetchCounters::default())
     }
 
     /// [`Self::try_vd_multi_base`] that additionally accumulates
@@ -499,139 +594,47 @@ impl DirectMeshDb {
         max_cubes: usize,
         counters: &mut FetchCounters,
     ) -> StorageResult<(VdResult, IntegrityReport)> {
-        let strips = self.plan_multi_base(q, max_cubes);
-        self.try_vd_multi_base_with_strips_counted(q, policy, &strips, counters)
+        vd_multi_base(self, q, policy, max_cubes, counters)
     }
 
     /// Multi-base with a fixed, caller-provided strip decomposition
-    /// (ablation against the cost-model-driven plan).
+    /// (ablation against the cost-model-driven plan). Panics on storage
+    /// errors or lost data.
     pub fn vd_multi_base_with_strips(
         &self,
         q: &VdQuery,
         policy: BoundaryPolicy,
         strips: &[Rect],
     ) -> VdResult {
-        let (res, report) = self
-            .try_vd_multi_base_with_strips(q, policy, strips)
+        let (res, report) = vd_with_strips(self, q, policy, strips, &mut FetchCounters::default())
             .unwrap_or_else(|e| panic!("vd query: {e}"));
         assert!(report.is_clean(), "vd query lost data: {report}");
         res
     }
-
-    /// Fault-tolerant [`Self::vd_multi_base_with_strips`].
-    pub fn try_vd_multi_base_with_strips(
-        &self,
-        q: &VdQuery,
-        policy: BoundaryPolicy,
-        strips: &[Rect],
-    ) -> StorageResult<(VdResult, IntegrityReport)> {
-        self.try_vd_multi_base_with_strips_counted(q, policy, strips, &mut FetchCounters::default())
-    }
-
-    /// [`Self::try_vd_multi_base_with_strips`] with [`FetchCounters`]
-    /// accumulation.
-    pub fn try_vd_multi_base_with_strips_counted(
-        &self,
-        q: &VdQuery,
-        policy: BoundaryPolicy,
-        strips: &[Rect],
-        counters: &mut FetchCounters,
-    ) -> StorageResult<(VdResult, IntegrityReport)> {
-        let mut report = IntegrityReport::default();
-        let mut cubes = Vec::with_capacity(strips.len());
-        for rect in strips {
-            let (lo, hi) = q.e_range(rect);
-            cubes.push(Box3::prism(*rect, lo, self.clamp_e(hi)));
-        }
-        // One batched fetch for the whole staircase: a heap page shared
-        // by several strip cubes is header-scanned once, not once per
-        // strip, and the index descends once for the batch.
-        let recs = self.fetch_boxes_counted(&cubes, &mut report, counters)?;
-        let fetched = recs.len();
-        let mut all: FxHashMap<u32, DmRecord> = FxHashMap::default();
-        for r in recs {
-            all.entry(r.node.id).or_insert(r);
-        }
-
-        // Initial front: the locally topmost records of the union fetch
-        // (the staircase cubes provide each strip's top level; topmost
-        // seeding handles the strip steps and the ROI clipping in one
-        // rule), then one global refinement to the query plane.
-        let recs: Vec<DmRecord> = all.values().cloned().collect();
-        let mut front = assemble_topmost_front(recs, &q.roi);
-
-        let map: FxHashMap<u32, PmNode> = all.values().map(|r| (r.node.id, r.node)).collect();
-        let mut source = DbSource::new(self, map, policy);
-        let stats = self.refine_accounted(&mut front, &mut source, q, &mut report);
-        Ok((
-            VdResult {
-                front,
-                refine: stats,
-                fetched_records: fetched,
-                cubes,
-                boundary_fetches: source.misses_fetched,
-            },
-            report,
-        ))
-    }
 }
 
 /// Build the initial front from the *locally topmost* fetched records:
-/// every in-ROI record whose parent was not fetched (the parent is either
-/// coarser than the cube top — making the record a top-plane cut member —
-/// or positioned outside the ROI). Topology comes from the connection
-/// lists wherever the seeds' LOD intervals overlap.
-/// Dense-index a filtered record set: sort by id (so dense order agrees
-/// with id order, which face emission relies on) and build the id → dense
-/// index map. Shared head of both assembly paths.
-fn dense_index(mut recs: Vec<DmRecord>) -> (Vec<DmRecord>, FxHashMap<u32, u32>) {
-    recs.sort_unstable_by_key(|r| r.node.id);
-    let index_of: FxHashMap<u32, u32> = recs
+/// every in-ROI record whose parent is not an in-ROI fetched record (the
+/// parent is either coarser than the cube top — making the record a
+/// top-plane cut member — or positioned outside the ROI). Topology comes
+/// from the connection lists wherever the seeds' LOD intervals overlap.
+/// Seeds are sorted by id (dense order must agree with id order, which
+/// face emission relies on), so the map's iteration order is irrelevant.
+fn assemble_topmost_front(all: &FxHashMap<u32, DmRecord>, roi: &Rect) -> FrontMesh {
+    let in_roi = |r: &DmRecord| roi.contains(r.node.pos.xy());
+    let mut seeds: Vec<&DmRecord> = all
+        .values()
+        .filter(|r| {
+            in_roi(r)
+                && (r.node.parent == dm_mtm::NIL_ID || !all.get(&r.node.parent).is_some_and(in_roi))
+        })
+        .collect();
+    seeds.sort_unstable_by_key(|r| r.node.id);
+    let index_of: FxHashMap<u32, u32> = seeds
         .iter()
         .enumerate()
         .map(|(i, r)| (r.node.id, i as u32))
         .collect();
-    (recs, index_of)
-}
-
-/// Extract faces from densified records and assemble the front. `adj`
-/// holds dense indices; faces are mapped back to PM node ids.
-fn front_from_dense(recs: Vec<DmRecord>, pos: &[Vec2], adj: DenseAdjacency) -> FrontMesh {
-    let faces: Vec<[u32; 3]> = extract_faces_dense_owned(pos, adj)
-        .into_iter()
-        .map(|[a, b, c]| {
-            [
-                recs[a as usize].node.id,
-                recs[b as usize].node.id,
-                recs[c as usize].node.id,
-            ]
-        })
-        .collect();
-    FrontMesh::from_parts(recs.into_iter().map(|r| r.node).collect(), &faces)
-}
-
-/// Public (crate-external) form of the topmost-front assembly, for
-/// callers that merge record sets from several stores (the world catalog)
-/// before running the exact single-store seeding rule. Input order is
-/// irrelevant: seeds are re-sorted by id internally, so a cross-tile
-/// union produces the identical front to a single-store fetch of the
-/// same records.
-pub fn topmost_front(recs: Vec<DmRecord>, roi: &Rect) -> FrontMesh {
-    assemble_topmost_front(recs, roi)
-}
-
-pub(crate) fn assemble_topmost_front(recs: Vec<DmRecord>, roi: &Rect) -> FrontMesh {
-    let in_roi: FxHashMap<u32, DmRecord> = recs
-        .into_iter()
-        .filter(|r| roi.contains(r.node.pos.xy()))
-        .map(|r| (r.node.id, r))
-        .collect();
-    let seeds: Vec<DmRecord> = in_roi
-        .values()
-        .filter(|r| r.node.parent == dm_mtm::NIL_ID || !in_roi.contains_key(&r.node.parent))
-        .cloned()
-        .collect();
-    let (seeds, index_of) = dense_index(seeds);
     let pos: Vec<Vec2> = seeds.iter().map(|r| r.node.pos.xy()).collect();
     let mut adj = DenseAdjacency::with_capacity(seeds.len());
     for r in &seeds {
@@ -643,7 +646,18 @@ pub(crate) fn assemble_topmost_front(recs: Vec<DmRecord>, roi: &Rect) -> FrontMe
                 .filter(|&ci| iv.overlaps(&seeds[ci as usize].node.interval()))
         }));
     }
-    front_from_dense(seeds, &pos, adj)
+    // `adj` holds dense indices; faces are mapped back to PM node ids.
+    let faces: Vec<[u32; 3]> = extract_faces_dense_owned(&pos, adj)
+        .into_iter()
+        .map(|[a, b, c]| {
+            [
+                seeds[a as usize].node.id,
+                seeds[b as usize].node.id,
+                seeds[c as usize].node.id,
+            ]
+        })
+        .collect();
+    FrontMesh::from_parts(seeds.iter().map(|r| r.node).collect(), &faces)
 }
 
 thread_local! {
@@ -661,11 +675,11 @@ thread_local! {
 /// assembly and the network fast path build from this, so the two are
 /// identical by construction (extraction emits only strictly-CCW faces,
 /// which [`FrontMesh::from_parts`] preserves unchanged).
-/// Public for the world catalog: a cross-tile VI query concatenates the
-/// per-region fetches into one [`FetchedSet`] (slot order is irrelevant —
-/// the cut sorts by id) and runs this exact function, so tiled and
+/// A cross-tile fetch is the per-region fetches concatenated into one
+/// [`FetchedSet`]: slot order is irrelevant (the cut sorts by id) and of
+/// several slots carrying one id the first is kept, so tiled and
 /// single-store answers are bit-identical by construction. Callers must
-/// pass `e` already clamped and deduplicate ids across tiles.
+/// pass `e` already clamped.
 pub fn uniform_cut(set: &FetchedSet, roi: &Rect, e: f64) -> (Vec<PmNode>, Vec<[u32; 3]>) {
     // Dense order is ascending id (face emission relies on index order
     // agreeing with id order). Sort an (id, slot) permutation instead of
@@ -678,6 +692,7 @@ pub fn uniform_cut(set: &FetchedSet, roi: &Rect, e: f64) -> (Vec<PmNode>, Vec<[u
         .map(|(i, n)| (u64::from(n.id) << 32) | i as u64)
         .collect();
     perm.sort_unstable();
+    perm.dedup_by_key(|p| *p >> 32);
     CUT_SCRATCH.with(|scratch| {
         let (stamp, dense, gen) = &mut *scratch.borrow_mut();
         *gen = gen.wrapping_add(1);
@@ -724,13 +739,6 @@ pub fn uniform_cut(set: &FetchedSet, roi: &Rect, e: f64) -> (Vec<PmNode>, Vec<[u
             .collect();
         (nodes, faces)
     })
-}
-
-/// Build the uniform-LOD front at level `e` from fetched records: filter
-/// by interval and ROI, connect via the stored lists, extract faces.
-fn assemble_uniform_front(recs: &FetchedSet, roi: &Rect, e: f64) -> FrontMesh {
-    let (nodes, faces) = uniform_cut(recs, roi, e);
-    FrontMesh::from_parts(nodes, &faces)
 }
 
 /// Cut a rectangle into `n` equal strips perpendicular to the dominant

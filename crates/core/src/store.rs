@@ -889,31 +889,19 @@ impl DirectMeshDb {
     /// Fetch every record whose vertical segment intersects `q`: index
     /// lookup for the candidate pages, then a scan of each page with an
     /// exact segment test. Panics on storage errors; see
-    /// [`Self::try_fetch_box`] / [`Self::fetch_box_degraded`].
+    /// [`Self::try_fetch_box`] / [`Self::fetch_boxes_counted`].
     pub fn fetch_box(&self, q: &Box3) -> Vec<DmRecord> {
         self.try_fetch_box(q)
             .unwrap_or_else(|e| panic!("fetch box: {e}"))
     }
 
-    /// Strict fallible fetch: the first unreadable page aborts the query.
+    /// Strict fallible fetch: the first unreadable page aborts the query
+    /// (what the edit path reads through — a patch must never be
+    /// computed from a partial dirty set).
     pub fn try_fetch_box(&self, q: &Box3) -> StorageResult<Vec<DmRecord>> {
         let mut report = IntegrityReport::default();
         let mut counters = FetchCounters::default();
-        self.fetch_box_inner(q, true, &mut report, &mut counters)
-    }
-
-    /// Degraded fetch: heap pages that stay unreadable after the buffer
-    /// pool's retries are *skipped* and accounted for in `report`; the
-    /// result is everything the surviving pages hold. Index pages get no
-    /// such forgiveness — a lost interior node silently hides whole
-    /// subtrees, so index errors still abort.
-    pub fn fetch_box_degraded(
-        &self,
-        q: &Box3,
-        report: &mut IntegrityReport,
-    ) -> StorageResult<Vec<DmRecord>> {
-        let mut counters = FetchCounters::default();
-        self.fetch_box_inner(q, false, report, &mut counters)
+        self.fetch_boxes_inner(&[*q], true, &mut report, &mut counters)
     }
 
     /// The deduplicated candidate heap pages the index descent produces
@@ -940,22 +928,15 @@ impl DirectMeshDb {
         self.rtree_lost
     }
 
-    /// [`Self::fetch_box_degraded`] that additionally accumulates
-    /// page/record [`FetchCounters`] for the operation.
-    pub fn fetch_box_counted(
-        &self,
-        q: &Box3,
-        report: &mut IntegrityReport,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<Vec<DmRecord>> {
-        self.fetch_box_inner(q, false, report, counters)
-    }
-
-    /// [`Self::fetch_box_counted`] into a [`FetchedSet`] arena — the
-    /// uniform-cut fast path. Identical semantics (same candidate
-    /// pages, same segment test, same counters and degraded-page
-    /// truncation), but matching records land in three shared `Vec`s
-    /// instead of one allocation each.
+    /// Degraded single-box fetch into a [`FetchedSet`] arena — the
+    /// uniform-cut fast path: matching records land in three shared
+    /// `Vec`s instead of one allocation each. Heap pages that stay
+    /// unreadable after the buffer pool's retries are *skipped* and
+    /// accounted for in `report`; the result is everything the surviving
+    /// pages hold. Index pages get no such forgiveness — a lost interior
+    /// node silently hides whole subtrees, so index errors still abort.
+    /// Same candidate pages, segment test and counters as
+    /// [`Self::fetch_boxes_counted`] over the one box.
     pub fn fetch_box_flat_counted(
         &self,
         q: &Box3,
@@ -1021,7 +1002,7 @@ impl DirectMeshDb {
     /// Batched degraded fetch of every record whose vertical segment
     /// intersects *any* box — one navigation frame's ΔROI pieces (or one
     /// cold multi-base plan's cubes) in a single pass. Semantically the
-    /// union of [`Self::fetch_box_counted`] over `boxes` with records
+    /// union of single-box fetches over `boxes` with records
     /// deduplicated, but executed page-at-a-time: one index descent for
     /// the whole batch, then each candidate heap page is header-scanned
     /// *once*, with its slot-0 base decoded once and the page's
@@ -1037,6 +1018,18 @@ impl DirectMeshDb {
     pub fn fetch_boxes_counted(
         &self,
         boxes: &[Box3],
+        report: &mut IntegrityReport,
+        counters: &mut FetchCounters,
+    ) -> StorageResult<Vec<DmRecord>> {
+        self.fetch_boxes_inner(boxes, false, report, counters)
+    }
+
+    /// [`Self::fetch_boxes_counted`]; `strict` turns the first unreadable
+    /// heap page into the call's error instead of a degraded skip.
+    fn fetch_boxes_inner(
+        &self,
+        boxes: &[Box3],
+        strict: bool,
         report: &mut IntegrityReport,
         counters: &mut FetchCounters,
     ) -> StorageResult<Vec<DmRecord>> {
@@ -1073,6 +1066,11 @@ impl DirectMeshDb {
             });
             counters.records_examined += examined;
             if let Err(e) = r {
+                if strict {
+                    return Err(e);
+                }
+                // Drop anything half-read from the failing page; trust
+                // only pages that scanned end to end.
                 out.truncate(len_before);
                 report.record_loss(est_points, &e);
             }
@@ -1124,53 +1122,6 @@ impl DirectMeshDb {
         }
         let resident = self.pool.resident_among(scratch);
         (scratch.len(), resident, est_records)
-    }
-
-    fn fetch_box_inner(
-        &self,
-        q: &Box3,
-        strict: bool,
-        report: &mut IntegrityReport,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<Vec<DmRecord>> {
-        // Attribute only this thread's retries to this operation (the
-        // pool counter is shared across concurrent workers).
-        let retries_before = dm_storage::thread_retries();
-        let pages = self.candidate_pages(q)?;
-        counters.pages_scanned += pages.len() as u64;
-        let est_points = self.mean_records_per_page();
-        let e_cap = self.e_cap();
-        let mut out = Vec::new();
-        for &page in &pages {
-            let len_before = out.len();
-            let mut examined = 0u64;
-            let mut dec = PageDecoder::new(self.codec);
-            let r = self
-                .heap
-                .try_for_each_in_page(page as dm_storage::PageId, |rid, bytes| {
-                    // Borrowing view: the exact segment test reads only the
-                    // decoded header; non-matching records never allocate.
-                    let raw = dec.next(rid.slot, bytes);
-                    examined += 1;
-                    if raw.clamped_segment(e_cap).intersects(q) {
-                        out.push(raw.to_owned());
-                    }
-                });
-            counters.records_examined += examined;
-            if let Err(e) = r {
-                if strict {
-                    report.retries += dm_storage::thread_retries() - retries_before;
-                    return Err(e);
-                }
-                // Drop anything half-read from the failing page; trust
-                // only pages that scanned end to end.
-                out.truncate(len_before);
-                report.record_loss(est_points, &e);
-            }
-        }
-        counters.records_decoded += out.len() as u64;
-        report.retries += dm_storage::thread_retries() - retries_before;
-        Ok(out)
     }
 
     /// Mean records per heap page — the best available estimate for how
@@ -1819,12 +1770,10 @@ mod tests {
         let mut single_counters = FetchCounters::default();
         let mut report = IntegrityReport::default();
         for q in &boxes {
-            for r in db
-                .fetch_box_counted(q, &mut report, &mut single_counters)
-                .unwrap()
-            {
-                union.insert(r.node.id);
-            }
+            let set = db
+                .fetch_box_flat_counted(q, &mut report, &mut single_counters)
+                .unwrap();
+            union.extend(set.nodes.iter().map(|n| n.id));
         }
         let mut batch_counters = FetchCounters::default();
         let batch = db

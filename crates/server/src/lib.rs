@@ -45,15 +45,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dm_core::{BoundaryPolicy, DirectMeshDb, FetchCounters, NavigationSession, VdQuery};
+use dm_core::parallel::par_map;
+use dm_core::query::{vd_multi_base, vi_query_flat};
+use dm_core::{
+    BoundaryPolicy, DirectMeshDb, FetchCounters, NavigationSession, RecordStore, VdQuery,
+};
 use dm_geom::Rect;
+use dm_mtm::refine::FrontMesh;
 use dm_net::frame::{encode_frame, FrameAssembler};
 use dm_net::mesh::{
     canonical_flat, canonical_mesh, canonical_mesh_into, MeshResult, ResultTail, WireVertex,
 };
-use dm_net::proto::{
-    ErrorCode, QueryOpts, QueryScope, RegionWireStats, Request, Response, StreamCounters,
-};
+use dm_net::proto::{ErrorCode, QueryScope, RegionWireStats, Request, Response, StreamCounters};
 use dm_net::stream::{
     diff_frames, split_coarse_to_fine, FrameDelta, StreamMode, FIRST_CHUNK_VERTICES,
 };
@@ -68,6 +71,47 @@ use polling::{Interest, Poller};
 pub enum Host<'db> {
     Single(&'db DirectMeshDb),
     World(&'db WorldDb),
+}
+
+impl Host<'_> {
+    /// Run `f` over the query seam the request's scope names — the
+    /// store, the whole world, or one region of it — after the
+    /// paper-protocol flush + statistics reset when `cold` is set.
+    /// Region scope on a single-terrain server, and an unknown region id
+    /// on a world server, are typed `BadRequest`s.
+    fn with_scope<R>(
+        self,
+        scope: QueryScope,
+        cold: bool,
+        f: impl FnOnce(&dyn RecordStore) -> Result<R, Box<Response>>,
+    ) -> Result<R, Box<Response>> {
+        match self {
+            Host::Single(db) => {
+                if let QueryScope::Region(id) = scope {
+                    return Err(bad_request(format!(
+                        "region scope {id} on a single-terrain server"
+                    )));
+                }
+                if cold {
+                    db.try_cold_start().map_err(storage_error)?;
+                }
+                f(db)
+            }
+            Host::World(w) => {
+                let region = match scope {
+                    QueryScope::World => None,
+                    QueryScope::Region(id) => Some(
+                        w.resolve_region_id(id)
+                            .ok_or_else(|| bad_request(format!("unknown region id {id}")))?,
+                    ),
+                };
+                if cold {
+                    w.try_cold_start().map_err(storage_error)?;
+                }
+                f(&w.scoped(region))
+            }
+        }
+    }
 }
 
 /// Reactor poll tick: bounds how stale shutdown/stall checks can get.
@@ -250,37 +294,79 @@ impl StreamState {
     }
 }
 
-/// Server-side navigation state: an incremental single-store session,
-/// or a world walkthrough that re-queries the catalog each frame and
-/// pins the regions it touches.
-enum SessionNav<'db> {
-    Single(Box<NavigationSession<'db>>),
-    World(WorldSession),
+/// A navigation session as the `FrameQuery` handler sees it, whichever
+/// host it walks.
+trait FrameNav: Send {
+    /// Advance one frame and hand back its accounting tail; the frame's
+    /// mesh is then [`Self::front`].
+    fn advance(&mut self, q: &VdQuery) -> dm_storage::StorageResult<ResultTail>;
+
+    fn front(&self) -> &FrontMesh;
+}
+
+/// The incremental single-store session.
+impl FrameNav for NavigationSession<'_> {
+    fn advance(&mut self, q: &VdQuery) -> dm_storage::StorageResult<ResultTail> {
+        let (stats, report) = self.try_move_to(q)?;
+        Ok(ResultTail {
+            fetched_records: stats.fetched_records as u64,
+            disk_accesses: stats.disk_accesses,
+            cubes: 0,
+            counters: FetchCounters {
+                pages_scanned: stats.pages_scanned,
+                records_examined: stats.examined_records,
+                records_decoded: stats.decoded_records,
+            },
+            report,
+        })
+    }
+
+    fn front(&self) -> &FrontMesh {
+        NavigationSession::front(self)
+    }
+}
+
+/// A world walkthrough: re-plans and re-queries the catalog every frame
+/// (full requery is implied); the session's job is pinning the regions it
+/// touches. Dropping it releases the pins — on explicit close, on
+/// connection teardown and on server drain alike — so eviction never
+/// wedges on a vanished client.
+struct WorldNav<'db> {
+    world: &'db WorldDb,
+    session: WorldSession,
+    front: FrontMesh,
+}
+
+impl FrameNav for WorldNav<'_> {
+    fn advance(&mut self, q: &VdQuery) -> dm_storage::StorageResult<ResultTail> {
+        let reads_before = dm_storage::thread_reads();
+        let mut counters = FetchCounters::default();
+        let (res, report) = self.session.frame(self.world, q, &mut counters)?;
+        self.front = res.front;
+        Ok(ResultTail {
+            fetched_records: res.fetched_records as u64,
+            disk_accesses: dm_storage::thread_reads() - reads_before,
+            cubes: res.cubes.len() as u32,
+            counters,
+            report,
+        })
+    }
+
+    fn front(&self) -> &FrontMesh {
+        &self.front
+    }
+}
+
+impl Drop for WorldNav<'_> {
+    fn drop(&mut self) {
+        self.session.close(self.world);
+    }
 }
 
 /// A navigation session plus its wire-stream state.
 struct SessionSlot<'db> {
-    nav: SessionNav<'db>,
+    nav: Box<dyn FrameNav + 'db>,
     stream: StreamState,
-}
-
-impl SessionSlot<'_> {
-    /// Release whatever the session holds on the host (world sessions
-    /// pin regions). MUST run on every teardown path — explicit close,
-    /// connection drop, and server drain — or eviction wedges.
-    fn release(&mut self, host: Host<'_>) {
-        if let (SessionNav::World(ws), Host::World(world)) = (&mut self.nav, host) {
-            ws.close(world);
-        }
-    }
-}
-
-/// Drop a connection's sessions, releasing their region pins first.
-fn release_conn_sessions(host: Host<'_>, state: &mut ConnState<'_>) {
-    for slot in state.sessions.values_mut() {
-        slot.release(host);
-    }
-    state.sessions.clear();
 }
 
 /// Per-connection state: the navigation sessions this client opened.
@@ -461,7 +547,6 @@ impl Server {
                 poller: &poller,
                 listener: &self.listener,
                 shared: &shared,
-                host,
                 jobs: &jobs,
                 completions: &completions,
                 conns: HashMap::new(),
@@ -554,7 +639,6 @@ struct Reactor<'db, 'env> {
     poller: &'env Poller,
     listener: &'env TcpListener,
     shared: &'env Shared,
-    host: Host<'db>,
     jobs: &'env JobQueue<'db>,
     completions: &'env Mutex<Vec<Completion<'db>>>,
     conns: HashMap<usize, Conn<'db>>,
@@ -880,11 +964,8 @@ impl<'db> Reactor<'db, '_> {
         let done: Vec<Completion<'db>> = std::mem::take(&mut *self.completions.lock().unwrap());
         for completion in done {
             let Some(conn) = self.conns.get_mut(&completion.token) else {
-                // Connection closed while the job ran: its state (and
-                // any world-session region pins) comes home here.
-                if let Some(mut state) = completion.state {
-                    release_conn_sessions(self.host, &mut state);
-                }
+                // Connection closed while the job ran: its state comes
+                // home here and drops, releasing any world-session pins.
                 continue;
             };
             if let Some(state) = completion.state {
@@ -1007,15 +1088,12 @@ impl<'db> Reactor<'db, '_> {
     }
 
     fn close(&mut self, token: usize) {
-        if let Some(mut conn) = self.conns.remove(&token) {
+        // Dropping the connection drops its sessions, which releases
+        // their region pins so LRU eviction can proceed. If a job is in
+        // flight the state rides its completion instead (see
+        // `drain_completions`).
+        if let Some(conn) = self.conns.remove(&token) {
             self.poller.delete(conn.stream.as_raw_fd()).ok();
-            // Disconnect teardown: release region pins held by this
-            // connection's sessions so LRU eviction can proceed. If a
-            // job is in flight the state rides its completion instead
-            // (see `drain_completions`).
-            if let Some(state) = conn.state.as_mut() {
-                release_conn_sessions(self.host, state);
-            }
         }
     }
 }
@@ -1065,54 +1143,20 @@ fn bad_request(message: String) -> Box<Response> {
     })
 }
 
-/// Resolve the request's region scope against what this server hosts:
-/// `None` = whole host, `Some(idx)` = one region index of the world.
-/// Region scope on a single-terrain server — and an unknown region id
-/// on a world server — is a typed `BadRequest`.
-fn resolve_scope(host: Host<'_>, opts: QueryOpts) -> Result<Option<usize>, Box<Response>> {
-    match (host, opts.scope) {
-        (_, QueryScope::World) => Ok(None),
-        (Host::Single(_), QueryScope::Region(id)) => Err(bad_request(format!(
-            "region scope {id} on a single-terrain server"
-        ))),
-        (Host::World(w), QueryScope::Region(id)) => w
-            .resolve_region_id(id)
-            .map(Some)
-            .ok_or_else(|| bad_request(format!("unknown region id {id}"))),
-    }
-}
-
-/// Flush + reset statistics when the request asks for paper-protocol
-/// cold measurement.
-fn maybe_cold(host: Host<'_>, opts: QueryOpts) -> Result<(), Box<Response>> {
-    if opts.cold {
-        match host {
-            Host::Single(db) => db.try_cold_start().map_err(storage_error)?,
-            Host::World(w) => w.try_cold_start().map_err(storage_error)?,
-        }
-    }
-    Ok(())
-}
-
 /// Run one VI query on this thread with exact per-request accounting.
 /// Uses the flat fast path: canonical vertices and faces come straight
 /// from the uniform cut, bit-identical to `canonical_mesh` over the
 /// assembled front (same construction, see `try_vi_query_flat_counted`).
 fn exec_vi(
-    host: Host<'_>,
+    store: &dyn RecordStore,
     roi: &Rect,
     e: f64,
-    scope: Option<usize>,
     degraded: bool,
     coarseness: Option<&mut Vec<f64>>,
 ) -> Result<MeshResult, Box<Response>> {
     let reads_before = dm_storage::thread_reads();
     let mut counters = FetchCounters::default();
-    let (res, report) = match host {
-        Host::Single(db) => db.try_vi_query_flat_counted(roi, e, &mut counters),
-        Host::World(w) => w.try_vi_query_flat_scoped(roi, e, scope, &mut counters),
-    }
-    .map_err(storage_error)?;
+    let (res, report) = vi_query_flat(store, roi, e, &mut counters).map_err(storage_error)?;
     if !degraded && !report.is_clean() {
         return Err(Box::new(Response::Error {
             code: ErrorCode::DataLoss,
@@ -1138,22 +1182,18 @@ fn exec_vi(
 }
 
 fn exec_vd(
-    host: Host<'_>,
+    store: &dyn RecordStore,
     query: &VdQuery,
     policy: BoundaryPolicy,
     max_cubes: u32,
-    scope: Option<usize>,
     degraded: bool,
     coarseness: Option<&mut Vec<f64>>,
 ) -> Result<MeshResult, Box<Response>> {
     let reads_before = dm_storage::thread_reads();
     let mut counters = FetchCounters::default();
     let max_cubes = max_cubes.max(1) as usize;
-    let (res, report) = match host {
-        Host::Single(db) => db.try_vd_multi_base_counted(query, policy, max_cubes, &mut counters),
-        Host::World(w) => w.try_vd_query_scoped(query, policy, max_cubes, scope, &mut counters),
-    }
-    .map_err(storage_error)?;
+    let (res, report) =
+        vd_multi_base(store, query, policy, max_cubes, &mut counters).map_err(storage_error)?;
     if !degraded && !report.is_clean() {
         return Err(Box::new(Response::Error {
             code: ErrorCode::DataLoss,
@@ -1195,42 +1235,37 @@ fn chunk_mesh(m: MeshResult, coarseness: &[f64]) -> Vec<Response> {
     .collect()
 }
 
-/// Fan a batch of VI queries over up to `threads` workers (chunked, one
-/// spawned task per worker — the vendored rayon shim's contract). Each
+/// A finished VI/VD answer as its response frames: one `Mesh`, or the
+/// coarse-to-fine `MeshChunk` sequence when the request asked for it.
+fn mesh_answer(
+    done: Result<MeshResult, Box<Response>>,
+    chunked: bool,
+    coarseness: &[f64],
+) -> Vec<Response> {
+    match done {
+        Ok(m) if chunked => chunk_mesh(m, coarseness),
+        Ok(m) => vec![Response::Mesh(m)],
+        Err(resp) => vec![*resp],
+    }
+}
+
+/// Fan a batch of VI queries over up to `threads` workers (contiguous
+/// chunks, one spawned task per worker, input order — [`par_map`]). Each
 /// item runs entirely on one thread, so its thread-attributed counters
 /// stay exact even under parallel execution.
 fn exec_batch(
-    host: Host<'_>,
+    store: &dyn RecordStore,
     queries: &[(Rect, f64)],
     threads: u32,
-    scope: Option<usize>,
     degraded: bool,
 ) -> Result<(u64, Vec<MeshResult>), Box<Response>> {
-    let t = dm_core::parallel::resolve_threads(threads as usize)
-        .min(queries.len())
-        .max(1);
-    let mut slots: Vec<Option<Result<MeshResult, Box<Response>>>> = Vec::new();
-    slots.resize_with(queries.len(), || None);
-    if t <= 1 {
-        for (slot, (roi, e)) in slots.iter_mut().zip(queries) {
-            *slot = Some(exec_vi(host, roi, *e, scope, degraded, None));
-        }
-    } else {
-        let chunk = queries.len().div_ceil(t);
-        rayon::scope(|s| {
-            for (qs, outs) in queries.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                s.spawn(move |_| {
-                    for (slot, (roi, e)) in outs.iter_mut().zip(qs) {
-                        *slot = Some(exec_vi(host, roi, *e, scope, degraded, None));
-                    }
-                });
-            }
-        });
-    }
-    let mut items = Vec::with_capacity(slots.len());
+    let results = par_map(queries, threads as usize, |(roi, e)| {
+        exec_vi(store, roi, *e, degraded, None)
+    });
+    let mut items = Vec::with_capacity(results.len());
     let mut total = 0u64;
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.expect("every batch slot is filled") {
+    for (i, r) in results.into_iter().enumerate() {
+        match r {
             Ok(m) => {
                 total += m.disk_accesses;
                 items.push(m);
@@ -1260,24 +1295,12 @@ fn handle_request<'db>(
 ) -> Vec<Response> {
     match req {
         Request::ViQuery { opts, roi, e } => {
-            let scope = match resolve_scope(host, opts) {
-                Ok(s) => s,
-                Err(resp) => return vec![*resp],
-            };
-            if let Err(resp) = maybe_cold(host, opts) {
-                return vec![*resp];
-            }
             let mut coarseness = Vec::new();
-            let co = if opts.chunked {
-                Some(&mut coarseness)
-            } else {
-                None
-            };
-            match exec_vi(host, &roi, e, scope, opts.degraded, co) {
-                Ok(m) if opts.chunked => chunk_mesh(m, &coarseness),
-                Ok(m) => vec![Response::Mesh(m)],
-                Err(resp) => vec![*resp],
-            }
+            let co = opts.chunked.then_some(&mut coarseness);
+            let done = host.with_scope(opts.scope, opts.cold, |store| {
+                exec_vi(store, &roi, e, opts.degraded, co)
+            });
+            mesh_answer(done, opts.chunked, &coarseness)
         }
         Request::VdQuery {
             opts,
@@ -1285,44 +1308,25 @@ fn handle_request<'db>(
             policy,
             max_cubes,
         } => {
-            let scope = match resolve_scope(host, opts) {
-                Ok(s) => s,
-                Err(resp) => return vec![*resp],
-            };
-            if let Err(resp) = maybe_cold(host, opts) {
-                return vec![*resp];
-            }
             let mut coarseness = Vec::new();
-            let co = if opts.chunked {
-                Some(&mut coarseness)
-            } else {
-                None
-            };
-            match exec_vd(host, &query, policy, max_cubes, scope, opts.degraded, co) {
-                Ok(m) if opts.chunked => chunk_mesh(m, &coarseness),
-                Ok(m) => vec![Response::Mesh(m)],
-                Err(resp) => vec![*resp],
-            }
+            let co = opts.chunked.then_some(&mut coarseness);
+            let done = host.with_scope(opts.scope, opts.cold, |store| {
+                exec_vd(store, &query, policy, max_cubes, opts.degraded, co)
+            });
+            mesh_answer(done, opts.chunked, &coarseness)
         }
         Request::BatchQuery {
             opts,
             queries,
             threads,
         } => {
-            let scope = match resolve_scope(host, opts) {
-                Ok(s) => s,
-                Err(resp) => return vec![*resp],
-            };
-            if queries.is_empty() {
-                return vec![Response::Batch {
-                    total_disk_accesses: 0,
-                    items: Vec::new(),
-                }];
-            }
-            if let Err(resp) = maybe_cold(host, opts) {
-                return vec![*resp];
-            }
-            match exec_batch(host, &queries, threads, scope, opts.degraded) {
+            // An empty batch is answered (after the scope check) without
+            // the cold flush.
+            let cold = opts.cold && !queries.is_empty();
+            let done = host.with_scope(opts.scope, cold, |store| {
+                exec_batch(store, &queries, threads, opts.degraded)
+            });
+            match done {
                 Ok((total_disk_accesses, items)) => vec![Response::Batch {
                     total_disk_accesses,
                     items,
@@ -1343,18 +1347,18 @@ fn handle_request<'db>(
             }
             let id = conn.next_session;
             conn.next_session += 1;
-            let nav = match host {
-                Host::Single(db) => SessionNav::Single(Box::new(
+            let max_cubes = max_cubes.max(1) as usize;
+            let nav: Box<dyn FrameNav + 'db> = match host {
+                Host::Single(db) => Box::new(
                     NavigationSession::new(db, policy)
-                        .with_max_cubes(max_cubes.max(1) as usize)
+                        .with_max_cubes(max_cubes)
                         .with_full_requery(full_requery),
-                )),
-                // World walkthroughs re-plan against the catalog every
-                // frame (full requery is implied); the session's job is
-                // pinning the regions it touches.
-                Host::World(_) => {
-                    SessionNav::World(WorldSession::new(policy, max_cubes.max(1) as usize))
-                }
+                ),
+                Host::World(world) => Box::new(WorldNav {
+                    world,
+                    session: WorldSession::new(policy, max_cubes),
+                    front: FrontMesh::default(),
+                }),
             };
             conn.sessions.insert(
                 id,
@@ -1377,68 +1381,23 @@ fn handle_request<'db>(
                     message: format!("session {session} is not open on this connection"),
                 }];
             };
-            let reads_before = dm_storage::thread_reads();
             let SessionSlot { nav, stream: st } = slot;
-            // Advance the session: each nav flavor leaves the frame's
-            // canonical mesh in the scratch buffers and hands back the
-            // accounting tail. Errors break the delta chain — the
+            // Advance the session, leaving the frame's canonical mesh in
+            // the scratch buffers. Errors break the delta chain — the
             // client never saw this frame, so the next answer resets.
-            let advanced = match nav {
-                SessionNav::Single(nav) => match nav.try_move_to(&query) {
-                    Err(e) => Err(*storage_error(e)),
-                    Ok((_, report)) if !degraded && !report.is_clean() => Err(Response::Error {
-                        code: ErrorCode::DataLoss,
-                        message: format!("frame lost data: {report}"),
-                    }),
-                    Ok((stats, report)) => {
-                        let tail = ResultTail {
-                            fetched_records: stats.fetched_records as u64,
-                            disk_accesses: dm_storage::thread_reads() - reads_before,
-                            cubes: 0,
-                            counters: FetchCounters {
-                                pages_scanned: stats.pages_scanned,
-                                records_examined: stats.examined_records,
-                                records_decoded: stats.decoded_records,
-                            },
-                            report,
-                        };
-                        canonical_mesh_into(
-                            nav.front(),
-                            &mut st.scratch_vertices,
-                            &mut st.scratch_faces,
-                        );
-                        Ok(tail)
-                    }
-                },
-                SessionNav::World(ws) => {
-                    let Host::World(world) = host else {
-                        unreachable!("world session on a single-terrain host");
-                    };
-                    let mut counters = FetchCounters::default();
-                    match ws.frame(world, &query, &mut counters) {
-                        Err(e) => Err(*storage_error(e)),
-                        Ok((_, report)) if !degraded && !report.is_clean() => {
-                            Err(Response::Error {
-                                code: ErrorCode::DataLoss,
-                                message: format!("frame lost data: {report}"),
-                            })
-                        }
-                        Ok((res, report)) => {
-                            let tail = ResultTail {
-                                fetched_records: res.fetched_records as u64,
-                                disk_accesses: dm_storage::thread_reads() - reads_before,
-                                cubes: res.cubes.len() as u32,
-                                counters,
-                                report,
-                            };
-                            canonical_mesh_into(
-                                &res.front,
-                                &mut st.scratch_vertices,
-                                &mut st.scratch_faces,
-                            );
-                            Ok(tail)
-                        }
-                    }
+            let advanced = match nav.advance(&query) {
+                Err(e) => Err(*storage_error(e)),
+                Ok(tail) if !degraded && !tail.report.is_clean() => Err(Response::Error {
+                    code: ErrorCode::DataLoss,
+                    message: format!("frame lost data: {}", tail.report),
+                }),
+                Ok(tail) => {
+                    canonical_mesh_into(
+                        nav.front(),
+                        &mut st.scratch_vertices,
+                        &mut st.scratch_faces,
+                    );
+                    Ok(tail)
                 }
             };
             match advanced {
@@ -1519,8 +1478,7 @@ fn handle_request<'db>(
             }
         }
         Request::CloseSession { session } => {
-            if let Some(mut slot) = conn.sessions.remove(&session) {
-                slot.release(host);
+            if conn.sessions.remove(&session).is_some() {
                 vec![Response::SessionClosed]
             } else {
                 vec![Response::Error {
@@ -1565,12 +1523,13 @@ fn handle_request<'db>(
                 },
             }]
         }
-        Request::WorldStats => match host {
-            Host::Single(_) => vec![Response::Error {
-                code: ErrorCode::BadRequest,
-                message: "world stats on a single-terrain server".to_string(),
-            }],
-            Host::World(w) => vec![Response::WorldStats {
+        Request::WorldStats => {
+            let Host::World(w) = host else {
+                return vec![*bad_request(
+                    "world stats on a single-terrain server".to_string(),
+                )];
+            };
+            vec![Response::WorldStats {
                 regions: w
                     .region_stats()
                     .into_iter()
@@ -1584,8 +1543,8 @@ fn handle_request<'db>(
                         open: s.open,
                     })
                     .collect(),
-            }],
-        },
+            }]
+        }
         // Handled by the reactor before dispatch.
         Request::Shutdown => vec![Response::ShutdownAck],
     }
@@ -1608,6 +1567,7 @@ mod tests {
     use dm_mtm::builder::{build_pm, PmBuildConfig};
     use dm_net::client::{Client, ClientConfig};
     use dm_net::frame::write_frame;
+    use dm_net::proto::QueryOpts;
     use dm_net::wire::WireError;
     use dm_storage::{BufferPool, MemStore};
     use dm_terrain::{generate, TriMesh};

@@ -13,6 +13,9 @@
 //!   can never evict a cold one's pages), a region-level R\*-tree for
 //!   cross-tile fan-out, and world-frame VI/VD queries that are
 //!   bit-identical to single-store answers for split worlds,
+//! * [`WorldScope`] — the borrowed view (whole world or one region) that
+//!   implements `dm_core`'s query seam, so every query body is the
+//!   single store's,
 //! * [`WorldSession`] — server-side walkthrough sessions that pin the
 //!   regions they touch,
 //! * [`build`] — splitting one store into a tiled world and assembling
@@ -25,5 +28,6 @@ pub mod world;
 pub use build::{assemble_manifest, partition_grid, split_world_in_memory, write_split_world};
 pub use manifest::{RegionMeta, WorldManifest};
 pub use world::{
-    open_region_store, RegionStats, WorldDb, WorldOptions, WorldSession, DEFAULT_REGION_PAGES,
+    open_region_store, RegionStats, WorldDb, WorldOptions, WorldScope, WorldSession,
+    DEFAULT_REGION_PAGES,
 };

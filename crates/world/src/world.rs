@@ -17,15 +17,16 @@
 //! `id_base` translates record ids (the LOD axis is never touched). A
 //! cross-tile query translates its world-frame boxes into each
 //! overlapping region's frame, fetches with the *same* boxes the
-//! single-store path would use, translates the records back, and feeds
-//! the merged union through the exact single-store assembly code
-//! ([`dm_core::uniform_cut`], [`dm_core::topmost_front`], and
-//! [`dm_mtm::refine::refine`]). For a world split out of one store
-//! (offsets zero, `id_base` zero) the records partition exactly, so the
-//! merged set — and therefore every derived mesh — is bit-identical to
-//! the single store's answer by construction. The per-region fan-out
-//! reuses [`dm_core::parallel::par_map`], whose output order never
-//! depends on scheduling, and all merges run in ascending region order.
+//! single-store path would use, and translates the records back. That
+//! is all a world adds: [`WorldScope`] implements the query seam
+//! ([`dm_core::RecordStore`]) this way, and the cut, the planner and the
+//! assemble-refine tail that run over it are the single store's own
+//! ([`dm_core::query`]). For a world split out of one store (offsets
+//! zero, `id_base` zero) the records partition exactly, so the merged set
+//! — and therefore every derived mesh — is bit-identical to the single
+//! store's answer by construction. The per-region fan-out reuses
+//! [`dm_core::parallel::par_map`], whose output order never depends on
+//! scheduling, and all merges run in ascending region order.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,18 +35,16 @@ use std::sync::Arc;
 use dm_core::parallel::par_map;
 use dm_geom::{Box3, Rect, Vec2};
 use dm_index::RStarTree;
-use dm_mtm::refine::{refine, RecordSource};
 use dm_mtm::{PmNode, NIL_ID};
 use dm_storage::{
     BufferPool, FaultConfig, FaultInjector, FileStore, MemStore, PageStore, RootFile, StorageError,
     StorageResult,
 };
-use fxhash::{FxHashMap, FxHashSet};
 use parking_lot::Mutex;
 
 use dm_core::{
-    equal_strips, topmost_front, uniform_cut, BoundaryPolicy, DbStats, DirectMeshDb, DmRecord,
-    FetchCounters, FetchedSet, IntegrityReport, VdQuery, VdResult, ViFlatResult,
+    query, BoundaryPolicy, DbStats, DirectMeshDb, DmRecord, FetchCounters, FetchedSet,
+    IntegrityReport, RecordStore, VdQuery, VdResult, ViFlatResult,
 };
 
 use crate::manifest::{RegionMeta, WorldManifest};
@@ -533,132 +532,37 @@ impl WorldDb {
         Ok(self.region(0)?.e_for_points_fraction(frac))
     }
 
-    /// Viewpoint-independent cross-tile query in flat canonical form:
-    /// fan the query plane out to every overlapping region, merge the
-    /// per-region fetches (ids deduplicated in ascending region order),
-    /// and run the single-store cut on the union.
+    /// A view of this world the shared query bodies in [`dm_core::query`]
+    /// run over: every region (`None`), or one region index — the wire
+    /// protocol's `QueryScope::Region`.
+    pub fn scoped(&self, region: Option<usize>) -> WorldScope<'_> {
+        WorldScope {
+            world: self,
+            region,
+        }
+    }
+
+    /// Viewpoint-independent cross-tile query in flat canonical form
+    /// ([`dm_core::query::vi_query_flat`] over the whole world).
     pub fn try_vi_query_flat_counted(
         &self,
         roi: &Rect,
         e: f64,
         counters: &mut FetchCounters,
     ) -> StorageResult<(ViFlatResult, IntegrityReport)> {
-        self.try_vi_query_flat_scoped(roi, e, None, counters)
+        query::vi_query_flat(&self.scoped(None), roi, e, counters)
     }
 
-    /// [`Self::try_vi_query_flat_counted`] restricted to one region
-    /// index when `scope` is set (the wire protocol's region scope).
-    pub fn try_vi_query_flat_scoped(
-        &self,
-        roi: &Rect,
-        e: f64,
-        scope: Option<usize>,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<(ViFlatResult, IntegrityReport)> {
-        let e = self.clamp_e(e);
-        let plane = Box3::prism(*roi, e, e);
-        let mut idxs = self.regions_for(&plane)?;
-        if let Some(s) = scope {
-            idxs.retain(|&i| i == s);
-        }
-        let fetched = par_map(&idxs, self.opts.threads, |&i| {
-            self.fetch_plane_region(i, &plane)
-        });
-        let mut report = IntegrityReport::default();
-        let mut merged = FetchedSet::new();
-        let mut seen: FxHashSet<u32> = FxHashSet::default();
-        let mut total_fetched = 0usize;
-        for (&i, r) in idxs.iter().zip(fetched) {
-            let (set, rep, ctr) = r?;
-            report.merge(rep);
-            counters.merge(&ctr);
-            total_fetched += set.len();
-            let meta = &self.regions[i];
-            for s in 0..set.len() {
-                let node = remap_node(set.nodes[s], meta.id_base, meta.offset);
-                if seen.insert(node.id) {
-                    merged.push(
-                        node,
-                        set.conn_of(s).iter().map(|&c| remap_id(c, meta.id_base)),
-                    );
-                }
-            }
-        }
-        let (nodes, faces) = uniform_cut(&merged, roi, e);
-        Ok((
-            ViFlatResult {
-                nodes,
-                faces,
-                fetched_records: total_fetched,
-            },
-            report,
-        ))
-    }
-
-    fn fetch_plane_region(
-        &self,
-        idx: usize,
-        plane: &Box3,
-    ) -> StorageResult<(FetchedSet, IntegrityReport, FetchCounters)> {
-        let db = self.region(idx)?;
-        self.counters[idx].queries.fetch_add(1, Ordering::Relaxed);
-        let local = plane.translated_xy(neg(self.regions[idx].offset));
-        let mut rep = IntegrityReport::default();
-        let mut ctr = FetchCounters::default();
-        let set = db.fetch_box_flat_counted(&local, &mut rep, &mut ctr)?;
-        Ok((set, rep, ctr))
-    }
-
-    /// World-level multi-base plan: the same staircase candidates as the
-    /// single-store planner (equal strips along the LOD gradient, powers
-    /// of two up to `max_cubes`), costed by summing each overlapping
-    /// region's union page count plus the per-cube descent overhead.
-    /// Deterministic for a given open world — the cost models are built
-    /// from catalog statistics, not from cache state.
-    pub fn plan_multi_base(&self, q: &VdQuery, max_cubes: usize) -> StorageResult<Vec<Rect>> {
-        self.plan_multi_base_scoped(q, max_cubes, None)
-    }
-
-    fn plan_multi_base_scoped(
+    /// Viewpoint-dependent cross-tile query with the world's own plan
+    /// ([`dm_core::query::vd_multi_base`]).
+    pub fn try_vd_query_counted(
         &self,
         q: &VdQuery,
+        policy: BoundaryPolicy,
         max_cubes: usize,
-        scope: Option<usize>,
-    ) -> StorageResult<Vec<Rect>> {
-        let overhead_per_cube = 3.0;
-        let along_x = q.target.dir.x.abs() >= q.target.dir.y.abs();
-        let probe = Box3::prism(q.roi, 0.0, self.e_cap());
-        let mut idxs = self.regions_for(&probe)?;
-        if let Some(s) = scope {
-            idxs.retain(|&i| i == s);
-        }
-        let mut best: Vec<Rect> = vec![q.roi];
-        let mut best_cost = f64::INFINITY;
-        let mut n = 1usize;
-        while n <= max_cubes.max(1) {
-            let strips = equal_strips(&q.roi, n, along_x);
-            let cubes: Vec<Box3> = strips
-                .iter()
-                .map(|r| {
-                    let (lo, hi) = q.e_range(r);
-                    Box3::prism(*r, lo, self.clamp_e(hi))
-                })
-                .collect();
-            let mut cost = overhead_per_cube * (n as f64 - 1.0);
-            for &i in &idxs {
-                let db = self.region(i)?;
-                let local: Vec<Box3> = self.cubes_for_region(i, &cubes);
-                if !local.is_empty() {
-                    cost += db.cost_model().count_union(&local) as f64;
-                }
-            }
-            if cost < best_cost {
-                best_cost = cost;
-                best = strips;
-            }
-            n *= 2;
-        }
-        Ok(best)
+        counters: &mut FetchCounters,
+    ) -> StorageResult<(VdResult, IntegrityReport)> {
+        query::vd_multi_base(&self.scoped(None), q, policy, max_cubes, counters)
     }
 
     /// The world-frame cubes that can hold records of region `idx`,
@@ -677,139 +581,6 @@ impl WorldDb {
             })
             .map(|c| c.translated_xy(neg(meta.offset)))
             .collect()
-    }
-
-    /// Viewpoint-dependent cross-tile query with the world's own plan.
-    pub fn try_vd_query_counted(
-        &self,
-        q: &VdQuery,
-        policy: BoundaryPolicy,
-        max_cubes: usize,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<(VdResult, IntegrityReport)> {
-        self.try_vd_query_scoped(q, policy, max_cubes, None, counters)
-    }
-
-    /// [`Self::try_vd_query_counted`] restricted to one region index
-    /// when `scope` is set: the plan is costed against that region alone
-    /// and the fan-out skips every other region.
-    pub fn try_vd_query_scoped(
-        &self,
-        q: &VdQuery,
-        policy: BoundaryPolicy,
-        max_cubes: usize,
-        scope: Option<usize>,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<(VdResult, IntegrityReport)> {
-        let strips = self.plan_multi_base_scoped(q, max_cubes, scope)?;
-        self.try_vd_strips_scoped(q, policy, &strips, scope, counters)
-    }
-
-    /// Viewpoint-dependent cross-tile query over a fixed strip
-    /// decomposition: per-region fetches of the same staircase cubes,
-    /// merged (ascending region order) and assembled by the exact
-    /// single-store topmost-front + refine pipeline. Equivalence tests
-    /// feed the same strips to
-    /// [`DirectMeshDb::try_vd_multi_base_with_strips_counted`].
-    pub fn try_vd_with_strips_counted(
-        &self,
-        q: &VdQuery,
-        policy: BoundaryPolicy,
-        strips: &[Rect],
-        counters: &mut FetchCounters,
-    ) -> StorageResult<(VdResult, IntegrityReport)> {
-        self.try_vd_strips_scoped(q, policy, strips, None, counters)
-    }
-
-    fn try_vd_strips_scoped(
-        &self,
-        q: &VdQuery,
-        policy: BoundaryPolicy,
-        strips: &[Rect],
-        scope: Option<usize>,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<(VdResult, IntegrityReport)> {
-        let mut report = IntegrityReport::default();
-        let mut cubes = Vec::with_capacity(strips.len());
-        for rect in strips {
-            let (lo, hi) = q.e_range(rect);
-            cubes.push(Box3::prism(*rect, lo, self.clamp_e(hi)));
-        }
-        let mut idxs: Vec<usize> = Vec::new();
-        for c in &cubes {
-            idxs.extend(self.regions_for(c)?);
-        }
-        idxs.sort_unstable();
-        idxs.dedup();
-        if let Some(s) = scope {
-            idxs.retain(|&i| i == s);
-        }
-
-        let fetched = par_map(&idxs, self.opts.threads, |&i| {
-            self.fetch_cubes_region(i, &cubes)
-        });
-        let mut all: FxHashMap<u32, DmRecord> = FxHashMap::default();
-        let mut total_fetched = 0usize;
-        for (&i, r) in idxs.iter().zip(fetched) {
-            let (recs, rep, ctr) = r?;
-            report.merge(rep);
-            counters.merge(&ctr);
-            total_fetched += recs.len();
-            let meta = &self.regions[i];
-            for rec in recs {
-                let rec = remap_record(rec, meta.id_base, meta.offset);
-                all.entry(rec.node.id).or_insert(rec);
-            }
-        }
-
-        let recs: Vec<DmRecord> = all.values().cloned().collect();
-        let mut front = topmost_front(recs, &q.roi);
-        let map: FxHashMap<u32, PmNode> = all.values().map(|r| (r.node.id, r.node)).collect();
-        let mut source = WorldSource {
-            world: self,
-            map,
-            policy,
-            misses_fetched: 0,
-            fetch_errors: 0,
-            first_error: None,
-        };
-        let retries_before = dm_storage::thread_retries();
-        let stats = refine(&mut front, &mut source, &q.target);
-        report.retries += dm_storage::thread_retries() - retries_before;
-        report.points_lost += source.fetch_errors as u64;
-        if let Some(e) = &source.first_error {
-            if report.errors.len() < IntegrityReport::MAX_ERRORS {
-                report.errors.push(format!("boundary fetch: {e}"));
-            }
-        }
-        Ok((
-            VdResult {
-                front,
-                refine: stats,
-                fetched_records: total_fetched,
-                cubes,
-                boundary_fetches: source.misses_fetched,
-            },
-            report,
-        ))
-    }
-
-    fn fetch_cubes_region(
-        &self,
-        idx: usize,
-        cubes: &[Box3],
-    ) -> StorageResult<(Vec<DmRecord>, IntegrityReport, FetchCounters)> {
-        let db = self.region(idx)?;
-        self.counters[idx].queries.fetch_add(1, Ordering::Relaxed);
-        let local = self.cubes_for_region(idx, cubes);
-        let mut rep = IntegrityReport::default();
-        let mut ctr = FetchCounters::default();
-        let recs = if local.is_empty() {
-            Vec::new()
-        } else {
-            db.fetch_boxes_counted(&local, &mut rep, &mut ctr)?
-        };
-        Ok((recs, rep, ctr))
     }
 
     /// Fetch one record by *world* id, probing regions in ascending
@@ -853,42 +624,146 @@ impl WorldDb {
     }
 }
 
-/// A [`RecordSource`] for world-frame refinement: the merged fetch map
-/// first, then (under [`BoundaryPolicy::FetchOnMiss`]) a world
-/// fetch-by-id — mirroring the single-store `DbSource` fall-through so
-/// split worlds refine identically.
-struct WorldSource<'a> {
+/// A borrowed view of a [`WorldDb`] — all of it, or one region — that
+/// implements the query seam ([`RecordStore`]): route to the overlapping
+/// regions, fetch per region in its own frame, remap into the world
+/// frame, concatenate in ascending region order. The shared bodies keep
+/// the first copy of an id and count every fetched record, so for a world
+/// split out of one store the answers are the single store's.
+#[derive(Clone, Copy)]
+pub struct WorldScope<'a> {
     world: &'a WorldDb,
-    map: FxHashMap<u32, PmNode>,
-    policy: BoundaryPolicy,
-    misses_fetched: usize,
-    fetch_errors: usize,
-    first_error: Option<StorageError>,
+    region: Option<usize>,
 }
 
-impl RecordSource for WorldSource<'_> {
-    fn fetch(&mut self, id: u32) -> Option<PmNode> {
-        if let Some(n) = self.map.get(&id) {
-            return Some(*n);
+impl WorldScope<'_> {
+    /// Region indices (ascending) whose footprint meets any of `boxes`,
+    /// narrowed to this view's region.
+    fn route(&self, boxes: &[Box3]) -> StorageResult<Vec<usize>> {
+        let mut idxs: Vec<usize> = Vec::new();
+        for b in boxes {
+            idxs.extend(self.world.regions_for(b)?);
         }
-        match self.policy {
-            BoundaryPolicy::Skip => None,
-            BoundaryPolicy::FetchOnMiss => match self.world.try_fetch_by_id(id) {
-                Ok(Some(rec)) => {
-                    self.misses_fetched += 1;
-                    self.map.insert(id, rec.node);
-                    Some(rec.node)
-                }
-                Ok(None) => None,
-                Err(e) => {
-                    self.fetch_errors += 1;
-                    if self.first_error.is_none() {
-                        self.first_error = Some(e);
-                    }
-                    None
-                }
-            },
+        idxs.sort_unstable();
+        idxs.dedup();
+        if let Some(s) = self.region {
+            idxs.retain(|&i| i == s);
         }
+        Ok(idxs)
+    }
+
+    /// Run `fetch` against every region of `idxs` on the fan-out workers
+    /// and return the results in that (ascending) order, with the
+    /// per-region reports and counters merged in the same order. Disk
+    /// reads a worker recorded on another thread are credited to the
+    /// calling thread, so the request's `thread_reads` delta does not
+    /// depend on [`WorldOptions::threads`].
+    fn fan_out<T: Send>(
+        &self,
+        idxs: &[usize],
+        report: &mut IntegrityReport,
+        counters: &mut FetchCounters,
+        fetch: impl Fn(usize, &DirectMeshDb, &mut IntegrityReport, &mut FetchCounters) -> StorageResult<T>
+            + Sync,
+    ) -> StorageResult<Vec<T>> {
+        let world = self.world;
+        let requester = std::thread::current().id();
+        type RegionFetch<T> = StorageResult<(T, IntegrityReport, FetchCounters, u64)>;
+        let fetched: Vec<RegionFetch<T>> = par_map(idxs, world.opts.threads, |&i| {
+            let reads_before = dm_storage::thread_reads();
+            let db = world.region(i)?;
+            world.counters[i].queries.fetch_add(1, Ordering::Relaxed);
+            let mut rep = IntegrityReport::default();
+            let mut ctr = FetchCounters::default();
+            let out = fetch(i, &db, &mut rep, &mut ctr)?;
+            let elsewhere = if std::thread::current().id() == requester {
+                0
+            } else {
+                dm_storage::thread_reads() - reads_before
+            };
+            Ok((out, rep, ctr, elsewhere))
+        });
+        let mut outs = Vec::with_capacity(idxs.len());
+        for r in fetched {
+            let (out, rep, ctr, elsewhere) = r?;
+            report.merge(rep);
+            counters.merge(&ctr);
+            dm_storage::credit_thread_reads(elsewhere);
+            outs.push(out);
+        }
+        Ok(outs)
+    }
+}
+
+impl RecordStore for WorldScope<'_> {
+    fn clamp_e(&self, e: f64) -> f64 {
+        self.world.clamp_e(e)
+    }
+
+    fn fetch_plane(
+        &self,
+        plane: &Box3,
+        report: &mut IntegrityReport,
+        counters: &mut FetchCounters,
+    ) -> StorageResult<FetchedSet> {
+        let world = self.world;
+        let idxs = self.route(std::slice::from_ref(plane))?;
+        let sets = self.fan_out(&idxs, report, counters, |i, db, rep, ctr| {
+            let local = plane.translated_xy(neg(world.regions[i].offset));
+            db.fetch_box_flat_counted(&local, rep, ctr)
+        })?;
+        let mut merged = FetchedSet::new();
+        for (&i, set) in idxs.iter().zip(&sets) {
+            let meta = &world.regions[i];
+            for s in 0..set.len() {
+                merged.push(
+                    remap_node(set.nodes[s], meta.id_base, meta.offset),
+                    set.conn_of(s).iter().map(|&c| remap_id(c, meta.id_base)),
+                );
+            }
+        }
+        Ok(merged)
+    }
+
+    fn fetch_cubes(
+        &self,
+        cubes: &[Box3],
+        report: &mut IntegrityReport,
+        counters: &mut FetchCounters,
+    ) -> StorageResult<Vec<DmRecord>> {
+        let world = self.world;
+        let idxs = self.route(cubes)?;
+        let per_region = self.fan_out(&idxs, report, counters, |i, db, rep, ctr| {
+            db.fetch_boxes_counted(&world.cubes_for_region(i, cubes), rep, ctr)
+        })?;
+        let mut merged = Vec::with_capacity(per_region.iter().map(Vec::len).sum());
+        for (&i, recs) in idxs.iter().zip(per_region) {
+            let meta = &world.regions[i];
+            merged.extend(
+                recs.into_iter()
+                    .map(|rec| remap_record(rec, meta.id_base, meta.offset)),
+            );
+        }
+        Ok(merged)
+    }
+
+    /// World fetch-by-id is never narrowed to the view's region: a
+    /// boundary record may live in the neighbouring tile.
+    fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>> {
+        self.world.try_fetch_by_id(id)
+    }
+
+    fn union_page_count(&self, roi: &Rect, cubes: &[Box3]) -> StorageResult<usize> {
+        let world = self.world;
+        let probe = Box3::prism(*roi, 0.0, world.e_cap());
+        let mut pages = 0;
+        for i in self.route(&[probe])? {
+            let db = world.region(i)?;
+            pages += db
+                .cost_model()
+                .count_union(&world.cubes_for_region(i, cubes));
+        }
+        Ok(pages)
     }
 }
 
@@ -1023,16 +898,13 @@ mod tests {
         let roi = db.bounds;
         let eye = Vec2::new(roi.min.x - 1.0, roi.center().y);
         let q = VdQuery::from_viewpoint(roi, eye, db.e_max / 40.0, db.e_max);
-        let strips = world.plan_multi_base(&q, 8).unwrap();
+        let strips = query::plan_multi_base(&world.scoped(None), &q, 8).unwrap();
         let mut c1 = FetchCounters::default();
         let mut c2 = FetchCounters::default();
         for policy in [BoundaryPolicy::Skip, BoundaryPolicy::FetchOnMiss] {
-            let (single, r1) = db
-                .try_vd_multi_base_with_strips_counted(&q, policy, &strips, &mut c1)
-                .unwrap();
-            let (tiled, r2) = world
-                .try_vd_with_strips_counted(&q, policy, &strips, &mut c2)
-                .unwrap();
+            let (single, r1) = query::vd_with_strips(&db, &q, policy, &strips, &mut c1).unwrap();
+            let (tiled, r2) =
+                query::vd_with_strips(&world.scoped(None), &q, policy, &strips, &mut c2).unwrap();
             assert!(r1.is_clean() && r2.is_clean());
             assert_eq!(single.fetched_records, tiled.fetched_records);
             let (m1, ids1) = single.front.to_trimesh();

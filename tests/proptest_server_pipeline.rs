@@ -11,7 +11,7 @@
 //! Comparing the *encoded response frames* makes the check strictly
 //! stronger than structural equality.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use dm_core::{DirectMeshDb, DmBuildOptions, VdQuery};
 use dm_geom::{Rect, Vec2};
@@ -24,18 +24,18 @@ use dm_terrain::{generate, TriMesh};
 use proptest::collection;
 use proptest::prelude::*;
 
-static DB: OnceLock<DirectMeshDb> = OnceLock::new();
-
-fn db() -> &'static DirectMeshDb {
-    DB.get_or_init(|| {
-        let hf = generate::fractal_terrain(17, 17, 11);
-        let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
-        let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 4096));
-        DirectMeshDb::build(pool, &pm, &DmBuildOptions::default())
-    })
+/// A store (and buffer pool) of the caller's own. Every `cold` request
+/// flushes the served store's whole pool, so two servers sharing one
+/// store — the tests in this binary run concurrently — would evict each
+/// other's pages mid-query and skew the disk-access counts compared.
+fn build_db() -> DirectMeshDb {
+    let hf = generate::fractal_terrain(17, 17, 11);
+    let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+    let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 4096));
+    DirectMeshDb::build(pool, &pm, &DmBuildOptions::default())
 }
 
-fn with_server<R>(f: impl FnOnce(&str) -> R) -> R {
+fn with_server<R>(db: &DirectMeshDb, f: impl FnOnce(&str) -> R) -> R {
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -47,7 +47,7 @@ fn with_server<R>(f: impl FnOnce(&str) -> R) -> R {
     let addr = server.local_addr().expect("local addr").to_string();
     let ctl = server.shutdown_handle();
     std::thread::scope(|s| {
-        let handle = s.spawn(|| server.serve(db()).expect("serve"));
+        let handle = s.spawn(|| server.serve(db).expect("serve"));
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&addr)));
         ctl.shutdown();
         handle.join().expect("server thread");
@@ -114,8 +114,7 @@ fn normalized(r: &Response) -> Response {
     }
 }
 
-fn materialize(g: &GenReq) -> Request {
-    let d = db();
+fn materialize(d: &DirectMeshDb, g: &GenReq) -> Request {
     let roi = roi_from_fracs(&d.bounds, g.fracs.0, g.fracs.1, g.fracs.2, g.fracs.3);
     let e = d.e_for_points_fraction(g.keep);
     match g.sel {
@@ -155,9 +154,10 @@ proptest! {
         gens in collection::vec(arb_req(), 1..10),
         window_seed in any::<usize>(),
     ) {
-        let reqs: Vec<Request> = gens.iter().map(materialize).collect();
+        let db = build_db();
+        let reqs: Vec<Request> = gens.iter().map(|g| materialize(&db, g)).collect();
         let window = 1 + window_seed % reqs.len().max(1);
-        with_server(|addr| {
+        with_server(&db, |addr| {
             // Serial reference: same connection, one request in flight.
             let mut serial_client = Client::connect(addr).expect("connect serial");
             let mut serial = Vec::with_capacity(reqs.len());
@@ -191,7 +191,7 @@ proptest! {
 /// window — runs even when proptest shrinks elsewhere.
 #[test]
 fn eight_pipelined_cold_queries_match_serial() {
-    let d = db();
+    let d = build_db();
     let e = d.e_for_points_fraction(0.5);
     let reqs: Vec<Request> = (0..8)
         .map(|i| Request::ViQuery {
@@ -200,7 +200,7 @@ fn eight_pipelined_cold_queries_match_serial() {
             e,
         })
         .collect();
-    with_server(|addr| {
+    with_server(&d, |addr| {
         let mut c = Client::connect(addr).expect("connect");
         let mut serial = Vec::new();
         for req in &reqs {

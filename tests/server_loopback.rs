@@ -127,12 +127,13 @@ fn remote_vi_vd_and_batch_match_local_bit_for_bit() {
             let reads0 = thread_reads();
             let mut counters = FetchCounters::default();
             let (local, report) = db
-                .try_vi_query_counted(roi, e, &mut counters)
+                .try_vi_query_flat_counted(roi, e, &mut counters)
                 .expect("local VI");
             assert!(report.is_clean());
             let local_disk = thread_reads() - reads0;
 
-            assert_same_mesh(&format!("VI roi {i}"), &remote, &local.front);
+            let front = dm_mtm::FrontMesh::from_parts(local.nodes, &local.faces);
+            assert_same_mesh(&format!("VI roi {i}"), &remote, &front);
             assert_eq!(remote.fetched_records, local.fetched_records as u64);
             assert_eq!(
                 remote.disk_accesses, local_disk,

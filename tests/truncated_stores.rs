@@ -102,7 +102,11 @@ fn truncated_stores_fail_strict_opens_and_serve_surviving_prefix_degraded() {
                 .unwrap_or_else(|e| panic!("{name}/{tag}: degraded open failed: {e}"));
             let mut fetch_report = IntegrityReport::default();
             let got = db
-                .fetch_box_degraded(&everywhere(), &mut fetch_report)
+                .fetch_boxes_counted(
+                    &[everywhere()],
+                    &mut fetch_report,
+                    &mut dm_core::FetchCounters::default(),
+                )
                 .unwrap_or_else(|e| panic!("{name}/{tag}: degraded fetch failed: {e}"));
             assert!(!got.is_empty(), "{name}/{tag}: surviving prefix is empty");
             for r in &got {

@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use dm_core::query::{plan_multi_base, vd_with_strips};
 use dm_core::{
     BoundaryPolicy, DirectMeshDb, DmBuildOptions, FetchCounters, IntegrityReport, VdQuery,
 };
@@ -19,7 +20,7 @@ use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
 use dm_storage::{BufferPool, FaultConfig, MemStore};
 use dm_terrain::{generate, TriMesh};
-use dm_world::{split_world_in_memory, write_split_world, WorldDb, WorldOptions};
+use dm_world::{split_world_in_memory, write_split_world, RegionMeta, WorldDb, WorldOptions};
 use proptest::prelude::*;
 
 fn build_db(side: usize, seed: u64) -> DirectMeshDb {
@@ -121,15 +122,12 @@ proptest! {
         // One strip plan for both sides: the planner sees the same ROI
         // and viewpoint either way, and a shared plan makes the record
         // unions comparable strip by strip.
-        let strips = world.plan_multi_base(&q, max_cubes).unwrap();
+        let strips = plan_multi_base(&world.scoped(None), &q, max_cubes).unwrap();
         let mut c1 = FetchCounters::default();
         let mut c2 = FetchCounters::default();
-        let (single, r1) = db
-            .try_vd_multi_base_with_strips_counted(&q, policy, &strips, &mut c1)
-            .unwrap();
-        let (tiled, r2) = world
-            .try_vd_with_strips_counted(&q, policy, &strips, &mut c2)
-            .unwrap();
+        let (single, r1) = vd_with_strips(&db, &q, policy, &strips, &mut c1).unwrap();
+        let (tiled, r2) =
+            vd_with_strips(&world.scoped(None), &q, policy, &strips, &mut c2).unwrap();
         prop_assert!(r1.is_clean() && r2.is_clean());
         prop_assert_eq!(single.fetched_records, tiled.fetched_records);
         let (ids1, verts1, tris1) = mesh_fingerprint(&single.front);
@@ -139,6 +137,76 @@ proptest! {
         // last bit, not within a tolerance.
         prop_assert_eq!(verts1, verts2, "positions differ under {:?}", policy);
         prop_assert_eq!(tris1, tris2, "triangles differ under {:?}", policy);
+    }
+
+    /// Planner included: a one-region world over the whole terrain
+    /// (offset 0, `id_base` 0) runs the store's own planner and
+    /// assemble-refine tail over the query seam, so it plans the same
+    /// strips and answers with the same cubes, mesh, fetch count and
+    /// fetch counters as the store itself.
+    #[test]
+    fn one_region_world_plans_and_answers_like_the_store(
+        terrain_seed in 0u64..10_000,
+        side in 17usize..28,
+        fx0 in 0.05..0.45f64,
+        fy0 in 0.05..0.45f64,
+        fx1 in 0.55..0.95f64,
+        fy1 in 0.55..0.95f64,
+        eye_fx in -0.2..1.2f64,
+        eye_fy in -0.2..1.2f64,
+        fetch_on_miss in any::<bool>(),
+        max_cubes in 1usize..16,
+    ) {
+        let db = build_db(side, terrain_seed);
+        let meta = RegionMeta {
+            id: 0,
+            id_base: 0,
+            n_records: db.n_records as u32,
+            offset: Vec2::new(0.0, 0.0),
+            bounds: db.bounds,
+            e_max: db.e_max,
+            path: std::path::PathBuf::new(),
+        };
+        let world = WorldDb::from_regions(
+            vec![(meta, build_db(side, terrain_seed))],
+            WorldOptions::default(),
+        )
+        .unwrap();
+        let roi = seam_roi(db.bounds, fx0, fy0, fx1, fy1);
+        let eye = Vec2::new(
+            db.bounds.min.x + eye_fx * db.bounds.width(),
+            db.bounds.min.y + eye_fy * db.bounds.height(),
+        );
+        let q = vd_query(db.e_max, roi, eye);
+        let policy = if fetch_on_miss {
+            BoundaryPolicy::FetchOnMiss
+        } else {
+            BoundaryPolicy::Skip
+        };
+        prop_assert_eq!(
+            db.plan_multi_base(&q, max_cubes),
+            plan_multi_base(&world.scoped(None), &q, max_cubes).unwrap(),
+            "the two sides planned different strips"
+        );
+        let mut c1 = FetchCounters::default();
+        let mut c2 = FetchCounters::default();
+        let (single, r1) = db
+            .try_vd_multi_base_counted(&q, policy, max_cubes, &mut c1)
+            .unwrap();
+        let (tiled, r2) = world
+            .try_vd_query_counted(&q, policy, max_cubes, &mut c2)
+            .unwrap();
+        prop_assert!(r1.is_clean() && r2.is_clean());
+        prop_assert_eq!(&single.cubes, &tiled.cubes);
+        prop_assert_eq!(single.fetched_records, tiled.fetched_records);
+        prop_assert_eq!(single.boundary_fetches, tiled.boundary_fetches);
+        prop_assert_eq!(c1, c2, "fetch counters differ under {:?}", policy);
+        prop_assert_eq!(
+            mesh_fingerprint(&single.front),
+            mesh_fingerprint(&tiled.front),
+            "meshes differ under {:?}",
+            policy
+        );
     }
 
     /// The same seam queries with every tile store behind a 1% transient
@@ -195,6 +263,67 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A request's disk accesses are the request's, whatever the fan-out
+/// width: region fetches that ran on `par_map` workers credit their
+/// reads to the requesting thread, so cold VI and VD answers carry the
+/// same `thread_reads` delta (what the server reports as
+/// `disk_accesses`), fetch counters and meshes at `threads` 1 and 4.
+#[test]
+fn cold_disk_accesses_do_not_depend_on_fanout_threads() {
+    let db = build_db(33, 5);
+    let dir = std::env::temp_dir().join(format!("dm_world_threads_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let manifest = write_split_world(&db, 2, 2, &dir, &DmBuildOptions::default()).unwrap();
+    let roi = seam_roi(db.bounds, 0.1, 0.1, 0.9, 0.9);
+    let e = db.e_for_points_fraction(0.3);
+    let eye = Vec2::new(db.bounds.min.x - 1.0, db.bounds.center().y);
+    let q = vd_query(db.e_max, roi, eye);
+
+    let run = |threads: usize| {
+        let world = WorldDb::open(
+            &manifest,
+            WorldOptions {
+                threads,
+                ..WorldOptions::default()
+            },
+        )
+        .unwrap();
+        // Open every region first: a lazy open scans the tile's heap,
+        // which is I/O of its own.
+        world
+            .try_vi_query_flat_counted(&db.bounds, e, &mut FetchCounters::default())
+            .unwrap();
+
+        world.try_cold_start().unwrap();
+        let mut vi_counters = FetchCounters::default();
+        let before = dm_storage::thread_reads();
+        let (vi, vi_report) = world
+            .try_vi_query_flat_counted(&roi, e, &mut vi_counters)
+            .unwrap();
+        let vi_reads = dm_storage::thread_reads() - before;
+
+        world.try_cold_start().unwrap();
+        let mut vd_counters = FetchCounters::default();
+        let before = dm_storage::thread_reads();
+        let (vd, vd_report) = world
+            .try_vd_query_counted(&q, BoundaryPolicy::FetchOnMiss, 8, &mut vd_counters)
+            .unwrap();
+        let vd_reads = dm_storage::thread_reads() - before;
+
+        assert!(vi_report.is_clean() && vd_report.is_clean());
+        (
+            (vi.nodes, vi.faces, vi_counters, vi_reads),
+            (mesh_fingerprint(&vd.front), vd_counters, vd_reads),
+        )
+    };
+    let (vi1, vd1) = run(1);
+    let (vi4, vd4) = run(4);
+    assert!(vi1.3 > 0 && vd1.2 > 0, "cold queries must read pages");
+    assert_eq!(vi1, vi4, "VI differs between threads 1 and 4");
+    assert_eq!(vd1, vd4, "VD differs between threads 1 and 4");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Degraded open of one wounded tile: scribble over part of one tile's

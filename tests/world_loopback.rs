@@ -9,6 +9,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dm_core::query::vi_query_flat;
 use dm_core::{BoundaryPolicy, DirectMeshDb, DmBuildOptions, FetchCounters, VdQuery};
 use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
@@ -151,8 +152,7 @@ fn remote_world_queries_match_local_bit_for_bit() {
                 .vi_query(scope_opts(QueryScope::Region(id)), seam, e)
                 .expect("remote scoped VI");
             let mut ctr = FetchCounters::default();
-            let (local, _) = world
-                .try_vi_query_flat_scoped(&seam, e, Some(idx), &mut ctr)
+            let (local, _) = vi_query_flat(&world.scoped(Some(idx)), &seam, e, &mut ctr)
                 .expect("local scoped VI");
             let (lv, lf) = canonical_flat(&local.nodes, &local.faces);
             assert_mesh_eq(&format!("region {id} VI"), &remote, &lv, &lf);
