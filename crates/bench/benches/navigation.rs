@@ -5,8 +5,8 @@
 //!
 //! * `full` — every frame refetches its whole cube set (the paper's
 //!   isolated-query protocol),
-//! * `incremental` — delta planning + working-set reuse + seed-front
-//!   patching,
+//! * `incremental` — delta planning + working-set reuse (the front is
+//!   rebuilt from the working set every frame, like a cold query's),
 //! * `auto` — the query planner picks full or incremental per frame from
 //!   estimated candidate pages and live buffer-pool residency.
 //!

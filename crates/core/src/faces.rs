@@ -26,11 +26,8 @@ pub fn extract_faces<S1: BuildHasher, S2: BuildHasher>(
     pos: &HashMap<u32, Vec2, S1>,
     adj: &HashMap<u32, Vec<u32>, S2>,
 ) -> Vec<[u32; 3]> {
-    // Densify over the *position* key set: `pos` may be a superset of
-    // `adj`'s keys (the navigation splice supplies rings only for the
-    // dirty neighbourhood K but positions for K plus its ring members,
-    // and those ring-only vertices must still occupy their angular slot
-    // in K's rings). Ids are sorted so dense-index comparisons agree
+    // Densify over the *position* key set (`pos` may be a superset of
+    // `adj`'s keys). Ids are sorted so dense-index comparisons agree
     // with id comparisons (the emission rule relies on this).
     let mut ids: Vec<u32> = pos.keys().copied().collect();
     ids.sort_unstable();

@@ -72,7 +72,7 @@ pub mod verify;
 
 pub use dm_index::FrameCostParams;
 pub use live::{LiveDb, LiveOptions, PatchStats, RecoveryInfo};
-pub use navigation::{FrameStats, NavigationSession, PlanDecision, PlanMode, SpliceDelta};
+pub use navigation::{FrameStats, NavigationSession, PlanDecision, PlanMode};
 pub use parallel::{vd_query_batch, vi_query_batch};
 pub use query::{
     equal_strips, uniform_cut, BoundaryPolicy, ElevationStats, RecordStore, VdQuery, VdResult,

@@ -16,14 +16,20 @@
 //!    vertical segment left the new cubes and absorbs the delta fetch —
 //!    by construction the cache then equals exactly what a cold
 //!    multi-base query would have fetched, so results are identical.
-//! 3. **Front patching.** The seed-level front (the topmost-record mesh
-//!    a cold query would assemble) is patched in place: seeds whose
-//!    records expired are removed, new seeds spliced in, and only the
-//!    *dirty* neighbourhood — vertices whose connection-list rings
-//!    changed — is re-extracted locally. Each frame then clones the seed
-//!    front and refines the clone to the query plane, so refinement CPU
-//!    stays `O(ROI)` while all I/O is `O(ΔROI)`. (The paper observes
-//!    that reconstruction cost is negligible next to retrieval.)
+//! 3. **Per-frame reconstruction.** Every frame seeds its front from
+//!    the working set with the cold path's own `assemble_topmost_front`
+//!    and refines it to the query plane — the same code a fresh
+//!    multi-base query runs over the same records, so a frame is a pure
+//!    function of (working set, query) and cannot drift with the
+//!    session's past. Reconstruction CPU stays `O(ROI)` while all I/O is
+//!    `O(ΔROI)`. (The paper observes that reconstruction cost is
+//!    negligible next to retrieval; a seed front patched in place across
+//!    frames cost 2.3× this rebuild — DESIGN.md §8.)
+//! 4. **Boundary nodes.** Records that refinement falls through for
+//!    under [`BoundaryPolicy::FetchOnMiss`] are kept from one frame to
+//!    the next — only the ones the latest frame touched, so the cache is
+//!    bounded by one frame's boundary — and cost a B+-tree point lookup
+//!    only on first touch.
 //!
 //! Per-frame disk accesses are attributed with the storage layer's
 //! thread-local read counter, so concurrent sessions on one shared pool
@@ -32,12 +38,11 @@
 use dm_geom::{subtract_boxes, Box3, Rect, Vec2};
 use dm_index::FrameCostParams;
 use dm_mtm::refine::{FrontMesh, RefineStats};
-use dm_mtm::NIL_ID;
+use dm_mtm::PmNode;
 use dm_storage::StorageResult;
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashMap;
 
-use crate::faces::extract_faces;
-use crate::query::{refine_accounted, staircase, BoundaryPolicy, VdQuery};
+use crate::query::{assemble_topmost_front, refine_accounted, staircase, BoundaryPolicy, VdQuery};
 use crate::record::DmRecord;
 use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
 
@@ -45,9 +50,6 @@ use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
 /// planner falls back to refetching the whole cube (correct, just
 /// cheaper to execute as one range query than as many slivers).
 const MAX_DELTA_PIECES: usize = 48;
-
-/// Compact the seed front when dead triangle slots outnumber live ones.
-const COMPACT_SLACK: usize = 2;
 
 /// Per-frame execution strategy of a [`NavigationSession`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -114,27 +116,6 @@ pub struct PlanDecision {
     pub full_est_records: f64,
 }
 
-/// The seed-front splice this frame performed — the ΔROI patch in PM
-/// node ids. This is exactly what [`FrontMesh::splice`] was handed, so
-/// a consumer that mirrors the front (e.g. the wire delta streamer) can
-/// size the frame-to-frame change without re-deriving it.
-#[derive(Clone, Debug, Default)]
-pub struct SpliceDelta {
-    /// Seed ids spliced into the front this frame (sorted ascending).
-    pub added: Vec<u32>,
-    /// Seed ids dropped from the front this frame (sorted ascending).
-    pub removed: Vec<u32>,
-    /// Surviving seeds whose fans were re-extracted (sorted ascending).
-    pub dirty: Vec<u32>,
-}
-
-impl SpliceDelta {
-    /// True when the frame changed nothing at the seed level.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty() && self.dirty.is_empty()
-    }
-}
-
 /// Statistics of one navigation step.
 #[derive(Clone, Debug, Default)]
 pub struct FrameStats {
@@ -149,9 +130,11 @@ pub struct FrameStats {
     pub examined_records: u64,
     /// Candidate heap pages scanned by this frame's range queries.
     pub pages_scanned: u64,
-    /// Seed vertices spliced into the session front this frame.
+    /// Seed vertices of this frame's front that the previous frame's
+    /// seed front did not have.
     pub seeds_added: usize,
-    /// Seed vertices dropped from the session front this frame.
+    /// Seed vertices of the previous frame's front that this frame's
+    /// seed front no longer has.
     pub seeds_removed: usize,
     /// Refinement counters.
     pub refine: RefineStats,
@@ -159,8 +142,6 @@ pub struct FrameStats {
     pub vertices: usize,
     /// The planner's decision for this frame and its inputs.
     pub plan: PlanDecision,
-    /// The seed-front splice sets of this frame (the ΔROI patch).
-    pub splice: SpliceDelta,
 }
 
 /// A stateful walkthrough over one Direct Mesh database.
@@ -178,12 +159,11 @@ pub struct NavigationSession<'a> {
     working: FxHashMap<u32, DmRecord>,
     /// The query cubes executed last frame (delta-planning baseline).
     prev_cubes: Vec<Box3>,
-    /// Seed-level front, patched in place across frames.
-    seed_front: FrontMesh,
-    /// Current filtered connection ring of every seed. Kept so a seed
-    /// that expires (its record may already be gone from `working`) can
-    /// still dirty its old neighbours.
-    seed_adj: FxHashMap<u32, Vec<u32>>,
+    /// Seed ids of the last frame's front, ascending (what
+    /// [`FrameStats::seeds_added`] / `seeds_removed` are counted against).
+    prev_seeds: Vec<u32>,
+    /// Out-of-working-set nodes the last frame's refinement touched.
+    boundary: FxHashMap<u32, PmNode>,
     /// Per-frame scratch, reused across frames so the planner and delta
     /// executor allocate nothing in steady state: the ΔROI piece list…
     pieces: Vec<Box3>,
@@ -203,8 +183,8 @@ impl<'a> NavigationSession<'a> {
             front: FrontMesh::default(),
             working: FxHashMap::default(),
             prev_cubes: Vec::new(),
-            seed_front: FrontMesh::default(),
-            seed_adj: FxHashMap::default(),
+            prev_seeds: Vec::new(),
+            boundary: FxHashMap::default(),
             pieces: Vec::new(),
             page_scratch: Vec::new(),
         }
@@ -256,6 +236,12 @@ impl<'a> NavigationSession<'a> {
     /// The current front (mesh of the last frame).
     pub fn front(&self) -> &FrontMesh {
         &self.front
+    }
+
+    /// Boundary nodes kept for the next frame: exactly those the last
+    /// frame's refinement needed from outside the working set.
+    pub fn boundary_nodes(&self) -> usize {
+        self.boundary.len()
     }
 
     /// Advance to a new viewpoint-dependent query. Returns per-frame
@@ -368,19 +354,21 @@ impl<'a> NavigationSession<'a> {
         }
         self.prev_cubes = new_cubes;
 
-        let splice = self.patch_seed_front(&q.roi);
-        let (seeds_added, seeds_removed) = (splice.added.len(), splice.removed.len());
-
-        // Result mesh: clone the seed-level front and refine the clone
-        // to the query plane, reading records straight out of the
+        // Result mesh: the cold path's seed front over the working set,
+        // refined to the query plane reading records straight out of the
         // working set (no per-frame node-map rebuild). Boundary fetches
-        // land in the source's own overlay so they never contaminate the
-        // working set across frames.
-        let mut front = self.seed_front.clone();
+        // stay out of the working set; the ones this frame touched are
+        // kept for the next.
+        let mut front = assemble_topmost_front(&self.working, &q.roi);
+        let mut seeds: Vec<u32> = front.vertex_ids().collect();
+        seeds.sort_unstable();
+        let (seeds_added, seeds_removed) = sorted_diff_counts(&seeds, &self.prev_seeds);
+        self.prev_seeds = seeds;
         let (refine, _boundary_fetches) = refine_accounted(
             &mut front,
             self.db,
             &self.working,
+            &mut self.boundary,
             self.policy,
             q,
             &mut report,
@@ -396,135 +384,9 @@ impl<'a> NavigationSession<'a> {
             refine,
             vertices: front.num_vertices(),
             plan,
-            splice,
         };
         self.front = front;
         Ok((stats, report))
-    }
-
-    /// Recompute the seed set over the updated working set and splice
-    /// the differences into the persistent seed front. Only the *dirty*
-    /// neighbourhood — vertices whose filtered connection ring changed —
-    /// is re-extracted. Returns the splice sets the front was patched
-    /// with.
-    fn patch_seed_front(&mut self, roi: &Rect) -> SpliceDelta {
-        // The seed rule of a cold query (`assemble_topmost_front`):
-        // in-ROI records whose parent is absent from the in-ROI set.
-        let in_roi: FxHashSet<u32> = self
-            .working
-            .values()
-            .filter(|r| roi.contains(r.node.pos.xy()))
-            .map(|r| r.node.id)
-            .collect();
-        let new_seeds: FxHashSet<u32> = in_roi
-            .iter()
-            .copied()
-            .filter(|id| {
-                let p = self.working[id].node.parent;
-                p == NIL_ID || !in_roi.contains(&p)
-            })
-            .collect();
-
-        let ring_of = |id: u32| -> Vec<u32> {
-            let r = &self.working[&id];
-            let iv = r.node.interval();
-            r.conn
-                .iter()
-                .copied()
-                .filter(|c| new_seeds.contains(c) && iv.overlaps(&self.working[c].node.interval()))
-                .collect()
-        };
-
-        let added: Vec<u32> = new_seeds
-            .iter()
-            .copied()
-            .filter(|id| !self.seed_adj.contains_key(id))
-            .collect();
-        let removed: Vec<u32> = self
-            .seed_adj
-            .keys()
-            .copied()
-            .filter(|id| !new_seeds.contains(id))
-            .collect();
-
-        if added.is_empty() && removed.is_empty() {
-            return SpliceDelta::default();
-        }
-
-        // Dirty = surviving seeds whose ring changed. Connection lists
-        // are symmetric, so a ring changes exactly when an added seed
-        // appears in it or a removed seed vanishes from it.
-        let mut dirty: FxHashSet<u32> = FxHashSet::default();
-        for &a in &added {
-            dirty.insert(a);
-            for n in ring_of(a) {
-                dirty.insert(n);
-            }
-        }
-        for r in &removed {
-            for n in &self.seed_adj[r] {
-                if new_seeds.contains(n) {
-                    dirty.insert(*n);
-                }
-            }
-        }
-
-        // Local re-extraction: every triangle that gained or lost
-        // existence has a dirty corner, and all corners of such a
-        // triangle lie in K = dirty ∪ ring(dirty). Supplying complete
-        // rings for K (and positions for K plus its ring members) makes
-        // the local extraction agree with the global one on exactly
-        // those triangles.
-        let mut adj: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-        let mut pos: FxHashMap<u32, Vec2> = FxHashMap::default();
-        for &d in &dirty {
-            for n in ring_of(d) {
-                adj.entry(n).or_insert_with(|| ring_of(n));
-            }
-            adj.entry(d).or_insert_with(|| ring_of(d));
-        }
-        let ks: Vec<u32> = adj.keys().copied().collect();
-        for k in ks {
-            pos.entry(k)
-                .or_insert_with(|| self.working[&k].node.pos.xy());
-            for n in adj[&k].clone() {
-                pos.entry(n)
-                    .or_insert_with(|| self.working[&n].node.pos.xy());
-            }
-        }
-        let patch_tris: Vec<[u32; 3]> = extract_faces(&pos, &adj)
-            .into_iter()
-            // Triangles with no dirty corner were never removed from the
-            // front; re-adding them would duplicate geometry.
-            .filter(|t| t.iter().any(|v| dirty.contains(v)))
-            .collect();
-
-        // Splice: drop expired seeds with their fans, clear the dirty
-        // fans, absorb the new seeds and the re-extracted neighbourhood.
-        let dirty_list: Vec<u32> = dirty.iter().copied().collect();
-        let nodes: Vec<dm_mtm::PmNode> = added.iter().map(|id| self.working[id].node).collect();
-        self.seed_front
-            .splice(&removed, &dirty_list, nodes, &patch_tris);
-        if self.seed_front.num_triangles() * COMPACT_SLACK < self.seed_front.triangle_slots() {
-            self.seed_front.compact();
-        }
-
-        // Ring bookkeeping for the next frame's diff.
-        for r in &removed {
-            self.seed_adj.remove(r);
-        }
-        for &d in &dirty_list {
-            self.seed_adj.insert(d, ring_of(d));
-        }
-        let mut delta = SpliceDelta {
-            added,
-            removed,
-            dirty: dirty_list,
-        };
-        delta.added.sort_unstable();
-        delta.removed.sort_unstable();
-        delta.dirty.sort_unstable();
-        delta
     }
 
     /// Forget all session state (the pool stays warm; use a fresh pool
@@ -533,9 +395,27 @@ impl<'a> NavigationSession<'a> {
         self.front = FrontMesh::default();
         self.working = FxHashMap::default();
         self.prev_cubes.clear();
-        self.seed_front = FrontMesh::default();
-        self.seed_adj = FxHashMap::default();
+        self.prev_seeds.clear();
+        self.boundary = FxHashMap::default();
     }
+}
+
+/// How many ids of ascending `new` are missing from ascending `old`, and
+/// the other way round.
+fn sorted_diff_counts(new: &[u32], old: &[u32]) -> (usize, usize) {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < new.len() && j < old.len() {
+        match new[i].cmp(&old[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (new.len() - common, old.len() - common)
 }
 
 /// Convenience: a straight flight path of `frames` windows sliding from
@@ -691,6 +571,26 @@ mod tests {
                 "same faces, warm or cold"
             );
         }
+    }
+
+    #[test]
+    fn seed_counts_are_a_diff_against_the_previous_frame() {
+        assert_eq!(sorted_diff_counts(&[1, 3, 5, 8], &[2, 3, 8, 9, 10]), (2, 3));
+        assert_eq!(sorted_diff_counts(&[], &[4]), (0, 1));
+        let db = db();
+        let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
+        let path = flight_path(&db.bounds, 0.5, 4);
+        let first = session.move_to(&query_at(&db, path[0]));
+        assert!(first.seeds_added > 0, "the first frame adds every seed");
+        assert_eq!(first.seeds_removed, 0);
+        let again = session.move_to(&query_at(&db, path[0]));
+        assert_eq!((again.seeds_added, again.seeds_removed), (0, 0));
+        let moved = session.move_to(&query_at(&db, path[3]));
+        assert!(moved.seeds_added > 0 && moved.seeds_removed > 0);
+        assert_eq!(
+            first.seeds_added + moved.seeds_added - moved.seeds_removed,
+            session.prev_seeds.len()
+        );
     }
 
     #[test]

@@ -253,9 +253,14 @@ struct StoreSource<'a, S: RecordStore + ?Sized> {
     store: &'a S,
     /// The fetched records (a cold query's union fetch, or a navigation
     /// session's working set). Never written — boundary fetches land in
-    /// `overlay` so they cannot leak into a longer-lived cache.
+    /// `touched` so they cannot leak into the working set.
     base: &'a FxHashMap<u32, DmRecord>,
-    overlay: FxHashMap<u32, PmNode>,
+    /// Boundary nodes the caller's previous frame ended with (empty for
+    /// a one-shot query) …
+    prev: FxHashMap<u32, PmNode>,
+    /// … and the ones this run has needed so far: moved over from `prev`
+    /// on first touch, or looked up in the store.
+    touched: FxHashMap<u32, PmNode>,
     policy: BoundaryPolicy,
     misses_fetched: usize,
     /// Fall-through fetches that failed with a storage error are
@@ -272,15 +277,19 @@ impl<S: RecordStore + ?Sized> RecordSource for StoreSource<'_, S> {
         if let Some(r) = self.base.get(&id) {
             return Some(r.node);
         }
-        if let Some(n) = self.overlay.get(&id) {
+        if let Some(n) = self.touched.get(&id) {
             return Some(*n);
+        }
+        if let Some(n) = self.prev.remove(&id) {
+            self.touched.insert(id, n);
+            return Some(n);
         }
         match self.policy {
             BoundaryPolicy::Skip => None,
             BoundaryPolicy::FetchOnMiss => match self.store.try_fetch_by_id(id) {
                 Ok(Some(rec)) => {
                     self.misses_fetched += 1;
-                    self.overlay.insert(id, rec.node);
+                    self.touched.insert(id, rec.node);
                     Some(rec.node)
                 }
                 Ok(None) => None,
@@ -425,8 +434,15 @@ pub(crate) fn assemble_refine<S: RecordStore + ?Sized>(
         all.entry(r.node.id).or_insert(r);
     }
     let mut front = assemble_topmost_front(&all, &q.roi);
-    let (refine, boundary_fetches) =
-        refine_accounted(&mut front, store, &all, policy, q, &mut report);
+    let (refine, boundary_fetches) = refine_accounted(
+        &mut front,
+        store,
+        &all,
+        &mut FxHashMap::default(),
+        policy,
+        q,
+        &mut report,
+    );
     (
         VdResult {
             front,
@@ -440,13 +456,17 @@ pub(crate) fn assemble_refine<S: RecordStore + ?Sized>(
 }
 
 /// Refine `front` to the query plane reading `base` (falling through to
-/// `store` as `policy` allows), with boundary-fetch failures and retry
-/// spend folded into `report`. Returns the refinement counters and the
-/// number of boundary fetches.
+/// `boundary`, then to `store` as `policy` allows), with boundary-fetch
+/// failures and retry spend folded into `report`. `boundary` comes in as
+/// the nodes an earlier run over nearby records fell through for and
+/// goes out as exactly the ones this run touched, so a caller that hands
+/// it back every frame holds one frame's boundary, never a history.
+/// Returns the refinement counters and the number of store lookups.
 pub(crate) fn refine_accounted<S: RecordStore + ?Sized>(
     front: &mut FrontMesh,
     store: &S,
     base: &FxHashMap<u32, DmRecord>,
+    boundary: &mut FxHashMap<u32, PmNode>,
     policy: BoundaryPolicy,
     q: &VdQuery,
     report: &mut IntegrityReport,
@@ -457,7 +477,8 @@ pub(crate) fn refine_accounted<S: RecordStore + ?Sized>(
     let mut source = StoreSource {
         store,
         base,
-        overlay: FxHashMap::default(),
+        prev: std::mem::take(boundary),
+        touched: FxHashMap::default(),
         policy,
         misses_fetched: 0,
         report,
@@ -465,6 +486,7 @@ pub(crate) fn refine_accounted<S: RecordStore + ?Sized>(
     };
     let stats = refine(front, &mut source, &q.target);
     let boundary_fetches = source.misses_fetched;
+    *boundary = source.touched;
     report.retries += dm_storage::thread_retries() - retries_before;
     (stats, boundary_fetches)
 }
@@ -619,55 +641,94 @@ impl DirectMeshDb {
 /// top-plane cut member — or positioned outside the ROI). Topology comes
 /// from the connection lists wherever the seeds' LOD intervals overlap.
 /// Seeds are sorted by id (dense order must agree with id order, which
-/// face emission relies on), so the map's iteration order is irrelevant.
-fn assemble_topmost_front(all: &FxHashMap<u32, DmRecord>, roi: &Rect) -> FrontMesh {
-    let in_roi = |r: &DmRecord| roi.contains(r.node.pos.xy());
+/// face emission relies on), so the map's iteration order is irrelevant
+/// and the front is a pure function of the record set and the ROI.
+pub(crate) fn assemble_topmost_front(all: &FxHashMap<u32, DmRecord>, roi: &Rect) -> FrontMesh {
     let mut seeds: Vec<&DmRecord> = all
         .values()
-        .filter(|r| {
-            in_roi(r)
-                && (r.node.parent == dm_mtm::NIL_ID || !all.get(&r.node.parent).is_some_and(in_roi))
-        })
+        .filter(|r| roi.contains(r.node.pos.xy()))
         .collect();
-    seeds.sort_unstable_by_key(|r| r.node.id);
-    let index_of: FxHashMap<u32, u32> = seeds
+    let table_len = seeds
         .iter()
-        .enumerate()
-        .map(|(i, r)| (r.node.id, i as u32))
-        .collect();
-    let pos: Vec<Vec2> = seeds.iter().map(|r| r.node.pos.xy()).collect();
-    let mut adj = DenseAdjacency::with_capacity(seeds.len());
-    for r in &seeds {
-        let iv = r.node.interval();
-        adj.push_vertex(r.conn.iter().filter_map(|c| {
-            index_of
-                .get(c)
-                .copied()
-                .filter(|&ci| iv.overlaps(&seeds[ci as usize].node.interval()))
-        }));
+        .map(|r| r.node.id as usize + 1)
+        .max()
+        .unwrap_or(0);
+    ID_TABLE.with(|table| {
+        let table = &mut *table.borrow_mut();
+        // First generation: in-ROI membership, for the parent test
+        // (`NIL_ID` lies beyond any table).
+        table.begin(table_len);
+        for r in &seeds {
+            table.set(r.node.id, 0);
+        }
+        seeds.retain(|r| table.get(r.node.parent).is_none());
+        seeds.sort_unstable_by_key(|r| r.node.id);
+        // Second generation: seed id → dense index.
+        table.begin(table_len);
+        for (k, r) in seeds.iter().enumerate() {
+            table.set(r.node.id, k as u32);
+        }
+        let pos: Vec<Vec2> = seeds.iter().map(|r| r.node.pos.xy()).collect();
+        let mut adj = DenseAdjacency::with_capacity(seeds.len());
+        for r in &seeds {
+            let iv = r.node.interval();
+            adj.push_vertex(r.conn.iter().filter_map(|&c| {
+                table
+                    .get(c)
+                    .filter(|&ci| iv.overlaps(&seeds[ci as usize].node.interval()))
+            }));
+        }
+        // `adj` holds dense indices; faces are mapped back to PM node ids.
+        let faces: Vec<[u32; 3]> = extract_faces_dense_owned(&pos, adj)
+            .into_iter()
+            .map(|t| t.map(|v| seeds[v as usize].node.id))
+            .collect();
+        FrontMesh::from_parts(seeds.iter().map(|r| r.node).collect(), &faces)
+    })
+}
+
+/// Generation-stamped direct-mapped id → dense-index table: PM ids are
+/// dense small integers, so an array beats hashing on the per-request
+/// hot path. A slot is `(stamp, dense)`, side by side so a probe costs
+/// one cache line; `stamp == gen` marks `dense` valid for the current
+/// generation, and [`IdTable::begin`] invalidates the whole table
+/// without a clear.
+struct IdTable {
+    slots: Vec<(u32, u32)>,
+    gen: u32,
+}
+
+impl IdTable {
+    /// Start a generation with no id set, able to hold ids `< len`.
+    fn begin(&mut self, len: usize) {
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.slots.clear();
+            self.gen = 1;
+        }
+        if self.slots.len() < len {
+            self.slots.resize(len, (0, 0));
+        }
     }
-    // `adj` holds dense indices; faces are mapped back to PM node ids.
-    let faces: Vec<[u32; 3]> = extract_faces_dense_owned(&pos, adj)
-        .into_iter()
-        .map(|[a, b, c]| {
-            [
-                seeds[a as usize].node.id,
-                seeds[b as usize].node.id,
-                seeds[c as usize].node.id,
-            ]
-        })
-        .collect();
-    FrontMesh::from_parts(seeds.iter().map(|r| r.node).collect(), &faces)
+
+    fn set(&mut self, id: u32, dense: u32) {
+        self.slots[id as usize] = (self.gen, dense);
+    }
+
+    fn get(&self, id: u32) -> Option<u32> {
+        match self.slots.get(id as usize) {
+            Some(&(stamp, dense)) if stamp == self.gen => Some(dense),
+            _ => None,
+        }
+    }
 }
 
 thread_local! {
-    // Generation-stamped direct-mapped id → dense-index table for
-    // [`uniform_cut`]: PM ids are dense small integers, so an array beats
-    // hashing on the per-request hot path. `stamp[id] == gen` marks
-    // `dense[id]` valid for the current call; bumping `gen` invalidates
-    // the whole table without a clear.
-    static CUT_SCRATCH: RefCell<(Vec<u32>, Vec<u32>, u32)> =
-        const { RefCell::new((Vec::new(), Vec::new(), 0)) };
+    // Per-thread scratch of [`uniform_cut`] and
+    // [`assemble_topmost_front`] (neither calls the other).
+    static ID_TABLE: RefCell<IdTable> = const {
+        RefCell::new(IdTable { slots: Vec::new(), gen: 0 })
+    };
 }
 
 /// Uniform-LOD cut at level `e` in flat canonical-ready form: active
@@ -693,26 +754,12 @@ pub fn uniform_cut(set: &FetchedSet, roi: &Rect, e: f64) -> (Vec<PmNode>, Vec<[u
         .collect();
     perm.sort_unstable();
     perm.dedup_by_key(|p| *p >> 32);
-    CUT_SCRATCH.with(|scratch| {
-        let (stamp, dense, gen) = &mut *scratch.borrow_mut();
-        *gen = gen.wrapping_add(1);
-        if *gen == 0 {
-            stamp.clear();
-            *gen = 1;
-        }
-        let table_len = perm
-            .iter()
-            .map(|&p| (p >> 32) as usize + 1)
-            .max()
-            .unwrap_or(0);
-        if stamp.len() < table_len {
-            stamp.resize(table_len, 0);
-            dense.resize(table_len, 0);
-        }
+    ID_TABLE.with(|table| {
+        let table = &mut *table.borrow_mut();
+        // `perm` is sorted by id: the last entry carries the largest.
+        table.begin(perm.last().map_or(0, |&p| (p >> 32) as usize + 1));
         for (k, &p) in perm.iter().enumerate() {
-            let id = (p >> 32) as usize;
-            stamp[id] = *gen;
-            dense[id] = k as u32;
+            table.set((p >> 32) as u32, k as u32);
         }
         let slot = |p: u64| (p & 0xFFFF_FFFF) as usize;
         let pos: Vec<Vec2> = perm.iter().map(|&p| set.nodes[slot(p)].pos.xy()).collect();
@@ -721,10 +768,7 @@ pub fn uniform_cut(set: &FetchedSet, roi: &Rect, e: f64) -> (Vec<PmNode>, Vec<[u
             // Every active record's interval contains `e` (the filter
             // above), so neighbour membership in the active set is the
             // whole test.
-            adj.push_vertex(set.conn_of(slot(p)).iter().filter_map(|&c| {
-                let c = c as usize;
-                (c < stamp.len() && stamp[c] == *gen).then(|| dense[c])
-            }));
+            adj.push_vertex(set.conn_of(slot(p)).iter().filter_map(|&c| table.get(c)));
         }
         let nodes: Vec<PmNode> = perm.iter().map(|&p| set.nodes[slot(p)]).collect();
         let faces: Vec<[u32; 3]> = extract_faces_dense_owned(&pos, adj)

@@ -1100,7 +1100,13 @@ impl DirectMeshDb {
         scratch.clear();
         let slots = self.mean_records_per_page() as f64;
         let mut est_records = 0.0;
+        // A page outside the boxes' hull meets none of them: one test
+        // spares it the whole box list (most pages, for a ΔROI plan).
+        let hull = boxes.iter().fold(Box3::EMPTY, |h, b| h.union(b));
         for &(page, ref mbr) in &self.page_regions {
+            if !mbr.intersects(&hull) {
+                continue;
+            }
             let vol = mbr.volume();
             let mut covered = 0.0;
             for q in boxes {

@@ -164,12 +164,16 @@ impl FrontMesh {
     /// either winding are normalized to CCW.
     pub fn from_parts(records: Vec<PmNode>, triangles: &[[u32; 3]]) -> Self {
         let mut fm = FrontMesh::default();
+        fm.verts.reserve(records.len());
+        fm.tris.reserve(triangles.len());
+        fm.tri_alive.reserve(triangles.len());
         for r in records {
+            // A fan is about six wide: one allocation per vertex, made here.
             fm.verts.insert(
                 r.id,
                 FrontVert {
                     node: r,
-                    tris: Vec::new(),
+                    tris: Vec::with_capacity(8),
                 },
             );
         }
@@ -237,12 +241,6 @@ impl FrontMesh {
         self.live_tris
     }
 
-    /// Total triangle slots including dead ones left by removals — the
-    /// signal long-lived fronts use to decide when to [`Self::compact`].
-    pub fn triangle_slots(&self) -> usize {
-        self.tris.len()
-    }
-
     pub fn vertex_ids(&self) -> impl Iterator<Item = u32> + '_ {
         self.verts.keys().copied()
     }
@@ -262,9 +260,9 @@ impl FrontMesh {
             .map(|(&t, _)| t)
     }
 
-    /// Unique neighbours of an active vertex.
-    pub fn neighbors(&self, id: u32) -> Vec<u32> {
-        let mut out = Vec::with_capacity(8);
+    /// Unique neighbours of an active vertex, into a reused buffer.
+    fn neighbors_into(&self, id: u32, out: &mut Vec<u32>) {
+        out.clear();
         if let Some(fv) = self.verts.get(&id) {
             for &t in &fv.tris {
                 for &o in &self.tris[t as usize] {
@@ -274,152 +272,67 @@ impl FrontMesh {
                 }
             }
         }
-        out
     }
 
-    /// The neighbours of `id` in circular fan order (CCW). For boundary
-    /// vertices the cycle is closed virtually across the gap.
-    fn neighbor_cycle(&self, id: u32) -> Option<Vec<u32>> {
+    /// The neighbours of `id` in circular fan order (CCW), left in
+    /// `s.cycle`; `s.fan` holds `(a, b)` of each incident CCW triangle
+    /// `(id, a, b)` in the vertex's triangle order and `s.neighbors` its
+    /// unique neighbours. For boundary vertices the cycle is closed
+    /// virtually across the gap. Fans are a dozen wide at most, so
+    /// successor and predecessor lookups are linear scans of `s.fan`.
+    /// `None` for a non-manifold or corrupt fan.
+    fn neighbor_cycle(&self, id: u32, s: &mut SplitScratch) -> Option<()> {
         let fv = self.verts.get(&id)?;
-        if fv.tris.is_empty() {
-            return Some(Vec::new());
-        }
-        // succ[a] = b for each incident CCW triangle (id, a, b).
-        let mut succ: FxHashMap<u32, u32> =
-            FxHashMap::with_capacity_and_hasher(fv.tris.len(), Default::default());
-        let mut has_pred: FxHashMap<u32, bool> = FxHashMap::default();
+        s.fan.clear();
+        s.cycle.clear();
         for &t in &fv.tris {
             let tri = self.tris[t as usize];
             let k = tri.iter().position(|&x| x == id).expect("incident");
             let a = tri[(k + 1) % 3];
-            let b = tri[(k + 2) % 3];
-            if succ.insert(a, b).is_some() {
+            if s.fan.iter().any(|f| f.0 == a) {
                 return None; // non-manifold fan
             }
-            has_pred.entry(a).or_insert(false);
-            *has_pred.entry(b).or_insert(true) = true;
+            s.fan.push((a, tri[(k + 2) % 3]));
         }
-        // Start from a boundary neighbour (no predecessor) if any.
-        let start = has_pred
+        if s.fan.is_empty() {
+            return Some(());
+        }
+        // Start from the boundary neighbour (no predecessor) if any; a
+        // closed fan has no distinguished start, so take its smallest id.
+        let start = s
+            .fan
             .iter()
-            .find(|(_, &p)| !p)
-            .map(|(&n, _)| n)
-            .unwrap_or_else(|| *succ.keys().next().expect("nonempty fan"));
-        let mut cycle = vec![start];
+            .map(|f| f.0)
+            .find(|&a| !s.fan.iter().any(|f| f.1 == a))
+            .unwrap_or_else(|| s.fan.iter().map(|f| f.0).min().expect("nonempty fan"));
+        s.cycle.push(start);
         let mut cur = start;
-        while let Some(&next) = succ.get(&cur) {
+        while let Some(&(_, next)) = s.fan.iter().find(|f| f.0 == cur) {
             if next == start {
                 break;
             }
-            cycle.push(next);
+            s.cycle.push(next);
             cur = next;
-            if cycle.len() > succ.len() + 2 {
+            if s.cycle.len() > s.fan.len() + 2 {
                 return None; // corrupt fan
             }
         }
         // A fan clipped at the ROI boundary can fall apart into several
-        // chains; the succ-walk then covers only one of them. Since the
-        // terrain is planar, the angular order around the vertex is the
-        // true cyclic order — use it for fragmented fans.
-        let all_neighbors = self.neighbors(id);
-        if cycle.len() < all_neighbors.len() {
+        // chains; the successor walk then covers only one of them. Since
+        // the terrain is planar, the angular order around the vertex is
+        // the true cyclic order — use it for fragmented fans.
+        self.neighbors_into(id, &mut s.neighbors);
+        if s.cycle.len() < s.neighbors.len() {
             let center = fv.node.pos.xy();
-            let mut ring = all_neighbors;
-            ring.sort_by(|&a, &b| {
+            s.cycle.clear();
+            s.cycle.extend_from_slice(&s.neighbors);
+            s.cycle.sort_by(|&a, &b| {
                 dm_geom::tri::angle_around(center, self.pos2(a))
                     .partial_cmp(&dm_geom::tri::angle_around(center, self.pos2(b)))
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            return Some(ring);
         }
-        Some(cycle)
-    }
-
-    /// Merge externally assembled vertices and triangles into the front
-    /// (used to seed newly visible territory during navigation). Existing
-    /// vertices keep their state; triangles referencing missing vertices
-    /// are skipped.
-    pub fn absorb(&mut self, nodes: Vec<PmNode>, tris: &[[u32; 3]]) {
-        for n in nodes {
-            self.verts.entry(n.id).or_insert(FrontVert {
-                node: n,
-                tris: Vec::new(),
-            });
-        }
-        for &t in tris {
-            if t.iter().all(|v| self.verts.contains_key(v)) {
-                self.add_triangle_normalized(t);
-            }
-        }
-    }
-
-    /// Remove a vertex and every triangle incident to it (used to trim a
-    /// front to a new region of interest; leaves a mesh boundary).
-    pub fn remove_vertex(&mut self, id: u32) {
-        if let Some(fv) = self.verts.remove(&id) {
-            for t in fv.tris.clone() {
-                self.remove_triangle_even_if_vertex_gone(t, id);
-            }
-        }
-    }
-
-    /// Remove every triangle incident to `id` but keep the vertex itself
-    /// (used to clear a dirty neighbourhood before re-extracting it).
-    pub fn remove_incident_triangles(&mut self, id: u32) {
-        if let Some(fv) = self.verts.get(&id) {
-            for t in fv.tris.clone() {
-                self.remove_triangle(t);
-            }
-        }
-    }
-
-    /// Patch the front in place: drop `gone` vertices with their fans,
-    /// clear the fans of the `dirty` survivors, then absorb replacement
-    /// vertices and triangles. The one entry point incremental
-    /// navigation uses to keep a session front current without a rebuild.
-    pub fn splice(&mut self, gone: &[u32], dirty: &[u32], nodes: Vec<PmNode>, tris: &[[u32; 3]]) {
-        for &v in gone {
-            self.remove_vertex(v);
-        }
-        for &v in dirty {
-            self.remove_incident_triangles(v);
-        }
-        self.absorb(nodes, tris);
-    }
-
-    /// Rebuild the triangle table without the dead slots that removals
-    /// leave behind (triangle indices are renumbered). Long-lived
-    /// navigation fronts call this to keep memory proportional to the
-    /// live mesh instead of its whole edit history.
-    pub fn compact(&mut self) {
-        if self.live_tris == self.tris.len() {
-            return;
-        }
-        let live: Vec<[u32; 3]> = self.triangles().collect();
-        self.tris.clear();
-        self.tri_alive.clear();
-        self.live_tris = 0;
-        for fv in self.verts.values_mut() {
-            fv.tris.clear();
-        }
-        for t in live {
-            self.add_triangle(t);
-        }
-    }
-
-    fn remove_triangle_even_if_vertex_gone(&mut self, t: u32, gone: u32) {
-        if !self.tri_alive[t as usize] {
-            return;
-        }
-        self.tri_alive[t as usize] = false;
-        self.live_tris -= 1;
-        for v in self.tris[t as usize] {
-            if v != gone {
-                if let Some(fv) = self.verts.get_mut(&v) {
-                    fv.tris.retain(|&x| x != t);
-                }
-            }
-        }
+        Some(())
     }
 
     /// Number of mesh edges bordered by exactly one triangle — the hull
@@ -498,6 +411,7 @@ pub fn refine(
         .collect();
     // Ids whose split is known to be impossible (don't retry forever).
     let mut dead_ends: FxHashSet<u32> = Default::default();
+    let mut scratch = SplitScratch::default();
 
     while let Some(item) = heap.pop() {
         let id = item.id;
@@ -508,7 +422,7 @@ pub fn refine(
         if !needs_split(&node, target) {
             continue;
         }
-        match split_vertex(front, source, id, 0, &mut stats) {
+        match split_vertex(front, source, id, 0, &mut stats, &mut scratch) {
             SplitOutcome::Done(children) => {
                 stats.splits += 1;
                 for c in children.into_iter().flatten() {
@@ -677,12 +591,40 @@ enum SplitOutcome {
 
 const MAX_FORCE_DEPTH: u32 = 48;
 
+/// The split path's buffers, reused across every split of one
+/// [`refine`] run (a forced split returns straight after recursing, so
+/// one set serves the whole recursion).
+#[derive(Default)]
+struct SplitScratch {
+    neighbors: Vec<u32>,
+    fan: Vec<(u32, u32)>,
+    cycle: Vec<u32>,
+    /// Per fan triangle (in `fan` order): does `c1` inherit it?
+    to_c1: Vec<bool>,
+}
+
+/// A forced split's outcome, as seen by the split that needed it.
+fn forced(outcome: SplitOutcome, stats: &mut RefineStats) -> SplitOutcome {
+    match outcome {
+        SplitOutcome::Done(children) => {
+            stats.splits += 1;
+            SplitOutcome::DidForcedWork(children.into_iter().flatten().collect())
+        }
+        other @ SplitOutcome::DidForcedWork(_) => other,
+        SplitOutcome::Blocked => {
+            stats.blocked += 1;
+            SplitOutcome::Blocked
+        }
+    }
+}
+
 fn split_vertex(
     front: &mut FrontMesh,
     source: &mut dyn RecordSource,
     id: u32,
     depth: u32,
     stats: &mut RefineStats,
+    s: &mut SplitScratch,
 ) -> SplitOutcome {
     if depth > MAX_FORCE_DEPTH {
         stats.blocked += 1;
@@ -704,37 +646,44 @@ fn split_vertex(
         stats.blocked += 1;
         return SplitOutcome::Blocked;
     };
+    // A front clipped to a ROI is not always an anti-chain: a seed's
+    // ancestor is a seed too when every node between them lies outside
+    // the ROI, and a source that fetches those nodes lets refinement walk
+    // down onto the seed. Activating it a second time would replace it
+    // and orphan its fan (live triangles no corner list holds: the same
+    // face twice, overlapping geometry), so the mesh from above ends where
+    // the mesh from below begins. A seed without a fan has nothing to
+    // orphan and is simply absorbed.
+    let has_fan = |c: u32| front.verts.get(&c).is_some_and(|fv| !fv.tris.is_empty());
+    if has_fan(c1.id) || has_fan(c2.id) {
+        stats.blocked += 1;
+        return SplitOutcome::Blocked;
+    }
 
-    // Resolve each recorded wing to an active representative adjacent to v
-    // (the wing itself, or the active node related to it).
-    let neighbors = front.neighbors(id);
+    // Resolve each recorded wing to an active representative adjacent to v:
+    // the wing itself, else the earliest-created neighbour related to it.
+    front.neighbors_into(id, &mut s.neighbors);
     let mut reps: [Option<u32>; 2] = [None, None];
     for (slot, wing) in [node.wing1, node.wing2].into_iter().enumerate() {
         if wing == NIL_ID {
             continue;
         }
-        let mut cands: Vec<u32> = neighbors
-            .iter()
-            .copied()
-            .filter(|&n| n == wing || source.related(n, wing))
-            .collect();
-        if cands.is_empty() {
+        let mut rep: Option<u32> = None;
+        for &n in &s.neighbors {
+            if n == wing {
+                rep = Some(wing);
+            } else if source.related(n, wing) && rep != Some(wing) {
+                rep = Some(rep.map_or(n, |r| r.min(n)));
+            }
+        }
+        if rep.is_none() {
             // The wing's subtree is not expanded next to v — force-split
             // the active node that must contain it.
             match active_ancestor_of(front, source, wing) {
                 WingCover::Active(anc) if anc != id => {
                     stats.forced += 1;
-                    return match split_vertex(front, source, anc, depth + 1, stats) {
-                        SplitOutcome::Done(children) => {
-                            stats.splits += 1;
-                            SplitOutcome::DidForcedWork(children.into_iter().flatten().collect())
-                        }
-                        other @ SplitOutcome::DidForcedWork(_) => other,
-                        SplitOutcome::Blocked => {
-                            stats.blocked += 1;
-                            SplitOutcome::Blocked
-                        }
-                    };
+                    let outcome = split_vertex(front, source, anc, depth + 1, stats, s);
+                    return forced(outcome, stats);
                 }
                 WingCover::OutsideFront => {
                     // The wing's whole subtree lies outside the front (a
@@ -749,13 +698,7 @@ fn split_vertex(
                 }
             }
         }
-        // Prefer the wing itself, then the earliest-created candidate.
-        cands.sort_unstable();
-        reps[slot] = Some(if cands.contains(&wing) {
-            wing
-        } else {
-            cands[0]
-        });
+        reps[slot] = rep;
     }
 
     // Both wings collapsed into one active representative: it must split
@@ -763,26 +706,14 @@ fn split_vertex(
     if let (Some(r1), Some(r2)) = (reps[0], reps[1]) {
         if r1 == r2 {
             stats.forced += 1;
-            return match split_vertex(front, source, r1, depth + 1, stats) {
-                SplitOutcome::Done(children) => {
-                    stats.splits += 1;
-                    SplitOutcome::DidForcedWork(children.into_iter().flatten().collect())
-                }
-                other @ SplitOutcome::DidForcedWork(_) => other,
-                SplitOutcome::Blocked => {
-                    stats.blocked += 1;
-                    SplitOutcome::Blocked
-                }
-            };
+            let outcome = split_vertex(front, source, r1, depth + 1, stats, s);
+            return forced(outcome, stats);
         }
     }
 
-    match perform_split(front, id, &node, c1, c2, reps) {
+    match perform_split(front, id, c1, c2, reps, s) {
         Ok(children) => SplitOutcome::Done(children),
         Err(()) => {
-            if std::env::var_os("DM_DEBUG_REFINE").is_some() {
-                eprintln!("perform_split failed v={id} reps={reps:?}");
-            }
             stats.blocked += 1;
             SplitOutcome::Blocked
         }
@@ -831,146 +762,108 @@ fn active_ancestor_of(front: &FrontMesh, source: &mut dyn RecordSource, wing: u3
 fn perform_split(
     front: &mut FrontMesh,
     v: u32,
-    node: &PmNode,
     c1: PmNode,
     c2: PmNode,
     reps: [Option<u32>; 2],
+    s: &mut SplitScratch,
 ) -> Result<[Option<u32>; 2], ()> {
-    let _ = node;
-    let debug = std::env::var_os("DM_DEBUG_REFINE").is_some();
-    let cycle = front.neighbor_cycle(v).ok_or_else(|| {
-        if debug {
-            eprintln!("  v={v}: no neighbor cycle");
+    front.neighbor_cycle(v, s).ok_or(())?;
+    let (cycle, l) = (&s.cycle, s.cycle.len());
+    s.to_c1.clear();
+    let mut seams: [Option<[u32; 3]>; 2] = [None, None];
+    // An isolated vertex (single-point front) has an empty cycle: both
+    // children appear, connected by nothing.
+    if l > 0 {
+        let pos_in_cycle = |r: u32| cycle.iter().position(|&n| n == r);
+        let p1 = match reps[0] {
+            Some(r) => Some(pos_in_cycle(r).ok_or(())?),
+            None => None,
+        };
+        let p2 = match reps[1] {
+            Some(r) => Some(pos_in_cycle(r).ok_or(())?),
+            None => None,
+        };
+        if p1.is_none() && p2.is_none() {
+            return Err(()); // a collapse always has at least one wing
         }
-    })?;
-    if cycle.is_empty() {
-        // Isolated vertex (single-point front): both children appear,
-        // connected by nothing; only legal when the front has no triangles.
-        front.verts.remove(&v);
-        front.verts.insert(
-            c1.id,
-            FrontVert {
-                node: c1,
-                tris: Vec::new(),
-            },
-        );
-        front.verts.insert(
-            c2.id,
-            FrontVert {
-                node: c2,
-                tris: Vec::new(),
-            },
-        );
-        return Ok([Some(c1.id), Some(c2.id)]);
-    }
-    if debug {
-        eprintln!(
-            "  v={v}: cycle={cycle:?} reps={reps:?} c1={} c2={}",
-            c1.id, c2.id
-        );
-    }
-
-    let l = cycle.len();
-    let pos_in_cycle = |r: u32| cycle.iter().position(|&n| n == r);
-    let p1 = match reps[0] {
-        Some(r) => Some(pos_in_cycle(r).ok_or(())?),
-        None => None,
-    };
-    let p2 = match reps[1] {
-        Some(r) => Some(pos_in_cycle(r).ok_or(())?),
-        None => None,
-    };
-    if p1.is_none() && p2.is_none() {
-        return Err(()); // a collapse always has at least one wing
-    }
-    // Sector `s` spans cycle[s] → cycle[s+1 mod l] (CCW). Decide whether
-    // it belongs to c1: CCW from rep1 up to (exclusive) rep2.
-    let sector_in_c1 = |s: usize| -> bool {
-        match (p1, p2) {
-            (Some(a), Some(b)) => {
-                if a <= b {
-                    s >= a && s < b
-                } else {
-                    s >= a || s < b
+        // Sector `s` spans cycle[s] → cycle[s+1 mod l] (CCW). Decide whether
+        // it belongs to c1: CCW from rep1 up to (exclusive) rep2.
+        let sector_in_c1 = |s: usize| -> bool {
+            match (p1, p2) {
+                (Some(a), Some(b)) => {
+                    if a <= b {
+                        s >= a && s < b
+                    } else {
+                        s >= a || s < b
+                    }
                 }
+                // Boundary collapse: the missing wing side ends at the fan gap.
+                (Some(a), None) => s >= a,
+                (None, Some(b)) => s < b,
+                (None, None) => unreachable!(),
             }
-            // Boundary collapse: the missing wing side ends at the fan gap.
-            (Some(a), None) => s >= a,
-            (None, Some(b)) => s < b,
-            (None, None) => unreachable!(),
+        };
+        for &(a, b) in &s.fan {
+            // The triangle (v, a, b) covers the sector starting at `a`.
+            let sec = pos_in_cycle(a).ok_or(())?;
+            if cycle[(sec + 1) % l] != b {
+                return Err(()); // inconsistent fan (clipped/fragmented beyond repair)
+            }
+            let to_c1 = sector_in_c1(sec);
+            let child = if to_c1 { c1 } else { c2 };
+            if orient2d(child.pos.xy(), front.pos2(a), front.pos2(b)) <= 0.0 {
+                return Err(()); // the retargeted triangle would flip
+            }
+            s.to_c1.push(to_c1);
         }
-    };
+        // Seam triangles: (c1, c2, rep1) and (c2, c1, rep2) by the wing-side
+        // convention; verify they are CCW with the current representatives.
+        if let Some(r) = reps[0] {
+            if orient2d(c1.pos.xy(), c2.pos.xy(), front.pos2(r)) <= 0.0 {
+                return Err(());
+            }
+            seams[0] = Some([c1.id, c2.id, r]);
+        }
+        if let Some(r) = reps[1] {
+            if orient2d(c2.pos.xy(), c1.pos.xy(), front.pos2(r)) <= 0.0 {
+                return Err(());
+            }
+            seams[1] = Some([c2.id, c1.id, r]);
+        }
+    }
 
-    let old_tris: Vec<u32> = front.verts[&v].tris.clone();
-    let mut new_tris: Vec<[u32; 3]> = Vec::with_capacity(old_tris.len() + 2);
-    for &t in &old_tris {
-        let tri = front.tris[t as usize];
+    // Commit. Each fan triangle keeps its slot and its other two corners
+    // — only the `v` corner is rewritten to the child that inherits it,
+    // so no neighbour's triangle list changes; `v`'s own list is divided
+    // between the children (`s.to_c1` is in its order, like `s.fan`).
+    let mut tris1 = front.verts.remove(&v).expect("split vertex active").tris;
+    let mut tris2 = Vec::with_capacity(8);
+    let mut sides = s.to_c1.iter();
+    tris1.retain(|&t| {
+        let to_c1 = *sides.next().expect("one side per fan triangle");
+        let tri = &mut front.tris[t as usize];
         let k = tri.iter().position(|&x| x == v).expect("incident");
-        let a = tri[(k + 1) % 3];
-        let b = tri[(k + 2) % 3];
-        // This triangle covers the sector starting at `a`.
-        let s = pos_in_cycle(a).ok_or(())?;
-        if cycle[(s + 1) % l] != b {
-            // Inconsistent fan (clipped/fragmented beyond repair).
-            if debug {
-                eprintln!("  v={v}: sector of ({a},{b}) broken in cycle {cycle:?}");
-            }
-            return Err(());
+        tri[k] = if to_c1 { c1.id } else { c2.id };
+        if !to_c1 {
+            tris2.push(t);
         }
-        let child = if sector_in_c1(s) { c1 } else { c2 };
-        let area = orient2d(child.pos.xy(), front.pos2(a), front.pos2(b));
-        if area <= 0.0 {
-            if debug {
-                eprintln!(
-                    "  v={v}: tri ({},{a},{b}) would flip (area={area:.3e})",
-                    child.id
-                );
-            }
-            return Err(());
-        }
-        new_tris.push([child.id, a, b]);
-    }
-    // Seam triangles: (c1, c2, rep1) and (c2, c1, rep2) by the wing-side
-    // convention; verify they are CCW with the current representatives.
-    if let Some(r) = reps[0] {
-        if orient2d(c1.pos.xy(), c2.pos.xy(), front.pos2(r)) <= 0.0 {
-            if debug {
-                eprintln!("  v={v}: seam (c1,c2,{r}) not CCW");
-            }
-            return Err(());
-        }
-        new_tris.push([c1.id, c2.id, r]);
-    }
-    if let Some(r) = reps[1] {
-        if orient2d(c2.pos.xy(), c1.pos.xy(), front.pos2(r)) <= 0.0 {
-            if debug {
-                eprintln!("  v={v}: seam (c2,c1,{r}) not CCW");
-            }
-            return Err(());
-        }
-        new_tris.push([c2.id, c1.id, r]);
-    }
-
-    // Commit.
-    for &t in &old_tris {
-        front.remove_triangle(t);
-    }
-    front.verts.remove(&v);
+        to_c1
+    });
     front.verts.insert(
         c1.id,
         FrontVert {
             node: c1,
-            tris: Vec::new(),
+            tris: tris1,
         },
     );
     front.verts.insert(
         c2.id,
         FrontVert {
             node: c2,
-            tris: Vec::new(),
+            tris: tris2,
         },
     );
-    for t in new_tris {
+    for t in seams.into_iter().flatten() {
         front.add_triangle(t);
     }
     Ok([Some(c1.id), Some(c2.id)])
@@ -1146,19 +1039,171 @@ mod tests {
         mesh.validate().expect("partially refined front valid");
     }
 
+    /// A hand-built fan around vertex 0 at the origin: neighbour `i + 1`
+    /// sits at angle `angles[i]` (degrees), `tris` are the incident
+    /// triangles `(0, a, b)`, stored as given.
+    fn fan_front(angles: &[f64], tris: &[[u32; 3]]) -> FrontMesh {
+        let node = |id: u32, x: f64, y: f64| PmNode {
+            id,
+            pos: dm_geom::Vec3::new(x, y, 0.0),
+            e_lo: 0.0,
+            e_hi: f64::INFINITY,
+            parent: NIL_ID,
+            child1: NIL_ID,
+            child2: NIL_ID,
+            wing1: NIL_ID,
+            wing2: NIL_ID,
+        };
+        let mut records = vec![node(0, 0.0, 0.0)];
+        for (i, a) in angles.iter().enumerate() {
+            let (sin, cos) = a.to_radians().sin_cos();
+            records.push(node(i as u32 + 1, cos, sin));
+        }
+        let mut fm = FrontMesh::default();
+        for r in records {
+            fm.verts.insert(
+                r.id,
+                FrontVert {
+                    node: r,
+                    tris: Vec::new(),
+                },
+            );
+        }
+        // Straight into the table: `from_parts` would reorient or drop
+        // the deliberately inconsistent triangles of the broken fans.
+        for &t in tris {
+            fm.add_triangle(t);
+        }
+        fm
+    }
+
+    /// The hash-map `neighbor_cycle` this module used before the linear
+    /// one — the reference the new one is held to.
+    fn neighbor_cycle_oracle(fm: &FrontMesh, id: u32) -> Option<Vec<u32>> {
+        let fv = fm.verts.get(&id)?;
+        if fv.tris.is_empty() {
+            return Some(Vec::new());
+        }
+        let mut succ: FxHashMap<u32, u32> = FxHashMap::default();
+        let mut has_pred: FxHashMap<u32, bool> = FxHashMap::default();
+        for &t in &fv.tris {
+            let tri = fm.tris[t as usize];
+            let k = tri.iter().position(|&x| x == id).expect("incident");
+            let a = tri[(k + 1) % 3];
+            let b = tri[(k + 2) % 3];
+            if succ.insert(a, b).is_some() {
+                return None;
+            }
+            has_pred.entry(a).or_insert(false);
+            *has_pred.entry(b).or_insert(true) = true;
+        }
+        let start = has_pred
+            .iter()
+            .find(|(_, &p)| !p)
+            .map(|(&n, _)| n)
+            .unwrap_or_else(|| *succ.keys().next().expect("nonempty fan"));
+        let mut cycle = vec![start];
+        let mut cur = start;
+        while let Some(&next) = succ.get(&cur) {
+            if next == start {
+                break;
+            }
+            cycle.push(next);
+            cur = next;
+            if cycle.len() > succ.len() + 2 {
+                return None;
+            }
+        }
+        let mut all_neighbors = Vec::new();
+        fm.neighbors_into(id, &mut all_neighbors);
+        if cycle.len() < all_neighbors.len() {
+            let center = fv.node.pos.xy();
+            all_neighbors.sort_by(|&a, &b| {
+                dm_geom::tri::angle_around(center, fm.pos2(a))
+                    .partial_cmp(&dm_geom::tri::angle_around(center, fm.pos2(b)))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            return Some(all_neighbors);
+        }
+        Some(cycle)
+    }
+
+    fn cycle_of(fm: &FrontMesh, id: u32) -> Option<Vec<u32>> {
+        let mut s = SplitScratch::default();
+        fm.neighbor_cycle(id, &mut s).map(|()| s.cycle)
+    }
+
     #[test]
-    fn front_mesh_neighbor_cycle_interior() {
-        let (_, build) = setup(5, 1);
+    fn neighbor_cycle_closed_fan() {
+        // Five neighbours all the way round, triangles stored out of
+        // order and in different rotations.
+        let fm = fan_front(
+            &[0.0, 72.0, 144.0, 216.0, 288.0],
+            &[[0, 3, 4], [2, 0, 1], [5, 1, 0], [0, 2, 3], [4, 5, 0]],
+        );
+        let got = cycle_of(&fm, 0).expect("manifold fan");
+        // No gap to start from: the smallest neighbour id leads.
+        assert_eq!(got, vec![1, 2, 3, 4, 5]);
+        // The oracle starts wherever its hash map does: same cyclic order.
+        let mut want = neighbor_cycle_oracle(&fm, 0).expect("manifold fan");
+        let k = want.iter().position(|&n| n == got[0]).expect("same ring");
+        want.rotate_left(k);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn neighbor_cycle_boundary_fan_starts_at_the_gap() {
+        // Neighbours 1..4 over a half plane; 3 → 4 → 1 → 2 is the CCW
+        // chain, so 3 is the one without a predecessor.
+        let fm = fan_front(
+            &[90.0, 150.0, -30.0, 30.0],
+            &[[0, 1, 2], [0, 3, 4], [1, 0, 4]],
+        );
+        let got = cycle_of(&fm, 0).expect("manifold fan");
+        assert_eq!(got, vec![3, 4, 1, 2]);
+        assert_eq!(Some(got), neighbor_cycle_oracle(&fm, 0));
+    }
+
+    #[test]
+    fn neighbor_cycle_non_manifold_fan_is_refused() {
+        // Two triangles leave the same neighbour.
+        let fm = fan_front(&[0.0, 60.0, 120.0], &[[0, 1, 2], [0, 1, 3]]);
+        assert_eq!(cycle_of(&fm, 0), None);
+        assert_eq!(neighbor_cycle_oracle(&fm, 0), None);
+    }
+
+    #[test]
+    fn neighbor_cycle_fragmented_fan_falls_back_to_angular_order() {
+        // Two chains (1 → 2 and 3 → 4) with gaps between them: the walk
+        // covers one, the angular order covers all four.
+        let fm = fan_front(&[200.0, 250.0, 10.0, 80.0], &[[0, 1, 2], [0, 3, 4]]);
+        let got = cycle_of(&fm, 0).expect("manifold fan");
+        assert_eq!(got, vec![3, 4, 1, 2]);
+        assert_eq!(Some(got), neighbor_cycle_oracle(&fm, 0));
+    }
+
+    #[test]
+    fn neighbor_cycle_agrees_with_the_oracle_on_a_refined_front() {
+        // Every vertex of a real front, interior and hull alike.
+        let (_, build) = setup(9, 1);
         let h = &build.hierarchy;
         let mut front = root_front(h);
         let mut src: &PmHierarchy = h;
-        refine(&mut front, &mut src, &UniformTarget(0.0));
-        // Interior grid vertex 12 of the 5×5 grid (id = 2*5+2).
-        let cycle = front.neighbor_cycle(12).expect("manifold fan");
-        let neigh = front.neighbors(12);
-        assert_eq!(cycle.len(), neigh.len());
-        for n in neigh {
-            assert!(cycle.contains(&n));
+        refine(&mut front, &mut src, &UniformTarget(h.e_max * 0.05));
+        let mut ids: Vec<u32> = front.vertex_ids().collect();
+        ids.sort_unstable();
+        for id in ids {
+            let got = cycle_of(&front, id).expect("manifold fan");
+            let mut want = neighbor_cycle_oracle(&front, id).expect("manifold fan");
+            let mut neigh = Vec::new();
+            front.neighbors_into(id, &mut neigh);
+            assert_eq!(got.len(), neigh.len());
+            // Only a closed fan leaves the oracle's start to its hash map.
+            if front.verts[&id].tris.len() == neigh.len() {
+                let k = want.iter().position(|&n| n == got[0]).expect("same ring");
+                want.rotate_left(k);
+            }
+            assert_eq!(got, want, "fan of vertex {id}");
         }
     }
 
@@ -1214,55 +1259,6 @@ mod tests {
         refine(&mut front, &mut src, &UniformTarget(0.0));
         // A full-resolution 5×5 grid has 16 hull edges.
         assert_eq!(front.boundary_edge_count(), 16);
-    }
-
-    #[test]
-    fn splice_round_trip_restores_the_front() {
-        // Remove an interior vertex's star, then splice the original
-        // pieces back: vertex set, triangle count and validity return.
-        let (_, build) = setup(5, 61);
-        let h = &build.hierarchy;
-        let mut front = root_front(h);
-        let mut src: &PmHierarchy = h;
-        refine(&mut front, &mut src, &UniformTarget(0.0));
-        let before_tris = edge_set(front.triangles());
-        let before_verts = front.num_vertices();
-
-        let victim = 12; // interior vertex of the 5×5 grid
-        let node = *front.node(victim).unwrap();
-        let ring: Vec<u32> = front.neighbors(victim);
-        // Every triangle touching the dirty neighbourhood, captured
-        // before surgery so the splice can restore them all.
-        let affected: Vec<[u32; 3]> = front
-            .triangles()
-            .filter(|t| t.contains(&victim) || t.iter().any(|v| ring.contains(v)))
-            .collect();
-
-        front.splice(&[victim], &ring, vec![node], &affected);
-        assert!(front.contains(victim));
-        assert_eq!(front.num_vertices(), before_verts);
-        assert_eq!(edge_set(front.triangles()), before_tris);
-        let (mesh, _) = front.to_trimesh();
-        mesh.validate().expect("spliced front structurally valid");
-    }
-
-    #[test]
-    fn compact_preserves_mesh_and_drops_dead_slots() {
-        let (_, build) = setup(7, 62);
-        let h = &build.hierarchy;
-        let mut front = root_front(h);
-        let mut src: &PmHierarchy = h;
-        refine(&mut front, &mut src, &UniformTarget(0.0));
-        // Removals (here via coarsening) leave dead triangle slots.
-        coarsen(&mut front, &mut src, &UniformTarget(h.e_max * 0.5));
-        let edges = edge_set(front.triangles());
-        let n_live = front.num_triangles();
-        front.compact();
-        assert_eq!(front.num_triangles(), n_live);
-        assert_eq!(front.tris.len(), n_live, "no dead slots after compact");
-        assert_eq!(edge_set(front.triangles()), edges);
-        let (mesh, _) = front.to_trimesh();
-        mesh.validate().expect("compacted front valid");
     }
 
     #[test]

@@ -51,6 +51,27 @@ cargo build --release --offline --manifest-path dmbench/Cargo.toml
 cargo test --release --offline --manifest-path dmbench/Cargo.toml
 git diff --exit-code -- dmbench BENCHMARK.json
 
+echo "== dmbench warm_walkthrough smoke (traced; tour 102 used to resync once a lap)"
+# Every frame of the streamed session must verify against its shadow,
+# every replayed lap must repeat the verified one, and no frame may make
+# the client mirror refuse a patch: a front that holds a face twice does
+# (the delta is a set, the full frame a list).
+cargo run --release --offline --quiet --manifest-path dmbench/Cargo.toml -- \
+    --workload warm_walkthrough --seed 102 --seconds 2 --trace 1 | tail -2 | python3 -c '
+import json, sys
+info, result = (json.loads(line) for line in sys.stdin)
+bad = []
+if result["correct"] is not True:
+    bad.append("correct: %r" % result["correct"])
+if result["failed"] > 0:
+    bad.append("failed: %d of %d" % (result["failed"], result["attempted"]))
+if info["resyncs_per_lap"] > 0:
+    bad.append("resyncs_per_lap: %g" % info["resyncs_per_lap"])
+if bad:
+    sys.exit("dmbench warm_walkthrough smoke FAILED\n  " + "\n  ".join(bad))
+print("dmbench warm_walkthrough ok: %d frames, 0 failed, 0 resyncs" % result["attempted"])
+'
+
 echo "== benches compile"
 cargo build --release --benches --workspace
 

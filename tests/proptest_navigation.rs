@@ -65,6 +65,77 @@ fn face_set(front: &FrontMesh) -> BTreeSet<[u32; 3]> {
         .collect()
 }
 
+/// A front is a set of triangles: the same face twice is geometry the
+/// wire mirror refuses (PR 11 finding: 257² tour 102, one frame a lap).
+fn assert_no_duplicate_faces(front: &FrontMesh) {
+    assert_eq!(
+        face_set(front).len(),
+        front.num_triangles(),
+        "the front holds a face twice"
+    );
+}
+
+/// The benchmark's seeded closed tour (`dmbench/src/gen.rs`: SplitMix64,
+/// a jittered quadrilateral around the terrain centre, 32 windows of
+/// 0.35 of the side) and its viewer looking north from the window's
+/// south edge, keep 0.4 at its feet falling to 0.05 — the inputs of the
+/// two PR 11 findings fixed below.
+fn bench_tour(db: &DirectMeshDb, seed: u64) -> Vec<VdQuery> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let unit = |bits: u64| (bits >> 11) as f64 / (1u64 << 53) as f64;
+    let b = db.bounds;
+    let window = b.width().min(b.height()) * 0.35;
+    let (c, reach_x, reach_y) = (
+        b.center(),
+        (b.width() - window) * 0.5,
+        (b.height() - window) * 0.5,
+    );
+    let mut pts: Vec<Vec2> = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+        .iter()
+        .map(|&(sx, sy)| {
+            let x = c.x + sx * reach_x * (0.75 + 0.25 * unit(next()));
+            Vec2::new(x, c.y + sy * reach_y * (0.75 + 0.25 * unit(next())))
+        })
+        .collect();
+    // One draw decides the direction, the next the starting phase.
+    if next() & 1 == 1 {
+        pts.reverse();
+    }
+    let phase = unit(next());
+    let mut cum = vec![0.0];
+    for i in 0..4 {
+        cum.push(cum[i] + pts[i].dist(pts[(i + 1) % 4]));
+    }
+    let near = db.e_for_points_fraction(0.4);
+    let far = db.e_for_points_fraction(0.05).max(near);
+    (0..32)
+        .map(|f| {
+            let s = (f as f64 / 32.0 + phase).fract() * cum[4];
+            let i = (0..4).find(|&i| s <= cum[i + 1]).unwrap_or(3);
+            let seg = cum[i + 1] - cum[i];
+            let u = if seg > 0.0 { (s - cum[i]) / seg } else { 0.0 };
+            let roi = Rect::centered_square(pts[i] + (pts[(i + 1) % 4] - pts[i]) * u, window);
+            VdQuery {
+                roi,
+                target: PlaneTarget {
+                    origin: roi.min,
+                    dir: Vec2::new(0.0, 1.0),
+                    e_min: near,
+                    slope: (far - near) / roi.height().max(1e-9),
+                    e_max: far,
+                },
+            }
+        })
+        .collect()
+}
+
 /// Map unit-square waypoint fractions into the terrain bounds (with a
 /// margin so the sliding window stays mostly inside).
 fn path_in_bounds(
@@ -124,6 +195,7 @@ proptest! {
                 "face sets diverge at roi {:?}",
                 roi
             );
+            assert_no_duplicate_faces(session.front());
         }
     }
 
@@ -206,7 +278,16 @@ proptest! {
         fault_seed in 0u64..10_000,
         fracs in collection::vec((0.25..0.75f64, 0.25..0.75f64), 2..4),
         window_frac in 0.3..0.5f64,
+        fetch_on_miss in any::<bool>(),
     ) {
+        // Under `FetchOnMiss` the sessions also carry boundary nodes from
+        // frame to frame; a kept node must never turn a frame that should
+        // report a loss into a clean one that then fails the equivalence.
+        let policy = if fetch_on_miss {
+            BoundaryPolicy::FetchOnMiss
+        } else {
+            BoundaryPolicy::Skip
+        };
         let path_name = format!("fault_{terrain_seed}_{fault_seed}");
         let file = tmp(&path_name);
         {
@@ -226,13 +307,13 @@ proptest! {
         let db = DirectMeshDb::open(pool).expect("catalog readable despite 1% faults");
 
         let (path, _) = path_in_bounds(&db, &fracs, window_frac, 6);
-        let mut session = NavigationSession::new(&db, BoundaryPolicy::Skip);
+        let mut session = NavigationSession::new(&db, policy);
         let mut tainted = false;
         // The planner session rides the same fault stream and must obey
         // the same contract: healed frames match a fresh query, faulted
         // frames taint it and waive equivalence from then on.
         let mut auto_session =
-            NavigationSession::new(&db, BoundaryPolicy::Skip).with_plan_mode(PlanMode::Auto);
+            NavigationSession::new(&db, policy).with_plan_mode(PlanMode::Auto);
         let mut auto_tainted = false;
         for roi in &path {
             let q = query_at(&db, *roi);
@@ -272,7 +353,7 @@ proptest! {
             // Healed frame: exact equivalence against a fresh query, which
             // may itself hit (and heal or report) faults.
             let (fresh, fresh_report) =
-                match db.try_vd_multi_base(&q, BoundaryPolicy::Skip, 16) {
+                match db.try_vd_multi_base(&q, policy, 16) {
                     Ok(ok) => ok,
                     Err(_) => continue,
                 };
@@ -345,74 +426,90 @@ fn degraded_database_supports_incremental_navigation() {
 
     let fracs = [(0.3, 0.3), (0.7, 0.4), (0.5, 0.7)];
     let (path, _) = path_in_bounds(&db, &fracs, 0.45, 8);
-    let mut session = NavigationSession::new(&db, BoundaryPolicy::Skip);
-    let mut auto_s =
-        NavigationSession::new(&db, BoundaryPolicy::Skip).with_plan_mode(PlanMode::Auto);
-    let mut full_s =
-        NavigationSession::new(&db, BoundaryPolicy::Skip).with_plan_mode(PlanMode::Full);
-    let mut merged = IntegrityReport::default();
-    for roi in &path {
-        let q = query_at(&db, *roi);
-        let (stats, report) = session
-            .try_move_to(&q)
-            .expect("index pages untouched; heap losses must degrade, not abort");
-        let (auto_stats, auto_report) = auto_s
-            .try_move_to(&q)
-            .expect("planner session degrades the same way");
-        let (_, full_report) = full_s
-            .try_move_to(&q)
-            .expect("full-requery session degrades the same way");
-        // The corruption is persistent, so every strategy loses exactly
-        // the records on the scribbled pages it touches — the planner
-        // session's integrity report is byte-for-byte the report of the
-        // fixed strategy it chose for this frame.
-        let chosen = if auto_stats.plan.chose_full {
-            &full_report
-        } else {
-            &report
-        };
-        assert_eq!(
-            &auto_report, chosen,
-            "auto frame report must equal its chosen strategy's report"
-        );
-        assert_eq!(vertex_set(auto_s.front()), vertex_set(session.front()));
-        assert_eq!(face_set(auto_s.front()), face_set(session.front()));
-        assert_eq!(vertex_set(full_s.front()), vertex_set(session.front()));
-        assert_eq!(face_set(full_s.front()), face_set(session.front()));
-        merged.merge(report);
-        assert!(
-            stats.vertices > 0,
-            "a third of the heap is not the whole mesh"
-        );
-        let (mesh, _) = session.front().to_trimesh();
-        assert!(mesh.validate().is_ok(), "{:?}", mesh.validate());
-
-        // The corruption is persistent and deterministic, so the session's
-        // surviving working set equals a cold query's — frames still match.
-        let (fresh, _) = db
-            .try_vd_multi_base(&q, BoundaryPolicy::Skip, 16)
-            .expect("cold query degrades the same way");
-        assert_eq!(vertex_set(session.front()), vertex_set(&fresh.front));
-        assert_eq!(face_set(session.front()), face_set(&fresh.front));
-
-        // The wounded mesh never invents geometry: every vertex it shows
-        // also exists in the clean twin's full record set. (It may show
-        // *more* vertices than the clean frame — losing a parent record
-        // promotes its children to unrefinable seeds — so no size or
-        // subset relation holds against the clean *frame*.)
-        let clean = clean_db.vd_multi_base(&q, BoundaryPolicy::Skip, 16);
-        assert!(clean.front.num_vertices() > 0);
-        for v in session.front().vertex_ids() {
+    // Under `FetchOnMiss` the sessions also carry boundary nodes from
+    // frame to frame, and lookups that land on a scribbled page fail.
+    for policy in [BoundaryPolicy::Skip, BoundaryPolicy::FetchOnMiss] {
+        let mut session = NavigationSession::new(&db, policy);
+        let mut auto_s = NavigationSession::new(&db, policy).with_plan_mode(PlanMode::Auto);
+        let mut full_s = NavigationSession::new(&db, policy).with_plan_mode(PlanMode::Full);
+        let mut merged = IntegrityReport::default();
+        for roi in &path {
+            let q = query_at(&db, *roi);
+            let (stats, report) = session
+                .try_move_to(&q)
+                .expect("index pages untouched; heap losses must degrade, not abort");
+            let (auto_stats, auto_report) = auto_s
+                .try_move_to(&q)
+                .expect("planner session degrades the same way");
+            let (_, full_report) = full_s
+                .try_move_to(&q)
+                .expect("full-requery session degrades the same way");
+            // The corruption is persistent, so every strategy loses exactly
+            // the records on the scribbled pages it touches — the planner
+            // session's integrity report is byte-for-byte the report of the
+            // fixed strategy it chose for this frame.
+            let chosen = if auto_stats.plan.chose_full {
+                &full_report
+            } else {
+                &report
+            };
+            assert_eq!(
+                &auto_report, chosen,
+                "auto frame report must equal its chosen strategy's report"
+            );
+            assert_eq!(vertex_set(auto_s.front()), vertex_set(session.front()));
+            assert_eq!(face_set(auto_s.front()), face_set(session.front()));
+            assert_eq!(vertex_set(full_s.front()), vertex_set(session.front()));
+            assert_eq!(face_set(full_s.front()), face_set(session.front()));
+            merged.merge(report);
             assert!(
-                (v as usize) < pm.hierarchy.len(),
-                "vertex {v} not in hierarchy"
+                stats.vertices > 0,
+                "a third of the heap is not the whole mesh"
+            );
+            if policy == BoundaryPolicy::Skip {
+                let (mesh, _) = session.front().to_trimesh();
+                assert!(mesh.validate().is_ok(), "{:?}", mesh.validate());
+            }
+
+            // The corruption is persistent and deterministic, so the session's
+            // surviving working set equals a cold query's — frames still match.
+            // A cold query keeps no boundary nodes, so every lookup it makes is
+            // a first touch: had a kept node masked a loss, the full-requery
+            // session (same fetch, same refinement) would report fewer points
+            // lost than this — and a failed lookup is never kept, so it fails
+            // again, and is reported again, on every frame that needs it.
+            let (fresh, fresh_report) = db
+                .try_vd_multi_base(&q, policy, 16)
+                .expect("cold query degrades the same way");
+            assert_eq!(vertex_set(session.front()), vertex_set(&fresh.front));
+            assert_eq!(face_set(session.front()), face_set(&fresh.front));
+            assert_eq!(full_report, fresh_report);
+
+            // The wounded mesh never invents geometry: every vertex it shows
+            // also exists in the clean twin's full record set. (It may show
+            // *more* vertices than the clean frame — losing a parent record
+            // promotes its children to unrefinable seeds — so no size or
+            // subset relation holds against the clean *frame*.)
+            let clean = clean_db.vd_multi_base(&q, policy, 16);
+            assert!(clean.front.num_vertices() > 0);
+            for v in session.front().vertex_ids() {
+                assert!(
+                    (v as usize) < pm.hierarchy.len(),
+                    "vertex {v} not in hierarchy"
+                );
+            }
+        }
+        assert!(
+            merged.pages_lost > 0,
+            "an 8-frame sweep over a third-corrupt heap must hit losses"
+        );
+        if policy == BoundaryPolicy::FetchOnMiss {
+            assert!(
+                merged.points_lost > 0 && session.boundary_nodes() > 0,
+                "the sweep must both lose and keep boundary nodes ({merged})"
             );
         }
     }
-    assert!(
-        merged.pages_lost > 0,
-        "an 8-frame sweep over a third-corrupt heap must hit losses"
-    );
     std::fs::remove_file(&file).ok();
 }
 
@@ -439,4 +536,85 @@ fn small_shift_beats_cold_requery() {
         warm.fetched_records,
         fresh.fetched_records
     );
+}
+
+/// PR 11 findings: "a `NavigationSession` frame can differ with the
+/// session's past (129² seed 1 frame 9: incremental ≢ fresh)" and "some
+/// frames' canonical mesh holds a face twice → `FrontMirror::apply`
+/// refuses → resync (257² seed 102: 1 frame/lap)". One cause: refinement
+/// under `FetchOnMiss` walked from a seed down onto a descendant that was
+/// itself a seed and activated it a second time, orphaning its fan — a
+/// face twice in the canonical mesh, which the delta stream (a set) and
+/// the full frame (a list) then disagree about. Every frame of both
+/// tours must be duplicate-free and ≡ a fresh multi-base query in
+/// vertices and faces, whatever came before it.
+fn assert_tour_frames_are_fresh_and_duplicate_free(side: usize, seed: u64, laps: usize) {
+    let db = build_db(side, 42);
+    let tour = bench_tour(&db, seed);
+    let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss).with_max_cubes(16);
+    for (i, q) in tour.iter().cycle().take(32 * laps).enumerate() {
+        session.move_to(q);
+        let fresh = db.vd_multi_base(q, BoundaryPolicy::FetchOnMiss, 16);
+        assert_eq!(
+            vertex_set(session.front()),
+            vertex_set(&fresh.front),
+            "vertices of frame {i}"
+        );
+        assert_eq!(
+            face_set(session.front()),
+            face_set(&fresh.front),
+            "faces of frame {i}"
+        );
+        assert_no_duplicate_faces(session.front());
+        assert_no_duplicate_faces(&fresh.front);
+    }
+}
+
+#[test]
+fn a_frame_does_not_depend_on_the_sessions_past() {
+    assert_tour_frames_are_fresh_and_duplicate_free(129, 1, 2);
+}
+
+#[test]
+fn no_frame_of_the_resyncing_tour_holds_a_face_twice() {
+    assert_tour_frames_are_fresh_and_duplicate_free(257, 102, 1);
+}
+
+/// The boundary nodes a `FetchOnMiss` session keeps are exactly the ones
+/// its last frame touched: flying a closed tour again and again never
+/// grows them, and `reset` forgets them.
+#[test]
+fn kept_boundary_nodes_are_one_frames_worth() {
+    let db = build_db(129, 42);
+    let tour = bench_tour(&db, 7);
+    let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss).with_max_cubes(16);
+    assert_eq!(session.boundary_nodes(), 0);
+    let mut per_frame = Vec::new();
+    for lap in 0..4 {
+        for (i, q) in tour.iter().enumerate() {
+            session.move_to(q);
+            if lap == 0 {
+                per_frame.push(session.boundary_nodes());
+            } else {
+                assert_eq!(
+                    session.boundary_nodes(),
+                    per_frame[i],
+                    "lap {lap} frame {i}"
+                );
+            }
+            if lap == 3 && i == 31 {
+                // A one-shot query starts with nothing kept, so its point
+                // lookups count the distinct nodes the frame touches.
+                let fresh = db.vd_multi_base(q, BoundaryPolicy::FetchOnMiss, 16);
+                assert!(fresh.boundary_fetches > 0, "the tour must have a boundary");
+                assert_eq!(session.boundary_nodes(), fresh.boundary_fetches);
+            }
+        }
+    }
+    session.reset();
+    assert_eq!(session.boundary_nodes(), 0);
+    // … and the session answers like a new one.
+    let first = session.move_to(&tour[0]);
+    assert_eq!(first.seeds_removed, 0);
+    assert_eq!(session.boundary_nodes(), per_frame[0]);
 }
