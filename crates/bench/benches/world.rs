@@ -21,6 +21,12 @@
 //!    into physically separate per-region pools, the hot region's
 //!    traffic must not move a single resident page of the cold one.
 //!
+//! Between the sweeps and the drill, a **reopen** block cycles through
+//! the regions with no session pinning anything, so every touch evicts a
+//! region and reopens another: time and page reads per evict→reopen,
+//! with the check that a reopen leaves no heap page resident (an open
+//! reads the catalog and the index).
+//!
 //! The bench asserts the structural invariants inline (lazy opens, cap
 //! respected, evictions happened, cold-region residency untouched) and
 //! writes `BENCH_world.json` (override with `DM_WORLD_OUT`) for the CI
@@ -200,6 +206,42 @@ fn main() {
         "warm opens are re-opens, bounded"
     );
 
+    // --- Reopen: REGIONS > MAX_OPEN and nothing is pinned, so a round
+    // robin over the regions misses on every touch. ---
+    let reopen_rounds = 5;
+    let mut reopen_us: Vec<f64> = Vec::new();
+    let mut reopen_reads = 0u64;
+    let mut heap_resident_after_open = 0usize;
+    let lifecycle = |w: &WorldDb| -> u64 { w.region_stats().iter().map(|r| r.opens).sum() };
+    let opens_before = lifecycle(&world);
+    for i in (0..REGIONS).cycle().take(reopen_rounds * REGIONS) {
+        let reads_before = dm_storage::thread_reads();
+        let t0 = Instant::now();
+        let db = world.region(i).expect("reopen");
+        reopen_us.push(t0.elapsed().as_secs_f64() * 1e6);
+        reopen_reads += dm_storage::thread_reads() - reads_before;
+        let heap: Vec<u32> = db.page_regions().iter().map(|&(p, _)| p).collect();
+        heap_resident_after_open += db.pool().resident_among(&heap);
+    }
+    let reopens = lifecycle(&world) - opens_before;
+    assert_eq!(
+        reopens,
+        (reopen_rounds * REGIONS) as u64,
+        "every touch of the round robin must reopen"
+    );
+    assert_eq!(
+        heap_resident_after_open, 0,
+        "a region open must not read heap pages"
+    );
+    reopen_us.sort_by(f64::total_cmp);
+    let reopen_us_p50 = reopen_us[reopen_us.len() / 2];
+    let reopen_reads_per_open = reopen_reads as f64 / reopens as f64;
+    let heap_pages_per_region = total_pages as f64 / REGIONS as f64;
+    eprintln!(
+        "# reopen: {reopens} evict→reopen cycles, {reopen_us_p50:.0} µs each (median), \
+         {reopen_reads_per_open:.1} page reads each, of ~{heap_pages_per_region:.0} pages a region"
+    );
+
     // --- Isolation drill: hammer the most-recently-used open region,
     // watch a colder open region's residency. Separate per-region pools
     // mean the hot region's traffic cannot evict the cold one's pages —
@@ -304,6 +346,12 @@ fn main() {
             c.max_open_seen
         ));
     }
+    json.push_str(&format!(
+        "  \"reopen\": {{\"opens\": {reopens}, \"us_per_open_p50\": {reopen_us_p50:.1}, \
+         \"page_reads_per_open\": {reopen_reads_per_open:.2}, \
+         \"heap_pages_resident_after_open\": {heap_resident_after_open}, \
+         \"store_pages_per_region\": {heap_pages_per_region:.0}}},\n"
+    ));
     json.push_str(&format!(
         "  \"isolation\": {{\"hammer_queries\": {hammer_queries}, \"hammer_secs\": {hammer_secs:.6}, \
          \"cold_resident_before\": {cold_resident_before}, \

@@ -370,7 +370,7 @@ fn cmd_info(args: Args) -> Result<(), String> {
     );
     println!("max LOD:    {:.3}", db.e_max);
     for keep in [0.5, 0.25, 0.1, 0.02] {
-        let e = db.e_for_points_fraction(keep);
+        let e = keep_to_lod(&db, keep)?;
         println!(
             "  keep {:>4.0}% → e = {:<12.4} ({} points)",
             keep * 100.0,
@@ -379,6 +379,14 @@ fn cmd_info(args: Args) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// The LOD keeping `keep` of the points. On a strictly opened store the
+/// first resolution scans the heap for the interval statistics, so this
+/// is where a damaged heap page first shows.
+fn keep_to_lod(db: &DirectMeshDb, keep: f64) -> Result<f64, String> {
+    db.try_e_for_points_fraction(keep)
+        .map_err(|e| format!("{e} (try --degraded, or `dm verify`)"))
 }
 
 fn parse_rect_spec(spec: &str) -> Result<Rect, String> {
@@ -428,7 +436,7 @@ fn cmd_query(args: Args) -> Result<(), String> {
         Some(v) => v.parse::<f64>().map_err(|e| format!("bad --lod: {e}"))?,
         None => {
             let keep: f64 = args.parse_or("keep", 0.25)?;
-            db.e_for_points_fraction(keep)
+            keep_to_lod(&db, keep)?
         }
     };
     let threads: usize = args.parse_or("threads", 1)?;
@@ -518,8 +526,8 @@ fn cmd_vd(args: Args) -> Result<(), String> {
     let far: f64 = args.parse_or("far-keep", 0.05)?;
     let policy = parse_policy(&args)?;
     let max_cubes: usize = args.parse_or("max-cubes", 16)?;
-    let e_min = db.e_for_points_fraction(near);
-    let e_far = db.e_for_points_fraction(far).max(e_min);
+    let e_min = keep_to_lod(&db, near)?;
+    let e_far = keep_to_lod(&db, far)?.max(e_min);
     let q = vd_query(roi, e_min, e_far);
     let threads: usize = args.parse_or("threads", 1)?;
     db.try_cold_start().map_err(|e| e.to_string())?;
@@ -603,8 +611,8 @@ fn walkthrough_path(args: &Args, db: &DirectMeshDb) -> Result<(Vec<Rect>, f64, f
             dm_core::navigation::waypoint_path(&pts, window, frames)
         }
     };
-    let e_min = db.e_for_points_fraction(near);
-    let e_far = db.e_for_points_fraction(far).max(e_min);
+    let e_min = keep_to_lod(db, near)?;
+    let e_far = keep_to_lod(db, far)?.max(e_min);
     Ok((rois, e_min, e_far))
 }
 

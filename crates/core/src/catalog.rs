@@ -26,9 +26,10 @@
 //! page; the payload CRC catches a chain stitched together from pages of
 //! different catalog generations.
 //!
-//! Interval statistics (`cut_size` support) and the optimizer's node
-//! regions are rebuilt on open by scanning the heap / walking the R-tree
-//! — both one-off costs, like the paper's unmeasured index construction.
+//! The planner's page-region table and the optimizer's node regions are
+//! rebuilt on open by one walk of the R-tree (its leaf entries are the
+//! heap pages' boxes); interval statistics (`cut_size` support) are
+//! rebuilt by one heap scan on first use. Neither is stored here.
 
 use std::sync::Arc;
 

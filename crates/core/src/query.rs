@@ -204,11 +204,12 @@ pub trait RecordStore: Sync {
     /// Point lookup by id (the `FetchOnMiss` boundary policy).
     fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>>;
 
-    /// The planner's cost probe: how many pages the optimizer statistics
-    /// predict for `cubes` together (a page shared by neighbouring cubes
-    /// counts once). Every cube lies over `roi`, which a multi-region
-    /// store routes by.
-    fn union_page_count(&self, roi: &Rect, cubes: &[Box3]) -> StorageResult<usize>;
+    /// The planner's cost probe: for each candidate plan, how many pages
+    /// the optimizer statistics predict for its cubes together (a page
+    /// shared by neighbouring cubes counts once). Every cube of every
+    /// plan lies over `roi`, which a multi-region store routes by — once
+    /// for all the candidates.
+    fn union_page_counts(&self, roi: &Rect, plans: &[Vec<Box3>]) -> StorageResult<Vec<usize>>;
 }
 
 impl RecordStore for DirectMeshDb {
@@ -241,8 +242,8 @@ impl RecordStore for DirectMeshDb {
         DirectMeshDb::try_fetch_by_id(self, id)
     }
 
-    fn union_page_count(&self, _roi: &Rect, cubes: &[Box3]) -> StorageResult<usize> {
-        Ok(self.cost_model().count_union(cubes))
+    fn union_page_counts(&self, _roi: &Rect, plans: &[Vec<Box3>]) -> StorageResult<Vec<usize>> {
+        Ok(self.cost_model().count_unions(plans))
     }
 }
 
@@ -354,8 +355,10 @@ pub(crate) fn staircase<S: RecordStore + ?Sized>(
 /// equal strips — and keep the plan the optimizer statistics predict to
 /// be cheapest. Costs are *union* page counts (pages shared by
 /// neighbouring cubes are fetched once) plus an index-descent overhead
-/// per extra cube. Deterministic for a given store: the cost models are
-/// built from catalog statistics, not from cache state.
+/// per extra cube; all candidates are priced by one probe, so the store
+/// selects the statistics under the query once, not per candidate.
+/// Deterministic for a given store: the cost models are built from
+/// catalog statistics, not from cache state.
 pub fn plan_multi_base<S: RecordStore + ?Sized>(
     store: &S,
     q: &VdQuery,
@@ -363,20 +366,26 @@ pub fn plan_multi_base<S: RecordStore + ?Sized>(
 ) -> StorageResult<Vec<Rect>> {
     let overhead_per_cube = 3.0;
     let along_x = q.target.dir.x.abs() >= q.target.dir.y.abs();
-    let mut best: Vec<Rect> = vec![q.roi];
+    let mut candidates: Vec<Vec<Rect>> = std::iter::successors(Some(1usize), |n| n.checked_mul(2))
+        .take_while(|&n| n <= max_cubes.max(1))
+        .map(|n| equal_strips(&q.roi, n, along_x))
+        .collect();
+    let plans: Vec<Vec<Box3>> = candidates
+        .iter()
+        .map(|strips| staircase(store, q, strips))
+        .collect();
+    let pages = store.union_page_counts(&q.roi, &plans)?;
+    // The first of equally cheap plans wins (fewest cubes).
+    let mut best = 0;
     let mut best_cost = f64::INFINITY;
-    let mut n = 1usize;
-    while n <= max_cubes.max(1) {
-        let strips = equal_strips(&q.roi, n, along_x);
-        let pages = store.union_page_count(&q.roi, &staircase(store, q, &strips))?;
-        let cost = pages as f64 + overhead_per_cube * (n as f64 - 1.0);
+    for (i, (&pages, strips)) in pages.iter().zip(&candidates).enumerate() {
+        let cost = pages as f64 + overhead_per_cube * (strips.len() as f64 - 1.0);
         if cost < best_cost {
             best_cost = cost;
-            best = strips;
+            best = i;
         }
-        n *= 2;
     }
-    Ok(best)
+    Ok(candidates.swap_remove(best))
 }
 
 /// Viewpoint-dependent query, multi-base, over any store: plan the

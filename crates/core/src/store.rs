@@ -1,7 +1,7 @@
 //! The Direct Mesh database: heap table + B+-tree + 3D R\*-tree.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dm_geom::{Box3, Rect, Vec3};
 use dm_index::{RStarTree, RtreeCostModel};
@@ -206,13 +206,124 @@ pub struct PatchOutcome {
     pub records_updated: usize,
 }
 
+/// Every record's LOD interval bounds, sorted: what `cut_size` counts
+/// over.
+#[derive(Default)]
+struct IntervalStats {
+    lo_sorted: Vec<f64>,
+    /// Finite upper bounds only (roots are unbounded above).
+    hi_sorted: Vec<f64>,
+}
+
+impl IntervalStats {
+    /// From every record's `(e_lo, e_hi)`, in any order.
+    fn new(intervals: impl Iterator<Item = (f64, f64)>) -> Self {
+        let mut stats = IntervalStats::default();
+        for (e_lo, e_hi) in intervals {
+            stats.push(e_lo, e_hi);
+        }
+        stats.sort();
+        stats
+    }
+
+    fn push(&mut self, e_lo: f64, e_hi: f64) {
+        self.lo_sorted.push(e_lo);
+        if e_hi.is_finite() {
+            self.hi_sorted.push(e_hi);
+        }
+    }
+
+    fn sort(&mut self) {
+        self.lo_sorted.sort_by(f64::total_cmp);
+        self.hi_sorted.sort_by(f64::total_cmp);
+    }
+
+    fn cut_size(&self, e: f64) -> usize {
+        let below_lo = self.lo_sorted.partition_point(|&v| v <= e);
+        let below_hi = self.hi_sorted.partition_point(|&v| v <= e);
+        below_lo - below_hi
+    }
+}
+
+/// [`IntervalStats`] filled at most once. The fill is fallible (it reads
+/// the heap), so racing first users queue on `filling` and all but one
+/// find the cell set; a failed fill leaves it empty for the next caller.
+#[derive(Default)]
+struct LazyIntervals {
+    cell: OnceLock<IntervalStats>,
+    filling: Mutex<()>,
+}
+
+impl LazyIntervals {
+    fn filled(stats: IntervalStats) -> Arc<Self> {
+        let lazy = LazyIntervals::default();
+        let _ = lazy.cell.set(stats);
+        Arc::new(lazy)
+    }
+
+    fn get_or_try_fill(
+        &self,
+        fill: impl FnOnce() -> StorageResult<IntervalStats>,
+    ) -> StorageResult<&IntervalStats> {
+        if let Some(stats) = self.cell.get() {
+            return Ok(stats);
+        }
+        // The guard protects no data: a filler that panicked left the
+        // cell empty, which is exactly the state the next one expects.
+        let _filling = self.filling.lock().unwrap_or_else(|e| e.into_inner());
+        if self.cell.get().is_none() {
+            let _ = self.cell.set(fill()?);
+        }
+        Ok(self.cell.get().expect("cell was just filled"))
+    }
+}
+
+/// The one whole-heap scan: the interval statistics and every page's
+/// MBR (sorted by page id), decoded from the heap itself. `lost` decides
+/// what an unreadable page means — the lazy interval statistics fail on
+/// it, a degraded open's damage census accounts for it and moves on
+/// (only pages that scanned end to end contribute).
+fn scan_heap(
+    heap: &HeapFile,
+    codec: RecordCodec,
+    e_cap: f64,
+    mut lost: impl FnMut(StorageError) -> StorageResult<()>,
+) -> StorageResult<(IntervalStats, Vec<(PageId, Box3)>)> {
+    let mut stats = IntervalStats::default();
+    let mut page_boxes = Vec::with_capacity(heap.page_ids().len());
+    for &page in heap.page_ids() {
+        let (lo_len, hi_len) = (stats.lo_sorted.len(), stats.hi_sorted.len());
+        let mut mbr = Box3::EMPTY;
+        let mut dec = PageDecoder::new(codec);
+        let scanned = heap.try_for_each_in_page(page, |rid, bytes| {
+            let raw = dec.next(rid.slot, bytes);
+            stats.push(raw.e_lo(), raw.e_hi());
+            mbr = mbr.union(&raw.clamped_segment(e_cap));
+        });
+        match scanned {
+            Ok(()) => page_boxes.push((page, mbr)),
+            Err(e) => {
+                stats.lo_sorted.truncate(lo_len);
+                stats.hi_sorted.truncate(hi_len);
+                lost(e)?;
+            }
+        }
+    }
+    stats.sort();
+    page_boxes.sort_unstable_by_key(|&(p, _)| p);
+    Ok((stats, page_boxes))
+}
+
 /// The Direct Mesh database over one terrain dataset.
 pub struct DirectMeshDb {
     pool: Arc<BufferPool>,
     heap: HeapFile,
     btree: BTree,
     rtree: RStarTree,
-    cost: RtreeCostModel,
+    /// Optimizer statistics; patched snapshots share their source's (its
+    /// page-box statistics drift only by page splits, which is optimizer
+    /// noise, not correctness).
+    cost: Arc<RtreeCostModel>,
     /// Plan-view bounds of the terrain.
     pub bounds: Rect,
     /// Largest finite normalized LOD value.
@@ -223,16 +334,18 @@ pub struct DirectMeshDb {
     pub n_leaves: usize,
     /// Root node ids (the coarsest approximation).
     pub roots: Vec<u32>,
-    /// Sorted interval bounds, for cut-size statistics (build metadata).
-    lo_sorted: Vec<f64>,
-    hi_sorted: Vec<f64>,
+    /// Interval statistics behind `cut_size`. Only the LOD-by-mesh-size
+    /// conveniences read them, so a reattached store pays the heap scan
+    /// that fills them on first use, not at open; patched snapshots share
+    /// the cell (edits never move LOD bounds).
+    intervals: Arc<LazyIntervals>,
     /// In-memory copy of the heap-page MBRs (the R\*-tree's leaf
     /// entries), sorted by page id. The navigation planner estimates a
     /// frame strategy's candidate-page set from these plus the buffer
     /// pool's residency probe — a pure in-memory computation that costs
     /// no index descent, no counted I/O and no LRU disturbance. After a
     /// degraded open this holds only the pages that scanned cleanly.
-    page_regions: Vec<(dm_storage::PageId, Box3)>,
+    page_regions: Vec<(PageId, Box3)>,
     /// On-disk codec of the heap records.
     codec: RecordCodec,
     /// Set by a degraded open whose R\*-tree pages were unreadable (e.g.
@@ -440,20 +553,10 @@ impl DirectMeshDb {
         // actually fetches) plus the index node regions (the descent).
         let mut stat_regions: Vec<Box3> = page_boxes.values().copied().collect();
         stat_regions.extend(rtree.collect_node_regions());
-        let cost = RtreeCostModel::new(&stat_regions, space);
+        let cost = Arc::new(RtreeCostModel::new(&stat_regions, space));
         let mut page_regions: Vec<(dm_storage::PageId, Box3)> =
             page_boxes.iter().map(|(&p, &b)| (p, b)).collect();
         page_regions.sort_unstable_by_key(|&(p, _)| p);
-
-        let mut lo_sorted: Vec<f64> = h.nodes.iter().map(|nd| nd.e_lo).collect();
-        let mut hi_sorted: Vec<f64> = h
-            .nodes
-            .iter()
-            .filter(|nd| nd.e_hi.is_finite())
-            .map(|nd| nd.e_hi)
-            .collect();
-        lo_sorted.sort_by(f64::total_cmp);
-        hi_sorted.sort_by(f64::total_cmp);
 
         DirectMeshDb {
             pool,
@@ -466,8 +569,9 @@ impl DirectMeshDb {
             n_records: n,
             n_leaves: h.n_leaves,
             roots: h.roots.clone(),
-            lo_sorted,
-            hi_sorted,
+            intervals: LazyIntervals::filled(IntervalStats::new(
+                h.nodes.iter().map(|nd| (nd.e_lo, nd.e_hi)),
+            )),
             page_regions,
             codec: opts.codec,
             rtree_lost: false,
@@ -608,7 +712,7 @@ impl DirectMeshDb {
         let space = Box3::prism(bounds, 0.0, e_cap);
         let mut stat_regions: Vec<Box3> = page_boxes.values().copied().collect();
         stat_regions.extend(rtree.collect_node_regions());
-        let cost = RtreeCostModel::new(&stat_regions, space);
+        let cost = Arc::new(RtreeCostModel::new(&stat_regions, space));
         let mut page_regions: Vec<(dm_storage::PageId, Box3)> =
             page_boxes.iter().map(|(&p, &b)| (p, b)).collect();
         page_regions.sort_unstable_by_key(|&(p, _)| p);
@@ -621,15 +725,6 @@ impl DirectMeshDb {
             .collect();
         let n_leaves = records.iter().filter(|r| r.node.is_leaf()).count();
 
-        let mut lo_sorted: Vec<f64> = records.iter().map(|r| r.node.e_lo).collect();
-        let mut hi_sorted: Vec<f64> = records
-            .iter()
-            .filter(|r| r.node.e_hi.is_finite())
-            .map(|r| r.node.e_hi)
-            .collect();
-        lo_sorted.sort_by(f64::total_cmp);
-        hi_sorted.sort_by(f64::total_cmp);
-
         DirectMeshDb {
             pool,
             heap,
@@ -641,8 +736,9 @@ impl DirectMeshDb {
             n_records: n,
             n_leaves,
             roots,
-            lo_sorted,
-            hi_sorted,
+            intervals: LazyIntervals::filled(IntervalStats::new(
+                records.iter().map(|r| (r.node.e_lo, r.node.e_hi)),
+            )),
             page_regions,
             codec: opts.codec,
             rtree_lost: false,
@@ -699,13 +795,18 @@ impl DirectMeshDb {
     }
 
     /// Reattach to a database previously persisted with
-    /// [`Self::create_in`]. Interval statistics and optimizer node
-    /// regions are rebuilt by one scan (a once-off cost, like index
-    /// construction in the paper's setup).
+    /// [`Self::create_in`], reading the catalog chain and the R\*-tree —
+    /// not the heap. The index is page-granular, so its leaf entries are
+    /// the heap pages' boxes: the planner's page-region table and the
+    /// optimizer statistics come from one walk of it.
     ///
     /// Fails with a typed [`dm_storage::StorageError`] when the catalog
-    /// has a bad magic/version/checksum or any page of the scan is
-    /// unreadable — an open never silently attaches to a broken database.
+    /// has a bad magic/version/checksum, names a heap page the store does
+    /// not hold, disagrees with the index leaves about which pages make
+    /// up the heap, or any index page is unreadable — an open never
+    /// attaches to a store whose catalog names missing pages. Heap page
+    /// *contents* are verified by the reads that use them (checksums) and
+    /// by [`crate::verify::verify_store`], not here.
     pub fn open(pool: Arc<BufferPool>) -> StorageResult<Self> {
         Self::open_at(pool, 0)
     }
@@ -719,11 +820,12 @@ impl DirectMeshDb {
         Self::open_inner(pool, catalog_page, true, &mut report)
     }
 
-    /// Like [`Self::open`], but unreadable *heap* pages are skipped
-    /// (their records are simply absent — queries over them degrade the
-    /// same way) with the loss accounted in `report`, and an unreadable
-    /// R\*-tree downgrades range fetches to heap scans instead of failing
-    /// the open. The catalog chain and the B+-tree remain load-bearing.
+    /// Like [`Self::open`], but it exists to say what is broken, so it
+    /// reads every heap page: unreadable ones are skipped (their records
+    /// are simply absent — queries over them degrade the same way) with
+    /// the loss accounted in `report`, and an unreadable R\*-tree
+    /// downgrades range fetches to heap scans instead of failing the
+    /// open. The catalog chain and the B+-tree remain load-bearing.
     pub fn open_degraded(
         pool: Arc<BufferPool>,
         report: &mut IntegrityReport,
@@ -754,111 +856,119 @@ impl DirectMeshDb {
         let btree = BTree::from_parts(Arc::clone(&pool), cat.btree.0, cat.btree.2, cat.btree.1);
         let rtree = RStarTree::from_parts(Arc::clone(&pool), cat.rtree.0, cat.rtree.1, cat.rtree.2);
         let e_cap = cat.e_max * 1.001 + 1e-9;
-        let space = Box3::prism(cat.bounds, 0.0, e_cap);
-        let mut lo_sorted = Vec::with_capacity(cat.n_records as usize);
-        let mut hi_sorted = Vec::with_capacity(cat.n_records as usize);
-        let mut page_boxes: HashMap<dm_storage::PageId, Box3> = HashMap::new();
-        let n_pages = heap.page_ids().len().max(1) as u64;
-        let est_points = u64::from(cat.n_records).div_ceil(n_pages);
-        for page in heap.page_ids().to_vec() {
-            let lo_len = lo_sorted.len();
-            let hi_len = hi_sorted.len();
-            let mut dec = PageDecoder::new(cat.codec);
-            let scanned = heap.try_for_each_in_page(page, |rid, bytes| {
-                let raw = dec.next(rid.slot, bytes);
-                let (e_lo, e_hi) = (raw.e_lo(), raw.e_hi());
-                lo_sorted.push(e_lo);
-                if e_hi.is_finite() {
-                    hi_sorted.push(e_hi);
-                }
-                let hi = if e_hi.is_finite() {
-                    e_hi.min(e_cap)
-                } else {
-                    e_cap
-                };
-                let seg = Box3::vertical_segment(raw.pos_xy(), e_lo.min(hi), hi);
-                page_boxes
-                    .entry(rid.page)
-                    .and_modify(|acc| *acc = acc.union(&seg))
-                    .or_insert(seg);
-            });
-            if let Err(e) = scanned {
-                if strict {
-                    return Err(e);
-                }
-                // Trust only end-to-end-scanned pages: drop the partial
-                // statistics this page contributed.
-                lo_sorted.truncate(lo_len);
-                hi_sorted.truncate(hi_len);
-                page_boxes.remove(&page);
+        let (page_regions, node_regions, intervals, rtree_lost) = if strict {
+            let num_pages = pool.num_pages();
+            if let Some(&page) = heap.page_ids().iter().find(|&&p| p >= num_pages) {
+                return Err(StorageError::OutOfBounds { page, num_pages });
+            }
+            let index = rtree.try_collect_regions()?;
+            // An id past the page-id range cannot name a heap page either.
+            let mut leaves: Vec<(PageId, Box3)> = index
+                .leaves
+                .into_iter()
+                .map(|(b, p)| (PageId::try_from(p).unwrap_or(PageId::MAX), b))
+                .collect();
+            leaves.sort_unstable_by_key(|&(p, _)| p);
+            let mut listed = heap.page_ids().to_vec();
+            listed.sort_unstable();
+            if !leaves.iter().map(|&(p, _)| p).eq(listed) {
+                return Err(StorageError::format(
+                    "catalog heap pages and R*-tree leaf entries disagree",
+                ));
+            }
+            (
+                leaves,
+                index.nodes,
+                Arc::new(LazyIntervals::default()),
+                false,
+            )
+        } else {
+            let n_pages = heap.page_ids().len().max(1) as u64;
+            let est_points = u64::from(cat.n_records).div_ceil(n_pages);
+            let (stats, page_boxes) = scan_heap(&heap, cat.codec, e_cap, |e| {
                 report.record_loss(est_points, &e);
-            }
-        }
-        report.retries += dm_storage::thread_retries() - retries_before;
-        let mut page_regions: Vec<(dm_storage::PageId, Box3)> =
-            page_boxes.iter().map(|(&p, &b)| (p, b)).collect();
-        page_regions.sort_unstable_by_key(|&(p, _)| p);
-        let mut stat_regions: Vec<Box3> = page_boxes.into_values().collect();
-        let rtree_lost = match rtree.try_collect_node_regions() {
-            Ok(regions) => {
-                stat_regions.extend(regions);
-                false
-            }
-            Err(e) if !strict => {
-                // The whole index is suspect once any node is gone: a
-                // partial descent would silently drop subtrees. Fall back
-                // to scanning the surviving heap pages.
-                report.record_loss(0, &e);
-                true
-            }
-            Err(e) => return Err(e),
+                Ok(())
+            })?;
+            let (nodes, rtree_lost) = match rtree.try_collect_node_regions() {
+                Ok(nodes) => (nodes, false),
+                Err(e) => {
+                    // The whole index is suspect once any node is gone: a
+                    // partial descent would silently drop subtrees. Fall
+                    // back to scanning the surviving heap pages.
+                    report.record_loss(0, &e);
+                    (Vec::new(), true)
+                }
+            };
+            (page_boxes, nodes, LazyIntervals::filled(stats), rtree_lost)
         };
-        let cost = RtreeCostModel::new(&stat_regions, space);
-        lo_sorted.sort_by(f64::total_cmp);
-        hi_sorted.sort_by(f64::total_cmp);
+        report.retries += dm_storage::thread_retries() - retries_before;
+        // Optimizer statistics: the data-page boxes (what a range query
+        // actually fetches) plus the index node regions (the descent).
+        let mut stat_regions: Vec<Box3> = page_regions.iter().map(|&(_, b)| b).collect();
+        stat_regions.extend(node_regions);
+        let space = Box3::prism(cat.bounds, 0.0, e_cap);
         Ok(DirectMeshDb {
             pool,
             heap,
             btree,
             rtree,
-            cost,
+            cost: Arc::new(RtreeCostModel::new(&stat_regions, space)),
             bounds: cat.bounds,
             e_max: cat.e_max,
             n_records: cat.n_records as usize,
             n_leaves: cat.n_leaves as usize,
             roots: cat.roots,
-            lo_sorted,
-            hi_sorted,
+            intervals,
             page_regions,
             codec: cat.codec,
             rtree_lost,
         })
     }
 
-    /// Number of points in the uniform approximation at LOD `e`.
+    /// The interval statistics, filled by one strict heap scan on first
+    /// use (a degraded open's census already filled them from the pages
+    /// that survived).
+    fn try_intervals(&self) -> StorageResult<&IntervalStats> {
+        self.intervals
+            .get_or_try_fill(|| Ok(scan_heap(&self.heap, self.codec, self.e_cap(), Err)?.0))
+    }
+
+    /// Number of points in the uniform approximation at LOD `e`. Panics
+    /// if the first use on a reattached store hits an unreadable heap
+    /// page; see [`Self::try_e_for_points_fraction`].
     pub fn cut_size(&self, e: f64) -> usize {
-        let below_lo = self.lo_sorted.partition_point(|&v| v <= e);
-        let below_hi = self.hi_sorted.partition_point(|&v| v <= e);
-        below_lo - below_hi
+        let stats = self
+            .try_intervals()
+            .unwrap_or_else(|e| panic!("interval statistics: {e}"));
+        stats.cut_size(e)
     }
 
     /// The LOD whose uniform approximation keeps about `frac` of the
     /// original points. QEM error values are heavily skewed, so selecting
     /// query LODs by mesh size is far more intuitive than by fractions of
-    /// `e_max`.
+    /// `e_max`. Panics like [`Self::cut_size`].
     pub fn e_for_points_fraction(&self, frac: f64) -> f64 {
+        self.try_e_for_points_fraction(frac)
+            .unwrap_or_else(|e| panic!("interval statistics: {e}"))
+    }
+
+    /// Fallible [`Self::e_for_points_fraction`]: the first call on a
+    /// reattached store scans the heap for the interval statistics, and
+    /// an unreadable page there is the caller's typed error.
+    pub fn try_e_for_points_fraction(&self, frac: f64) -> StorageResult<f64> {
+        let stats = self.try_intervals()?;
         let target = ((self.n_leaves as f64) * frac.clamp(0.0, 1.0)) as usize;
         let mut lo = 0.0f64;
         let mut hi = self.e_cap();
         for _ in 0..60 {
             let mid = (lo + hi) / 2.0;
-            if self.cut_size(mid) > target {
+            if stats.cut_size(mid) > target {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
-        hi
+        Ok(hi)
     }
 
     pub fn pool(&self) -> &Arc<BufferPool> {
@@ -867,6 +977,11 @@ impl DirectMeshDb {
 
     pub fn cost_model(&self) -> &RtreeCostModel {
         &self.cost
+    }
+
+    /// The heap pages' MBRs, ascending by page id (see the field docs).
+    pub fn page_regions(&self) -> &[(PageId, Box3)] {
+        &self.page_regions
     }
 
     pub fn rtree(&self) -> &RStarTree {
@@ -1472,13 +1587,11 @@ impl DirectMeshDb {
         }
         let heap = HeapFile::from_parts(Arc::clone(&self.pool), heap_pages, self.heap.len());
 
-        // ---- 6. Fresh catalog chain. Interval statistics are reused
-        // verbatim (edits never move LOD bounds); the cost model is
-        // cloned — its page-box statistics drift only by page splits,
-        // which is optimizer noise, not correctness. The planner's
-        // page-region table, by contrast, must track the page ids
-        // exactly (it feeds the residency probe), so replaced pages are
-        // swapped for their rewritten successors.
+        // ---- 6. Fresh catalog chain. Interval statistics and the cost
+        // model are shared with this snapshot, not copied (see the field
+        // docs). The planner's page-region table, by contrast, must
+        // track the page ids exactly (it feeds the residency probe), so
+        // replaced pages are swapped for their rewritten successors.
         let mut page_regions: Vec<(PageId, Box3)> = self
             .page_regions
             .iter()
@@ -1497,14 +1610,13 @@ impl DirectMeshDb {
             heap,
             btree,
             rtree,
-            cost: self.cost.clone(),
+            cost: Arc::clone(&self.cost),
             bounds: self.bounds,
             e_max: self.e_max,
             n_records: self.n_records,
             n_leaves: self.n_leaves,
             roots: self.roots.clone(),
-            lo_sorted: self.lo_sorted.clone(),
-            hi_sorted: self.hi_sorted.clone(),
+            intervals: Arc::clone(&self.intervals),
             page_regions,
             codec: self.codec,
             rtree_lost: false,

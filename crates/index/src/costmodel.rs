@@ -91,14 +91,43 @@ impl RtreeCostModel {
         self.regions.iter().filter(|r| r.intersects(q)).count()
     }
 
+    /// The raw (non-empty) regions the model counts over: data-page boxes
+    /// first, then index node regions.
+    pub fn regions(&self) -> &[Box3] {
+        &self.regions
+    }
+
     /// Exact number of node regions intersecting *any* box of a plan —
     /// pages shared between query cubes are fetched once (the buffer pool
     /// caches within one query), so plan costs must not double-count.
     pub fn count_union(&self, cubes: &[Box3]) -> usize {
-        self.regions
+        self.count_unions(std::slice::from_ref(&cubes))[0]
+    }
+
+    /// [`Self::count_union`] for several candidate plans over the same
+    /// ground: the regions meeting the hull of *all* the cubes are
+    /// gathered once and every plan is counted inside that subset, so the
+    /// work follows the query's extent, not the size of the store.
+    pub fn count_unions<P: AsRef<[Box3]>>(&self, plans: &[P]) -> Vec<usize> {
+        let hull = plans
             .iter()
-            .filter(|r| cubes.iter().any(|q| r.intersects(q)))
-            .count()
+            .flat_map(|p| p.as_ref())
+            .fold(Box3::EMPTY, |h, q| h.union(q));
+        let local: Vec<&Box3> = self
+            .regions
+            .iter()
+            .filter(|r| r.intersects(&hull))
+            .collect();
+        plans
+            .iter()
+            .map(|p| {
+                let cubes = p.as_ref();
+                local
+                    .iter()
+                    .filter(|r| cubes.iter().any(|q| r.intersects(q)))
+                    .count()
+            })
+            .collect()
     }
 }
 
@@ -249,6 +278,55 @@ mod tests {
         let nodes = vec![Box3::EMPTY, b(0.0, 0.0, 0.0, 1.0, 1.0, 1.0)];
         let m = RtreeCostModel::new(&nodes, unit_space());
         assert_eq!(m.num_nodes(), 1);
+    }
+
+    mod hull_preselection {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Boxes on a coarse lattice (so touching faces, containment and
+        /// exact duplicates all occur), including degenerate planes /
+        /// segments / points and empty boxes.
+        fn lattice_box() -> impl Strategy<Value = Box3> {
+            (0i32..8, 0i32..8, 0i32..8, -1i32..4, -1i32..4, -1i32..4).prop_map(
+                |(x, y, z, w, h, d)| {
+                    if w < 0 || h < 0 || d < 0 {
+                        return Box3::EMPTY;
+                    }
+                    let (x, y, z) = (f64::from(x), f64::from(y), f64::from(z));
+                    b(
+                        x,
+                        y,
+                        z,
+                        x + f64::from(w),
+                        y + f64::from(h),
+                        z + f64::from(d),
+                    )
+                },
+            )
+        }
+
+        proptest! {
+            #[test]
+            fn count_union_matches_brute_force(
+                regions in proptest::collection::vec(lattice_box(), 0..40),
+                plans in proptest::collection::vec(
+                    proptest::collection::vec(lattice_box(), 0..6), 1..6),
+            ) {
+                let m = RtreeCostModel::new(&regions, b(0.0, 0.0, 0.0, 12.0, 12.0, 12.0));
+                let brute = |cubes: &[Box3]| {
+                    regions
+                        .iter()
+                        .filter(|r| !r.is_empty() && cubes.iter().any(|q| r.intersects(q)))
+                        .count()
+                };
+                let want: Vec<usize> = plans.iter().map(|p| brute(p)).collect();
+                prop_assert_eq!(m.count_unions(&plans), want.clone());
+                for (p, w) in plans.iter().zip(want) {
+                    prop_assert_eq!(m.count_union(p), w);
+                }
+            }
+        }
     }
 
     #[test]

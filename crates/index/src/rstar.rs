@@ -72,6 +72,14 @@ enum Outcome {
     },
 }
 
+/// What [`RStarTree::try_collect_regions`] walks out of a tree.
+pub struct TreeRegions {
+    /// Every leaf entry, `(box, payload)`.
+    pub leaves: Vec<(Box3, u64)>,
+    /// Every node's MBR (all levels, root included).
+    pub nodes: Vec<Box3>,
+}
+
 /// The R\*-tree.
 pub struct RStarTree {
     pool: Arc<BufferPool>,
@@ -511,18 +519,30 @@ impl RStarTree {
     /// can detect a lost index (e.g. a truncated file tail) and fall back
     /// to heap scans rather than dying.
     pub fn try_collect_node_regions(&self) -> StorageResult<Vec<Box3>> {
-        let mut out = Vec::new();
+        self.try_collect_regions().map(|regions| regions.nodes)
+    }
+
+    /// One walk of the whole tree: every leaf entry and every node's
+    /// MBR. A page-granular index's leaf entries *are* its data pages'
+    /// boxes, so a store reattaches from this without reading the data.
+    pub fn try_collect_regions(&self) -> StorageResult<TreeRegions> {
+        let mut regions = TreeRegions {
+            leaves: Vec::new(),
+            nodes: Vec::new(),
+        };
         let mut stack = vec![self.root];
         while let Some(page) = stack.pop() {
             let node = try_read_node(&self.pool, page)?;
-            out.push(node.mbr());
-            if !node.is_leaf {
-                for e in &node.entries {
-                    stack.push(e.val as PageId);
-                }
+            regions.nodes.push(node.mbr());
+            if node.is_leaf {
+                regions
+                    .leaves
+                    .extend(node.entries.iter().map(|e| (e.bbox, e.val)));
+            } else {
+                stack.extend(node.entries.iter().map(|e| e.val as PageId));
             }
         }
-        Ok(out)
+        Ok(regions)
     }
 
     /// Number of nodes (pages) in the tree.

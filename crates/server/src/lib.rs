@@ -1488,28 +1488,25 @@ fn handle_request<'db>(
             }
         }
         Request::Stats { resolve_keep } => {
-            let (stats, resolved_e) = match host {
-                Host::Single(db) => (
-                    db.stats_summary(),
-                    resolve_keep
-                        .iter()
-                        .map(|&k| db.e_for_points_fraction(k))
-                        .collect(),
-                ),
-                Host::World(w) => {
-                    let stats = match w.stats_summary() {
-                        Ok(s) => s,
-                        Err(e) => return vec![*storage_error(e)],
-                    };
-                    let mut resolved = Vec::with_capacity(resolve_keep.len());
-                    for &k in &resolve_keep {
-                        match w.e_for_points_fraction(k) {
-                            Ok(e) => resolved.push(e),
-                            Err(e) => return vec![*storage_error(e)],
-                        }
-                    }
-                    (stats, resolved)
-                }
+            // Resolving a keep fraction may scan the heap for the interval
+            // statistics (first use on a reattached store): an unreadable
+            // page there is this request's error, not the server's.
+            let resolve = |e_for: &dyn Fn(f64) -> dm_storage::StorageResult<f64>| {
+                resolve_keep
+                    .iter()
+                    .map(|&k| e_for(k))
+                    .collect::<dm_storage::StorageResult<Vec<f64>>>()
+            };
+            let resolved = match host {
+                Host::Single(db) => resolve(&|k| db.try_e_for_points_fraction(k))
+                    .map(|resolved| (db.stats_summary(), resolved)),
+                Host::World(w) => w
+                    .stats_summary()
+                    .and_then(|stats| Ok((stats, resolve(&|k| w.e_for_points_fraction(k))?))),
+            };
+            let (stats, resolved_e) = match resolved {
+                Ok(answer) => answer,
+                Err(e) => return vec![*storage_error(e)],
             };
             vec![Response::Stats {
                 stats,

@@ -150,6 +150,10 @@ pub struct WorldDb {
     opts: WorldOptions,
     state: Mutex<WorldState>,
     counters: Vec<RegionCounters>,
+    /// Test seam: runs on the opening thread after room was made and the
+    /// catalog lock released, before the region's store is touched.
+    #[cfg(test)]
+    open_gate: Option<Box<dyn Fn(usize) + Send + Sync>>,
 }
 
 fn neg(v: Vec2) -> Vec2 {
@@ -299,6 +303,8 @@ impl WorldDb {
                 n_open,
             }),
             counters,
+            #[cfg(test)]
+            open_gate: None,
         })
     }
 
@@ -405,21 +411,77 @@ impl WorldDb {
     /// The region's open handle, opening (and possibly evicting another
     /// region) on miss. The returned `Arc` stays valid across a
     /// concurrent eviction — eviction only drops the catalog's
-    /// reference.
+    /// reference. The store is opened *outside* the catalog lock, so one
+    /// cold open never stalls hits on the other regions; of two threads
+    /// racing to open the same region the loser drops its handle.
     pub fn region(&self, idx: usize) -> StorageResult<Arc<DirectMeshDb>> {
-        let mut state = self.state.lock();
-        state.tick += 1;
-        let tick = state.tick;
-        if let Some(db) = &state.slots[idx].db {
-            let db = Arc::clone(db);
-            state.slots[idx].last_used = tick;
-            self.counters[idx].hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(db);
+        let (tick, initial, evicted) = {
+            let mut state = self.state.lock();
+            state.tick += 1;
+            let tick = state.tick;
+            if let Some(db) = self.touch(&mut state, idx, tick) {
+                return Ok(db);
+            }
+            let evicted = self.make_room(&mut state);
+            let initial = if self.opts.page_budget == 0 {
+                DEFAULT_REGION_PAGES
+            } else {
+                (self.opts.page_budget / (state.n_open + 1)).max(self.opts.region_floor.max(1))
+            };
+            (tick, initial, evicted)
+        };
+        // Closing a store flushes and syncs its pool: not under the lock.
+        drop(evicted);
+        #[cfg(test)]
+        if let Some(gate) = &self.open_gate {
+            gate(idx);
         }
 
-        // Make room under the handle cap. Pinned (and in-memory) regions
-        // are skipped; if everything open is pinned the cap is exceeded
-        // temporarily rather than failing the caller.
+        let meta = &self.regions[idx];
+        let (pool, catalog_page) = open_region_store(&meta.path, initial, self.opts.fault)?;
+        let mut report = IntegrityReport::default();
+        let db = if self.opts.degraded {
+            DirectMeshDb::open_degraded_at(pool, catalog_page, &mut report)?
+        } else {
+            DirectMeshDb::open_at(pool, catalog_page)?
+        };
+        let db = Arc::new(db);
+
+        let mut state = self.state.lock();
+        if let Some(winner) = self.touch(&mut state, idx, tick) {
+            return Ok(winner);
+        }
+        // Opens that overlapped this one may have filled the room made
+        // above.
+        let evicted = self.make_room(&mut state);
+        state.slots[idx].db = Some(Arc::clone(&db));
+        state.slots[idx].last_used = tick;
+        state.slots[idx].open_report = report;
+        state.n_open += 1;
+        self.counters[idx].opens.fetch_add(1, Ordering::Relaxed);
+        self.rebalance_budgets(&mut state);
+        drop(state);
+        drop(evicted);
+        Ok(db)
+    }
+
+    /// The region's handle if it is open, counted as a hit and stamped
+    /// with `tick` for the LRU.
+    fn touch(&self, state: &mut WorldState, idx: usize, tick: u64) -> Option<Arc<DirectMeshDb>> {
+        let slot = &mut state.slots[idx];
+        let db = Arc::clone(slot.db.as_ref()?);
+        slot.last_used = slot.last_used.max(tick);
+        self.counters[idx].hits.fetch_add(1, Ordering::Relaxed);
+        Some(db)
+    }
+
+    /// Close least-recently-used regions until one more fits under the
+    /// handle cap, handing their handles back for the caller to drop once
+    /// it has released the lock. Pinned (and in-memory) regions are
+    /// skipped; if everything open is pinned the cap is exceeded
+    /// temporarily rather than failing the caller.
+    fn make_room(&self, state: &mut WorldState) -> Vec<Arc<DirectMeshDb>> {
+        let mut evicted = Vec::new();
         while state.n_open >= self.opts.max_open.max(1) {
             let victim = state
                 .slots
@@ -430,7 +492,7 @@ impl WorldDb {
                 .map(|(i, _)| i);
             match victim {
                 Some(v) => {
-                    state.slots[v].db = None;
+                    evicted.extend(state.slots[v].db.take());
                     state.slots[v].open_report = IntegrityReport::default();
                     state.n_open -= 1;
                     self.counters[v].evictions.fetch_add(1, Ordering::Relaxed);
@@ -438,28 +500,7 @@ impl WorldDb {
                 None => break,
             }
         }
-
-        let meta = &self.regions[idx];
-        let initial = if self.opts.page_budget == 0 {
-            DEFAULT_REGION_PAGES
-        } else {
-            (self.opts.page_budget / (state.n_open + 1)).max(self.opts.region_floor.max(1))
-        };
-        let (pool, catalog_page) = open_region_store(&meta.path, initial, self.opts.fault)?;
-        let mut report = IntegrityReport::default();
-        let db = if self.opts.degraded {
-            DirectMeshDb::open_degraded_at(pool, catalog_page, &mut report)?
-        } else {
-            DirectMeshDb::open_at(pool, catalog_page)?
-        };
-        let db = Arc::new(db);
-        state.slots[idx].db = Some(Arc::clone(&db));
-        state.slots[idx].last_used = tick;
-        state.slots[idx].open_report = report;
-        state.n_open += 1;
-        self.counters[idx].opens.fetch_add(1, Ordering::Relaxed);
-        self.rebalance_budgets(&mut state);
-        Ok(db)
+        evicted
     }
 
     /// Re-split the world page budget across the open regions, weighted
@@ -526,10 +567,12 @@ impl WorldDb {
     }
 
     /// LOD threshold that keeps roughly `frac` of the points, resolved
-    /// against region 0's catalog histogram (every tile of a split world
-    /// shares the source's LOD distribution).
+    /// against region 0's interval statistics (every tile of a split
+    /// world shares the source's LOD distribution). This is the one world
+    /// call that scans a region's heap: once per open of region 0, on
+    /// first use.
     pub fn e_for_points_fraction(&self, frac: f64) -> StorageResult<f64> {
-        Ok(self.region(0)?.e_for_points_fraction(frac))
+        self.region(0)?.try_e_for_points_fraction(frac)
     }
 
     /// A view of this world the shared query bodies in [`dm_core::query`]
@@ -753,15 +796,19 @@ impl RecordStore for WorldScope<'_> {
         self.world.try_fetch_by_id(id)
     }
 
-    fn union_page_count(&self, roi: &Rect, cubes: &[Box3]) -> StorageResult<usize> {
+    fn union_page_counts(&self, roi: &Rect, plans: &[Vec<Box3>]) -> StorageResult<Vec<usize>> {
         let world = self.world;
         let probe = Box3::prism(*roi, 0.0, world.e_cap());
-        let mut pages = 0;
+        let mut pages = vec![0; plans.len()];
         for i in self.route(&[probe])? {
             let db = world.region(i)?;
-            pages += db
-                .cost_model()
-                .count_union(&world.cubes_for_region(i, cubes));
+            let local: Vec<Vec<Box3>> = plans
+                .iter()
+                .map(|cubes| world.cubes_for_region(i, cubes))
+                .collect();
+            for (sum, n) in pages.iter_mut().zip(db.cost_model().count_unions(&local)) {
+                *sum += n;
+            }
         }
         Ok(pages)
     }
@@ -967,6 +1014,53 @@ mod tests {
         }
         assert!(world.region_stats()[0].open, "pinned region was evicted");
         world.unpin_region(0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cold_open_does_not_stall_hits_on_other_regions() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let db = build_db(13, 33);
+        let dir = std::env::temp_dir().join(format!("dm_world_slow_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = write_split_world(&db, 2, 1, &dir, &DmBuildOptions::default()).unwrap();
+        let mut world = WorldDb::open(&manifest, WorldOptions::default()).unwrap();
+        // Region 1's store is slow: its open parks until released.
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        world.open_gate = Some(Box::new(move |idx| {
+            if idx == 1 {
+                entered_tx.send(()).unwrap();
+                release_rx.lock().recv().unwrap();
+            }
+        }));
+        world.region(0).unwrap();
+        std::thread::scope(|s| {
+            let opener = s.spawn(|| world.region(1));
+            entered_rx.recv().unwrap();
+            let (done_tx, done_rx) = mpsc::channel();
+            let world = &world;
+            s.spawn(move || {
+                for _ in 0..100 {
+                    world.region(0).unwrap();
+                }
+                done_tx.send(world.region_stats()[0].hits).unwrap();
+            });
+            let hits = done_rx.recv_timeout(Duration::from_secs(20));
+            let still_opening = !opener.is_finished();
+            // Release the opener (and, had it held the lock, everyone
+            // queued behind it) before judging.
+            release_tx.send(()).unwrap();
+            assert!(opener.join().unwrap().is_ok());
+            assert_eq!(hits, Ok(100), "hits on region 0 waited for region 1");
+            assert!(still_opening);
+        });
+        let stats = world.region_stats();
+        assert!(stats[0].open && stats[1].open);
+        assert_eq!((stats[0].opens, stats[1].opens), (1, 1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

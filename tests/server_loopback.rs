@@ -317,6 +317,58 @@ fn fault_injected_server_degrades_instead_of_crashing() {
     });
 }
 
+/// A strict open reads no heap page, so the first `Stats` that resolves
+/// a keep fraction is what scans the heap for the interval statistics.
+/// On a store whose every heap read fails, that is a typed error for
+/// the one request — not a panic in a worker — and the server keeps
+/// serving.
+#[test]
+fn stats_keep_resolution_over_an_unreadable_heap_is_a_typed_error() {
+    let path = std::env::temp_dir().join(format!("dm_loopback_{}_deadheap.db", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    {
+        let hf = generate::fractal_terrain(33, 33, 3);
+        let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+        let pool = Arc::new(BufferPool::new(
+            Box::new(FileStore::create(&path).unwrap()),
+            POOL_PAGES,
+        ));
+        let _ = DirectMeshDb::create_in(pool, &pm, &DmBuildOptions::default());
+    }
+    // The device dies right after the pages an open needs: every heap
+    // read fails, the resident catalog and index keep answering.
+    let open_reads = {
+        let pool = Arc::new(BufferPool::new(
+            Box::new(FileStore::open(&path).unwrap()),
+            POOL_PAGES,
+        ));
+        DirectMeshDb::open(Arc::clone(&pool)).unwrap();
+        pool.stats().reads
+    };
+    let injector: Box<dyn PageStore> = Box::new(FaultInjector::new(
+        Box::new(FileStore::open(&path).unwrap()),
+        FaultConfig::new(1).with_fail_reads_after(open_reads),
+    ));
+    let db = DirectMeshDb::open(Arc::new(BufferPool::new(injector, POOL_PAGES)))
+        .expect("an open reads the catalog and the index only");
+
+    with_server(&db, |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        for _ in 0..2 {
+            match client.stats(vec![0.25, 0.05]) {
+                Err(WireError::Remote { message, .. }) => {
+                    assert!(message.contains("storage"), "{message}")
+                }
+                other => panic!("expected a typed storage error, got {other:?}"),
+            }
+        }
+        let (stats, resolved) = client.stats(vec![]).expect("server keeps serving");
+        assert_eq!(stats.n_records, db.n_records as u64);
+        assert!(resolved.is_empty());
+    });
+    std::fs::remove_file(&path).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Adversarial clients. A hostile peer — one that never reads, one that
 // trickles and stalls, one that sends garbage — must be shed cleanly

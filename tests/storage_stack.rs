@@ -305,9 +305,12 @@ fn persistent_page_corruption_degrades_instead_of_failing() {
     full.sort_unstable();
     assert!(got.iter().all(|id| full.binary_search(id).is_ok()));
 
-    // Reopening the corrupted file from scratch: the strict open's heap
-    // scan refuses, the degraded open attaches past the bad pages and
-    // reports exactly what is missing.
+    // Reopening the corrupted file from scratch: a strict open reads the
+    // catalog and the index, not the heap, so it attaches — the damage
+    // surfaces as a checksum error on the first strict fetch over a bad
+    // page, and the scrubber (`dm verify`) names it. The degraded open
+    // reads everything, attaches past the bad pages and reports exactly
+    // what is missing.
     drop(db);
     let fresh = || {
         Arc::new(BufferPool::new(
@@ -315,7 +318,14 @@ fn persistent_page_corruption_degrades_instead_of_failing() {
             256,
         ))
     };
-    assert!(DirectMeshDb::open(fresh()).is_err());
+    let pool = fresh();
+    let strict = DirectMeshDb::open(Arc::clone(&pool)).expect("catalog and index intact");
+    let err = strict
+        .try_fetch_box(&dm_geom::Box3::prism(strict.bounds, e, e))
+        .expect_err("a strict fetch must not read past a bad page");
+    assert!(err.to_string().contains("checksum"), "{err}");
+    assert!(!dm_core::verify::verify_store(&pool, 0).unwrap().ok());
+    drop(strict);
     let mut open_report = dm_core::IntegrityReport::default();
     let db = DirectMeshDb::open_degraded(fresh(), &mut open_report).expect("catalog intact");
     assert_eq!(open_report.pages_lost, n_corrupt as u64);

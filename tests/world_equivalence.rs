@@ -413,3 +413,63 @@ fn degraded_open_of_one_tile_quarantines_the_damage() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Evicting a region and touching it again reopens it from its catalog
+/// and index alone — no heap page is read until a query asks for one —
+/// and the reopened region answers exactly as before, which is exactly
+/// the unsplit store's answer.
+#[test]
+fn evicted_region_reopens_without_reading_the_heap_and_answers_identically() {
+    let db = build_db(33, 91);
+    let dir = std::env::temp_dir().join(format!("dm_world_reopen_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let manifest = write_split_world(&db, 2, 1, &dir, &DmBuildOptions::default()).unwrap();
+    let world = WorldDb::open(
+        &manifest,
+        WorldOptions {
+            max_open: 1,
+            threads: 1,
+            ..WorldOptions::default()
+        },
+    )
+    .unwrap();
+    let e = db.e_for_points_fraction(0.3);
+    // Inside tile 0, so the query opens (and needs) nothing else.
+    let b = db.bounds;
+    let roi = Rect::from_corners(
+        Vec2::new(b.min.x + b.width() * 0.05, b.min.y + b.height() * 0.1),
+        Vec2::new(b.min.x + b.width() * 0.4, b.min.y + b.height() * 0.9),
+    );
+    let ask = || {
+        let mut c = FetchCounters::default();
+        let (res, report) = world.try_vi_query_flat_counted(&roi, e, &mut c).unwrap();
+        assert!(report.is_clean());
+        (res.nodes, res.faces, res.fetched_records)
+    };
+    let first = ask();
+    assert!(!first.0.is_empty());
+
+    world.region(1).unwrap(); // one handle: closes region 0
+    let stats = world.region_stats();
+    assert!(!stats[0].open && stats[0].evictions == 1);
+
+    let reads_before = dm_storage::thread_reads();
+    let reopened = world.region(0).unwrap();
+    let open_reads = dm_storage::thread_reads() - reads_before;
+    assert_eq!(world.region_stats()[0].opens, 2);
+    let heap: Vec<u32> = reopened.page_regions().iter().map(|&(p, _)| p).collect();
+    assert!(heap.len() > 8, "tile too small to tell");
+    assert_eq!(reopened.pool().resident_among(&heap), 0, "heap page read");
+    assert_eq!(reopened.pool().resident() as u64, open_reads);
+    assert!(
+        open_reads <= 2 + reopened.stats_summary().rtree_nodes,
+        "{open_reads} reads to reopen a {}-page tile",
+        heap.len()
+    );
+
+    assert_eq!(ask(), first, "reopened region answers differently");
+    let mut c = FetchCounters::default();
+    let (single, _) = db.try_vi_query_flat_counted(&roi, e, &mut c).unwrap();
+    assert_eq!((single.nodes, single.faces, single.fetched_records), first);
+    std::fs::remove_dir_all(&dir).ok();
+}
