@@ -639,7 +639,9 @@ fn cmd_walkthrough(args: Args) -> Result<(), String> {
         policy,
         max_cubes
     );
-    println!("frame    disk  fetched  decoded examined    +seed    -seed  vertices      ms  plan");
+    println!(
+        "frame    disk  fetched  decoded examined    +seed    -seed boundary  vertices      ms  plan"
+    );
     let (mut t_disk, mut t_fetched, mut t_decoded) = (0u64, 0usize, 0u64);
     let mut merged = IntegrityReport::default();
     for (i, roi) in rois.iter().enumerate() {
@@ -657,13 +659,14 @@ fn cmd_walkthrough(args: Args) -> Result<(), String> {
         t_fetched += stats.fetched_records;
         t_decoded += stats.decoded_records;
         println!(
-            "{i:>5} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {ms:>7.1}  {}",
+            "{i:>5} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {ms:>7.1}  {}",
             stats.disk_accesses,
             stats.fetched_records,
             stats.decoded_records,
             stats.examined_records,
             stats.seeds_added,
             stats.seeds_removed,
+            stats.boundary_fetches,
             stats.vertices,
             if stats.plan.chose_full {
                 "full"

@@ -21,14 +21,15 @@
 //!   model (eq. 1–7) predicts a win.
 //!
 //! Each query body exists once, in [`query`], generic over the
-//! [`RecordStore`] seam (plane fetch, staircase fetch, point lookup, the
-//! planner's cost probe): [`query::vi_query_flat`],
+//! [`RecordStore`] seam (LOD clamp, the one range fetch, point lookup,
+//! the planner's cost probe): [`query::vi_query_flat`],
 //! [`query::plan_multi_base`], [`query::vd_with_strips`] and
 //! [`query::vd_multi_base`]. A [`DirectMeshDb`] implements the seam with
-//! its two page scans ([`DirectMeshDb::fetch_box_flat_counted`],
-//! [`DirectMeshDb::fetch_boxes_counted`]); the `dm-world` catalog
-//! implements it by fanning out to regions. The methods above and their
-//! fallible `try_*` forms are one-line callers of those bodies.
+//! its one page scan ([`DirectMeshDb::range_scan`], into a
+//! [`FetchedSet`] arena — a query plane is a one-box batch); the
+//! `dm-world` catalog implements it by fanning out to regions. The
+//! methods above and their fallible `try_*` forms are one-line callers
+//! of those bodies.
 //!
 //! Modules: [`record`] (on-disk codec), [`store`] (database build and
 //! fetch paths), [`faces`] (planar face extraction from connection

@@ -11,10 +11,10 @@
 //!    ([`dm_geom::subtract_boxes`]) to the parts not covered last frame,
 //!    and only those slivers hit the R\*-tree. For a smoothly moving
 //!    window the per-frame I/O drops from `O(ROI)` to `O(ΔROI)`.
-//! 2. **Working set.** Fetched records live in a session cache keyed by
-//!    node id. On each frame the cache drops records whose indexed
-//!    vertical segment left the new cubes and absorbs the delta fetch —
-//!    by construction the cache then equals exactly what a cold
+//! 2. **Working set.** Fetched records live in a session cache, one
+//!    arena slot per node id. Each frame rebuilds it: the records whose
+//!    indexed vertical segment still meets the new cubes, then the delta
+//!    fetch — by construction the cache then equals exactly what a cold
 //!    multi-base query would have fetched, so results are identical.
 //! 3. **Per-frame reconstruction.** Every frame seeds its front from
 //!    the working set with the cold path's own `assemble_topmost_front`
@@ -42,8 +42,10 @@ use dm_mtm::PmNode;
 use dm_storage::StorageResult;
 use fxhash::FxHashMap;
 
-use crate::query::{assemble_topmost_front, refine_accounted, staircase, BoundaryPolicy, VdQuery};
-use crate::record::DmRecord;
+use crate::query::{
+    assemble_topmost_front, refine_accounted, staircase, BoundaryPolicy, RecordStore, VdQuery,
+};
+use crate::record::IndexedSet;
 use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
 
 /// Box-subtraction fragmentation cap: beyond this many pieces the delta
@@ -138,6 +140,10 @@ pub struct FrameStats {
     pub seeds_removed: usize,
     /// Refinement counters.
     pub refine: RefineStats,
+    /// B+-tree point lookups this frame's refinement made for records
+    /// outside the working set ([`BoundaryPolicy::FetchOnMiss`]); nodes
+    /// the previous frame already touched cost none.
+    pub boundary_fetches: usize,
     /// Front size after the frame.
     pub vertices: usize,
     /// The planner's decision for this frame and its inputs.
@@ -156,7 +162,7 @@ pub struct NavigationSession<'a> {
     front: FrontMesh,
     /// Session record cache — always exactly the union fetch set of the
     /// last frame's cubes.
-    working: FxHashMap<u32, DmRecord>,
+    working: IndexedSet,
     /// The query cubes executed last frame (delta-planning baseline).
     prev_cubes: Vec<Box3>,
     /// Seed ids of the last frame's front, ascending (what
@@ -181,7 +187,7 @@ impl<'a> NavigationSession<'a> {
             mode: PlanMode::default(),
             cost_params: FrameCostParams::default(),
             front: FrontMesh::default(),
-            working: FxHashMap::default(),
+            working: IndexedSet::default(),
             prev_cubes: Vec::new(),
             prev_seeds: Vec::new(),
             boundary: FxHashMap::default(),
@@ -336,22 +342,20 @@ impl<'a> NavigationSession<'a> {
         } else {
             &self.pieces
         };
-        let fresh = self
-            .db
-            .fetch_boxes_counted(exec, &mut report, &mut counters)?;
-        let fetched = fresh.len();
+        let fresh = self.db.fetch(exec, &mut report, &mut counters)?;
 
-        // Working-set update: drop records whose indexed segment left
-        // every new cube, absorb the delta fetch. The cache now equals
-        // the union fetch set of a cold query over `new_cubes`.
+        // Working-set update, into a new arena: the records whose
+        // indexed segment still meets a new cube, then the delta fetch.
+        // The cache now equals the union fetch set of a cold query over
+        // `new_cubes`.
         let db = self.db;
-        self.working.retain(|_, r| {
-            let seg = db.record_segment(&r.node);
+        let mut working = IndexedSet::default();
+        working.absorb(self.working.set(), |n| {
+            let seg = db.record_segment(n);
             new_cubes.iter().any(|c| seg.intersects(c))
         });
-        for r in fresh {
-            self.working.entry(r.node.id).or_insert(r);
-        }
+        working.absorb(&fresh, |_| true);
+        self.working = working;
         self.prev_cubes = new_cubes;
 
         // Result mesh: the cold path's seed front over the working set,
@@ -364,7 +368,7 @@ impl<'a> NavigationSession<'a> {
         seeds.sort_unstable();
         let (seeds_added, seeds_removed) = sorted_diff_counts(&seeds, &self.prev_seeds);
         self.prev_seeds = seeds;
-        let (refine, _boundary_fetches) = refine_accounted(
+        let (refine, boundary_fetches) = refine_accounted(
             &mut front,
             self.db,
             &self.working,
@@ -375,13 +379,14 @@ impl<'a> NavigationSession<'a> {
         );
         let stats = FrameStats {
             disk_accesses: dm_storage::thread_reads() - reads_before,
-            fetched_records: fetched,
+            fetched_records: fresh.len(),
             decoded_records: counters.records_decoded,
             examined_records: counters.records_examined,
             pages_scanned: counters.pages_scanned,
             seeds_added,
             seeds_removed,
             refine,
+            boundary_fetches,
             vertices: front.num_vertices(),
             plan,
         };
@@ -393,7 +398,7 @@ impl<'a> NavigationSession<'a> {
     /// or `DirectMeshDb::cold_start` to measure cold costs again).
     pub fn reset(&mut self) {
         self.front = FrontMesh::default();
-        self.working = FxHashMap::default();
+        self.working = IndexedSet::default();
         self.prev_cubes.clear();
         self.prev_seeds.clear();
         self.boundary = FxHashMap::default();
@@ -526,9 +531,11 @@ mod tests {
         db.cold_start();
         let path = flight_path(&db.bounds, 0.5, 6);
         let mut costs = Vec::new();
+        let mut lookups = Vec::new();
         for roi in &path {
             let stats = session.move_to(&query_at(&db, *roi));
             costs.push(stats.disk_accesses);
+            lookups.push(stats.boundary_fetches);
             assert!(stats.vertices > 0);
         }
         let later: u64 = costs[1..].iter().sum::<u64>() / (costs.len() - 1) as u64;
@@ -537,6 +544,11 @@ mod tests {
             "warm frames ({later}) should undercut the first ({})",
             costs[0]
         );
+        // The boundary kept from one frame answers the same frame again
+        // without a single point lookup.
+        assert!(lookups[0] > 0, "the first frame looks its boundary up");
+        let again = session.move_to(&query_at(&db, path[path.len() - 1]));
+        assert_eq!(again.boundary_fetches, 0);
     }
 
     #[test]

@@ -18,8 +18,10 @@
 use dm_geom::Rect;
 use dm_storage::StorageResult;
 
-use crate::query::{assemble_refine, staircase, BoundaryPolicy, VdQuery, VdResult, ViResult};
-use crate::record::DmRecord;
+use crate::query::{
+    assemble_refine, staircase, BoundaryPolicy, RecordStore, VdQuery, VdResult, ViResult,
+};
+use crate::record::FetchedSet;
 use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
 
 /// Resolve a caller-facing thread count: `0` means "use the current
@@ -96,8 +98,8 @@ pub fn vd_query_batch(
 
 /// Parallel multi-base query: plan the strip decomposition like
 /// [`DirectMeshDb::try_vd_multi_base`], fetch the per-strip cubes on up
-/// to `threads` workers, then stitch deterministically — the per-strip
-/// fetches concatenate in strip order (the shared tail keeps the first
+/// to `threads` workers, then stitch deterministically — the shared tail
+/// absorbs the per-strip arenas in strip order (keeping the first
 /// strip's copy of a shared id, matching the sequential pass) and the
 /// per-strip [`IntegrityReport`]s merge in the same order — before the
 /// single global refinement.
@@ -114,28 +116,28 @@ pub fn vd_multi_base_parallel(
     // Fan the strip fetches out; each worker degrades and accounts into
     // its own report (retry deltas are thread-attributed, so concurrent
     // retries on a shared page never double-count).
-    type StripFetch = StorageResult<(Vec<DmRecord>, IntegrityReport)>;
+    type StripFetch = StorageResult<(FetchedSet, IntegrityReport)>;
     let fetched: Vec<StripFetch> = par_map(&cubes, threads, |cube| {
         let mut report = IntegrityReport::default();
-        let recs = db.fetch_boxes_counted(
+        let set = db.fetch(
             std::slice::from_ref(cube),
             &mut report,
             &mut FetchCounters::default(),
         )?;
-        Ok((recs, report))
+        Ok((set, report))
     });
 
     // Deterministic stitch in strip order. An index-descent error in any
     // strip fails the query with the *first* strip's error, exactly as
     // the sequential loop would have.
     let mut report = IntegrityReport::default();
-    let mut all: Vec<DmRecord> = Vec::new();
+    let mut sets: Vec<FetchedSet> = Vec::with_capacity(fetched.len());
     for strip in fetched {
-        let (recs, strip_report) = strip?;
+        let (set, strip_report) = strip?;
         report.merge(strip_report);
-        all.extend(recs);
+        sets.push(set);
     }
-    Ok(assemble_refine(db, q, policy, cubes, all, report))
+    Ok(assemble_refine(db, q, policy, cubes, &sets, report))
 }
 
 #[cfg(test)]

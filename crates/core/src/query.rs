@@ -10,7 +10,7 @@ use fxhash::FxHashMap;
 use dm_storage::StorageResult;
 
 use crate::faces::{extract_faces_dense_owned, DenseAdjacency};
-use crate::record::{DmRecord, FetchedSet};
+use crate::record::{DmRecord, FetchedSet, IndexedSet};
 use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
 
 /// What to do when refinement needs a record outside the fetched region
@@ -173,33 +173,31 @@ pub struct VdResult {
 }
 
 /// The one seam under every query: what the shared cut / plan /
-/// assemble-refine bodies below need from whatever holds the records. A
-/// [`DirectMeshDb`] implements it directly; the world catalog implements
-/// it by routing to the overlapping regions, fetching per region,
-/// remapping into the world frame and concatenating in ascending region
-/// order. Records of one id may therefore arrive more than once — the
-/// shared bodies keep the first and count them all as fetched.
+/// assemble-refine bodies below need from whatever holds the records —
+/// four verbs, one of which fetches. Both query kinds are the same 3D
+/// range query (the VI plane is a degenerate box of the VD cube), so
+/// there is one [`Self::fetch`] and it returns the one representation
+/// every consumer reads, the [`FetchedSet`] arena. A [`DirectMeshDb`]
+/// implements it with its range scan; the world catalog implements it by
+/// routing to the overlapping regions, fetching per region, remapping
+/// into the world frame and appending in ascending region order. Records
+/// of one id may therefore arrive more than once — the shared bodies
+/// keep the first and count them all as fetched.
 pub trait RecordStore: Sync {
     /// Clamp a query LOD into the indexed range.
     fn clamp_e(&self, e: f64) -> f64;
 
-    /// Every record whose vertical segment crosses the query plane, in
-    /// arena form (the VI fetch).
-    fn fetch_plane(
+    /// Every record whose vertical segment intersects any of `boxes`: a
+    /// VI query plane (one flat box), a VD staircase, one navigation
+    /// frame's ΔROI pieces. Unreadable heap pages are skipped and
+    /// accounted in `report`; `Err` means an index descent (or a region
+    /// open) failed.
+    fn fetch(
         &self,
-        plane: &Box3,
+        boxes: &[Box3],
         report: &mut IntegrityReport,
         counters: &mut FetchCounters,
     ) -> StorageResult<FetchedSet>;
-
-    /// Every record whose vertical segment intersects any cube, as owned
-    /// records (the VD staircase fetch).
-    fn fetch_cubes(
-        &self,
-        cubes: &[Box3],
-        report: &mut IntegrityReport,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<Vec<DmRecord>>;
 
     /// Point lookup by id (the `FetchOnMiss` boundary policy).
     fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>>;
@@ -217,25 +215,13 @@ impl RecordStore for DirectMeshDb {
         DirectMeshDb::clamp_e(self, e)
     }
 
-    fn fetch_plane(
+    fn fetch(
         &self,
-        plane: &Box3,
+        boxes: &[Box3],
         report: &mut IntegrityReport,
         counters: &mut FetchCounters,
     ) -> StorageResult<FetchedSet> {
-        self.fetch_box_flat_counted(plane, report, counters)
-    }
-
-    fn fetch_cubes(
-        &self,
-        cubes: &[Box3],
-        report: &mut IntegrityReport,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<Vec<DmRecord>> {
-        // One batched fetch for the whole staircase: a heap page shared
-        // by several strip cubes is header-scanned once, not once per
-        // strip, and the index descends once for the batch.
-        self.fetch_boxes_counted(cubes, report, counters)
+        self.range_scan(boxes, false, report, counters)
     }
 
     fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>> {
@@ -255,7 +241,7 @@ struct StoreSource<'a, S: RecordStore + ?Sized> {
     /// The fetched records (a cold query's union fetch, or a navigation
     /// session's working set). Never written — boundary fetches land in
     /// `touched` so they cannot leak into the working set.
-    base: &'a FxHashMap<u32, DmRecord>,
+    base: &'a IndexedSet,
     /// Boundary nodes the caller's previous frame ended with (empty for
     /// a one-shot query) …
     prev: FxHashMap<u32, PmNode>,
@@ -275,8 +261,8 @@ struct StoreSource<'a, S: RecordStore + ?Sized> {
 
 impl<S: RecordStore + ?Sized> RecordSource for StoreSource<'_, S> {
     fn fetch(&mut self, id: u32) -> Option<PmNode> {
-        if let Some(r) = self.base.get(&id) {
-            return Some(r.node);
+        if let Some(n) = self.base.node(id) {
+            return Some(*n);
         }
         if let Some(n) = self.touched.get(&id) {
             return Some(*n);
@@ -322,7 +308,7 @@ pub fn vi_query_flat<S: RecordStore + ?Sized>(
 ) -> StorageResult<(ViFlatResult, IntegrityReport)> {
     let mut report = IntegrityReport::default();
     let e = store.clamp_e(e);
-    let set = store.fetch_plane(&Box3::prism(*roi, e, e), &mut report, counters)?;
+    let set = store.fetch(&[Box3::prism(*roi, e, e)], &mut report, counters)?;
     let (nodes, faces) = uniform_cut(&set, roi, e);
     Ok((
         ViFlatResult {
@@ -419,28 +405,29 @@ pub fn vd_with_strips<S: RecordStore + ?Sized>(
 ) -> StorageResult<(VdResult, IntegrityReport)> {
     let mut report = IntegrityReport::default();
     let cubes = staircase(store, q, strips);
-    let recs = store.fetch_cubes(&cubes, &mut report, counters)?;
-    Ok(assemble_refine(store, q, policy, cubes, recs, report))
+    let set = store.fetch(&cubes, &mut report, counters)?;
+    Ok(assemble_refine(store, q, policy, cubes, &[set], report))
 }
 
-/// The viewpoint-dependent tail every path shares: deduplicate the fetch
-/// (first writer wins — strip order, ascending region order), seed the
-/// front with the locally topmost records (the staircase cubes provide
-/// each strip's top level; topmost seeding handles the strip steps and
-/// the ROI clipping in one rule), then one global refinement to the
-/// query plane with its boundary fetches accounted.
+/// The viewpoint-dependent tail every path shares: deduplicate the
+/// fetched sets (first writer wins — strip order, ascending region
+/// order), seed the front with the locally topmost records (the
+/// staircase cubes provide each strip's top level; topmost seeding
+/// handles the strip steps and the ROI clipping in one rule), then one
+/// global refinement to the query plane with its boundary fetches
+/// accounted.
 pub(crate) fn assemble_refine<S: RecordStore + ?Sized>(
     store: &S,
     q: &VdQuery,
     policy: BoundaryPolicy,
     cubes: Vec<Box3>,
-    recs: Vec<DmRecord>,
+    fetched: &[FetchedSet],
     mut report: IntegrityReport,
 ) -> (VdResult, IntegrityReport) {
-    let fetched_records = recs.len();
-    let mut all: FxHashMap<u32, DmRecord> = FxHashMap::default();
-    for r in recs {
-        all.entry(r.node.id).or_insert(r);
+    let fetched_records = fetched.iter().map(FetchedSet::len).sum();
+    let mut all = IndexedSet::default();
+    for set in fetched {
+        all.absorb(set, |_| true);
     }
     let mut front = assemble_topmost_front(&all, &q.roi);
     let (refine, boundary_fetches) = refine_accounted(
@@ -474,7 +461,7 @@ pub(crate) fn assemble_refine<S: RecordStore + ?Sized>(
 pub(crate) fn refine_accounted<S: RecordStore + ?Sized>(
     front: &mut FrontMesh,
     store: &S,
-    base: &FxHashMap<u32, DmRecord>,
+    base: &IndexedSet,
     boundary: &mut FxHashMap<u32, PmNode>,
     policy: BoundaryPolicy,
     q: &VdQuery,
@@ -575,10 +562,17 @@ impl DirectMeshDb {
     pub fn elevation_stats(&self, roi: &Rect, e: f64) -> ElevationStats {
         let e = self.clamp_e(e);
         let plane = Box3::prism(*roi, e, e);
+        let set = self
+            .range_scan(
+                &[plane],
+                true,
+                &mut IntegrityReport::default(),
+                &mut FetchCounters::default(),
+            )
+            .unwrap_or_else(|e| panic!("elevation stats: {e}"));
         let mut out = ElevationStats::default();
         let mut sum = 0.0;
-        for rec in self.fetch_box(&plane) {
-            let n = &rec.node;
+        for n in &set.nodes {
             if !n.interval().contains(e) || !roi.contains(n.pos.xy()) {
                 continue;
             }
@@ -652,14 +646,16 @@ impl DirectMeshDb {
 /// Seeds are sorted by id (dense order must agree with id order, which
 /// face emission relies on), so the map's iteration order is irrelevant
 /// and the front is a pure function of the record set and the ROI.
-pub(crate) fn assemble_topmost_front(all: &FxHashMap<u32, DmRecord>, roi: &Rect) -> FrontMesh {
-    let mut seeds: Vec<&DmRecord> = all
-        .values()
-        .filter(|r| roi.contains(r.node.pos.xy()))
+pub(crate) fn assemble_topmost_front(all: &IndexedSet, roi: &Rect) -> FrontMesh {
+    let set = all.set();
+    let node = |slot: usize| &set.nodes[slot];
+    // Seeds are arena slots (one per id).
+    let mut seeds: Vec<usize> = (0..set.len())
+        .filter(|&s| roi.contains(node(s).pos.xy()))
         .collect();
     let table_len = seeds
         .iter()
-        .map(|r| r.node.id as usize + 1)
+        .map(|&s| node(s).id as usize + 1)
         .max()
         .unwrap_or(0);
     ID_TABLE.with(|table| {
@@ -667,32 +663,32 @@ pub(crate) fn assemble_topmost_front(all: &FxHashMap<u32, DmRecord>, roi: &Rect)
         // First generation: in-ROI membership, for the parent test
         // (`NIL_ID` lies beyond any table).
         table.begin(table_len);
-        for r in &seeds {
-            table.set(r.node.id, 0);
+        for &s in &seeds {
+            table.set(node(s).id, 0);
         }
-        seeds.retain(|r| table.get(r.node.parent).is_none());
-        seeds.sort_unstable_by_key(|r| r.node.id);
+        seeds.retain(|&s| table.get(node(s).parent).is_none());
+        seeds.sort_unstable_by_key(|&s| node(s).id);
         // Second generation: seed id → dense index.
         table.begin(table_len);
-        for (k, r) in seeds.iter().enumerate() {
-            table.set(r.node.id, k as u32);
+        for (k, &s) in seeds.iter().enumerate() {
+            table.set(node(s).id, k as u32);
         }
-        let pos: Vec<Vec2> = seeds.iter().map(|r| r.node.pos.xy()).collect();
+        let pos: Vec<Vec2> = seeds.iter().map(|&s| node(s).pos.xy()).collect();
         let mut adj = DenseAdjacency::with_capacity(seeds.len());
-        for r in &seeds {
-            let iv = r.node.interval();
-            adj.push_vertex(r.conn.iter().filter_map(|&c| {
+        for &s in &seeds {
+            let iv = node(s).interval();
+            adj.push_vertex(set.conn_of(s).iter().filter_map(|&c| {
                 table
                     .get(c)
-                    .filter(|&ci| iv.overlaps(&seeds[ci as usize].node.interval()))
+                    .filter(|&ci| iv.overlaps(&node(seeds[ci as usize]).interval()))
             }));
         }
         // `adj` holds dense indices; faces are mapped back to PM node ids.
         let faces: Vec<[u32; 3]> = extract_faces_dense_owned(&pos, adj)
             .into_iter()
-            .map(|t| t.map(|v| seeds[v as usize].node.id))
+            .map(|t| t.map(|v| node(seeds[v as usize]).id))
             .collect();
-        FrontMesh::from_parts(seeds.iter().map(|r| r.node).collect(), &faces)
+        FrontMesh::from_parts(seeds.iter().map(|&s| *node(s)).collect(), &faces)
     })
 }
 

@@ -21,10 +21,13 @@
 //!   records on the same page, so the deltas are small and several times
 //!   more records fit per page — directly fewer heap pages per query.
 
+use std::collections::hash_map::Entry;
+
 use dm_geom::Vec3;
 use dm_mtm::{PmNode, NIL_ID};
 use dm_storage::pack;
 use dm_storage::page::codec;
+use fxhash::FxHashMap;
 
 /// A Direct Mesh record: the PM node plus its connection list.
 #[derive(Clone, Debug, PartialEq)]
@@ -227,8 +230,8 @@ impl<'a> RawRecord<'a> {
     /// (id, position, interval) is decoded in place — bounds-checked,
     /// no allocation; links and the connection list stay lazy. Full
     /// length framing is verified when the record is materialized
-    /// ([`Self::to_owned`]); pages themselves are already guarded by the
-    /// buffer pool's CRC32 trailer.
+    /// ([`Self::append_to`], [`Self::to_owned`]); pages themselves are
+    /// already guarded by the buffer pool's CRC32 trailer.
     pub fn parse_compact(b: &'a [u8], base: &BaseVals) -> RawRecord<'a> {
         let mut off = 0;
         let id = decode_id_delta(pack::get_varint(b, &mut off), i64::from(base.id), "id");
@@ -271,10 +274,10 @@ impl<'a> RawRecord<'a> {
     }
 
     /// The record's indexed vertical segment with root caps applied —
-    /// the exact box every fetch path tests against query boxes
-    /// (`e_cap` stands in for an infinite root `e_hi`). Kept here so
-    /// the single-box, arena and batched page scans cannot drift apart
-    /// on the clamping rule.
+    /// the exact box the range scan tests against query boxes (`e_cap`
+    /// stands in for an infinite root `e_hi`). Kept here so the range
+    /// scan and the whole-heap census cannot drift apart on the clamping
+    /// rule.
     #[inline]
     pub fn clamped_segment(&self, e_cap: f64) -> dm_geom::Box3 {
         let hi = if self.e_hi.is_finite() {
@@ -325,19 +328,15 @@ impl<'a> RawRecord<'a> {
 
     /// Decode the fixed part into a [`PmNode`] (no allocation).
     pub fn node(&self) -> PmNode {
-        let (parent, child1, child2, wing1, wing2) = if self.flat {
-            let b = self.bytes;
-            (
-                codec::get_u32(b, 44),
-                codec::get_u32(b, 48),
-                codec::get_u32(b, 52),
-                codec::get_u32(b, 56),
-                codec::get_u32(b, 60),
-            )
+        let links = if self.flat {
+            [44, 48, 52, 56, 60].map(|off| codec::get_u32(self.bytes, off))
         } else {
-            let (l, _) = self.decode_links();
-            (l[0], l[1], l[2], l[3], l[4])
+            self.decode_links().0
         };
+        self.node_with(links)
+    }
+
+    fn node_with(&self, [parent, child1, child2, wing1, wing2]: [u32; 5]) -> PmNode {
         PmNode {
             id: self.id,
             pos: Vec3::new(self.x, self.y, self.z),
@@ -351,19 +350,16 @@ impl<'a> RawRecord<'a> {
         }
     }
 
-    /// Materialize into a [`FetchedSet`] arena — the same decode and
-    /// length-framing verification as [`Self::to_owned`], but the
-    /// connection list lands in the set's shared pool instead of a
-    /// fresh allocation.
-    pub fn append_to(&self, set: &mut FetchedSet) {
+    /// The one full decode: the connection ids appended to `conn`, the
+    /// node returned. For the compact codec this also verifies the
+    /// length framing: trailing garbage or truncation panics as
+    /// "corrupt DM record".
+    fn decode_into(&self, conn: &mut Vec<u32>) -> PmNode {
         if self.flat {
             let b = self.bytes;
             let n_conn = codec::get_u16(b, 64) as usize;
-            set.conn
-                .extend((0..n_conn).map(|i| codec::get_u32(b, FIXED_LEN + i * 4)));
-            set.nodes.push(self.node());
-            set.conn_off.push(set.conn.len() as u32);
-            return;
+            conn.extend((0..n_conn).map(|i| codec::get_u32(b, FIXED_LEN + i * 4)));
+            return self.node();
         }
         let (links, mut off) = self.decode_links();
         let n_conn = pack::get_varint(self.bytes, &mut off) as usize;
@@ -371,50 +367,7 @@ impl<'a> RawRecord<'a> {
             n_conn <= u16::MAX as usize,
             "corrupt DM record: implausible connection count"
         );
-        set.conn.reserve(n_conn);
-        let mut prev = i64::from(self.id);
-        for _ in 0..n_conn {
-            let c = decode_id_delta(pack::get_varint(self.bytes, &mut off), prev, "conn id");
-            prev = i64::from(c);
-            set.conn.push(c);
-        }
-        assert_eq!(off, self.bytes.len(), "corrupt DM record length");
-        set.nodes.push(PmNode {
-            id: self.id,
-            pos: Vec3::new(self.x, self.y, self.z),
-            e_lo: self.e_lo,
-            e_hi: self.e_hi,
-            parent: links[0],
-            child1: links[1],
-            child2: links[2],
-            wing1: links[3],
-            wing2: links[4],
-        });
-        set.conn_off.push(set.conn.len() as u32);
-    }
-
-    /// Materialize the full owned record (the only allocating step).
-    /// For the compact codec this also verifies the length framing:
-    /// trailing garbage or truncation panics as "corrupt DM record".
-    pub fn to_owned(&self) -> DmRecord {
-        if self.flat {
-            let b = self.bytes;
-            let n_conn = codec::get_u16(b, 64) as usize;
-            let conn = (0..n_conn)
-                .map(|i| codec::get_u32(b, FIXED_LEN + i * 4))
-                .collect();
-            return DmRecord {
-                node: self.node(),
-                conn,
-            };
-        }
-        let (_, mut off) = self.decode_links();
-        let n_conn = pack::get_varint(self.bytes, &mut off) as usize;
-        assert!(
-            n_conn <= u16::MAX as usize,
-            "corrupt DM record: implausible connection count"
-        );
-        let mut conn = Vec::with_capacity(n_conn);
+        conn.reserve(n_conn);
         let mut prev = i64::from(self.id);
         for _ in 0..n_conn {
             let c = decode_id_delta(pack::get_varint(self.bytes, &mut off), prev, "conn id");
@@ -422,26 +375,43 @@ impl<'a> RawRecord<'a> {
             conn.push(c);
         }
         assert_eq!(off, self.bytes.len(), "corrupt DM record length");
-        DmRecord {
-            node: self.node(),
-            conn,
-        }
+        self.node_with(links)
+    }
+
+    /// Materialize into a [`FetchedSet`] arena: the connection list lands
+    /// in the set's shared pool instead of a fresh allocation.
+    pub fn append_to(&self, set: &mut FetchedSet) {
+        let node = self.decode_into(&mut set.conn);
+        set.nodes.push(node);
+        set.conn_off.push(set.conn.len() as u32);
+    }
+
+    /// Materialize the full owned record (one allocation).
+    pub fn to_owned(&self) -> DmRecord {
+        let mut conn = Vec::new();
+        let node = self.decode_into(&mut conn);
+        DmRecord { node, conn }
     }
 }
 
 /// A fetched record set in arena form: nodes side by side with one
-/// shared connection-id pool instead of one heap `Vec` per record. The
-/// uniform-cut path materializes thousands of records per request, so
-/// the flat layout trades per-record allocations for three `Vec`s total.
+/// shared connection-id pool instead of one heap `Vec` per record. Every
+/// range fetch materializes thousands of records per request, so the
+/// flat layout trades per-record allocations for three `Vec`s total.
 ///
 /// Record `i`'s connection list is `conn[conn_off[i] .. conn_off[i+1]]`
 /// (`conn_off` always carries the trailing end offset, so it has
 /// `len() + 1` entries).
-#[derive(Default)]
 pub struct FetchedSet {
     pub nodes: Vec<PmNode>,
     conn_off: Vec<u32>,
     conn: Vec<u32>,
+}
+
+impl Default for FetchedSet {
+    fn default() -> FetchedSet {
+        FetchedSet::new()
+    }
 }
 
 impl FetchedSet {
@@ -467,9 +437,18 @@ impl FetchedSet {
         &self.conn[self.conn_off[i] as usize..self.conn_off[i + 1] as usize]
     }
 
-    /// Append a record built field-by-field — how the world catalog
-    /// merges per-region fetches (remapped into world ids/coordinates)
-    /// into one set for the shared cut/extraction paths.
+    /// Record `i` as an owned [`DmRecord`] — for the edit path, which
+    /// mutates the records it fetched; queries read the arena in place.
+    pub fn record(&self, i: usize) -> DmRecord {
+        DmRecord {
+            node: self.nodes[i],
+            conn: self.conn_of(i).to_vec(),
+        }
+    }
+
+    /// Append a record built field-by-field: a record copied from
+    /// another set, or one the world catalog remapped into world ids and
+    /// coordinates on the way into the merged set.
     pub fn push(&mut self, node: PmNode, conn: impl IntoIterator<Item = u32>) {
         self.conn.extend(conn);
         self.nodes.push(node);
@@ -485,6 +464,44 @@ impl FetchedSet {
         self.nodes.truncate(keep);
         self.conn_off.truncate(keep + 1);
         self.conn.truncate(self.conn_off[keep] as usize);
+    }
+}
+
+/// A [`FetchedSet`] holding each id once, with the id → slot view every
+/// viewpoint-dependent consumer reads it through: the cold tail over one
+/// fetch, a navigation session's working set over kept ∪ fresh, the
+/// parallel stitch over per-strip fetches. A fetch may deliver an id more
+/// than once (overlapping strips, regions sharing a seam); the first
+/// copy absorbed wins.
+#[derive(Default)]
+pub(crate) struct IndexedSet {
+    set: FetchedSet,
+    slot_of: FxHashMap<u32, u32>,
+}
+
+impl IndexedSet {
+    /// Append every record of `src` that passes `keep` and whose id is
+    /// not held yet.
+    pub(crate) fn absorb(&mut self, src: &FetchedSet, keep: impl Fn(&PmNode) -> bool) {
+        self.slot_of.reserve(src.len());
+        for (i, n) in src.nodes.iter().enumerate() {
+            if !keep(n) {
+                continue;
+            }
+            if let Entry::Vacant(slot) = self.slot_of.entry(n.id) {
+                slot.insert(self.set.len() as u32);
+                self.set.push(*n, src.conn_of(i).iter().copied());
+            }
+        }
+    }
+
+    /// The records, one slot per id.
+    pub(crate) fn set(&self) -> &FetchedSet {
+        &self.set
+    }
+
+    pub(crate) fn node(&self, id: u32) -> Option<&PmNode> {
+        self.slot_of.get(&id).map(|&s| &self.set.nodes[s as usize])
     }
 }
 
@@ -614,6 +631,13 @@ mod tests {
         assert_eq!(raw.conn_len(), r.conn.len());
         assert_eq!(raw.node(), r.node);
         assert_eq!(raw.to_owned(), r);
+    }
+
+    #[test]
+    fn default_fetched_set_keeps_the_offset_sentinel() {
+        let mut set = FetchedSet::default();
+        set.push(sample_record().node, sample_record().conn);
+        assert_eq!(set.conn_of(0), sample_record().conn);
     }
 
     fn compact_roundtrip(r: &DmRecord, base: &BaseVals) -> DmRecord {

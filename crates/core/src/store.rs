@@ -69,7 +69,7 @@ pub struct DbStats {
 
 /// What a degraded read had to give up.
 ///
-/// Returned by the `*_degraded` fetch / query paths: when a heap page
+/// Filled by the range scan and the query paths over it: when a heap page
 /// cannot be read even after the buffer pool's retries, the query skips
 /// it, completes from the surviving pages, and accounts for the loss
 /// here instead of failing.
@@ -989,7 +989,7 @@ impl DirectMeshDb {
     }
 
     /// The indexed vertical segment of a record (root intervals clamped
-    /// to the stored cap) — the exact shape the fetch paths test query
+    /// to the stored cap) — the exact shape the range scan tests query
     /// boxes against. Incremental navigation uses it to decide which
     /// cached records a shrinking region of interest keeps.
     pub fn record_segment(&self, node: &dm_mtm::PmNode) -> Box3 {
@@ -1001,40 +1001,14 @@ impl DirectMeshDb {
         Box3::vertical_segment(node.pos.xy(), node.e_lo.min(hi), hi)
     }
 
-    /// Fetch every record whose vertical segment intersects `q`: index
-    /// lookup for the candidate pages, then a scan of each page with an
-    /// exact segment test. Panics on storage errors; see
-    /// [`Self::try_fetch_box`] / [`Self::fetch_boxes_counted`].
-    pub fn fetch_box(&self, q: &Box3) -> Vec<DmRecord> {
-        self.try_fetch_box(q)
-            .unwrap_or_else(|e| panic!("fetch box: {e}"))
-    }
-
-    /// Strict fallible fetch: the first unreadable page aborts the query
-    /// (what the edit path reads through — a patch must never be
-    /// computed from a partial dirty set).
-    pub fn try_fetch_box(&self, q: &Box3) -> StorageResult<Vec<DmRecord>> {
-        let mut report = IntegrityReport::default();
-        let mut counters = FetchCounters::default();
-        self.fetch_boxes_inner(&[*q], true, &mut report, &mut counters)
-    }
-
     /// The deduplicated candidate heap pages the index descent produces
-    /// for `q` — exactly the heap pages [`Self::fetch_box`] reads.
-    /// Measurement introspection: lets benches separate heap-page I/O
-    /// from index I/O, and union page sets across the cubes of one
-    /// multi-base query the way a cold buffer pool would.
+    /// for `q` — exactly the heap pages [`Self::range_scan`] reads for
+    /// the one box. Measurement introspection: lets benches separate
+    /// heap-page I/O from index I/O, and union page sets across the cubes
+    /// of one multi-base query the way a cold buffer pool would.
     pub fn candidate_pages(&self, q: &Box3) -> StorageResult<Vec<u64>> {
-        if self.rtree_lost {
-            // Degraded open without an index: every surviving heap page
-            // is a candidate (correctness over cost).
-            return Ok(self.heap.page_ids().iter().map(|&p| p as u64).collect());
-        }
-        let mut pages: Vec<u64> = Vec::new();
-        self.rtree.try_query(q, |_, page| pages.push(page))?;
-        pages.sort_unstable();
-        pages.dedup();
-        Ok(pages)
+        let pages = self.candidate_pages_mbr(std::slice::from_ref(q))?;
+        Ok(pages.into_iter().map(|(p, _)| p).collect())
     }
 
     /// Whether this handle came from a degraded open that had to abandon
@@ -1043,62 +1017,28 @@ impl DirectMeshDb {
         self.rtree_lost
     }
 
-    /// Degraded single-box fetch into a [`FetchedSet`] arena — the
-    /// uniform-cut fast path: matching records land in three shared
-    /// `Vec`s instead of one allocation each. Heap pages that stay
-    /// unreadable after the buffer pool's retries are *skipped* and
-    /// accounted for in `report`; the result is everything the surviving
-    /// pages hold. Index pages get no such forgiveness — a lost interior
-    /// node silently hides whole subtrees, so index errors still abort.
-    /// Same candidate pages, segment test and counters as
-    /// [`Self::fetch_boxes_counted`] over the one box.
+    /// [`Self::range_scan`] of the one box `q`, degrading. The benchmark
+    /// harness times the record scan through this name.
     pub fn fetch_box_flat_counted(
         &self,
         q: &Box3,
         report: &mut IntegrityReport,
         counters: &mut FetchCounters,
     ) -> StorageResult<FetchedSet> {
-        let retries_before = dm_storage::thread_retries();
-        let pages = self.candidate_pages(q)?;
-        counters.pages_scanned += pages.len() as u64;
-        let est_points = self.mean_records_per_page();
-        let e_cap = self.e_cap();
-        let mut out = FetchedSet::new();
-        for &page in &pages {
-            let len_before = out.len();
-            let mut examined = 0u64;
-            let mut dec = PageDecoder::new(self.codec);
-            let r = self
-                .heap
-                .try_for_each_in_page(page as dm_storage::PageId, |rid, bytes| {
-                    let raw = dec.next(rid.slot, bytes);
-                    examined += 1;
-                    if raw.clamped_segment(e_cap).intersects(q) {
-                        raw.append_to(&mut out);
-                    }
-                });
-            counters.records_examined += examined;
-            if let Err(e) = r {
-                out.truncate(len_before);
-                report.record_loss(est_points, &e);
-            }
-        }
-        counters.records_decoded += out.len() as u64;
-        report.retries += dm_storage::thread_retries() - retries_before;
-        Ok(out)
+        self.range_scan(std::slice::from_ref(q), false, report, counters)
     }
 
-    /// Candidate heap pages for a *batch* of query boxes, each paired
-    /// with its stored MBR, deduplicated across boxes by one multi-range
+    /// Candidate heap pages for a batch of query boxes, each paired with
+    /// its stored MBR, deduplicated across boxes by one multi-range
     /// index descent ([`RStarTree::try_query_multi`]): interior index
     /// pages on paths shared between boxes are read once, however finely
     /// the batch fragments. Sorted by page id (file order).
-    pub fn candidate_pages_mbr(&self, boxes: &[Box3]) -> StorageResult<Vec<(u64, Box3)>> {
+    fn candidate_pages_mbr(&self, boxes: &[Box3]) -> StorageResult<Vec<(u64, Box3)>> {
         if self.rtree_lost {
             // Degraded open without an index: every surviving heap page
             // is a candidate and nothing is known about its extent, so
-            // each gets the whole data space and survives any pre-filter
-            // (correctness over cost, as in `candidate_pages`).
+            // each gets the whole data space and survives the pre-filter
+            // (correctness over cost).
             let space = Box3::prism(self.bounds, 0.0, self.e_cap());
             return Ok(self
                 .heap
@@ -1114,45 +1054,32 @@ impl DirectMeshDb {
         Ok(pages)
     }
 
-    /// Batched degraded fetch of every record whose vertical segment
-    /// intersects *any* box — one navigation frame's ΔROI pieces (or one
-    /// cold multi-base plan's cubes) in a single pass. Semantically the
-    /// union of single-box fetches over `boxes` with records
-    /// deduplicated, but executed page-at-a-time: one index descent for
+    /// The one range scan: every record whose vertical segment
+    /// intersects *any* box, each once, into a [`FetchedSet`] arena. A
+    /// VI query plane is a one-box batch; a VD staircase or one
+    /// navigation frame's ΔROI pieces are many. One index descent for
     /// the whole batch, then each candidate heap page is header-scanned
-    /// *once*, with its slot-0 base decoded once and the page's
-    /// XOR-deltas unpacked in one tight slot loop. Before any header
-    /// scan the page's stored MBR pre-filters the batch down to the
-    /// boxes that can match on that page. The per-piece path scanned
-    /// every page once per overlapping piece, which is exactly the
-    /// examined ≫ decoded blow-up this kills.
+    /// *once* — its stored MBR first pre-filters the batch down to the
+    /// boxes that can match on that page, its slot-0 base is decoded
+    /// once and the page's XOR-deltas unpacked in one tight slot loop —
+    /// with an exact segment test per record.
     ///
-    /// Degradation matches the single-box path per page: a page that
-    /// stays unreadable after retries contributes nothing (half-read
-    /// records are dropped) and is accounted once in `report`.
-    pub fn fetch_boxes_counted(
-        &self,
-        boxes: &[Box3],
-        report: &mut IntegrityReport,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<Vec<DmRecord>> {
-        self.fetch_boxes_inner(boxes, false, report, counters)
-    }
-
-    /// [`Self::fetch_boxes_counted`]; `strict` turns the first unreadable
-    /// heap page into the call's error instead of a degraded skip.
-    fn fetch_boxes_inner(
+    /// A heap page that stays unreadable after the buffer pool's retries
+    /// contributes nothing (half-read records are dropped) and is
+    /// accounted once in `report` — unless `strict`, which makes it the
+    /// call's error: what the edit path reads through, because a patch
+    /// must never be computed from a partial dirty set. Index pages get
+    /// no forgiveness in either mode — a lost interior node silently
+    /// hides whole subtrees, so index errors always abort.
+    pub fn range_scan(
         &self,
         boxes: &[Box3],
         strict: bool,
         report: &mut IntegrityReport,
         counters: &mut FetchCounters,
-    ) -> StorageResult<Vec<DmRecord>> {
+    ) -> StorageResult<FetchedSet> {
         let retries_before = dm_storage::thread_retries();
-        let mut out: Vec<DmRecord> = Vec::new();
-        if boxes.is_empty() {
-            return Ok(out);
-        }
+        let mut out = FetchedSet::new();
         let cand = self.candidate_pages_mbr(boxes)?;
         let est_points = self.mean_records_per_page();
         let e_cap = self.e_cap();
@@ -1174,7 +1101,7 @@ impl DirectMeshDb {
                     examined += 1;
                     let seg = raw.clamped_segment(e_cap);
                     if hit.iter().any(|b| seg.intersects(b)) {
-                        out.push(raw.to_owned());
+                        raw.append_to(&mut out);
                     }
                 }
                 Ok(())
@@ -1362,10 +1289,17 @@ impl DirectMeshDb {
         // ---- 1. Dirty set: every record whose plan-view position falls
         // inside the region, at every LOD level (the full vertical slab).
         let q = Box3::prism(*region, 0.0, self.e_cap());
+        let slab = self.range_scan(
+            &[q],
+            true,
+            &mut IntegrityReport::default(),
+            &mut FetchCounters::default(),
+        )?;
+        // The records the edit mutates, as owned [`DmRecord`]s from here on.
         let mut work: FxHashMap<u32, DmRecord> = FxHashMap::default();
-        for rec in self.try_fetch_box(&q)? {
-            if region.contains(rec.node.pos.xy()) {
-                work.insert(rec.node.id, rec);
+        for (i, node) in slab.nodes.iter().enumerate() {
+            if region.contains(node.pos.xy()) {
+                work.insert(node.id, slab.record(i));
             }
         }
         let in_region: Vec<u32> = {
@@ -1862,58 +1796,173 @@ mod tests {
         assert!(db.fetch_by_id(db.n_records as u32).is_none());
     }
 
+    /// Strict range scan of one box on a healthy store.
+    fn scan(db: &DirectMeshDb, q: &Box3) -> FetchedSet {
+        db.range_scan(
+            std::slice::from_ref(q),
+            true,
+            &mut IntegrityReport::default(),
+            &mut FetchCounters::default(),
+        )
+        .unwrap()
+    }
+
+    /// The set's records, ascending by id.
+    fn by_id(set: &FetchedSet) -> Vec<DmRecord> {
+        let mut recs: Vec<DmRecord> = (0..set.len()).map(|i| set.record(i)).collect();
+        recs.sort_by_key(|r| r.node.id);
+        recs
+    }
+
+    /// Id-sorted union of strict one-box scans, each checked against the
+    /// one-box contract: candidate pages all scanned, every record on
+    /// them examined, exactly the boxed ones decoded.
+    fn union_of_one_box_scans(db: &DirectMeshDb, boxes: &[Box3]) -> (Vec<DmRecord>, FetchCounters) {
+        let mut union: BTreeMap<u32, DmRecord> = BTreeMap::new();
+        let mut total = FetchCounters::default();
+        for q in boxes {
+            let mut c = FetchCounters::default();
+            let one = db
+                .range_scan(&[*q], true, &mut IntegrityReport::default(), &mut c)
+                .unwrap();
+            let pages = db.candidate_pages(q).unwrap();
+            let mut on_pages = 0u64;
+            for &p in &pages {
+                db.heap
+                    .try_for_each_in_page(p as PageId, |_, _| on_pages += 1)
+                    .unwrap();
+            }
+            assert_eq!(c.pages_scanned, pages.len() as u64);
+            assert_eq!(c.records_examined, on_pages);
+            assert_eq!(c.records_decoded, one.len() as u64);
+            let recs = by_id(&one);
+            assert!(recs.windows(2).all(|w| w[0].node.id < w[1].node.id));
+            total.merge(&c);
+            union.extend(recs.into_iter().map(|r| (r.node.id, r)));
+        }
+        (union.into_values().collect(), total)
+    }
+
+    /// The contract of the one page-scan loop: a batch ≡ the id-sorted
+    /// union of one-box scans — on both codecs, on a degraded open that
+    /// lost its index, and strict where degraded skips.
     #[test]
     fn batched_fetch_matches_per_box_union() {
-        let db = small_db();
-        let b = db.bounds;
-        let cap = db.e_cap();
-        // Overlapping, disjoint and duplicate boxes in one batch.
-        let mk = |fx0: f64, fy0: f64, fx1: f64, fy1: f64, z0: f64, z1: f64| {
-            Box3::prism(
-                Rect::new(
-                    dm_geom::Vec2::new(b.min.x + b.width() * fx0, b.min.y + b.height() * fy0),
-                    dm_geom::Vec2::new(b.min.x + b.width() * fx1, b.min.y + b.height() * fy1),
-                ),
-                z0,
-                z1,
-            )
-        };
-        let boxes = vec![
-            mk(0.0, 0.0, 0.6, 0.6, 0.0, cap),
-            mk(0.3, 0.3, 0.9, 0.9, 0.0, cap * 0.5),
-            mk(0.7, 0.1, 1.0, 0.4, 0.0, cap),
-            mk(0.0, 0.0, 0.6, 0.6, 0.0, cap), // exact duplicate
-        ];
-        let mut union: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        let mut single_counters = FetchCounters::default();
-        let mut report = IntegrityReport::default();
-        for q in &boxes {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for codec in [RecordCodec::Flat, RecordCodec::Compact] {
+            let path = std::env::temp_dir().join(format!(
+                "dm_scan_contract_{}_{}.db",
+                std::process::id(),
+                codec.name()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let hf = generate::fractal_terrain(33, 33, 3);
+            let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+            let file_pool = || {
+                let store = dm_storage::FileStore::open(&path).unwrap();
+                Arc::new(BufferPool::new(Box::new(store), 1024))
+            };
+            drop(dm_storage::FileStore::create(&path).unwrap());
+            let opts = DmBuildOptions {
+                codec,
+                ..Default::default()
+            };
+            let db = DirectMeshDb::create_in(file_pool(), &pm, &opts);
+            let all = db.all_records();
+
+            // Overlapping, disjoint, plane-thin and duplicate boxes.
+            let mut rng = StdRng::seed_from_u64(16);
+            let b = db.bounds;
+            let cap = db.e_cap();
+            let mut boxes: Vec<Box3> = (0..7)
+                .map(|_| {
+                    let x = b.min.x + b.width() * rng.random_range(0.0..0.8);
+                    let y = b.min.y + b.height() * rng.random_range(0.0..0.8);
+                    let side = b.width() * rng.random_range(0.05..0.5);
+                    let lo = cap * rng.random_range(0.0..0.6);
+                    let rect = Rect::from_corners(
+                        dm_geom::Vec2::new(x, y),
+                        dm_geom::Vec2::new(x + side, y + side),
+                    );
+                    Box3::prism(rect, lo, lo + cap * rng.random_range(0.0..0.4))
+                })
+                .collect();
+            boxes.push(Box3::prism(b, cap * 0.3, cap * 0.3));
+            boxes.push(boxes[0]);
+
+            let (union, single) = union_of_one_box_scans(&db, &boxes);
+            let expected: Vec<DmRecord> = {
+                let mut v: Vec<DmRecord> = all
+                    .values()
+                    .filter(|r| {
+                        let seg = db.record_segment(&r.node);
+                        boxes.iter().any(|q| seg.intersects(q))
+                    })
+                    .cloned()
+                    .collect();
+                v.sort_by_key(|r| r.node.id);
+                v
+            };
+            assert_eq!(union, expected, "one-box scans ≡ brute force");
+
+            let mut report = IntegrityReport::default();
+            let mut batch = FetchCounters::default();
             let set = db
-                .fetch_box_flat_counted(q, &mut report, &mut single_counters)
+                .range_scan(&boxes, false, &mut report, &mut batch)
                 .unwrap();
-            union.extend(set.nodes.iter().map(|n| n.id));
+            assert!(report.is_clean());
+            assert_eq!(by_id(&set), union, "batch ≡ union of one-box scans");
+            assert_eq!(batch.records_decoded, union.len() as u64, "no repeats");
+            // The point of batching: overlapping boxes stop re-scanning
+            // the same pages.
+            assert!(batch.pages_scanned < single.pages_scanned);
+            assert!(batch.records_examined < single.records_examined);
+            let empty = db.range_scan(&[], false, &mut report, &mut batch).unwrap();
+            assert!(empty.is_empty());
+
+            // Wound one heap page the batch reads and the index root.
+            let bad_page = db.candidate_pages(&boxes[0]).unwrap()[0] as PageId;
+            let on_bad_page = |id: u32| {
+                let rid = db.btree.try_get(u64::from(id)).unwrap().unwrap();
+                RecordId::from_u64(rid).page == bad_page
+            };
+            let survivors: Vec<DmRecord> = union
+                .iter()
+                .filter(|r| !on_bad_page(r.node.id))
+                .cloned()
+                .collect();
+            assert!(survivors.len() < union.len());
+            {
+                use std::io::{Seek, SeekFrom, Write};
+                let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                for page in [bad_page, db.rtree.root_page()] {
+                    let at = u64::from(page) * dm_storage::PAGE_SIZE as u64 + 99;
+                    f.seek(SeekFrom::Start(at)).unwrap();
+                    f.write_all(b"oops").unwrap();
+                }
+                f.sync_all().unwrap();
+            }
+            let mut open_report = IntegrityReport::default();
+            let deg = DirectMeshDb::open_degraded(file_pool(), &mut open_report).unwrap();
+            assert!(deg.rtree_lost());
+            let mut report = IntegrityReport::default();
+            let mut c = FetchCounters::default();
+            let set = deg.range_scan(&boxes, false, &mut report, &mut c).unwrap();
+            assert_eq!(by_id(&set), survivors, "degraded batch ≡ surviving union");
+            assert_eq!(report.pages_lost, 1, "the skipped page is reported once");
+            assert_eq!(c.pages_scanned, deg.n_heap_pages() as u64, "heap scan");
+            let err = deg
+                .range_scan(&boxes, true, &mut report, &mut c)
+                .err()
+                .expect("strict fails on the page degraded skips");
+            assert!(
+                matches!(err, StorageError::Corrupt { page, .. } if page == bad_page),
+                "{err}"
+            );
+            let _ = std::fs::remove_file(&path);
         }
-        let mut batch_counters = FetchCounters::default();
-        let batch = db
-            .fetch_boxes_counted(&boxes, &mut report, &mut batch_counters)
-            .unwrap();
-        assert!(report.is_clean());
-        let batch_ids: std::collections::BTreeSet<u32> = batch.iter().map(|r| r.node.id).collect();
-        assert_eq!(
-            batch_ids.len(),
-            batch.len(),
-            "batch must not repeat records"
-        );
-        assert_eq!(batch_ids, union, "batched fetch ≡ union of per-box fetches");
-        // The point of batching: overlapping boxes stop re-scanning the
-        // same pages.
-        assert!(batch_counters.pages_scanned < single_counters.pages_scanned);
-        assert!(batch_counters.records_examined < single_counters.records_examined);
-        // Degenerate batch.
-        let empty = db
-            .fetch_boxes_counted(&[], &mut report, &mut batch_counters)
-            .unwrap();
-        assert!(empty.is_empty());
     }
 
     #[test]
@@ -1940,7 +1989,7 @@ mod tests {
             "planner estimates must not count as disk accesses"
         );
         // Warm every candidate page; the probe must now see them all.
-        db.fetch_box(&q);
+        scan(&db, &q);
         let (pages_warm, resident_warm, _) = db.estimate_frame_pages(&[q], &mut scratch);
         assert_eq!(pages_warm, pages_cold);
         assert_eq!(resident_warm, pages_warm, "all candidates just fetched");
@@ -1984,11 +2033,11 @@ mod tests {
     }
 
     #[test]
-    fn fetch_box_returns_segments_hit_by_plane() {
+    fn range_scan_returns_segments_hit_by_plane() {
         let db = small_db();
         let e = db.e_max * 0.5;
         let plane = Box3::prism(db.bounds, e, e);
-        let recs = db.fetch_box(&plane);
+        let recs = by_id(&scan(&db, &plane));
         assert!(!recs.is_empty());
         for rec in &recs {
             // Closed-box semantics may over-fetch the exact upper bound;
@@ -2132,8 +2181,8 @@ mod tests {
         // Range fetches on the reopened edit agree with the live handle.
         let e = new.e_max * 0.4;
         let q = Box3::prism(new.bounds, e, e);
-        let mut a: Vec<u32> = new.fetch_box(&q).iter().map(|r| r.node.id).collect();
-        let mut b: Vec<u32> = out.db.fetch_box(&q).iter().map(|r| r.node.id).collect();
+        let mut a: Vec<u32> = scan(&new, &q).nodes.iter().map(|n| n.id).collect();
+        let mut b: Vec<u32> = scan(&out.db, &q).nodes.iter().map(|n| n.id).collect();
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
@@ -2171,8 +2220,8 @@ mod tests {
         let b = mk(true);
         let e = a.e_max * 0.3;
         let q = Box3::prism(a.bounds, e, e);
-        let mut ia: Vec<u32> = a.fetch_box(&q).iter().map(|r| r.node.id).collect();
-        let mut ib: Vec<u32> = b.fetch_box(&q).iter().map(|r| r.node.id).collect();
+        let mut ia: Vec<u32> = scan(&a, &q).nodes.iter().map(|n| n.id).collect();
+        let mut ib: Vec<u32> = scan(&b, &q).nodes.iter().map(|n| n.id).collect();
         ia.sort();
         ib.sort();
         assert_eq!(ia, ib, "index build method must not change results");

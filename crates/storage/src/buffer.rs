@@ -380,7 +380,7 @@ impl BufferPool {
     /// Growing only raises the per-shard limits. Shrinking additionally
     /// evicts each over-full shard's LRU victims down to the new limit,
     /// sealing and writing back dirty pages exactly like a capacity
-    /// eviction on [`Self::install`]. Shards are visited one at a time in
+    /// eviction on `install`. Shards are visited one at a time in
     /// index order (never two locks at once), so this is safe against
     /// concurrent readers; the first write-back error is returned after
     /// every shard has still been resized.

@@ -182,16 +182,6 @@ fn remap_node(mut n: PmNode, base: u32, offset: Vec2) -> PmNode {
     n
 }
 
-fn remap_record(mut rec: DmRecord, base: u32, offset: Vec2) -> DmRecord {
-    rec.node = remap_node(rec.node, base, offset);
-    if base != 0 {
-        for c in &mut rec.conn {
-            *c = remap_id(*c, base);
-        }
-    }
-    rec
-}
-
 /// Open the store file at `path` read-only, following the committed
 /// root (`<store>.root`, written by the live edit path) to the current
 /// catalog page; a store without a root file reads its catalog at page
@@ -642,8 +632,12 @@ impl WorldDb {
                 continue;
             }
             let db = self.region(i)?;
-            if let Some(rec) = db.try_fetch_by_id(local)? {
-                return Ok(Some(remap_record(rec, meta.id_base, meta.offset)));
+            if let Some(mut rec) = db.try_fetch_by_id(local)? {
+                rec.node = remap_node(rec.node, meta.id_base, meta.offset);
+                for c in &mut rec.conn {
+                    *c = remap_id(*c, meta.id_base);
+                }
+                return Ok(Some(rec));
             }
         }
         Ok(None)
@@ -695,30 +689,29 @@ impl WorldScope<'_> {
         Ok(idxs)
     }
 
-    /// Run `fetch` against every region of `idxs` on the fan-out workers
-    /// and return the results in that (ascending) order, with the
-    /// per-region reports and counters merged in the same order. Disk
-    /// reads a worker recorded on another thread are credited to the
-    /// calling thread, so the request's `thread_reads` delta does not
-    /// depend on [`WorldOptions::threads`].
-    fn fan_out<T: Send>(
+    /// Fetch `boxes` (world frame) from every region of `idxs`, each in
+    /// its own frame, on the fan-out workers, and return the sets in that
+    /// (ascending) order, with the per-region reports and counters merged
+    /// in the same order. Disk reads a worker recorded on another thread
+    /// are credited to the calling thread, so the request's
+    /// `thread_reads` delta does not depend on [`WorldOptions::threads`].
+    fn fan_out(
         &self,
         idxs: &[usize],
+        boxes: &[Box3],
         report: &mut IntegrityReport,
         counters: &mut FetchCounters,
-        fetch: impl Fn(usize, &DirectMeshDb, &mut IntegrityReport, &mut FetchCounters) -> StorageResult<T>
-            + Sync,
-    ) -> StorageResult<Vec<T>> {
+    ) -> StorageResult<Vec<FetchedSet>> {
         let world = self.world;
         let requester = std::thread::current().id();
-        type RegionFetch<T> = StorageResult<(T, IntegrityReport, FetchCounters, u64)>;
-        let fetched: Vec<RegionFetch<T>> = par_map(idxs, world.opts.threads, |&i| {
+        type RegionFetch = StorageResult<(FetchedSet, IntegrityReport, FetchCounters, u64)>;
+        let fetched: Vec<RegionFetch> = par_map(idxs, world.opts.threads, |&i| {
             let reads_before = dm_storage::thread_reads();
             let db = world.region(i)?;
             world.counters[i].queries.fetch_add(1, Ordering::Relaxed);
             let mut rep = IntegrityReport::default();
             let mut ctr = FetchCounters::default();
-            let out = fetch(i, &db, &mut rep, &mut ctr)?;
+            let out = db.fetch(&world.cubes_for_region(i, boxes), &mut rep, &mut ctr)?;
             let elsewhere = if std::thread::current().id() == requester {
                 0
             } else {
@@ -743,49 +736,23 @@ impl RecordStore for WorldScope<'_> {
         self.world.clamp_e(e)
     }
 
-    fn fetch_plane(
+    fn fetch(
         &self,
-        plane: &Box3,
+        boxes: &[Box3],
         report: &mut IntegrityReport,
         counters: &mut FetchCounters,
     ) -> StorageResult<FetchedSet> {
-        let world = self.world;
-        let idxs = self.route(std::slice::from_ref(plane))?;
-        let sets = self.fan_out(&idxs, report, counters, |i, db, rep, ctr| {
-            let local = plane.translated_xy(neg(world.regions[i].offset));
-            db.fetch_box_flat_counted(&local, rep, ctr)
-        })?;
+        let idxs = self.route(boxes)?;
+        let sets = self.fan_out(&idxs, boxes, report, counters)?;
         let mut merged = FetchedSet::new();
         for (&i, set) in idxs.iter().zip(&sets) {
-            let meta = &world.regions[i];
+            let meta = &self.world.regions[i];
             for s in 0..set.len() {
                 merged.push(
                     remap_node(set.nodes[s], meta.id_base, meta.offset),
                     set.conn_of(s).iter().map(|&c| remap_id(c, meta.id_base)),
                 );
             }
-        }
-        Ok(merged)
-    }
-
-    fn fetch_cubes(
-        &self,
-        cubes: &[Box3],
-        report: &mut IntegrityReport,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<Vec<DmRecord>> {
-        let world = self.world;
-        let idxs = self.route(cubes)?;
-        let per_region = self.fan_out(&idxs, report, counters, |i, db, rep, ctr| {
-            db.fetch_boxes_counted(&world.cubes_for_region(i, cubes), rep, ctr)
-        })?;
-        let mut merged = Vec::with_capacity(per_region.iter().map(Vec::len).sum());
-        for (&i, recs) in idxs.iter().zip(per_region) {
-            let meta = &world.regions[i];
-            merged.extend(
-                recs.into_iter()
-                    .map(|rec| remap_record(rec, meta.id_base, meta.offset)),
-            );
         }
         Ok(merged)
     }

@@ -69,9 +69,16 @@ fn query_fingerprint(db: &DirectMeshDb) -> Vec<(u32, u64)> {
         Vec3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY),
     );
     let mut out: Vec<(u32, u64)> = db
-        .fetch_box(&everywhere)
-        .into_iter()
-        .map(|r| (r.node.id, r.node.pos.z.to_bits()))
+        .range_scan(
+            &[everywhere],
+            true,
+            &mut dm_core::IntegrityReport::default(),
+            &mut dm_core::FetchCounters::default(),
+        )
+        .unwrap_or_else(|e| panic!("fetch box: {e}"))
+        .nodes
+        .iter()
+        .map(|n| (n.id, n.pos.z.to_bits()))
         .collect();
     out.sort_unstable();
     out

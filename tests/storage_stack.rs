@@ -239,6 +239,17 @@ fn queries_heal_transient_faults(rate: f64, seed: u64) {
     }
 }
 
+/// The strict range scan of the query plane at `e` over the whole
+/// terrain — what the edit path reads through.
+fn strict_scan(db: &DirectMeshDb, e: f64) -> dm_storage::StorageResult<dm_core::FetchedSet> {
+    db.range_scan(
+        &[dm_geom::Box3::prism(db.bounds, e, e)],
+        true,
+        &mut dm_core::IntegrityReport::default(),
+        &mut dm_core::FetchCounters::default(),
+    )
+}
+
 #[test]
 fn persistent_page_corruption_degrades_instead_of_failing() {
     use dm_storage::PAGE_SIZE;
@@ -293,9 +304,7 @@ fn persistent_page_corruption_degrades_instead_of_failing() {
     );
     // The strict path refuses the same query.
     db.cold_start();
-    assert!(db
-        .try_fetch_box(&dm_geom::Box3::prism(db.bounds, e, e))
-        .is_err());
+    assert!(strict_scan(&db, e).is_err());
 
     // An untouched store would have answered exactly; sanity-check that
     // the degraded mesh is still a subset of the clean one.
@@ -320,9 +329,9 @@ fn persistent_page_corruption_degrades_instead_of_failing() {
     };
     let pool = fresh();
     let strict = DirectMeshDb::open(Arc::clone(&pool)).expect("catalog and index intact");
-    let err = strict
-        .try_fetch_box(&dm_geom::Box3::prism(strict.bounds, e, e))
-        .expect_err("a strict fetch must not read past a bad page");
+    let err = strict_scan(&strict, e)
+        .err()
+        .expect("a strict fetch must not read past a bad page");
     assert!(err.to_string().contains("checksum"), "{err}");
     assert!(!dm_core::verify::verify_store(&pool, 0).unwrap().ok());
     drop(strict);

@@ -26,6 +26,21 @@ fn everywhere() -> Box3 {
     )
 }
 
+/// Every record the store can still serve, through the one range scan.
+fn scan_everywhere(
+    db: &DirectMeshDb,
+    strict: bool,
+    report: &mut IntegrityReport,
+) -> dm_storage::StorageResult<Vec<DmRecord>> {
+    let set = db.range_scan(
+        &[everywhere()],
+        strict,
+        report,
+        &mut dm_core::FetchCounters::default(),
+    )?;
+    Ok((0..set.len()).map(|i| set.record(i)).collect())
+}
+
 /// Build a file-backed database; returns its full record set and the
 /// total page count of the healthy file.
 fn build(path: &Path, codec: RecordCodec) -> (HashMap<u32, DmRecord>, u32) {
@@ -44,8 +59,8 @@ fn build(path: &Path, codec: RecordCodec) -> (HashMap<u32, DmRecord>, u32) {
             ..DmBuildOptions::default()
         },
     );
-    let full: HashMap<u32, DmRecord> = db
-        .fetch_box(&everywhere())
+    let full: HashMap<u32, DmRecord> = scan_everywhere(&db, true, &mut IntegrityReport::default())
+        .unwrap()
         .into_iter()
         .map(|r| (r.node.id, r))
         .collect();
@@ -101,12 +116,7 @@ fn truncated_stores_fail_strict_opens_and_serve_surviving_prefix_degraded() {
             let db = DirectMeshDb::open_degraded_at(pool, 0, &mut report)
                 .unwrap_or_else(|e| panic!("{name}/{tag}: degraded open failed: {e}"));
             let mut fetch_report = IntegrityReport::default();
-            let got = db
-                .fetch_boxes_counted(
-                    &[everywhere()],
-                    &mut fetch_report,
-                    &mut dm_core::FetchCounters::default(),
-                )
+            let got = scan_everywhere(&db, false, &mut fetch_report)
                 .unwrap_or_else(|e| panic!("{name}/{tag}: degraded fetch failed: {e}"));
             assert!(!got.is_empty(), "{name}/{tag}: surviving prefix is empty");
             for r in &got {
