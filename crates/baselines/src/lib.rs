@@ -15,6 +15,8 @@
 //! Both run on the same `dm-storage` pages and buffer pool as Direct
 //! Mesh, so disk-access counts are directly comparable.
 
+#![forbid(unsafe_code)]
+
 pub mod hdov;
 pub mod pm;
 

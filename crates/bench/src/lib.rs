@@ -11,6 +11,8 @@
 //! bench setting) or `paper` (the paper's full cardinalities; expect a
 //! long preprocessing phase).
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use dm_baselines::{HdovDb, PmDb};

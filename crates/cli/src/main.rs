@@ -12,6 +12,8 @@
 //! or `.dmh` (this repo's binary heightfield). Databases are page files
 //! with a self-describing catalog (reopenable without the source data).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -869,6 +871,7 @@ fn cmd_verify(args: Args) -> Result<(), String> {
     if let Some(r) = &committed {
         println!("epoch:      {}", r.epoch);
     }
+    println!("crc32:      {}", dm_storage::checksum::kernel());
     println!("{report}");
     if report.ok() {
         Ok(())
@@ -1114,15 +1117,20 @@ fn cmd_serve(args: Args) -> Result<(), String> {
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     match &world {
         Some(w) => println!(
-            "serving world {path} on {bound} ({} regions, {} max open, {} workers, {} max in-flight)",
+            "serving world {path} on {bound} ({} regions, {} max open, {} workers, {} max in-flight, crc32 {})",
             w.n_regions(),
             w.options().max_open,
             config.workers,
-            config.max_inflight
+            config.max_inflight,
+            dm_storage::checksum::kernel()
         ),
         None => println!(
-            "serving {path} on {bound} ({} workers, {} max in-flight, {} max pipeline, {} B write budget)",
-            config.workers, config.max_inflight, config.max_pipeline, config.write_budget
+            "serving {path} on {bound} ({} workers, {} max in-flight, {} max pipeline, {} B write budget, crc32 {})",
+            config.workers,
+            config.max_inflight,
+            config.max_pipeline,
+            config.write_budget,
+            dm_storage::checksum::kernel()
         ),
     }
     if let Some(pf) = args.get("port-file") {

@@ -60,6 +60,8 @@
 //! assert!(db.disk_accesses() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod faces;
 pub mod live;

@@ -13,6 +13,8 @@
 //!
 //! Everything is `f64` in memory; storage layers narrow to `f32` on disk.
 
+#![forbid(unsafe_code)]
+
 pub mod aabb;
 pub mod hilbert;
 pub mod interval;

@@ -15,6 +15,8 @@
 //! Both index structures store their nodes in `dm-storage` pages, so every
 //! node touched by a query is a counted disk access.
 
+#![forbid(unsafe_code)]
+
 pub mod costmodel;
 pub mod quadtree;
 pub mod rstar;

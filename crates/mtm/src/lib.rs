@@ -20,6 +20,8 @@
 //!   splits) to reach any viewpoint-independent or viewpoint-dependent
 //!   LOD target.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod hierarchy;
 pub mod persist;

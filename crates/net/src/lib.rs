@@ -23,6 +23,8 @@
 //! * [`client`] — blocking connector with backoff, overload retries and
 //!   idempotent-request replay.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod frame;
 pub mod mesh;

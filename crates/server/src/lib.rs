@@ -37,6 +37,8 @@
 //!   their state travels with each job and returns with its completion,
 //!   preserving the one-request-one-thread attribution contract.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

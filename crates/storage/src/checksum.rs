@@ -12,6 +12,14 @@
 //! single-bit flip of a sealed page: a sealed page always carries a
 //! nonzero checksum (see `crc_of_zeros_is_nonzero`), so it can never be
 //! all-zero, and any single-bit flip of it leaves it non-zero too.
+//!
+//! Two implementations compute the one checksum. The slicing-by-8 table
+//! code is the portable path and the test oracle; on x86-64 CPUs that
+//! report `pclmulqdq` and `sse4.1` at run time, inputs of 64 bytes and
+//! more go through a carry-less-multiply folding kernel (`pclmul`), the
+//! only `unsafe` code in the workspace's own crates. Same polynomial,
+//! same register convention: which one ran is not observable in any
+//! stored or transmitted byte. [`kernel`] names the live one.
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{codec, PageId, PAGE_DATA, PAGE_SIZE};
@@ -52,7 +60,28 @@ fn tables() -> &'static [[u32; 256]; 8] {
     })
 }
 
-fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+/// Which implementation [`crc32`] uses for inputs long enough to fold on
+/// this CPU: `"pclmulqdq"` or `"portable"`.
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if pclmul::detected() {
+        return "pclmulqdq";
+    }
+    "portable"
+}
+
+/// Advance the raw (un-inverted) register `crc` over `data`.
+fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some((crc, tail)) = pclmul::fold_body(crc, data) {
+        return crc32_table(crc, tail);
+    }
+    crc32_table(crc, data)
+}
+
+/// The portable implementation, and the oracle the kernel is tested
+/// against.
+fn crc32_table(mut crc: u32, data: &[u8]) -> u32 {
     let t = tables();
     let mut chunks = data.chunks_exact(8);
     for ch in &mut chunks {
@@ -71,6 +100,115 @@ fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
+}
+
+/// CRC32 by carry-less multiplication (Intel, "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ"), bit-reflected IEEE constants.
+///
+/// The message is a polynomial over GF(2); multiplying a 128-bit lane by
+/// `x^k mod P` moves it `k` bits forward without changing its remainder,
+/// so four lanes fold 64 input bytes per step, then collapse to one, to
+/// 64 bits and — by Barrett reduction — to the 32-bit register.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod pclmul {
+    use std::arch::x86_64::*;
+
+    /// Shortest input worth folding: the four lanes of one 64-byte step.
+    const MIN_LEN: usize = 64;
+
+    // x^(512±32) mod P: fold a lane across the three lanes beside it.
+    const K1: i64 = 0x01_5444_2bd4;
+    const K2: i64 = 0x01_c6e4_1596;
+    // x^(128±32) mod P: fold a lane onto its neighbour.
+    const K3: i64 = 0x01_7519_97d0;
+    const K4: i64 = 0x00_ccaa_009e;
+    // x^64 mod P: 96 → 64 bits.
+    const K5: i64 = 0x01_63cd_6124;
+    // Barrett pair: P itself and floor(x^64 / P).
+    const POLY: i64 = 0x01_db71_0641;
+    const MU: i64 = 0x01_f701_1641;
+
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Run the 16-byte-multiple prefix of `data` through the kernel and
+    /// return the register with the unconsumed tail (< 16 bytes); `None`
+    /// when `data` is shorter than one step or the CPU lacks the
+    /// instructions, and the caller takes the table path for all of it.
+    pub(super) fn fold_body(crc: u32, data: &[u8]) -> Option<(u32, &[u8])> {
+        if data.len() < MIN_LEN || !detected() {
+            return None;
+        }
+        let (body, tail) = data.split_at(data.len() & !15);
+        // SAFETY: `detected()` just reported both features `fold` enables.
+        Some((unsafe { fold(crc, body) }, tail))
+    }
+
+    /// `a` moved forward by the distances in `keys`, plus `b`.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq`.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn fold_lane(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(a, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// The raw register `crc` advanced over `data`, whose length is a
+    /// multiple of 16 and at least [`MIN_LEN`] (asserted).
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq` and `sse4.1`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    unsafe fn fold(crc: u32, data: &[u8]) -> u32 {
+        let len = data.len();
+        assert!(len >= MIN_LEN && len % 16 == 0);
+        let lane = |at: usize| {
+            let bytes: &[u8] = &data[at..at + 16];
+            // SAFETY: `bytes` is 16 readable bytes, and the load is the
+            // unaligned one, so any byte offset is valid.
+            unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+        };
+
+        let mut x0 = _mm_xor_si128(lane(0), _mm_cvtsi32_si128(crc as i32));
+        let (mut x1, mut x2, mut x3) = (lane(16), lane(32), lane(48));
+        let mut at = 64;
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while at + 64 <= len {
+            x0 = fold_lane(x0, lane(at), k1k2);
+            x1 = fold_lane(x1, lane(at + 16), k1k2);
+            x2 = fold_lane(x2, lane(at + 32), k1k2);
+            x3 = fold_lane(x3, lane(at + 48), k1k2);
+            at += 64;
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_lane(x0, x1, k3k4);
+        x = fold_lane(x, x2, k3k4);
+        x = fold_lane(x, x3, k3k4);
+        while at + 16 <= len {
+            x = fold_lane(x, lane(at), k3k4);
+            at += 16;
+        }
+
+        // 128 → 96 → 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: 64 → 32 bits.
+        let pu = _mm_set_epi64x(MU, POLY);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32
+    }
 }
 
 /// Incremental CRC32 (same polynomial) for streamed artifacts.
@@ -127,6 +265,7 @@ pub fn verify_page(page: PageId, buf: &[u8; PAGE_SIZE]) -> StorageResult<()> {
 mod tests {
     use super::*;
     use crate::page::zeroed_page;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32_known_vectors() {
@@ -137,6 +276,110 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// Deterministic filler for the golden vectors (multiplicative hash
+    /// of the byte index, top byte).
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect()
+    }
+
+    /// [`pattern`] with every byte XORed by `salt`.
+    fn salted_pattern(len: usize, salt: u8) -> Vec<u8> {
+        pattern(len).into_iter().map(|b| b ^ salt).collect()
+    }
+
+    /// The kernel tests below compare the dispatching entry with the
+    /// table code; without the CPU features both sides are the table
+    /// code, so say that the comparison was vacuous.
+    fn note_if_portable() {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        if kernel() == "portable" {
+            ONCE.call_once(|| {
+                eprintln!("skip: no pclmulqdq + sse4.1, kernel tests ran on the table path only")
+            });
+        }
+    }
+
+    #[test]
+    fn crc32_golden_vectors_reach_the_kernel() {
+        note_if_portable();
+        // Computed with the slicing-by-8 code before the kernel existed
+        // (and equal to zlib's): the 64/65/79/80 set brackets the
+        // kernel's minimum length and its 16-byte body granularity, 8188
+        // is a page's checksummed prefix, 30 000 a large wire frame.
+        assert_eq!(PAGE_DATA, 8188);
+        for (len, want) in [
+            (64, 0x06d2_8c3e),
+            (65, 0x806c_df37),
+            (79, 0xac0a_5faf),
+            (80, 0x8b1d_d8c5),
+            (8188, 0xf38a_f06e),
+            (30_000, 0x3196_8f50u32),
+        ] {
+            let data = pattern(len);
+            assert_eq!(crc32(&data), want, "dispatching entry, {len} bytes");
+            assert_eq!(!crc32_table(!0, &data), want, "table code, {len} bytes");
+        }
+    }
+
+    #[test]
+    fn hasher_split_anywhere_matches_one_shot() {
+        // Every split point of 300 bytes: the state crosses between the
+        // table path (short pieces) and the kernel (long ones) mid-stream.
+        note_if_portable();
+        let data = pattern(300);
+        let want = !crc32_table(!0, &data);
+        for cut in 0..=data.len() {
+            let mut h = Crc32Hasher::new();
+            h.update(&data[..cut]);
+            h.update(&data[cut..]);
+            assert_eq!(h.finalize(), want, "split at {cut}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn kernel_equals_table(
+            len in 0usize..=3 * PAGE_SIZE,
+            init in any::<u32>(),
+            salt in any::<u8>(),
+        ) {
+            note_if_portable();
+            // Every start offset 0..16 into one backing buffer: the
+            // kernel's loads are unaligned and must not care.
+            let backing = salted_pattern(len + 16, salt);
+            for offset in 0..16 {
+                let data = &backing[offset..offset + len];
+                prop_assert_eq!(
+                    crc32_update(init, data),
+                    crc32_table(init, data),
+                    "len {}, offset {}, init {:#x}", len, offset, init
+                );
+            }
+        }
+
+        #[test]
+        fn hasher_random_splits_of_a_page_match_one_shot(
+            cuts in proptest::collection::vec(0usize..=PAGE_SIZE, 0..12),
+            salt in any::<u8>(),
+        ) {
+            let page = salted_pattern(PAGE_SIZE, salt);
+            let mut cuts = cuts;
+            cuts.push(PAGE_SIZE);
+            cuts.sort_unstable();
+            let mut h = Crc32Hasher::new();
+            let mut from = 0;
+            for cut in cuts {
+                h.update(&page[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(h.finalize(), !crc32_table(!0, &page));
+        }
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! built on these primitives, exactly as the paper builds its indexes on
 //! plain Oracle tables rather than Oracle Spatial.
 
+#![deny(unsafe_code)]
+
 pub mod btree;
 pub mod buffer;
 pub mod checksum;

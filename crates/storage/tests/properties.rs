@@ -89,6 +89,19 @@ proptest! {
         seal_page(&mut page);
         page[pos / 8] ^= 1 << (pos % 8);
         prop_assert!(verify_page(3, &page).is_err(), "flip at bit {pos} undetected");
+        page[pos / 8] ^= 1 << (pos % 8);
+        // And that bit of every byte in turn: wherever in the folding
+        // kernel's 64-byte steps, 16-byte lanes and table-path tail (or
+        // the trailer) the flip lands, the dispatching entry catches it.
+        verify_page(3, &page).unwrap();
+        for byte in 0..PAGE_SIZE {
+            page[byte] ^= 1 << (pos % 8);
+            prop_assert!(
+                verify_page(3, &page).is_err(),
+                "flip of bit {} in byte {byte} undetected", pos % 8
+            );
+            page[byte] ^= 1 << (pos % 8);
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! adjacent to both endpoints of the collapsed edge — the paper's `wing1`/
 //! `wing2` fields), and validates manifoldness.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod generate;
 pub mod heightfield;

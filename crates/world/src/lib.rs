@@ -21,6 +21,8 @@
 //! * [`build`] — splitting one store into a tiled world and assembling
 //!   independent stores into one (`dm world-build`).
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod manifest;
 pub mod world;

@@ -358,11 +358,24 @@ impl WorldDb {
         self.state.lock().slots[idx].pins += 1;
     }
 
+    /// Release one pin. Pins let the open count overshoot the handle
+    /// cap (see [`Self::make_room`]); the unpin that takes a region's
+    /// pins to 0 re-establishes it.
     pub fn unpin_region(&self, idx: usize) {
         let mut state = self.state.lock();
         let slot = &mut state.slots[idx];
         debug_assert!(slot.pins > 0, "unpin without pin");
         slot.pins = slot.pins.saturating_sub(1);
+        if slot.pins > 0 {
+            return;
+        }
+        let evicted = self.evict_down_to(&mut state, self.opts.max_open.max(1));
+        if !evicted.is_empty() {
+            self.rebalance_budgets(&mut state);
+        }
+        // Closing a store flushes and syncs its pool: not under the lock.
+        drop(state);
+        drop(evicted);
     }
 
     /// Pins currently held on a region (observability for eviction
@@ -466,13 +479,19 @@ impl WorldDb {
     }
 
     /// Close least-recently-used regions until one more fits under the
-    /// handle cap, handing their handles back for the caller to drop once
-    /// it has released the lock. Pinned (and in-memory) regions are
-    /// skipped; if everything open is pinned the cap is exceeded
-    /// temporarily rather than failing the caller.
+    /// handle cap; if everything open is pinned the cap is exceeded until
+    /// a pin drops ([`Self::unpin_region`]) rather than failing the
+    /// caller.
     fn make_room(&self, state: &mut WorldState) -> Vec<Arc<DirectMeshDb>> {
+        self.evict_down_to(state, self.opts.max_open.max(1) - 1)
+    }
+
+    /// Close least-recently-used regions while more than `keep` are open,
+    /// handing their handles back for the caller to drop once it has
+    /// released the lock. Pinned (and in-memory) regions are skipped.
+    fn evict_down_to(&self, state: &mut WorldState, keep: usize) -> Vec<Arc<DirectMeshDb>> {
         let mut evicted = Vec::new();
-        while state.n_open >= self.opts.max_open.max(1) {
+        while state.n_open > keep {
             let victim = state
                 .slots
                 .iter()
@@ -1052,6 +1071,52 @@ mod tests {
             assert_eq!(world.region_pins(i), 0);
         }
         sess.close(&world); // idempotent
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn handle_cap_is_restored_when_pins_drop() {
+        let db = build_db(7, 33);
+        let dir = std::env::temp_dir().join(format!("dm_world_unpin_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = write_split_world(&db, 2, 2, &dir, &DmBuildOptions::default()).unwrap();
+        let world = WorldDb::open(
+            &manifest,
+            WorldOptions {
+                max_open: 3,
+                ..WorldOptions::default()
+            },
+        )
+        .unwrap();
+        let mut sess = WorldSession::new(BoundaryPolicy::Skip, 4);
+        let mut ctr = FetchCounters::default();
+        let frame_at = |sess: &mut WorldSession, ctr: &mut FetchCounters, roi: Rect| {
+            let q = VdQuery::from_viewpoint(roi, roi.center(), db.e_max / 20.0, db.e_max);
+            sess.frame(&world, &q, ctr).unwrap();
+        };
+        // A window over the point where the four tiles meet pins all
+        // four: the cap cannot hold while the frame needs them.
+        frame_at(
+            &mut sess,
+            &mut ctr,
+            Rect::centered_square(db.bounds.center(), 4.0),
+        );
+        assert_eq!(sess.regions().len(), 4);
+        assert_eq!(world.open_count(), 4, "pinned regions exceed the cap");
+        // The next frame sits well inside one tile: three pins drop, and
+        // the cap is back before `frame` returns — not at some later open.
+        let tile = world.region_meta(0).world_bounds();
+        frame_at(
+            &mut sess,
+            &mut ctr,
+            Rect::centered_square(tile.center(), 2.0),
+        );
+        assert_eq!(sess.regions(), &[0]);
+        assert!(world.open_count() <= 3, "{} open", world.open_count());
+        assert!(world.region_stats()[0].open, "the pinned region stays");
+        let evictions: u64 = world.region_stats().iter().map(|s| s.evictions).sum();
+        assert_eq!(evictions, 1);
+        sess.close(&world);
         std::fs::remove_dir_all(&dir).ok();
     }
 
