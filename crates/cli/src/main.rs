@@ -678,8 +678,9 @@ fn cmd_walkthrough(args: Args) -> Result<(), String> {
         );
     }
     println!(
-        "total {t_disk:>7} {t_fetched:>8} {t_decoded:>8}  ({:.1} disk accesses/frame)",
-        t_disk as f64 / rois.len().max(1) as f64
+        "total {t_disk:>7} {t_fetched:>8} {t_decoded:>8}  ({:.1} disk accesses/frame; pool: {})",
+        t_disk as f64 / rois.len().max(1) as f64,
+        db.pool().decoded_stats()
     );
     if degraded {
         print_report(&merged);
@@ -1141,8 +1142,13 @@ fn cmd_serve(args: Args) -> Result<(), String> {
         (None, Some(db)) => server.serve(db).map_err(|e| e.to_string())?,
         (None, None) => unreachable!(),
     };
+    let decoded = match (&world, &db) {
+        (Some(w), _) => w.decoded_stats(),
+        (None, Some(db)) => db.pool().decoded_stats(),
+        (None, None) => unreachable!(),
+    };
     println!(
-        "server drained: {} connections, {} requests, {} errors, {} overloaded, {} slow, {} stalled",
+        "server drained: {} connections, {} requests, {} errors, {} overloaded, {} slow, {} stalled; pool: {decoded}",
         stats.connections,
         stats.requests,
         stats.errors,

@@ -27,6 +27,7 @@ use dm_geom::Vec3;
 use dm_mtm::{PmNode, NIL_ID};
 use dm_storage::pack;
 use dm_storage::page::codec;
+use dm_storage::{PageView, StorageResult};
 use fxhash::FxHashMap;
 
 /// A Direct Mesh record: the PM node plus its connection list.
@@ -402,6 +403,7 @@ impl<'a> RawRecord<'a> {
 /// Record `i`'s connection list is `conn[conn_off[i] .. conn_off[i+1]]`
 /// (`conn_off` always carries the trailing end offset, so it has
 /// `len() + 1` entries).
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub struct FetchedSet {
     pub nodes: Vec<PmNode>,
     conn_off: Vec<u32>,
@@ -421,6 +423,30 @@ impl FetchedSet {
             conn_off: vec![0],
             conn: Vec::new(),
         }
+    }
+
+    /// Every record of one heap page, in slot order — the decoded form a
+    /// resident page keeps on its buffer-pool frame. Nothing query-,
+    /// `e_cap`- or catalog-dependent is stored: the root-interval clamp
+    /// stays at filter time. Slot bounds and record framing are checked
+    /// here, once, with the raw scan's own typed error and panic text.
+    pub(crate) fn from_page(view: &PageView<'_>, codec: RecordCodec) -> StorageResult<FetchedSet> {
+        let n = view.n_slots();
+        let mut set = FetchedSet::new();
+        set.nodes.reserve_exact(n as usize);
+        set.conn_off.reserve_exact(n as usize);
+        let mut dec = PageDecoder::new(codec);
+        for slot in 0..n {
+            dec.next(slot, view.record(slot)?).append_to(&mut set);
+        }
+        set.conn.shrink_to_fit();
+        Ok(set)
+    }
+
+    /// Heap bytes the three arenas occupy.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<PmNode>()
+            + (self.conn_off.capacity() + self.conn.capacity()) * std::mem::size_of::<u32>()
     }
 
     pub fn len(&self) -> usize {

@@ -7,7 +7,9 @@ use dm_geom::{Box3, Rect, Vec3};
 use dm_index::{RStarTree, RtreeCostModel};
 use dm_mtm::builder::PmBuild;
 use dm_mtm::{PmNode, NIL_ID};
-use dm_storage::{BTree, BufferPool, HeapFile, PageId, RecordId, StorageError, StorageResult};
+use dm_storage::{
+    BTree, BufferPool, HeapFile, PageId, PageRead, RecordId, StorageError, StorageResult,
+};
 use fxhash::FxHashMap;
 
 use crate::record::{
@@ -1094,18 +1096,40 @@ impl DirectMeshDb {
             counters.pages_scanned += 1;
             let len_before = out.len();
             let mut examined = 0u64;
-            let r = self.heap.try_view_page(page as dm_storage::PageId, |view| {
-                let mut dec = PageDecoder::new(self.codec);
-                for slot in 0..view.n_slots() {
-                    let raw = dec.next(slot, view.record(slot)?);
-                    examined += 1;
-                    let seg = raw.clamped_segment(e_cap);
+            // A page on the first visit of its residency (this call
+            // fetched it) is header-scanned from its bytes — only kept
+            // records pay the full decode; a page visited before is
+            // filtered from its decoded sidecar, outside the pool's lock.
+            // Same test, same order, same counts.
+            let r = self.heap.try_view_page_decoded(
+                page as dm_storage::PageId,
+                |view| {
+                    let mut dec = PageDecoder::new(self.codec);
+                    for slot in 0..view.n_slots() {
+                        let raw = dec.next(slot, view.record(slot)?);
+                        examined += 1;
+                        let seg = raw.clamped_segment(e_cap);
+                        if hit.iter().any(|b| seg.intersects(b)) {
+                            raw.append_to(&mut out);
+                        }
+                    }
+                    Ok(())
+                },
+                |view| {
+                    let set = FetchedSet::from_page(view, self.codec)?;
+                    let bytes = set.heap_bytes();
+                    Ok(Some((set, bytes)))
+                },
+            );
+            if let Ok(PageRead::Decoded(set)) = &r {
+                examined = set.len() as u64;
+                for (i, node) in set.nodes.iter().enumerate() {
+                    let seg = self.record_segment(node);
                     if hit.iter().any(|b| seg.intersects(b)) {
-                        raw.append_to(&mut out);
+                        out.push(*node, set.conn_of(i).iter().copied());
                     }
                 }
-                Ok(())
-            });
+            }
             counters.records_examined += examined;
             if let Err(e) = r {
                 if strict {
@@ -1193,23 +1217,30 @@ impl DirectMeshDb {
             return Ok(None);
         };
         let rid = RecordId::from_u64(rid);
-        match self.codec {
-            RecordCodec::Flat => Ok(Some(DmRecord::decode(&self.heap.try_get(rid)?))),
-            RecordCodec::Compact => {
-                // The record deltas against the page's slot-0 base, so
-                // decode through one borrowed page view — still a single
-                // counted page access.
-                self.heap.try_view_page(rid.page, |view| {
-                    let mut dec = PageDecoder::new(RecordCodec::Compact);
-                    let base = dec.next(0, view.record(0)?);
-                    let raw = if rid.slot == 0 {
-                        base
-                    } else {
-                        dec.next(rid.slot, view.record(rid.slot)?)
-                    };
-                    Ok(Some(raw.to_owned()))
-                })
+        // One counted page access either way. A frame that already
+        // carries its decoded page is indexed; a lookup never builds one
+        // (two slots against a whole page).
+        let read = self.heap.try_view_page_decoded(
+            rid.page,
+            |view| {
+                // A compact record deltas against the page's slot-0 base.
+                let mut dec = PageDecoder::new(self.codec);
+                if self.codec == RecordCodec::Compact && rid.slot != 0 {
+                    dec.next(0, view.record(0)?);
+                }
+                Ok(dec.next(rid.slot, view.record(rid.slot)?).to_owned())
+            },
+            |_| Ok(None::<(FetchedSet, usize)>),
+        )?;
+        match read {
+            PageRead::Raw(rec) => Ok(Some(rec)),
+            PageRead::Decoded(set) if (rid.slot as usize) < set.len() => {
+                Ok(Some(set.record(rid.slot as usize)))
             }
+            PageRead::Decoded(set) => Err(StorageError::corrupt(
+                rid.page,
+                format!("slot {} out of range ({})", rid.slot, set.len()),
+            )),
         }
     }
 
@@ -1843,9 +1874,40 @@ mod tests {
         (union.into_values().collect(), total)
     }
 
-    /// The contract of the one page-scan loop: a batch ≡ the id-sorted
-    /// union of one-box scans — on both codecs, on a degraded open that
-    /// lost its index, and strict where degraded skips.
+    /// One degrading batch scan with fresh accounting.
+    fn scan_pass(
+        db: &DirectMeshDb,
+        boxes: &[Box3],
+    ) -> (FetchedSet, FetchCounters, IntegrityReport) {
+        let mut report = IntegrityReport::default();
+        let mut c = FetchCounters::default();
+        let set = db.range_scan(boxes, false, &mut report, &mut c).unwrap();
+        (set, c, report)
+    }
+
+    /// The batch scanned three times on `db`'s pool: from a flushed pool
+    /// (every heap page a miss — the raw loop), again (second visits —
+    /// the sidecars are built) and again (later visits). Whatever mix of
+    /// the two loops a pass ran, it must return the same records in the
+    /// same order with the same counters and the same report as the first.
+    fn scan_three_passes(
+        db: &DirectMeshDb,
+        boxes: &[Box3],
+    ) -> (FetchedSet, FetchCounters, IntegrityReport) {
+        db.try_cold_start().unwrap();
+        let first = scan_pass(db, boxes);
+        for pass in ["second visit", "later visit"] {
+            assert_eq!(scan_pass(db, boxes), first, "{pass} ≡ miss");
+        }
+        first
+    }
+
+    /// The contract of the one range scan and its two page loops: a
+    /// batch ≡ the id-sorted union of one-box scans, and a page read from
+    /// its bytes ≡ the same page read from its decoded sidecar — on both
+    /// codecs, on a pool that evicts mid-batch, under transient faults,
+    /// on a degraded open that lost its index, and strict where degraded
+    /// skips.
     #[test]
     fn batched_fetch_matches_per_box_union() {
         use rand::rngs::StdRng;
@@ -1876,21 +1938,25 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(16);
             let b = db.bounds;
             let cap = db.e_cap();
-            let mut boxes: Vec<Box3> = (0..7)
-                .map(|_| {
-                    let x = b.min.x + b.width() * rng.random_range(0.0..0.8);
-                    let y = b.min.y + b.height() * rng.random_range(0.0..0.8);
-                    let side = b.width() * rng.random_range(0.05..0.5);
-                    let lo = cap * rng.random_range(0.0..0.6);
-                    let rect = Rect::from_corners(
-                        dm_geom::Vec2::new(x, y),
-                        dm_geom::Vec2::new(x + side, y + side),
-                    );
-                    Box3::prism(rect, lo, lo + cap * rng.random_range(0.0..0.4))
-                })
-                .collect();
-            boxes.push(Box3::prism(b, cap * 0.3, cap * 0.3));
-            boxes.push(boxes[0]);
+            let mut random_batch = || -> Vec<Box3> {
+                let mut boxes: Vec<Box3> = (0..7)
+                    .map(|_| {
+                        let x = b.min.x + b.width() * rng.random_range(0.0..0.8);
+                        let y = b.min.y + b.height() * rng.random_range(0.0..0.8);
+                        let side = b.width() * rng.random_range(0.05..0.5);
+                        let lo = cap * rng.random_range(0.0..0.6);
+                        let rect = Rect::from_corners(
+                            dm_geom::Vec2::new(x, y),
+                            dm_geom::Vec2::new(x + side, y + side),
+                        );
+                        Box3::prism(rect, lo, lo + cap * rng.random_range(0.0..0.4))
+                    })
+                    .collect();
+                boxes.push(Box3::prism(b, cap * 0.3, cap * 0.3));
+                boxes.push(boxes[0]);
+                boxes
+            };
+            let boxes = random_batch();
 
             let (union, single) = union_of_one_box_scans(&db, &boxes);
             let expected: Vec<DmRecord> = {
@@ -1922,6 +1988,60 @@ mod tests {
             let empty = db.range_scan(&[], false, &mut report, &mut batch).unwrap();
             assert!(empty.is_empty());
 
+            // Bytes ≡ sidecar. On the roomy pool the three passes are
+            // all-miss, all-build and all-reuse; on a pool of one-frame
+            // shards holding two thirds of the heap some pages evict each
+            // other mid-batch and the rest stay, so every pass mixes both
+            // loops; behind a store failing 1 % of reads every fault is
+            // still met on a miss, retried and counted, and nothing is
+            // lost.
+            let batches: Vec<Vec<Box3>> = std::iter::once(boxes.clone())
+                .chain((0..5).map(|_| random_batch()))
+                .collect();
+            let frames = db.n_heap_pages() * 2 / 3;
+            let small = {
+                let store = dm_storage::FileStore::open(&path).unwrap();
+                let pool = BufferPool::with_shard_count(Box::new(store), frames, frames);
+                DirectMeshDb::open(Arc::new(pool)).unwrap()
+            };
+            let (faulty, fault_counters) = {
+                let store = dm_storage::FileStore::open(&path).unwrap();
+                let cfg = dm_storage::FaultConfig::new(24).with_read_fail_rate(0.01);
+                let inj = dm_storage::FaultInjector::new(Box::new(store), cfg);
+                let counters = inj.counters();
+                let pool = BufferPool::with_shard_count(Box::new(inj), frames, frames);
+                let db = DirectMeshDb::open(Arc::new(pool.with_max_retries(16))).unwrap();
+                (db, counters)
+            };
+            let mut fault_retries = 0;
+            for batch in &batches {
+                let builds = db.pool().decoded_stats().builds;
+                let clean = scan_three_passes(&db, batch);
+                let (set, c, report) = &clean;
+                assert!(report.is_clean());
+                assert_eq!(
+                    db.pool().decoded_stats().builds - builds,
+                    c.pages_scanned,
+                    "each scanned page is decoded once, on its second visit"
+                );
+                assert_eq!(scan_three_passes(&small, batch), clean);
+                faulty.try_cold_start().unwrap();
+                for _pass in 0..3 {
+                    let (fset, fc, freport) = scan_pass(&faulty, batch);
+                    assert_eq!((&fset, &fc), (set, c));
+                    assert_eq!((freport.pages_lost, freport.points_lost), (0, 0));
+                    fault_retries += freport.retries;
+                }
+            }
+            assert!(small.pool().decoded_stats().builds > 0);
+            assert!(
+                small.pool().stats().reads > frames as u64,
+                "more reads than frames: the last batch evicted mid-sequence"
+            );
+            assert!(fault_retries > 0, "faults must have fired during scans");
+            assert!(fault_retries <= fault_counters.transient_read_failures());
+            drop((small, faulty));
+
             // Wound one heap page the batch reads and the index root.
             let bad_page = db.candidate_pages(&boxes[0]).unwrap()[0] as PageId;
             let on_bad_page = |id: u32| {
@@ -1947,21 +2067,59 @@ mod tests {
             let mut open_report = IntegrityReport::default();
             let deg = DirectMeshDb::open_degraded(file_pool(), &mut open_report).unwrap();
             assert!(deg.rtree_lost());
-            let mut report = IntegrityReport::default();
-            let mut c = FetchCounters::default();
-            let set = deg.range_scan(&boxes, false, &mut report, &mut c).unwrap();
+            // Same answer, counters and report from bytes and sidecars:
+            // the wounded page never becomes resident, so every pass
+            // meets it as a miss and reports it once.
+            let (set, mut c, mut report) = scan_three_passes(&deg, &boxes);
             assert_eq!(by_id(&set), survivors, "degraded batch ≡ surviving union");
             assert_eq!(report.pages_lost, 1, "the skipped page is reported once");
             assert_eq!(c.pages_scanned, deg.n_heap_pages() as u64, "heap scan");
             let err = deg
                 .range_scan(&boxes, true, &mut report, &mut c)
-                .err()
-                .expect("strict fails on the page degraded skips");
+                .expect_err("strict fails on the page degraded skips");
             assert!(
                 matches!(err, StorageError::Corrupt { page, .. } if page == bad_page),
                 "{err}"
             );
             let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// A point lookup indexes a frame's sidecar when a scan left one and
+    /// decodes two slots from the bytes otherwise — same record either
+    /// way, for every id, and a lookup never builds a sidecar itself.
+    #[test]
+    fn point_lookup_through_a_sidecar_matches_bytes() {
+        let hf = generate::fractal_terrain(33, 33, 3);
+        let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+        for codec in [RecordCodec::Flat, RecordCodec::Compact] {
+            let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 1024));
+            let opts = DmBuildOptions {
+                codec,
+                ..Default::default()
+            };
+            let db = DirectMeshDb::build(pool, &pm, &opts);
+            let all = db.all_records();
+            let sweep = || -> Vec<Option<DmRecord>> {
+                (0..=db.n_records as u32)
+                    .map(|id| db.try_fetch_by_id(id).unwrap())
+                    .collect()
+            };
+            db.cold_start();
+            let from_bytes = sweep();
+            assert_eq!(db.pool().decoded_stats().builds, 0, "lookups never build");
+            let everything = Box3::prism(db.bounds, 0.0, db.e_cap());
+            scan(&db, &everything); // every page visited before: all built
+            let decoded = db.pool().decoded_stats();
+            assert_eq!(decoded.frames, db.n_heap_pages());
+            let reads = db.disk_accesses();
+            let from_sidecars = sweep();
+            assert_eq!(from_sidecars, from_bytes);
+            assert_eq!(db.pool().decoded_stats(), decoded);
+            assert_eq!(db.disk_accesses(), reads, "a warm sweep reads nothing");
+            for (id, rec) in from_bytes.iter().enumerate() {
+                assert_eq!(rec.as_ref(), all.get(&(id as u32)));
+            }
         }
     }
 

@@ -178,6 +178,26 @@ impl FrameDelta {
         self.tail.encode(w);
     }
 
+    /// The bytes [`Self::encode`] writes for
+    /// [`Self::full_reset`]`(seq, vertices, faces, tail)`, from borrowed
+    /// parts: the size cutover measures the full form of a frame without
+    /// owning a copy of it.
+    pub fn encode_full_reset(
+        w: &mut Writer,
+        seq: u64,
+        vertices: &[WireVertex],
+        faces: &[[u32; 3]],
+        tail: &ResultTail,
+    ) {
+        w.bool(false);
+        w.varint(seq);
+        encode_id_set(w, &[]);
+        encode_vertices(w, vertices);
+        encode_faces(w, &[]);
+        encode_faces(w, faces);
+        tail.encode(w);
+    }
+
     pub fn decode(r: &mut Reader) -> WireResult<FrameDelta> {
         let is_delta = r.bool()?;
         let seq = r.varint()?;
@@ -726,6 +746,17 @@ mod tests {
         let full =
             FrameDelta::full_reset(1, vec![vx(1, 0.0), vx(5, 3.0)], vec![[1, 5, 6]], tail(4));
         assert_eq!(roundtrip(&full), full);
+    }
+
+    #[test]
+    fn borrowed_full_reset_encodes_the_owned_form() {
+        let v = vec![vx(1, 0.0), vx(2, 1.25), vx(7, 4.0)];
+        let f = vec![[1, 2, 7]];
+        let mut owned = Writer::new();
+        FrameDelta::full_reset(9, v.clone(), f.clone(), tail(3)).encode(&mut owned);
+        let mut borrowed = Writer::new();
+        FrameDelta::encode_full_reset(&mut borrowed, 9, &v, &f, &tail(3));
+        assert_eq!(borrowed.into_inner(), owned.into_inner());
     }
 
     #[test]

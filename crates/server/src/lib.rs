@@ -270,7 +270,7 @@ struct StreamState {
     prev_faces: Vec<[u32; 3]>,
     scratch_vertices: Vec<WireVertex>,
     scratch_faces: Vec<[u32; 3]>,
-    /// Reused encoder for the delta-vs-full size cutover.
+    /// Reused encoder for the full form in the delta-vs-full size cutover.
     enc: Writer,
 }
 
@@ -285,14 +285,6 @@ impl Default for StreamState {
             scratch_faces: Vec::new(),
             enc: Writer::new(),
         }
-    }
-}
-
-impl StreamState {
-    fn encoded_len(&mut self, d: &FrameDelta) -> usize {
-        self.enc.reset();
-        d.encode(&mut self.enc);
-        self.enc.len()
     }
 }
 
@@ -382,6 +374,10 @@ struct ConnState<'db> {
     /// per-connection execution is serial), frame counts are maintained
     /// here by the worker.
     counters: StreamCounters,
+    /// Payload of the one response the request in flight returns, when
+    /// its handler had to serialize it anyway (the `Auto` size cutover):
+    /// the worker frames these bytes instead of encoding again.
+    encoded: Option<Vec<u8>>,
 }
 
 /// One unit of work for the execute pool.
@@ -615,6 +611,7 @@ fn worker_loop<'db>(
         // moment it is encoded — time-to-first-triangle must not wait
         // for the fine tail of the payload to be serialized. The state
         // rides the *final* completion, which re-opens dispatch.
+        let mut encoded = state.encoded.take();
         let mut state = Some(state);
         let last = resps.len().saturating_sub(1);
         if resps.is_empty() {
@@ -626,7 +623,8 @@ fn worker_loop<'db>(
             poller.notify().ok();
         }
         for (i, r) in resps.iter().enumerate() {
-            let frame = encode_frame(r.kind(), &r.encode());
+            let payload = encoded.take().unwrap_or_else(|| r.encode());
+            let frame = encode_frame(r.kind(), &payload);
             completions.lock().unwrap().push(Completion {
                 token,
                 state: if i == last { state.take() } else { None },
@@ -753,6 +751,7 @@ impl<'db> Reactor<'db, '_> {
                                 sessions: HashMap::new(),
                                 next_session: 1,
                                 counters: StreamCounters::default(),
+                                encoded: None,
                             }),
                             inflight: false,
                             reading: true,
@@ -1441,17 +1440,31 @@ fn handle_request<'db>(
                         };
                         if stream == StreamMode::Auto {
                             // Size cutover: both forms answer the same
-                            // frame; ship whichever encodes smaller.
-                            let full = FrameDelta::full_reset(
+                            // frame; ship whichever encodes smaller. The
+                            // full form is sized from the borrowed scratch
+                            // buffers, and the winner's bytes go to the
+                            // write path as they are.
+                            let mut patch_bytes = Writer::new();
+                            patch.encode(&mut patch_bytes);
+                            st.enc.reset();
+                            FrameDelta::encode_full_reset(
+                                &mut st.enc,
                                 next_seq,
-                                st.scratch_vertices.clone(),
-                                st.scratch_faces.clone(),
-                                tail,
+                                &st.scratch_vertices,
+                                &st.scratch_faces,
+                                &tail,
                             );
-                            if st.encoded_len(&patch) <= st.encoded_len(&full) {
+                            if patch_bytes.len() <= st.enc.len() {
+                                conn.encoded = Some(patch_bytes.into_inner());
                                 patch
                             } else {
-                                full
+                                conn.encoded = Some(std::mem::take(&mut st.enc).into_inner());
+                                FrameDelta::full_reset(
+                                    next_seq,
+                                    st.scratch_vertices.clone(),
+                                    st.scratch_faces.clone(),
+                                    tail,
+                                )
                             }
                         } else {
                             patch

@@ -1,7 +1,9 @@
 //! Sharded buffer pool with per-shard LRU eviction, access counting,
 //! page checksums and bounded retry.
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -27,6 +29,43 @@ struct Frame {
     dirty: bool,
     /// LRU tick of the most recent touch; also the key into `Inner::lru`.
     tick: u64,
+    /// [`BufferPool::try_read_decoded`] has visited this residency
+    /// before: one visit predicts nothing, a second one pays for a decode.
+    visited: bool,
+    /// The caller's decoded form of `buf` and the heap bytes it reported
+    /// (see [`BufferPool::try_read_decoded`]). Immutable, and it lives
+    /// exactly as long as the frame: `install` starts it empty,
+    /// `try_write` clears it, eviction and flush drop it with the frame.
+    decoded: Option<(Arc<dyn Any + Send + Sync>, usize)>,
+}
+
+/// What [`BufferPool::try_read_decoded`] served a page access from.
+pub enum PageRead<T, R> {
+    /// The page's bytes: the raw closure's result.
+    Raw(R),
+    /// The frame's decoded sidecar, to be used with no lock held.
+    Decoded(Arc<T>),
+}
+
+/// How much of the pool is decoded (see [`BufferPool::decoded_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DecodedStats {
+    /// Resident frames carrying a sidecar right now.
+    pub frames: usize,
+    /// Heap bytes of those sidecars, as their `build` closures reported.
+    pub bytes: usize,
+    /// Sidecars built since the pool was opened.
+    pub builds: u64,
+}
+
+impl std::fmt::Display for DecodedStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} frames decoded ({} B), {} builds",
+            self.frames, self.bytes, self.builds
+        )
+    }
 }
 
 struct Inner {
@@ -95,6 +134,8 @@ pub struct BufferPool {
     shards: Vec<Shard>,
     stats: Arc<AccessStats>,
     max_retries: u32,
+    /// Sidecars built since open (a statistic: publishes no other data).
+    decoded_builds: AtomicU64,
 }
 
 impl BufferPool {
@@ -120,6 +161,7 @@ impl BufferPool {
                 .collect(),
             stats: Arc::new(AccessStats::new()),
             max_retries: DEFAULT_MAX_RETRIES,
+            decoded_builds: AtomicU64::new(0),
         }
     }
 
@@ -179,6 +221,57 @@ impl BufferPool {
         Ok(f(&frame.buf))
     }
 
+    /// [`Self::try_read`] for callers that keep a decoded form of the
+    /// page: the same counted access (one `ensure_cached`: hit/miss
+    /// accounting, LRU refresh, retries and fault handling are
+    /// `try_read`'s), served from whichever side is cheaper.
+    ///
+    /// * The *first visit* of a residency — the access that fetched the
+    ///   page, or the first one to find it resident after something else
+    ///   did — runs `raw` on the verified bytes under the shard lock,
+    ///   exactly as `try_read` would. A page seen once is decoded for the
+    ///   one query that asked, not in full.
+    /// * From the *second visit* on it returns the page's sidecar, built
+    ///   once per residency by `build` (under the shard lock, so two
+    ///   threads never build the same page twice) together with the heap
+    ///   bytes it occupies. The caller works on the `Arc` after the lock
+    ///   is released. `build` may decline with `Ok(None)` — a caller that
+    ///   reads two slots must not pay for a whole-page decode — and then
+    ///   `raw` runs instead; a sidecar somebody else built is still
+    ///   returned. A failing `build` is the call's error and leaves the
+    ///   frame without a sidecar, so the next visit tries again.
+    ///
+    /// All callers of one pool must agree on `T` per page.
+    pub fn try_read_decoded<T: Any + Send + Sync, R>(
+        &self,
+        id: PageId,
+        raw: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
+        build: impl FnOnce(&[u8; PAGE_SIZE]) -> StorageResult<Option<(T, usize)>>,
+    ) -> StorageResult<PageRead<T, R>> {
+        let shard = self.shard(id);
+        let mut inner = shard.inner.lock();
+        self.ensure_cached(shard, &mut inner, id)?;
+        let frame = inner.cache.get_mut(&id).expect("just cached");
+        let first_visit = !std::mem::replace(&mut frame.visited, true);
+        if frame.decoded.is_none() {
+            let built = if first_visit {
+                None
+            } else {
+                build(&frame.buf)?
+            };
+            let Some((decoded, bytes)) = built else {
+                return Ok(PageRead::Raw(raw(&frame.buf)));
+            };
+            self.decoded_builds.fetch_add(1, Ordering::Relaxed);
+            frame.decoded = Some((Arc::new(decoded), bytes));
+        }
+        let (decoded, _) = frame.decoded.as_ref().expect("just built");
+        let decoded = Arc::clone(decoded)
+            .downcast::<T>()
+            .expect("one sidecar type per page");
+        Ok(PageRead::Decoded(decoded))
+    }
+
     /// Infallible [`Self::try_read`]; panics on storage errors.
     pub fn read<R>(&self, id: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> R {
         self.try_read(id, f)
@@ -196,6 +289,7 @@ impl BufferPool {
         self.ensure_cached(shard, &mut inner, id)?;
         let frame = inner.cache.get_mut(&id).expect("just cached");
         frame.dirty = true;
+        frame.decoded = None;
         Ok(f(&mut frame.buf))
     }
 
@@ -290,6 +384,23 @@ impl BufferPool {
 
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
+    }
+
+    /// Resident frames carrying a decoded sidecar, their reported bytes,
+    /// and builds since open. Introspection like [`Self::residency`]:
+    /// one lock per shard, no LRU refresh, no counted access.
+    pub fn decoded_stats(&self) -> DecodedStats {
+        let mut out = DecodedStats {
+            builds: self.decoded_builds.load(Ordering::Relaxed),
+            ..DecodedStats::default()
+        };
+        for shard in &self.shards {
+            for (_, bytes) in shard.inner.lock().cache.values().flat_map(|f| &f.decoded) {
+                out.frames += 1;
+                out.bytes += bytes;
+            }
+        }
+        out
     }
 
     /// Per-shard counter snapshots, in shard-index order. Each page
@@ -438,7 +549,16 @@ impl BufferPool {
         inner.next_tick += 1;
         let tick = inner.next_tick;
         inner.lru.insert(tick, id);
-        inner.cache.insert(id, Frame { buf, dirty, tick });
+        inner.cache.insert(
+            id,
+            Frame {
+                buf,
+                dirty,
+                tick,
+                visited: false,
+                decoded: None,
+            },
+        );
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -734,6 +854,208 @@ mod tests {
             ids.len() as u64,
             "every page misses exactly once across all threads"
         );
+    }
+
+    /// Read `id` through the decoded verb with a one-byte "decode".
+    fn dec(p: &BufferPool, id: PageId) -> PageRead<u8, u8> {
+        p.try_read_decoded(id, |b| b[0], |b| Ok(Some((b[0], 1))))
+            .unwrap()
+    }
+
+    fn decoded(frames: usize, builds: u64) -> DecodedStats {
+        DecodedStats {
+            frames,
+            bytes: frames,
+            builds,
+        }
+    }
+
+    #[test]
+    fn sidecar_is_built_on_the_second_visit_and_dies_with_its_frame() {
+        let p = pool1(2);
+        let a = p.allocate();
+        let b = p.allocate();
+        let c = p.allocate(); // evicts a
+        p.write(a, |buf| buf[0] = 1);
+        p.flush_all();
+        // The visit that fetches the page reads its bytes and decodes
+        // nothing; the second visit builds; later visits reuse.
+        assert!(matches!(dec(&p, a), PageRead::Raw(1)));
+        assert_eq!(p.decoded_stats(), decoded(0, 0));
+        assert!(matches!(dec(&p, a), PageRead::Decoded(d) if *d == 1));
+        assert!(matches!(dec(&p, a), PageRead::Decoded(d) if *d == 1));
+        assert_eq!(p.decoded_stats(), decoded(1, 1));
+        // A write clears it; the next visit decodes the new bytes.
+        p.write(a, |buf| buf[0] = 9);
+        assert_eq!(p.decoded_stats(), decoded(0, 1));
+        assert!(matches!(dec(&p, a), PageRead::Decoded(d) if *d == 9));
+        assert_eq!(p.decoded_stats(), decoded(1, 2));
+        // Capacity eviction drops it with the frame, and the re-installed
+        // page id starts over.
+        p.read(b, |_| ());
+        p.read(c, |_| ());
+        assert_eq!(p.decoded_stats(), decoded(0, 2));
+        assert!(matches!(dec(&p, a), PageRead::Raw(9)));
+        assert_eq!(p.decoded_stats(), decoded(0, 2));
+        assert!(matches!(dec(&p, a), PageRead::Decoded(_)));
+        // A flush leaves a cold pool: no frames, no sidecars.
+        p.flush_all();
+        assert_eq!(p.decoded_stats(), decoded(0, 3));
+        // A page something else made resident (a plain read, a census)
+        // is on its first visit all the same.
+        p.read(a, |_| ());
+        assert!(matches!(dec(&p, a), PageRead::Raw(9)));
+        assert!(matches!(dec(&p, a), PageRead::Decoded(_)));
+        // A shrink evicts the LRU frame, sidecar and all.
+        p.read(b, |_| ());
+        assert_eq!(p.decoded_stats(), decoded(1, 4));
+        p.set_capacity(1);
+        assert_eq!(p.residency(&[a, b]), vec![false, true]);
+        assert_eq!(p.decoded_stats(), decoded(0, 4));
+        // A freshly allocated page is resident, unvisited and undecoded.
+        let d = p.allocate();
+        assert_eq!(p.decoded_stats(), decoded(0, 4));
+        assert!(matches!(dec(&p, d), PageRead::Raw(0)));
+    }
+
+    #[test]
+    fn build_runs_once_per_residency_under_contention() {
+        use std::sync::atomic::AtomicUsize;
+        let p = pool(256);
+        let ids: Vec<_> = (0..4).map(|_| p.allocate()).collect();
+        for &id in &ids {
+            p.write(id, |b| b[0] = id as u8 + 1);
+        }
+        p.flush_all();
+        p.reset_stats();
+        for &id in &ids {
+            drop(dec(&p, id)); // first visit: resident, undecoded
+        }
+        assert_eq!(p.decoded_stats(), decoded(0, 0));
+        let builds = AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    start.wait();
+                    for _round in 0..200 {
+                        for &id in &ids {
+                            let read = p
+                                .try_read_decoded(
+                                    id,
+                                    |b| b[0],
+                                    |b| {
+                                        builds.fetch_add(1, Ordering::Relaxed);
+                                        Ok(Some((b[0], 1)))
+                                    },
+                                )
+                                .unwrap();
+                            assert!(matches!(read, PageRead::Decoded(d) if *d == id as u8 + 1));
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), ids.len());
+        assert_eq!(p.decoded_stats(), decoded(4, 4));
+        assert_eq!(p.stats().reads, 4, "a decoded hit is not a disk access");
+    }
+
+    #[test]
+    fn failed_or_declined_build_leaves_the_frame_undecoded() {
+        let p = pool(8);
+        let id = p.allocate();
+        p.write(id, |b| b[0] = 7);
+        drop(dec(&p, id)); // first visit
+        let failing = p.try_read_decoded(
+            id,
+            |b| b[0],
+            |_| Err::<Option<(u8, usize)>, _>(StorageError::corrupt(id, "bad slot")),
+        );
+        assert!(matches!(
+            failing,
+            Err(StorageError::Corrupt { page, .. }) if page == id
+        ));
+        assert_eq!(p.decoded_stats(), decoded(0, 0));
+        // A caller that declines reads the bytes and builds nothing...
+        let declined = p
+            .try_read_decoded(id, |b| b[0], |_| Ok(None::<(u8, usize)>))
+            .unwrap();
+        assert!(matches!(declined, PageRead::Raw(7)));
+        assert_eq!(p.decoded_stats(), decoded(0, 0));
+        // ...the next visit retries the build, and a declining caller
+        // then still gets the sidecar somebody else built.
+        assert!(matches!(dec(&p, id), PageRead::Decoded(d) if *d == 7));
+        let declined = p
+            .try_read_decoded(id, |b| b[0], |_| Ok(None::<(u8, usize)>))
+            .unwrap();
+        assert!(matches!(declined, PageRead::Decoded(d) if *d == 7));
+        assert_eq!(p.decoded_stats(), decoded(1, 1));
+    }
+
+    #[test]
+    fn decoded_reads_account_and_evict_exactly_like_raw_reads() {
+        // One scripted trace over 6 pages in 3 frames, replayed through
+        // `try_read` and through the decoded verb: the running read
+        // count, the thread attribution and the resident set (hence the
+        // victim order) must agree after every step.
+        #[derive(Clone, Copy)]
+        enum Op {
+            Read(usize),
+            Write(usize),
+            Flush,
+            Shrink(usize),
+        }
+        use Op::*;
+        let script = [
+            Read(0),
+            Read(1),
+            Read(0),
+            Read(2),
+            Read(3),
+            Read(0),
+            Write(1),
+            Read(1),
+            Read(4),
+            Read(4),
+            Flush,
+            Read(5),
+            Read(4),
+            Read(5),
+            Read(0),
+            Shrink(2),
+            Read(1),
+            Read(5),
+            Read(0),
+        ];
+        let replay = |through_decoded: bool| {
+            let p = pool1(3);
+            let ids: Vec<PageId> = (0..6).map(|_| p.allocate()).collect();
+            p.flush_all();
+            p.reset_stats();
+            let t0 = crate::stats::thread_reads();
+            let mut log = Vec::new();
+            for op in script {
+                match op {
+                    Read(i) if through_decoded => drop(dec(&p, ids[i])),
+                    Read(i) => p.read(ids[i], |_| ()),
+                    Write(i) => p.write(ids[i], |b| b[0] += 1),
+                    Flush => p.flush_all(),
+                    Shrink(cap) => p.set_capacity(cap),
+                }
+                log.push((
+                    p.stats(),
+                    crate::stats::thread_reads() - t0,
+                    p.residency(&ids),
+                ));
+            }
+            (log, p.decoded_stats().builds)
+        };
+        let (raw, raw_builds) = replay(false);
+        let (dec, dec_builds) = replay(true);
+        assert_eq!(raw, dec);
+        assert_eq!(raw_builds, 0);
+        assert!(dec_builds > 0, "the trace revisits pages, so it built");
     }
 
     #[test]

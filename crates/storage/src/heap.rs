@@ -17,9 +17,10 @@
 //! All offsets stay below [`PAGE_DATA`]: the buffer pool owns the last
 //! four bytes of every page for its CRC32 trailer.
 
+use std::any::Any;
 use std::sync::Arc;
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, PageRead};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{codec, PageId, PAGE_DATA};
 
@@ -211,6 +212,27 @@ impl HeapFile {
         f: impl FnOnce(&PageView<'_>) -> StorageResult<R>,
     ) -> StorageResult<R> {
         self.pool.try_read(page, |buf| f(&PageView { page, buf }))?
+    }
+
+    /// [`Self::try_view_page`] through the pool's decoded sidecar
+    /// ([`BufferPool::try_read_decoded`]): still one counted page access;
+    /// a residency's first visit runs `raw` on the page's view, later
+    /// ones hand back its decoded form, which `build` makes once.
+    pub fn try_view_page_decoded<T: Any + Send + Sync, R>(
+        &self,
+        page: PageId,
+        raw: impl FnOnce(&PageView<'_>) -> StorageResult<R>,
+        build: impl FnOnce(&PageView<'_>) -> StorageResult<Option<(T, usize)>>,
+    ) -> StorageResult<PageRead<T, R>> {
+        let read = self.pool.try_read_decoded(
+            page,
+            |buf| raw(&PageView { page, buf }),
+            |buf| build(&PageView { page, buf }),
+        )?;
+        Ok(match read {
+            PageRead::Raw(r) => PageRead::Raw(r?),
+            PageRead::Decoded(d) => PageRead::Decoded(d),
+        })
     }
 
     /// Infallible [`Self::try_get`]; panics on storage errors.

@@ -37,7 +37,7 @@ pub mod store;
 pub mod wal;
 
 pub use btree::BTree;
-pub use buffer::BufferPool;
+pub use buffer::{BufferPool, DecodedStats, PageRead};
 pub use checksum::{crc32, Crc32Hasher};
 pub use error::{StorageError, StorageResult};
 pub use fault::{FaultConfig, FaultCounters, FaultInjector, KillSwitch, WriteVerdict};

@@ -411,6 +411,20 @@ impl WorldDb {
             .collect()
     }
 
+    /// [`dm_storage::BufferPool::decoded_stats`] summed over the regions
+    /// open right now (an evicted region takes its pool's tally with it).
+    pub fn decoded_stats(&self) -> dm_storage::DecodedStats {
+        let state = self.state.lock();
+        let mut sum = dm_storage::DecodedStats::default();
+        for db in state.slots.iter().filter_map(|s| s.db.as_ref()) {
+            let d = db.pool().decoded_stats();
+            sum.frames += d.frames;
+            sum.bytes += d.bytes;
+            sum.builds += d.builds;
+        }
+        sum
+    }
+
     /// The region's open handle, opening (and possibly evicting another
     /// region) on miss. The returned `Arc` stays valid across a
     /// concurrent eviction — eviction only drops the catalog's

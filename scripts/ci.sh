@@ -54,7 +54,7 @@ cargo build --release --offline --manifest-path dmbench/Cargo.toml
 cargo test --release --offline --manifest-path dmbench/Cargo.toml
 git diff --exit-code -- dmbench BENCHMARK.json
 
-echo "== dmbench warm_walkthrough smoke (traced; tour 102 used to resync once a lap)"
+echo "== dmbench warm_walkthrough smoke (traced; tour 102 used to resync once a lap; counts survive the decoded path)"
 # Every frame of the streamed session must verify against its shadow,
 # every replayed lap must repeat the verified one, and no frame may make
 # the client mirror refuse a patch: a front that holds a face twice does
@@ -70,9 +70,18 @@ if result["failed"] > 0:
     bad.append("failed: %d of %d" % (result["failed"], result["attempted"]))
 if info["resyncs_per_lap"] > 0:
     bad.append("resyncs_per_lap: %g" % info["resyncs_per_lap"])
+# A resident page is filtered from its decoded sidecar: that path still
+# counts every record it examines and keeps, and never invents a read.
+layer = {k: v["value"] for k, v in result["metrics"].items()}
+for name in ("core.records_examined_per_op", "core.records_decoded_per_op"):
+    if not layer[name] > 0:
+        bad.append("%s: %g (a warm frame examines and keeps records)" % (name, layer[name]))
+if layer["disk_accesses_per_op"] != 0:
+    bad.append("disk_accesses_per_op: %g (the store is resident)" % layer["disk_accesses_per_op"])
 if bad:
     sys.exit("dmbench warm_walkthrough smoke FAILED\n  " + "\n  ".join(bad))
-print("dmbench warm_walkthrough ok: %d frames, 0 failed, 0 resyncs" % result["attempted"])
+print("dmbench warm_walkthrough ok: %d frames, 0 failed, 0 resyncs, %.0f examined / %.0f decoded per frame, 0 disk accesses"
+      % (result["attempted"], layer["core.records_examined_per_op"], layer["core.records_decoded_per_op"]))
 '
 
 echo "== dmbench world_walkthrough smoke (traced; a region open must stay index-only)"
