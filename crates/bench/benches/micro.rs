@@ -5,10 +5,14 @@
 //! checked against the disk-access counts from the figure benches.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::collections::HashMap;
 use std::hint::black_box;
 
 use dm_bench::{build_dataset, vd_query, Terrain};
-use dm_core::BoundaryPolicy;
+use dm_core::faces::{extract_faces_dense_owned, DenseAdjacency};
+use dm_core::query::uniform_cut;
+use dm_core::{BoundaryPolicy, FetchCounters, FetchedSet, IntegrityReport};
+use dm_geom::{Box3, Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
 use dm_terrain::{generate, TriMesh};
 
@@ -67,6 +71,63 @@ fn bench_queries(c: &mut Criterion) {
             d.dm.rtree().query(black_box(&plane), |_, _| n += 1);
             black_box(n)
         })
+    });
+
+    // A warm VI request's assembly apart from its fetch: a 4×4 grid of
+    // ROIs of 1/16 of the terrain at keep 0.25, each plane fetched once,
+    // then only the cut (id → dense adjacency, ring sort, face loop) is
+    // timed — one iteration is all sixteen cuts.
+    let e = d.dm.clamp_e(d.dm.e_for_points_fraction(0.25));
+    let fetch = |r: &Rect| -> FetchedSet {
+        d.dm.fetch_box_flat_counted(
+            &Box3::prism(*r, e, e),
+            &mut IntegrityReport::default(),
+            &mut FetchCounters::default(),
+        )
+        .expect("clean store")
+    };
+    let b = d.dm.bounds;
+    let side = b.width() / 4.0;
+    let rois: Vec<Rect> = (0..16)
+        .map(|i| {
+            let min = Vec2::new(
+                b.min.x + (i % 4) as f64 * side,
+                b.min.y + (i / 4) as f64 * side,
+            );
+            Rect::new(min, min + Vec2::new(side, side))
+        })
+        .collect();
+    let sets: Vec<FetchedSet> = rois.iter().map(fetch).collect();
+    c.bench_function("uniform_cut_warm_129", |bch| {
+        bch.iter(|| {
+            for (set, r) in sets.iter().zip(&rois) {
+                black_box(uniform_cut(set, r, e));
+            }
+        })
+    });
+
+    // The face-extraction kernel alone on the whole terrain's cut at the
+    // same LOD: the adjacency is built once and cloned into every
+    // iteration (the kernel sorts its rings in place).
+    let whole = fetch(&b);
+    let mut cut: Vec<usize> = (0..whole.len())
+        .filter(|&s| whole.nodes[s].interval().contains(e))
+        .collect();
+    cut.sort_by_key(|&s| whole.nodes[s].id);
+    let dense_of: HashMap<u32, u32> = cut
+        .iter()
+        .enumerate()
+        .map(|(k, &s)| (whole.nodes[s].id, k as u32))
+        .collect();
+    let pos: Vec<Vec2> = cut.iter().map(|&s| whole.nodes[s].pos.xy()).collect();
+    let mut adj = DenseAdjacency::with_capacity(cut.len(), 0);
+    for &s in &cut {
+        adj.push_probed(whole.conn_of(s), |id| {
+            dense_of.get(&id).map_or((false, 0), |&k| (true, k))
+        });
+    }
+    c.bench_function("extract_faces_dense_129", |bch| {
+        bch.iter(|| black_box(extract_faces_dense_owned(&pos, adj.clone())))
     });
 }
 

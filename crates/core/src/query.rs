@@ -43,7 +43,8 @@ pub struct ViResult {
 pub struct ViFlatResult {
     /// Active nodes of the cut, ascending by id.
     pub nodes: Vec<PmNode>,
-    /// Faces over node ids, strictly CCW, in extraction order.
+    /// Faces over node ids, strictly CCW, each led by its smallest id and
+    /// the list sorted — the wire's canonical form already.
     pub faces: Vec<[u32; 3]>,
     /// Records fetched by the range query (before exact filtering).
     pub fetched_records: usize,
@@ -666,7 +667,7 @@ pub(crate) fn assemble_topmost_front(all: &IndexedSet, roi: &Rect) -> FrontMesh 
         for &s in &seeds {
             table.set(node(s).id, 0);
         }
-        seeds.retain(|&s| table.get(node(s).parent).is_none());
+        seeds.retain(|&s| !table.probe(node(s).parent).0);
         seeds.sort_unstable_by_key(|&s| node(s).id);
         // Second generation: seed id → dense index.
         table.begin(table_len);
@@ -674,14 +675,20 @@ pub(crate) fn assemble_topmost_front(all: &IndexedSet, roi: &Rect) -> FrontMesh 
             table.set(node(s).id, k as u32);
         }
         let pos: Vec<Vec2> = seeds.iter().map(|&s| node(s).pos.xy()).collect();
-        let mut adj = DenseAdjacency::with_capacity(seeds.len());
+        let last = seeds.len().saturating_sub(1);
+        let mut adj = DenseAdjacency::with_capacity(
+            seeds.len(),
+            seeds.iter().map(|&s| set.conn_of(s).len()).sum(),
+        );
         for &s in &seeds {
             let iv = node(s).interval();
-            adj.push_vertex(set.conn_of(s).iter().filter_map(|&c| {
-                table
-                    .get(c)
-                    .filter(|&ci| iv.overlaps(&node(seeds[ci as usize]).interval()))
-            }));
+            adj.push_probed(set.conn_of(s), |c| {
+                // A miss's index is stale: clamp it so the overlap test
+                // reads some seed (its answer is discarded), never past one.
+                let (hit, ci) = table.probe(c);
+                let ci = (ci as usize).min(last);
+                (hit & iv.overlaps(&node(seeds[ci]).interval()), ci as u32)
+            });
         }
         // `adj` holds dense indices; faces are mapped back to PM node ids.
         let faces: Vec<[u32; 3]> = extract_faces_dense_owned(&pos, adj)
@@ -720,11 +727,14 @@ impl IdTable {
         self.slots[id as usize] = (self.gen, dense);
     }
 
-    fn get(&self, id: u32) -> Option<u32> {
-        match self.slots.get(id as usize) {
-            Some(&(stamp, dense)) if stamp == self.gen => Some(dense),
-            _ => None,
-        }
+    /// `(hit, dense)`: `hit` iff `id` was set this generation, in which
+    /// case `dense` is its index; on a miss `dense` is whatever the slot
+    /// last held (0 beyond the table). [`IdTable::begin`] never starts
+    /// generation 0, the stamp of a slot never set.
+    #[inline]
+    fn probe(&self, id: u32) -> (bool, u32) {
+        let (stamp, dense) = self.slots.get(id as usize).copied().unwrap_or((0, 0));
+        (stamp == self.gen, dense)
     }
 }
 
@@ -736,11 +746,12 @@ thread_local! {
     };
 }
 
-/// Uniform-LOD cut at level `e` in flat canonical-ready form: active
-/// nodes ascending by id, CCW faces over node ids. Both the [`FrontMesh`]
-/// assembly and the network fast path build from this, so the two are
-/// identical by construction (extraction emits only strictly-CCW faces,
-/// which [`FrontMesh::from_parts`] preserves unchanged).
+/// Uniform-LOD cut at level `e` in flat canonical form: active nodes
+/// ascending by id, CCW faces over node ids led by their smallest id and
+/// sorted. Both the [`FrontMesh`] assembly and the network fast path
+/// build from this, so the two are identical by construction (extraction
+/// emits only strictly-CCW faces, which [`FrontMesh::from_parts`]
+/// preserves unchanged).
 /// A cross-tile fetch is the per-region fetches concatenated into one
 /// [`FetchedSet`]: slot order is irrelevant (the cut sorts by id) and of
 /// several slots carrying one id the first is kept, so tiled and
@@ -768,26 +779,39 @@ pub fn uniform_cut(set: &FetchedSet, roi: &Rect, e: f64) -> (Vec<PmNode>, Vec<[u
         }
         let slot = |p: u64| (p & 0xFFFF_FFFF) as usize;
         let pos: Vec<Vec2> = perm.iter().map(|&p| set.nodes[slot(p)].pos.xy()).collect();
-        let mut adj = DenseAdjacency::with_capacity(perm.len());
+        let mut adj = DenseAdjacency::with_capacity(
+            perm.len(),
+            perm.iter().map(|&p| set.conn_of(slot(p)).len()).sum(),
+        );
         for &p in &perm {
             // Every active record's interval contains `e` (the filter
             // above), so neighbour membership in the active set is the
             // whole test.
-            adj.push_vertex(set.conn_of(slot(p)).iter().filter_map(|&c| table.get(c)));
+            adj.push_probed(set.conn_of(slot(p)), |c| table.probe(c));
         }
         let nodes: Vec<PmNode> = perm.iter().map(|&p| set.nodes[slot(p)]).collect();
-        let faces: Vec<[u32; 3]> = extract_faces_dense_owned(&pos, adj)
-            .into_iter()
-            .map(|[a, b, c]| {
-                [
-                    nodes[a as usize].id,
-                    nodes[b as usize].id,
-                    nodes[c as usize].id,
-                ]
-            })
-            .collect();
+        let mut faces = extract_faces_dense_owned(&pos, adj);
+        sort_anchor_groups(&mut faces);
+        for f in &mut faces {
+            *f = f.map(|v| nodes[v as usize].id);
+        }
         (nodes, faces)
     })
+}
+
+/// Extraction emits each face at its smallest corner, grouped by that
+/// corner ascending; ordering every group by its other two corners makes
+/// the whole list sorted, i.e. already in the wire's canonical order
+/// (`dm_net::canonical_flat` then meets sorted input). Dense indices
+/// ascend with ids, so the order survives the mapping back to ids.
+fn sort_anchor_groups(faces: &mut [[u32; 3]]) {
+    let mut start = 0;
+    while start < faces.len() {
+        let anchor = faces[start][0];
+        let len = faces[start..].iter().take_while(|f| f[0] == anchor).count();
+        faces[start..start + len].sort_unstable();
+        start += len;
+    }
 }
 
 /// Cut a rectangle into `n` equal strips perpendicular to the dominant

@@ -155,6 +155,8 @@ pub fn canonical_mesh_into(
 /// CCW). Bit-identical to `canonical_mesh(&FrontMesh::from_parts(..))`
 /// over the same parts — the front build preserves CCW faces unchanged,
 /// and its canonical vertex order is the id order the nodes already have.
+/// A VI cut's faces arrive in canonical order already
+/// (`dm_core::query::uniform_cut`), so the sort only checks its input.
 pub fn canonical_flat(nodes: &[PmNode], faces: &[[u32; 3]]) -> (Vec<WireVertex>, Vec<[u32; 3]>) {
     let vertices: Vec<WireVertex> = nodes
         .iter()

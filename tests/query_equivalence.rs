@@ -4,11 +4,12 @@
 
 use std::sync::Arc;
 
-use dm_core::{BoundaryPolicy, DirectMeshDb, DmBuildOptions, VdQuery};
+use dm_core::{BoundaryPolicy, DirectMeshDb, DmBuildOptions, FetchCounters, VdQuery};
 use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuild, PmBuildConfig};
 use dm_mtm::refine::LodTarget;
 use dm_mtm::PlaneTarget;
+use dm_net::{canonical_flat, canonical_mesh};
 use dm_storage::{BufferPool, MemStore};
 use dm_terrain::{generate, TriMesh};
 use rand::rngs::StdRng;
@@ -46,6 +47,42 @@ fn vi_query_equals_cut_for_random_roi_lod() {
         got.sort();
         want.sort();
         assert_eq!(got, want, "trial {trial}: roi {roi:?}, e {e}");
+    }
+}
+
+/// The cut emits its faces in the wire's canonical order, so
+/// canonicalising the flat answer changes nothing; and the
+/// [`dm_mtm::FrontMesh`] built from the same parts canonicalises to that
+/// same mesh. Same sweep as [`vi_query_equals_cut_for_random_roi_lod`].
+#[test]
+fn vi_faces_leave_the_cut_canonical() {
+    let (pm, db) = setup(11);
+    let h = &pm.hierarchy;
+    let mut rng = StdRng::seed_from_u64(1);
+    for trial in 0..40 {
+        let e = h.e_max * rng.random_range(0.0..0.6f64).powi(2);
+        let cx = rng.random_range(db.bounds.min.x..db.bounds.max.x);
+        let cy = rng.random_range(db.bounds.min.y..db.bounds.max.y);
+        let side = rng.random_range(2.0..db.bounds.width());
+        let roi = Rect::from_corners(
+            Vec2::new(cx - side / 2.0, cy - side / 2.0),
+            Vec2::new(cx + side / 2.0, cy + side / 2.0),
+        );
+        let (flat, report) = db
+            .try_vi_query_flat_counted(&roi, e, &mut FetchCounters::default())
+            .unwrap();
+        assert!(report.is_clean());
+        let (vertices, faces) = canonical_flat(&flat.nodes, &flat.faces);
+        assert_eq!(
+            faces, flat.faces,
+            "trial {trial}: faces left the cut unsorted"
+        );
+        let (res, _) = db.try_vi_query(&roi, e).unwrap();
+        assert_eq!(
+            canonical_mesh(&res.front),
+            (vertices, faces),
+            "trial {trial}: the front is another mesh"
+        );
     }
 }
 

@@ -12,12 +12,14 @@
 
 use std::sync::Arc;
 
-use dm_core::query::{plan_multi_base, vd_with_strips};
+use dm_core::query::{plan_multi_base, uniform_cut, vd_with_strips, RecordStore};
 use dm_core::{
-    BoundaryPolicy, DirectMeshDb, DmBuildOptions, FetchCounters, IntegrityReport, VdQuery,
+    BoundaryPolicy, DirectMeshDb, DmBuildOptions, FetchCounters, FetchedSet, IntegrityReport,
+    VdQuery,
 };
-use dm_geom::{Rect, Vec2};
+use dm_geom::{Box3, Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
+use dm_net::canonical_flat;
 use dm_storage::{BufferPool, FaultConfig, MemStore};
 use dm_terrain::{generate, TriMesh};
 use dm_world::{split_world_in_memory, write_split_world, RegionMeta, WorldDb, WorldOptions};
@@ -324,6 +326,52 @@ fn cold_disk_accesses_do_not_depend_on_fanout_threads() {
     assert_eq!(vi1, vi4, "VI differs between threads 1 and 4");
     assert_eq!(vd1, vd4, "VD differs between threads 1 and 4");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A split world's VI answer is cut from the tiles' fetches concatenated
+/// in region order, yet leaves the cut in the wire's canonical order —
+/// and so does a cut over that arena with every record arriving twice,
+/// the second copies in reverse (the first copy of an id is the one
+/// kept, and copies are identical).
+#[test]
+fn split_world_vi_faces_leave_the_cut_canonical() {
+    let db = build_db(25, 3);
+    let world = split_world_in_memory(
+        &db,
+        2,
+        2,
+        4096,
+        &DmBuildOptions::default(),
+        WorldOptions::default(),
+    )
+    .unwrap();
+    let scope = world.scoped(None);
+    for (i, frac) in [0.03, 0.2, 0.5, 0.9].into_iter().enumerate() {
+        let t = 0.05 * i as f64;
+        let roi = seam_roi(db.bounds, 0.1 + t, 0.3 - t, 0.9 - t, 0.7 + t);
+        let e = db.e_for_points_fraction(frac);
+        let (flat, report) = world
+            .try_vi_query_flat_counted(&roi, e, &mut FetchCounters::default())
+            .unwrap();
+        assert!(report.is_clean());
+        assert!(!flat.faces.is_empty());
+        assert_eq!(canonical_flat(&flat.nodes, &flat.faces).1, flat.faces);
+
+        let e = scope.clamp_e(e);
+        let set = scope
+            .fetch(
+                &[Box3::prism(roi, e, e)],
+                &mut IntegrityReport::default(),
+                &mut FetchCounters::default(),
+            )
+            .unwrap();
+        let mut twice = FetchedSet::new();
+        for s in (0..set.len()).chain((0..set.len()).rev()) {
+            twice.push(set.nodes[s], set.conn_of(s).iter().copied());
+        }
+        let (nodes, faces) = uniform_cut(&twice, &roi, e);
+        assert_eq!((&nodes, &faces), (&flat.nodes, &flat.faces));
+    }
 }
 
 /// Degraded open of one wounded tile: scribble over part of one tile's
