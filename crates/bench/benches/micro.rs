@@ -14,6 +14,7 @@ use dm_core::query::uniform_cut;
 use dm_core::{BoundaryPolicy, FetchCounters, FetchedSet, IntegrityReport};
 use dm_geom::{Box3, Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
+use dm_storage::{BufferPool, MemStore};
 use dm_terrain::{generate, TriMesh};
 
 fn bench_pm_build(c: &mut Criterion) {
@@ -129,6 +130,52 @@ fn bench_queries(c: &mut Criterion) {
     c.bench_function("extract_faces_dense_129", |bch| {
         bch.iter(|| black_box(extract_faces_dense_owned(&pos, adj.clone())))
     });
+
+    // The `FetchOnMiss` boundary lookup on a resident store: three
+    // B+-tree page hits and one heap page hit, the node decoded from the
+    // page's bytes. One iteration is one lookup.
+    let ids = id_orders(d.dm.n_records as u32);
+    for (order, ids) in &ids {
+        for &id in ids {
+            d.dm.try_fetch_node_by_id(id).expect("clean store");
+        }
+        let mut next = ids.iter().cycle();
+        let name = format!("fetch_node_by_id_resident_{order}");
+        c.bench_function(&name, |bch| {
+            bch.iter(|| {
+                let id = *next.next().expect("cycle");
+                black_box(d.dm.try_fetch_node_by_id(id).expect("clean store"))
+            })
+        });
+    }
+}
+
+/// Ids `0..n` in construction order (spatially coherent, like a frame's
+/// boundary) and scattered by a multiplicative hash.
+fn id_orders(n: u32) -> [(&'static str, Vec<u32>); 2] {
+    let scattered = (0..n)
+        .map(|k| (u64::from(k) * 2_654_435_761 % u64::from(n)) as u32)
+        .collect();
+    [("coherent", (0..n).collect()), ("random", scattered)]
+}
+
+/// One buffer-pool hit: the shard lock, the page-id probe and the
+/// recency update, on a pool of 1024 resident pages over 16 shards.
+fn bench_pool_hit(c: &mut Criterion) {
+    let pool = BufferPool::new(Box::new(MemStore::new()), 1024);
+    for _ in 0..1024 {
+        pool.allocate();
+    }
+    for (order, ids) in id_orders(pool.num_pages()) {
+        let mut next = ids.iter().cycle();
+        c.bench_function(&format!("pool_hit_resident_{order}"), |bch| {
+            bch.iter(|| {
+                let id = *next.next().expect("cycle");
+                black_box(pool.try_read(id, |buf| buf[0]).expect("resident"))
+            })
+        });
+    }
+    assert_eq!(pool.stats().reads, 0, "every visit was a hit");
 }
 
 fn bench_refinement(c: &mut Criterion) {
@@ -150,6 +197,6 @@ fn bench_refinement(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pm_build, bench_queries, bench_refinement
+    targets = bench_pm_build, bench_queries, bench_pool_hit, bench_refinement
 }
 criterion_main!(benches);

@@ -10,7 +10,7 @@ use fxhash::FxHashMap;
 use dm_storage::StorageResult;
 
 use crate::faces::{extract_faces_dense_owned, DenseAdjacency};
-use crate::record::{DmRecord, FetchedSet, IndexedSet};
+use crate::record::{FetchedSet, IndexedSet};
 use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
 
 /// What to do when refinement needs a record outside the fetched region
@@ -200,8 +200,9 @@ pub trait RecordStore: Sync {
         counters: &mut FetchCounters,
     ) -> StorageResult<FetchedSet>;
 
-    /// Point lookup by id (the `FetchOnMiss` boundary policy).
-    fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>>;
+    /// Point lookup of one node by id (the `FetchOnMiss` boundary
+    /// policy): the refinement reads the node, never its connection list.
+    fn try_fetch_node_by_id(&self, id: u32) -> StorageResult<Option<PmNode>>;
 
     /// The planner's cost probe: for each candidate plan, how many pages
     /// the optimizer statistics predict for its cubes together (a page
@@ -225,8 +226,8 @@ impl RecordStore for DirectMeshDb {
         self.range_scan(boxes, false, report, counters)
     }
 
-    fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>> {
-        DirectMeshDb::try_fetch_by_id(self, id)
+    fn try_fetch_node_by_id(&self, id: u32) -> StorageResult<Option<PmNode>> {
+        DirectMeshDb::try_fetch_node_by_id(self, id)
     }
 
     fn union_page_counts(&self, _roi: &Rect, plans: &[Vec<Box3>]) -> StorageResult<Vec<usize>> {
@@ -274,11 +275,11 @@ impl<S: RecordStore + ?Sized> RecordSource for StoreSource<'_, S> {
         }
         match self.policy {
             BoundaryPolicy::Skip => None,
-            BoundaryPolicy::FetchOnMiss => match self.store.try_fetch_by_id(id) {
-                Ok(Some(rec)) => {
+            BoundaryPolicy::FetchOnMiss => match self.store.try_fetch_node_by_id(id) {
+                Ok(Some(node)) => {
                     self.misses_fetched += 1;
-                    self.touched.insert(id, rec.node);
-                    Some(rec.node)
+                    self.touched.insert(id, node);
+                    Some(node)
                 }
                 Ok(None) => None,
                 Err(e) => {
@@ -291,6 +292,14 @@ impl<S: RecordStore + ?Sized> RecordSource for StoreSource<'_, S> {
                 }
             },
         }
+    }
+
+    /// Under `FetchOnMiss` every id falls through to the store, so the
+    /// refinement may end a wing walk at the front's id ceiling instead
+    /// of looking up the ancestors above it (a lookup that could only
+    /// confirm "outside the front", or fail and block the split).
+    fn is_complete(&self) -> bool {
+        self.policy == BoundaryPolicy::FetchOnMiss
     }
 }
 
@@ -1036,6 +1045,119 @@ mod tests {
         if skip.refine.missing_records > 0 {
             assert!(fetch.boundary_fetches > 0);
         }
+    }
+
+    /// A store whose point lookups fail for every id above `ceiling`.
+    struct FailingAbove<'a> {
+        db: &'a DirectMeshDb,
+        ceiling: u32,
+    }
+
+    impl RecordStore for FailingAbove<'_> {
+        fn clamp_e(&self, e: f64) -> f64 {
+            self.db.clamp_e(e)
+        }
+
+        fn fetch(
+            &self,
+            boxes: &[Box3],
+            report: &mut IntegrityReport,
+            counters: &mut FetchCounters,
+        ) -> StorageResult<FetchedSet> {
+            RecordStore::fetch(self.db, boxes, report, counters)
+        }
+
+        fn try_fetch_node_by_id(&self, id: u32) -> StorageResult<Option<PmNode>> {
+            if id > self.ceiling {
+                return Err(dm_storage::StorageError::Io(std::io::Error::other(
+                    "lookup above the ceiling",
+                )));
+            }
+            self.db.try_fetch_node_by_id(id)
+        }
+
+        fn union_page_counts(&self, roi: &Rect, plans: &[Vec<Box3>]) -> StorageResult<Vec<usize>> {
+            self.db.union_page_counts(roi, plans)
+        }
+    }
+
+    /// A source that forwards every lookup but does not claim to be
+    /// complete, so its wing walks run to a root.
+    struct Incomplete<'s>(&'s mut dyn RecordSource);
+
+    impl RecordSource for Incomplete<'_> {
+        fn fetch(&mut self, id: u32) -> Option<PmNode> {
+            self.0.fetch(id)
+        }
+    }
+
+    /// The one answer the id ceiling may change: a store that cannot
+    /// look up the ancestors above the seed front's largest id. With the
+    /// ceiling, `FetchOnMiss` never asks for them, so the query answers
+    /// like the healthy store and loses no point; a walk that still ran
+    /// to a root hit the failed lookup and blocked the split.
+    #[test]
+    fn failed_lookups_above_the_ceiling_cost_nothing() {
+        let (_, _, db) = setup(17, 3);
+        let roi = Rect::centered_square(db.bounds.center(), db.bounds.width() * 0.5);
+        let q = VdQuery {
+            roi,
+            target: PlaneTarget {
+                origin: roi.min,
+                dir: Vec2::new(0.0, 1.0),
+                e_min: db.e_max * 0.01,
+                slope: db.e_max * 0.2 / roi.height().max(1.0),
+                e_max: db.e_max * 0.2,
+            },
+        };
+        let policy = BoundaryPolicy::FetchOnMiss;
+        let mut counters = FetchCounters::default();
+        let (healthy, report) = vd_with_strips(&db, &q, policy, &[roi], &mut counters).unwrap();
+        assert!(report.is_clean());
+
+        let mut report = IntegrityReport::default();
+        let set = RecordStore::fetch(&db, &healthy.cubes, &mut report, &mut counters).unwrap();
+        let mut all = IndexedSet::default();
+        all.absorb(&set, |_| true);
+        let seed = assemble_topmost_front(&all, &roi);
+        let ceiling = seed.vertex_ids().max().unwrap();
+        let failing = FailingAbove { db: &db, ceiling };
+
+        let (got, report) = vd_with_strips(&failing, &q, policy, &[roi], &mut counters).unwrap();
+        assert!(report.is_clean(), "no lookup above the ceiling was made");
+        assert_eq!(report.points_lost, 0);
+        let sorted = |f: &FrontMesh| {
+            let mut ids: Vec<u32> = f.vertex_ids().collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(sorted(&got.front), sorted(&healthy.front));
+        let healthy_faces: Vec<[u32; 3]> = healthy.front.triangles().collect();
+        let got_faces: Vec<[u32; 3]> = got.front.triangles().collect();
+        assert_eq!(got_faces, healthy_faces);
+        assert_eq!(got.refine, healthy.refine);
+        assert_eq!(got.boundary_fetches, healthy.boundary_fetches);
+
+        // The same run through a source that walks to the roots.
+        let mut front = seed;
+        let mut report = IntegrityReport::default();
+        let mut source = StoreSource {
+            store: &failing,
+            base: &all,
+            prev: FxHashMap::default(),
+            touched: FxHashMap::default(),
+            policy,
+            misses_fetched: 0,
+            report: &mut report,
+            errored: false,
+        };
+        let stats = refine(&mut front, &mut Incomplete(&mut source), &q.target);
+        assert!(
+            report.points_lost > 0,
+            "the full walk met the failed lookup"
+        );
+        assert_ne!(stats, healthy.refine, "and blocked a split");
+        assert_ne!(sorted(&front), sorted(&healthy.front));
     }
 
     #[test]

@@ -1203,16 +1203,30 @@ impl DirectMeshDb {
         (self.n_records as u64).div_ceil(n_pages)
     }
 
-    /// Point lookup through the primary-key B+-tree (counted I/O). Used by
-    /// the `FetchOnMiss` boundary policy.
-    pub fn fetch_by_id(&self, id: u32) -> Option<DmRecord> {
-        self.try_fetch_by_id(id)
-            .unwrap_or_else(|e| panic!("fetch id: {e}"))
+    /// Point lookup of the whole record through the primary-key B+-tree
+    /// (counted I/O): `Ok(None)` means the id does not exist, `Err` that
+    /// the B+-tree or heap page could not be read. The edit path reads
+    /// connection lists through this; queries need only
+    /// [`Self::try_fetch_node_by_id`].
+    pub fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>> {
+        self.point_lookup(id, |raw| raw.to_owned(), FetchedSet::record)
     }
 
-    /// Fallible point lookup: `Ok(None)` means the id does not exist,
-    /// `Err` that the B+-tree or heap page could not be read.
-    pub fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>> {
+    /// [`Self::try_fetch_by_id`] for the node alone — the `FetchOnMiss`
+    /// boundary lookup. Same counted accesses; a resident decoded page is
+    /// indexed, a raw one decodes the record's header and links only.
+    pub fn try_fetch_node_by_id(&self, id: u32) -> StorageResult<Option<PmNode>> {
+        self.point_lookup(id, |raw| raw.node(), |set, slot| set.nodes[slot])
+    }
+
+    /// Find `id` in the B+-tree and read its slot from the heap page:
+    /// `raw` on the record's bytes, or `decoded` on the page's sidecar.
+    fn point_lookup<R>(
+        &self,
+        id: u32,
+        raw: impl FnOnce(RawRecord<'_>) -> R,
+        decoded: impl FnOnce(&FetchedSet, usize) -> R,
+    ) -> StorageResult<Option<R>> {
         let Some(rid) = self.btree.try_get(id as u64)? else {
             return Ok(None);
         };
@@ -1228,14 +1242,14 @@ impl DirectMeshDb {
                 if self.codec == RecordCodec::Compact && rid.slot != 0 {
                     dec.next(0, view.record(0)?);
                 }
-                Ok(dec.next(rid.slot, view.record(rid.slot)?).to_owned())
+                Ok(raw(dec.next(rid.slot, view.record(rid.slot)?)))
             },
             |_| Ok(None::<(FetchedSet, usize)>),
         )?;
         match read {
-            PageRead::Raw(rec) => Ok(Some(rec)),
+            PageRead::Raw(r) => Ok(Some(r)),
             PageRead::Decoded(set) if (rid.slot as usize) < set.len() => {
-                Ok(Some(set.record(rid.slot as usize)))
+                Ok(Some(decoded(&set, rid.slot as usize)))
             }
             PageRead::Decoded(set) => Err(StorageError::corrupt(
                 rid.page,
@@ -1400,9 +1414,9 @@ impl DirectMeshDb {
                         fan.push(r.node.pos);
                     } else if let Some(n) = context.get(&c) {
                         fan.push(n.pos);
-                    } else if let Some(r) = self.try_fetch_by_id(c)? {
-                        fan.push(r.node.pos);
-                        context.insert(c, r.node);
+                    } else if let Some(n) = self.try_fetch_node_by_id(c)? {
+                        fan.push(n.pos);
+                        context.insert(c, n);
                     }
                 }
                 match qem_optimal_z(&node, &fan) {
@@ -1421,10 +1435,9 @@ impl DirectMeshDb {
                                 Some(r.node.pos.z)
                             } else if let Some(n) = context.get(&ch) {
                                 Some(n.pos.z)
-                            } else if let Some(r) = self.try_fetch_by_id(ch)? {
-                                let z = r.node.pos.z;
-                                context.insert(ch, r.node);
-                                Some(z)
+                            } else if let Some(n) = self.try_fetch_node_by_id(ch)? {
+                                context.insert(ch, n);
+                                Some(n.pos.z)
                             } else {
                                 None
                             };
@@ -1779,7 +1792,10 @@ mod tests {
         }
         // Point lookups resolve through the rebuilt B+-tree.
         for id in [0u32, 17, db.n_records as u32 - 1] {
-            assert_eq!(rebuilt.fetch_by_id(id), db.fetch_by_id(id));
+            assert_eq!(
+                rebuilt.try_fetch_by_id(id).unwrap(),
+                db.try_fetch_by_id(id).unwrap()
+            );
         }
     }
 
@@ -1805,7 +1821,7 @@ mod tests {
         // Every stored record round-trips verbatim — including links and
         // connection ids that point outside the subset.
         for r in &left {
-            assert_eq!(tile.fetch_by_id(r.node.id).as_ref(), Some(r));
+            assert_eq!(tile.try_fetch_by_id(r.node.id).unwrap().as_ref(), Some(r));
         }
         // Ids not in the subset are absent, not aliased.
         let absent = db
@@ -1813,7 +1829,7 @@ mod tests {
             .into_values()
             .find(|r| r.node.pos.x >= mid_x)
             .unwrap();
-        assert!(tile.fetch_by_id(absent.node.id).is_none());
+        assert!(tile.try_fetch_by_id(absent.node.id).unwrap().is_none());
     }
 
     #[test]
@@ -1821,10 +1837,10 @@ mod tests {
         let db = small_db();
         assert_eq!(db.n_records, db.all_records().len());
         for id in [0u32, 40, 80, db.n_records as u32 - 1] {
-            let rec = db.fetch_by_id(id).expect("record exists");
+            let rec = db.try_fetch_by_id(id).unwrap().expect("record exists");
             assert_eq!(rec.node.id, id);
         }
-        assert!(db.fetch_by_id(db.n_records as u32).is_none());
+        assert!(db.try_fetch_by_id(db.n_records as u32).unwrap().is_none());
     }
 
     /// Strict range scan of one box on a healthy store.
@@ -2100,9 +2116,13 @@ mod tests {
             };
             let db = DirectMeshDb::build(pool, &pm, &opts);
             let all = db.all_records();
-            let sweep = || -> Vec<Option<DmRecord>> {
+            // Each id through both verbs: the record, and the node alone.
+            let sweep = || -> Vec<(Option<DmRecord>, Option<PmNode>)> {
                 (0..=db.n_records as u32)
-                    .map(|id| db.try_fetch_by_id(id).unwrap())
+                    .map(|id| {
+                        let node = db.try_fetch_node_by_id(id).unwrap();
+                        (db.try_fetch_by_id(id).unwrap(), node)
+                    })
                     .collect()
             };
             db.cold_start();
@@ -2117,8 +2137,9 @@ mod tests {
             assert_eq!(from_sidecars, from_bytes);
             assert_eq!(db.pool().decoded_stats(), decoded);
             assert_eq!(db.disk_accesses(), reads, "a warm sweep reads nothing");
-            for (id, rec) in from_bytes.iter().enumerate() {
+            for (id, (rec, node)) in from_bytes.iter().enumerate() {
                 assert_eq!(rec.as_ref(), all.get(&(id as u32)));
+                assert_eq!(*node, rec.as_ref().map(|r| r.node));
             }
         }
     }
@@ -2220,10 +2241,10 @@ mod tests {
         let db = small_db();
         db.cold_start();
         assert_eq!(db.disk_accesses(), 0);
-        let _ = db.fetch_by_id(7);
+        let _ = db.try_fetch_by_id(7).unwrap();
         let first = db.disk_accesses();
         assert!(first >= 2, "B+-tree descent + heap page");
-        let _ = db.fetch_by_id(7);
+        let _ = db.try_fetch_by_id(7).unwrap();
         assert_eq!(db.disk_accesses(), first, "warm repeat costs nothing");
     }
 
@@ -2255,7 +2276,10 @@ mod tests {
         // Point lookups agree too (the compact path goes through the
         // page-base view).
         for id in [0u32, 1, 17, flat.n_records as u32 - 1] {
-            assert_eq!(flat.fetch_by_id(id), compact.fetch_by_id(id));
+            assert_eq!(
+                flat.try_fetch_by_id(id).unwrap(),
+                compact.try_fetch_by_id(id).unwrap()
+            );
         }
         assert!(
             (compact.n_heap_pages() as f64) < 0.75 * flat.n_heap_pages() as f64,
@@ -2309,7 +2333,7 @@ mod tests {
         assert!(raised > 0, "the region must contain terrain points");
         // Point lookups resolve through the path-copied B+-tree.
         for id in [0u32, 17, db.n_records as u32 - 1] {
-            assert_eq!(out.db.fetch_by_id(id).unwrap().node.id, id);
+            assert_eq!(out.db.try_fetch_by_id(id).unwrap().unwrap().node.id, id);
         }
         out.db
             .rtree()

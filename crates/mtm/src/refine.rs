@@ -32,6 +32,15 @@ pub trait RecordSource {
     /// the fetched query region).
     fn fetch(&mut self, id: u32) -> Option<PmNode>;
 
+    /// True when [`Self::fetch`] supplies every id of the hierarchy. A
+    /// wing walk over such a source can stop at the front's id ceiling:
+    /// the full walk would reach a root and answer "outside the front"
+    /// anyway. A source that may miss (a ROI's records, `Skip`) must
+    /// answer false, so that a missing record still reads as unknown.
+    fn is_complete(&self) -> bool {
+        false
+    }
+
     /// True when `a` and `b` lie on one root-leaf path (ancestor/self).
     /// The default walks parent chains through `fetch` and gives up (false)
     /// on a missing record; sources with global knowledge override this.
@@ -65,6 +74,10 @@ pub trait RecordSource {
 impl RecordSource for &PmHierarchy {
     fn fetch(&mut self, id: u32) -> Option<PmNode> {
         self.nodes.get(id as usize).copied()
+    }
+
+    fn is_complete(&self) -> bool {
+        true
     }
 
     fn related(&mut self, a: u32, b: u32) -> bool {
@@ -411,7 +424,10 @@ pub fn refine(
         .collect();
     // Ids whose split is known to be impossible (don't retry forever).
     let mut dead_ends: FxHashSet<u32> = Default::default();
-    let mut scratch = SplitScratch::default();
+    let mut scratch = SplitScratch {
+        ceiling: id_ceiling(front, source),
+        ..SplitScratch::default()
+    };
 
     while let Some(item) = heap.pop() {
         let id = item.id;
@@ -455,6 +471,21 @@ pub fn refine(
 
 fn needs_split(n: &PmNode, target: &dyn LodTarget) -> bool {
     target.needs_refinement(n)
+}
+
+/// The largest id a wing walk can still meet in `front` during one
+/// [`refine`] run: PM parents carry larger ids than their children and a
+/// split only trades a vertex for two smaller ids, so the front's largest
+/// id at entry bounds it for the whole run. `u32::MAX` (no early exit)
+/// unless the source can supply every id: over a source that may miss,
+/// the full walk can stop at a missing record and block the split, and
+/// the early exit must not turn that block into a split.
+fn id_ceiling(front: &FrontMesh, source: &dyn RecordSource) -> u32 {
+    if source.is_complete() {
+        front.verts.keys().copied().max().unwrap_or(0)
+    } else {
+        u32::MAX
+    }
 }
 
 /// Coarsen the front: collapse sibling pairs whose *parent* already
@@ -593,9 +624,10 @@ const MAX_FORCE_DEPTH: u32 = 48;
 
 /// The split path's buffers, reused across every split of one
 /// [`refine`] run (a forced split returns straight after recursing, so
-/// one set serves the whole recursion).
+/// one set serves the whole recursion), and the run's [`id_ceiling`].
 #[derive(Default)]
 struct SplitScratch {
+    ceiling: u32,
     neighbors: Vec<u32>,
     fan: Vec<(u32, u32)>,
     cycle: Vec<u32>,
@@ -679,7 +711,7 @@ fn split_vertex(
         if rep.is_none() {
             // The wing's subtree is not expanded next to v — force-split
             // the active node that must contain it.
-            match active_ancestor_of(front, source, wing) {
+            match active_ancestor_of(front, source, wing, s.ceiling) {
                 WingCover::Active(anc) if anc != id => {
                     stats.forced += 1;
                     let outcome = split_vertex(front, source, anc, depth + 1, stats, s);
@@ -724,19 +756,29 @@ fn split_vertex(
 enum WingCover {
     /// This active node's subtree contains the wing.
     Active(u32),
-    /// The chain walk reached a root without meeting the front: the
-    /// wing's region is genuinely outside the front (ROI clipping).
+    /// The chain walk reached a root, or climbed past the front's id
+    /// ceiling, without meeting the front: the wing's region is genuinely
+    /// outside the front (ROI clipping).
     OutsideFront,
     /// A record was unavailable mid-walk — can't tell.
     Unknown,
 }
 
 /// Find the active node whose subtree contains `wing` (wing itself, or an
-/// ancestor on its parent chain).
-fn active_ancestor_of(front: &FrontMesh, source: &mut dyn RecordSource, wing: u32) -> WingCover {
+/// ancestor on its parent chain). No front id exceeds `ceiling`, so the
+/// walk ends there rather than at a root.
+fn active_ancestor_of(
+    front: &FrontMesh,
+    source: &mut dyn RecordSource,
+    wing: u32,
+    ceiling: u32,
+) -> WingCover {
     let mut cur = wing;
     // Parent ids strictly increase, so this terminates at a root.
     loop {
+        if cur > ceiling {
+            return WingCover::OutsideFront;
+        }
         if front.contains(cur) {
             return WingCover::Active(cur);
         }
@@ -1284,6 +1326,188 @@ mod tests {
         // The clone we kept is untouched.
         assert_eq!(b.num_vertices(), b_verts);
         assert_eq!(edge_set(b.triangles()), b_edges);
+    }
+
+    /// A `FetchOnMiss`-shaped source: one ROI's records, falling through
+    /// to the whole hierarchy (counted). It reports itself complete.
+    struct RoiThenHierarchy<'a> {
+        roi: FxHashMap<u32, PmNode>,
+        h: &'a PmHierarchy,
+        fetches: usize,
+    }
+
+    impl RecordSource for RoiThenHierarchy<'_> {
+        fn fetch(&mut self, id: u32) -> Option<PmNode> {
+            if let Some(n) = self.roi.get(&id) {
+                return Some(*n);
+            }
+            self.fetches += 1;
+            self.h.nodes.get(id as usize).copied()
+        }
+
+        fn is_complete(&self) -> bool {
+            true
+        }
+    }
+
+    /// The same records from a source that does not claim completeness:
+    /// every wing walk runs to a root (or to a record it cannot fetch).
+    struct Incomplete<'s>(&'s mut dyn RecordSource);
+
+    impl RecordSource for Incomplete<'_> {
+        fn fetch(&mut self, id: u32) -> Option<PmNode> {
+            self.0.fetch(id)
+        }
+
+        fn related(&mut self, a: u32, b: u32) -> bool {
+            self.0.related(a, b)
+        }
+    }
+
+    /// Faces with their smallest corner first, sorted.
+    fn canonical_faces(front: &FrontMesh) -> Vec<[u32; 3]> {
+        let mut faces: Vec<[u32; 3]> = front
+            .triangles()
+            .map(|mut t| {
+                let k = (0..3).min_by_key(|&i| t[i]).expect("three corners");
+                t.rotate_left(k);
+                t
+            })
+            .collect();
+        faces.sort_unstable();
+        faces
+    }
+
+    /// The `q`-quantile of the internal nodes' `e_lo`: a cut there keeps
+    /// about a `1 - q` share of the collapses undone.
+    fn lod_quantile(h: &PmHierarchy, q: f64) -> f64 {
+        let mut e: Vec<f64> = h
+            .nodes
+            .iter()
+            .filter(|n| !n.is_leaf())
+            .map(|n| n.e_lo)
+            .collect();
+        e.sort_unstable_by(f64::total_cmp);
+        e[((e.len() - 1) as f64 * q) as usize]
+    }
+
+    /// A uniform cut at `e0` clipped to `roi` (vertices inside, faces
+    /// with every corner inside), refined toward `target` over the ROI's
+    /// records with the hierarchy behind them: once over the complete
+    /// source, once over the same source reporting incomplete. Returns
+    /// `(vertex ids, faces, stats, source fetches)` for each run.
+    #[allow(clippy::type_complexity)]
+    fn clipped_refine_both_ways(
+        h: &PmHierarchy,
+        roi: &dm_geom::Rect,
+        e0: f64,
+        target: &dyn LodTarget,
+    ) -> [(Vec<u32>, Vec<[u32; 3]>, RefineStats, usize); 2] {
+        let mut cut = root_front(h);
+        let mut full: &PmHierarchy = h;
+        refine(&mut cut, &mut full, &UniformTarget(e0));
+        let inside = |id: u32| roi.contains(cut.node(id).expect("cut vertex").pos.xy());
+        let records: Vec<PmNode> = cut
+            .iter_nodes()
+            .filter(|&(id, _)| inside(id))
+            .map(|(_, n)| *n)
+            .collect();
+        let faces: Vec<[u32; 3]> = cut
+            .triangles()
+            .filter(|t| t.iter().all(|&c| inside(c)))
+            .collect();
+        [true, false].map(|complete| {
+            let mut front = FrontMesh::from_parts(records.clone(), &faces);
+            let mut source = RoiThenHierarchy {
+                roi: h
+                    .nodes
+                    .iter()
+                    .filter(|n| roi.contains(n.pos.xy()))
+                    .map(|n| (n.id, *n))
+                    .collect(),
+                h,
+                fetches: 0,
+            };
+            let stats = if complete {
+                refine(&mut front, &mut source, target)
+            } else {
+                refine(&mut front, &mut Incomplete(&mut source), target)
+            };
+            let mut ids: Vec<u32> = front.vertex_ids().collect();
+            ids.sort_unstable();
+            (ids, canonical_faces(&front), stats, source.fetches)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The ceiling exit answers exactly like the full walk to a root:
+        /// same front, same faces, same counters, never more lookups.
+        #[test]
+        fn ceiling_exit_agrees_with_the_full_walk(
+            side in 9usize..34,
+            seed in 0u64..1000,
+            corner in (0.0..0.5f64, 0.0..0.5f64),
+            extent in 0.3..0.7f64,
+            fracs in (0.5..0.95f64, 0.0..1.0f64),
+            plane in proptest::prelude::any::<bool>(),
+        ) {
+            let (_, build) = setup(side, seed);
+            let h = &build.hierarchy;
+            let b = h.bounds;
+            let at = |fx: f64, fy: f64| {
+                Vec2::new(b.min.x + fx * b.width(), b.min.y + fy * b.height())
+            };
+            let roi = dm_geom::Rect::from_corners(
+                at(corner.0, corner.1),
+                at(corner.0 + extent, corner.1 + extent),
+            );
+            let e0 = lod_quantile(h, fracs.0);
+            let uniform = UniformTarget(e0 * fracs.1);
+            let tilted = PlaneTarget {
+                origin: b.min,
+                dir: Vec2::new(0.6, 0.8),
+                e_min: e0 * fracs.1 * 0.1,
+                slope: e0 / b.width().max(1.0),
+                e_max: e0,
+            };
+            let target: &dyn LodTarget = if plane { &tilted } else { &uniform };
+            let [complete, incomplete] = clipped_refine_both_ways(h, &roi, e0, target);
+            proptest::prop_assert_eq!(&complete.0, &incomplete.0, "vertex ids");
+            proptest::prop_assert_eq!(&complete.1, &incomplete.1, "faces");
+            proptest::prop_assert_eq!(complete.2, incomplete.2, "refine stats");
+            proptest::prop_assert!(
+                complete.3 <= incomplete.3,
+                "{} lookups with the ceiling, {} without",
+                complete.3,
+                incomplete.3
+            );
+        }
+    }
+
+    #[test]
+    fn ceiling_exit_saves_lookups_on_a_clipped_front() {
+        let (_, build) = setup(33, 7);
+        let h = &build.hierarchy;
+        let b = h.bounds;
+        let roi = dm_geom::Rect::from_corners(
+            Vec2::new(b.min.x + 0.25 * b.width(), b.min.y + 0.25 * b.height()),
+            Vec2::new(b.min.x + 0.75 * b.width(), b.min.y + 0.75 * b.height()),
+        );
+        let e0 = lod_quantile(h, 0.8);
+        let [complete, incomplete] =
+            clipped_refine_both_ways(h, &roi, e0, &UniformTarget(e0 * 0.1));
+        assert_eq!(complete.0, incomplete.0);
+        assert_eq!(complete.1, incomplete.1);
+        assert_eq!(complete.2, incomplete.2);
+        assert!(complete.2.splits > 0, "the fixture refines");
+        assert!(
+            complete.3 < incomplete.3,
+            "walks above the ceiling looked nothing up: {} < {}",
+            complete.3,
+            incomplete.3
+        );
     }
 
     #[test]

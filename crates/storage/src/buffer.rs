@@ -2,7 +2,8 @@
 //! page checksums and bounded retry.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,11 +25,17 @@ pub const DEFAULT_MAX_RETRIES: u32 = 4;
 /// any pool of a few hundred frames or more.
 pub const DEFAULT_SHARDS: usize = 16;
 
+/// No frame: the end of a recency list.
+const NIL: u32 = u32::MAX;
+
 struct Frame {
+    id: PageId,
     buf: PageBuf,
     dirty: bool,
-    /// LRU tick of the most recent touch; also the key into `Inner::lru`.
-    tick: u64,
+    /// The next older and next newer frame in the shard's recency list
+    /// (slots into `Inner::frames`; `NIL` past either end).
+    older: u32,
+    newer: u32,
     /// [`BufferPool::try_read_decoded`] has visited this residency
     /// before: one visit predicts nothing, a second one pays for a decode.
     visited: bool,
@@ -68,22 +75,134 @@ impl std::fmt::Display for DecodedStats {
     }
 }
 
+/// The Fx (rustc) multiply hash for page-id keys. Ids are dense internal
+/// integers, so SipHash's keyed setup buys nothing; the final rotation
+/// moves well-mixed product bits into the bucket index, because every
+/// id of one shard shares its low bits (`id % num_shards`).
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// One shard's resident pages: a dense slab of frames, a page id → slot
+/// map, and an intrusive doubly-linked recency list threaded through the
+/// frames. A hit is one hash probe plus a constant-time relink; the
+/// victim is the list's oldest end — exact LRU, as a touch-ordered tick
+/// index would pick, without one.
 struct Inner {
-    cache: HashMap<PageId, Frame>,
-    /// tick → page id; the smallest tick is the eviction victim.
-    lru: BTreeMap<u64, PageId>,
-    next_tick: u64,
+    frames: Vec<Frame>,
+    slot_of: HashMap<PageId, u32, BuildHasherDefault<PageIdHasher>>,
+    /// Least recently used frame (the next victim), most recently used.
+    oldest: u32,
+    newest: u32,
     capacity: usize,
 }
 
 impl Inner {
     fn with_capacity(capacity: usize) -> Self {
         Inner {
-            cache: HashMap::new(),
-            lru: BTreeMap::new(),
-            next_tick: 0,
+            frames: Vec::new(),
+            slot_of: HashMap::default(),
+            oldest: NIL,
+            newest: NIL,
             capacity,
         }
+    }
+
+    fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    fn contains(&self, id: PageId) -> bool {
+        self.slot_of.contains_key(&id)
+    }
+
+    /// Point `older`'s newer link at `to_newer` and `newer`'s older link
+    /// at `to_older`, where `NIL` stands for the list's ends.
+    fn relink(&mut self, older: u32, to_newer: u32, newer: u32, to_older: u32) {
+        match older {
+            NIL => self.oldest = to_newer,
+            o => self.frames[o as usize].newer = to_newer,
+        }
+        match newer {
+            NIL => self.newest = to_older,
+            n => self.frames[n as usize].older = to_older,
+        }
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Frame { older, newer, .. } = self.frames[slot as usize];
+        self.relink(older, newer, newer, older);
+    }
+
+    fn push_newest(&mut self, slot: u32) {
+        let older = self.newest;
+        let frame = &mut self.frames[slot as usize];
+        frame.older = older;
+        frame.newer = NIL;
+        self.relink(older, slot, NIL, slot);
+    }
+
+    /// The resident frame of `id`, now the most recently used.
+    fn touch(&mut self, id: PageId) -> Option<u32> {
+        let slot = *self.slot_of.get(&id)?;
+        if slot != self.newest {
+            self.unlink(slot);
+            self.push_newest(slot);
+        }
+        Some(slot)
+    }
+
+    /// Add a frame as the most recently used; returns its slot.
+    fn insert(&mut self, frame: Frame) -> u32 {
+        let slot = self.frames.len() as u32;
+        self.slot_of.insert(frame.id, slot);
+        self.frames.push(frame);
+        self.push_newest(slot);
+        slot
+    }
+
+    /// Remove and return the least recently used frame. The slab's last
+    /// frame moves into the vacated slot, so the slab stays dense.
+    fn pop_oldest(&mut self) -> Option<Frame> {
+        let slot = self.oldest;
+        if slot == NIL {
+            return None;
+        }
+        self.unlink(slot);
+        let frame = self.frames.swap_remove(slot as usize);
+        self.slot_of.remove(&frame.id);
+        if let Some(moved) = self.frames.get(slot as usize) {
+            let (id, older, newer) = (moved.id, moved.older, moved.newer);
+            self.slot_of.insert(id, slot);
+            self.relink(older, slot, newer, slot);
+        }
+        Some(frame)
+    }
+
+    fn clear(&mut self) {
+        self.frames.clear();
+        self.slot_of.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
     }
 }
 
@@ -216,9 +335,8 @@ impl BufferPool {
     ) -> StorageResult<R> {
         let shard = self.shard(id);
         let mut inner = shard.inner.lock();
-        self.ensure_cached(shard, &mut inner, id)?;
-        let frame = inner.cache.get(&id).expect("just cached");
-        Ok(f(&frame.buf))
+        let slot = self.ensure_cached(shard, &mut inner, id)?;
+        Ok(f(&inner.frames[slot].buf))
     }
 
     /// [`Self::try_read`] for callers that keep a decoded form of the
@@ -250,8 +368,8 @@ impl BufferPool {
     ) -> StorageResult<PageRead<T, R>> {
         let shard = self.shard(id);
         let mut inner = shard.inner.lock();
-        self.ensure_cached(shard, &mut inner, id)?;
-        let frame = inner.cache.get_mut(&id).expect("just cached");
+        let slot = self.ensure_cached(shard, &mut inner, id)?;
+        let frame = &mut inner.frames[slot];
         let first_visit = !std::mem::replace(&mut frame.visited, true);
         if frame.decoded.is_none() {
             let built = if first_visit {
@@ -286,8 +404,8 @@ impl BufferPool {
     ) -> StorageResult<R> {
         let shard = self.shard(id);
         let mut inner = shard.inner.lock();
-        self.ensure_cached(shard, &mut inner, id)?;
-        let frame = inner.cache.get_mut(&id).expect("just cached");
+        let slot = self.ensure_cached(shard, &mut inner, id)?;
+        let frame = &mut inner.frames[slot];
         frame.dirty = true;
         frame.decoded = None;
         Ok(f(&mut frame.buf))
@@ -315,18 +433,17 @@ impl BufferPool {
         let mut first_err = None;
         for shard in &self.shards {
             let mut inner = shard.inner.lock();
-            for (id, frame) in inner.cache.iter_mut() {
+            for frame in inner.frames.iter_mut() {
                 if frame.dirty {
                     self.stats.record_write();
                     shard.stats.record_write();
                     seal_page(&mut frame.buf);
-                    if let Err(e) = self.store.write_page(*id, &frame.buf) {
+                    if let Err(e) = self.store.write_page(frame.id, &frame.buf) {
                         first_err.get_or_insert(e);
                     }
                 }
             }
-            inner.cache.clear();
-            inner.lru.clear();
+            inner.clear();
         }
         match self.store.sync() {
             Err(e) if first_err.is_none() => Err(e),
@@ -350,16 +467,16 @@ impl BufferPool {
 
     /// Number of pages currently resident in the cache (all shards).
     pub fn resident(&self) -> usize {
-        self.shards.iter().map(|s| s.inner.lock().cache.len()).sum()
+        self.shards.iter().map(|s| s.inner.lock().len()).sum()
     }
 
     /// Which of `pages` are currently resident, without disturbing the
     /// pool: the probe takes each involved shard's lock exactly once,
-    /// never refreshes an LRU tick, and never touches [`AccessStats`] —
-    /// a residency question is planner introspection, not a logical
-    /// disk access, so it must not age other pages toward eviction or
-    /// inflate any read counter. Returns one flag per input page, in
-    /// input order (duplicates allowed).
+    /// never moves a page in the recency list, and never touches
+    /// [`AccessStats`] — a residency question is planner introspection,
+    /// not a logical disk access, so it must not age other pages toward
+    /// eviction or inflate any read counter. Returns one flag per input
+    /// page, in input order (duplicates allowed).
     pub fn residency(&self, pages: &[PageId]) -> Vec<bool> {
         let mut out = vec![false; pages.len()];
         let n = self.shards.len();
@@ -370,7 +487,7 @@ impl BufferPool {
             for (slot, &page) in pages.iter().enumerate() {
                 if page as usize % n == si {
                     let inner = inner.get_or_insert_with(|| shard.inner.lock());
-                    out[slot] = inner.cache.contains_key(&page);
+                    out[slot] = inner.contains(page);
                 }
             }
         }
@@ -395,7 +512,7 @@ impl BufferPool {
             ..DecodedStats::default()
         };
         for shard in &self.shards {
-            for (_, bytes) in shard.inner.lock().cache.values().flat_map(|f| &f.decoded) {
+            for (_, bytes) in shard.inner.lock().frames.iter().flat_map(|f| &f.decoded) {
                 out.frames += 1;
                 out.bytes += bytes;
             }
@@ -423,16 +540,11 @@ impl BufferPool {
         Arc::clone(&self.stats)
     }
 
-    fn ensure_cached(&self, shard: &Shard, inner: &mut Inner, id: PageId) -> StorageResult<()> {
-        if let Some(frame) = inner.cache.get_mut(&id) {
-            // Refresh recency. Disjoint field borrows let the frame stay
-            // borrowed while the tick counter and LRU map update.
-            let old = frame.tick;
-            inner.next_tick += 1;
-            frame.tick = inner.next_tick;
-            inner.lru.remove(&old);
-            inner.lru.insert(inner.next_tick, id);
-            return Ok(());
+    /// The slot of `id`'s frame, fetched on a miss; either way the page
+    /// is now the shard's most recently used.
+    fn ensure_cached(&self, shard: &Shard, inner: &mut Inner, id: PageId) -> StorageResult<usize> {
+        if let Some(slot) = inner.touch(id) {
+            return Ok(slot as usize);
         }
         self.stats.record_read();
         shard.stats.mirror_read();
@@ -474,14 +586,12 @@ impl BufferPool {
     /// dirty. Shared by [`Self::install`] (making room for an incoming
     /// page) and [`Self::try_set_capacity`] (shrinking the shard).
     fn evict_one(&self, shard: &Shard, inner: &mut Inner) -> StorageResult<()> {
-        let (&tick, &victim) = inner.lru.iter().next().expect("lru nonempty");
-        inner.lru.remove(&tick);
-        let mut frame = inner.cache.remove(&victim).expect("victim cached");
+        let mut frame = inner.pop_oldest().expect("lru nonempty");
         if frame.dirty {
             self.stats.record_write();
             shard.stats.record_write();
             seal_page(&mut frame.buf);
-            self.store.write_page(victim, &frame.buf)?;
+            self.store.write_page(frame.id, &frame.buf)?;
         }
         Ok(())
     }
@@ -506,7 +616,7 @@ impl BufferPool {
         for shard in &self.shards {
             let mut inner = shard.inner.lock();
             inner.capacity = per_shard;
-            while inner.cache.len() > inner.capacity {
+            while inner.len() > inner.capacity {
                 if let Err(e) = self.evict_one(shard, &mut inner) {
                     first_err.get_or_insert(e);
                 }
@@ -530,6 +640,8 @@ impl BufferPool {
         self.shards.iter().map(|s| s.inner.lock().capacity).sum()
     }
 
+    /// Make `id` resident as the most recently used frame, evicting LRU
+    /// victims to make room; returns its slot.
     fn install(
         &self,
         shard: &Shard,
@@ -537,31 +649,27 @@ impl BufferPool {
         id: PageId,
         buf: PageBuf,
         dirty: bool,
-    ) -> StorageResult<()> {
+    ) -> StorageResult<usize> {
         let mut first_err = None;
-        while inner.cache.len() >= inner.capacity {
+        while inner.len() >= inner.capacity {
             if let Err(e) = self.evict_one(shard, inner) {
                 // The incoming page must still be installed; report
                 // the eviction failure afterwards.
                 first_err.get_or_insert(e);
             }
         }
-        inner.next_tick += 1;
-        let tick = inner.next_tick;
-        inner.lru.insert(tick, id);
-        inner.cache.insert(
+        let slot = inner.insert(Frame {
             id,
-            Frame {
-                buf,
-                dirty,
-                tick,
-                visited: false,
-                decoded: None,
-            },
-        );
+            buf,
+            dirty,
+            older: NIL,
+            newer: NIL,
+            visited: false,
+            decoded: None,
+        });
         match first_err {
             Some(e) => Err(e),
-            None => Ok(()),
+            None => Ok(slot as usize),
         }
     }
 }
@@ -1056,6 +1164,277 @@ mod tests {
         assert_eq!(raw, dec);
         assert_eq!(raw_builds, 0);
         assert!(dec_builds > 0, "the trace revisits pages, so it built");
+    }
+
+    /// Each shard's resident pages from the next victim to the most
+    /// recently used, read off the recency list after checking that it is
+    /// consistent: walked backwards it is the same list, it holds every
+    /// frame once, and every page maps to its own slot.
+    fn recency(p: &BufferPool) -> Vec<Vec<PageId>> {
+        p.shards
+            .iter()
+            .map(|s| {
+                let inner = s.inner.lock();
+                let walk = |start: u32, step: fn(&Frame) -> u32| {
+                    let mut out = Vec::new();
+                    let mut at = start;
+                    while at != NIL {
+                        let frame = &inner.frames[at as usize];
+                        assert_eq!(inner.slot_of[&frame.id], at, "page maps to its slot");
+                        out.push(frame.id);
+                        at = step(frame);
+                    }
+                    out
+                };
+                let forward = walk(inner.oldest, |f| f.newer);
+                let mut backward = walk(inner.newest, |f| f.older);
+                backward.reverse();
+                assert_eq!(forward, backward, "list links agree both ways");
+                assert_eq!(forward.len(), inner.frames.len(), "every frame listed");
+                assert_eq!(inner.slot_of.len(), inner.frames.len());
+                forward
+            })
+            .collect()
+    }
+
+    /// The bookkeeping the pool kept before its recency list — a
+    /// `HashMap` of frames and a `BTreeMap` from touch tick to page, the
+    /// smallest tick being the victim — with the counters each operation
+    /// moves. The model the pool is held to, step by step.
+    struct TickLru {
+        shards: Vec<TickShard>,
+        builds: u64,
+    }
+
+    #[derive(Default)]
+    struct TickShard {
+        cache: HashMap<PageId, TickFrame>,
+        lru: std::collections::BTreeMap<u64, PageId>,
+        next_tick: u64,
+        capacity: usize,
+        stats: StatsSnapshot,
+    }
+
+    #[derive(Default)]
+    struct TickFrame {
+        tick: u64,
+        dirty: bool,
+        visited: bool,
+        decoded: bool,
+    }
+
+    impl TickShard {
+        fn evict_one(&mut self) {
+            let (&tick, &victim) = self.lru.iter().next().expect("lru nonempty");
+            self.lru.remove(&tick);
+            if self.cache.remove(&victim).expect("victim cached").dirty {
+                self.stats.writes += 1;
+            }
+        }
+
+        fn install(&mut self, id: PageId, dirty: bool) {
+            while self.cache.len() >= self.capacity {
+                self.evict_one();
+            }
+            self.next_tick += 1;
+            self.lru.insert(self.next_tick, id);
+            let frame = TickFrame {
+                tick: self.next_tick,
+                dirty,
+                ..TickFrame::default()
+            };
+            self.cache.insert(id, frame);
+        }
+
+        fn ensure_cached(&mut self, id: PageId) -> &mut TickFrame {
+            if let Some(frame) = self.cache.get_mut(&id) {
+                self.lru.remove(&frame.tick);
+                self.next_tick += 1;
+                frame.tick = self.next_tick;
+                self.lru.insert(self.next_tick, id);
+            } else {
+                self.stats.reads += 1;
+                self.install(id, false);
+            }
+            self.cache.get_mut(&id).expect("just cached")
+        }
+    }
+
+    impl TickLru {
+        fn new(capacity: usize, shards: usize) -> Self {
+            let per_shard = capacity.div_ceil(shards).max(1);
+            TickLru {
+                shards: (0..shards)
+                    .map(|_| TickShard {
+                        capacity: per_shard,
+                        ..TickShard::default()
+                    })
+                    .collect(),
+                builds: 0,
+            }
+        }
+
+        fn shard(&mut self, id: PageId) -> &mut TickShard {
+            let n = self.shards.len();
+            &mut self.shards[id as usize % n]
+        }
+
+        fn read(&mut self, id: PageId) {
+            self.shard(id).ensure_cached(id);
+        }
+
+        fn read_decoded(&mut self, id: PageId) {
+            let frame = self.shard(id).ensure_cached(id);
+            let first_visit = !std::mem::replace(&mut frame.visited, true);
+            if !frame.decoded && !first_visit {
+                frame.decoded = true;
+                self.builds += 1;
+            }
+        }
+
+        fn write(&mut self, id: PageId) {
+            let frame = self.shard(id).ensure_cached(id);
+            frame.dirty = true;
+            frame.decoded = false;
+        }
+
+        fn allocate(&mut self, id: PageId) {
+            self.shard(id).install(id, true);
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            let per_shard = capacity.div_ceil(self.shards.len()).max(1);
+            for s in &mut self.shards {
+                s.capacity = per_shard;
+                while s.cache.len() > s.capacity {
+                    s.evict_one();
+                }
+            }
+        }
+
+        fn flush(&mut self) {
+            for s in &mut self.shards {
+                s.stats.writes += s.cache.values().filter(|f| f.dirty).count() as u64;
+                s.cache.clear();
+                s.lru.clear();
+            }
+        }
+
+        fn recency(&self) -> Vec<Vec<PageId>> {
+            self.shards
+                .iter()
+                .map(|s| s.lru.values().copied().collect())
+                .collect()
+        }
+
+        fn shard_stats(&self) -> Vec<StatsSnapshot> {
+            self.shards.iter().map(|s| s.stats).collect()
+        }
+
+        fn decoded_stats(&self) -> DecodedStats {
+            let frames = self
+                .shards
+                .iter()
+                .map(|s| s.cache.values().filter(|f| f.decoded).count())
+                .sum();
+            decoded(frames, self.builds)
+        }
+    }
+
+    /// Replay `ops` — `(kind, page, capacity)` triples — on a pool and on
+    /// the tick oracle, comparing recency order (hence every future
+    /// victim), counters and sidecar state after every step.
+    fn pool_matches_tick_oracle(shards: usize, ops: &[(u8, u16, u16)]) -> Result<(), String> {
+        let capacity = 2 * shards;
+        let p = BufferPool::with_shard_count(Box::new(MemStore::new()), capacity, shards);
+        let mut model = TickLru::new(capacity, shards);
+        let mut ids: Vec<PageId> = Vec::new();
+        let allocate = |model: &mut TickLru, ids: &mut Vec<PageId>| {
+            let id = p.try_allocate().unwrap();
+            model.allocate(id);
+            ids.push(id);
+        };
+        for _ in 0..8 {
+            allocate(&mut model, &mut ids);
+        }
+        for (step, &(kind, page, cap)) in ops.iter().enumerate() {
+            let id = ids[page as usize % ids.len()];
+            match kind {
+                0..=4 => {
+                    p.try_read(id, |_| ()).unwrap();
+                    model.read(id);
+                }
+                5..=8 => {
+                    drop(p.try_read_decoded(id, |b| b[0], |b| Ok(Some((b[0], 1)))));
+                    model.read_decoded(id);
+                }
+                9..=11 => {
+                    p.try_write(id, |b| b[0] = b[0].wrapping_add(1)).unwrap();
+                    model.write(id);
+                }
+                12 | 13 => allocate(&mut model, &mut ids),
+                14 => {
+                    let cap = 1 + cap as usize % (4 * shards);
+                    p.try_set_capacity(cap).unwrap();
+                    model.set_capacity(cap);
+                }
+                _ => {
+                    p.try_flush_all().unwrap();
+                    model.flush();
+                }
+            }
+            let at = format!("step {step}: op {kind} on page {id}");
+            if recency(&p) != model.recency() {
+                return Err(format!(
+                    "{at}: recency {:?} != {:?}",
+                    recency(&p),
+                    model.recency()
+                ));
+            }
+            let shard_stats = model.shard_stats();
+            let total = shard_stats
+                .iter()
+                .fold(StatsSnapshot::default(), |acc, s| StatsSnapshot {
+                    reads: acc.reads + s.reads,
+                    writes: acc.writes + s.writes,
+                    retries: 0,
+                });
+            if p.shard_stats() != shard_stats || p.stats() != total {
+                return Err(format!(
+                    "{at}: stats {:?} != {shard_stats:?}",
+                    p.shard_stats()
+                ));
+            }
+            if p.decoded_stats() != model.decoded_stats() {
+                return Err(format!(
+                    "{at}: decoded {:?} != {:?}",
+                    p.decoded_stats(),
+                    model.decoded_stats()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The recency list is exactly the tick index's LRU: same
+        /// resident set and victim order after every read, decoded read,
+        /// write, allocation, resize and flush, on one shard and sixteen.
+        #[test]
+        fn recency_list_is_exactly_lru(
+            ops in proptest::collection::vec(
+                (0u8..16, proptest::prelude::any::<u16>(), proptest::prelude::any::<u16>()),
+                1..300,
+            )
+        ) {
+            for shards in [1, 16] {
+                if let Err(e) = pool_matches_tick_oracle(shards, &ops) {
+                    return Err(proptest::prelude::TestCaseError::fail(format!("{shards} shards, {e}")));
+                }
+            }
+        }
     }
 
     #[test]

@@ -43,8 +43,8 @@ use dm_storage::{
 use parking_lot::Mutex;
 
 use dm_core::{
-    query, BoundaryPolicy, DbStats, DirectMeshDb, DmRecord, FetchCounters, FetchedSet,
-    IntegrityReport, RecordStore, VdQuery, VdResult, ViFlatResult,
+    query, BoundaryPolicy, DbStats, DirectMeshDb, FetchCounters, FetchedSet, IntegrityReport,
+    RecordStore, VdQuery, VdResult, ViFlatResult,
 };
 
 use crate::manifest::{RegionMeta, WorldManifest};
@@ -649,12 +649,12 @@ impl WorldDb {
             .collect()
     }
 
-    /// Fetch one record by *world* id, probing regions in ascending
+    /// Fetch one node by *world* id, probing regions in ascending
     /// order. Worlds assembled from independent stores carry disjoint
     /// `[id_base, id_base + n_records)` ranges, so at most one region is
     /// opened; split worlds share the id space (`id_base == 0`) and fall
     /// back to an in-order probe.
-    pub fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>> {
+    pub fn try_fetch_node_by_id(&self, id: u32) -> StorageResult<Option<PmNode>> {
         let ranged = self.ranged_ids();
         for (i, meta) in self.regions.iter().enumerate() {
             if id < meta.id_base {
@@ -665,12 +665,8 @@ impl WorldDb {
                 continue;
             }
             let db = self.region(i)?;
-            if let Some(mut rec) = db.try_fetch_by_id(local)? {
-                rec.node = remap_node(rec.node, meta.id_base, meta.offset);
-                for c in &mut rec.conn {
-                    *c = remap_id(*c, meta.id_base);
-                }
-                return Ok(Some(rec));
+            if let Some(node) = db.try_fetch_node_by_id(local)? {
+                return Ok(Some(remap_node(node, meta.id_base, meta.offset)));
             }
         }
         Ok(None)
@@ -792,8 +788,8 @@ impl RecordStore for WorldScope<'_> {
 
     /// World fetch-by-id is never narrowed to the view's region: a
     /// boundary record may live in the neighbouring tile.
-    fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>> {
-        self.world.try_fetch_by_id(id)
+    fn try_fetch_node_by_id(&self, id: u32) -> StorageResult<Option<PmNode>> {
+        self.world.try_fetch_node_by_id(id)
     }
 
     fn union_page_counts(&self, roi: &Rect, plans: &[Vec<Box3>]) -> StorageResult<Vec<usize>> {
@@ -1153,9 +1149,9 @@ mod tests {
             db.n_records as u32 - 1,
             db.n_records as u32 + 7,
         ] {
-            let a = db.try_fetch_by_id(id).unwrap();
-            let b = world.try_fetch_by_id(id).unwrap();
-            assert_eq!(a, b, "record {id}");
+            let a = db.try_fetch_node_by_id(id).unwrap();
+            let b = world.try_fetch_node_by_id(id).unwrap();
+            assert_eq!(a, b, "node {id}");
         }
     }
 }

@@ -104,11 +104,15 @@ echo "== dmbench world_walkthrough smoke (traced; a region open must stay index-
 # must verify, and the traced open must cost what a catalog + index read
 # costs (hundreds of microseconds), not what a heap scan costs (4-5 ms
 # on this store before opens went index-only).
+# The traced pass's counts are fixed at seed 1 by which pages the small
+# per-region pools evict: a pool that picks a different LRU victim moves
+# them. ROADMAP item 10's BENCH_counts.json will absorb this check.
 cargo run --release --offline --quiet --manifest-path dmbench/Cargo.toml -- \
     --workload world_walkthrough --seed 1 --seconds 2 --trace 1 | tail -1 | python3 -c '
 import json, sys
 result = json.loads(sys.stdin.read())
-open_us = result["metrics"]["world.open_us"]["value"]
+layer = {k: v["value"] for k, v in result["metrics"].items()}
+open_us = layer["world.open_us"]
 bad = []
 if result["correct"] is not True:
     bad.append("correct: %r" % result["correct"])
@@ -116,9 +120,14 @@ if result["failed"] > 0:
     bad.append("failed: %d of %d" % (result["failed"], result["attempted"]))
 if open_us > 1000:
     bad.append("world.open_us: %.0f (limit 1000)" % open_us)
+for name, want in (("disk_accesses_per_op", 9.6944), ("storage.page_reads_per_op", 12.1111),
+                   ("world.region_opens", 12), ("world.region_evictions", 12)):
+    if round(layer[name], 4) != want:
+        bad.append("%s: %.4f (exact-LRU victims give %g)" % (name, layer[name], want))
 if bad:
     sys.exit("dmbench world_walkthrough smoke FAILED\n  " + "\n  ".join(bad))
-print("dmbench world_walkthrough ok: %d ops, 0 failed, region open %.0f us" % (result["attempted"], open_us))
+print("dmbench world_walkthrough ok: %d ops, 0 failed, region open %.0f us, exact-LRU counts held"
+      % (result["attempted"], open_us))
 '
 
 echo "== benches compile"

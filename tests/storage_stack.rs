@@ -114,7 +114,7 @@ fn database_reopens_from_its_catalog() {
     assert_eq!(ids, want_ids);
     // Point lookups work through the reattached B+-tree.
     for id in [0u32, 7, 100] {
-        assert_eq!(db.fetch_by_id(id).unwrap().node.id, id);
+        assert_eq!(db.try_fetch_by_id(id).unwrap().unwrap().node.id, id);
     }
     std::fs::remove_file(&path).ok();
 }
