@@ -10,10 +10,14 @@ use std::hint::black_box;
 
 use dm_bench::{build_dataset, vd_query, Terrain};
 use dm_core::faces::{extract_faces_dense_owned, DenseAdjacency};
+use dm_core::navigation::waypoint_path;
 use dm_core::query::uniform_cut;
-use dm_core::{BoundaryPolicy, FetchCounters, FetchedSet, IntegrityReport};
+use dm_core::{
+    BoundaryPolicy, FetchCounters, FetchedSet, IntegrityReport, NavigationSession, VdQuery,
+};
 use dm_geom::{Box3, Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
+use dm_mtm::PlaneTarget;
 use dm_storage::{BufferPool, MemStore};
 use dm_terrain::{generate, TriMesh};
 
@@ -148,6 +152,56 @@ fn bench_queries(c: &mut Criterion) {
             })
         });
     }
+
+    // One walkthrough frame on a resident store: a `FetchOnMiss` session
+    // with 16 cubes flies a closed 32-frame loop of 0.35-wide windows,
+    // one lap before timing, so every page it touches is resident. Each
+    // window is seen like `warm_walkthrough` sees it: the detail of the
+    // keep-0.4 cut at its south edge, falling off to keep 0.05 at the
+    // north. One iteration is one frame: plan, ΔROI fetch, working set,
+    // seed front, refinement.
+    let at = |fx: f64, fy: f64| Vec2::new(b.min.x + fx * b.width(), b.min.y + fy * b.height());
+    let corners = [
+        at(0.3, 0.3),
+        at(0.7, 0.3),
+        at(0.7, 0.7),
+        at(0.3, 0.7),
+        at(0.3, 0.3),
+    ];
+    let (near, far) = (
+        d.dm.e_for_points_fraction(0.4),
+        d.dm.e_for_points_fraction(0.05),
+    );
+    let tour: Vec<VdQuery> = waypoint_path(&corners, b.width().min(b.height()) * 0.35, 33)[..32]
+        .iter()
+        .map(|&roi| VdQuery {
+            roi,
+            target: PlaneTarget {
+                origin: roi.min,
+                dir: Vec2::new(0.0, 1.0),
+                e_min: near,
+                slope: (far - near) / roi.height(),
+                e_max: far,
+            },
+        })
+        .collect();
+    let mut session = NavigationSession::new(&d.dm, BoundaryPolicy::FetchOnMiss).with_max_cubes(16);
+    for q in &tour {
+        session.try_move_to(q).expect("clean store");
+    }
+    let reads = d.dm.pool().stats().reads;
+    let mut next = tour.iter().cycle();
+    c.bench_function("nav_frame_resident_129", |bch| {
+        bch.iter(|| {
+            let q = next.next().expect("cycle");
+            black_box(session.try_move_to(q).expect("clean store").0.vertices)
+        })
+    });
+    assert_eq!(
+        d.dm.pool().stats().reads,
+        reads,
+        "every timed frame was resident"
+    );
 }
 
 /// Ids `0..n` in construction order (spatially coherent, like a frame's

@@ -43,7 +43,7 @@ use dm_storage::StorageResult;
 use fxhash::FxHashMap;
 
 use crate::query::{
-    assemble_topmost_front, refine_accounted, staircase, BoundaryPolicy, RecordStore, VdQuery,
+    assemble_topmost_front_into, refine_accounted, staircase, BoundaryPolicy, RecordStore, VdQuery,
 };
 use crate::record::IndexedSet;
 use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
@@ -158,11 +158,15 @@ pub struct NavigationSession<'a> {
     mode: PlanMode,
     /// Unit costs for the [`PlanMode::Auto`] frame decision.
     cost_params: FrameCostParams,
-    /// The refined mesh of the last frame.
+    /// The refined mesh of the last frame; the next frame rebuilds it in
+    /// place.
     front: FrontMesh,
     /// Session record cache — always exactly the union fetch set of the
     /// last frame's cubes.
     working: IndexedSet,
+    /// The working set's other buffer: the next frame's cache is built
+    /// here, then the two swap.
+    spare: IndexedSet,
     /// The query cubes executed last frame (delta-planning baseline).
     prev_cubes: Vec<Box3>,
     /// Seed ids of the last frame's front, ascending (what
@@ -188,6 +192,7 @@ impl<'a> NavigationSession<'a> {
             cost_params: FrameCostParams::default(),
             front: FrontMesh::default(),
             working: IndexedSet::default(),
+            spare: IndexedSet::default(),
             prev_cubes: Vec::new(),
             prev_seeds: Vec::new(),
             boundary: FxHashMap::default(),
@@ -344,32 +349,34 @@ impl<'a> NavigationSession<'a> {
         };
         let fresh = self.db.fetch(exec, &mut report, &mut counters)?;
 
-        // Working-set update, into a new arena: the records whose
-        // indexed segment still meets a new cube, then the delta fetch.
-        // The cache now equals the union fetch set of a cold query over
-        // `new_cubes`.
+        // Nothing below can fail: from here on the session's buffers are
+        // recycled. Working-set update, into the spare arena: the records
+        // whose indexed segment still meets a new cube, then the delta
+        // fetch. The cache now equals the union fetch set of a cold query
+        // over `new_cubes`.
         let db = self.db;
-        let mut working = IndexedSet::default();
-        working.absorb(self.working.set(), |n| {
+        self.spare.clear();
+        self.spare.absorb(self.working.set(), |n| {
             let seg = db.record_segment(n);
             new_cubes.iter().any(|c| seg.intersects(c))
         });
-        working.absorb(&fresh, |_| true);
-        self.working = working;
+        self.spare.absorb(&fresh, |_| true);
+        std::mem::swap(&mut self.working, &mut self.spare);
         self.prev_cubes = new_cubes;
 
         // Result mesh: the cold path's seed front over the working set,
-        // refined to the query plane reading records straight out of the
-        // working set (no per-frame node-map rebuild). Boundary fetches
-        // stay out of the working set; the ones this frame touched are
-        // kept for the next.
-        let mut front = assemble_topmost_front(&self.working, &q.roi);
+        // rebuilt into last frame's front and refined to the query plane
+        // reading records straight out of the working set (no per-frame
+        // node-map rebuild). Boundary fetches stay out of the working
+        // set; the ones this frame touched are kept for the next.
+        let front = &mut self.front;
+        assemble_topmost_front_into(&self.working, &q.roi, front);
         let mut seeds: Vec<u32> = front.vertex_ids().collect();
         seeds.sort_unstable();
         let (seeds_added, seeds_removed) = sorted_diff_counts(&seeds, &self.prev_seeds);
         self.prev_seeds = seeds;
         let (refine, boundary_fetches) = refine_accounted(
-            &mut front,
+            front,
             self.db,
             &self.working,
             &mut self.boundary,
@@ -390,7 +397,6 @@ impl<'a> NavigationSession<'a> {
             vertices: front.num_vertices(),
             plan,
         };
-        self.front = front;
         Ok((stats, report))
     }
 
@@ -398,7 +404,7 @@ impl<'a> NavigationSession<'a> {
     /// or `DirectMeshDb::cold_start` to measure cold costs again).
     pub fn reset(&mut self) {
         self.front = FrontMesh::default();
-        self.working = IndexedSet::default();
+        self.working.clear();
         self.prev_cubes.clear();
         self.prev_seeds.clear();
         self.boundary = FxHashMap::default();
@@ -485,7 +491,7 @@ mod tests {
     use crate::store::DmBuildOptions;
     use dm_mtm::builder::{build_pm, PmBuildConfig};
     use dm_mtm::PlaneTarget;
-    use dm_storage::{BufferPool, MemStore};
+    use dm_storage::{BufferPool, FaultConfig, FaultInjector, MemStore};
     use dm_terrain::{generate, TriMesh};
     use std::sync::Arc;
 
@@ -603,6 +609,77 @@ mod tests {
             first.seeds_added + moved.seeds_added - moved.seeds_removed,
             session.prev_seeds.len()
         );
+    }
+
+    /// `try_move_to`'s `Err` promise under recycled buffers: a frame
+    /// whose index descent fails leaves the front, the working set and
+    /// the boundary as they were, so the next frame answers like a
+    /// session that never saw the failure.
+    #[test]
+    fn a_failed_frame_leaves_the_session_unchanged() {
+        let hf = generate::fractal_terrain(33, 33, 77);
+        let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+        let build = |cfg: FaultConfig| {
+            let inj = FaultInjector::new(Box::new(MemStore::new()), cfg);
+            let counters = inj.counters();
+            let pool = Arc::new(BufferPool::new(Box::new(inj), 4096));
+            (
+                DirectMeshDb::build(pool, &pm, &DmBuildOptions::default()),
+                counters,
+            )
+        };
+        let (healthy, reads) = build(FaultConfig::new(1));
+        let path = flight_path(&healthy.bounds, 0.5, 4);
+        let (home, away) = (query_at(&healthy, path[0]), query_at(&healthy, path[3]));
+        let mut clean = NavigationSession::new(&healthy, BoundaryPolicy::FetchOnMiss);
+        clean.move_to(&home);
+
+        // The same store on a device that dies after the reads of the
+        // build and the first frame.
+        let (db, _) = build(FaultConfig::new(1).with_fail_reads_after(reads.reads()));
+        let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
+        session.move_to(&home);
+        let snapshot = |s: &NavigationSession| {
+            (
+                face_set(s.front()),
+                s.front().num_vertices(),
+                s.working.set().nodes.clone(),
+                s.prev_cubes.clone(),
+                s.prev_seeds.clone(),
+                s.boundary_nodes(),
+            )
+        };
+        let before = snapshot(&session);
+        // An empty pool: the next descent must read, and cannot.
+        db.try_cold_start().unwrap();
+        assert!(session.try_move_to(&away).is_err());
+        assert!(
+            snapshot(&session) == before,
+            "a failed frame changed the session"
+        );
+
+        // Back home: the frame needs no read, and answers as if the
+        // failure never happened.
+        let (got, report) = session
+            .try_move_to(&home)
+            .expect("a frame that reads nothing");
+        assert!(report.is_clean());
+        let want = clean.move_to(&home);
+        assert_eq!(
+            (got.refine, got.vertices, got.boundary_fetches),
+            (want.refine, want.vertices, want.boundary_fetches)
+        );
+        assert_eq!(
+            (got.seeds_added, got.seeds_removed, got.fetched_records),
+            (want.seeds_added, want.seeds_removed, want.fetched_records)
+        );
+        assert_eq!(face_set(session.front()), face_set(clean.front()));
+        let ids = |s: &NavigationSession| {
+            let mut ids: Vec<u32> = s.front().vertex_ids().collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(ids(&session), ids(&clean));
     }
 
     #[test]

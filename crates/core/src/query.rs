@@ -657,6 +657,14 @@ impl DirectMeshDb {
 /// face emission relies on), so the map's iteration order is irrelevant
 /// and the front is a pure function of the record set and the ROI.
 pub(crate) fn assemble_topmost_front(all: &IndexedSet, roi: &Rect) -> FrontMesh {
+    let mut front = FrontMesh::default();
+    assemble_topmost_front_into(all, roi, &mut front);
+    front
+}
+
+/// [`assemble_topmost_front`] into a front the caller recycles: its
+/// contents are replaced, its allocations kept.
+pub(crate) fn assemble_topmost_front_into(all: &IndexedSet, roi: &Rect, front: &mut FrontMesh) {
     let set = all.set();
     let node = |slot: usize| &set.nodes[slot];
     // Seeds are arena slots (one per id).
@@ -704,8 +712,8 @@ pub(crate) fn assemble_topmost_front(all: &IndexedSet, roi: &Rect) -> FrontMesh 
             .into_iter()
             .map(|t| t.map(|v| node(seeds[v as usize]).id))
             .collect();
-        FrontMesh::from_parts(seeds.iter().map(|&s| *node(s)).collect(), &faces)
-    })
+        front.rebuild(seeds.iter().map(|&s| *node(s)), &faces);
+    });
 }
 
 /// Generation-stamped direct-mapped id → dense-index table: PM ids are

@@ -521,6 +521,12 @@ impl IndexedSet {
         }
     }
 
+    /// Drop every record, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.set.truncate(0);
+        self.slot_of.clear();
+    }
+
     /// The records, one slot per id.
     pub(crate) fn set(&self) -> &FetchedSet {
         &self.set

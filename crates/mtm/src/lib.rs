@@ -30,4 +30,4 @@ pub mod refine;
 
 pub use builder::{build_pm, PmBuild, PmBuildConfig};
 pub use hierarchy::{PmHierarchy, PmNode, NIL_ID};
-pub use refine::{coarsen, refine, FrontMesh, LodTarget, PlaneTarget, RecordSource, UniformTarget};
+pub use refine::{refine, FrontMesh, LodTarget, PlaneTarget, RecordSource, UniformTarget};

@@ -17,6 +17,7 @@
 //! (e.g. outside the query ROI) blocks that split — the caller's boundary
 //! policy decides whether that is acceptable or triggers a fetch.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::BuildHasher;
 
@@ -157,47 +158,151 @@ pub struct RefineStats {
     pub missing_records: usize,
 }
 
+/// Triangles a fan keeps inline before it spills to the heap. Terrain
+/// fans are about six wide, so almost no vertex allocates.
+const FAN_INLINE: usize = 10;
+
+/// A front vertex's incident triangles, in push order.
 #[derive(Clone)]
-struct FrontVert {
-    node: PmNode,
-    tris: Vec<u32>,
+enum Fan {
+    Inline(u8, [u32; FAN_INLINE]),
+    Spilled(Vec<u32>),
 }
 
-/// The explicit front mesh, keyed by PM node ids.
+impl Default for Fan {
+    fn default() -> Fan {
+        Fan::Inline(0, [0; FAN_INLINE])
+    }
+}
+
+impl Fan {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Fan::Inline(len, tris) => &tris[..usize::from(*len)],
+            Fan::Spilled(tris) => tris,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    fn push(&mut self, t: u32) {
+        match self {
+            Fan::Inline(len, tris) if usize::from(*len) < FAN_INLINE => {
+                tris[usize::from(*len)] = t;
+                *len += 1;
+            }
+            Fan::Inline(_, tris) => {
+                let mut spilled = Vec::with_capacity(2 * FAN_INLINE);
+                spilled.extend_from_slice(tris);
+                spilled.push(t);
+                *self = Fan::Spilled(spilled);
+            }
+            Fan::Spilled(tris) => tris.push(t),
+        }
+    }
+
+    /// Keep the triangles `keep` accepts, in order; `keep` sees every
+    /// triangle once, in fan order. A spilled fan that fits inline again
+    /// moves back.
+    fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
+        match self {
+            Fan::Inline(len, tris) => {
+                let old = *tris;
+                let mut kept = 0;
+                for &t in &old[..usize::from(*len)] {
+                    if keep(t) {
+                        tris[kept] = t;
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            Fan::Spilled(tris) => {
+                tris.retain(|&t| keep(t));
+                if tris.len() <= FAN_INLINE {
+                    let mut inline = [0; FAN_INLINE];
+                    inline[..tris.len()].copy_from_slice(tris);
+                    *self = Fan::Inline(tris.len() as u8, inline);
+                }
+            }
+        }
+    }
+}
+
+/// One arena slot: a front vertex with its fan, or a freed slot waiting
+/// on the free list (`node.id == NIL_ID`, empty fan).
+#[derive(Clone)]
+struct Slot {
+    node: PmNode,
+    fan: Fan,
+}
+
+/// The explicit front mesh, a slot arena: each vertex lives in a slot
+/// with its fan inline and is found by PM node id through `slot_of`;
+/// freed slots are reused. Triangle corners are slots, so fan walks and
+/// orientation tests index arrays — ids appear only at the API.
 #[derive(Clone, Default)]
 pub struct FrontMesh {
-    verts: FxHashMap<u32, FrontVert>,
+    slots: Vec<Slot>,
+    slot_of: FxHashMap<u32, u32>,
+    free: Vec<u32>,
+    /// Every triangle is live: a split rewrites corners and adds seams,
+    /// nothing removes one.
     tris: Vec<[u32; 3]>,
-    tri_alive: Vec<bool>,
-    live_tris: usize,
 }
 
 impl FrontMesh {
-    /// Build from active records and their triangles. Triangles given in
-    /// either winding are normalized to CCW.
+    /// Build from active records and their triangles (over node ids).
+    /// Triangles given in either winding are normalized to CCW.
     pub fn from_parts(records: Vec<PmNode>, triangles: &[[u32; 3]]) -> Self {
         let mut fm = FrontMesh::default();
-        fm.verts.reserve(records.len());
-        fm.tris.reserve(triangles.len());
-        fm.tri_alive.reserve(triangles.len());
-        for r in records {
-            // A fan is about six wide: one allocation per vertex, made here.
-            fm.verts.insert(
-                r.id,
-                FrontVert {
-                    node: r,
-                    tris: Vec::with_capacity(8),
-                },
-            );
-        }
-        for &t in triangles {
-            fm.add_triangle_normalized(t);
-        }
+        fm.rebuild(records, triangles);
         fm
     }
 
-    fn pos2(&self, id: u32) -> Vec2 {
-        self.verts[&id].node.pos.xy()
+    /// [`Self::from_parts`] into this front: the contents are replaced
+    /// and the allocations kept, so a caller that builds a front every
+    /// frame stops reallocating it.
+    pub fn rebuild(&mut self, records: impl IntoIterator<Item = PmNode>, triangles: &[[u32; 3]]) {
+        self.slots.clear();
+        self.slot_of.clear();
+        self.free.clear();
+        self.tris.clear();
+        let records = records.into_iter();
+        self.slots.reserve(records.size_hint().0);
+        self.slot_of.reserve(records.size_hint().0);
+        for r in records {
+            // A repeated id keeps its slot and takes the later record.
+            match self.slot_of.entry(r.id) {
+                Entry::Occupied(e) => self.slots[*e.get() as usize].node = r,
+                Entry::Vacant(e) => {
+                    e.insert(self.slots.len() as u32);
+                    self.slots.push(Slot {
+                        node: r,
+                        fan: Fan::default(),
+                    });
+                }
+            }
+        }
+        self.tris.reserve(triangles.len());
+        for t in triangles {
+            let t = t.map(|id| self.slot(id).expect("triangle vertex present"));
+            self.add_triangle_normalized(t);
+        }
+    }
+
+    fn slot(&self, id: u32) -> Option<u32> {
+        self.slot_of.get(&id).copied()
+    }
+
+    fn id_at(&self, slot: u32) -> u32 {
+        self.slots[slot as usize].node.id
+    }
+
+    fn pos2(&self, slot: u32) -> Vec2 {
+        self.slots[slot as usize].node.pos.xy()
     }
 
     fn add_triangle_normalized(&mut self, mut t: [u32; 3]) {
@@ -212,95 +317,91 @@ impl FrontMesh {
     }
 
     fn add_triangle(&mut self, t: [u32; 3]) {
-        let id = self.tris.len() as u32;
+        let tri = self.tris.len() as u32;
         self.tris.push(t);
-        self.tri_alive.push(true);
-        self.live_tris += 1;
-        for &v in &t {
-            self.verts
-                .get_mut(&v)
-                .expect("triangle vertex present")
-                .tris
-                .push(id);
+        for v in t {
+            self.slots[v as usize].fan.push(tri);
         }
     }
 
-    fn remove_triangle(&mut self, t: u32) {
-        if !self.tri_alive[t as usize] {
-            return;
+    /// A slot for `node`: a freed one if any, else a new one.
+    fn alloc(&mut self, node: PmNode) -> u32 {
+        if let Some(s) = self.free.pop() {
+            self.slots[s as usize].node = node;
+            return s;
         }
-        self.tri_alive[t as usize] = false;
-        self.live_tris -= 1;
-        for v in self.tris[t as usize] {
-            if let Some(fv) = self.verts.get_mut(&v) {
-                fv.tris.retain(|&x| x != t);
-            }
-        }
+        self.slots.push(Slot {
+            node,
+            fan: Fan::default(),
+        });
+        self.slots.len() as u32 - 1
     }
 
     pub fn contains(&self, id: u32) -> bool {
-        self.verts.contains_key(&id)
+        self.slot_of.contains_key(&id)
     }
 
     pub fn node(&self, id: u32) -> Option<&PmNode> {
-        self.verts.get(&id).map(|v| &v.node)
+        self.slot(id).map(|s| &self.slots[s as usize].node)
     }
 
     pub fn num_vertices(&self) -> usize {
-        self.verts.len()
+        self.slot_of.len()
     }
 
     pub fn num_triangles(&self) -> usize {
-        self.live_tris
+        self.tris.len()
     }
 
+    fn live_nodes(&self) -> impl Iterator<Item = &PmNode> + '_ {
+        self.slots
+            .iter()
+            .map(|s| &s.node)
+            .filter(|n| n.id != NIL_ID)
+    }
+
+    /// Ids of the active vertices, in slot order.
     pub fn vertex_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.verts.keys().copied()
+        self.live_nodes().map(|n| n.id)
     }
 
-    /// Every active vertex with its record, in hash order — one lookup
-    /// per vertex for callers that need both id and node (the canonical
-    /// wire extraction sorts afterwards anyway).
+    /// Every active vertex with its record, in slot order — for callers
+    /// that need both id and node (the canonical wire extraction sorts
+    /// afterwards anyway).
     pub fn iter_nodes(&self) -> impl Iterator<Item = (u32, &PmNode)> + '_ {
-        self.verts.iter().map(|(&id, fv)| (id, &fv.node))
+        self.live_nodes().map(|n| (n.id, n))
     }
 
     pub fn triangles(&self) -> impl Iterator<Item = [u32; 3]> + '_ {
-        self.tris
-            .iter()
-            .zip(&self.tri_alive)
-            .filter(|(_, &alive)| alive)
-            .map(|(&t, _)| t)
+        self.tris.iter().map(|t| t.map(|s| self.id_at(s)))
     }
 
-    /// Unique neighbours of an active vertex, into a reused buffer.
-    fn neighbors_into(&self, id: u32, out: &mut Vec<u32>) {
+    /// Unique neighbour slots of the vertex in slot `v`, in fan order,
+    /// into a reused buffer.
+    fn neighbors_into(&self, v: u32, out: &mut Vec<u32>) {
         out.clear();
-        if let Some(fv) = self.verts.get(&id) {
-            for &t in &fv.tris {
-                for &o in &self.tris[t as usize] {
-                    if o != id && !out.contains(&o) {
-                        out.push(o);
-                    }
+        for &t in self.slots[v as usize].fan.as_slice() {
+            for &o in &self.tris[t as usize] {
+                if o != v && !out.contains(&o) {
+                    out.push(o);
                 }
             }
         }
     }
 
-    /// The neighbours of `id` in circular fan order (CCW), left in
-    /// `s.cycle`; `s.fan` holds `(a, b)` of each incident CCW triangle
-    /// `(id, a, b)` in the vertex's triangle order and `s.neighbors` its
-    /// unique neighbours. For boundary vertices the cycle is closed
-    /// virtually across the gap. Fans are a dozen wide at most, so
-    /// successor and predecessor lookups are linear scans of `s.fan`.
-    /// `None` for a non-manifold or corrupt fan.
-    fn neighbor_cycle(&self, id: u32, s: &mut SplitScratch) -> Option<()> {
-        let fv = self.verts.get(&id)?;
+    /// The neighbour slots of slot `v` in circular fan order (CCW), left
+    /// in `s.cycle`; `s.fan` holds `(a, b)` of each incident CCW triangle
+    /// `(v, a, b)` in the vertex's fan order and `s.neighbors` its unique
+    /// neighbours. For boundary vertices the cycle is closed virtually
+    /// across the gap. Fans are a dozen wide at most, so successor and
+    /// predecessor lookups are linear scans of `s.fan`. `None` for a
+    /// non-manifold or corrupt fan.
+    fn neighbor_cycle(&self, v: u32, s: &mut SplitScratch) -> Option<()> {
         s.fan.clear();
         s.cycle.clear();
-        for &t in &fv.tris {
+        for &t in self.slots[v as usize].fan.as_slice() {
             let tri = self.tris[t as usize];
-            let k = tri.iter().position(|&x| x == id).expect("incident");
+            let k = tri.iter().position(|&x| x == v).expect("incident");
             let a = tri[(k + 1) % 3];
             if s.fan.iter().any(|f| f.0 == a) {
                 return None; // non-manifold fan
@@ -317,7 +418,13 @@ impl FrontMesh {
             .iter()
             .map(|f| f.0)
             .find(|&a| !s.fan.iter().any(|f| f.1 == a))
-            .unwrap_or_else(|| s.fan.iter().map(|f| f.0).min().expect("nonempty fan"));
+            .unwrap_or_else(|| {
+                s.fan
+                    .iter()
+                    .map(|f| f.0)
+                    .min_by_key(|&a| self.id_at(a))
+                    .expect("nonempty fan")
+            });
         s.cycle.push(start);
         let mut cur = start;
         while let Some(&(_, next)) = s.fan.iter().find(|f| f.0 == cur) {
@@ -334,9 +441,9 @@ impl FrontMesh {
         // chains; the successor walk then covers only one of them. Since
         // the terrain is planar, the angular order around the vertex is
         // the true cyclic order — use it for fragmented fans.
-        self.neighbors_into(id, &mut s.neighbors);
+        self.neighbors_into(v, &mut s.neighbors);
         if s.cycle.len() < s.neighbors.len() {
-            let center = fv.node.pos.xy();
+            let center = self.pos2(v);
             s.cycle.clear();
             s.cycle.extend_from_slice(&s.neighbors);
             s.cycle.sort_by(|&a, &b| {
@@ -348,11 +455,67 @@ impl FrontMesh {
         Some(())
     }
 
+    /// Commit a checked split of slot `v`: `c1` takes `v`'s slot, so the
+    /// triangles it inherits keep their corners, and `c2` a slot of its
+    /// own, rewriting the corner of each fan triangle `to_c1` (in fan
+    /// order) hands it. Then the seams `(c1, c2, r)` / `(c2, c1, r)` for
+    /// each wing representative slot `r`. A fanless seed already holding
+    /// a child's id is absorbed: `c2` keeps its slot, `c1`'s is freed.
+    /// Returns the children's slots.
+    fn split_slot(
+        &mut self,
+        v: u32,
+        c1: PmNode,
+        c2: PmNode,
+        to_c1: &[bool],
+        seams: [Option<u32>; 2],
+    ) -> [u32; 2] {
+        let vid = self.id_at(v);
+        self.slot_of.remove(&vid);
+        if let Some(seed) = self.slot_of.insert(c1.id, v) {
+            self.slots[seed as usize].node.id = NIL_ID;
+            self.free.push(seed);
+        }
+        self.slots[v as usize].node = c1;
+        let s2 = match self.slot(c2.id) {
+            Some(s2) => {
+                self.slots[s2 as usize].node = c2;
+                s2
+            }
+            None => {
+                let s2 = self.alloc(c2);
+                self.slot_of.insert(c2.id, s2);
+                s2
+            }
+        };
+        let mut fan2 = Fan::default();
+        let mut sides = to_c1.iter();
+        let (slots, tris) = (&mut self.slots, &mut self.tris);
+        slots[v as usize].fan.retain(|t| {
+            let keep = *sides.next().expect("one side per fan triangle");
+            if !keep {
+                let tri = &mut tris[t as usize];
+                let k = tri.iter().position(|&x| x == v).expect("incident");
+                tri[k] = s2;
+                fan2.push(t);
+            }
+            keep
+        });
+        slots[s2 as usize].fan = fan2;
+        if let Some(r) = seams[0] {
+            self.add_triangle([v, s2, r]);
+        }
+        if let Some(r) = seams[1] {
+            self.add_triangle([s2, v, r]);
+        }
+        [v, s2]
+    }
+
     /// Number of mesh edges bordered by exactly one triangle — the hull
     /// plus any seams/holes; a diagnostic for multi-base stitching.
     pub fn boundary_edge_count(&self) -> usize {
         let mut counts: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-        for t in self.triangles() {
+        for t in &self.tris {
             for i in 0..3 {
                 let a = t[i].min(t[(i + 1) % 3]);
                 let b = t[i].max(t[(i + 1) % 3]);
@@ -362,24 +525,24 @@ impl FrontMesh {
         counts.values().filter(|&&c| c == 1).count()
     }
 
-    /// Convert to a validated-friendly `TriMesh` (compact ids). Returns
-    /// the mesh and the PM node id of each compact vertex.
+    /// Convert to a validated-friendly `TriMesh` (compact ids, ascending
+    /// by PM node id). Returns the mesh and the PM node id of each
+    /// compact vertex.
     pub fn to_trimesh(&self) -> (dm_terrain::TriMesh, Vec<u32>) {
-        let mut ids: Vec<u32> = self.verts.keys().copied().collect();
-        ids.sort_unstable();
-        let remap: FxHashMap<u32, u32> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
+        let mut order: Vec<u32> = (0..self.slots.len() as u32)
+            .filter(|&s| self.id_at(s) != NIL_ID)
             .collect();
+        order.sort_unstable_by_key(|&s| self.id_at(s));
+        let mut compact = vec![0u32; self.slots.len()];
         let mut mesh = dm_terrain::TriMesh::new();
-        for &id in &ids {
-            mesh.add_vertex(self.verts[&id].node.pos);
+        for (i, &s) in order.iter().enumerate() {
+            compact[s as usize] = i as u32;
+            mesh.add_vertex(self.slots[s as usize].node.pos);
         }
-        for t in self.triangles() {
-            mesh.add_triangle([remap[&t[0]], remap[&t[1]], remap[&t[2]]]);
+        for t in &self.tris {
+            mesh.add_triangle(t.map(|s| compact[s as usize]));
         }
-        (mesh, ids)
+        (mesh, order.iter().map(|&s| self.id_at(s)).collect())
     }
 }
 
@@ -417,10 +580,9 @@ pub fn refine(
 ) -> RefineStats {
     let mut stats = RefineStats::default();
     let mut heap: BinaryHeap<HeapItem> = front
-        .verts
-        .values()
-        .filter(|v| needs_split(&v.node, target))
-        .map(|v| heap_item(&v.node))
+        .live_nodes()
+        .filter(|n| needs_split(n, target))
+        .map(heap_item)
         .collect();
     // Ids whose split is known to be impossible (don't retry forever).
     let mut dead_ends: FxHashSet<u32> = Default::default();
@@ -431,34 +593,24 @@ pub fn refine(
 
     while let Some(item) = heap.pop() {
         let id = item.id;
-        if dead_ends.contains(&id) || !front.contains(id) {
+        if dead_ends.contains(&id) {
             continue;
         }
-        let node = front.verts[&id].node;
-        if !needs_split(&node, target) {
+        let Some(v) = front.slot(id) else {
+            continue;
+        };
+        if !needs_split(&front.slots[v as usize].node, target) {
             continue;
         }
-        match split_vertex(front, source, id, 0, &mut stats, &mut scratch) {
+        match split_vertex(front, source, v, 0, &mut stats, &mut scratch) {
             SplitOutcome::Done(children) => {
                 stats.splits += 1;
-                for c in children.into_iter().flatten() {
-                    if let Some(n) = front.node(c) {
-                        if needs_split(n, target) {
-                            heap.push(heap_item(n));
-                        }
-                    }
-                }
+                push_unsatisfied(&mut heap, front, children, target);
             }
             SplitOutcome::DidForcedWork(new_actives) => {
-                // Forced splits expanded other subtrees; requeue everything
+                // Forced splits expanded other subtrees; requeue what
                 // they activated plus this vertex.
-                for c in new_actives {
-                    if let Some(n) = front.node(c) {
-                        if needs_split(n, target) {
-                            heap.push(heap_item(n));
-                        }
-                    }
-                }
+                push_unsatisfied(&mut heap, front, new_actives, target);
                 heap.push(item);
             }
             SplitOutcome::Blocked => {
@@ -473,6 +625,21 @@ fn needs_split(n: &PmNode, target: &dyn LodTarget) -> bool {
     target.needs_refinement(n)
 }
 
+/// Queue the just-activated `slots` that still violate `target`.
+fn push_unsatisfied(
+    heap: &mut BinaryHeap<HeapItem>,
+    front: &FrontMesh,
+    slots: [u32; 2],
+    target: &dyn LodTarget,
+) {
+    for s in slots {
+        let n = &front.slots[s as usize].node;
+        if needs_split(n, target) {
+            heap.push(heap_item(n));
+        }
+    }
+}
+
 /// The largest id a wing walk can still meet in `front` during one
 /// [`refine`] run: PM parents carry larger ids than their children and a
 /// split only trades a vertex for two smaller ids, so the front's largest
@@ -482,140 +649,18 @@ fn needs_split(n: &PmNode, target: &dyn LodTarget) -> bool {
 /// the early exit must not turn that block into a split.
 fn id_ceiling(front: &FrontMesh, source: &dyn RecordSource) -> u32 {
     if source.is_complete() {
-        front.verts.keys().copied().max().unwrap_or(0)
+        front.vertex_ids().max().unwrap_or(0)
     } else {
         u32::MAX
     }
 }
 
-/// Coarsen the front: collapse sibling pairs whose *parent* already
-/// satisfies the target (the inverse of refinement; used when the viewer
-/// moves away and previously fine regions may relax). Returns the number
-/// of collapses performed.
-///
-/// Together with [`refine`], this gives hysteresis-free incremental
-/// adaptation: `coarsen(front, t); refine(front, t)` reaches the same
-/// front as a fresh query at `t`, reusing everything still valid.
-pub fn coarsen(
-    front: &mut FrontMesh,
-    source: &mut dyn RecordSource,
-    target: &dyn LodTarget,
-) -> usize {
-    let mut total = 0;
-    loop {
-        // Parents whose two children are both active and which satisfy
-        // the target at their own position.
-        let mut parents: Vec<u32> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for (_, fv) in front.verts.iter() {
-            let p = fv.node.parent;
-            if p != NIL_ID && seen.insert(p) {
-                parents.push(p);
-            }
-        }
-        // Collapse coarser parents first so chains fold in one sweep.
-        let mut candidates: Vec<(f64, u32)> = Vec::new();
-        for p in parents {
-            let Some(rec) = source.fetch(p) else { continue };
-            if target.needs_refinement(&rec) {
-                continue; // parent itself would violate the target
-            }
-            if front.contains(rec.child1) && front.contains(rec.child2) {
-                candidates.push((rec.e_lo, p));
-            }
-        }
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut progress = 0;
-        for (_, p) in candidates {
-            if collapse_pair(front, source, p).is_ok() {
-                progress += 1;
-            }
-        }
-        if progress == 0 {
-            return total;
-        }
-        total += progress;
-    }
-}
-
-/// Collapse the two (active, adjacent) children of `parent` back into it.
-/// The front is unchanged on `Err`.
-fn collapse_pair(
-    front: &mut FrontMesh,
-    source: &mut dyn RecordSource,
-    parent: u32,
-) -> Result<(), ()> {
-    let rec = source.fetch(parent).ok_or(())?;
-    let (c1, c2) = (rec.child1, rec.child2);
-    if !front.contains(c1) || !front.contains(c2) {
-        return Err(());
-    }
-    // Gather both fans; triangles containing both children disappear
-    // (they are the seam triangles of the original split).
-    let mut tris: Vec<u32> = front.verts[&c1].tris.clone();
-    for &t in &front.verts[&c2].tris {
-        if !tris.contains(&t) {
-            tris.push(t);
-        }
-    }
-    let mut retarget: Vec<[u32; 3]> = Vec::new();
-    for &t in &tris {
-        let tri = front.tris[t as usize];
-        if tri.contains(&c1) && tri.contains(&c2) {
-            continue; // seam triangle: removed by the collapse
-        }
-        let mut new_tri = tri;
-        for corner in new_tri.iter_mut() {
-            if *corner == c1 || *corner == c2 {
-                *corner = parent;
-            }
-        }
-        // Fold-over check at the parent position.
-        let p0 = if new_tri[0] == parent {
-            rec.pos.xy()
-        } else {
-            front.pos2(new_tri[0])
-        };
-        let p1 = if new_tri[1] == parent {
-            rec.pos.xy()
-        } else {
-            front.pos2(new_tri[1])
-        };
-        let p2 = if new_tri[2] == parent {
-            rec.pos.xy()
-        } else {
-            front.pos2(new_tri[2])
-        };
-        if orient2d(p0, p1, p2) <= 0.0 {
-            return Err(());
-        }
-        retarget.push(new_tri);
-    }
-    // Commit.
-    for &t in &tris {
-        front.remove_triangle(t);
-    }
-    front.verts.remove(&c1);
-    front.verts.remove(&c2);
-    front.verts.insert(
-        parent,
-        FrontVert {
-            node: rec,
-            tris: Vec::new(),
-        },
-    );
-    for t in retarget {
-        front.add_triangle(t);
-    }
-    Ok(())
-}
-
 enum SplitOutcome {
-    /// Split succeeded; the two children are now active.
-    Done([Option<u32>; 2]),
-    /// Could not split yet, but forced splits changed the front; the new
-    /// active vertices are returned and the caller should retry.
-    DidForcedWork(Vec<u32>),
+    /// Split succeeded; the two children's slots.
+    Done([u32; 2]),
+    /// Could not split yet, but a forced split changed the front; the
+    /// slots it activated are returned and the caller should retry.
+    DidForcedWork([u32; 2]),
     /// Permanently impossible (missing records / unresolvable geometry).
     Blocked,
 }
@@ -625,6 +670,7 @@ const MAX_FORCE_DEPTH: u32 = 48;
 /// The split path's buffers, reused across every split of one
 /// [`refine`] run (a forced split returns straight after recursing, so
 /// one set serves the whole recursion), and the run's [`id_ceiling`].
+/// Everything but the ceiling holds slots.
 #[derive(Default)]
 struct SplitScratch {
     ceiling: u32,
@@ -640,7 +686,7 @@ fn forced(outcome: SplitOutcome, stats: &mut RefineStats) -> SplitOutcome {
     match outcome {
         SplitOutcome::Done(children) => {
             stats.splits += 1;
-            SplitOutcome::DidForcedWork(children.into_iter().flatten().collect())
+            SplitOutcome::DidForcedWork(children)
         }
         other @ SplitOutcome::DidForcedWork(_) => other,
         SplitOutcome::Blocked => {
@@ -653,7 +699,7 @@ fn forced(outcome: SplitOutcome, stats: &mut RefineStats) -> SplitOutcome {
 fn split_vertex(
     front: &mut FrontMesh,
     source: &mut dyn RecordSource,
-    id: u32,
+    v: u32,
     depth: u32,
     stats: &mut RefineStats,
     s: &mut SplitScratch,
@@ -662,7 +708,7 @@ fn split_vertex(
         stats.blocked += 1;
         return SplitOutcome::Blocked;
     }
-    let node = front.verts[&id].node;
+    let node = front.slots[v as usize].node;
     // Top-level splits are guarded by `needs_split`, but the forced-split
     // path below can recurse into a wing's active ancestor that is itself
     // a leaf (the wing is active but not adjacent to the splitting
@@ -686,7 +732,11 @@ fn split_vertex(
     // face twice, overlapping geometry), so the mesh from above ends where
     // the mesh from below begins. A seed without a fan has nothing to
     // orphan and is simply absorbed.
-    let has_fan = |c: u32| front.verts.get(&c).is_some_and(|fv| !fv.tris.is_empty());
+    let has_fan = |c: u32| {
+        front
+            .slot(c)
+            .is_some_and(|k| !front.slots[k as usize].fan.is_empty())
+    };
     if has_fan(c1.id) || has_fan(c2.id) {
         stats.blocked += 1;
         return SplitOutcome::Blocked;
@@ -694,25 +744,27 @@ fn split_vertex(
 
     // Resolve each recorded wing to an active representative adjacent to v:
     // the wing itself, else the earliest-created neighbour related to it.
-    front.neighbors_into(id, &mut s.neighbors);
+    // Ids decide, slots travel: a representative is `(id, slot)`.
+    front.neighbors_into(v, &mut s.neighbors);
     let mut reps: [Option<u32>; 2] = [None, None];
-    for (slot, wing) in [node.wing1, node.wing2].into_iter().enumerate() {
+    for (k, wing) in [node.wing1, node.wing2].into_iter().enumerate() {
         if wing == NIL_ID {
             continue;
         }
-        let mut rep: Option<u32> = None;
+        let mut rep: Option<(u32, u32)> = None;
         for &n in &s.neighbors {
-            if n == wing {
-                rep = Some(wing);
-            } else if source.related(n, wing) && rep != Some(wing) {
-                rep = Some(rep.map_or(n, |r| r.min(n)));
+            let id = front.id_at(n);
+            if id == wing {
+                rep = Some((id, n));
+            } else if source.related(id, wing) && rep.map(|r| r.0) != Some(wing) {
+                rep = Some(rep.map_or((id, n), |r| r.min((id, n))));
             }
         }
         if rep.is_none() {
             // The wing's subtree is not expanded next to v — force-split
             // the active node that must contain it.
             match active_ancestor_of(front, source, wing, s.ceiling) {
-                WingCover::Active(anc) if anc != id => {
+                WingCover::Active(anc) if anc != v => {
                     stats.forced += 1;
                     let outcome = split_vertex(front, source, anc, depth + 1, stats, s);
                     return forced(outcome, stats);
@@ -730,7 +782,7 @@ fn split_vertex(
                 }
             }
         }
-        reps[slot] = rep;
+        reps[k] = rep.map(|r| r.1);
     }
 
     // Both wings collapsed into one active representative: it must split
@@ -743,7 +795,7 @@ fn split_vertex(
         }
     }
 
-    match perform_split(front, id, c1, c2, reps, s) {
+    match perform_split(front, v, c1, c2, reps, s) {
         Ok(children) => SplitOutcome::Done(children),
         Err(()) => {
             stats.blocked += 1;
@@ -754,7 +806,7 @@ fn split_vertex(
 
 /// Result of looking for the active node covering a wing.
 enum WingCover {
-    /// This active node's subtree contains the wing.
+    /// The slot of the active node whose subtree contains the wing.
     Active(u32),
     /// The chain walk reached a root, or climbed past the front's id
     /// ceiling, without meeting the front: the wing's region is genuinely
@@ -779,8 +831,8 @@ fn active_ancestor_of(
         if cur > ceiling {
             return WingCover::OutsideFront;
         }
-        if front.contains(cur) {
-            return WingCover::Active(cur);
+        if let Some(s) = front.slot(cur) {
+            return WingCover::Active(s);
         }
         let Some(rec) = source.fetch(cur) else {
             return WingCover::Unknown;
@@ -792,15 +844,15 @@ fn active_ancestor_of(
     }
 }
 
-/// Execute the split of `v` into `c1`/`c2` with resolved (side-ordered)
-/// wing representatives: `reps[0]` descends from the recorded `wing1`
-/// (the wing for which `(c1, c2, wing1)` wound CCW at collapse time),
-/// `reps[1]` from `wing2`.
+/// Execute the split of slot `v` into `c1`/`c2` with resolved
+/// (side-ordered) wing representative slots: `reps[0]` descends from the
+/// recorded `wing1` (the wing for which `(c1, c2, wing1)` wound CCW at
+/// collapse time), `reps[1]` from `wing2`.
 ///
 /// The neighbour fan of `v` is partitioned combinatorially: walking the
 /// CCW cycle, the sectors from `rep1` to `rep2` belong to `c1`, the rest
 /// to `c2` (this is exactly how the collapse merged the two fans). The
-/// front is unchanged on `Err`.
+/// front is unchanged on `Err`; on `Ok` the children's slots.
 fn perform_split(
     front: &mut FrontMesh,
     v: u32,
@@ -808,11 +860,13 @@ fn perform_split(
     c2: PmNode,
     reps: [Option<u32>; 2],
     s: &mut SplitScratch,
-) -> Result<[Option<u32>; 2], ()> {
+) -> Result<[u32; 2], ()> {
     front.neighbor_cycle(v, s).ok_or(())?;
     let (cycle, l) = (&s.cycle, s.cycle.len());
     s.to_c1.clear();
-    let mut seams: [Option<[u32; 3]>; 2] = [None, None];
+    // The representative closing each seam: `(c1, c2, rep1)` and
+    // `(c2, c1, rep2)`.
+    let mut seams: [Option<u32>; 2] = [None, None];
     // An isolated vertex (single-point front) has an empty cycle: both
     // children appear, connected by nothing.
     if l > 0 {
@@ -864,51 +918,16 @@ fn perform_split(
             if orient2d(c1.pos.xy(), c2.pos.xy(), front.pos2(r)) <= 0.0 {
                 return Err(());
             }
-            seams[0] = Some([c1.id, c2.id, r]);
+            seams[0] = Some(r);
         }
         if let Some(r) = reps[1] {
             if orient2d(c2.pos.xy(), c1.pos.xy(), front.pos2(r)) <= 0.0 {
                 return Err(());
             }
-            seams[1] = Some([c2.id, c1.id, r]);
+            seams[1] = Some(r);
         }
     }
-
-    // Commit. Each fan triangle keeps its slot and its other two corners
-    // — only the `v` corner is rewritten to the child that inherits it,
-    // so no neighbour's triangle list changes; `v`'s own list is divided
-    // between the children (`s.to_c1` is in its order, like `s.fan`).
-    let mut tris1 = front.verts.remove(&v).expect("split vertex active").tris;
-    let mut tris2 = Vec::with_capacity(8);
-    let mut sides = s.to_c1.iter();
-    tris1.retain(|&t| {
-        let to_c1 = *sides.next().expect("one side per fan triangle");
-        let tri = &mut front.tris[t as usize];
-        let k = tri.iter().position(|&x| x == v).expect("incident");
-        tri[k] = if to_c1 { c1.id } else { c2.id };
-        if !to_c1 {
-            tris2.push(t);
-        }
-        to_c1
-    });
-    front.verts.insert(
-        c1.id,
-        FrontVert {
-            node: c1,
-            tris: tris1,
-        },
-    );
-    front.verts.insert(
-        c2.id,
-        FrontVert {
-            node: c2,
-            tris: tris2,
-        },
-    );
-    for t in seams.into_iter().flatten() {
-        front.add_triangle(t);
-    }
-    Ok([Some(c1.id), Some(c2.id)])
+    Ok(front.split_slot(v, c1, c2, &s.to_c1, seams))
 }
 
 #[cfg(test)]
@@ -1101,35 +1120,30 @@ mod tests {
             let (sin, cos) = a.to_radians().sin_cos();
             records.push(node(i as u32 + 1, cos, sin));
         }
-        let mut fm = FrontMesh::default();
-        for r in records {
-            fm.verts.insert(
-                r.id,
-                FrontVert {
-                    node: r,
-                    tris: Vec::new(),
-                },
-            );
-        }
+        // Reverse id order, so that slot order is not id order and a rule
+        // that must compare ids cannot compare slots unnoticed.
+        records.reverse();
+        let mut fm = FrontMesh::from_parts(records, &[]);
         // Straight into the table: `from_parts` would reorient or drop
         // the deliberately inconsistent triangles of the broken fans.
-        for &t in tris {
-            fm.add_triangle(t);
+        for t in tris {
+            fm.add_triangle(t.map(|id| fm.slot(id).expect("fan vertex")));
         }
         fm
     }
 
     /// The hash-map `neighbor_cycle` this module used before the linear
-    /// one — the reference the new one is held to.
+    /// one — the reference the new one is held to. Works on ids.
     fn neighbor_cycle_oracle(fm: &FrontMesh, id: u32) -> Option<Vec<u32>> {
-        let fv = fm.verts.get(&id)?;
-        if fv.tris.is_empty() {
+        let v = fm.slot(id)?;
+        let fan = fm.slots[v as usize].fan.as_slice();
+        if fan.is_empty() {
             return Some(Vec::new());
         }
         let mut succ: FxHashMap<u32, u32> = FxHashMap::default();
         let mut has_pred: FxHashMap<u32, bool> = FxHashMap::default();
-        for &t in &fv.tris {
-            let tri = fm.tris[t as usize];
+        for &t in fan {
+            let tri = fm.tris[t as usize].map(|s| fm.id_at(s));
             let k = tri.iter().position(|&x| x == id).expect("incident");
             let a = tri[(k + 1) % 3];
             let b = tri[(k + 2) % 3];
@@ -1156,13 +1170,15 @@ mod tests {
                 return None;
             }
         }
-        let mut all_neighbors = Vec::new();
-        fm.neighbors_into(id, &mut all_neighbors);
+        let mut slots = Vec::new();
+        fm.neighbors_into(v, &mut slots);
+        let mut all_neighbors: Vec<u32> = slots.iter().map(|&s| fm.id_at(s)).collect();
         if cycle.len() < all_neighbors.len() {
-            let center = fv.node.pos.xy();
+            let center = fm.node(id).expect("fan vertex").pos.xy();
+            let pos = |n: u32| fm.node(n).expect("neighbour").pos.xy();
             all_neighbors.sort_by(|&a, &b| {
-                dm_geom::tri::angle_around(center, fm.pos2(a))
-                    .partial_cmp(&dm_geom::tri::angle_around(center, fm.pos2(b)))
+                dm_geom::tri::angle_around(center, pos(a))
+                    .partial_cmp(&dm_geom::tri::angle_around(center, pos(b)))
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
             return Some(all_neighbors);
@@ -1172,7 +1188,8 @@ mod tests {
 
     fn cycle_of(fm: &FrontMesh, id: u32) -> Option<Vec<u32>> {
         let mut s = SplitScratch::default();
-        fm.neighbor_cycle(id, &mut s).map(|()| s.cycle)
+        fm.neighbor_cycle(fm.slot(id)?, &mut s)
+            .map(|()| s.cycle.iter().map(|&k| fm.id_at(k)).collect())
     }
 
     #[test]
@@ -1237,11 +1254,12 @@ mod tests {
         for id in ids {
             let got = cycle_of(&front, id).expect("manifold fan");
             let mut want = neighbor_cycle_oracle(&front, id).expect("manifold fan");
+            let v = front.slot(id).expect("live vertex");
             let mut neigh = Vec::new();
-            front.neighbors_into(id, &mut neigh);
+            front.neighbors_into(v, &mut neigh);
             assert_eq!(got.len(), neigh.len());
             // Only a closed fan leaves the oracle's start to its hash map.
-            if front.verts[&id].tris.len() == neigh.len() {
+            if front.slots[v as usize].fan.as_slice().len() == neigh.len() {
                 let k = want.iter().position(|&n| n == got[0]).expect("same ring");
                 want.rotate_left(k);
             }
@@ -1250,46 +1268,58 @@ mod tests {
     }
 
     #[test]
-    fn coarsen_undoes_refinement() {
-        // Refine to fine, coarsen back to a coarse target: the result
-        // must equal refining directly to the coarse target.
-        let (_, build) = setup(9, 55);
-        let h = &build.hierarchy;
-        let coarse = h.e_max * 0.4;
-
-        let mut a = root_front(h);
-        let mut src: &PmHierarchy = h;
-        refine(&mut a, &mut src, &UniformTarget(0.0));
-        let fine_count = a.num_vertices();
-        let collapsed = coarsen(&mut a, &mut src, &UniformTarget(coarse));
-        assert!(collapsed > 0, "coarsening must undo some splits");
-        assert!(a.num_vertices() < fine_count);
-        refine(&mut a, &mut src, &UniformTarget(coarse)); // no-op fixup
-
-        let mut b = root_front(h);
-        refine(&mut b, &mut src, &UniformTarget(coarse));
-
-        let mut ia: Vec<u32> = a.vertex_ids().collect();
-        let mut ib: Vec<u32> = b.vertex_ids().collect();
-        ia.sort();
-        ib.sort();
-        assert_eq!(ia, ib, "coarsen∘refine must equal direct refinement");
-        let (mesh, _) = a.to_trimesh();
-        mesh.validate().expect("coarsened front valid");
-        assert_eq!(edge_set(a.triangles()), edge_set(b.triangles()));
+    fn a_wide_fan_spills_and_returns_inline_like_a_vec() {
+        // Fourteen triangles: four past the inline capacity.
+        let mut fan = Fan::default();
+        let mut model: Vec<u32> = Vec::new();
+        let check = |fan: &Fan, model: &[u32]| {
+            assert_eq!(fan.as_slice(), model);
+            assert_eq!(fan.is_empty(), model.is_empty());
+            assert_eq!(
+                matches!(fan, Fan::Spilled(_)),
+                model.len() > FAN_INLINE,
+                "spilled exactly when wider than the inline capacity"
+            );
+        };
+        for t in 0..14u32 {
+            fan.push(t * 7);
+            model.push(t * 7);
+            check(&fan, &model);
+        }
+        // Each rule drops some triangles: spilled → spilled, then twice
+        // spilled → exactly the inline capacity (un-spill), then all.
+        let rules: [fn(u32) -> bool; 4] = [|t| t != 21, |t| t <= 70, |t| t % 2 == 0, |_| false];
+        for (round, keep) in rules.into_iter().enumerate() {
+            let mut seen = Vec::new();
+            fan.retain(|t| {
+                seen.push(t);
+                keep(t)
+            });
+            assert_eq!(seen, model, "round {round}: every triangle once, in order");
+            model.retain(|&t| keep(t));
+            check(&fan, &model);
+            for t in 0..(3 * round as u32 + 4) {
+                fan.push(1000 + t);
+                model.push(1000 + t);
+                check(&fan, &model);
+            }
+        }
     }
 
     #[test]
-    fn coarsen_noop_when_target_unchanged() {
-        let (_, build) = setup(9, 56);
-        let h = &build.hierarchy;
-        let e = h.e_max * 0.1;
-        let mut front = root_front(h);
-        let mut src: &PmHierarchy = h;
-        refine(&mut front, &mut src, &UniformTarget(e));
-        let n = front.num_vertices();
-        assert_eq!(coarsen(&mut front, &mut src, &UniformTarget(e)), 0);
-        assert_eq!(front.num_vertices(), n);
+    fn a_fourteen_wide_fan_cycles_from_its_smallest_neighbour() {
+        let angles: Vec<f64> = (0..14).map(|i| 360.0 * f64::from(i) / 14.0).collect();
+        let tris: Vec<[u32; 3]> = (1..=14u32).rev().map(|a| [0, a, a % 14 + 1]).collect();
+        let fm = fan_front(&angles, &tris);
+        let fan = &fm.slots[fm.slot(0).expect("centre") as usize].fan;
+        assert!(matches!(fan, Fan::Spilled(_)));
+        assert_eq!(fan.as_slice(), &(0..14).collect::<Vec<u32>>()[..]);
+        let got = cycle_of(&fm, 0).expect("manifold fan");
+        assert_eq!(got, (1..=14).collect::<Vec<u32>>());
+        let mut want = neighbor_cycle_oracle(&fm, 0).expect("manifold fan");
+        let k = want.iter().position(|&n| n == 1).expect("same ring");
+        want.rotate_left(k);
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1336,6 +1366,21 @@ mod tests {
         fetches: usize,
     }
 
+    impl<'a> RoiThenHierarchy<'a> {
+        fn new(h: &'a PmHierarchy, roi: &dm_geom::Rect) -> Self {
+            RoiThenHierarchy {
+                roi: h
+                    .nodes
+                    .iter()
+                    .filter(|n| roi.contains(n.pos.xy()))
+                    .map(|n| (n.id, *n))
+                    .collect(),
+                h,
+                fetches: 0,
+            }
+        }
+    }
+
     impl RecordSource for RoiThenHierarchy<'_> {
         fn fetch(&mut self, id: u32) -> Option<PmNode> {
             if let Some(n) = self.roi.get(&id) {
@@ -1378,6 +1423,12 @@ mod tests {
         faces
     }
 
+    fn sorted_ids(front: &FrontMesh) -> Vec<u32> {
+        let mut ids: Vec<u32> = front.vertex_ids().collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// The `q`-quantile of the internal nodes' `e_lo`: a cut there keeps
     /// about a `1 - q` share of the collapses undone.
     fn lod_quantile(h: &PmHierarchy, q: f64) -> f64 {
@@ -1391,18 +1442,9 @@ mod tests {
         e[((e.len() - 1) as f64 * q) as usize]
     }
 
-    /// A uniform cut at `e0` clipped to `roi` (vertices inside, faces
-    /// with every corner inside), refined toward `target` over the ROI's
-    /// records with the hierarchy behind them: once over the complete
-    /// source, once over the same source reporting incomplete. Returns
-    /// `(vertex ids, faces, stats, source fetches)` for each run.
-    #[allow(clippy::type_complexity)]
-    fn clipped_refine_both_ways(
-        h: &PmHierarchy,
-        roi: &dm_geom::Rect,
-        e0: f64,
-        target: &dyn LodTarget,
-    ) -> [(Vec<u32>, Vec<[u32; 3]>, RefineStats, usize); 2] {
+    /// A uniform cut at `e0` clipped to `roi`: the vertices inside, and
+    /// the faces with every corner inside.
+    fn clipped_seed(h: &PmHierarchy, roi: &dm_geom::Rect, e0: f64) -> (Vec<PmNode>, Vec<[u32; 3]>) {
         let mut cut = root_front(h);
         let mut full: &PmHierarchy = h;
         refine(&mut cut, &mut full, &UniformTarget(e0));
@@ -1416,27 +1458,75 @@ mod tests {
             .triangles()
             .filter(|t| t.iter().all(|&c| inside(c)))
             .collect();
+        (records, faces)
+    }
+
+    /// [`clipped_seed`] refined toward `target` over the ROI's records
+    /// with the hierarchy behind them: once over the complete source,
+    /// once over the same source reporting incomplete. Returns `(vertex
+    /// ids, faces, stats, source fetches)` for each run.
+    #[allow(clippy::type_complexity)]
+    fn clipped_refine_both_ways(
+        h: &PmHierarchy,
+        roi: &dm_geom::Rect,
+        e0: f64,
+        target: &dyn LodTarget,
+    ) -> [(Vec<u32>, Vec<[u32; 3]>, RefineStats, usize); 2] {
+        let (records, faces) = clipped_seed(h, roi, e0);
         [true, false].map(|complete| {
             let mut front = FrontMesh::from_parts(records.clone(), &faces);
-            let mut source = RoiThenHierarchy {
-                roi: h
-                    .nodes
-                    .iter()
-                    .filter(|n| roi.contains(n.pos.xy()))
-                    .map(|n| (n.id, *n))
-                    .collect(),
-                h,
-                fetches: 0,
-            };
+            let mut source = RoiThenHierarchy::new(h, roi);
             let stats = if complete {
                 refine(&mut front, &mut source, target)
             } else {
                 refine(&mut front, &mut Incomplete(&mut source), target)
             };
-            let mut ids: Vec<u32> = front.vertex_ids().collect();
-            ids.sort_unstable();
-            (ids, canonical_faces(&front), stats, source.fetches)
+            (
+                sorted_ids(&front),
+                canonical_faces(&front),
+                stats,
+                source.fetches,
+            )
         })
+    }
+
+    /// Every invariant of the slot arena: live ids and slots are a
+    /// bijection, the free list is exactly the dead slots, every
+    /// triangle's corners are live, each fan is exactly its vertex's
+    /// incident triangles in push (= table) order, no face appears twice
+    /// up to rotation, and the mesh validates.
+    fn check_arena(front: &FrontMesh) {
+        let n = front.slots.len() as u32;
+        let live = |s: u32| front.id_at(s) != NIL_ID;
+        assert_eq!(
+            front.slot_of.len(),
+            (0..n).filter(|&s| live(s)).count(),
+            "one map entry per live slot"
+        );
+        for (&id, &s) in &front.slot_of {
+            assert!(s < n && front.id_at(s) == id, "id {id} maps to slot {s}");
+        }
+        let mut free = front.free.clone();
+        free.sort_unstable();
+        let dead: Vec<u32> = (0..n).filter(|&s| !live(s)).collect();
+        assert_eq!(free, dead, "the free list is exactly the dead slots");
+        let mut fans = vec![Vec::new(); n as usize];
+        for (t, tri) in front.tris.iter().enumerate() {
+            for &c in tri {
+                assert!(c < n && live(c), "triangle {t} has a dead corner {c}");
+                fans[c as usize].push(t as u32);
+            }
+        }
+        for (s, fan) in fans.iter().enumerate() {
+            assert_eq!(front.slots[s].fan.as_slice(), &fan[..], "fan of slot {s}");
+        }
+        let faces = canonical_faces(front);
+        assert!(
+            faces.windows(2).all(|w| w[0] != w[1]),
+            "a face appears twice"
+        );
+        let (mesh, _) = front.to_trimesh();
+        mesh.validate().expect("the arena front is a valid mesh");
     }
 
     proptest::proptest! {
@@ -1483,6 +1573,81 @@ mod tests {
                 complete.3,
                 incomplete.3
             );
+        }
+
+        /// The arena's invariants hold on a ROI-clipped seed front and
+        /// after refining it, over a source that falls through to the
+        /// hierarchy and over the ROI's records alone; a front recycled
+        /// from another run and rebuilt from the same parts refines to the
+        /// same answer with the same counters as a fresh one.
+        #[test]
+        fn arena_invariants_hold_and_a_rebuilt_front_refines_alike(
+            side in 9usize..34,
+            seed in 0u64..1000,
+            corner in (0.0..0.5f64, 0.0..0.5f64),
+            extent in 0.3..0.7f64,
+            fracs in (0.5..0.95f64, 0.0..1.0f64),
+            plane in proptest::prelude::any::<bool>(),
+            fetch_on_miss in proptest::prelude::any::<bool>(),
+            stride in 0usize..6,
+        ) {
+            let (_, build) = setup(side, seed);
+            let h = &build.hierarchy;
+            let b = h.bounds;
+            let at = |fx: f64, fy: f64| {
+                Vec2::new(b.min.x + fx * b.width(), b.min.y + fy * b.height())
+            };
+            let roi = dm_geom::Rect::from_corners(
+                at(corner.0, corner.1),
+                at(corner.0 + extent, corner.1 + extent),
+            );
+            let e0 = lod_quantile(h, fracs.0);
+            let uniform = UniformTarget(e0 * fracs.1);
+            let tilted = PlaneTarget {
+                origin: b.min,
+                dir: Vec2::new(0.6, 0.8),
+                e_min: e0 * fracs.1 * 0.1,
+                slope: e0 / b.width().max(1.0),
+                e_max: e0,
+            };
+            let target: &dyn LodTarget = if plane { &tilted } else { &uniform };
+            let (mut records, faces) = clipped_seed(h, &roi, e0);
+            // Fanless seeds below the cut, as topmost seeding over a
+            // staircase leaves them: a split reaching one absorbs it and
+            // frees its slot.
+            if stride > 0 {
+                let below: Vec<PmNode> = records
+                    .iter()
+                    .step_by(stride)
+                    .filter(|n| !n.is_leaf())
+                    .map(|n| *h.node(n.child1))
+                    .collect();
+                records.extend(below);
+            }
+            let run = |front: &mut FrontMesh| {
+                let mut source = RoiThenHierarchy::new(h, &roi);
+                if fetch_on_miss {
+                    refine(front, &mut source, target)
+                } else {
+                    refine(front, &mut source.roi, target)
+                }
+            };
+
+            let mut fresh = FrontMesh::from_parts(records.clone(), &faces);
+            check_arena(&fresh);
+            let stats = run(&mut fresh);
+            check_arena(&fresh);
+
+            let mut recycled = root_front(h);
+            let mut full: &PmHierarchy = h;
+            refine(&mut recycled, &mut full, &UniformTarget(0.0));
+            recycled.rebuild(records, &faces);
+            check_arena(&recycled);
+            let again = run(&mut recycled);
+            check_arena(&recycled);
+            proptest::prop_assert_eq!(again, stats, "refine stats");
+            proptest::prop_assert_eq!(sorted_ids(&recycled), sorted_ids(&fresh));
+            proptest::prop_assert_eq!(canonical_faces(&recycled), canonical_faces(&fresh));
         }
     }
 

@@ -143,7 +143,8 @@ pub fn canonical_mesh_into(
         y: n.pos.y,
         z: n.pos.z,
     }));
-    vertices.sort_by_key(|v| v.id);
+    // Ids are unique, so the unstable sort gives the stable one's order.
+    vertices.sort_unstable_by_key(|v| v.id);
 
     faces.clear();
     faces.extend(front.triangles().map(canonical_face));

@@ -85,6 +85,15 @@ for workload, seed in (("warm_walkthrough", 102), ("viewer_load", 1)):
         # A resident page is filtered from its decoded sidecar: that path
         # still counts every record it examines and keeps.
         counts = ("core.records_examined_per_op", "core.records_decoded_per_op")
+        # Refinement's counts on tour 102, as the hash-map front gave them
+        # before the slot-arena front: a front-mesh change that alters
+        # refinement must move them. ROADMAP item 10's BENCH_counts.json
+        # will absorb this check.
+        for name, want in (("mtm.front_vertices_per_op", 1070.5312),
+                           ("mtm.refine_splits_per_op", 203.75),
+                           ("mtm.refine_blocked_per_op", 286.6562)):
+            if round(layer[name], 4) != want:
+                mine.append("%s: %.4f (expected %g)" % (name, layer[name], want))
     else:
         counts = ("mtm.front_vertices_per_op",)
     for name in counts:
