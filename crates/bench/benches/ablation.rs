@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use dm_bench::{build_dataset, mean, random_rois, row, vd_query, Scale, Terrain};
-use dm_core::query::equal_strips;
-use dm_core::{BoundaryPolicy, DirectMeshDb, DmBuildOptions};
+use dm_core::query::{equal_strips, vd_with_strips};
+use dm_core::{BoundaryPolicy, DirectMeshDb, DmBuildOptions, FetchCounters};
 use dm_storage::{BufferPool, MemStore};
 
 fn main() {
@@ -40,8 +40,8 @@ fn main() {
         let (mut da, mut pts, mut blocked, mut fetches) = (vec![], 0usize, 0usize, 0usize);
         for roi in &rois {
             let q = vd_query(roi, d.dm.e_max, d.e_at_cut(0.3), 0.5);
-            d.dm.cold_start();
-            let res = d.dm.vd_single_base(&q, policy);
+            d.dm.try_cold_start().unwrap();
+            let res = d.dm.try_vd_single_base(&q, policy).unwrap().0;
             da.push(d.dm.disk_accesses());
             pts += res.front.num_vertices();
             blocked += res.refine.blocked;
@@ -96,8 +96,8 @@ fn main() {
         let db = DirectMeshDb::build(pool, &d.pm_build, &opts);
         let mut da = Vec::new();
         for roi in &rois {
-            db.cold_start();
-            let _ = db.vi_query(roi, d.avg_lod);
+            db.try_cold_start().unwrap();
+            db.try_vi_query(roi, d.avg_lod).unwrap();
             da.push(db.disk_accesses());
         }
         println!("{}", row(label, &[format!("{:.1}", mean(&da))]));
@@ -113,9 +113,16 @@ fn main() {
         for roi in &rois10 {
             let q = vd_query(roi, d.dm.e_max, d.e_at_cut(0.3), 0.5);
             let strips = plan(&q);
-            d.dm.cold_start();
-            let res =
-                d.dm.vd_multi_base_with_strips(&q, BoundaryPolicy::Skip, &strips);
+            d.dm.try_cold_start().unwrap();
+            let res = vd_with_strips(
+                &d.dm,
+                &q,
+                BoundaryPolicy::Skip,
+                &strips,
+                &mut FetchCounters::default(),
+            )
+            .unwrap()
+            .0;
             da.push(d.dm.disk_accesses());
             cubes += res.cubes.len();
         }

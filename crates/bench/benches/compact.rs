@@ -20,9 +20,11 @@ use std::sync::Arc;
 
 use dm_bench::{mean, random_rois, vd_query, Scale, POOL_PAGES};
 use dm_core::navigation::waypoint_path;
+use dm_core::query::vd_with_strips;
 use dm_core::record::RecordCodec;
 use dm_core::{
-    BoundaryPolicy, DirectMeshDb, DmBuildOptions, NavigationSession, VdResult, ViResult,
+    BoundaryPolicy, DirectMeshDb, DmBuildOptions, FetchCounters, NavigationSession, VdResult,
+    ViResult,
 };
 use dm_geom::{Box3, Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuild, PmBuildConfig};
@@ -106,13 +108,13 @@ impl WorkloadTotals {
 /// any larger budget would compare different query plans. With one cube
 /// the plan is the ROI itself on both stores and meshes must agree.
 fn walk_disk(db: &DirectMeshDb, path: &[Rect], e_min: f64) -> (u64, Vec<usize>) {
-    db.cold_start();
+    db.try_cold_start().unwrap();
     let mut session = NavigationSession::new(db, BoundaryPolicy::Skip).with_max_cubes(1);
     let mut verts = Vec::new();
     let mut disk = 0u64;
     for roi in path {
         let q = vd_query(roi, db.e_max, e_min, 0.5);
-        let stats = session.move_to(&q);
+        let stats = session.try_move_to(&q).unwrap().0;
         disk += stats.disk_accesses;
         verts.push(stats.vertices);
     }
@@ -144,11 +146,11 @@ fn main() {
     for keep in keeps {
         let e = v2.e_for_points_fraction(keep);
         for (i, roi) in rois.iter().enumerate() {
-            v2.cold_start();
-            let ra = v2.vi_query(roi, e);
+            v2.try_cold_start().unwrap();
+            let ra = v2.try_vi_query(roi, e).unwrap().0;
             vi.disk_v2.push(v2.disk_accesses());
-            v3.cold_start();
-            let rb = v3.vi_query(roi, e);
+            v3.try_cold_start().unwrap();
+            let rb = v3.try_vi_query(roi, e).unwrap().0;
             vi.disk_v3.push(v3.disk_accesses());
             assert_same_vi(&format!("VI roi {i} keep {keep}"), &ra, &rb);
             // Replay the exact query prism to isolate heap-page I/O.
@@ -168,11 +170,27 @@ fn main() {
         // statistics, which the codec changes — letting each store plan
         // for itself would compare different query plans, not codecs.
         let strips = v2.plan_multi_base(&q, 16);
-        v2.cold_start();
-        let ra = v2.vd_multi_base_with_strips(&q, BoundaryPolicy::Skip, &strips);
+        v2.try_cold_start().unwrap();
+        let ra = vd_with_strips(
+            &v2,
+            &q,
+            BoundaryPolicy::Skip,
+            &strips,
+            &mut FetchCounters::default(),
+        )
+        .unwrap()
+        .0;
         vd.disk_v2.push(v2.disk_accesses());
-        v3.cold_start();
-        let rb = v3.vd_multi_base_with_strips(&q, BoundaryPolicy::Skip, &strips);
+        v3.try_cold_start().unwrap();
+        let rb = vd_with_strips(
+            &v3,
+            &q,
+            BoundaryPolicy::Skip,
+            &strips,
+            &mut FetchCounters::default(),
+        )
+        .unwrap()
+        .0;
         vd.disk_v3.push(v3.disk_accesses());
         assert_same_vd(&format!("VD roi {i}"), &ra, &rb);
         // Both plans are identical (asserted above): replay the cubes.

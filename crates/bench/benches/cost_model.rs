@@ -48,7 +48,7 @@ fn main() {
             let q = Box3::prism(*roi, d.dm.e_max * elo, d.dm.e_max * ehi);
             pred.push(d.dm.cost_model().estimate(&q));
             exact.push(d.dm.cost_model().count_intersecting(&q) as f64);
-            d.dm.cold_start();
+            d.dm.try_cold_start().unwrap();
             // The exact count prices data-page touches; the measured run
             // adds the index descent itself.
             let mut pages = Vec::new();
@@ -94,11 +94,12 @@ fn main() {
         for roi in &rois {
             let q = vd_query(roi, d.dm.e_max, d.e_at_cut(0.5), angle_frac);
             strips.push(d.dm.plan_multi_base(&q, 16).len() as u64);
-            d.dm.cold_start();
-            let _ = d.dm.vd_single_base(&q, BoundaryPolicy::Skip);
+            d.dm.try_cold_start().unwrap();
+            d.dm.try_vd_single_base(&q, BoundaryPolicy::Skip).unwrap();
             sb.push(d.dm.disk_accesses());
-            d.dm.cold_start();
-            let _ = d.dm.vd_multi_base(&q, BoundaryPolicy::Skip, 16);
+            d.dm.try_cold_start().unwrap();
+            d.dm.try_vd_multi_base(&q, BoundaryPolicy::Skip, 16)
+                .unwrap();
             mb.push(d.dm.disk_accesses());
         }
         let (s, m) = (mean(&sb), mean(&mb));

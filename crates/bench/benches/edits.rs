@@ -68,8 +68,8 @@ fn main() {
         bounds.max,
     );
     let cold_da = |db: &DirectMeshDb| {
-        db.cold_start();
-        db.vi_query(&control, e_probe);
+        db.try_cold_start().unwrap();
+        db.try_vi_query(&control, e_probe).unwrap();
         db.disk_accesses()
     };
     let da_before = cold_da(&snap);

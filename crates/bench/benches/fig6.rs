@@ -63,7 +63,7 @@ fn main() {
                 dm.push(das.dm);
                 pm.push(das.pm);
                 hdov.push(das.hdov);
-                pts += d.dm.vi_query(roi, d.avg_lod).points;
+                pts += d.dm.try_vi_query(roi, d.avg_lod).unwrap().0.points;
             }
             println!(
                 "{}",
@@ -105,7 +105,7 @@ fn main() {
                 dm.push(das.dm);
                 pm.push(das.pm);
                 hdov.push(das.hdov);
-                pts += d.dm.vi_query(roi, e).points;
+                pts += d.dm.try_vi_query(roi, e).unwrap().0.points;
             }
             println!(
                 "{}",

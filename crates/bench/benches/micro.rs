@@ -38,27 +38,35 @@ fn bench_queries(c: &mut Criterion) {
 
     c.bench_function("dm_vi_query_129", |b| {
         b.iter(|| {
-            d.dm.cold_start();
-            black_box(d.dm.vi_query(black_box(&roi), d.avg_lod))
+            d.dm.try_cold_start().unwrap();
+            black_box(d.dm.try_vi_query(black_box(&roi), d.avg_lod).unwrap().0)
         })
     });
 
     c.bench_function("dm_vi_query_warm_129", |b| {
-        b.iter(|| black_box(d.dm.vi_query(black_box(&roi), d.avg_lod)))
+        b.iter(|| black_box(d.dm.try_vi_query(black_box(&roi), d.avg_lod).unwrap().0))
     });
 
     let q = vd_query(&roi, d.dm.e_max, d.dm.e_max * 0.01, 0.5);
     c.bench_function("dm_vd_single_base_129", |b| {
         b.iter(|| {
-            d.dm.cold_start();
-            black_box(d.dm.vd_single_base(black_box(&q), BoundaryPolicy::Skip))
+            d.dm.try_cold_start().unwrap();
+            black_box(
+                d.dm.try_vd_single_base(black_box(&q), BoundaryPolicy::Skip)
+                    .unwrap()
+                    .0,
+            )
         })
     });
 
     c.bench_function("dm_vd_multi_base_129", |b| {
         b.iter(|| {
-            d.dm.cold_start();
-            black_box(d.dm.vd_multi_base(black_box(&q), BoundaryPolicy::Skip, 16))
+            d.dm.try_cold_start().unwrap();
+            black_box(
+                d.dm.try_vd_multi_base(black_box(&q), BoundaryPolicy::Skip, 16)
+                    .unwrap()
+                    .0,
+            )
         })
     });
 

@@ -1,19 +1,18 @@
-//! Incremental navigation vs. per-frame cold requery vs. the planner.
+//! Incremental navigation vs. per-frame cold requery.
 //!
-//! Walks a fixed waypoint path over the mining terrain three times with
-//! the same [`NavigationSession`] machinery — once per [`PlanMode`]:
+//! Walks a fixed waypoint path over the mining terrain twice with the
+//! same [`NavigationSession`] machinery, once per frame strategy:
 //!
 //! * `full` — every frame refetches its whole cube set (the paper's
 //!   isolated-query protocol),
 //! * `incremental` — delta planning + working-set reuse (the front is
-//!   rebuilt from the working set every frame, like a cold query's),
-//! * `auto` — the query planner picks full or incremental per frame from
-//!   estimated candidate pages and live buffer-pool residency.
+//!   rebuilt from the working set every frame, like a cold query's).
 //!
-//! All modes share one code path and must produce identical meshes; only
-//! the I/O may differ. Three facts are *asserted*, not just reported:
+//! Both strategies share one code path and must produce identical
+//! meshes; only the I/O may differ. Three facts are *asserted*, not just
+//! reported:
 //!
-//! * per-frame vertex counts agree across all three modes,
+//! * per-frame vertex counts agree across both strategies,
 //! * over the warm frames (all but frame 0) the incremental session
 //!   fetches AND decodes at least 50% fewer records than full requery
 //!   (on walkthrough-density paths), and
@@ -28,9 +27,7 @@ use std::sync::Arc;
 
 use dm_bench::{vd_query, Scale, POOL_PAGES};
 use dm_core::navigation::waypoint_path;
-use dm_core::{
-    BoundaryPolicy, DirectMeshDb, DmBuildOptions, FrameStats, NavigationSession, PlanMode,
-};
+use dm_core::{BoundaryPolicy, DirectMeshDb, DmBuildOptions, FrameStats, NavigationSession};
 use dm_geom::Rect;
 use dm_geom::Vec2;
 use dm_mtm::builder::{build_pm, PmBuildConfig};
@@ -42,16 +39,17 @@ struct Frame {
     secs: f64,
 }
 
-fn walk(db: &DirectMeshDb, path: &[Rect], e_min: f64, mode: PlanMode) -> Vec<Frame> {
-    db.cold_start();
+fn walk(db: &DirectMeshDb, path: &[Rect], e_min: f64, full: bool) -> Vec<Frame> {
+    db.try_cold_start().unwrap();
     let mut session = NavigationSession::new(db, BoundaryPolicy::Skip)
         .with_max_cubes(16)
-        .with_plan_mode(mode);
+        .with_full_requery(full);
     path.iter()
         .map(|roi| {
             let q = vd_query(roi, db.e_max, e_min, 0.5);
             let t0 = std::time::Instant::now();
-            let stats = session.move_to(&q);
+            let (stats, report) = session.try_move_to(&q).unwrap();
+            assert!(report.is_clean(), "{report}");
             Frame {
                 stats,
                 secs: t0.elapsed().as_secs_f64(),
@@ -127,26 +125,19 @@ fn main() {
     // on trivially coarse cuts) and coarsens across the window.
     let e_min = db.e_for_points_fraction(0.35);
 
-    let full = walk(&db, &path, e_min, PlanMode::Full);
-    let incr = walk(&db, &path, e_min, PlanMode::Incremental);
-    let auto = walk(&db, &path, e_min, PlanMode::Auto);
+    let full = walk(&db, &path, e_min, true);
+    let incr = walk(&db, &path, e_min, false);
 
     for i in 0..path.len() {
         assert_eq!(
             full[i].stats.vertices, incr[i].stats.vertices,
             "frame {i}: incremental mesh diverged from full requery"
         );
-        assert_eq!(
-            full[i].stats.vertices, auto[i].stats.vertices,
-            "frame {i}: planner mesh diverged from full requery"
-        );
     }
-    let auto_full_frames = auto.iter().filter(|f| f.stats.plan.chose_full).count();
 
-    // Warm-frame totals (frame 0 is a cold start in all modes).
+    // Warm-frame totals (frame 0 is a cold start in both walks).
     let f = totals(&full[1..]);
     let n = totals(&incr[1..]);
-    let a = totals(&auto[1..]);
     // The ≥50% saving is a claim about walkthrough-density paths. A short
     // smoke run strides a large fraction of the window per frame, where
     // the overlap physically can't reach 50% — there only strict
@@ -209,7 +200,6 @@ fn main() {
                 "full exam".into(),
                 "incr exam".into(),
                 "incr +s/-s".into(),
-                "auto plan".into(),
                 "verts".into(),
             ]
         )
@@ -225,11 +215,6 @@ fn main() {
                     fr.stats.examined_records.to_string(),
                     nr.stats.examined_records.to_string(),
                     format!("+{}/-{}", nr.stats.seeds_added, nr.stats.seeds_removed),
-                    if auto[i].stats.plan.chose_full {
-                        "full".to_string()
-                    } else {
-                        "incr".to_string()
-                    },
                     nr.stats.vertices.to_string(),
                 ]
             )
@@ -239,7 +224,7 @@ fn main() {
     println!(
         "{:>10}  warm frames: disk {}→{} ({:.1}% saved), \
          fetched {}→{} ({:.1}% saved), examined {}→{} ({:.1}% saved), \
-         full {:.3}s / incr {:.3}s / auto {:.3}s ({auto_full_frames} full frame(s) chosen)",
+         full {:.3}s / incr {:.3}s",
         "total",
         f.disk,
         n.disk,
@@ -252,7 +237,6 @@ fn main() {
         pct(n.exam, f.exam),
         f.secs,
         n.secs,
-        a.secs,
     );
 
     let warm_json = |t: &Totals| {
@@ -262,25 +246,17 @@ fn main() {
             t.disk, t.fetch, t.dec, t.exam, t.secs
         )
     };
-    let mode_json = |name: &str, fs: &[Frame], plans: bool| {
-        let mut body = format!(
+    let mode_json = |name: &str, fs: &[Frame]| {
+        format!(
             "    \"{name}\": {{\n      \"disk_accesses\": {},\n      \
              \"fetched_records\": {},\n      \"decoded_records\": {},\n      \
-             \"examined_records\": {},\n      \"frame_secs\": {}",
+             \"examined_records\": {},\n      \"frame_secs\": {}\n    }}",
             json_array(fs.iter().map(|f| f.stats.disk_accesses)),
             json_array(fs.iter().map(|f| f.stats.fetched_records)),
             json_array(fs.iter().map(|f| f.stats.decoded_records)),
             json_array(fs.iter().map(|f| f.stats.examined_records)),
             json_array(fs.iter().map(|f| format!("{:.6}", f.secs))),
-        );
-        if plans {
-            body.push_str(&format!(
-                ",\n      \"chose_full\": {}",
-                json_array(fs.iter().map(|f| u8::from(f.stats.plan.chose_full)))
-            ));
-        }
-        body.push_str("\n    }");
-        body
+        )
     };
     let json = format!(
         "{{\n  \"bench\": \"navigation\",\n  \"dataset\": \"mining-{side}\",\n  \
@@ -288,21 +264,17 @@ fn main() {
          \"warm_totals\": {{\n    \
          \"full_requery\": {},\n    \
          \"incremental\": {},\n    \
-         \"auto\": {},\n    \
-         \"auto_full_frames\": {auto_full_frames},\n    \
          \"fetch_saved_pct\": {:.2},\n    \"decode_saved_pct\": {:.2},\n    \
          \"examined_saved_pct\": {:.2},\n    \"disk_saved_pct\": {:.2}\n  }},\n  \
-         \"per_frame\": {{\n{},\n{},\n{}\n  }}\n}}\n",
+         \"per_frame\": {{\n{},\n{}\n  }}\n}}\n",
         warm_json(&f),
         warm_json(&n),
-        warm_json(&a),
         pct(n.fetch, f.fetch),
         pct(n.dec, f.dec),
         pct(n.exam, f.exam),
         pct(n.disk, f.disk),
-        mode_json("full_requery", &full, false),
-        mode_json("incremental", &incr, false),
-        mode_json("auto", &auto, true),
+        mode_json("full_requery", &full),
+        mode_json("incremental", &incr),
     );
     let out = std::env::var("DM_NAV_OUT").unwrap_or_else(|_| "BENCH_navigation.json".to_string());
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));

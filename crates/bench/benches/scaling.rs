@@ -67,7 +67,7 @@ fn main() {
 
     let mut runs: Vec<Run> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        db.cold_start();
+        db.try_cold_start().unwrap();
         let t0 = std::time::Instant::now();
         let vi = parallel::vi_query_batch(&db, &vi_batch, threads);
         let vi_secs = t0.elapsed().as_secs_f64();

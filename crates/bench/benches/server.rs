@@ -217,7 +217,7 @@ fn main() {
         };
         for roi in &check_rois {
             let remote = client.vi_query(cold, *roi, avg_lod).expect("remote VI");
-            db.cold_start();
+            db.try_cold_start().unwrap();
             let reads0 = thread_reads();
             let mut counters = FetchCounters::default();
             let (local, _report) = db

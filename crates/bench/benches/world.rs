@@ -220,8 +220,7 @@ fn main() {
         let db = world.region(i).expect("reopen");
         reopen_us.push(t0.elapsed().as_secs_f64() * 1e6);
         reopen_reads += dm_storage::thread_reads() - reads_before;
-        let heap: Vec<u32> = db.page_regions().iter().map(|&(p, _)| p).collect();
-        heap_resident_after_open += db.pool().resident_among(&heap);
+        heap_resident_after_open += db.pool().resident_among(db.heap_pages());
     }
     let reopens = lifecycle(&world) - opens_before;
     assert_eq!(

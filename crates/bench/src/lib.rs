@@ -197,8 +197,8 @@ pub struct ViDas {
 
 /// Run the §6 measurement protocol for a VI query on all systems.
 pub fn measure_vi(d: &Dataset, roi: &Rect, e: f64) -> ViDas {
-    d.dm.cold_start();
-    let _ = d.dm.vi_query(roi, e);
+    d.dm.try_cold_start().unwrap();
+    d.dm.try_vi_query(roi, e).unwrap();
     let dm = d.dm.disk_accesses();
     d.pm.cold_start();
     let _ = d.pm.vi_query(roi, e);
@@ -222,11 +222,13 @@ pub struct VdDas {
 /// multi-base (cost-model plan, up to 16 cubes), PM and HDoV.
 pub fn measure_vd(d: &Dataset, roi: &Rect, e_min: f64, angle_frac: f64) -> VdDas {
     let q = vd_query(roi, d.dm.e_max, e_min, angle_frac);
-    d.dm.cold_start();
-    let _ = d.dm.vd_single_base(&q, dm_core::BoundaryPolicy::Skip);
+    d.dm.try_cold_start().unwrap();
+    d.dm.try_vd_single_base(&q, dm_core::BoundaryPolicy::Skip)
+        .unwrap();
     let sb = d.dm.disk_accesses();
-    d.dm.cold_start();
-    let _ = d.dm.vd_multi_base(&q, dm_core::BoundaryPolicy::Skip, 16);
+    d.dm.try_cold_start().unwrap();
+    d.dm.try_vd_multi_base(&q, dm_core::BoundaryPolicy::Skip, 16)
+        .unwrap();
     let mb = d.dm.disk_accesses();
     d.pm.cold_start();
     let _ = d.pm.vd_query(roi, &q.target);

@@ -55,7 +55,6 @@ fn run(argv: Vec<String>) -> Result<(), String> {
         "query" => cmd_query(args),
         "vd" => cmd_vd(args),
         "walkthrough" => cmd_walkthrough(args),
-        "explain" => cmd_explain(args),
         "patch" => cmd_patch(args),
         "recover" => cmd_recover(args),
         "verify" => cmd_verify(args),
@@ -90,11 +89,7 @@ build options:
   query <db.dmdb> [--keep <frac> | --lod <e>] [--roi x0,y0,x1,y1] [-o mesh.obj]
   vd <db.dmdb> [--near-keep <frac>] [--far-keep <frac>] [--roi ...] [-o mesh.obj]
   walkthrough <db.dmdb> [--frames <n>] [--window <frac>]
-              [--waypoints x0,y0;x1,y1;...] [--plan auto|incremental|full]
-              [--full] [-o last-frame.obj]
-  explain <db.dmdb>     same options as walkthrough; prints the query
-                        planner's per-frame decision instead of fetch
-                        figures (defaults to --plan auto)
+              [--waypoints x0,y0;x1,y1;...] [--full] [-o last-frame.obj]
 
 viewpoint-dependent options (vd / walkthrough):
   --policy <skip|fetch> boundary policy: leave ROI borders coarser, or
@@ -108,13 +103,10 @@ walkthrough options:
                         (default 0.5)
   --waypoints <list>    fly a polyline of x,y points (semicolon-
                         separated) instead of the south→north slide
-  --plan <mode>         frame execution strategy: `incremental` reuses
+  --full                re-run the cold multi-base query every frame
+                        (comparison baseline); by default a frame reuses
                         the previous frame's records and fetches only
-                        the ΔROI (default), `full` re-runs the cold
-                        multi-base query every frame, `auto` lets the
-                        cost model pick per frame from estimated
-                        candidate pages and buffer-pool residency
-  --full                sugar for --plan full (comparison baseline)
+                        the ΔROI
 
 parallel execution (query / vd):
   --threads <n>         worker threads (default 1; 0 = all hardware
@@ -583,26 +575,29 @@ fn parse_waypoints(spec: &str) -> Result<Vec<Vec2>, String> {
             if parts.len() != 2 {
                 return Err(format!("waypoint {p:?} must be x,y"));
             }
+            if !parts.iter().all(|v| v.is_finite()) {
+                return Err(format!("waypoint {p:?} is not a finite point"));
+            }
             Ok(Vec2::new(parts[0], parts[1]))
         })
         .collect()
 }
 
-/// Parse `--plan auto|incremental|full`; `--full` stays as sugar for
-/// `--plan full` (comparison-baseline flag predating the planner).
-fn parse_plan(args: &Args) -> Result<dm_core::PlanMode, String> {
-    match args.get("plan") {
-        Some(spec) => dm_core::PlanMode::parse(spec)
-            .ok_or_else(|| format!("unknown --plan {spec:?} (auto|incremental|full)")),
-        None if args.has("full") => Ok(dm_core::PlanMode::Full),
-        None => Ok(dm_core::PlanMode::Incremental),
+/// `--window <frac>` (default 0.5): a window that holds no terrain would
+/// fly empty frames.
+fn parse_window(args: &Args) -> Result<f64, String> {
+    let frac: f64 = args.parse_or("window", 0.5)?;
+    if frac.is_finite() && frac > 0.0 {
+        Ok(frac)
+    } else {
+        Err(format!("--window {frac} must be a positive fraction"))
     }
 }
 
 /// Shared walkthrough setup: the frame ROIs and the LOD plane endpoints.
 fn walkthrough_path(args: &Args, db: &DirectMeshDb) -> Result<(Vec<Rect>, f64, f64), String> {
     let frames: usize = args.parse_or("frames", 16)?;
-    let window_frac: f64 = args.parse_or("window", 0.5)?;
+    let window_frac = parse_window(args)?;
     let near: f64 = args.parse_or("near-keep", 0.4)?;
     let far: f64 = args.parse_or("far-keep", 0.05)?;
     let rois = match args.get("waypoints") {
@@ -621,28 +616,28 @@ fn walkthrough_path(args: &Args, db: &DirectMeshDb) -> Result<(Vec<Rect>, f64, f
 fn cmd_walkthrough(args: Args) -> Result<(), String> {
     let path = args.positional(0)?;
     let db = open_db(path, &args)?;
-    let window_frac: f64 = args.parse_or("window", 0.5)?;
+    let window_frac = parse_window(&args)?;
     let policy = parse_policy(&args)?;
     let max_cubes: usize = args.parse_or("max-cubes", 16)?;
-    let plan = parse_plan(&args)?;
+    let full = args.has("full");
     let degraded = args.has("degraded");
 
     let (rois, e_min, e_far) = walkthrough_path(&args, &db)?;
     let mut session = dm_core::NavigationSession::new(&db, policy)
         .with_max_cubes(max_cubes)
-        .with_plan_mode(plan);
+        .with_full_requery(full);
     db.try_cold_start().map_err(|e| e.to_string())?;
 
     println!(
         "{} walkthrough: {} frames, window {:.0}%, policy {:?}, max {} cubes",
-        plan.name(),
+        if full { "full" } else { "incremental" },
         rois.len(),
         window_frac * 100.0,
         policy,
         max_cubes
     );
     println!(
-        "frame    disk  fetched  decoded examined    +seed    -seed boundary  vertices      ms  plan"
+        "frame    disk  fetched  decoded examined    +seed    -seed boundary  vertices      ms"
     );
     let (mut t_disk, mut t_fetched, mut t_decoded) = (0u64, 0usize, 0u64);
     let mut merged = IntegrityReport::default();
@@ -661,7 +656,7 @@ fn cmd_walkthrough(args: Args) -> Result<(), String> {
         t_fetched += stats.fetched_records;
         t_decoded += stats.decoded_records;
         println!(
-            "{i:>5} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {ms:>7.1}  {}",
+            "{i:>5} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {ms:>7.1}",
             stats.disk_accesses,
             stats.fetched_records,
             stats.decoded_records,
@@ -670,11 +665,6 @@ fn cmd_walkthrough(args: Args) -> Result<(), String> {
             stats.seeds_removed,
             stats.boundary_fetches,
             stats.vertices,
-            if stats.plan.chose_full {
-                "full"
-            } else {
-                "incr"
-            }
         );
     }
     println!(
@@ -686,86 +676,6 @@ fn cmd_walkthrough(args: Args) -> Result<(), String> {
         print_report(&merged);
     }
     maybe_export(&args, session.front())
-}
-
-/// `dm explain` — fly the same path as `walkthrough` but print the query
-/// planner's per-frame decision: the ΔROI piece count, the estimated
-/// candidate pages and how many are already buffer-pool resident for
-/// both strategies, the two modelled costs, and which one the planner
-/// picked. Defaults to `--plan auto` since the point is to watch the
-/// planner think; `--plan incremental|full` shows the forced decision.
-fn cmd_explain(args: Args) -> Result<(), String> {
-    let path = args.positional(0)?;
-    let db = open_db(path, &args)?;
-    let policy = parse_policy(&args)?;
-    let max_cubes: usize = args.parse_or("max-cubes", 16)?;
-    let plan = match args.get("plan") {
-        Some(spec) => dm_core::PlanMode::parse(spec)
-            .ok_or_else(|| format!("unknown --plan {spec:?} (auto|incremental|full)"))?,
-        None if args.has("full") => dm_core::PlanMode::Full,
-        None => dm_core::PlanMode::Auto,
-    };
-    let degraded = args.has("degraded");
-
-    let (rois, e_min, e_far) = walkthrough_path(&args, &db)?;
-    let mut session = dm_core::NavigationSession::new(&db, policy)
-        .with_max_cubes(max_cubes)
-        .with_plan_mode(plan);
-    db.try_cold_start().map_err(|e| e.to_string())?;
-
-    let w = dm_core::FrameCostParams::default();
-    println!(
-        "query plan ({} mode): {} frames, cost = {}·miss + {}·page + {}·record + {}·piece",
-        plan.name(),
-        rois.len(),
-        w.read_weight,
-        w.scan_weight,
-        w.record_weight,
-        w.piece_overhead
-    );
-    println!(
-        "frame  pieces  Δpages  Δres   Δrec~  fullpages  fullres  fullrec~   cost-incr   cost-full  chosen"
-    );
-    let mut merged = IntegrityReport::default();
-    let (mut n_full, mut n_incr) = (0usize, 0usize);
-    for (i, roi) in rois.iter().enumerate() {
-        let q = vd_query(*roi, e_min, e_far);
-        let (stats, report) = session.try_move_to(&q).map_err(|e| e.to_string())?;
-        if !report.is_clean() && !degraded {
-            return Err(format!(
-                "frame {i} lost data ({report}); rerun with --degraded to accept partial meshes"
-            ));
-        }
-        merged.merge(report);
-        let p = &stats.plan;
-        if p.chose_full {
-            n_full += 1;
-        } else {
-            n_incr += 1;
-        }
-        println!(
-            "{i:>5} {:>7} {:>7} {:>5} {:>7.0} {:>10} {:>8} {:>9.0} {:>11.2} {:>11.2}  {}",
-            p.delta_pieces,
-            p.delta_pages,
-            p.delta_resident,
-            p.delta_est_records,
-            p.full_pages,
-            p.full_resident,
-            p.full_est_records,
-            p.cost_incremental,
-            p.cost_full,
-            if p.chose_full {
-                "full-requery"
-            } else {
-                "incremental"
-            }
-        );
-    }
-    println!("chosen: {n_incr} incremental frame(s), {n_full} full-requery frame(s)");
-    if degraded {
-        print_report(&merged);
-    }
-    Ok(())
 }
 
 fn maybe_export(args: &Args, front: &dm_mtm::FrontMesh) -> Result<(), String> {
@@ -1422,7 +1332,7 @@ fn cmd_remote_walkthrough(args: Args) -> Result<(), String> {
     let addr = args.require("addr")?;
     let mut client = dm_net::Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
     let frames: usize = args.parse_or("frames", 16)?;
-    let window_frac: f64 = args.parse_or("window", 0.5)?;
+    let window_frac = parse_window(&args)?;
     let near: f64 = args.parse_or("near-keep", 0.4)?;
     let far: f64 = args.parse_or("far-keep", 0.05)?;
     let policy = parse_policy(&args)?;
@@ -1545,5 +1455,29 @@ fn write_heightfield(hf: &Heightfield, path: &str) -> Result<(), String> {
         tio::write_esri_ascii(hf, f).map_err(|e| format!("{path}: {e}"))
     } else {
         tio::write_dmh(hf, f).map_err(|e| format!("{path}: {e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_walkthrough_refuses_a_window_or_path_without_terrain() {
+        let window = |spec: &str| {
+            let argv = ["--window".to_string(), spec.to_string()];
+            parse_window(&Args::parse_with_flags(&argv, &[]).unwrap())
+        };
+        for bad in ["0", "-0.5", "nan", "inf"] {
+            assert!(window(bad).is_err(), "--window {bad}");
+        }
+        assert_eq!(window("0.4"), Ok(0.4));
+        for bad in ["nan,nan", "1,inf", "0,0;-inf,2"] {
+            assert!(parse_waypoints(bad).is_err(), "--waypoints {bad}");
+        }
+        assert_eq!(
+            parse_waypoints("1,2;3.5,4"),
+            Ok(vec![Vec2::new(1.0, 2.0), Vec2::new(3.5, 4.0)])
+        );
     }
 }

@@ -26,10 +26,10 @@
 //! page; the payload CRC catches a chain stitched together from pages of
 //! different catalog generations.
 //!
-//! The planner's page-region table and the optimizer's node regions are
-//! rebuilt on open by one walk of the R-tree (its leaf entries are the
-//! heap pages' boxes); interval statistics (`cut_size` support) are
-//! rebuilt by one heap scan on first use. Neither is stored here.
+//! The optimizer's page and node regions are rebuilt on open by one walk
+//! of the R-tree (its leaf entries are the heap pages' boxes); interval
+//! statistics (`cut_size` support) are rebuilt by one heap scan on first
+//! use. Neither is stored here.
 
 use std::sync::Arc;
 

@@ -9,13 +9,13 @@
 //! segments), these lists let queries fetch exactly the points of an
 //! approximation *and* its topology without touching ancestor nodes:
 //!
-//! * [`DirectMeshDb::vi_query`] — viewpoint-independent: one degenerate
+//! * [`DirectMeshDb::try_vi_query`] — viewpoint-independent: one degenerate
 //!   range query (a *query plane*), then face extraction straight from
 //!   the connection lists,
-//! * [`DirectMeshDb::vd_single_base`] — viewpoint-dependent: one query
+//! * [`DirectMeshDb::try_vd_single_base`] — viewpoint-dependent: one query
 //!   cube bounded by the tilted query plane's LOD range; mesh built on
 //!   the top plane and refined down (paper Algorithm 1),
-//! * [`DirectMeshDb::vd_multi_base`] — the cost-model-driven optimization
+//! * [`DirectMeshDb::try_vd_multi_base`] — the cost-model-driven optimization
 //!   (paper §5.3): the ROI is recursively split into strips with
 //!   individually smaller query cubes whenever the R-tree disk-access
 //!   model (eq. 1–7) predicts a win.
@@ -28,8 +28,8 @@
 //! its one page scan ([`DirectMeshDb::range_scan`], into a
 //! [`FetchedSet`] arena — a query plane is a one-box batch); the
 //! `dm-world` catalog implements it by fanning out to regions. The
-//! methods above and their fallible `try_*` forms are one-line callers
-//! of those bodies.
+//! methods above are one-line callers of those bodies; each returns the
+//! answer with an [`IntegrityReport`] of any data it could not read.
 //!
 //! Modules: [`record`] (on-disk codec), [`store`] (database build and
 //! fetch paths), [`faces`] (planar face extraction from connection
@@ -52,8 +52,9 @@
 //!
 //! // One range query returns an approximation *and* its topology.
 //! let e = db.e_for_points_fraction(0.25);
-//! db.cold_start();
-//! let res = db.vi_query(&db.bounds, e);
+//! db.try_cold_start().unwrap();
+//! let (res, report) = db.try_vi_query(&db.bounds, e).unwrap();
+//! assert!(report.is_clean());
 //! assert!(res.points > 0 && res.front.num_triangles() > 0);
 //! let (mesh, _ids) = res.front.to_trimesh();
 //! mesh.validate().unwrap();
@@ -73,9 +74,8 @@ pub mod stats;
 pub mod store;
 pub mod verify;
 
-pub use dm_index::FrameCostParams;
 pub use live::{LiveDb, LiveOptions, PatchStats, RecoveryInfo};
-pub use navigation::{FrameStats, NavigationSession, PlanDecision, PlanMode};
+pub use navigation::{FrameStats, NavigationSession, PlanDecision};
 pub use parallel::{vd_query_batch, vi_query_batch};
 pub use query::{
     equal_strips, uniform_cut, BoundaryPolicy, ElevationStats, RecordStore, VdQuery, VdResult,
@@ -86,3 +86,11 @@ pub use store::{
     DbStats, DirectMeshDb, DmBuildOptions, EditOp, FetchCounters, IntegrityReport, PatchOutcome,
 };
 pub use verify::{verify_store, VerifyReport};
+
+/// The answer of a fault-tolerant query that must have lost no data.
+#[cfg(test)]
+fn unwrap_clean<T>(answer: dm_storage::StorageResult<(T, IntegrityReport)>) -> T {
+    let (res, report) = answer.unwrap();
+    assert!(report.is_clean(), "{report}");
+    res
+}

@@ -36,7 +36,6 @@
 //! don't inflate each other's [`FrameStats`].
 
 use dm_geom::{subtract_boxes, Box3, Rect, Vec2};
-use dm_index::FrameCostParams;
 use dm_mtm::refine::{FrontMesh, RefineStats};
 use dm_mtm::PmNode;
 use dm_storage::StorageResult;
@@ -53,69 +52,11 @@ use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
 /// cheaper to execute as one range query than as many slivers).
 const MAX_DELTA_PIECES: usize = 48;
 
-/// Per-frame execution strategy of a [`NavigationSession`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PlanMode {
-    /// Decide per frame from the calibrated cost model plus live buffer
-    /// pool residency: incremental ΔROI execution when the delta plan is
-    /// estimated cheaper, a full requery when fragmentation or cold
-    /// cubes make delta planning overhead not worth paying.
-    Auto,
-    /// Always delta-plan against the previous frame (the PR 3 behavior,
-    /// and the default — existing callers see no change).
-    #[default]
-    Incremental,
-    /// Always run the paper's cold-style full requery.
-    Full,
-}
-
-impl PlanMode {
-    /// Parse a CLI-style strategy name.
-    pub fn parse(s: &str) -> Option<PlanMode> {
-        match s {
-            "auto" => Some(PlanMode::Auto),
-            "incremental" => Some(PlanMode::Incremental),
-            "full" => Some(PlanMode::Full),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style strategy name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PlanMode::Auto => "auto",
-            PlanMode::Incremental => "incremental",
-            PlanMode::Full => "full",
-        }
-    }
-}
-
-/// The planner's decision for one frame, with the inputs that produced
-/// it (surfaced by `dm explain`). For fixed [`PlanMode::Incremental`] /
-/// [`PlanMode::Full`] sessions only `chose_full` is meaningful — no
-/// estimate is computed, because none is needed.
+/// How one frame was executed.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PlanDecision {
     /// Whether the frame executed as a full requery of its cubes.
     pub chose_full: bool,
-    /// Estimated cost of the incremental ΔROI plan ([`FrameCostParams`]).
-    pub cost_incremental: f64,
-    /// Estimated cost of the full-requery plan.
-    pub cost_full: f64,
-    /// ΔROI pieces the box subtraction produced.
-    pub delta_pieces: usize,
-    /// Candidate data pages of the ΔROI plan (stored page MBRs).
-    pub delta_pages: usize,
-    /// …of which resident in the buffer pool at plan time.
-    pub delta_resident: usize,
-    /// Estimated records the ΔROI pieces select (MBR volume overlap).
-    pub delta_est_records: f64,
-    /// Candidate data pages of the full plan.
-    pub full_pages: usize,
-    /// …of which resident in the buffer pool at plan time.
-    pub full_resident: usize,
-    /// Estimated records the full cube set selects.
-    pub full_est_records: f64,
 }
 
 /// Statistics of one navigation step.
@@ -146,7 +87,7 @@ pub struct FrameStats {
     pub boundary_fetches: usize,
     /// Front size after the frame.
     pub vertices: usize,
-    /// The planner's decision for this frame and its inputs.
+    /// How this frame was executed.
     pub plan: PlanDecision,
 }
 
@@ -155,9 +96,8 @@ pub struct NavigationSession<'a> {
     db: &'a DirectMeshDb,
     policy: BoundaryPolicy,
     max_cubes: usize,
-    mode: PlanMode,
-    /// Unit costs for the [`PlanMode::Auto`] frame decision.
-    cost_params: FrameCostParams,
+    /// Every frame a full requery of its cubes instead of a ΔROI fetch.
+    full: bool,
     /// The refined mesh of the last frame; the next frame rebuilds it in
     /// place.
     front: FrontMesh,
@@ -174,22 +114,18 @@ pub struct NavigationSession<'a> {
     prev_seeds: Vec<u32>,
     /// Out-of-working-set nodes the last frame's refinement touched.
     boundary: FxHashMap<u32, PmNode>,
-    /// Per-frame scratch, reused across frames so the planner and delta
-    /// executor allocate nothing in steady state: the ΔROI piece list…
+    /// The ΔROI piece list, reused across frames.
     pieces: Vec<Box3>,
-    /// …and the candidate-page buffer of the planner's estimates.
-    page_scratch: Vec<dm_storage::PageId>,
 }
 
 impl<'a> NavigationSession<'a> {
-    /// Start a session; the first `move_to` pays the full (cold) cost.
+    /// Start a session; the first `try_move_to` pays the full (cold) cost.
     pub fn new(db: &'a DirectMeshDb, policy: BoundaryPolicy) -> Self {
         NavigationSession {
             db,
             policy,
             max_cubes: 16,
-            mode: PlanMode::default(),
-            cost_params: FrameCostParams::default(),
+            full: false,
             front: FrontMesh::default(),
             working: IndexedSet::default(),
             spare: IndexedSet::default(),
@@ -197,7 +133,6 @@ impl<'a> NavigationSession<'a> {
             prev_seeds: Vec::new(),
             boundary: FxHashMap::default(),
             pieces: Vec::new(),
-            page_scratch: Vec::new(),
         }
     }
 
@@ -207,36 +142,13 @@ impl<'a> NavigationSession<'a> {
         self
     }
 
-    /// Per-frame execution strategy (default [`PlanMode::Incremental`]).
-    /// Every mode produces byte-identical meshes; they differ only in
-    /// cost (proven by the planner equivalence proptests).
-    pub fn with_plan_mode(mut self, mode: PlanMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Override the planner's unit costs (testing/calibration aid).
-    pub fn with_cost_params(mut self, params: FrameCostParams) -> Self {
-        self.cost_params = params;
-        self
-    }
-
     /// Disable incremental reuse: every frame runs a cold-style
     /// multi-base query (the baseline the benchmarks compare against).
-    /// Sugar for [`Self::with_plan_mode`] with [`PlanMode::Full`] /
-    /// [`PlanMode::Incremental`].
+    /// Both strategies produce byte-identical meshes; they differ only in
+    /// cost.
     pub fn with_full_requery(mut self, full: bool) -> Self {
-        self.mode = if full {
-            PlanMode::Full
-        } else {
-            PlanMode::Incremental
-        };
+        self.full = full;
         self
-    }
-
-    /// The session's per-frame execution strategy.
-    pub fn plan_mode(&self) -> PlanMode {
-        self.mode
     }
 
     /// The session's boundary policy.
@@ -255,20 +167,9 @@ impl<'a> NavigationSession<'a> {
         self.boundary.len()
     }
 
-    /// Advance to a new viewpoint-dependent query. Returns per-frame
+    /// Advance to a new viewpoint-dependent query and return per-frame
     /// statistics; the reconstructed mesh is available via
-    /// [`Self::front`]. Panics if storage failed or lost data — see
-    /// [`Self::try_move_to`] for the degrading variant.
-    pub fn move_to(&mut self, q: &VdQuery) -> FrameStats {
-        let (stats, report) = self
-            .try_move_to(q)
-            .unwrap_or_else(|e| panic!("navigation frame: {e}"));
-        assert!(report.is_clean(), "navigation frame lost data: {report}");
-        stats
-    }
-
-    /// Fault-tolerant frame advance: unreadable heap pages degrade the
-    /// frame (details in the [`IntegrityReport`]) instead of failing it;
+    /// [`Self::front`]. Unreadable heap pages degrade the frame (details in the [`IntegrityReport`]) instead of failing it;
     /// `Err` means an index descent failed and the session state is
     /// unchanged from the previous frame.
     pub fn try_move_to(&mut self, q: &VdQuery) -> StorageResult<(FrameStats, IntegrityReport)> {
@@ -281,70 +182,21 @@ impl<'a> NavigationSession<'a> {
         let strips = self.db.plan_multi_base(q, self.max_cubes);
         let new_cubes = staircase(self.db, q, &strips);
 
-        // Delta planning: the parts of the new cubes that the previous
-        // frame's cubes did not cover. A full requery needs no pieces.
-        self.pieces.clear();
-        if self.mode != PlanMode::Full {
+        // Execute the frame as ONE batched fetch: a single index descent
+        // for all boxes, every candidate heap page scanned once with its
+        // MBR pre-filtering the box list. A full requery fetches the new
+        // cubes; an incremental frame only the parts of them that the
+        // previous frame's cubes did not cover. All fetches complete
+        // before any session state changes, so an `Err` leaves the
+        // session consistent.
+        let exec: &[Box3] = if self.full {
+            &new_cubes
+        } else {
+            self.pieces.clear();
             for cube in &new_cubes {
                 self.pieces
                     .extend(subtract_boxes(cube, &self.prev_cubes, MAX_DELTA_PIECES));
             }
-        }
-
-        // The planner: estimate both strategies' candidate pages from
-        // the stored page MBRs, discount pages already resident in the
-        // buffer pool (a residency probe — never a counted access), and
-        // charge the delta plan its per-piece bookkeeping. Fixed modes
-        // skip the estimate entirely.
-        let plan = match self.mode {
-            PlanMode::Full => PlanDecision {
-                chose_full: true,
-                ..PlanDecision::default()
-            },
-            PlanMode::Incremental => PlanDecision::default(),
-            PlanMode::Auto => {
-                let (delta_pages, delta_resident, delta_est_records) = self
-                    .db
-                    .estimate_frame_pages(&self.pieces, &mut self.page_scratch);
-                let (full_pages, full_resident, full_est_records) = self
-                    .db
-                    .estimate_frame_pages(&new_cubes, &mut self.page_scratch);
-                let cost_incremental = self.cost_params.frame_cost(
-                    delta_pages,
-                    delta_resident,
-                    delta_est_records,
-                    self.pieces.len(),
-                );
-                // The full plan pays no piece overhead: that term prices
-                // the delta plan's subtraction bookkeeping, which a full
-                // requery skips (ties — e.g. the cold first frame, where
-                // pieces == cubes — therefore resolve to `full`).
-                let cost_full =
-                    self.cost_params
-                        .frame_cost(full_pages, full_resident, full_est_records, 0);
-                PlanDecision {
-                    chose_full: cost_full < cost_incremental,
-                    cost_incremental,
-                    cost_full,
-                    delta_pieces: self.pieces.len(),
-                    delta_pages,
-                    delta_resident,
-                    delta_est_records,
-                    full_pages,
-                    full_resident,
-                    full_est_records,
-                }
-            }
-        };
-
-        // Execute the chosen plan as ONE batched fetch: a single index
-        // descent for all boxes, every candidate heap page scanned once
-        // with its MBR pre-filtering the box list. All fetches complete
-        // before any session state changes, so an `Err` leaves the
-        // session consistent.
-        let exec: &[Box3] = if plan.chose_full {
-            &new_cubes
-        } else {
             &self.pieces
         };
         let fresh = self.db.fetch(exec, &mut report, &mut counters)?;
@@ -395,13 +247,15 @@ impl<'a> NavigationSession<'a> {
             refine,
             boundary_fetches,
             vertices: front.num_vertices(),
-            plan,
+            plan: PlanDecision {
+                chose_full: self.full,
+            },
         };
         Ok((stats, report))
     }
 
     /// Forget all session state (the pool stays warm; use a fresh pool
-    /// or `DirectMeshDb::cold_start` to measure cold costs again).
+    /// or `DirectMeshDb::try_cold_start` to measure cold costs again).
     pub fn reset(&mut self) {
         self.front = FrontMesh::default();
         self.working.clear();
@@ -489,6 +343,7 @@ pub fn waypoint_path(waypoints: &[Vec2], window: f64, frames: usize) -> Vec<Rect
 mod tests {
     use super::*;
     use crate::store::DmBuildOptions;
+    use crate::unwrap_clean;
     use dm_mtm::builder::{build_pm, PmBuildConfig};
     use dm_mtm::PlaneTarget;
     use dm_storage::{BufferPool, FaultConfig, FaultInjector, MemStore};
@@ -534,12 +389,12 @@ mod tests {
     fn later_frames_are_cheaper_than_the_first() {
         let db = db();
         let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
-        db.cold_start();
+        db.try_cold_start().unwrap();
         let path = flight_path(&db.bounds, 0.5, 6);
         let mut costs = Vec::new();
         let mut lookups = Vec::new();
         for roi in &path {
-            let stats = session.move_to(&query_at(&db, *roi));
+            let stats = unwrap_clean(session.try_move_to(&query_at(&db, *roi)));
             costs.push(stats.disk_accesses);
             lookups.push(stats.boundary_fetches);
             assert!(stats.vertices > 0);
@@ -553,7 +408,7 @@ mod tests {
         // The boundary kept from one frame answers the same frame again
         // without a single point lookup.
         assert!(lookups[0] > 0, "the first frame looks its boundary up");
-        let again = session.move_to(&query_at(&db, path[path.len() - 1]));
+        let again = unwrap_clean(session.try_move_to(&query_at(&db, path[path.len() - 1])));
         assert_eq!(again.boundary_fetches, 0);
     }
 
@@ -563,7 +418,7 @@ mod tests {
         let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
         for roi in flight_path(&db.bounds, 0.45, 5) {
             let q = query_at(&db, roi);
-            let stats = session.move_to(&q);
+            let stats = unwrap_clean(session.try_move_to(&q));
             assert!(stats.vertices > 0);
             let (mesh, _) = session.front().to_trimesh();
             mesh.validate().expect("frame mesh valid");
@@ -576,10 +431,10 @@ mod tests {
         let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
         let path = flight_path(&db.bounds, 0.5, 4);
         for roi in &path {
-            session.move_to(&query_at(&db, *roi));
+            unwrap_clean(session.try_move_to(&query_at(&db, *roi)));
             // Every frame, not just the last: same vertices, same faces.
             let q = query_at(&db, *roi);
-            let fresh = db.vd_multi_base(&q, BoundaryPolicy::FetchOnMiss, 16);
+            let fresh = unwrap_clean(db.try_vd_multi_base(&q, BoundaryPolicy::FetchOnMiss, 16));
             let a: std::collections::HashSet<u32> = session.front().vertex_ids().collect();
             let b: std::collections::HashSet<u32> = fresh.front.vertex_ids().collect();
             assert_eq!(a, b, "same query, same answer, warm or cold");
@@ -598,12 +453,12 @@ mod tests {
         let db = db();
         let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
         let path = flight_path(&db.bounds, 0.5, 4);
-        let first = session.move_to(&query_at(&db, path[0]));
+        let first = unwrap_clean(session.try_move_to(&query_at(&db, path[0])));
         assert!(first.seeds_added > 0, "the first frame adds every seed");
         assert_eq!(first.seeds_removed, 0);
-        let again = session.move_to(&query_at(&db, path[0]));
+        let again = unwrap_clean(session.try_move_to(&query_at(&db, path[0])));
         assert_eq!((again.seeds_added, again.seeds_removed), (0, 0));
-        let moved = session.move_to(&query_at(&db, path[3]));
+        let moved = unwrap_clean(session.try_move_to(&query_at(&db, path[3])));
         assert!(moved.seeds_added > 0 && moved.seeds_removed > 0);
         assert_eq!(
             first.seeds_added + moved.seeds_added - moved.seeds_removed,
@@ -632,13 +487,13 @@ mod tests {
         let path = flight_path(&healthy.bounds, 0.5, 4);
         let (home, away) = (query_at(&healthy, path[0]), query_at(&healthy, path[3]));
         let mut clean = NavigationSession::new(&healthy, BoundaryPolicy::FetchOnMiss);
-        clean.move_to(&home);
+        unwrap_clean(clean.try_move_to(&home));
 
         // The same store on a device that dies after the reads of the
         // build and the first frame.
         let (db, _) = build(FaultConfig::new(1).with_fail_reads_after(reads.reads()));
         let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
-        session.move_to(&home);
+        unwrap_clean(session.try_move_to(&home));
         let snapshot = |s: &NavigationSession| {
             (
                 face_set(s.front()),
@@ -664,7 +519,7 @@ mod tests {
             .try_move_to(&home)
             .expect("a frame that reads nothing");
         assert!(report.is_clean());
-        let want = clean.move_to(&home);
+        let want = unwrap_clean(clean.try_move_to(&home));
         assert_eq!(
             (got.refine, got.vertices, got.boundary_fetches),
             (want.refine, want.vertices, want.boundary_fetches)
@@ -687,9 +542,13 @@ mod tests {
         let db = db();
         let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
         let path = flight_path(&db.bounds, 0.5, 12); // small steps
-        session.move_to(&query_at(&db, path[0]));
-        let s1 = session.move_to(&query_at(&db, path[1]));
-        let fresh = db.vd_multi_base(&query_at(&db, path[1]), BoundaryPolicy::FetchOnMiss, 16);
+        unwrap_clean(session.try_move_to(&query_at(&db, path[0])));
+        let s1 = unwrap_clean(session.try_move_to(&query_at(&db, path[1])));
+        let fresh = unwrap_clean(db.try_vd_multi_base(
+            &query_at(&db, path[1]),
+            BoundaryPolicy::FetchOnMiss,
+            16,
+        ));
         assert!(
             s1.fetched_records < fresh.fetched_records,
             "delta fetch ({}) must undercut a cold requery ({})",
@@ -710,77 +569,14 @@ mod tests {
         let mut inc = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
         let mut full =
             NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss).with_full_requery(true);
-        for roi in flight_path(&db.bounds, 0.5, 4) {
+        for roi in flight_path(&db.bounds, 0.5, 6) {
             let q = query_at(&db, roi);
-            let si = inc.move_to(&q);
-            let sf = full.move_to(&q);
+            let si = unwrap_clean(inc.try_move_to(&q));
+            let sf = unwrap_clean(full.try_move_to(&q));
+            assert!(!si.plan.chose_full && sf.plan.chose_full);
             assert_eq!(si.vertices, sf.vertices);
             assert_eq!(face_set(inc.front()), face_set(full.front()));
             assert!(si.fetched_records <= sf.fetched_records);
-        }
-    }
-
-    #[test]
-    fn auto_mode_matches_both_fixed_strategies() {
-        let db = db();
-        let mut auto =
-            NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss).with_plan_mode(PlanMode::Auto);
-        let mut inc = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
-        let mut full =
-            NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss).with_full_requery(true);
-        let mut chose_incremental = false;
-        for roi in flight_path(&db.bounds, 0.5, 6) {
-            let q = query_at(&db, roi);
-            let sa = auto.move_to(&q);
-            let si = inc.move_to(&q);
-            let sf = full.move_to(&q);
-            assert_eq!(sa.vertices, si.vertices);
-            assert_eq!(sa.vertices, sf.vertices);
-            assert_eq!(face_set(auto.front()), face_set(inc.front()));
-            assert_eq!(face_set(auto.front()), face_set(full.front()));
-            chose_incremental |= !sa.plan.chose_full;
-        }
-        assert!(
-            chose_incremental,
-            "smooth warm sliding must favor the delta plan at least once"
-        );
-    }
-
-    #[test]
-    fn auto_mode_decision_follows_the_cost_params() {
-        let db = db();
-        // Punitive per-piece overhead: the delta plan can never win, so
-        // every frame must execute (and report) a full requery — and the
-        // mesh must still match a default incremental session exactly.
-        let punitive = FrameCostParams {
-            piece_overhead: 1e12,
-            ..FrameCostParams::default()
-        };
-        let mut forced = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss)
-            .with_plan_mode(PlanMode::Auto)
-            .with_cost_params(punitive);
-        let mut inc = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
-        for roi in flight_path(&db.bounds, 0.5, 5) {
-            let q = query_at(&db, roi);
-            let s = forced.move_to(&q);
-            inc.move_to(&q);
-            assert!(s.plan.chose_full, "1e12-per-piece delta plan cannot win");
-            assert!(s.plan.cost_incremental > s.plan.cost_full);
-            assert_eq!(face_set(forced.front()), face_set(inc.front()));
-        }
-        // Free pieces + free reads: the delta plan never loses (its
-        // candidate pages are a subset of the full plan's).
-        let free = FrameCostParams {
-            piece_overhead: 0.0,
-            ..FrameCostParams::default()
-        };
-        let mut delta = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss)
-            .with_plan_mode(PlanMode::Auto)
-            .with_cost_params(free);
-        for roi in flight_path(&db.bounds, 0.5, 5) {
-            let s = delta.move_to(&query_at(&db, roi));
-            assert!(!s.plan.chose_full, "free delta planning always wins ties");
-            assert!(s.plan.delta_pages <= s.plan.full_pages);
         }
     }
 
@@ -807,8 +603,8 @@ mod tests {
         let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
         for roi in &path {
             let q = query_at(&db, *roi);
-            session.move_to(&q);
-            let fresh = db.vd_multi_base(&q, BoundaryPolicy::FetchOnMiss, 16);
+            unwrap_clean(session.try_move_to(&q));
+            let fresh = unwrap_clean(db.try_vd_multi_base(&q, BoundaryPolicy::FetchOnMiss, 16));
             let a: std::collections::HashSet<u32> = session.front().vertex_ids().collect();
             let b2: std::collections::HashSet<u32> = fresh.front.vertex_ids().collect();
             assert_eq!(a, b2, "turning/revisiting path frame must match fresh");

@@ -499,19 +499,10 @@ pub(crate) fn refine_accounted<S: RecordStore + ?Sized>(
 
 impl DirectMeshDb {
     /// Viewpoint-independent query `Q(M, r, e)`: one query-plane range
-    /// query, then topology from the connection lists (paper §5.1).
-    /// Panics if any page needed is unreadable; see
-    /// [`Self::try_vi_query`] for the degrading variant.
-    pub fn vi_query(&self, roi: &Rect, e: f64) -> ViResult {
-        let (res, report) = self
-            .try_vi_query(roi, e)
-            .unwrap_or_else(|e| panic!("vi query: {e}"));
-        assert!(report.is_clean(), "vi query lost data: {report}");
-        res
-    }
-
-    /// Fault-tolerant viewpoint-independent query: [`vi_query_flat`]
-    /// with the cut assembled into a [`FrontMesh`].
+    /// query, then topology from the connection lists (paper §5.1) —
+    /// [`vi_query_flat`] with the cut assembled into a [`FrontMesh`].
+    /// Unreadable heap pages degrade the answer and are accounted in the
+    /// [`IntegrityReport`].
     pub fn try_vi_query(&self, roi: &Rect, e: f64) -> StorageResult<(ViResult, IntegrityReport)> {
         let (flat, report) = vi_query_flat(self, roi, e, &mut FetchCounters::default())?;
         let front = FrontMesh::from_parts(flat.nodes, &flat.faces);
@@ -543,7 +534,8 @@ impl DirectMeshDb {
 
     /// Viewpoint-dependent query, single-base (paper Algorithm 1): fetch
     /// the cube `roi × [e_min, e_max]`, build the mesh on the top plane,
-    /// refine down to the query plane.
+    /// refine down to the query plane — [`vd_with_strips`] over the one
+    /// strip that is the whole ROI.
     ///
     /// For a sub-region of the terrain, paths whose coarse ancestors sit
     /// *outside* the ROI enter the fetched set at finer levels only; the
@@ -551,12 +543,6 @@ impl DirectMeshDb {
     /// paper's construction shares this property — only in-`r` data forms
     /// the mesh). `BoundaryPolicy::FetchOnMiss` reduces the effect; a
     /// [`crate::NavigationSession`] amortizes it across frames.
-    pub fn vd_single_base(&self, q: &VdQuery, policy: BoundaryPolicy) -> VdResult {
-        self.vd_multi_base_with_strips(q, policy, &[q.roi])
-    }
-
-    /// Fault-tolerant single-base query: [`vd_with_strips`] over the one
-    /// strip that is the whole ROI.
     pub fn try_vd_single_base(
         &self,
         q: &VdQuery,
@@ -568,7 +554,7 @@ impl DirectMeshDb {
     /// Aggregate query: elevation statistics of the approximation at LOD
     /// `e` inside `roi` — the database-style use the paper's introduction
     /// motivates ("use them together with other types of data"). Same
-    /// I/O as [`Self::vi_query`], no topology reconstruction.
+    /// I/O as [`Self::try_vi_query`], no topology reconstruction.
     pub fn elevation_stats(&self, roi: &Rect, e: f64) -> ElevationStats {
         let e = self.clamp_e(e);
         let plane = Box3::prism(*roi, e, e);
@@ -604,13 +590,7 @@ impl DirectMeshDb {
 
     /// Viewpoint-dependent query, multi-base: one query cube per planned
     /// strip, then the final front is assembled directly from the union
-    /// of the fetched records. Panics on storage errors or lost data.
-    pub fn vd_multi_base(&self, q: &VdQuery, policy: BoundaryPolicy, max_cubes: usize) -> VdResult {
-        let strips = self.plan_multi_base(q, max_cubes);
-        self.vd_multi_base_with_strips(q, policy, &strips)
-    }
-
-    /// Fault-tolerant multi-base query ([`vd_multi_base`] on this store).
+    /// of the fetched records ([`vd_multi_base`] on this store).
     pub fn try_vd_multi_base(
         &self,
         q: &VdQuery,
@@ -630,21 +610,6 @@ impl DirectMeshDb {
         counters: &mut FetchCounters,
     ) -> StorageResult<(VdResult, IntegrityReport)> {
         vd_multi_base(self, q, policy, max_cubes, counters)
-    }
-
-    /// Multi-base with a fixed, caller-provided strip decomposition
-    /// (ablation against the cost-model-driven plan). Panics on storage
-    /// errors or lost data.
-    pub fn vd_multi_base_with_strips(
-        &self,
-        q: &VdQuery,
-        policy: BoundaryPolicy,
-        strips: &[Rect],
-    ) -> VdResult {
-        let (res, report) = vd_with_strips(self, q, policy, strips, &mut FetchCounters::default())
-            .unwrap_or_else(|e| panic!("vd query: {e}"));
-        assert!(report.is_clean(), "vd query lost data: {report}");
-        res
     }
 }
 
@@ -858,6 +823,7 @@ pub fn equal_strips(roi: &Rect, n: usize, along_x: bool) -> Vec<Rect> {
 mod tests {
     use super::*;
     use crate::store::DmBuildOptions;
+    use crate::unwrap_clean;
     use dm_mtm::builder::{build_pm, PmBuild, PmBuildConfig};
     use dm_storage::{BufferPool, MemStore};
     use dm_terrain::{generate, TriMesh};
@@ -879,7 +845,7 @@ mod tests {
         let h = &pm.hierarchy;
         for frac in [0.05, 0.3, 0.8] {
             let e = h.e_max * frac;
-            let res = db.vi_query(&db.bounds, e);
+            let res = unwrap_clean(db.try_vi_query(&db.bounds, e));
             let replay = h.replay_mesh(&original, e);
             assert_eq!(
                 res.points,
@@ -902,7 +868,7 @@ mod tests {
         let h = &pm.hierarchy;
         let e = h.e_max * 0.2;
         let roi = Rect::centered_square(db.bounds.center(), db.bounds.width() * 0.4);
-        let res = db.vi_query(&roi, e);
+        let res = unwrap_clean(db.try_vi_query(&roi, e));
         // Exactly the cut members inside the ROI.
         let expected: usize = h
             .uniform_cut(e)
@@ -923,7 +889,7 @@ mod tests {
     fn vi_fetch_is_far_smaller_than_whole_dataset() {
         let (_, _, db) = setup(17, 7);
         let e = db.e_max * 0.1;
-        let res = db.vi_query(&db.bounds, e);
+        let res = unwrap_clean(db.try_vi_query(&db.bounds, e));
         assert!(
             res.fetched_records < db.n_records / 2,
             "query plane must not fetch most of the dataset ({} of {})",
@@ -936,7 +902,7 @@ mod tests {
     fn vd_single_base_reaches_target_everywhere() {
         let (_, _, db) = setup(17, 9);
         let q = test_query(&db, 0.5);
-        let res = db.vd_single_base(&q, BoundaryPolicy::Skip);
+        let res = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::Skip));
         for id in res.front.vertex_ids() {
             let n = res.front.node(id).unwrap();
             assert!(
@@ -953,7 +919,7 @@ mod tests {
     fn vd_single_base_full_roi_no_missing_records() {
         let (_, _, db) = setup(17, 13);
         let q = test_query(&db, 0.4);
-        let res = db.vd_single_base(&q, BoundaryPolicy::Skip);
+        let res = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::Skip));
         // The ROI covers the whole terrain: every record the refinement
         // can need lies inside the cube.
         assert_eq!(res.refine.missing_records, 0);
@@ -964,8 +930,8 @@ mod tests {
     fn vd_multi_base_fetches_fewer_records() {
         let (_, _, db) = setup(17, 15);
         let q = test_query(&db, 0.8);
-        let sb = db.vd_single_base(&q, BoundaryPolicy::Skip);
-        let mb = db.vd_multi_base(&q, BoundaryPolicy::Skip, 8);
+        let sb = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::Skip));
+        let mb = unwrap_clean(db.try_vd_multi_base(&q, BoundaryPolicy::Skip, 8));
         assert!(!mb.cubes.is_empty());
         assert!(
             mb.fetched_records <= sb.fetched_records,
@@ -981,8 +947,8 @@ mod tests {
     fn vd_multi_base_mesh_close_to_single_base() {
         let (_, _, db) = setup(17, 19);
         let q = test_query(&db, 0.5);
-        let sb = db.vd_single_base(&q, BoundaryPolicy::Skip);
-        let mb = db.vd_multi_base(&q, BoundaryPolicy::Skip, 8);
+        let sb = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::Skip));
+        let mb = unwrap_clean(db.try_vd_multi_base(&q, BoundaryPolicy::Skip, 8));
         let sb_ids: std::collections::HashSet<u32> = sb.front.vertex_ids().collect();
         let mb_ids: std::collections::HashSet<u32> = mb.front.vertex_ids().collect();
         let inter = sb_ids.intersection(&mb_ids).count();
@@ -1042,8 +1008,8 @@ mod tests {
                 e_max: db.e_max * 0.5,
             },
         };
-        let skip = db.vd_single_base(&q, BoundaryPolicy::Skip);
-        let fetch = db.vd_single_base(&q, BoundaryPolicy::FetchOnMiss);
+        let skip = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::Skip));
+        let fetch = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::FetchOnMiss));
         assert!(
             fetch.front.num_vertices() >= skip.front.num_vertices(),
             "fetch-on-miss can only refine further"
@@ -1183,7 +1149,7 @@ mod tests {
         let q2 = VdQuery::from_viewpoint(db.bounds, db.bounds.center(), 0.5, db.e_max);
         assert!(q2.target.e_min <= q2.target.e_max);
         // And the query actually runs.
-        let res = db.vd_single_base(&q, BoundaryPolicy::Skip);
+        let res = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::Skip));
         assert!(res.front.num_vertices() > 0);
         let (mesh, _) = res.front.to_trimesh();
         mesh.validate().unwrap();
@@ -1195,7 +1161,7 @@ mod tests {
         let e = db.e_for_points_fraction(0.2);
         let roi = Rect::centered_square(db.bounds.center(), db.bounds.width() * 0.6);
         let stats = db.elevation_stats(&roi, e);
-        let res = db.vi_query(&roi, e);
+        let res = unwrap_clean(db.try_vi_query(&roi, e));
         assert_eq!(stats.points, res.points);
         let (zmin, zmax) = res
             .front
@@ -1208,11 +1174,11 @@ mod tests {
         assert_eq!(stats.max_z, zmax);
         assert!(stats.mean_z >= zmin && stats.mean_z <= zmax);
         // Same I/O as the mesh query (aggregation is free).
-        db.cold_start();
+        db.try_cold_start().unwrap();
         let _ = db.elevation_stats(&roi, e);
         let agg_da = db.disk_accesses();
-        db.cold_start();
-        let _ = db.vi_query(&roi, e);
+        db.try_cold_start().unwrap();
+        let _ = unwrap_clean(db.try_vi_query(&roi, e));
         assert_eq!(agg_da, db.disk_accesses());
     }
 

@@ -341,13 +341,6 @@ pub struct DirectMeshDb {
     /// that fills them on first use, not at open; patched snapshots share
     /// the cell (edits never move LOD bounds).
     intervals: Arc<LazyIntervals>,
-    /// In-memory copy of the heap-page MBRs (the R\*-tree's leaf
-    /// entries), sorted by page id. The navigation planner estimates a
-    /// frame strategy's candidate-page set from these plus the buffer
-    /// pool's residency probe — a pure in-memory computation that costs
-    /// no index descent, no counted I/O and no LRU disturbance. After a
-    /// degraded open this holds only the pages that scanned cleanly.
-    page_regions: Vec<(PageId, Box3)>,
     /// On-disk codec of the heap records.
     codec: RecordCodec,
     /// Set by a degraded open whose R\*-tree pages were unreadable (e.g.
@@ -556,9 +549,6 @@ impl DirectMeshDb {
         let mut stat_regions: Vec<Box3> = page_boxes.values().copied().collect();
         stat_regions.extend(rtree.collect_node_regions());
         let cost = Arc::new(RtreeCostModel::new(&stat_regions, space));
-        let mut page_regions: Vec<(dm_storage::PageId, Box3)> =
-            page_boxes.iter().map(|(&p, &b)| (p, b)).collect();
-        page_regions.sort_unstable_by_key(|&(p, _)| p);
 
         DirectMeshDb {
             pool,
@@ -574,7 +564,6 @@ impl DirectMeshDb {
             intervals: LazyIntervals::filled(IntervalStats::new(
                 h.nodes.iter().map(|nd| (nd.e_lo, nd.e_hi)),
             )),
-            page_regions,
             codec: opts.codec,
             rtree_lost: false,
         }
@@ -715,9 +704,6 @@ impl DirectMeshDb {
         let mut stat_regions: Vec<Box3> = page_boxes.values().copied().collect();
         stat_regions.extend(rtree.collect_node_regions());
         let cost = Arc::new(RtreeCostModel::new(&stat_regions, space));
-        let mut page_regions: Vec<(dm_storage::PageId, Box3)> =
-            page_boxes.iter().map(|(&p, &b)| (p, b)).collect();
-        page_regions.sort_unstable_by_key(|&(p, _)| p);
 
         let present: std::collections::HashSet<u32> = records.iter().map(|r| r.node.id).collect();
         let roots: Vec<u32> = records
@@ -741,7 +727,6 @@ impl DirectMeshDb {
             intervals: LazyIntervals::filled(IntervalStats::new(
                 records.iter().map(|r| (r.node.e_lo, r.node.e_hi)),
             )),
-            page_regions,
             codec: opts.codec,
             rtree_lost: false,
         }
@@ -799,8 +784,8 @@ impl DirectMeshDb {
     /// Reattach to a database previously persisted with
     /// [`Self::create_in`], reading the catalog chain and the R\*-tree —
     /// not the heap. The index is page-granular, so its leaf entries are
-    /// the heap pages' boxes: the planner's page-region table and the
-    /// optimizer statistics come from one walk of it.
+    /// the heap pages' boxes: the optimizer statistics come from one walk
+    /// of it.
     ///
     /// Fails with a typed [`dm_storage::StorageError`] when the catalog
     /// has a bad magic/version/checksum, names a heap page the store does
@@ -858,7 +843,7 @@ impl DirectMeshDb {
         let btree = BTree::from_parts(Arc::clone(&pool), cat.btree.0, cat.btree.2, cat.btree.1);
         let rtree = RStarTree::from_parts(Arc::clone(&pool), cat.rtree.0, cat.rtree.1, cat.rtree.2);
         let e_cap = cat.e_max * 1.001 + 1e-9;
-        let (page_regions, node_regions, intervals, rtree_lost) = if strict {
+        let (page_boxes, node_regions, intervals, rtree_lost) = if strict {
             let num_pages = pool.num_pages();
             if let Some(&page) = heap.page_ids().iter().find(|&&p| p >= num_pages) {
                 return Err(StorageError::OutOfBounds { page, num_pages });
@@ -906,7 +891,7 @@ impl DirectMeshDb {
         report.retries += dm_storage::thread_retries() - retries_before;
         // Optimizer statistics: the data-page boxes (what a range query
         // actually fetches) plus the index node regions (the descent).
-        let mut stat_regions: Vec<Box3> = page_regions.iter().map(|&(_, b)| b).collect();
+        let mut stat_regions: Vec<Box3> = page_boxes.iter().map(|&(_, b)| b).collect();
         stat_regions.extend(node_regions);
         let space = Box3::prism(cat.bounds, 0.0, e_cap);
         Ok(DirectMeshDb {
@@ -921,7 +906,6 @@ impl DirectMeshDb {
             n_leaves: cat.n_leaves as usize,
             roots: cat.roots,
             intervals,
-            page_regions,
             codec: cat.codec,
             rtree_lost,
         })
@@ -981,9 +965,9 @@ impl DirectMeshDb {
         &self.cost
     }
 
-    /// The heap pages' MBRs, ascending by page id (see the field docs).
-    pub fn page_regions(&self) -> &[(PageId, Box3)] {
-        &self.page_regions
+    /// The heap pages, in catalog order.
+    pub fn heap_pages(&self) -> &[PageId] {
+        self.heap.page_ids()
     }
 
     pub fn rtree(&self) -> &RStarTree {
@@ -1146,56 +1130,6 @@ impl DirectMeshDb {
         Ok(out)
     }
 
-    /// Planner introspection: how many candidate data pages the stored
-    /// page MBRs predict for `boxes`, how many of those are resident in
-    /// the buffer pool right now, and an eq.-1-style estimate of how
-    /// many records the boxes will *select* (each candidate page
-    /// contributes its mean record count scaled by the fraction of its
-    /// MBR volume the boxes cover — a sliver piece crossing a page picks
-    /// up few of its records, a cube containing the page picks up all of
-    /// them). A pure in-memory computation over the page-region table
-    /// plus a lock-only residency probe — no index descent, no counted
-    /// I/O, no LRU disturbance (see [`dm_storage::BufferPool::residency`]).
-    /// `scratch` is the caller's reusable page-id buffer (cleared here),
-    /// so a per-frame planner allocates nothing.
-    pub fn estimate_frame_pages(
-        &self,
-        boxes: &[Box3],
-        scratch: &mut Vec<dm_storage::PageId>,
-    ) -> (usize, usize, f64) {
-        scratch.clear();
-        let slots = self.mean_records_per_page() as f64;
-        let mut est_records = 0.0;
-        // A page outside the boxes' hull meets none of them: one test
-        // spares it the whole box list (most pages, for a ΔROI plan).
-        let hull = boxes.iter().fold(Box3::EMPTY, |h, b| h.union(b));
-        for &(page, ref mbr) in &self.page_regions {
-            if !mbr.intersects(&hull) {
-                continue;
-            }
-            let vol = mbr.volume();
-            let mut covered = 0.0;
-            for q in boxes {
-                if mbr.intersects(q) {
-                    // Degenerate MBRs (a page whose records share one
-                    // vertical line or LOD plane) have zero volume but
-                    // real records; any intersecting box selects them.
-                    covered += if vol > 0.0 {
-                        mbr.intersection(q).volume() / vol
-                    } else {
-                        1.0
-                    };
-                }
-            }
-            if covered > 0.0 {
-                scratch.push(page);
-                est_records += slots * covered.min(1.0);
-            }
-        }
-        let resident = self.pool.resident_among(scratch);
-        (scratch.len(), resident, est_records)
-    }
-
     /// Mean records per heap page — the best available estimate for how
     /// many points an unreadable page took with it.
     fn mean_records_per_page(&self) -> u64 {
@@ -1259,21 +1193,15 @@ impl DirectMeshDb {
     }
 
     /// Reset counters and drop the cache — the paper's measurement
-    /// protocol before every query.
-    pub fn cold_start(&self) {
-        self.pool.flush_all();
-        self.pool.reset_stats();
-    }
-
-    /// [`Self::cold_start`] that surfaces flush errors instead of
-    /// panicking (stats are reset either way).
+    /// protocol before every query. Stats are reset even when the flush
+    /// fails.
     pub fn try_cold_start(&self) -> StorageResult<()> {
         let r = self.pool.try_flush_all();
         self.pool.reset_stats();
         r
     }
 
-    /// Disk accesses since the last [`Self::cold_start`].
+    /// Disk accesses since the last [`Self::try_cold_start`].
     pub fn disk_accesses(&self) -> u64 {
         self.pool.stats().reads
     }
@@ -1567,21 +1495,7 @@ impl DirectMeshDb {
 
         // ---- 6. Fresh catalog chain. Interval statistics and the cost
         // model are shared with this snapshot, not copied (see the field
-        // docs). The planner's page-region table, by contrast, must
-        // track the page ids exactly (it feeds the residency probe), so
-        // replaced pages are swapped for their rewritten successors.
-        let mut page_regions: Vec<(PageId, Box3)> = self
-            .page_regions
-            .iter()
-            .copied()
-            .filter(|(p, _)| !page_repl.contains_key(p))
-            .collect();
-        for repl in rtree_repl.values() {
-            for &(bbox, page) in repl {
-                page_regions.push((page as PageId, bbox));
-            }
-        }
-        page_regions.sort_unstable_by_key(|&(p, _)| p);
+        // docs).
         let catalog_page = self.pool.try_allocate()?;
         let db = DirectMeshDb {
             pool: Arc::clone(&self.pool),
@@ -1595,7 +1509,6 @@ impl DirectMeshDb {
             n_leaves: self.n_leaves,
             roots: self.roots.clone(),
             intervals: Arc::clone(&self.intervals),
-            page_regions,
             codec: self.codec,
             rtree_lost: false,
         };
@@ -1750,6 +1663,7 @@ fn estimate_compact_capacity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unwrap_clean;
     use dm_mtm::builder::{build_pm, PmBuildConfig};
     use dm_storage::MemStore;
     use dm_terrain::{generate, TriMesh};
@@ -1785,8 +1699,8 @@ mod tests {
         }
         for e_frac in [0.1, 0.5] {
             let e = db.e_max * e_frac;
-            let a = db.vi_query(&db.bounds, e);
-            let b = rebuilt.vi_query(&db.bounds, e);
+            let a = unwrap_clean(db.try_vi_query(&db.bounds, e));
+            let b = unwrap_clean(rebuilt.try_vi_query(&db.bounds, e));
             assert_eq!(a.points, b.points);
             assert_eq!(a.front.num_triangles(), b.front.num_triangles());
         }
@@ -2125,7 +2039,7 @@ mod tests {
                     })
                     .collect()
             };
-            db.cold_start();
+            db.try_cold_start().unwrap();
             let from_bytes = sweep();
             assert_eq!(db.pool().decoded_stats().builds, 0, "lookups never build");
             let everything = Box3::prism(db.bounds, 0.0, db.e_cap());
@@ -2142,53 +2056,6 @@ mod tests {
                 assert_eq!(*node, rec.as_ref().map(|r| r.node));
             }
         }
-    }
-
-    #[test]
-    fn planner_page_estimate_tracks_residency() {
-        let db = small_db();
-        let q = Box3::prism(db.bounds, 0.0, db.e_cap());
-        let mut scratch = Vec::new();
-        db.pool().flush_all();
-        let (pages_cold, resident_cold, est_cold) = db.estimate_frame_pages(&[q], &mut scratch);
-        assert_eq!(pages_cold, db.heap.page_ids().len(), "whole-space query");
-        assert_eq!(resident_cold, 0, "flushed pool holds nothing");
-        // A whole-space query selects (an estimate of) every record.
-        assert!(
-            (est_cold - db.n_records as f64).abs() <= pages_cold as f64,
-            "whole-space estimate {est_cold} vs {} records",
-            db.n_records
-        );
-        let reads_before = db.pool().stats().reads;
-        let (_, resident_again, _) = db.estimate_frame_pages(&[q], &mut scratch);
-        assert_eq!(resident_again, 0);
-        assert_eq!(
-            db.pool().stats().reads,
-            reads_before,
-            "planner estimates must not count as disk accesses"
-        );
-        // Warm every candidate page; the probe must now see them all.
-        scan(&db, &q);
-        let (pages_warm, resident_warm, _) = db.estimate_frame_pages(&[q], &mut scratch);
-        assert_eq!(pages_warm, pages_cold);
-        assert_eq!(resident_warm, pages_warm, "all candidates just fetched");
-        assert_eq!(db.estimate_frame_pages(&[], &mut scratch), (0, 0, 0.0));
-        // A thin sliver of the space must select far fewer records than
-        // the whole-space query even when it still touches many pages.
-        let b = db.bounds;
-        let sliver = Box3::prism(
-            dm_geom::Rect::from_corners(
-                b.min,
-                dm_geom::Vec2::new(b.max.x, b.min.y + b.height() * 0.02),
-            ),
-            0.0,
-            db.e_cap(),
-        );
-        let (_, _, est_sliver) = db.estimate_frame_pages(&[sliver], &mut scratch);
-        assert!(
-            est_sliver < est_cold / 4.0,
-            "sliver estimate {est_sliver} not well under whole-space {est_cold}"
-        );
     }
 
     #[test]
@@ -2239,7 +2106,7 @@ mod tests {
     #[test]
     fn cold_start_counts_accesses() {
         let db = small_db();
-        db.cold_start();
+        db.try_cold_start().unwrap();
         assert_eq!(db.disk_accesses(), 0);
         let _ = db.try_fetch_by_id(7).unwrap();
         let first = db.disk_accesses();

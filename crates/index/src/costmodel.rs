@@ -131,69 +131,6 @@ impl RtreeCostModel {
     }
 }
 
-/// Calibrated unit costs for the navigation planner's per-frame decision
-/// (incremental ΔROI execution vs. a full requery of the frame's cubes).
-///
-/// Eq. 1 prices everything in *disk accesses*, but a warm walkthrough is
-/// CPU-bound: almost every candidate page is already resident, so what a
-/// strategy actually pays is (a) faulting its non-resident candidate
-/// pages in, (b) header-scanning every candidate page it visits, (c)
-/// materialising every record the query boxes actually select (decode
-/// to owned, working-set insert, seed-front accounting), and (d) for
-/// the incremental plan, the box-subtraction and per-piece bookkeeping
-/// overhead. The weights below express (a), (c) and (d) in units of
-/// (b); they come from the committed navigation benchmark on the 513²
-/// mining terrain, where a buffered page read (store copy, CRC
-/// verify, install) costs roughly 8× a header-only page scan,
-/// materialising one selected record costs a few slot decodes (~2% of
-/// a page scan),
-/// and the per-piece delta overhead is small against one page scan.
-/// The record term is what separates the strategies on warm sliver
-/// frames: both visit nearly the same candidate pages, but the delta
-/// plan *selects* a fraction of the records. The planner only needs
-/// the *ordering* of the two strategy costs to be right, so the exact
-/// ratios are uncritical — what matters is that resident pages are
-/// priced at CPU cost, not at eq. 1's disk cost.
-#[derive(Clone, Copy, Debug)]
-pub struct FrameCostParams {
-    /// Cost of faulting one non-resident candidate page into the buffer
-    /// pool, in units of one resident page scan.
-    pub read_weight: f64,
-    /// Cost of header-scanning one candidate heap page.
-    pub scan_weight: f64,
-    /// Cost of materialising one record the query boxes select (owned
-    /// decode + working-set insert + downstream accounting).
-    pub record_weight: f64,
-    /// Fixed planning/bookkeeping overhead per ΔROI piece (subtraction,
-    /// dedup, working-set accounting).
-    pub piece_overhead: f64,
-}
-
-impl Default for FrameCostParams {
-    fn default() -> Self {
-        FrameCostParams {
-            read_weight: 8.0,
-            scan_weight: 1.0,
-            record_weight: 0.02,
-            piece_overhead: 0.25,
-        }
-    }
-}
-
-impl FrameCostParams {
-    /// Estimated cost of executing one frame strategy that must visit
-    /// `pages` candidate data pages of which `resident` are already in
-    /// the buffer pool, materialise an estimated `records` selected
-    /// records, split across `pieces` planned query boxes.
-    pub fn frame_cost(&self, pages: usize, resident: usize, records: f64, pieces: usize) -> f64 {
-        let misses = pages.saturating_sub(resident) as f64;
-        misses * self.read_weight
-            + pages as f64 * self.scan_weight
-            + records * self.record_weight
-            + pieces as f64 * self.piece_overhead
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,24 +264,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn frame_cost_prices_residency_records_and_pieces() {
-        let p = FrameCostParams::default();
-        // A fully resident plan costs pure CPU; the same plan cold pays
-        // the read weight per page on top.
-        let warm = p.frame_cost(10, 10, 0.0, 0);
-        let cold = p.frame_cost(10, 0, 0.0, 0);
-        assert!((warm - 10.0 * p.scan_weight).abs() < 1e-12);
-        assert!((cold - warm - 10.0 * p.read_weight).abs() < 1e-12);
-        // Piece overhead strictly penalizes fragmentation at equal pages.
-        assert!(p.frame_cost(10, 10, 0.0, 48) > p.frame_cost(10, 10, 0.0, 1));
-        // Selected records are priced: equal page visits, more records
-        // materialised, higher cost. This is the term that separates the
-        // strategies on warm sliver frames.
-        assert!(p.frame_cost(10, 10, 2000.0, 0) > p.frame_cost(10, 10, 800.0, 0));
-        // Over-reported residency must not go negative.
-        assert!(p.frame_cost(5, 9, 0.0, 0) >= 0.0);
     }
 }

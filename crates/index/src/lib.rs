@@ -21,6 +21,6 @@ pub mod costmodel;
 pub mod quadtree;
 pub mod rstar;
 
-pub use costmodel::{FrameCostParams, RtreeCostModel};
+pub use costmodel::RtreeCostModel;
 pub use quadtree::LodQuadtree;
 pub use rstar::RStarTree;

@@ -473,10 +473,11 @@ impl BufferPool {
     /// Which of `pages` are currently resident, without disturbing the
     /// pool: the probe takes each involved shard's lock exactly once,
     /// never moves a page in the recency list, and never touches
-    /// [`AccessStats`] — a residency question is planner introspection,
-    /// not a logical disk access, so it must not age other pages toward
-    /// eviction or inflate any read counter. Returns one flag per input
-    /// page, in input order (duplicates allowed).
+    /// [`AccessStats`] — a residency question is measurement
+    /// introspection (a bench telling hits from misses before it times
+    /// them), not a logical disk access, so it must not age other pages
+    /// toward eviction or inflate any read counter. Returns one flag per
+    /// input page, in input order (duplicates allowed).
     pub fn residency(&self, pages: &[PageId]) -> Vec<bool> {
         let mut out = vec![false; pages.len()];
         let n = self.shards.len();

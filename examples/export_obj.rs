@@ -26,7 +26,7 @@ fn main() -> std::io::Result<()> {
 
     for (name, keep) in [("fine", 0.6), ("medium", 0.15), ("coarse", 0.03)] {
         let e = db.e_for_points_fraction(keep);
-        let res = db.vi_query(&db.bounds, e);
+        let res = db.try_vi_query(&db.bounds, e).unwrap().0;
         let (tri_mesh, _) = res.front.to_trimesh();
         tri_mesh.validate().expect("valid mesh");
         let path = format!("{out_dir}/crater_{name}.obj");

@@ -64,12 +64,15 @@ fn main() {
             },
         };
 
-        db.cold_start();
-        let sb = db.vd_single_base(&q, BoundaryPolicy::Skip);
+        db.try_cold_start().unwrap();
+        let sb = db.try_vd_single_base(&q, BoundaryPolicy::Skip).unwrap().0;
         let sb_da = db.disk_accesses();
 
-        db.cold_start();
-        let mb = db.vd_multi_base(&q, BoundaryPolicy::Skip, 16);
+        db.try_cold_start().unwrap();
+        let mb = db
+            .try_vd_multi_base(&q, BoundaryPolicy::Skip, 16)
+            .unwrap()
+            .0;
         let mb_da = db.disk_accesses();
 
         println!(
@@ -91,10 +94,10 @@ fn main() {
     // fetched for earlier frames stay in the buffer pool, so per-frame
     // disk accesses collapse after frame 0.
     println!("\nwarm navigation session over the same path:");
-    db.cold_start();
+    db.try_cold_start().unwrap();
     let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
     for (f, q) in queries.iter().enumerate() {
-        let warm = session.move_to(q);
+        let warm = session.try_move_to(q).unwrap().0;
         println!(
             "{:>5} {:>10} {:>10} {:>10}",
             f, "-", "-", warm.disk_accesses

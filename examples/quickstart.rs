@@ -50,8 +50,11 @@ fn main() {
     let roi = Rect::centered_square(db.bounds.center(), db.bounds.width() * 0.32);
     // Ask for the LOD that keeps ~25 % of the original points.
     let e = db.e_for_points_fraction(0.25);
-    db.cold_start();
-    let res = db.vi_query(&roi, e);
+    db.try_cold_start().unwrap();
+    // The answer comes with an integrity report of any page it could not
+    // read; on a healthy store it is clean.
+    let (res, report) = db.try_vi_query(&roi, e).unwrap();
+    assert!(report.is_clean(), "{report}");
     println!(
         "query: ROI 10% at LOD {:.3} → {} points, {} triangles, {} disk accesses",
         e,

@@ -35,8 +35,8 @@ fn main() {
     );
     for keep in [1.0, 0.5, 0.25, 0.1, 0.05, 0.01] {
         let e = db.e_for_points_fraction(keep);
-        db.cold_start();
-        let res = db.vi_query(&db.bounds, e);
+        db.try_cold_start().unwrap();
+        let res = db.try_vi_query(&db.bounds, e).unwrap().0;
         let da = db.disk_accesses();
         let (tri_mesh, _) = res.front.to_trimesh();
         tri_mesh.validate().expect("valid approximation");

@@ -146,25 +146,22 @@ echo "== navigation bench smoke (tiny terrain, short path)"
 # The bench runs with the package directory as cwd; anchor the output
 # inside the workspace target dir so smoke runs never clobber the
 # committed BENCH_navigation.json. The bench itself asserts mesh
-# equality across the full / incremental / auto plan modes.
+# equality between the full-requery and incremental walks.
 DM_SCALE=ci DM_NAV_FRAMES=4 DM_NAV_OUT="$PWD/target/BENCH_navigation.ci.json" \
     cargo bench -p dm-bench --bench navigation >/dev/null
 
 echo "== navigation regression guard (committed official run)"
-# Hold the committed 513²/32-frame run to the PR's acceptance bar: warm
-# incremental frames must beat full requery on wall-clock (the planner
-# exists so delta execution never costs more than a cold requery), the
-# auto planner must be no slower than full requery, and incremental
-# frames must examine no more records than full requery — the old
-# per-sliver fetch path examined ~1.5× MORE (504k vs 346k warm total),
-# and this guard fails the build if that plateau returns.
+# Hold the committed 513²/32-frame run to its acceptance bar: warm
+# incremental frames must beat full requery on wall-clock, and must
+# examine no more records than full requery — the old per-sliver fetch
+# path examined ~1.5× MORE (504k vs 346k warm total), and this guard
+# fails the build if that plateau returns.
 python3 - "$PWD/BENCH_navigation.json" << 'PY'
 import json, sys
 base = json.load(open(sys.argv[1]))["warm_totals"]
-full, incr, auto = base["full_requery"], base["incremental"], base["auto"]
+full, incr = base["full_requery"], base["incremental"]
 checks = [
     ("incremental secs", incr["secs"], "<=", full["secs"]),
-    ("auto secs", auto["secs"], "<=", full["secs"]),
     ("incremental examined", incr["examined_records"],
      "<=", full["examined_records"]),
 ]
@@ -176,25 +173,28 @@ print("navigation guard ok: " +
       ", ".join(f"{k}={v:.4f}" for k, v, _, _ in checks))
 PY
 
-echo "== query planner smoke (walkthrough --plan / explain on a tiny store)"
-# End-to-end through the installed binary: the three plan modes must
-# print identical per-frame vertex columns, and `dm explain` must make
-# a decision for every frame.
+echo "== frame strategy smoke (walkthrough vs walkthrough --full on a tiny store)"
+# End-to-end through the installed binary: both frame strategies must
+# print identical per-frame vertex columns (picked by header name, so a
+# new column cannot shift it), and a window that holds no terrain is an
+# error, not a walk of empty frames.
 PLAN_DIR=$(mktemp -d "${TMPDIR:-/tmp}/dm-plan-smoke.XXXXXX")
 DM=target/release/dm
 "$DM" generate --kind mining --size 65 --seed 9 -o "$PLAN_DIR/t.dmh" >/dev/null
 "$DM" build "$PLAN_DIR/t.dmh" -o "$PLAN_DIR/t.dmdb" >/dev/null
-for mode in auto incremental full; do
-    "$DM" walkthrough "$PLAN_DIR/t.dmdb" --frames 6 --window 0.4 --plan "$mode" \
-        | awk 'NR>2 && $1 ~ /^[0-9]+$/ { print $1, $8 }' > "$PLAN_DIR/$mode.verts"
+for mode in incremental full; do
+    flag=$([ "$mode" = full ] && echo --full || true)
+    "$DM" walkthrough "$PLAN_DIR/t.dmdb" --frames 6 --window 0.4 $flag | awk '
+        $1 == "frame" { for (i = 1; i <= NF; i++) if ($i == "vertices") col = i }
+        col && $1 ~ /^[0-9]+$/ { print $1, $col }' > "$PLAN_DIR/$mode.verts"
 done
-diff "$PLAN_DIR/auto.verts" "$PLAN_DIR/incremental.verts" \
-    || { echo "auto and incremental walkthroughs disagree"; exit 1; }
-diff "$PLAN_DIR/auto.verts" "$PLAN_DIR/full.verts" \
-    || { echo "auto and full walkthroughs disagree"; exit 1; }
-"$DM" explain "$PLAN_DIR/t.dmdb" --frames 6 --window 0.4 \
-    | grep "chosen: .* incremental frame(s), .* full-requery frame(s)" >/dev/null \
-    || { echo "dm explain printed no decision summary"; exit 1; }
+[ "$(wc -l < "$PLAN_DIR/full.verts")" -eq 6 ] \
+    || { echo "walkthrough printed no vertices column"; exit 1; }
+diff "$PLAN_DIR/incremental.verts" "$PLAN_DIR/full.verts" \
+    || { echo "incremental and full walkthroughs disagree"; exit 1; }
+if "$DM" walkthrough "$PLAN_DIR/t.dmdb" --frames 2 --window 0 >/dev/null 2>&1; then
+    echo "walkthrough accepted an empty window"; exit 1
+fi
 rm -rf "$PLAN_DIR"
 
 echo "== compact codec bench smoke + size-regression guard"

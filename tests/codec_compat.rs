@@ -13,6 +13,13 @@ use dm_mtm::PlaneTarget;
 use dm_storage::{BufferPool, FileStore};
 use dm_terrain::{generate, TriMesh};
 
+/// The answer of a query that must have lost no data.
+fn unwrap_clean<T>(answer: dm_storage::StorageResult<(T, dm_core::IntegrityReport)>) -> T {
+    let (res, report) = answer.unwrap();
+    assert!(report.is_clean(), "{report}");
+    res
+}
+
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dm_codec_{}_{name}.db", std::process::id()))
 }
@@ -85,8 +92,8 @@ fn v2_database_opens_and_answers_queries_identically() {
     for (frac, roi_frac) in [(0.3, 1.0), (0.1, 0.5), (0.02, 0.3)] {
         let e = v2.e_for_points_fraction(frac);
         let roi = Rect::centered_square(v2.bounds.center(), v2.bounds.width() * roi_frac);
-        let ra = v2.vi_query(&roi, e);
-        let rb = v3.vi_query(&roi, e);
+        let ra = unwrap_clean(v2.try_vi_query(&roi, e));
+        let rb = unwrap_clean(v3.try_vi_query(&roi, e));
         let mut ia: Vec<u32> = ra.front.vertex_ids().collect();
         let mut ib: Vec<u32> = rb.front.vertex_ids().collect();
         ia.sort_unstable();
@@ -103,8 +110,8 @@ fn v2_database_opens_and_answers_queries_identically() {
     let roi = Rect::centered_square(v2.bounds.center(), v2.bounds.width() * 0.6);
     let qa = vd_query(&v2, roi);
     let qb = vd_query(&v3, roi);
-    let ra = v2.vd_multi_base(&qa, BoundaryPolicy::FetchOnMiss, 8);
-    let rb = v3.vd_multi_base(&qb, BoundaryPolicy::FetchOnMiss, 8);
+    let ra = unwrap_clean(v2.try_vd_multi_base(&qa, BoundaryPolicy::FetchOnMiss, 8));
+    let rb = unwrap_clean(v3.try_vd_multi_base(&qb, BoundaryPolicy::FetchOnMiss, 8));
     let mut ia: Vec<u32> = ra.front.vertex_ids().collect();
     let mut ib: Vec<u32> = rb.front.vertex_ids().collect();
     ia.sort_unstable();
@@ -146,7 +153,7 @@ fn v2_database_still_opens_degraded() {
     assert!(report.is_clean(), "healthy v2 file reports clean: {report}");
     assert_eq!(db.codec(), RecordCodec::Flat);
     let e = db.e_for_points_fraction(0.2);
-    let res = db.vi_query(&db.bounds.clone(), e);
+    let res = unwrap_clean(db.try_vi_query(&db.bounds.clone(), e));
     assert!(res.front.num_triangles() > 0);
     let _ = std::fs::remove_file(&path);
 }

@@ -62,7 +62,7 @@ fn stress_shared_db_no_panics_no_false_positives_stable_counts() {
     let qs = workload(&db);
 
     // Sequential reference: signatures and the cold logical-read count.
-    db.cold_start();
+    db.try_cold_start().unwrap();
     let reference: Vec<(usize, usize)> = qs
         .iter()
         .map(|(roi, e)| {
@@ -77,7 +77,7 @@ fn stress_shared_db_no_panics_no_false_positives_stable_counts() {
     // Concurrent run of the same workload from cold: 8 threads, hundreds
     // of iterations each, all queries strict — any torn read, checksum
     // false positive, or lock-ordering deadlock fails the test.
-    db.cold_start();
+    db.try_cold_start().unwrap();
     let iters = 150usize;
     let executed = AtomicU64::new(0);
     std::thread::scope(|s| {
@@ -150,7 +150,7 @@ fn concurrent_retry_accounting_is_exact() {
     let db = build_db(pool);
     let qs = workload(&db);
 
-    db.cold_start();
+    db.try_cold_start().unwrap();
     let reported_retries = AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -190,11 +190,11 @@ fn concurrent_retry_accounting_is_exact() {
     // fault-free store reads exactly as many pages.
     let clean_pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 8192));
     let clean_db = build_db(clean_pool);
-    clean_db.cold_start();
+    clean_db.try_cold_start().unwrap();
     for (roi, e) in &workload(&clean_db) {
         let _ = clean_db.try_vi_query(roi, *e).expect("clean store");
     }
-    db.cold_start();
+    db.try_cold_start().unwrap();
     for (roi, e) in &qs {
         let _ = db.try_vi_query(roi, *e).expect("faults heal");
     }
@@ -220,7 +220,7 @@ fn two_workers_retrying_the_same_page_do_not_cross_account() {
     let db = build_db(pool);
     let plane = (db.bounds, db.e_max * 0.3);
 
-    db.cold_start();
+    db.try_cold_start().unwrap();
     let per_worker: Vec<AtomicU64> = (0..2).map(|_| AtomicU64::new(0)).collect();
     std::thread::scope(|s| {
         for slot in &per_worker {

@@ -11,6 +11,13 @@ use dm_mtm::PlaneTarget;
 use dm_storage::{BufferPool, MemStore};
 use dm_terrain::{generate, metrics, obj, Heightfield, TriMesh};
 
+/// The answer of a query that must have lost no data.
+fn unwrap_clean<T>(answer: dm_storage::StorageResult<(T, dm_core::IntegrityReport)>) -> T {
+    let (res, report) = answer.unwrap();
+    assert!(report.is_clean(), "{report}");
+    res
+}
+
 struct World {
     hf: Heightfield,
     original: TriMesh,
@@ -46,7 +53,7 @@ fn all_systems_agree_on_uniform_cuts() {
     for frac in [0.02, 0.1, 0.5] {
         let e = h.e_max * frac;
         let replay = h.replay_mesh(&w.original, e);
-        let dm = w.dm.vi_query(&w.dm.bounds, e);
+        let dm = unwrap_clean(w.dm.try_vi_query(&w.dm.bounds, e));
         let pm = w.pm.vi_query(&w.pm.bounds, e);
         assert_eq!(dm.points, replay.num_live_vertices(), "DM at {frac}");
         assert_eq!(
@@ -74,7 +81,7 @@ fn dm_meshes_honour_the_error_bound() {
     let mut last_rmse = f64::INFINITY;
     for frac in [0.2, 0.02, 0.0] {
         let e = w.dm.e_max * frac;
-        let res = w.dm.vi_query(&w.dm.bounds, e);
+        let res = unwrap_clean(w.dm.try_vi_query(&w.dm.bounds, e));
         let (mesh, _) = res.front.to_trimesh();
         mesh.validate().unwrap();
         let err = metrics::mesh_error(&mesh, &w.hf, 1);
@@ -103,8 +110,8 @@ fn vd_pipeline_produces_valid_gradient_meshes() {
             e_max: w.dm.e_max * 0.4,
         },
     };
-    let sb = w.dm.vd_single_base(&q, BoundaryPolicy::Skip);
-    let mb = w.dm.vd_multi_base(&q, BoundaryPolicy::Skip, 8);
+    let sb = unwrap_clean(w.dm.try_vd_single_base(&q, BoundaryPolicy::Skip));
+    let mb = unwrap_clean(w.dm.try_vd_multi_base(&q, BoundaryPolicy::Skip, 8));
     let pm = w.pm.vd_query(&roi, &q.target);
     for (name, front) in [("SB", &sb.front), ("MB", &mb.front), ("PM", &pm.front)] {
         let (mesh, _) = front.to_trimesh();
@@ -161,7 +168,7 @@ fn hdov_covers_the_roi_with_tiles() {
 #[test]
 fn obj_export_of_query_results_is_well_formed() {
     let w = world(17, 5);
-    let res = w.dm.vi_query(&w.dm.bounds, w.dm.e_max * 0.05);
+    let res = unwrap_clean(w.dm.try_vi_query(&w.dm.bounds, w.dm.e_max * 0.05));
     let (mesh, _) = res.front.to_trimesh();
     let text = obj::to_obj_string(&mesh);
     let vs = text.lines().filter(|l| l.starts_with("v ")).count();
@@ -177,8 +184,8 @@ fn disk_access_accounting_is_deterministic() {
     let e = w.dm.e_max * 0.05;
     let runs: Vec<u64> = (0..3)
         .map(|_| {
-            w.dm.cold_start();
-            let _ = w.dm.vi_query(&roi, e);
+            w.dm.try_cold_start().unwrap();
+            let _ = unwrap_clean(w.dm.try_vi_query(&roi, e));
             w.dm.disk_accesses()
         })
         .collect();

@@ -9,14 +9,15 @@ use std::sync::Arc;
 
 use dm_core::navigation::waypoint_path;
 use dm_core::{
-    BoundaryPolicy, DirectMeshDb, DmBuildOptions, IntegrityReport, NavigationSession, PlanMode,
-    VdQuery,
+    BoundaryPolicy, DirectMeshDb, DmBuildOptions, IntegrityReport, NavigationSession, VdQuery,
 };
 use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
 use dm_mtm::refine::FrontMesh;
 use dm_mtm::PlaneTarget;
-use dm_storage::{BufferPool, FaultConfig, FaultInjector, FileStore, MemStore, PAGE_SIZE};
+use dm_storage::{
+    BufferPool, FaultConfig, FaultInjector, FileStore, MemStore, StorageResult, PAGE_SIZE,
+};
 use dm_terrain::{generate, TriMesh};
 use proptest::prelude::*;
 
@@ -46,6 +47,13 @@ fn query_at(db: &DirectMeshDb, roi: Rect) -> VdQuery {
             e_max: e_min + slope * roi.height(),
         },
     }
+}
+
+/// The answer of a frame or query that must have lost no data.
+fn unwrap_clean<T>(answer: StorageResult<(T, IntegrityReport)>) -> T {
+    let (res, report) = answer.unwrap();
+    assert!(report.is_clean(), "{report}");
+    res
 }
 
 fn vertex_set(front: &FrontMesh) -> HashSet<u32> {
@@ -180,9 +188,9 @@ proptest! {
         let mut session = NavigationSession::new(&db, policy).with_max_cubes(max_cubes);
         for roi in &path {
             let q = query_at(&db, *roi);
-            let stats = session.move_to(&q);
+            let stats = unwrap_clean(session.try_move_to(&q));
             prop_assert!(stats.vertices > 0, "empty frame at roi {roi:?}");
-            let fresh = db.vd_multi_base(&q, policy, max_cubes);
+            let fresh = unwrap_clean(db.try_vd_multi_base(&q, policy, max_cubes));
             prop_assert_eq!(
                 vertex_set(session.front()),
                 vertex_set(&fresh.front),
@@ -199,13 +207,12 @@ proptest! {
         }
     }
 
-    /// The query planner is an optimizer, not a semantics change: along a
-    /// random waypoint path, a `PlanMode::Auto` session produces frame by
-    /// frame exactly the vertex and face sets of both fixed strategies,
-    /// and each fixed session's stats advertise the strategy it was
-    /// forced to.
+    /// The frame strategy is a cost choice, not a semantics change:
+    /// along a random waypoint path, a full-requery session produces frame
+    /// by frame exactly the vertex and face sets of an incremental one,
+    /// and each session's stats advertise the strategy it runs.
     #[test]
-    fn planner_auto_matches_both_fixed_strategies_on_random_paths(
+    fn full_requery_matches_incremental_on_random_paths(
         terrain_seed in 0u64..10_000,
         side in 13usize..20,
         fracs in collection::vec((0.2..0.8f64, 0.2..0.8f64), 2..5),
@@ -221,47 +228,28 @@ proptest! {
             BoundaryPolicy::Skip
         };
         let (path, _) = path_in_bounds(&db, &fracs, window_frac, frames);
-        let mut auto_s = NavigationSession::new(&db, policy)
-            .with_max_cubes(max_cubes)
-            .with_plan_mode(PlanMode::Auto);
-        let mut incr_s = NavigationSession::new(&db, policy)
-            .with_max_cubes(max_cubes)
-            .with_plan_mode(PlanMode::Incremental);
+        let mut incr_s = NavigationSession::new(&db, policy).with_max_cubes(max_cubes);
         let mut full_s = NavigationSession::new(&db, policy)
             .with_max_cubes(max_cubes)
-            .with_plan_mode(PlanMode::Full);
+            .with_full_requery(true);
         for roi in &path {
             let q = query_at(&db, *roi);
-            let sa = auto_s.move_to(&q);
-            let si = incr_s.move_to(&q);
-            let sf = full_s.move_to(&q);
-            prop_assert!(sa.vertices > 0);
-            prop_assert!(!si.plan.chose_full, "forced incremental must report incremental");
-            prop_assert!(sf.plan.chose_full, "forced full must report full-requery");
-            prop_assert_eq!(sa.vertices, si.vertices);
-            prop_assert_eq!(sa.vertices, sf.vertices);
+            let si = unwrap_clean(incr_s.try_move_to(&q));
+            let sf = unwrap_clean(full_s.try_move_to(&q));
+            prop_assert!(si.vertices > 0);
+            prop_assert!(!si.plan.chose_full, "an incremental session must report incremental");
+            prop_assert!(sf.plan.chose_full, "a full-requery session must report full-requery");
+            prop_assert_eq!(si.vertices, sf.vertices);
             prop_assert_eq!(
-                vertex_set(auto_s.front()),
                 vertex_set(incr_s.front()),
-                "auto vs incremental vertices diverge at roi {:?}",
-                roi
-            );
-            prop_assert_eq!(
-                face_set(auto_s.front()),
-                face_set(incr_s.front()),
-                "auto vs incremental faces diverge at roi {:?}",
-                roi
-            );
-            prop_assert_eq!(
-                vertex_set(auto_s.front()),
                 vertex_set(full_s.front()),
-                "auto vs full-requery vertices diverge at roi {:?}",
+                "incremental vs full-requery vertices diverge at roi {:?}",
                 roi
             );
             prop_assert_eq!(
-                face_set(auto_s.front()),
+                face_set(incr_s.front()),
                 face_set(full_s.front()),
-                "auto vs full-requery faces diverge at roi {:?}",
+                "incremental vs full-requery faces diverge at roi {:?}",
                 roi
             );
         }
@@ -309,26 +297,25 @@ proptest! {
         let (path, _) = path_in_bounds(&db, &fracs, window_frac, 6);
         let mut session = NavigationSession::new(&db, policy);
         let mut tainted = false;
-        // The planner session rides the same fault stream and must obey
-        // the same contract: healed frames match a fresh query, faulted
-        // frames taint it and waive equivalence from then on.
-        let mut auto_session =
-            NavigationSession::new(&db, policy).with_plan_mode(PlanMode::Auto);
-        let mut auto_tainted = false;
+        // A full-requery session rides the same fault stream and must
+        // obey the same contract: healed frames match a fresh query,
+        // faulted frames taint it and waive equivalence from then on.
+        let mut full_session = NavigationSession::new(&db, policy).with_full_requery(true);
+        let mut full_tainted = false;
         for roi in &path {
             let q = query_at(&db, *roi);
-            let auto_clean = match auto_session.try_move_to(&q) {
+            let full_clean = match full_session.try_move_to(&q) {
                 Ok((stats, report)) => {
                     prop_assert!(stats.vertices > 0);
-                    let (mesh, _) = auto_session.front().to_trimesh();
+                    let (mesh, _) = full_session.front().to_trimesh();
                     prop_assert!(mesh.validate().is_ok(), "{:?}", mesh.validate());
                     if !report.is_clean() {
-                        auto_tainted = true;
+                        full_tainted = true;
                     }
-                    !auto_tainted
+                    !full_tainted
                 }
                 Err(_) => {
-                    auto_tainted = true;
+                    full_tainted = true;
                     false
                 }
             };
@@ -347,7 +334,7 @@ proptest! {
             if !report.is_clean() {
                 tainted = true;
             }
-            if tainted && !auto_clean {
+            if tainted && !full_clean {
                 continue;
             }
             // Healed frame: exact equivalence against a fresh query, which
@@ -364,9 +351,9 @@ proptest! {
                 prop_assert_eq!(vertex_set(session.front()), vertex_set(&fresh.front));
                 prop_assert_eq!(face_set(session.front()), face_set(&fresh.front));
             }
-            if auto_clean {
-                prop_assert_eq!(vertex_set(auto_session.front()), vertex_set(&fresh.front));
-                prop_assert_eq!(face_set(auto_session.front()), face_set(&fresh.front));
+            if full_clean {
+                prop_assert_eq!(vertex_set(full_session.front()), vertex_set(&fresh.front));
+                prop_assert_eq!(face_set(full_session.front()), face_set(&fresh.front));
             }
         }
         std::fs::remove_file(&file).ok();
@@ -430,35 +417,16 @@ fn degraded_database_supports_incremental_navigation() {
     // frame to frame, and lookups that land on a scribbled page fail.
     for policy in [BoundaryPolicy::Skip, BoundaryPolicy::FetchOnMiss] {
         let mut session = NavigationSession::new(&db, policy);
-        let mut auto_s = NavigationSession::new(&db, policy).with_plan_mode(PlanMode::Auto);
-        let mut full_s = NavigationSession::new(&db, policy).with_plan_mode(PlanMode::Full);
+        let mut full_s = NavigationSession::new(&db, policy).with_full_requery(true);
         let mut merged = IntegrityReport::default();
         for roi in &path {
             let q = query_at(&db, *roi);
             let (stats, report) = session
                 .try_move_to(&q)
                 .expect("index pages untouched; heap losses must degrade, not abort");
-            let (auto_stats, auto_report) = auto_s
-                .try_move_to(&q)
-                .expect("planner session degrades the same way");
             let (_, full_report) = full_s
                 .try_move_to(&q)
                 .expect("full-requery session degrades the same way");
-            // The corruption is persistent, so every strategy loses exactly
-            // the records on the scribbled pages it touches — the planner
-            // session's integrity report is byte-for-byte the report of the
-            // fixed strategy it chose for this frame.
-            let chosen = if auto_stats.plan.chose_full {
-                &full_report
-            } else {
-                &report
-            };
-            assert_eq!(
-                &auto_report, chosen,
-                "auto frame report must equal its chosen strategy's report"
-            );
-            assert_eq!(vertex_set(auto_s.front()), vertex_set(session.front()));
-            assert_eq!(face_set(auto_s.front()), face_set(session.front()));
             assert_eq!(vertex_set(full_s.front()), vertex_set(session.front()));
             assert_eq!(face_set(full_s.front()), face_set(session.front()));
             merged.merge(report);
@@ -490,7 +458,7 @@ fn degraded_database_supports_incremental_navigation() {
             // *more* vertices than the clean frame — losing a parent record
             // promotes its children to unrefinable seeds — so no size or
             // subset relation holds against the clean *frame*.)
-            let clean = clean_db.vd_multi_base(&q, policy, 16);
+            let clean = unwrap_clean(clean_db.try_vd_multi_base(&q, policy, 16));
             assert!(clean.front.num_vertices() > 0);
             for v in session.front().vertex_ids() {
                 assert!(
@@ -527,9 +495,10 @@ fn small_shift_beats_cold_requery() {
     let r1 = Rect::centered_square(Vec2::new(start.x + step.x, start.y + step.y), window);
 
     let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
-    session.move_to(&query_at(&db, r0));
-    let warm = session.move_to(&query_at(&db, r1));
-    let fresh = db.vd_multi_base(&query_at(&db, r1), BoundaryPolicy::FetchOnMiss, 16);
+    unwrap_clean(session.try_move_to(&query_at(&db, r0)));
+    let warm = unwrap_clean(session.try_move_to(&query_at(&db, r1)));
+    let fresh =
+        unwrap_clean(db.try_vd_multi_base(&query_at(&db, r1), BoundaryPolicy::FetchOnMiss, 16));
     assert!(
         warm.fetched_records < fresh.fetched_records,
         "warm frame fetched {} records, cold requery fetched {}",
@@ -553,8 +522,8 @@ fn assert_tour_frames_are_fresh_and_duplicate_free(side: usize, seed: u64, laps:
     let tour = bench_tour(&db, seed);
     let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss).with_max_cubes(16);
     for (i, q) in tour.iter().cycle().take(32 * laps).enumerate() {
-        session.move_to(q);
-        let fresh = db.vd_multi_base(q, BoundaryPolicy::FetchOnMiss, 16);
+        unwrap_clean(session.try_move_to(q));
+        let fresh = unwrap_clean(db.try_vd_multi_base(q, BoundaryPolicy::FetchOnMiss, 16));
         assert_eq!(
             vertex_set(session.front()),
             vertex_set(&fresh.front),
@@ -592,7 +561,7 @@ fn kept_boundary_nodes_are_one_frames_worth() {
     let mut per_frame = Vec::new();
     for lap in 0..4 {
         for (i, q) in tour.iter().enumerate() {
-            session.move_to(q);
+            unwrap_clean(session.try_move_to(q));
             if lap == 0 {
                 per_frame.push(session.boundary_nodes());
             } else {
@@ -605,7 +574,7 @@ fn kept_boundary_nodes_are_one_frames_worth() {
             if lap == 3 && i == 31 {
                 // A one-shot query starts with nothing kept, so its point
                 // lookups count the distinct nodes the frame touches.
-                let fresh = db.vd_multi_base(q, BoundaryPolicy::FetchOnMiss, 16);
+                let fresh = unwrap_clean(db.try_vd_multi_base(q, BoundaryPolicy::FetchOnMiss, 16));
                 assert!(fresh.boundary_fetches > 0, "the tour must have a boundary");
                 assert_eq!(session.boundary_nodes(), fresh.boundary_fetches);
             }
@@ -614,7 +583,7 @@ fn kept_boundary_nodes_are_one_frames_worth() {
     session.reset();
     assert_eq!(session.boundary_nodes(), 0);
     // … and the session answers like a new one.
-    let first = session.move_to(&tour[0]);
+    let first = unwrap_clean(session.try_move_to(&tour[0]));
     assert_eq!(first.seeds_removed, 0);
     assert_eq!(session.boundary_nodes(), per_frame[0]);
 }

@@ -12,6 +12,13 @@ use dm_storage::{BufferPool, MemStore};
 use dm_terrain::{generate, TriMesh};
 use proptest::prelude::*;
 
+/// The answer of a query that must have lost no data.
+fn unwrap_clean<T>(answer: dm_storage::StorageResult<(T, dm_core::IntegrityReport)>) -> T {
+    let (res, report) = answer.unwrap();
+    assert!(report.is_clean(), "{report}");
+    res
+}
+
 fn setup(side: usize, seed: u64) -> (PmBuild, DirectMeshDb, PmDb) {
     let hf = generate::fractal_terrain(side, side, seed);
     let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
@@ -46,7 +53,7 @@ proptest! {
             .collect();
         want.sort_unstable();
 
-        let res = dm.vi_query(&roi, e);
+        let res = unwrap_clean(dm.try_vi_query(&roi, e));
         let mut got: Vec<u32> = res.front.vertex_ids().collect();
         got.sort_unstable();
         prop_assert_eq!(&got, &want, "DM vs cut");
@@ -114,7 +121,7 @@ proptest! {
         if roi.is_empty() {
             return Ok(());
         }
-        let res = dm.vi_query(&roi, e);
+        let res = unwrap_clean(dm.try_vi_query(&roi, e));
         let (mesh, _) = res.front.to_trimesh();
         prop_assert!(mesh.validate().is_ok(), "{:?}", mesh.validate());
     }

@@ -15,6 +15,13 @@ use dm_terrain::{generate, TriMesh};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The answer of a query that must have lost no data.
+fn unwrap_clean<T>(answer: dm_storage::StorageResult<(T, dm_core::IntegrityReport)>) -> T {
+    let (res, report) = answer.unwrap();
+    assert!(report.is_clean(), "{report}");
+    res
+}
+
 fn setup(seed: u64) -> (PmBuild, DirectMeshDb) {
     let hf = generate::fractal_terrain(21, 21, seed);
     let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
@@ -37,7 +44,7 @@ fn vi_query_equals_cut_for_random_roi_lod() {
             Vec2::new(cx - side / 2.0, cy - side / 2.0),
             Vec2::new(cx + side / 2.0, cy + side / 2.0),
         );
-        let res = db.vi_query(&roi, e);
+        let res = unwrap_clean(db.try_vi_query(&roi, e));
         let mut got: Vec<u32> = res.front.vertex_ids().collect();
         let mut want: Vec<u32> = h
             .uniform_cut(e)
@@ -98,7 +105,7 @@ fn vi_triangles_never_leave_the_roi_or_violate_lod() {
             db.bounds.min,
             Vec2::new(db.bounds.min.x + side, db.bounds.min.y + side),
         );
-        let res = db.vi_query(&roi, e);
+        let res = unwrap_clean(db.try_vi_query(&roi, e));
         for id in res.front.vertex_ids() {
             let n = res.front.node(id).unwrap();
             assert!(roi.contains(n.pos.xy()));
@@ -131,7 +138,7 @@ fn single_base_satisfies_plane_targets_for_random_queries() {
                 e_max: (e_min + slope * run).min(db.e_max),
             },
         };
-        let res = db.vd_single_base(&q, BoundaryPolicy::Skip);
+        let res = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::Skip));
         assert_eq!(
             res.refine.blocked, 0,
             "trial {trial}: full-ROI query must not block"
@@ -177,8 +184,8 @@ fn multi_base_converges_to_single_base_answers() {
                 e_max: (e_min + slope * run).min(db.e_max),
             },
         };
-        let sb = db.vd_single_base(&q, BoundaryPolicy::Skip);
-        let mb = db.vd_multi_base(&q, BoundaryPolicy::Skip, 8);
+        let sb = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::Skip));
+        let mb = unwrap_clean(db.try_vd_multi_base(&q, BoundaryPolicy::Skip, 8));
         assert!(mb.fetched_records <= sb.fetched_records);
         let (mesh, _) = mb.front.to_trimesh();
         mesh.validate().expect("MB mesh structurally valid");
@@ -208,8 +215,8 @@ fn fetch_on_miss_only_adds_refinement() {
             e_max: db.e_max * 0.3,
         },
     };
-    let skip = db.vd_single_base(&q, BoundaryPolicy::Skip);
-    let fetch = db.vd_single_base(&q, BoundaryPolicy::FetchOnMiss);
+    let skip = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::Skip));
+    let fetch = unwrap_clean(db.try_vd_single_base(&q, BoundaryPolicy::FetchOnMiss));
     let a: std::collections::HashSet<u32> = skip.front.vertex_ids().collect();
     let b: std::collections::HashSet<u32> = fetch.front.vertex_ids().collect();
     // Fetch-on-miss refines strictly further: no active vertex of `fetch`

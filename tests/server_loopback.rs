@@ -123,7 +123,7 @@ fn remote_vi_vd_and_batch_match_local_bit_for_bit() {
             let remote = client.vi_query(COLD, *roi, e).expect("remote VI");
             assert!(remote.report.is_clean());
 
-            db.cold_start();
+            db.try_cold_start().unwrap();
             let reads0 = thread_reads();
             let mut counters = FetchCounters::default();
             let (local, report) = db
@@ -147,7 +147,7 @@ fn remote_vi_vd_and_batch_match_local_bit_for_bit() {
             let q = vd_query(&db, *roi);
             for policy in [BoundaryPolicy::Skip, BoundaryPolicy::FetchOnMiss] {
                 let remote = client.vd_query(COLD, q, policy, 8).expect("remote VD");
-                db.cold_start();
+                db.try_cold_start().unwrap();
                 let reads0 = thread_reads();
                 let mut counters = FetchCounters::default();
                 let (local, report) = db
@@ -174,7 +174,7 @@ fn remote_vi_vd_and_batch_match_local_bit_for_bit() {
             .expect("remote batch");
         assert_eq!(items.len(), batch.len());
 
-        db.cold_start();
+        db.try_cold_start().unwrap();
         let reads0 = thread_reads();
         for (i, ((roi, e), item)) in batch.iter().zip(&items).enumerate() {
             let (local, _report) = db.try_vi_query(roi, *e).expect("local batch item");

@@ -10,6 +10,13 @@ use dm_mtm::builder::{build_pm, PmBuildConfig};
 use dm_storage::{BufferPool, FaultConfig, FaultInjector, FileStore, MemStore};
 use dm_terrain::{generate, TriMesh};
 
+/// The answer of a query that must have lost no data.
+fn unwrap_clean<T>(answer: dm_storage::StorageResult<(T, dm_core::IntegrityReport)>) -> T {
+    let (res, report) = answer.unwrap();
+    assert!(report.is_clean(), "{report}");
+    res
+}
+
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dm_it_{}_{name}.db", std::process::id()))
 }
@@ -32,11 +39,11 @@ fn file_backed_database_matches_memory_backed() {
     for frac in [0.01, 0.1, 0.4] {
         let e = mem_db.e_max * frac;
         let roi = Rect::centered_square(mem_db.bounds.center(), mem_db.bounds.width() * 0.5);
-        mem_db.cold_start();
-        let a = mem_db.vi_query(&roi, e);
+        mem_db.try_cold_start().unwrap();
+        let a = unwrap_clean(mem_db.try_vi_query(&roi, e));
         let da_mem = mem_db.disk_accesses();
-        file_db.cold_start();
-        let b = file_db.vi_query(&roi, e);
+        file_db.try_cold_start().unwrap();
+        let b = unwrap_clean(file_db.try_vi_query(&roi, e));
         let da_file = file_db.disk_accesses();
         assert_eq!(a.points, b.points, "results differ at {frac}");
         assert_eq!(da_mem, da_file, "access counts differ at {frac}");
@@ -66,13 +73,13 @@ fn tiny_buffer_pool_still_answers_correctly() {
         &DmBuildOptions::default(),
     );
     let e = big.e_max * 0.05;
-    let a = big.vi_query(&big.bounds, e);
-    let b = small.vi_query(&small.bounds, e);
+    let a = unwrap_clean(big.try_vi_query(&big.bounds, e));
+    let b = unwrap_clean(small.try_vi_query(&small.bounds, e));
     assert_eq!(a.points, b.points);
-    big.cold_start();
-    let _ = big.vi_query(&big.bounds, e);
-    small.cold_start();
-    let _ = small.vi_query(&small.bounds, e);
+    big.try_cold_start().unwrap();
+    let _ = unwrap_clean(big.try_vi_query(&big.bounds, e));
+    small.try_cold_start().unwrap();
+    let _ = unwrap_clean(small.try_vi_query(&small.bounds, e));
     assert!(
         small.disk_accesses() >= big.disk_accesses(),
         "a thrashing pool cannot read fewer pages"
@@ -93,7 +100,7 @@ fn database_reopens_from_its_catalog() {
         ));
         let db = DirectMeshDb::create_in(pool, &pm, &DmBuildOptions::default());
         let e = db.e_for_points_fraction(0.25);
-        let res = db.vi_query(&db.bounds, e);
+        let res = unwrap_clean(db.try_vi_query(&db.bounds, e));
         let mut ids: Vec<u32> = res.front.vertex_ids().collect();
         ids.sort();
         (e, res.points, ids)
@@ -107,7 +114,7 @@ fn database_reopens_from_its_catalog() {
     let db = DirectMeshDb::open(pool).expect("catalog readable");
     assert_eq!(db.n_records, pm.hierarchy.len());
     assert_eq!(db.n_leaves, pm.hierarchy.n_leaves);
-    let res = db.vi_query(&db.bounds, e);
+    let res = unwrap_clean(db.try_vi_query(&db.bounds, e));
     assert_eq!(res.points, want_points);
     let mut ids: Vec<u32> = res.front.vertex_ids().collect();
     ids.sort();
@@ -137,13 +144,13 @@ fn pm_build_persist_then_database_build_matches() {
     let a = mk(&pm);
     let b = mk(&pm2);
     let e = a.e_for_points_fraction(0.2);
-    let ra = a.vi_query(&a.bounds, e);
-    let rb = b.vi_query(&b.bounds, e);
+    let ra = unwrap_clean(a.try_vi_query(&a.bounds, e));
+    let rb = unwrap_clean(b.try_vi_query(&b.bounds, e));
     assert_eq!(ra.points, rb.points);
-    a.cold_start();
-    b.cold_start();
-    let _ = a.vi_query(&a.bounds, e);
-    let _ = b.vi_query(&b.bounds, e);
+    a.try_cold_start().unwrap();
+    b.try_cold_start().unwrap();
+    let _ = unwrap_clean(a.try_vi_query(&a.bounds, e));
+    let _ = unwrap_clean(b.try_vi_query(&b.bounds, e));
     assert_eq!(a.disk_accesses(), b.disk_accesses(), "identical layouts");
 }
 
@@ -214,10 +221,10 @@ fn queries_heal_transient_faults(rate: f64, seed: u64) {
     for frac in [0.05, 0.3] {
         let e = clean.e_max * frac;
         let roi = Rect::centered_square(clean.bounds.center(), clean.bounds.width() * 0.7);
-        faulty.cold_start();
+        faulty.try_cold_start().unwrap();
         let (res, report) = faulty.try_vi_query(&roi, e).expect("index survives");
-        clean.cold_start();
-        let want = clean.vi_query(&roi, e);
+        clean.try_cold_start().unwrap();
+        let want = unwrap_clean(clean.try_vi_query(&roi, e));
         assert!(report.is_clean(), "lost data at rate {rate}: {report}");
         assert_eq!(res.points, want.points, "degraded result differs at {frac}");
         assert_eq!(
@@ -276,7 +283,7 @@ fn persistent_page_corruption_degrades_instead_of_failing() {
     let (want, clean_report) = db.try_vi_query(&db.bounds, e).unwrap();
     assert!(clean_report.is_clean());
 
-    db.cold_start(); // drop cached copies so reads hit the file again
+    db.try_cold_start().unwrap(); // drop cached copies so reads hit the file again
     let n_corrupt = heap_pages.len() / 2;
     {
         use std::io::{Seek, SeekFrom, Write};
@@ -303,7 +310,7 @@ fn persistent_page_corruption_degrades_instead_of_failing() {
         want.points
     );
     // The strict path refuses the same query.
-    db.cold_start();
+    db.try_cold_start().unwrap();
     assert!(strict_scan(&db, e).is_err());
 
     // An untouched store would have answered exactly; sanity-check that

@@ -505,9 +505,9 @@ fn evicted_region_reopens_without_reading_the_heap_and_answers_identically() {
     let reopened = world.region(0).unwrap();
     let open_reads = dm_storage::thread_reads() - reads_before;
     assert_eq!(world.region_stats()[0].opens, 2);
-    let heap: Vec<u32> = reopened.page_regions().iter().map(|&(p, _)| p).collect();
+    let heap = reopened.heap_pages();
     assert!(heap.len() > 8, "tile too small to tell");
-    assert_eq!(reopened.pool().resident_among(&heap), 0, "heap page read");
+    assert_eq!(reopened.pool().resident_among(heap), 0, "heap page read");
     assert_eq!(reopened.pool().resident() as u64, open_reads);
     assert!(
         open_reads <= 2 + reopened.stats_summary().rtree_nodes,
