@@ -143,9 +143,9 @@ fn bench_queries(c: &mut Criterion) {
         bch.iter(|| black_box(extract_faces_dense_owned(&pos, adj.clone())))
     });
 
-    // The `FetchOnMiss` boundary lookup on a resident store: three
-    // B+-tree page hits and one heap page hit, the node decoded from the
-    // page's bytes. One iteration is one lookup.
+    // The `FetchOnMiss` boundary lookup on a resident store: one
+    // id-directory page hit and one heap page hit, the node decoded from
+    // the page's bytes. One iteration is one lookup.
     let ids = id_orders(d.dm.n_records as u32);
     for (order, ids) in &ids {
         for &id in ids {

@@ -84,8 +84,9 @@ commands:
 build options:
   --codec <v2|v3>       on-disk record codec: v3 (default) packs records
                         with page-local delta compression; v2 writes the
-                        flat layout older binaries read. `open` detects
-                        the codec from the catalog either way.
+                        flat layout. Either way the catalog is version 4
+                        (id directory); `open` also reads the version-2/3
+                        catalogs of older builds.
   query <db.dmdb> [--keep <frac> | --lod <e>] [--roi x0,y0,x1,y1] [-o mesh.obj]
   vd <db.dmdb> [--near-keep <frac>] [--far-keep <frac>] [--roi ...] [-o mesh.obj]
   walkthrough <db.dmdb> [--frames <n>] [--window <frac>]
@@ -135,8 +136,9 @@ live edits (crash-safe, WAL-backed):
                         committed epoch (also happens on every open)
   verify <db.dmdb> [--catalog <page>]
                         offline integrity scrub: decode every heap
-                        record, cross-check B+-tree and R*-tree against
-                        the heap; exits nonzero on any inconsistency
+                        record, cross-check the id directory and R*-tree
+                        against the heap; exits nonzero on any
+                        inconsistency
 
 multi-terrain worlds:
   world-build <store1> <store2> ... -o <world.dmwm> [--gap <units>]
@@ -960,10 +962,16 @@ fn cmd_stats(args: Args) -> Result<(), String> {
         "heap pages:      {} of {} total",
         s.heap_pages, s.total_pages
     );
-    println!(
-        "b+-tree:         height {}, {} keyed records",
-        s.btree_height, s.btree_len
-    );
+    match db.id_directory_walk().map_err(|e| format!("{path}: {e}"))? {
+        Some(w) => println!(
+            "id directory:    {} pages, {} entries, {} runs",
+            w.pages, w.entries, w.runs
+        ),
+        None => println!(
+            "b+-tree:         height {}, {} keyed records (the first patch writes an id directory)",
+            s.id_index_levels, s.id_index_entries
+        ),
+    }
     println!(
         "r*-tree:         {} node pages, height {}, {} entries",
         s.rtree_nodes, s.rtree_height, s.rtree_len

@@ -6,13 +6,13 @@
 //! [`create_in`](crate::DirectMeshDb::create_in) before anything else is allocated) and
 //! chains into continuation pages written at the end of the build.
 //!
-//! Payload (little endian):
+//! Payload (little endian), version 4:
 //!
 //! ```text
-//! "DMCT" u32(version)
+//! "DMCT" u32(4) u8(record codec tag)
 //! bounds (4×f64)  e_max (f64)
 //! u32(n_records) u32(n_leaves)
-//! btree: u32(root) u32(height) u64(len)
+//! u32(n_dir_pages) n_dir_pages × (u32(first id) u32(page))
 //! rtree: u32(root) u32(height) u64(len)
 //! u32(n_roots)     n_roots × u32
 //! u32(n_heap_pages) n_heap_pages × u32
@@ -20,11 +20,18 @@
 //! u32(crc32 of everything above)
 //! ```
 //!
-//! Version 2 adds the trailing payload CRC32 and keeps each page chunk
-//! inside [`PAGE_DATA`] so the buffer pool's per-page checksum trailer is
-//! never overwritten. The per-page checksum catches a torn or flipped
-//! page; the payload CRC catches a chain stitched together from pages of
-//! different catalog generations.
+//! The id index is the [`IdDirectory`](dm_storage::IdDirectory): its
+//! pages with their fences (first ids), which a lookup searches in
+//! memory. Versions 2 (flat records, no codec tag) and 3 (codec tag) name
+//! a B+-tree there instead, as `u32(root) u32(height) u64(len)`; they
+//! still open and read, and the first patch on such a store writes a
+//! version-4 catalog with the store's directory. Every build writes
+//! version 4, whatever its record codec.
+//!
+//! Each page chunk stays inside [`PAGE_DATA`] so the buffer pool's
+//! per-page checksum trailer is never overwritten. The per-page checksum
+//! catches a torn or flipped page; the payload CRC catches a chain
+//! stitched together from pages of different catalog generations.
 //!
 //! The optimizer's page and node regions are rebuilt on open by one walk
 //! of the R-tree (its leaf entries are the heap pages' boxes); interval
@@ -39,22 +46,13 @@ use dm_storage::{crc32, BufferPool, StorageError, StorageResult};
 use crate::record::RecordCodec;
 
 const MAGIC: &[u8; 4] = b"DMCT";
-/// Version 2: flat records, payload CRC. Version 3 inserts one codec tag
-/// byte after the version and allows compact heap records. A database
-/// whose build selected the flat codec is still written as a byte-exact
-/// version-2 catalog, so older binaries keep reading it.
+/// Version 2: flat records and a B+-tree. Version 3 adds a codec tag
+/// byte after the version. Version 4 replaces the B+-tree with the id
+/// directory.
 const VERSION_FLAT: u32 = 2;
 const VERSION_CODEC: u32 = 3;
+const VERSION_DIRECTORY: u32 = 4;
 
-/// The on-disk catalog version a database with this record codec is
-/// written as (flat databases stay byte-exact version-2 files so older
-/// binaries keep reading them).
-pub fn version_for(codec: RecordCodec) -> u32 {
-    match codec {
-        RecordCodec::Flat => VERSION_FLAT,
-        RecordCodec::Compact => VERSION_CODEC,
-    }
-}
 /// Per continuation page: [next: u32][len: u16] then payload. Chunks stay
 /// inside `PAGE_DATA` — the last four bytes of every page belong to the
 /// buffer pool's checksum.
@@ -68,7 +66,7 @@ pub struct CatalogData {
     pub e_max: f64,
     pub n_records: u32,
     pub n_leaves: u32,
-    pub btree: (PageId, u32, u64),
+    pub ids: IdIndexRoot,
     pub rtree: (PageId, u32, u64),
     pub roots: Vec<u32>,
     pub heap_pages: Vec<PageId>,
@@ -77,16 +75,34 @@ pub struct CatalogData {
     pub codec: RecordCodec,
 }
 
+/// Where a catalog's id index lives.
+#[derive(Clone, Debug, PartialEq)]
+pub enum IdIndexRoot {
+    /// Version 4: each id-directory page's fence (first id) and page.
+    Directory(Vec<(u32, PageId)>),
+    /// Versions 2 and 3: a B+-tree's root, height and key count.
+    BTree(PageId, u32, u64),
+}
+
+/// The on-disk version of a catalog: 4 with an id directory; one that
+/// names a B+-tree is 2 (flat records) or 3.
+pub fn version_of(directory: bool, codec: RecordCodec) -> u32 {
+    match (directory, codec) {
+        (true, _) => VERSION_DIRECTORY,
+        (false, RecordCodec::Flat) => VERSION_FLAT,
+        (false, RecordCodec::Compact) => VERSION_CODEC,
+    }
+}
+
 impl CatalogData {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + 4 * (self.roots.len() + self.heap_pages.len()));
         out.extend_from_slice(MAGIC);
-        match self.codec {
-            RecordCodec::Flat => out.extend_from_slice(&VERSION_FLAT.to_le_bytes()),
-            RecordCodec::Compact => {
-                out.extend_from_slice(&VERSION_CODEC.to_le_bytes());
-                out.push(self.codec.tag());
-            }
+        let directory = matches!(self.ids, IdIndexRoot::Directory(_));
+        let version = version_of(directory, self.codec);
+        out.extend_from_slice(&version.to_le_bytes());
+        if version != VERSION_FLAT {
+            out.push(self.codec.tag());
         }
         for v in [
             self.bounds.min.x,
@@ -99,11 +115,22 @@ impl CatalogData {
         }
         out.extend_from_slice(&self.n_records.to_le_bytes());
         out.extend_from_slice(&self.n_leaves.to_le_bytes());
-        for (root, height, len) in [self.btree, self.rtree] {
+        let tree = |out: &mut Vec<u8>, (root, height, len): (PageId, u32, u64)| {
             out.extend_from_slice(&root.to_le_bytes());
             out.extend_from_slice(&height.to_le_bytes());
             out.extend_from_slice(&len.to_le_bytes());
+        };
+        match &self.ids {
+            IdIndexRoot::Directory(pages) => {
+                out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+                for (fence, page) in pages {
+                    out.extend_from_slice(&fence.to_le_bytes());
+                    out.extend_from_slice(&page.to_le_bytes());
+                }
+            }
+            &IdIndexRoot::BTree(root, height, len) => tree(&mut out, (root, height, len)),
         }
+        tree(&mut out, self.rtree);
         out.extend_from_slice(&(self.roots.len() as u32).to_le_bytes());
         for r in &self.roots {
             out.extend_from_slice(&r.to_le_bytes());
@@ -133,9 +160,9 @@ impl CatalogData {
             ));
         }
         let version = cur.u32()?;
-        if version != VERSION_FLAT && version != VERSION_CODEC {
+        if !(VERSION_FLAT..=VERSION_DIRECTORY).contains(&version) {
             return Err(StorageError::format(format!(
-                "unsupported catalog version {version} (this build reads versions {VERSION_FLAT}-{VERSION_CODEC})"
+                "unsupported catalog version {version} (this build reads versions {VERSION_FLAT}-{VERSION_DIRECTORY})"
             )));
         }
         // Magic and version first so a foreign file reports "not a
@@ -162,7 +189,16 @@ impl CatalogData {
         let e_max = cur.f64()?;
         let n_records = cur.u32()?;
         let n_leaves = cur.u32()?;
-        let btree = (cur.u32()?, cur.u32()?, cur.u64()?);
+        let ids = if version == VERSION_DIRECTORY {
+            let n = cur.u32()? as usize;
+            let mut pages = Vec::with_capacity(n.min(1 << 20));
+            for _ in 0..n {
+                pages.push((cur.u32()?, cur.u32()?));
+            }
+            IdIndexRoot::Directory(pages)
+        } else {
+            IdIndexRoot::BTree(cur.u32()?, cur.u32()?, cur.u64()?)
+        };
         let rtree = (cur.u32()?, cur.u32()?, cur.u64()?);
         let n_roots = cur.u32()? as usize;
         let mut roots = Vec::with_capacity(n_roots.min(1 << 20));
@@ -180,7 +216,7 @@ impl CatalogData {
             e_max,
             n_records,
             n_leaves,
-            btree,
+            ids,
             rtree,
             roots,
             heap_pages,
@@ -295,7 +331,7 @@ mod tests {
             e_max: 1234.5,
             n_records: 99,
             n_leaves: 55,
-            btree: (7, 2, 99),
+            ids: IdIndexRoot::Directory(vec![(0, 7), (1363, 8)]),
             rtree: (9, 3, 42),
             roots: vec![90, 95, 98],
             heap_pages: (100..100 + n_pages as u32).collect(),
@@ -341,8 +377,27 @@ mod tests {
     }
 
     #[test]
+    fn every_codec_writes_version_4_with_its_tag() {
+        for codec in [RecordCodec::Flat, RecordCodec::Compact] {
+            let d = CatalogData { codec, ..sample(4) };
+            let bytes = d.encode();
+            assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 4);
+            assert_eq!(bytes[8], codec.tag());
+            assert_eq!(CatalogData::decode(&bytes).unwrap(), d);
+        }
+    }
+
+    /// A catalog that still names a B+-tree decodes, and re-encodes to
+    /// the same bytes: a flat one as version 2 (no codec tag), a compact
+    /// one as version 3.
+    #[test]
     fn flat_catalog_stays_version_2_on_disk() {
         let mut d = sample(4);
+        d.ids = IdIndexRoot::BTree(7, 2, 99);
+        let compact = d.encode();
+        let version = |b: &[u8]| u32::from_le_bytes(b[4..8].try_into().unwrap());
+        assert_eq!(version(&compact), VERSION_CODEC);
+        assert_eq!(CatalogData::decode(&compact).unwrap(), d);
         d.codec = RecordCodec::Flat;
         let bytes = d.encode();
         assert_eq!(
@@ -361,7 +416,7 @@ mod tests {
         let bytes = d.encode();
         assert_eq!(
             u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-            VERSION_CODEC
+            VERSION_DIRECTORY
         );
         assert_eq!(
             CatalogData::decode(&bytes).unwrap().codec,

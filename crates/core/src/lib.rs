@@ -5,7 +5,7 @@
 //! LOD interval `[e_low, e_high)` and (b) the list of *connection points
 //! with similar LOD* — the nodes whose intervals overlap its own and that
 //! are ever adjacent to it during construction. Stored in a database
-//! (heap table + B+-tree + 3D R\*-tree over `(x, y, e)` vertical
+//! (heap table + id directory + 3D R\*-tree over `(x, y, e)` vertical
 //! segments), these lists let queries fetch exactly the points of an
 //! approximation *and* its topology without touching ancestor nodes:
 //!

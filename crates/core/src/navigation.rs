@@ -28,8 +28,8 @@
 //! 4. **Boundary nodes.** Records that refinement falls through for
 //!    under [`BoundaryPolicy::FetchOnMiss`] are kept from one frame to
 //!    the next — only the ones the latest frame touched, so the cache is
-//!    bounded by one frame's boundary — and cost a B+-tree point lookup
-//!    only on first touch.
+//!    bounded by one frame's boundary — and cost an id-directory point
+//!    lookup only on first touch.
 //!
 //! Per-frame disk accesses are attributed with the storage layer's
 //! thread-local read counter, so concurrent sessions on one shared pool
@@ -81,7 +81,7 @@ pub struct FrameStats {
     pub seeds_removed: usize,
     /// Refinement counters.
     pub refine: RefineStats,
-    /// B+-tree point lookups this frame's refinement made for records
+    /// Id-directory point lookups this frame's refinement made for records
     /// outside the working set ([`BoundaryPolicy::FetchOnMiss`]); nodes
     /// the previous frame already touched cost none.
     pub boundary_fetches: usize,

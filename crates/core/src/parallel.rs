@@ -3,7 +3,7 @@
 //! After construction the database is never mutated — every fetch path
 //! takes `&self` — so a batch of queries can fan out across threads over
 //! a single instance: the sharded buffer pool serializes only same-shard
-//! page accesses, and the R\*-tree / B+-tree / heap read paths hold no
+//! page accesses, and the R\*-tree / id directory / heap read paths hold no
 //! locks of their own above the pool.
 //!
 //! Determinism: every function here returns results in **input order**,

@@ -20,8 +20,8 @@ pub enum BoundaryPolicy {
     /// Leave the border slightly coarser (no extra I/O) — the default and
     /// what the paper's plots measure.
     Skip,
-    /// Fetch the missing record through the B+-tree (extra counted disk
-    /// accesses).
+    /// Fetch the missing record through the id directory (extra counted
+    /// disk accesses).
     FetchOnMiss,
 }
 

@@ -1,4 +1,4 @@
-//! The Direct Mesh database: heap table + B+-tree + 3D R\*-tree.
+//! The Direct Mesh database: heap table + id directory + 3D R\*-tree.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -8,10 +8,12 @@ use dm_index::{RStarTree, RtreeCostModel};
 use dm_mtm::builder::PmBuild;
 use dm_mtm::{PmNode, NIL_ID};
 use dm_storage::{
-    BTree, BufferPool, HeapFile, PageId, PageRead, RecordId, StorageError, StorageResult,
+    BTree, BufferPool, DirectoryWalk, HeapFile, IdDirectory, PageId, PageRead, RecordId,
+    StorageError, StorageResult,
 };
 use fxhash::FxHashMap;
 
+use crate::catalog::IdIndexRoot;
 use crate::record::{
     encode_compact, BaseVals, DmRecord, FetchedSet, PageDecoder, RawRecord, RecordCodec,
 };
@@ -42,7 +44,7 @@ impl FetchCounters {
 /// data pages.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DbStats {
-    /// On-disk catalog version (2 = flat records, 3 = compact).
+    /// On-disk catalog version (4; 2 and 3 name a B+-tree id index).
     pub catalog_version: u32,
     /// Heap record codec.
     pub codec: RecordCodec,
@@ -56,9 +58,10 @@ pub struct DbStats {
     pub heap_pages: u64,
     /// Total pages in the store (catalog + heap + both indexes).
     pub total_pages: u64,
-    /// B+-tree height and keyed records.
-    pub btree_height: u32,
-    pub btree_len: u64,
+    /// Id index levels (1: the id directory; a B+-tree's height on a
+    /// version-2/3 store) and the ids it maps.
+    pub id_index_levels: u32,
+    pub id_index_entries: u64,
     /// R\*-tree node-page count, height, and indexed entries.
     pub rtree_nodes: u64,
     pub rtree_height: u32,
@@ -316,11 +319,60 @@ fn scan_heap(
     Ok((stats, page_boxes))
 }
 
+/// The primary-key index: `node id → RecordId`.
+enum IdIndex {
+    Directory(IdDirectory),
+    /// A version-2/3 catalog's bulk-loaded B+-tree, read-only: the first
+    /// patch on such a store writes its directory.
+    BTree(BTree),
+}
+
+impl IdIndex {
+    fn try_get(&self, id: u32) -> StorageResult<Option<RecordId>> {
+        match self {
+            IdIndex::Directory(d) => d.try_get(id),
+            IdIndex::BTree(t) => Ok(t.try_get(u64::from(id))?.map(RecordId::from_u64)),
+        }
+    }
+
+    /// A directory in which each id of `updates` (ascending) maps to its
+    /// new record id, copy-on-write. A B+-tree's entries are read once
+    /// and written out as a fresh directory.
+    fn try_update(
+        &self,
+        pool: &Arc<BufferPool>,
+        updates: &[(u32, RecordId)],
+    ) -> StorageResult<IdDirectory> {
+        let t = match self {
+            IdIndex::Directory(d) => return d.try_cow_update(updates),
+            IdIndex::BTree(t) => t,
+        };
+        let mut entries: Vec<(u32, RecordId)> = Vec::new();
+        let mut wide = None;
+        t.try_range(0, u64::MAX, |id, rid| match u32::try_from(id) {
+            Ok(id) => entries.push((id, RecordId::from_u64(rid))),
+            Err(_) => wide = Some(id),
+        })?;
+        if let Some(id) = wide {
+            return Err(StorageError::format(format!(
+                "B+-tree key {id} is not a node id"
+            )));
+        }
+        for &(id, rid) in updates {
+            let i = entries.binary_search_by_key(&id, |e| e.0).map_err(|_| {
+                StorageError::format(format!("edited id {id} missing from the B+-tree"))
+            })?;
+            entries[i].1 = rid;
+        }
+        IdDirectory::try_build(Arc::clone(pool), entries)
+    }
+}
+
 /// The Direct Mesh database over one terrain dataset.
 pub struct DirectMeshDb {
     pool: Arc<BufferPool>,
     heap: HeapFile,
-    btree: BTree,
+    ids: IdIndex,
     rtree: RStarTree,
     /// Optimizer statistics; patched snapshots share their source's (its
     /// page-box statistics drift only by page splits, which is optimizer
@@ -511,11 +563,9 @@ impl DirectMeshDb {
             }
         }
 
-        let btree = BTree::bulk_load(
-            Arc::clone(&pool),
-            (0..n as u32).map(|id| (id as u64, rids[id as usize].to_u64())),
-            0.9,
-        );
+        let ids =
+            IdDirectory::try_build(Arc::clone(&pool), (0..n as u32).zip(rids.iter().copied()))
+                .unwrap_or_else(|e| panic!("id directory: {e}"));
 
         // The spatial index is page-granular: one entry per heap page,
         // keyed by the MBR of the vertical segments stored on it. With
@@ -553,7 +603,7 @@ impl DirectMeshDb {
         DirectMeshDb {
             pool,
             heap,
-            btree,
+            ids: IdIndex::Directory(ids),
             rtree,
             cost,
             bounds: h.bounds,
@@ -672,14 +722,11 @@ impl DirectMeshDb {
             };
         }
 
-        let btree = BTree::bulk_load(
+        let ids = IdDirectory::try_build(
             Arc::clone(&pool),
-            records
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (u64::from(r.node.id), rids[i].to_u64())),
-            0.9,
-        );
+            records.iter().map(|r| r.node.id).zip(rids.iter().copied()),
+        )
+        .unwrap_or_else(|e| panic!("id directory: {e}"));
 
         let mut page_boxes: HashMap<dm_storage::PageId, Box3> = HashMap::new();
         for (i, r) in records.iter().enumerate() {
@@ -716,7 +763,7 @@ impl DirectMeshDb {
         DirectMeshDb {
             pool,
             heap,
-            btree,
+            ids: IdIndex::Directory(ids),
             rtree,
             cost,
             bounds,
@@ -763,11 +810,10 @@ impl DirectMeshDb {
             e_max: self.e_max,
             n_records: self.n_records as u32,
             n_leaves: self.n_leaves as u32,
-            btree: (
-                self.btree.root_page(),
-                self.btree.height(),
-                self.btree.len(),
-            ),
+            ids: match &self.ids {
+                IdIndex::Directory(d) => IdIndexRoot::Directory(d.parts().to_vec()),
+                IdIndex::BTree(t) => IdIndexRoot::BTree(t.root_page(), t.height(), t.len()),
+            },
             rtree: (
                 self.rtree.root_page(),
                 self.rtree.height(),
@@ -812,7 +858,8 @@ impl DirectMeshDb {
     /// are simply absent — queries over them degrade the same way) with
     /// the loss accounted in `report`, and an unreadable R\*-tree
     /// downgrades range fetches to heap scans instead of failing the
-    /// open. The catalog chain and the B+-tree remain load-bearing.
+    /// open. The catalog chain remains load-bearing, and the id index for
+    /// the point lookups that read it.
     pub fn open_degraded(
         pool: Arc<BufferPool>,
         report: &mut IntegrityReport,
@@ -840,12 +887,29 @@ impl DirectMeshDb {
         let retries_before = dm_storage::thread_retries();
         let cat = crate::catalog::read_catalog(&pool, catalog_page)?;
         let heap = HeapFile::from_parts(Arc::clone(&pool), cat.heap_pages, cat.heap_len);
-        let btree = BTree::from_parts(Arc::clone(&pool), cat.btree.0, cat.btree.2, cat.btree.1);
+        let ids = match cat.ids {
+            IdIndexRoot::Directory(pages) => IdIndex::Directory(IdDirectory::try_from_parts(
+                Arc::clone(&pool),
+                pages,
+                u64::from(cat.n_records),
+            )?),
+            IdIndexRoot::BTree(root, height, len) => {
+                IdIndex::BTree(BTree::from_parts(Arc::clone(&pool), root, len, height))
+            }
+        };
         let rtree = RStarTree::from_parts(Arc::clone(&pool), cat.rtree.0, cat.rtree.1, cat.rtree.2);
         let e_cap = cat.e_max * 1.001 + 1e-9;
         let (page_boxes, node_regions, intervals, rtree_lost) = if strict {
             let num_pages = pool.num_pages();
-            if let Some(&page) = heap.page_ids().iter().find(|&&p| p >= num_pages) {
+            let dir_pages = match &ids {
+                IdIndex::Directory(d) => d.parts(),
+                IdIndex::BTree(_) => &[],
+            };
+            let mut pages = heap
+                .page_ids()
+                .iter()
+                .chain(dir_pages.iter().map(|(_, p)| p));
+            if let Some(&page) = pages.find(|&&p| p >= num_pages) {
                 return Err(StorageError::OutOfBounds { page, num_pages });
             }
             let index = rtree.try_collect_regions()?;
@@ -897,7 +961,7 @@ impl DirectMeshDb {
         Ok(DirectMeshDb {
             pool,
             heap,
-            btree,
+            ids,
             rtree,
             cost: Arc::new(RtreeCostModel::new(&stat_regions, space)),
             bounds: cat.bounds,
@@ -1137,9 +1201,9 @@ impl DirectMeshDb {
         (self.n_records as u64).div_ceil(n_pages)
     }
 
-    /// Point lookup of the whole record through the primary-key B+-tree
-    /// (counted I/O): `Ok(None)` means the id does not exist, `Err` that
-    /// the B+-tree or heap page could not be read. The edit path reads
+    /// Point lookup of the whole record through the id directory (counted
+    /// I/O): `Ok(None)` means the id does not exist, `Err` that the
+    /// directory or heap page could not be read. The edit path reads
     /// connection lists through this; queries need only
     /// [`Self::try_fetch_node_by_id`].
     pub fn try_fetch_by_id(&self, id: u32) -> StorageResult<Option<DmRecord>> {
@@ -1153,7 +1217,7 @@ impl DirectMeshDb {
         self.point_lookup(id, |raw| raw.node(), |set, slot| set.nodes[slot])
     }
 
-    /// Find `id` in the B+-tree and read its slot from the heap page:
+    /// Find `id` in the id index and read its slot from the heap page:
     /// `raw` on the record's bytes, or `decoded` on the page's sidecar.
     fn point_lookup<R>(
         &self,
@@ -1161,10 +1225,9 @@ impl DirectMeshDb {
         raw: impl FnOnce(RawRecord<'_>) -> R,
         decoded: impl FnOnce(&FetchedSet, usize) -> R,
     ) -> StorageResult<Option<R>> {
-        let Some(rid) = self.btree.try_get(id as u64)? else {
+        let Some(rid) = self.ids.try_get(id)? else {
             return Ok(None);
         };
-        let rid = RecordId::from_u64(rid);
         // One counted page access either way. A frame that already
         // carries its decoded page is indexed; a lookup never builds one
         // (two slots against a whole page).
@@ -1217,18 +1280,35 @@ impl DirectMeshDb {
         self.heap.page_ids().len()
     }
 
+    /// A walk of the id directory: its pages, runs and entries, each page
+    /// checked on the way. `None` on a version-2/3 store, whose id index
+    /// is still a B+-tree.
+    pub fn id_directory_walk(&self) -> StorageResult<Option<DirectoryWalk>> {
+        match &self.ids {
+            IdIndex::Directory(d) => d.try_walk(|_, _| ()).map(Some),
+            IdIndex::BTree(_) => Ok(None),
+        }
+    }
+
     /// Structural summary of the database (see [`DbStats`]).
     pub fn stats_summary(&self) -> DbStats {
+        let (id_index_levels, id_index_entries) = match &self.ids {
+            IdIndex::Directory(d) => (1, d.len()),
+            IdIndex::BTree(t) => (t.height(), t.len()),
+        };
         DbStats {
-            catalog_version: crate::catalog::version_for(self.codec),
+            catalog_version: crate::catalog::version_of(
+                matches!(self.ids, IdIndex::Directory(_)),
+                self.codec,
+            ),
             codec: self.codec,
             n_records: self.n_records as u64,
             n_leaves: self.n_leaves as u64,
             n_roots: self.roots.len() as u64,
             heap_pages: self.heap.page_ids().len() as u64,
             total_pages: u64::from(self.pool.num_pages()),
-            btree_height: self.btree.height(),
-            btree_len: self.btree.len(),
+            id_index_levels,
+            id_index_entries,
             rtree_nodes: self.rtree.num_nodes() as u64,
             rtree_height: self.rtree.height(),
             rtree_len: self.rtree.len(),
@@ -1239,7 +1319,8 @@ impl DirectMeshDb {
 
     /// Apply a terrain edit copy-on-write: re-optimize the dirty
     /// neighborhood, rewrite the affected heap pages onto fresh pages,
-    /// path-copy the B+-tree and R\*-tree above them, and persist a new
+    /// copy the id-directory pages that name them, path-copy the
+    /// R\*-tree above them, and persist a new
     /// catalog chain at a freshly allocated page — without touching one
     /// byte of the current version. `self` remains a fully consistent
     /// snapshot; the returned [`PatchOutcome::db`] is the next one.
@@ -1394,15 +1475,15 @@ impl DirectMeshDb {
         // the new bit patterns no longer fit.
         let mut dirty_pages: Vec<PageId> = Vec::new();
         for &id in &changed {
-            let rid = self.btree.try_get(u64::from(id))?.ok_or_else(|| {
-                StorageError::format(format!("edited id {id} missing from the B+-tree"))
+            let rid = self.ids.try_get(id)?.ok_or_else(|| {
+                StorageError::format(format!("edited id {id} missing from the id index"))
             })?;
-            dirty_pages.push(RecordId::from_u64(rid).page);
+            dirty_pages.push(rid.page);
         }
         dirty_pages.sort_unstable();
         dirty_pages.dedup();
 
-        let mut rid_updates: Vec<(u64, u64)> = Vec::new();
+        let mut rid_updates: Vec<(u32, RecordId)> = Vec::new();
         let mut rtree_repl: HashMap<u64, Vec<(Box3, u64)>> = HashMap::new();
         let mut page_repl: BTreeMap<PageId, Vec<PageId>> = BTreeMap::new();
         for &old_page in &dirty_pages {
@@ -1464,7 +1545,7 @@ impl DirectMeshDb {
                         page,
                         slot: slot as u16,
                     };
-                    rid_updates.push((u64::from(rec.node.id), rid.to_u64()));
+                    rid_updates.push((rec.node.id, rid));
                     let seg = self.record_segment(&rec.node);
                     bbox = Some(match bbox {
                         Some(b) => b.union(&seg),
@@ -1481,8 +1562,8 @@ impl DirectMeshDb {
         }
         rid_updates.sort_unstable_by_key(|&(k, _)| k);
 
-        // ---- 5. Path-copy the indexes and splice the heap page list.
-        let btree = self.btree.cow_update_values(&rid_updates)?;
+        // ---- 5. Copy the indexes and splice the heap page list.
+        let ids = IdIndex::Directory(self.ids.try_update(&self.pool, &rid_updates)?);
         let rtree = self.rtree.cow_replace_leaf_vals(&rtree_repl)?;
         let mut heap_pages: Vec<PageId> = Vec::with_capacity(self.heap.page_ids().len());
         for &p in self.heap.page_ids() {
@@ -1500,7 +1581,7 @@ impl DirectMeshDb {
         let db = DirectMeshDb {
             pool: Arc::clone(&self.pool),
             heap,
-            btree,
+            ids,
             rtree,
             cost: Arc::clone(&self.cost),
             bounds: self.bounds,
@@ -1704,7 +1785,7 @@ mod tests {
             assert_eq!(a.points, b.points);
             assert_eq!(a.front.num_triangles(), b.front.num_triangles());
         }
-        // Point lookups resolve through the rebuilt B+-tree.
+        // Point lookups resolve through the rebuilt id directory.
         for id in [0u32, 17, db.n_records as u32 - 1] {
             assert_eq!(
                 rebuilt.try_fetch_by_id(id).unwrap(),
@@ -1974,10 +2055,7 @@ mod tests {
 
             // Wound one heap page the batch reads and the index root.
             let bad_page = db.candidate_pages(&boxes[0]).unwrap()[0] as PageId;
-            let on_bad_page = |id: u32| {
-                let rid = db.btree.try_get(u64::from(id)).unwrap().unwrap();
-                RecordId::from_u64(rid).page == bad_page
-            };
+            let on_bad_page = |id: u32| db.ids.try_get(id).unwrap().unwrap().page == bad_page;
             let survivors: Vec<DmRecord> = union
                 .iter()
                 .filter(|r| !on_bad_page(r.node.id))
@@ -2110,9 +2188,35 @@ mod tests {
         assert_eq!(db.disk_accesses(), 0);
         let _ = db.try_fetch_by_id(7).unwrap();
         let first = db.disk_accesses();
-        assert!(first >= 2, "B+-tree descent + heap page");
+        assert_eq!(first, 2, "one directory page + the heap page");
         let _ = db.try_fetch_by_id(7).unwrap();
         assert_eq!(db.disk_accesses(), first, "warm repeat costs nothing");
+    }
+
+    /// A cold point lookup reads one id-directory page and the heap page;
+    /// an absent id past the last fence reads the directory page alone.
+    #[test]
+    fn cold_point_lookup_costs_two_accesses() {
+        let hf = generate::fractal_terrain(33, 33, 3);
+        let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+        let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 1024));
+        let db = DirectMeshDb::build(pool, &pm, &DmBuildOptions::default());
+        let n = db.n_records as u32;
+        assert!(
+            n as usize > dm_storage::iddir::PAGE_IDS,
+            "two directory pages"
+        );
+        for id in [0, n / 2, n - 1] {
+            db.try_cold_start().unwrap();
+            assert_eq!(
+                db.try_fetch_node_by_id(id).unwrap().map(|nd| nd.id),
+                Some(id)
+            );
+            assert_eq!(db.disk_accesses(), 2, "id {id}");
+        }
+        db.try_cold_start().unwrap();
+        assert_eq!(db.try_fetch_node_by_id(n).unwrap(), None);
+        assert_eq!(db.disk_accesses(), 1);
     }
 
     #[test]
@@ -2198,7 +2302,7 @@ mod tests {
             }
         }
         assert!(raised > 0, "the region must contain terrain points");
-        // Point lookups resolve through the path-copied B+-tree.
+        // Point lookups resolve through the copied id directory.
         for id in [0u32, 17, db.n_records as u32 - 1] {
             assert_eq!(out.db.try_fetch_by_id(id).unwrap().unwrap().node.id, id);
         }

@@ -5,9 +5,11 @@
 //!
 //! * every heap page decodes cleanly under the store's record codec
 //!   (slot directory in bounds, record framing intact, no duplicate ids),
-//! * every B+-tree entry `id → rid` points at a live heap slot whose
-//!   record carries exactly that id, and the entry count matches the
-//!   record count,
+//! * every id-directory entry `id → rid` points at a live heap slot
+//!   whose record carries exactly that id, the entries total the
+//!   catalog's record count, and the directory holds together: fences
+//!   ascend, each page starts at its fence, runs ascend without overlap
+//!   (a version-2/3 store's B+-tree is walked the same way),
 //! * every R\*-tree leaf entry names a real heap page whose records'
 //!   `(x, y, e)` vertical segments all fit inside the entry's MBR, and
 //!   together the leaves reach every heap page exactly once,
@@ -25,9 +27,9 @@ use std::sync::Arc;
 
 use dm_geom::{Box3, Vec3};
 use dm_index::RStarTree;
-use dm_storage::{BTree, BufferPool, HeapFile, PageId, RecordId, StorageResult};
+use dm_storage::{BTree, BufferPool, HeapFile, IdDirectory, PageId, RecordId, StorageResult};
 
-use crate::catalog::read_catalog;
+use crate::catalog::{read_catalog, IdIndexRoot};
 use crate::record::PageDecoder;
 
 /// What the scrubber found. `errors` is empty iff the store is clean.
@@ -39,8 +41,8 @@ pub struct VerifyReport {
     pub heap_pages: usize,
     /// Records that decoded cleanly.
     pub records: u64,
-    /// Entries walked in the primary-key B+-tree.
-    pub btree_entries: u64,
+    /// Entries walked in the id index.
+    pub id_entries: u64,
     /// Leaf entries walked in the R\*-tree.
     pub rtree_entries: u64,
     /// Every inconsistency found, human-readable.
@@ -58,12 +60,8 @@ impl std::fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "catalog @ page {}: {} heap pages, {} records, {} btree entries, {} rtree entries",
-            self.catalog_page,
-            self.heap_pages,
-            self.records,
-            self.btree_entries,
-            self.rtree_entries
+            "catalog @ page {}: {} heap pages, {} records, {} id index entries, {} rtree entries",
+            self.catalog_page, self.heap_pages, self.records, self.id_entries, self.rtree_entries
         )?;
         if self.ok() {
             write!(f, "OK: no inconsistencies found")
@@ -153,34 +151,44 @@ pub fn verify_store(pool: &Arc<BufferPool>, catalog_page: PageId) -> StorageResu
         ));
     }
 
-    // Phase 2: every B+-tree entry must land on a live slot carrying the
-    // same id, and the tree must cover every record exactly once.
-    let (bt_root, bt_height, bt_len) = cat.btree;
-    let btree = BTree::from_parts(Arc::clone(pool), bt_root, bt_len, bt_height);
-    let mut bt_entries = 0u64;
-    let walk = btree.try_range(0, u64::MAX, |id, rid| {
-        bt_entries += 1;
-        let rid = RecordId::from_u64(rid);
+    // Phase 2: every id-index entry must land on a live slot carrying
+    // the same id, and the index must cover every record exactly once.
+    let mut entries = 0u64;
+    let mut check = |id: u64, rid: RecordId| {
+        entries += 1;
         match slot_ids.get(&(rid.page, rid.slot)) {
-            Some(&actual) if actual as u64 == id => {}
+            Some(&actual) if u64::from(actual) == id => {}
             Some(&actual) => report.errors.push(format!(
-                "btree id {id} -> page {} slot {} which holds id {actual}",
+                "id {id} -> page {} slot {} which holds id {actual}",
                 rid.page, rid.slot
             )),
             None => report.errors.push(format!(
-                "btree id {id} -> page {} slot {} which does not exist",
+                "id {id} -> page {} slot {} which does not exist",
                 rid.page, rid.slot
             )),
         }
-    });
-    if let Err(e) = walk {
-        report.errors.push(format!("btree walk failed: {e}"));
+    };
+    let walked = match cat.ids {
+        IdIndexRoot::Directory(pages) => {
+            IdDirectory::try_from_parts(Arc::clone(pool), pages, u64::from(cat.n_records))
+                .and_then(|dir| dir.try_walk(|id, rid| check(id.into(), rid)).map(|_| ()))
+        }
+        IdIndexRoot::BTree(root, height, len) => {
+            BTree::from_parts(Arc::clone(pool), root, len, height).try_range(
+                0,
+                u64::MAX,
+                |id, rid| check(id, RecordId::from_u64(rid)),
+            )
+        }
+    };
+    if let Err(e) = walked {
+        report.errors.push(format!("id index walk failed: {e}"));
     }
-    report.btree_entries = bt_entries;
-    if bt_entries != report.records {
+    report.id_entries = entries;
+    if entries != u64::from(cat.n_records) || entries != report.records {
         report.errors.push(format!(
-            "btree holds {bt_entries} entries for {} records",
-            report.records
+            "id index holds {entries} entries for {} records ({} in the heap)",
+            cat.n_records, report.records
         ));
     }
 
@@ -256,7 +264,7 @@ mod tests {
         assert!(report.ok(), "{report}");
         let stats = db.stats_summary();
         assert_eq!(report.records, stats.n_records);
-        assert_eq!(report.btree_entries, report.records);
+        assert_eq!(report.id_entries, report.records);
         assert_eq!(report.heap_pages as u64, stats.heap_pages);
     }
 

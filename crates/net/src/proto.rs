@@ -536,8 +536,8 @@ fn put_db_stats(w: &mut Writer, s: &DbStats) {
     w.varint(s.n_roots);
     w.varint(s.heap_pages);
     w.varint(s.total_pages);
-    w.varint(u64::from(s.btree_height));
-    w.varint(s.btree_len);
+    w.varint(u64::from(s.id_index_levels));
+    w.varint(s.id_index_entries);
     w.varint(s.rtree_nodes);
     w.varint(u64::from(s.rtree_height));
     w.varint(s.rtree_len);
@@ -558,8 +558,8 @@ fn get_db_stats(r: &mut Reader) -> WireResult<DbStats> {
         n_roots: r.varint()?,
         heap_pages: r.varint()?,
         total_pages: r.varint()?,
-        btree_height: r.varint_u32("btree height")?,
-        btree_len: r.varint()?,
+        id_index_levels: r.varint_u32("id index levels")?,
+        id_index_entries: r.varint()?,
         rtree_nodes: r.varint()?,
         rtree_height: r.varint_u32("rtree height")?,
         rtree_len: r.varint()?,
@@ -843,8 +843,8 @@ mod tests {
             n_roots: 2,
             heap_pages: 9,
             total_pages: 40,
-            btree_height: 2,
-            btree_len: 100,
+            id_index_levels: 1,
+            id_index_entries: 100,
             rtree_nodes: 12,
             rtree_height: 3,
             rtree_len: 100,

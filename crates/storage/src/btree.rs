@@ -1,8 +1,11 @@
-//! A disk-resident B+-tree mapping `u64` keys to `u64` values.
+//! A disk-resident, bulk-loaded, read-only B+-tree mapping `u64` keys to
+//! `u64` values.
 //!
-//! Used as the primary-key index (`node id → record id`) on every terrain
-//! table, mirroring the paper's "B+-tree indexes are created wherever
-//! necessary for all the tables used".
+//! The PM baseline's primary-key index (`node id → record id`), after the
+//! paper's "B+-tree indexes are created wherever necessary for all the
+//! tables used", and the id index that version-2 and version-3 Direct
+//! Mesh catalogs still name. Direct Mesh stores now map ids through
+//! [`crate::IdDirectory`].
 //!
 //! Node layout (8 KiB pages):
 //!
@@ -17,7 +20,7 @@
 use std::sync::Arc;
 
 use crate::buffer::BufferPool;
-use crate::error::{StorageError, StorageResult};
+use crate::error::StorageResult;
 use crate::page::{codec, PageId, NO_PAGE, PAGE_DATA, PAGE_SIZE};
 
 const HDR: usize = 8;
@@ -29,7 +32,7 @@ pub const LEAF_CAP: usize = (PAGE_DATA - HDR) / LEAF_ENTRY; // 511
 /// Max keys per internal node.
 pub const INT_CAP: usize = (PAGE_DATA - INT_CHILD0 - 4) / INT_ENTRY; // 681
 
-/// The B+-tree. Root page id changes as the tree grows.
+/// The B+-tree.
 pub struct BTree {
     pool: Arc<BufferPool>,
     root: PageId,
@@ -37,28 +40,7 @@ pub struct BTree {
     height: u32,
 }
 
-enum InsertResult {
-    Done,
-    /// Child split: (separator key, new right sibling page).
-    Split(u64, PageId),
-}
-
 impl BTree {
-    pub fn create(pool: Arc<BufferPool>) -> Self {
-        let root = pool.allocate();
-        pool.write(root, |b| {
-            b[0] = 1; // leaf
-            codec::put_u16(b, 2, 0);
-            codec::put_u32(b, 4, NO_PAGE);
-        });
-        BTree {
-            pool,
-            root,
-            len: 0,
-            height: 1,
-        }
-    }
-
     pub fn len(&self) -> u64 {
         self.len
     }
@@ -83,26 +65,6 @@ impl BTree {
             root,
             len,
             height,
-        }
-    }
-
-    /// Insert or overwrite.
-    pub fn insert(&mut self, key: u64, value: u64) {
-        match self.insert_rec(self.root, key, value) {
-            InsertResult::Done => {}
-            InsertResult::Split(sep, right) => {
-                let new_root = self.pool.allocate();
-                let old_root = self.root;
-                self.pool.write(new_root, |b| {
-                    b[0] = 0; // internal
-                    codec::put_u16(b, 2, 1);
-                    codec::put_u32(b, INT_CHILD0, old_root);
-                    codec::put_u64(b, INT_CHILD0 + 4, sep);
-                    codec::put_u32(b, INT_CHILD0 + 12, right);
-                });
-                self.root = new_root;
-                self.height += 1;
-            }
         }
     }
 
@@ -141,12 +103,10 @@ impl BTree {
     /// Visit all `(key, value)` pairs with `lo <= key <= hi` in order.
     ///
     /// Implemented as a pure top-down descent into the children whose key
-    /// ranges intersect `[lo, hi]` — deliberately *not* via the leaf
-    /// sibling chain. Copy-on-write updates ([`Self::cow_update_values`])
-    /// relocate leaves without rewriting their left siblings, so sibling
-    /// pointers are only a hint for external sequential readers; treating
-    /// them as authoritative would walk a scan from a new tree into
-    /// pre-edit pages.
+    /// ranges intersect `[lo, hi]`, never via the leaf sibling chain:
+    /// trees written by earlier versions relocated leaves copy-on-write
+    /// without rewriting their left siblings, so sibling pointers are
+    /// only a hint.
     pub fn try_range(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, u64)) -> StorageResult<()> {
         if lo > hi {
             return Ok(());
@@ -203,166 +163,6 @@ impl BTree {
         Ok(())
     }
 
-    /// Copy-on-write value overwrite: produce a new tree in which every
-    /// `(key, value)` in `updates` (sorted, strictly ascending by key;
-    /// every key must already exist) maps to its new value, without
-    /// modifying any page of this tree. Only the leaves holding updated
-    /// keys and their ancestor paths are copied to freshly allocated
-    /// pages; every other page is shared between old and new tree —
-    /// readers of the old root remain fully isolated.
-    pub fn cow_update_values(&self, updates: &[(u64, u64)]) -> StorageResult<BTree> {
-        debug_assert!(updates.windows(2).all(|w| w[0].0 < w[1].0));
-        let root = if updates.is_empty() {
-            self.root
-        } else {
-            self.cow_rec(self.root, updates)?
-        };
-        Ok(BTree {
-            pool: Arc::clone(&self.pool),
-            root,
-            len: self.len,
-            height: self.height,
-        })
-    }
-
-    /// Copy the path(s) from `page` down to every update; returns the new
-    /// page id standing in for `page`.
-    fn cow_rec(&self, page: PageId, updates: &[(u64, u64)]) -> StorageResult<PageId> {
-        enum Node {
-            Leaf(Vec<u64>, Vec<u64>, PageId),
-            Internal(Vec<u64>, Vec<PageId>),
-        }
-        let node = self.pool.try_read(page, |b| {
-            if b[0] == 1 {
-                let n = codec::get_u16(b, 2) as usize;
-                let mut keys = Vec::with_capacity(n);
-                let mut vals = Vec::with_capacity(n);
-                for i in 0..n {
-                    let off = HDR + i * LEAF_ENTRY;
-                    keys.push(codec::get_u64(b, off));
-                    vals.push(codec::get_u64(b, off + 8));
-                }
-                Node::Leaf(keys, vals, codec::get_u32(b, 4))
-            } else {
-                let (keys, children) = read_internal(b);
-                Node::Internal(keys, children)
-            }
-        })?;
-        match node {
-            Node::Leaf(keys, mut vals, next) => {
-                for &(k, v) in updates {
-                    let i = keys.binary_search(&k).map_err(|_| {
-                        StorageError::corrupt(page, format!("cow update of absent key {k}"))
-                    })?;
-                    vals[i] = v;
-                }
-                let fresh = self.pool.try_allocate()?;
-                // The sibling pointer is copied as-is: it still names the
-                // *old* right sibling and is advisory only (see
-                // `try_range`).
-                try_write_leaf(&self.pool, fresh, &keys, &vals, next)?;
-                Ok(fresh)
-            }
-            Node::Internal(keys, mut children) => {
-                let mut any = false;
-                let mut lo = 0usize;
-                for j in 0..children.len() {
-                    // Child `j` covers update keys in `[keys[j-1], keys[j])`.
-                    let hi = if j < keys.len() {
-                        lo + updates[lo..].partition_point(|&(k, _)| k < keys[j])
-                    } else {
-                        updates.len()
-                    };
-                    if lo < hi {
-                        children[j] = self.cow_rec(children[j], &updates[lo..hi])?;
-                        any = true;
-                    }
-                    lo = hi;
-                }
-                debug_assert!(any, "internal node reached with no updates");
-                let fresh = self.pool.try_allocate()?;
-                try_write_internal(&self.pool, fresh, &keys, &children)?;
-                Ok(fresh)
-            }
-        }
-    }
-
-    /// Infallible [`Self::try_range`]; panics on storage errors.
-    pub fn range(&self, lo: u64, hi: u64, f: impl FnMut(u64, u64)) {
-        self.try_range(lo, hi, f)
-            .unwrap_or_else(|e| panic!("btree range: {e}"))
-    }
-
-    fn insert_rec(&mut self, page: PageId, key: u64, value: u64) -> InsertResult {
-        let is_leaf = self.pool.read(page, |b| b[0] == 1);
-        if is_leaf {
-            return self.leaf_insert(page, key, value);
-        }
-        let child = self.pool.read(page, |b| internal_child_for(b, key));
-        match self.insert_rec(child, key, value) {
-            InsertResult::Done => InsertResult::Done,
-            InsertResult::Split(sep, right) => self.internal_insert(page, sep, right),
-        }
-    }
-
-    fn leaf_insert(&mut self, page: PageId, key: u64, value: u64) -> InsertResult {
-        // Read entries, splice, write back — possibly splitting.
-        let (mut keys, mut vals, next) = self.pool.read(page, |b| {
-            let n = codec::get_u16(b, 2) as usize;
-            let mut keys = Vec::with_capacity(n + 1);
-            let mut vals = Vec::with_capacity(n + 1);
-            for i in 0..n {
-                let off = HDR + i * LEAF_ENTRY;
-                keys.push(codec::get_u64(b, off));
-                vals.push(codec::get_u64(b, off + 8));
-            }
-            (keys, vals, codec::get_u32(b, 4))
-        });
-        match keys.binary_search(&key) {
-            Ok(i) => {
-                vals[i] = value; // overwrite
-            }
-            Err(i) => {
-                keys.insert(i, key);
-                vals.insert(i, value);
-                self.len += 1;
-            }
-        }
-        if keys.len() <= LEAF_CAP {
-            write_leaf(&self.pool, page, &keys, &vals, next);
-            return InsertResult::Done;
-        }
-        // Split in the middle.
-        let mid = keys.len() / 2;
-        let right = self.pool.allocate();
-        let sep = keys[mid];
-        write_leaf(&self.pool, right, &keys[mid..], &vals[mid..], next);
-        write_leaf(&self.pool, page, &keys[..mid], &vals[..mid], right);
-        InsertResult::Split(sep, right)
-    }
-
-    fn internal_insert(&mut self, page: PageId, sep: u64, right: PageId) -> InsertResult {
-        let (mut keys, mut children) = self.pool.read(page, read_internal);
-        let pos = keys.partition_point(|&k| k <= sep);
-        keys.insert(pos, sep);
-        children.insert(pos + 1, right);
-        if keys.len() <= INT_CAP {
-            write_internal(&self.pool, page, &keys, &children);
-            return InsertResult::Done;
-        }
-        let mid = keys.len() / 2;
-        let up = keys[mid];
-        let right_page = self.pool.allocate();
-        write_internal(
-            &self.pool,
-            right_page,
-            &keys[mid + 1..],
-            &children[mid + 1..],
-        );
-        write_internal(&self.pool, page, &keys[..mid], &children[..=mid]);
-        InsertResult::Split(up, right_page)
-    }
-
     /// Build a tree from key-sorted pairs, packing leaves to `fill` (0–1).
     ///
     /// Panics if the input is not strictly ascending by key.
@@ -407,7 +207,14 @@ impl BTree {
         }
         flush(&mut buf_keys, &mut buf_vals, &mut leaves);
         if leaves.is_empty() {
-            return BTree::create(pool);
+            let root = pool.allocate();
+            write_leaf(&pool, root, &[], &[], NO_PAGE);
+            return BTree {
+                pool,
+                root,
+                len: 0,
+                height: 1,
+            };
         }
 
         // Build internal levels bottom-up.
@@ -487,24 +294,10 @@ fn read_internal(b: &[u8; PAGE_SIZE]) -> (Vec<u64>, Vec<PageId>) {
     (keys, children)
 }
 
-fn write_internal(pool: &BufferPool, page: PageId, keys: &[u64], children: &[PageId]) {
-    try_write_internal(pool, page, keys, children).unwrap_or_else(|e| panic!("btree write: {e}"))
-}
-
 fn write_leaf(pool: &BufferPool, page: PageId, keys: &[u64], vals: &[u64], next: PageId) {
-    try_write_leaf(pool, page, keys, vals, next).unwrap_or_else(|e| panic!("btree write: {e}"))
-}
-
-fn try_write_leaf(
-    pool: &BufferPool,
-    page: PageId,
-    keys: &[u64],
-    vals: &[u64],
-    next: PageId,
-) -> StorageResult<()> {
     assert_eq!(keys.len(), vals.len());
     assert!(keys.len() <= LEAF_CAP);
-    pool.try_write(page, |b| {
+    pool.write(page, |b| {
         b[0] = 1;
         codec::put_u16(b, 2, keys.len() as u16);
         codec::put_u32(b, 4, next);
@@ -516,15 +309,10 @@ fn try_write_leaf(
     })
 }
 
-fn try_write_internal(
-    pool: &BufferPool,
-    page: PageId,
-    keys: &[u64],
-    children: &[PageId],
-) -> StorageResult<()> {
+fn write_internal(pool: &BufferPool, page: PageId, keys: &[u64], children: &[PageId]) {
     assert_eq!(children.len(), keys.len() + 1);
     assert!(keys.len() <= INT_CAP);
-    pool.try_write(page, |b| {
+    pool.write(page, |b| {
         b[0] = 0;
         codec::put_u16(b, 2, keys.len() as u16);
         codec::put_u32(b, INT_CHILD0, children[0]);
@@ -546,23 +334,25 @@ mod tests {
         Arc::new(BufferPool::new(Box::new(MemStore::new()), 256))
     }
 
-    #[test]
-    fn empty_tree() {
-        let t = BTree::create(pool());
-        assert!(t.is_empty());
-        assert_eq!(t.get(0), None);
-        assert_eq!(t.get(u64::MAX), None);
-        let mut seen = 0;
-        t.range(0, u64::MAX, |_, _| seen += 1);
-        assert_eq!(seen, 0);
+    fn scan(t: &BTree, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        let mut got = Vec::new();
+        t.try_range(lo, hi, |k, v| got.push((k, v))).unwrap();
+        got
     }
 
     #[test]
+    fn empty_tree() {
+        let t = BTree::bulk_load(pool(), std::iter::empty(), 0.9);
+        assert!(t.is_empty());
+        assert_eq!(t.get(0), None);
+        assert_eq!(t.get(u64::MAX), None);
+        assert!(scan(&t, 0, u64::MAX).is_empty());
+    }
+
+    /// Loaded, not inserted: the tree has no insert path.
+    #[test]
     fn insert_get_small() {
-        let mut t = BTree::create(pool());
-        for k in [5u64, 1, 9, 3, 7] {
-            t.insert(k, k * 10);
-        }
+        let t = BTree::bulk_load(pool(), [1u64, 3, 5, 7, 9].map(|k| (k, k * 10)), 0.9);
         assert_eq!(t.len(), 5);
         for k in [5u64, 1, 9, 3, 7] {
             assert_eq!(t.get(k), Some(k * 10));
@@ -570,26 +360,14 @@ mod tests {
         assert_eq!(t.get(2), None);
     }
 
-    #[test]
-    fn overwrite_keeps_len() {
-        let mut t = BTree::create(pool());
-        t.insert(1, 10);
-        t.insert(1, 20);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.get(1), Some(20));
-    }
-
+    /// 20k keys at half-full leaves span many leaves under more than one
+    /// level of internal nodes.
     #[test]
     fn many_inserts_force_splits() {
-        let mut t = BTree::create(pool());
         let n = 20_000u64;
-        // Insert in a scrambled order.
-        for i in 0..n {
-            let k = (i * 7919) % n;
-            t.insert(k, k + 1);
-        }
+        let t = BTree::bulk_load(pool(), (0..n).map(|k| (k, k + 1)), 0.5);
         assert_eq!(t.len(), n);
-        assert!(t.height() >= 2, "20k keys must split the root");
+        assert!(t.height() >= 2, "20k keys need more than one leaf");
         for k in (0..n).step_by(997) {
             assert_eq!(t.get(k), Some(k + 1), "key {k}");
         }
@@ -597,23 +375,16 @@ mod tests {
 
     #[test]
     fn range_scan_matches_model() {
-        let mut t = BTree::create(pool());
-        let mut model = BTreeMap::new();
-        for i in 0..5000u64 {
-            let k = (i * 2654435761) % 100_000;
-            t.insert(k, i);
-            model.insert(k, i);
-        }
+        let model: BTreeMap<u64, u64> = (0..5000u64)
+            .map(|i| ((i * 2654435761) % 100_000, i))
+            .collect();
+        let t = BTree::bulk_load(pool(), model.iter().map(|(&k, &v)| (k, v)), 0.7);
         for (lo, hi) in [(0u64, 99_999), (500, 700), (99_000, 99_999), (42, 42)] {
-            let mut got = Vec::new();
-            t.range(lo, hi, |k, v| got.push((k, v)));
             let want: Vec<_> = model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
-            assert_eq!(got, want, "range [{lo}, {hi}]");
+            assert_eq!(scan(&t, lo, hi), want, "range [{lo}, {hi}]");
         }
         // Inverted range yields nothing (and must not panic).
-        let mut n = 0;
-        t.range(70, 20, |_, _| n += 1);
-        assert_eq!(n, 0);
+        assert!(scan(&t, 70, 20).is_empty());
     }
 
     #[test]
@@ -626,9 +397,7 @@ mod tests {
             assert_eq!(t.get(k), Some(v));
         }
         assert_eq!(t.get(1), None); // between keys
-        let mut got = Vec::new();
-        t.range(0, u64::MAX, |k, v| got.push((k, v)));
-        assert_eq!(got, pairs);
+        assert_eq!(scan(&t, 0, u64::MAX), pairs);
     }
 
     #[test]
@@ -645,18 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_loaded_tree_accepts_inserts() {
-        let p = pool();
-        let mut t = BTree::bulk_load(Arc::clone(&p), (0..1000u64).map(|k| (k * 2, k)), 0.9);
-        for k in 0..1000u64 {
-            t.insert(k * 2 + 1, k + 5000);
-        }
-        assert_eq!(t.len(), 2000);
-        assert_eq!(t.get(501), Some(250 + 5000));
-        assert_eq!(t.get(500), Some(250));
-    }
-
-    #[test]
     fn point_lookup_costs_height_accesses() {
         let p = pool();
         let t = BTree::bulk_load(Arc::clone(&p), (0..100_000u64).map(|k| (k, k)), 1.0);
@@ -664,66 +421,6 @@ mod tests {
         p.reset_stats();
         t.get(54_321);
         assert_eq!(p.stats().reads as u32, t.height(), "one access per level");
-    }
-
-    #[test]
-    fn cow_update_isolates_old_tree_and_shares_untouched_pages() {
-        let p = pool();
-        let t = BTree::bulk_load(Arc::clone(&p), (0..400_000u64).map(|k| (k, k)), 1.0);
-        assert!(t.height() >= 3);
-        let before = p.num_pages();
-
-        let updates: Vec<(u64, u64)> = vec![(54_321, 999), (54_322, 998)];
-        let t2 = t.cow_update_values(&updates).unwrap();
-
-        // The old tree still reads the old values; the new one the new.
-        assert_eq!(t.get(54_321), Some(54_321));
-        assert_eq!(t.get(54_322), Some(54_322));
-        assert_eq!(t2.get(54_321), Some(999));
-        assert_eq!(t2.get(54_322), Some(998));
-        assert_eq!(t2.get(54_320), Some(54_320), "untouched key visible");
-        assert_eq!(t2.len(), t.len());
-        assert_eq!(t2.height(), t.height());
-
-        // Both keys live in one leaf: exactly one path was copied.
-        assert_eq!(
-            p.num_pages() - before,
-            t.height(),
-            "CoW must allocate one page per level, sharing the rest"
-        );
-
-        // Full scans agree except at the updated keys.
-        let mut old_scan = Vec::new();
-        let mut new_scan = Vec::new();
-        t.range(54_000, 55_000, |k, v| old_scan.push((k, v)));
-        t2.range(54_000, 55_000, |k, v| new_scan.push((k, v)));
-        assert_eq!(old_scan.len(), new_scan.len());
-        for (o, n) in old_scan.iter().zip(&new_scan) {
-            assert_eq!(o.0, n.0);
-            match o.0 {
-                54_321 => assert_eq!(n.1, 999),
-                54_322 => assert_eq!(n.1, 998),
-                _ => assert_eq!(o.1, n.1),
-            }
-        }
-    }
-
-    #[test]
-    fn cow_update_of_absent_key_is_a_typed_error() {
-        let p = pool();
-        let t = BTree::bulk_load(Arc::clone(&p), (0..100u64).map(|k| (k * 2, k)), 1.0);
-        let err = t.cow_update_values(&[(3, 0)]).map(|_| ()).unwrap_err();
-        assert!(matches!(err, crate::error::StorageError::Corrupt { .. }));
-    }
-
-    #[test]
-    fn cow_update_empty_is_a_no_op_alias() {
-        let p = pool();
-        let t = BTree::bulk_load(Arc::clone(&p), (0..100u64).map(|k| (k, k)), 1.0);
-        let before = p.num_pages();
-        let t2 = t.cow_update_values(&[]).unwrap();
-        assert_eq!(p.num_pages(), before);
-        assert_eq!(t2.root_page(), t.root_page());
     }
 
     #[test]
@@ -737,8 +434,7 @@ mod tests {
                 p.write(page, |b| codec::put_u32(b, 4, 0xDEAD_BEEF));
             }
         }
-        let mut got = Vec::new();
-        t.range(100, 4_900, |k, v| got.push((k, v)));
+        let got = scan(&t, 100, 4_900);
         assert_eq!(got.len(), 4_801);
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(got.iter().all(|&(k, v)| v == k + 1));
@@ -747,10 +443,7 @@ mod tests {
     #[test]
     fn data_survives_cold_restart_of_cache() {
         let p = pool();
-        let mut t = BTree::create(Arc::clone(&p));
-        for k in 0..3000u64 {
-            t.insert(k, !k);
-        }
+        let t = BTree::bulk_load(Arc::clone(&p), (0..3000u64).map(|k| (k, !k)), 0.9);
         p.flush_all();
         for k in (0..3000u64).step_by(100) {
             assert_eq!(t.get(k), Some(!k));

@@ -15,8 +15,11 @@
 //! * [`heap`] — slotted heap files with variable-length records,
 //! * [`pack`] — varint/zig-zag/XOR-delta primitives shared by the
 //!   compact record codecs layered above,
-//! * [`btree`] — a disk-resident B+-tree mapping `u64 → u64`, used for
-//!   primary-key (`node id → record`) lookups.
+//! * [`iddir`] — the id directory, a run-length `node id → record` map
+//!   for a store whose id set is fixed at build: one page per lookup,
+//!   copy-on-write by page,
+//! * [`btree`] — a bulk-loaded, read-only B+-tree mapping `u64 → u64`
+//!   (the PM baseline's primary key, and the id index of older stores).
 //!
 //! All spatial indexes (R\*-tree, LOD-quadtree) live in `dm-index` and are
 //! built on these primitives, exactly as the paper builds its indexes on
@@ -30,6 +33,7 @@ pub mod checksum;
 pub mod error;
 pub mod fault;
 pub mod heap;
+pub mod iddir;
 pub mod pack;
 pub mod page;
 pub mod stats;
@@ -42,6 +46,7 @@ pub use checksum::{crc32, Crc32Hasher};
 pub use error::{StorageError, StorageResult};
 pub use fault::{FaultConfig, FaultCounters, FaultInjector, KillSwitch, WriteVerdict};
 pub use heap::{HeapFile, PageView, RecordId};
+pub use iddir::{DirectoryWalk, IdDirectory};
 pub use page::{PageId, PAGE_DATA, PAGE_SIZE};
 pub use stats::{credit_thread_reads, thread_reads, thread_retries, AccessStats, StatsSnapshot};
 pub use store::{FileStore, MemStore, PageStore};

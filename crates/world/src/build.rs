@@ -73,7 +73,7 @@ fn split_metas(db: &DirectMeshDb, nx: usize, ny: usize) -> Vec<(RegionMeta, Vec<
 }
 
 /// Split `db` into an in-memory `nx × ny` tiled world (tests, benches).
-/// Every tile is a full store of its own — heap, B+-tree, R\*-tree,
+/// Every tile is a full store of its own — heap, id directory, R\*-tree,
 /// cost model — built over a `MemStore` pool of `pool_pages` frames.
 pub fn split_world_in_memory(
     db: &DirectMeshDb,

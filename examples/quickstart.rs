@@ -35,7 +35,7 @@ fn main() {
         pm.hierarchy.e_max
     );
 
-    // 3. The Direct Mesh database: heap table + B+-tree + 3D R*-tree,
+    // 3. The Direct Mesh database: heap table + id directory + 3D R*-tree,
     //    every node carrying its LOD interval and connection list.
     let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 4096));
     let db = DirectMeshDb::build(pool, &pm, &DmBuildOptions::default());

@@ -1,12 +1,18 @@
-//! Backward compatibility across the record-codec upgrade: a database
-//! built with the v2 flat codec must open under the current binary and
-//! answer VI/VD queries byte-identically to a v3-compact database of the
-//! same terrain — and the degraded open path must still work on it.
+//! Backward compatibility across format upgrades. A database built with
+//! the flat record codec answers VI/VD queries like a compact one of the
+//! same terrain, and the degraded open path still works on it. Stores
+//! written before catalog version 4, whose id index is a B+-tree, open,
+//! answer, scrub and take patches like a version-4 build of the same
+//! terrain.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dm_core::record::RecordCodec;
-use dm_core::{BoundaryPolicy, DirectMeshDb, DmBuildOptions, IntegrityReport, VdQuery};
+use dm_core::{
+    verify_store, BoundaryPolicy, DirectMeshDb, DmBuildOptions, EditOp, IntegrityReport, LiveDb,
+    LiveOptions, VdQuery,
+};
 use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuild, PmBuildConfig};
 use dm_mtm::PlaneTarget;
@@ -20,8 +26,21 @@ fn unwrap_clean<T>(answer: dm_storage::StorageResult<(T, dm_core::IntegrityRepor
     res
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
+fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dm_codec_{}_{name}.db", std::process::id()))
+}
+
+fn cleanup(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(dm_storage::wal::wal_path(path));
+    let _ = std::fs::remove_file(dm_storage::wal::root_path(path));
+}
+
+fn file_pool(path: &Path) -> Arc<BufferPool> {
+    Arc::new(BufferPool::new(
+        Box::new(FileStore::open(path).unwrap()),
+        2048,
+    ))
 }
 
 fn sample_pm() -> PmBuild {
@@ -33,7 +52,7 @@ fn sample_pm() -> PmBuild {
 /// reopen it from the file alone.
 fn persist_and_reopen(name: &str, pm: &PmBuild, codec: RecordCodec) -> DirectMeshDb {
     let path = tmp(name);
-    let _ = std::fs::remove_file(&path);
+    cleanup(&path);
     {
         let pool = Arc::new(BufferPool::new(
             Box::new(FileStore::create(&path).unwrap()),
@@ -49,11 +68,7 @@ fn persist_and_reopen(name: &str, pm: &PmBuild, codec: RecordCodec) -> DirectMes
         );
         assert_eq!(db.codec(), codec);
     }
-    let pool = Arc::new(BufferPool::new(
-        Box::new(FileStore::open(&path).unwrap()),
-        2048,
-    ));
-    DirectMeshDb::open(pool).unwrap()
+    DirectMeshDb::open(file_pool(&path)).unwrap()
 }
 
 fn vd_query(db: &DirectMeshDb, roi: Rect) -> VdQuery {
@@ -71,6 +86,56 @@ fn vd_query(db: &DirectMeshDb, roi: Rect) -> VdQuery {
     }
 }
 
+/// Both databases decode the same records and answer VI queries at
+/// several LODs and ROIs, and a multi-base VD query, with the same
+/// vertices, triangle counts and cube decomposition.
+fn assert_same_answers(a: &DirectMeshDb, b: &DirectMeshDb, label: &str) {
+    let (ra, rb) = (a.all_records(), b.all_records());
+    assert_eq!(ra.len(), rb.len(), "{label}");
+    for (id, rec) in &ra {
+        assert_eq!(&rb[id], rec, "{label}: record {id} differs");
+    }
+
+    for (frac, roi_frac) in [(0.3, 1.0), (0.1, 0.5), (0.02, 0.3)] {
+        let e = a.e_for_points_fraction(frac);
+        let roi = Rect::centered_square(a.bounds.center(), a.bounds.width() * roi_frac);
+        let ra = unwrap_clean(a.try_vi_query(&roi, e));
+        let rb = unwrap_clean(b.try_vi_query(&roi, e));
+        let mut ia: Vec<u32> = ra.front.vertex_ids().collect();
+        let mut ib: Vec<u32> = rb.front.vertex_ids().collect();
+        ia.sort_unstable();
+        ib.sort_unstable();
+        assert_eq!(ia, ib, "{label}: VI vertex sets differ at keep={frac}");
+        assert_eq!(
+            ra.front.num_triangles(),
+            rb.front.num_triangles(),
+            "{label}: VI triangle counts differ at keep={frac}"
+        );
+    }
+
+    // VD: multi-base decomposition over a sub-window.
+    let roi = Rect::centered_square(a.bounds.center(), a.bounds.width() * 0.6);
+    let qa = vd_query(a, roi);
+    let qb = vd_query(b, roi);
+    let ra = unwrap_clean(a.try_vd_multi_base(&qa, BoundaryPolicy::FetchOnMiss, 8));
+    let rb = unwrap_clean(b.try_vd_multi_base(&qb, BoundaryPolicy::FetchOnMiss, 8));
+    let mut ia: Vec<u32> = ra.front.vertex_ids().collect();
+    let mut ib: Vec<u32> = rb.front.vertex_ids().collect();
+    ia.sort_unstable();
+    ib.sort_unstable();
+    assert_eq!(ia, ib, "{label}: VD vertex sets differ");
+    assert_eq!(
+        ra.front.num_triangles(),
+        rb.front.num_triangles(),
+        "{label}"
+    );
+    assert_eq!(
+        ra.cubes.len(),
+        rb.cubes.len(),
+        "{label}: cube decomposition differs"
+    );
+}
+
 #[test]
 fn v2_database_opens_and_answers_queries_identically() {
     let pm = sample_pm();
@@ -79,49 +144,9 @@ fn v2_database_opens_and_answers_queries_identically() {
     assert_eq!(v2.codec(), RecordCodec::Flat, "codec survives reopen");
     assert_eq!(v3.codec(), RecordCodec::Compact);
     assert_eq!(v2.n_records, v3.n_records);
-
-    // Every stored record decodes identically from both files.
-    let a = v2.all_records();
-    let b = v3.all_records();
-    assert_eq!(a.len(), b.len());
-    for (id, rec) in &a {
-        assert_eq!(&b[id], rec, "record {id} differs across codecs");
-    }
-
-    // VI: same vertices and triangles at several LODs and ROIs.
-    for (frac, roi_frac) in [(0.3, 1.0), (0.1, 0.5), (0.02, 0.3)] {
-        let e = v2.e_for_points_fraction(frac);
-        let roi = Rect::centered_square(v2.bounds.center(), v2.bounds.width() * roi_frac);
-        let ra = unwrap_clean(v2.try_vi_query(&roi, e));
-        let rb = unwrap_clean(v3.try_vi_query(&roi, e));
-        let mut ia: Vec<u32> = ra.front.vertex_ids().collect();
-        let mut ib: Vec<u32> = rb.front.vertex_ids().collect();
-        ia.sort_unstable();
-        ib.sort_unstable();
-        assert_eq!(ia, ib, "VI vertex sets differ at keep={frac}");
-        assert_eq!(
-            ra.front.num_triangles(),
-            rb.front.num_triangles(),
-            "VI triangle counts differ at keep={frac}"
-        );
-    }
-
-    // VD: multi-base decomposition over a sub-window.
-    let roi = Rect::centered_square(v2.bounds.center(), v2.bounds.width() * 0.6);
-    let qa = vd_query(&v2, roi);
-    let qb = vd_query(&v3, roi);
-    let ra = unwrap_clean(v2.try_vd_multi_base(&qa, BoundaryPolicy::FetchOnMiss, 8));
-    let rb = unwrap_clean(v3.try_vd_multi_base(&qb, BoundaryPolicy::FetchOnMiss, 8));
-    let mut ia: Vec<u32> = ra.front.vertex_ids().collect();
-    let mut ib: Vec<u32> = rb.front.vertex_ids().collect();
-    ia.sort_unstable();
-    ib.sort_unstable();
-    assert_eq!(ia, ib, "VD vertex sets differ");
-    assert_eq!(ra.front.num_triangles(), rb.front.num_triangles());
-    assert_eq!(ra.cubes.len(), rb.cubes.len(), "cube decomposition differs");
-
+    assert_same_answers(&v2, &v3, "flat vs compact");
     for name in ["v2", "v3"] {
-        let _ = std::fs::remove_file(tmp(name));
+        cleanup(&tmp(name));
     }
 }
 
@@ -156,4 +181,100 @@ fn v2_database_still_opens_degraded() {
     let res = unwrap_clean(db.try_vi_query(&db.bounds.clone(), e));
     assert!(res.front.num_triangles() > 0);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A store written before catalog version 4 by `dm build --codec v2|v3`
+/// (git commit 69077db) from `dm generate --kind mining --size 17 --seed
+/// 1`, which is `mining17.dmh`.
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(name)
+}
+
+/// A version-2 or version-3 store opens strict and degraded, answers
+/// every query above like a version-4 build of the same terrain and
+/// codec, and scrubs clean. Both then take the same patch through the
+/// live write path: the older store's first commit writes its id
+/// directory as a version-4 catalog, and the two still answer alike,
+/// reopen and scrub clean.
+#[test]
+fn legacy_stores_open_answer_scrub_and_patch_like_a_v4_build() {
+    let hf =
+        dm_terrain::io::read_dmh(std::fs::File::open(fixture("mining17.dmh")).unwrap()).unwrap();
+    let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+    for (file, codec, version) in [
+        ("legacy_v2.dmdb", RecordCodec::Flat, 2),
+        ("legacy_v3.dmdb", RecordCodec::Compact, 3),
+    ] {
+        let label = format!("v{version}");
+        let old_path = tmp(&format!("legacy_v{version}"));
+        cleanup(&old_path);
+        std::fs::copy(fixture(file), &old_path).unwrap();
+        let new_path = tmp(&format!("legacy_v{version}_as_v4"));
+        cleanup(&new_path);
+        DirectMeshDb::create_in(
+            Arc::new(BufferPool::new(
+                Box::new(FileStore::create(&new_path).unwrap()),
+                2048,
+            )),
+            &pm,
+            &DmBuildOptions {
+                codec,
+                ..Default::default()
+            },
+        );
+
+        let old = DirectMeshDb::open(file_pool(&old_path)).unwrap();
+        let new = DirectMeshDb::open(file_pool(&new_path)).unwrap();
+        let (so, sn) = (old.stats_summary(), new.stats_summary());
+        assert_eq!((so.catalog_version, so.codec), (version, codec), "{label}");
+        assert_eq!((sn.catalog_version, sn.id_index_levels), (4, 1));
+        assert_eq!(so.id_index_levels, 2, "{label}: a B+-tree of two levels");
+        assert_eq!(so.id_index_entries, sn.id_index_entries);
+        assert!(old.id_directory_walk().unwrap().is_none());
+        assert_same_answers(&old, &new, &label);
+
+        let mut report = IntegrityReport::default();
+        let degraded = DirectMeshDb::open_degraded(file_pool(&old_path), &mut report).unwrap();
+        assert!(report.is_clean(), "{label}: {report}");
+        assert_same_answers(&degraded, &new, &format!("{label} degraded"));
+        let scrub = verify_store(&file_pool(&old_path), 0).unwrap();
+        assert!(scrub.ok(), "{label}: {scrub}");
+        assert_eq!(scrub.id_entries, so.n_records);
+        drop((old, new, degraded));
+
+        let region = Rect::centered_square(sn.bounds.center(), sn.bounds.width() * 0.4);
+        for path in [&old_path, &new_path] {
+            let (live, _) = LiveDb::open(path, &LiveOptions::default()).unwrap();
+            let out = live.apply_patch(&region, &EditOp::Raise(2.5)).unwrap();
+            assert!(out.records_updated > 0);
+        }
+        let reopen = |path: &Path| {
+            LiveDb::open(path, &LiveOptions::default())
+                .unwrap()
+                .0
+                .snapshot()
+        };
+        let (old, new) = (reopen(&old_path), reopen(&new_path));
+        let so = old.stats_summary();
+        assert_eq!(
+            (so.catalog_version, so.id_index_levels),
+            (4, 1),
+            "{label}: patched"
+        );
+        assert_eq!(
+            old.id_directory_walk().unwrap().map(|w| w.entries),
+            Some(so.n_records)
+        );
+        assert_same_answers(&old, &new, &format!("{label} patched"));
+        for path in [&old_path, &new_path] {
+            let (pool, catalog) = dm_world::open_region_store(path, 2048, None).unwrap();
+            let scrub = verify_store(&pool, catalog).unwrap();
+            assert!(scrub.ok(), "{label}: {scrub}");
+        }
+        drop((old, new));
+        cleanup(&old_path);
+        cleanup(&new_path);
+    }
 }

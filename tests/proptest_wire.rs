@@ -230,7 +230,7 @@ fn arb_db_stats() -> impl Strategy<Value = DbStats> {
         .prop_map(
             |(
                 (catalog_version, compact, n_records, n_leaves, n_roots),
-                (heap_pages, total_pages, btree_height, btree_len),
+                (heap_pages, total_pages, id_index_levels, id_index_entries),
                 (rtree_nodes, rtree_height, rtree_len),
                 (e_max, bounds),
             )| DbStats {
@@ -245,8 +245,8 @@ fn arb_db_stats() -> impl Strategy<Value = DbStats> {
                 n_roots,
                 heap_pages,
                 total_pages,
-                btree_height,
-                btree_len,
+                id_index_levels,
+                id_index_entries,
                 rtree_nodes,
                 rtree_height,
                 rtree_len,

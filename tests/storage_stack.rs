@@ -119,7 +119,7 @@ fn database_reopens_from_its_catalog() {
     let mut ids: Vec<u32> = res.front.vertex_ids().collect();
     ids.sort();
     assert_eq!(ids, want_ids);
-    // Point lookups work through the reattached B+-tree.
+    // Point lookups work through the reattached id directory.
     for id in [0u32, 7, 100] {
         assert_eq!(db.try_fetch_by_id(id).unwrap().unwrap().node.id, id);
     }

@@ -2,17 +2,19 @@
 //! classic crash/copy accident. Strict opens must fail with a typed
 //! error (never panic, never serve silently wrong data); degraded opens
 //! must serve exactly the surviving prefix, for both the v2 (flat) and
-//! v3 (compact) record codecs.
+//! v3 (compact) record codecs. A lost, corrupt or malformed id-directory
+//! page, or a bad fence list, is a typed error too.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use dm_core::catalog::{read_catalog, write_catalog, IdIndexRoot};
 use dm_core::record::RecordCodec;
-use dm_core::{DirectMeshDb, DmBuildOptions, DmRecord, IntegrityReport};
+use dm_core::{verify_store, DirectMeshDb, DmBuildOptions, DmRecord, IntegrityReport};
 use dm_geom::{Box3, Vec3};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
-use dm_storage::{BufferPool, FileStore, PAGE_SIZE};
+use dm_storage::{BufferPool, FileStore, StorageError, PAGE_SIZE};
 use dm_terrain::{generate, TriMesh};
 
 fn tmp(name: &str) -> PathBuf {
@@ -153,4 +155,105 @@ fn truncated_stores_fail_strict_opens_and_serve_surviving_prefix_degraded() {
         }
         let _ = std::fs::remove_file(&src);
     }
+}
+
+fn file_pool(path: &Path) -> Arc<BufferPool> {
+    Arc::new(BufferPool::new(
+        Box::new(FileStore::open_trimmed(path).unwrap()),
+        2048,
+    ))
+}
+
+#[test]
+fn lost_corrupt_or_malformed_id_directory_is_a_typed_error() {
+    let src = tmp("dir_src");
+    let (full, _) = build(&src, RecordCodec::Compact);
+    let IdIndexRoot::Directory(dir) = read_catalog(&file_pool(&src), 0).unwrap().ids else {
+        panic!("a fresh build writes an id directory");
+    };
+    assert!(
+        dir.len() >= 2,
+        "need two directory pages, got {}",
+        dir.len()
+    );
+    let (fence, page) = dir[1];
+    let is_corrupt_page = |r: dm_storage::StorageResult<Option<DmRecord>>| matches!(r, Err(StorageError::Corrupt { page: p, .. }) if p == page);
+
+    // Scribbled bytes: the page checksum catches them at the lookup (a
+    // strict open reads no directory page); the other pages still serve.
+    let bad = tmp("dir_scribbled");
+    let _ = std::fs::remove_file(&bad);
+    std::fs::copy(&src, &bad).unwrap();
+    {
+        use std::io::{Seek, SeekFrom, Write};
+        let mut f = std::fs::OpenOptions::new().write(true).open(&bad).unwrap();
+        f.seek(SeekFrom::Start(u64::from(page) * PAGE_SIZE as u64 + 99))
+            .unwrap();
+        f.write_all(b"oops").unwrap();
+    }
+    let pool = file_pool(&bad);
+    let db = DirectMeshDb::open(Arc::clone(&pool)).unwrap();
+    assert!(is_corrupt_page(db.try_fetch_by_id(fence)));
+    assert_eq!(db.try_fetch_by_id(0).unwrap().as_ref(), full.get(&0));
+    let scrub = verify_store(&pool, 0).unwrap();
+    assert!(
+        scrub.errors.iter().any(|e| e.contains("id index")),
+        "{scrub}"
+    );
+    let _ = std::fs::remove_file(&bad);
+
+    // A page whose checksum holds but whose header claims more than a
+    // page can hold.
+    let pool = file_pool(&src);
+    let db = DirectMeshDb::open(Arc::clone(&pool)).unwrap();
+    pool.try_write(page, |b| b[0..2].copy_from_slice(&u16::MAX.to_le_bytes()))
+        .unwrap();
+    assert!(is_corrupt_page(db.try_fetch_by_id(fence)));
+    assert!(!verify_store(&pool, 0).unwrap().ok());
+    drop((db, pool));
+
+    // Cut inside the directory: the strict open refuses the catalog, the
+    // degraded one serves the whole heap, and a lookup through the lost
+    // page is a typed error.
+    let cut = tmp("dir_cut");
+    truncate_mid_page(&src, &cut, page);
+    assert!(DirectMeshDb::open(file_pool(&cut)).is_err());
+    let mut report = IntegrityReport::default();
+    let db = DirectMeshDb::open_degraded(file_pool(&cut), &mut report).unwrap();
+    let got = scan_everywhere(&db, false, &mut IntegrityReport::default()).unwrap();
+    assert_eq!(got.len(), full.len());
+    assert!(db.try_fetch_by_id(fence).is_err());
+    assert_eq!(db.try_fetch_by_id(0).unwrap().as_ref(), full.get(&0));
+    drop(db);
+    let _ = std::fs::remove_file(&cut);
+
+    // The fence list: out of order, or naming a page past the end.
+    let pool = file_pool(&src);
+    let rewrite = |edit: fn(&mut [(u32, u32)])| {
+        let mut cat = read_catalog(&pool, 0).unwrap();
+        let IdIndexRoot::Directory(pages) = &mut cat.ids else {
+            unreachable!()
+        };
+        edit(pages);
+        let at = pool.try_allocate().unwrap();
+        write_catalog(&pool, at, &cat).unwrap();
+        at
+    };
+    let swapped = rewrite(|pages| pages.swap(0, 1));
+    assert!(matches!(
+        DirectMeshDb::open_at(Arc::clone(&pool), swapped),
+        Err(StorageError::Format { .. })
+    ));
+    let scrub = verify_store(&pool, swapped).unwrap();
+    assert!(scrub.errors.iter().any(|e| e.contains("fences")), "{scrub}");
+    let past_end = rewrite(|pages| pages[1].1 = 1_000_000);
+    assert!(matches!(
+        DirectMeshDb::open_at(Arc::clone(&pool), past_end),
+        Err(StorageError::OutOfBounds {
+            page: 1_000_000,
+            ..
+        })
+    ));
+    assert!(!verify_store(&pool, past_end).unwrap().ok());
+    let _ = std::fs::remove_file(&src);
 }
