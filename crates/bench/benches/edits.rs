@@ -7,7 +7,10 @@
 //!   2. `LiveDb::apply_patch` over small random regions (re-simplifies
 //!      just the dirty neighborhood, rewrites only touched pages);
 //!   3. cold disk accesses of a query over an *unmodified* region before
-//!      and after the edits — copy-on-write must leave them unchanged;
+//!      and after the edits — copy-on-write must leave them unchanged —
+//!      and the store's size: once no snapshot holds them, retired pages
+//!      are reused, so after the second edit the file grows by no more
+//!      than the largest single patch;
 //!   4. recovery: a crash is injected mid-edit (store dies after the WAL
 //!      append), then the reopen that replays the WAL tail is timed
 //!      against a clean reopen.
@@ -73,6 +76,9 @@ fn main() {
         db.disk_accesses()
     };
     let da_before = cold_da(&snap);
+    // A held snapshot would keep every page the edits retire.
+    drop(snap);
+    let pool = Arc::clone(live.pool());
 
     // --- 2. patches over small random regions away from the control.
     let regions: Vec<Rect> = random_rois(&bounds, 0.01, scale.locations * 4, 7)
@@ -83,6 +89,9 @@ fn main() {
     let mut patch_secs = Vec::new();
     let mut pages_rewritten = Vec::new();
     let mut records_updated = Vec::new();
+    let mut pages_reused = Vec::new();
+    let mut store_pages = vec![pool.num_pages()];
+    let mut largest_patch = 0;
     for (i, region) in regions.iter().enumerate() {
         let t = Instant::now();
         let stats = live
@@ -91,7 +100,21 @@ fn main() {
         patch_secs.push(t.elapsed().as_secs_f64());
         pages_rewritten.push(stats.pages_rewritten);
         records_updated.push(stats.records_updated);
+        pages_reused.push(stats.pages_reused);
+        store_pages.push(pool.num_pages());
+        let grown = (store_pages[i + 1] - store_pages[i]) as usize;
+        largest_patch = largest_patch.max(grown + stats.pages_reused);
     }
+    let (pages_before, pages_after) = (store_pages[0], *store_pages.last().unwrap());
+    let after_second = store_pages[store_pages.len().min(3) - 1];
+    eprintln!(
+        "# store pages: {pages_before} -> {after_second} after two edits -> {pages_after} \
+         (largest patch {largest_patch})"
+    );
+    assert!(
+        (pages_after - after_second) as usize <= largest_patch,
+        "a store without pinned snapshots must stop growing"
+    );
     let patch_mean = patch_secs.iter().sum::<f64>() / patch_secs.len().max(1) as f64;
     let speedup = rebuild_secs / patch_mean;
     eprintln!(
@@ -105,6 +128,7 @@ fn main() {
     eprintln!("# unmodified-region cold disk accesses: {da_before} -> {da_after}");
 
     // --- 4. crash mid-edit, then time the recovering reopen.
+    drop(pool);
     drop(live);
     let crash_opts = LiveOptions {
         cache_pages: POOL_PAGES,
@@ -136,6 +160,9 @@ fn main() {
          \"patch_secs\": {},\n  \"patch_mean_secs\": {patch_mean:.6},\n  \
          \"speedup_vs_rebuild\": {speedup:.2},\n  \
          \"pages_rewritten\": {},\n  \"records_updated\": {},\n  \
+         \"pages_reused\": {},\n  \"largest_patch_pages\": {largest_patch},\n  \
+         \"store_pages\": {{\"before\": {pages_before}, \"after_second_edit\": {after_second}, \
+         \"after\": {pages_after}}},\n  \
          \"unmodified_roi_disk_accesses\": {{\"before\": {da_before}, \"after\": {da_after}}},\n  \
          \"recovery\": {{\"replayed\": 1, \"reopen_with_replay_secs\": {recovery_secs:.6}, \
          \"clean_reopen_secs\": {clean_open_secs:.6}}}\n}}\n",
@@ -143,6 +170,7 @@ fn main() {
         json_array(patch_secs.iter().map(|s| format!("{s:.6}"))),
         json_array(pages_rewritten.iter()),
         json_array(records_updated.iter()),
+        json_array(pages_reused.iter()),
     );
     let out = std::env::var("DM_EDITS_OUT").unwrap_or_else(|_| "BENCH_edits.json".to_string());
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));

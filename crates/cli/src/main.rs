@@ -302,8 +302,15 @@ fn committed_catalog(store: &std::path::Path) -> Result<dm_storage::PageId, Stri
     Ok(rec.map_or(0, |r| r.catalog_page))
 }
 
+/// A shared lock on the store file for as long as the returned store
+/// lives, taken before the root is read: a writer elsewhere may reuse
+/// any page a stale root names.
+fn open_shared(path: &str) -> Result<FileStore, String> {
+    FileStore::open_locked(std::path::Path::new(path), false).map_err(|e| format!("{path}: {e}"))
+}
+
 fn open_db(path: &str, args: &Args) -> Result<DirectMeshDb, String> {
-    let store = FileStore::open(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    let store = open_shared(path)?;
     // Live-edited stores move their catalog on every commit; follow the
     // root pointer so reads see the last committed edit.
     let catalog = committed_catalog(std::path::Path::new(path))?;
@@ -734,8 +741,8 @@ fn cmd_patch(args: Args) -> Result<(), String> {
         .apply_patch(&region, &EditOp::Raise(dz))
         .map_err(|e| format!("patch failed: {e}"))?;
     println!(
-        "committed:  epoch {}, {} record(s) raised by {dz}, {} heap page(s) rewritten",
-        stats.epoch, stats.records_updated, stats.pages_rewritten
+        "committed:  epoch {}, {} record(s) raised by {dz}, {} heap page(s) rewritten, {} page(s) reused",
+        stats.epoch, stats.records_updated, stats.pages_rewritten, stats.pages_reused
     );
     Ok(())
 }
@@ -765,7 +772,7 @@ fn cmd_recover(args: Args) -> Result<(), String> {
 
 fn cmd_verify(args: Args) -> Result<(), String> {
     let path = args.positional(0)?;
-    let store = FileStore::open(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    let store = open_shared(path)?;
     // Scrub the committed root when this store has one; a store that was
     // never live-edited keeps its catalog at page 0.
     let root_file = dm_storage::wal::root_path(std::path::Path::new(path));

@@ -40,8 +40,9 @@
 
 use std::sync::Arc;
 
+use dm_index::RStarTree;
 use dm_storage::page::{PageId, NO_PAGE, PAGE_DATA};
-use dm_storage::{crc32, BufferPool, StorageError, StorageResult};
+use dm_storage::{crc32, BTree, BufferPool, StorageError, StorageResult};
 
 use crate::record::RecordCodec;
 
@@ -258,8 +259,38 @@ pub fn write_catalog(
 
 /// Read the catalog chain starting at `first_page`.
 pub fn read_catalog(pool: &Arc<BufferPool>, first_page: PageId) -> StorageResult<CatalogData> {
+    read_catalog_chain(pool, first_page).map(|(data, _)| data)
+}
+
+/// Every page reachable from the catalog at `first_page`, ascending: the
+/// catalog chain, the id directory (or a version-2/3 B+-tree), the
+/// R\*-tree's nodes and the heap pages. A sound store reaches each page
+/// once, so a repeated id is damage ([`crate::verify::verify_store`]
+/// reports it); a page outside the set is garbage nothing reads.
+pub fn page_set(pool: &Arc<BufferPool>, first_page: PageId) -> StorageResult<Vec<PageId>> {
+    let (cat, mut pages) = read_catalog_chain(pool, first_page)?;
+    match cat.ids {
+        IdIndexRoot::Directory(dir) => pages.extend(dir.iter().map(|&(_, p)| p)),
+        IdIndexRoot::BTree(root, height, len) => {
+            pages.extend(BTree::from_parts(Arc::clone(pool), root, len, height).try_node_pages()?)
+        }
+    }
+    let (root, height, len) = cat.rtree;
+    let rtree = RStarTree::from_parts(Arc::clone(pool), root, height, len);
+    pages.extend(rtree.try_collect_regions()?.pages);
+    pages.extend(cat.heap_pages);
+    pages.sort_unstable();
+    Ok(pages)
+}
+
+/// [`read_catalog`], with the chain's pages, head first.
+fn read_catalog_chain(
+    pool: &Arc<BufferPool>,
+    first_page: PageId,
+) -> StorageResult<(CatalogData, Vec<PageId>)> {
     let mut bytes = Vec::new();
     let mut page = first_page;
+    let mut chain = vec![page];
     let mut hops = 0u32;
     loop {
         let next = pool.try_read(page, |b| {
@@ -278,6 +309,7 @@ pub fn read_catalog(pool: &Arc<BufferPool>, first_page: PageId) -> StorageResult
             break;
         }
         page = next;
+        chain.push(page);
         hops += 1;
         if hops > 1 << 20 {
             return Err(StorageError::corrupt(
@@ -286,7 +318,7 @@ pub fn read_catalog(pool: &Arc<BufferPool>, first_page: PageId) -> StorageResult
             ));
         }
     }
-    CatalogData::decode(&bytes)
+    Ok((CatalogData::decode(&bytes)?, chain))
 }
 
 struct Cursor<'a> {

@@ -6,34 +6,56 @@
 //!
 //! 1. the edit *intent* (region + [`EditOp`]) is appended to a CRC-framed
 //!    write-ahead log and fsynced,
-//! 2. the copy-on-write patch runs, allocating fresh heap / index /
-//!    catalog pages append-only (no committed page is ever overwritten),
-//! 3. the buffer pool flushes every dirty page and syncs the store,
+//! 2. the copy-on-write patch runs, writing heap / index / catalog pages
+//!    onto free pages — retired ones first, then the file's end — and
+//!    never over a page the committed version or a live snapshot reads,
+//! 3. the buffer pool writes back every dirty page and syncs the store,
+//!    keeping the frames resident for the readers,
 //! 4. the commit point: a 64-byte [`RootRecord`] naming the new catalog
 //!    root is written by atomic double-slot swap,
 //! 5. the WAL is reset — the edit is now owned by the root, not the log.
 //!
 //! A crash at *any byte offset* of this sequence recovers to exactly the
 //! pre-edit or post-edit snapshot, never a torn mix: before step 4 the
-//! root still names the old catalog (new pages are unreachable garbage,
-//! trimmed on reopen); after step 4 the WAL entry is redundant and replay
-//! skips it by epoch. A crash between steps 1 and 4 leaves a complete WAL
-//! entry, and [`LiveDb::open`] REDOes it deterministically.
+//! root still names the old catalog (the pages the edit wrote are
+//! unreachable garbage; past the committed end they are trimmed on
+//! reopen); after step 4 the WAL entry is redundant and replay skips it
+//! by epoch. A crash between steps 1 and 4 leaves a complete WAL entry,
+//! and [`LiveDb::open`] REDOes it deterministically.
 //!
 //! Readers never block writers and vice versa: [`LiveDb::snapshot`]
 //! clones an `Arc<DirectMeshDb>` pinned to one committed epoch (MVCC
 //! lite). A snapshot taken before an edit keeps reading the old pages —
 //! copy-on-write guarantees they are immutable — until the handle drops.
+//!
+//! Space comes back by epochs. Commit *N* retires the pages version
+//! *N−1* reached and *N* does not, and queues them behind a weak handle
+//! on snapshot *N−1*. Each later patch first releases, oldest first,
+//! every queued set whose snapshot is gone, into the pool's free list;
+//! the first pinned snapshot stops the release, because every older
+//! reader may read what later commits retired. A page is therefore
+//! reused only after the root that stopped naming it is durable (a torn
+//! root swap falls back to *N*, which never names a page retired at *N*)
+//! and after the last snapshot that could read it has dropped. The first
+//! commit after an open frees every page the committed version does not
+//! reach, so space retired by earlier processes — and the pages a failed
+//! patch took — comes back too.
+//!
+//! All of this assumes one writer and no foreign readers: [`LiveDb::open`]
+//! holds the store file's exclusive advisory lock until the last handle
+//! on its pool drops, so a second writer, or a read-only open elsewhere,
+//! fails with [`StorageError::Locked`].
 
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 
 use dm_geom::{Rect, Vec2};
 use dm_storage::wal::{root_path, wal_path};
 use dm_storage::{
-    BufferPool, FaultConfig, FaultInjector, FileStore, KillSwitch, PageStore, RootFile, RootRecord,
-    StorageError, StorageResult, Wal,
+    BufferPool, FaultConfig, FaultInjector, FileStore, KillSwitch, PageId, PageStore, RootFile,
+    RootRecord, StorageError, StorageResult, Wal,
 };
 
 use crate::store::{DirectMeshDb, EditOp};
@@ -77,6 +99,8 @@ pub struct PatchStats {
     pub pages_rewritten: usize,
     /// Records whose elevation actually changed.
     pub records_updated: usize,
+    /// Pages the edit wrote over retired ones instead of growing the file.
+    pub pages_reused: usize,
 }
 
 /// A live, editable Direct Mesh database with WAL durability and
@@ -87,6 +111,19 @@ pub struct LiveDb {
     root: Mutex<RootFile>,
     current: RwLock<Arc<DirectMeshDb>>,
     epoch: AtomicU64,
+    /// The writer's space accounting; only a commit touches it.
+    reclaim: Mutex<Reclaim>,
+}
+
+/// Pages the committed version reaches, and the retired sets waiting for
+/// their snapshots to drop.
+#[derive(Default)]
+struct Reclaim {
+    /// `page_set` of the committed version; `None` until the first patch
+    /// after an open has freed what that version does not reach.
+    live: Option<Vec<PageId>>,
+    /// Oldest first: the pages commit *N* retired, with snapshot *N−1*.
+    retired: VecDeque<(Weak<DirectMeshDb>, Vec<PageId>)>,
 }
 
 impl LiveDb {
@@ -96,9 +133,12 @@ impl LiveDb {
     /// `<store>.root`). A store without a root file is adopted at epoch 0
     /// with its catalog at page 0 — exactly what [`DirectMeshDb::create_in`]
     /// produces — so every pre-existing database is a valid `LiveDb`.
+    ///
+    /// The store file stays exclusively locked while the returned handle,
+    /// or any snapshot of it, is alive.
     pub fn open(store_path: &Path, opts: &LiveOptions) -> StorageResult<(LiveDb, RecoveryInfo)> {
+        let store = FileStore::open_locked(store_path, true)?;
         let (root_file, committed) = RootFile::open(&root_path(store_path))?;
-        let store = FileStore::open_trimmed(store_path)?;
         let committed = committed.unwrap_or(RootRecord {
             epoch: 0,
             catalog_page: 0,
@@ -119,46 +159,35 @@ impl LiveDb {
         };
         let pool = Arc::new(BufferPool::new(store, opts.cache_pages));
         let (wal, rec) = Wal::open(&wal_path(store_path))?;
-        let mut wal = wal.with_kill_switch(kill.clone());
-        let mut root_file = root_file.with_kill_switch(kill);
-
-        let mut db = DirectMeshDb::open_at(Arc::clone(&pool), committed.catalog_page)?;
-        let mut epoch = committed.epoch;
+        let db = DirectMeshDb::open_at(Arc::clone(&pool), committed.catalog_page)?;
+        let live = LiveDb {
+            pool,
+            wal: Mutex::new(wal.with_kill_switch(kill.clone())),
+            root: Mutex::new(root_file.with_kill_switch(kill)),
+            current: RwLock::new(Arc::new(db)),
+            epoch: AtomicU64::new(committed.epoch),
+            reclaim: Mutex::new(Reclaim::default()),
+        };
         let mut replayed = 0usize;
         for entry in &rec.entries {
             let (e, region, op) = decode_edit(&entry.payload)?;
-            if e <= epoch {
+            if e <= live.epoch() {
                 // Committed before the crash; the reset that would have
                 // dropped this entry never ran.
                 continue;
             }
-            if e != epoch + 1 {
+            if e != live.epoch() + 1 {
                 return Err(StorageError::format("wal epoch gap during recovery"));
             }
-            let out = db.apply_patch(&region, &op)?;
-            pool.try_flush_all()?;
-            root_file.commit(&RootRecord {
-                epoch: e,
-                catalog_page: out.catalog_page,
-                store_pages: pool.num_pages(),
-            })?;
-            db = out.db;
-            epoch = e;
+            live.commit(e, &region, &op)?;
             replayed += 1;
         }
-        wal.reset()?;
+        live.wal.lock().unwrap().reset()?;
 
         let info = RecoveryInfo {
-            epoch,
+            epoch: live.epoch(),
             replayed,
             discarded_tail: rec.torn_tail,
-        };
-        let live = LiveDb {
-            pool,
-            wal: Mutex::new(wal),
-            root: Mutex::new(root_file),
-            current: RwLock::new(Arc::new(db)),
-            epoch: AtomicU64::new(epoch),
         };
         Ok((live, info))
     }
@@ -187,34 +216,77 @@ impl LiveDb {
     pub fn apply_patch(&self, region: &Rect, edit: &EditOp) -> StorageResult<PatchStats> {
         // Writers serialize on the WAL lock for the whole commit.
         let mut wal = self.wal.lock().unwrap();
-        let snap = self.snapshot();
-        let epoch = self.epoch.load(Ordering::Acquire) + 1;
-
+        let epoch = self.epoch() + 1;
         // 1. Log the intent and make it durable.
         wal.append(&encode_edit(epoch, region, edit))?;
         wal.sync()?;
-        // 2. Copy-on-write patch: fresh pages only, old snapshot intact.
+        let stats = self.commit(epoch, region, edit)?;
+        // A failure past the commit point is reported, but the edit is
+        // durable: recovery skips the stale entry by epoch.
+        wal.reset()?;
+        Ok(stats)
+    }
+
+    /// Steps 2–4 of the commit protocol and the publish, for an edit
+    /// whose intent the WAL already holds: a live patch or a replay.
+    fn commit(&self, epoch: u64, region: &Rect, edit: &EditOp) -> StorageResult<PatchStats> {
+        let mut reclaim = self
+            .reclaim
+            .lock()
+            .expect("no commit panics while it holds the space accounting");
+        let snap = self.snapshot();
+        // Free what no reader can reach any more (see the module docs).
+        if reclaim.live.is_none() {
+            let live = snap.page_set()?;
+            self.pool
+                .release(&difference(0..self.pool.num_pages(), &live));
+            reclaim.live = Some(live);
+        }
+        while let Some((reader, _)) = reclaim.retired.front() {
+            if reader.strong_count() > 0 {
+                break;
+            }
+            let (_, pages) = reclaim.retired.pop_front().expect("front exists");
+            self.pool.release(&pages);
+        }
+        let free_before = self.pool.free_pages().len();
+
+        // 2. Copy-on-write patch: free pages only, old snapshot intact.
         let out = snap.apply_patch(region, edit)?;
+        let pages_reused = free_before - self.pool.free_pages().len();
+        let next_live = out.db.page_set()?;
         // 3. All new pages reach disk before the root can name them.
-        self.pool.try_flush_all()?;
+        self.pool.try_write_back()?;
         // 4. Commit point: atomic double-slot root swap.
         self.root.lock().unwrap().commit(&RootRecord {
             epoch,
             catalog_page: out.catalog_page,
             store_pages: self.pool.num_pages(),
         })?;
-        // 5. Publish to readers, then drop the now-redundant WAL entry.
+        // Publish to readers, and retire what only older snapshots reach.
         *self.current.write().unwrap() = Arc::new(out.db);
         self.epoch.store(epoch, Ordering::Release);
-        // A failure past the commit point is reported, but the edit is
-        // durable: recovery skips the stale entry by epoch.
-        wal.reset()?;
+        let retired = difference(reclaim.live.iter().flatten().copied(), &next_live);
+        reclaim.retired.push_back((Arc::downgrade(&snap), retired));
+        reclaim.live = Some(next_live);
         Ok(PatchStats {
             epoch,
             pages_rewritten: out.pages_rewritten,
             records_updated: out.records_updated,
+            pages_reused,
         })
     }
+}
+
+/// The pages of ascending `pages` that ascending `minus` lacks.
+fn difference(pages: impl Iterator<Item = PageId>, minus: &[PageId]) -> Vec<PageId> {
+    let mut rest = minus.iter().peekable();
+    pages
+        .filter(|&p| {
+            while rest.next_if(|&&m| m < p).is_some() {}
+            rest.peek() != Some(&&p)
+        })
+        .collect()
 }
 
 /// Serialize one edit as a WAL payload: epoch, region, op.
@@ -359,17 +431,57 @@ mod tests {
         assert_eq!(live.snapshot().all_records(), stats.0);
     }
 
+    /// Canonical answer of a range fetch over everything: `(id, z bits)`.
+    fn fingerprint(db: &DirectMeshDb) -> Vec<(u32, u64)> {
+        let inf = f64::INFINITY;
+        let everything = dm_geom::Box3::new(
+            dm_geom::Vec3::new(-inf, -inf, -inf),
+            dm_geom::Vec3::new(inf, inf, inf),
+        );
+        let set = db
+            .range_scan(
+                &[everything],
+                true,
+                &mut crate::IntegrityReport::default(),
+                &mut crate::FetchCounters::default(),
+            )
+            .unwrap();
+        let mut out: Vec<(u32, u64)> = set
+            .nodes
+            .iter()
+            .map(|n| (n.id, n.pos.z.to_bits()))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn snapshots_are_isolated_from_later_edits() {
         let path = tmp("iso");
         build_store(&path);
         let (live, _) = LiveDb::open(&path, &LiveOptions::default()).unwrap();
         let pinned = live.snapshot();
-        let before = pinned.all_records();
+        let (before, before_fp) = (pinned.all_records(), fingerprint(&pinned));
+        let pinned_pages = pinned.page_set().unwrap();
         let region = mid_region(&pinned);
-        live.apply_patch(&region, &EditOp::Raise(10.0)).unwrap();
-        assert_eq!(pinned.all_records(), before, "pinned epoch is immutable");
+        for i in 0..3 {
+            let s = live.apply_patch(&region, &EditOp::Raise(10.0)).unwrap();
+            // What the commits retire waits for the pin.
+            assert_eq!(s.pages_reused, 0, "patch {i}");
+            let free = live.pool().free_pages();
+            assert!(free.iter().all(|p| pinned_pages.binary_search(p).is_err()));
+            assert_eq!(pinned.all_records(), before, "pinned epoch is immutable");
+            assert_eq!(fingerprint(&pinned), before_fp, "patch {i}");
+        }
         assert_ne!(live.snapshot().all_records(), before);
+        drop(pinned);
+        let grown = live.pool().num_pages();
+        let s = live.apply_patch(&region, &EditOp::Raise(-30.0)).unwrap();
+        assert!(
+            s.pages_reused > 0,
+            "retired pages come back once the pin drops"
+        );
+        assert_eq!(live.pool().num_pages(), grown, "the file stops growing");
     }
 
     #[test]

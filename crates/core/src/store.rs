@@ -400,6 +400,10 @@ pub struct DirectMeshDb {
     /// first). Range fetches then scan every surviving heap page instead
     /// of descending the index.
     rtree_lost: bool,
+    /// Head of this version's catalog chain: page 0 for a build (which
+    /// [`Self::create_in`] reserves), the page a patch wrote it at for
+    /// the version that patch made.
+    catalog_page: PageId,
 }
 
 impl DirectMeshDb {
@@ -616,6 +620,7 @@ impl DirectMeshDb {
             )),
             codec: opts.codec,
             rtree_lost: false,
+            catalog_page: 0,
         }
     }
 
@@ -776,6 +781,7 @@ impl DirectMeshDb {
             )),
             codec: opts.codec,
             rtree_lost: false,
+            catalog_page: 0,
         }
     }
 
@@ -972,6 +978,7 @@ impl DirectMeshDb {
             intervals,
             codec: cat.codec,
             rtree_lost,
+            catalog_page,
         })
     }
 
@@ -1278,6 +1285,13 @@ impl DirectMeshDb {
     /// of the compression bench's bytes-per-record figure.
     pub fn n_heap_pages(&self) -> usize {
         self.heap.page_ids().len()
+    }
+
+    /// Every page this version reaches, ascending (see
+    /// [`crate::catalog::page_set`]): what a live store must not reuse
+    /// while a handle on this version is alive.
+    pub fn page_set(&self) -> StorageResult<Vec<PageId>> {
+        crate::catalog::page_set(&self.pool, self.catalog_page)
     }
 
     /// A walk of the id directory: its pages, runs and entries, each page
@@ -1592,6 +1606,7 @@ impl DirectMeshDb {
             intervals: Arc::clone(&self.intervals),
             codec: self.codec,
             rtree_lost: false,
+            catalog_page,
         };
         db.save_catalog(catalog_page)?;
         Ok(PatchOutcome {

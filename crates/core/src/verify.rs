@@ -13,7 +13,10 @@
 //! * every R\*-tree leaf entry names a real heap page whose records'
 //!   `(x, y, e)` vertical segments all fit inside the entry's MBR, and
 //!   together the leaves reach every heap page exactly once,
-//! * the catalog's cached counts agree with what is actually on disk.
+//! * the catalog's cached counts agree with what is actually on disk,
+//! * no page is reached twice ([`crate::catalog::page_set`], the set a
+//!   live store must never reuse), and the pages nothing reaches are
+//!   counted as free.
 //!
 //! Page-level CRC / framing corruption surfaces through the typed
 //! [`StorageError::Corrupt`](dm_storage::StorageError) reads underneath;
@@ -39,6 +42,9 @@ pub struct VerifyReport {
     pub catalog_page: PageId,
     /// Heap pages listed by the catalog.
     pub heap_pages: usize,
+    /// Pages of the file the catalog does not reach: retired versions
+    /// waiting for reuse, or garbage from a crashed edit.
+    pub free_pages: usize,
     /// Records that decoded cleanly.
     pub records: u64,
     /// Entries walked in the id index.
@@ -60,8 +66,13 @@ impl std::fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "catalog @ page {}: {} heap pages, {} records, {} id index entries, {} rtree entries",
-            self.catalog_page, self.heap_pages, self.records, self.id_entries, self.rtree_entries
+            "catalog @ page {}: {} heap pages ({} pages free), {} records, {} id index entries, {} rtree entries",
+            self.catalog_page,
+            self.heap_pages,
+            self.free_pages,
+            self.records,
+            self.id_entries,
+            self.rtree_entries
         )?;
         if self.ok() {
             write!(f, "OK: no inconsistencies found")
@@ -225,6 +236,21 @@ pub fn verify_store(pool: &Arc<BufferPool>, catalog_page: PageId) -> StorageResu
         report.errors.push(format!("rtree walk failed: {e}"));
     }
     report.rtree_entries = rt_entries;
+
+    // Phase 4: the page census. Each reachable page once; the rest of
+    // the file is free.
+    match crate::catalog::page_set(pool, catalog_page) {
+        Ok(mut pages) => {
+            for w in pages.windows(2).filter(|w| w[0] == w[1]) {
+                report
+                    .errors
+                    .push(format!("page {} is reached more than once", w[0]));
+            }
+            pages.dedup();
+            report.free_pages = (pool.num_pages() as usize).saturating_sub(pages.len());
+        }
+        Err(e) => report.errors.push(format!("page census failed: {e}")),
+    }
     for &page in &cat.heap_pages {
         match reached.get(&page) {
             Some(1) => {}
@@ -266,6 +292,7 @@ mod tests {
         assert_eq!(report.records, stats.n_records);
         assert_eq!(report.id_entries, report.records);
         assert_eq!(report.heap_pages as u64, stats.heap_pages);
+        assert_eq!(report.free_pages, 0, "a build reaches every page it wrote");
     }
 
     #[test]
@@ -279,6 +306,23 @@ mod tests {
         assert!(report.ok(), "{report}");
         let report0 = verify_store(&pool, 0).unwrap();
         assert!(report0.ok(), "old snapshot stays clean: {report0}");
+        // Each version's free pages are exactly what the other one added.
+        let (old, new) = (db.page_set().unwrap(), out.db.page_set().unwrap());
+        let added = new.iter().filter(|p| old.binary_search(p).is_err()).count();
+        assert_eq!(report0.free_pages, added);
+        assert_eq!(report.free_pages, pool.num_pages() as usize - new.len());
+    }
+
+    #[test]
+    fn scrub_reports_a_page_reached_twice() {
+        let (pool, _db) = built_db();
+        let mut cat = read_catalog(&pool, 0).unwrap();
+        let twice = cat.heap_pages[0];
+        cat.heap_pages.push(twice);
+        crate::catalog::write_catalog(&pool, 0, &cat).unwrap();
+        let report = verify_store(&pool, 0).unwrap();
+        let expected = format!("page {twice} is reached more than once");
+        assert!(report.errors.contains(&expected), "{report}");
     }
 
     #[test]

@@ -78,6 +78,8 @@ pub struct TreeRegions {
     pub leaves: Vec<(Box3, u64)>,
     /// Every node's MBR (all levels, root included).
     pub nodes: Vec<Box3>,
+    /// Every node's page, in the order of `nodes`.
+    pub pages: Vec<PageId>,
 }
 
 /// The R\*-tree.
@@ -529,11 +531,13 @@ impl RStarTree {
         let mut regions = TreeRegions {
             leaves: Vec::new(),
             nodes: Vec::new(),
+            pages: Vec::new(),
         };
         let mut stack = vec![self.root];
         while let Some(page) = stack.pop() {
             let node = try_read_node(&self.pool, page)?;
             regions.nodes.push(node.mbr());
+            regions.pages.push(page);
             if node.is_leaf {
                 regions
                     .leaves
@@ -547,18 +551,7 @@ impl RStarTree {
 
     /// Number of nodes (pages) in the tree.
     pub fn num_nodes(&self) -> usize {
-        let mut n = 0;
-        let mut stack = vec![self.root];
-        while let Some(page) = stack.pop() {
-            let node = read_node(&self.pool, page);
-            n += 1;
-            if !node.is_leaf {
-                for e in &node.entries {
-                    stack.push(e.val as PageId);
-                }
-            }
-        }
-        n
+        self.collect_node_regions().len()
     }
 
     /// Structural validation (for tests): entry containment, fill factors,

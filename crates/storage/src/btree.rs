@@ -163,6 +163,20 @@ impl BTree {
         Ok(())
     }
 
+    /// Every page of the tree, internal nodes and leaves, root first.
+    pub fn try_node_pages(&self) -> StorageResult<Vec<PageId>> {
+        let mut pages = vec![self.root];
+        let mut next = 0;
+        while let Some(&page) = pages.get(next) {
+            next += 1;
+            let children = self
+                .pool
+                .try_read(page, |b| (b[0] != 1).then(|| read_internal(b).1))?;
+            pages.extend(children.into_iter().flatten());
+        }
+        Ok(pages)
+    }
+
     /// Build a tree from key-sorted pairs, packing leaves to `fill` (0–1).
     ///
     /// Panics if the input is not strictly ascending by key.
@@ -438,6 +452,16 @@ mod tests {
         assert_eq!(got.len(), 4_801);
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(got.iter().all(|&(k, v)| v == k + 1));
+    }
+
+    #[test]
+    fn node_pages_are_every_page_of_the_tree() {
+        let p = pool();
+        let t = BTree::bulk_load(Arc::clone(&p), (0..30_000u64).map(|k| (k, k)), 0.8);
+        let mut pages = t.try_node_pages().unwrap();
+        assert_eq!(pages[0], t.root_page());
+        pages.sort_unstable();
+        assert_eq!(pages, (0..p.num_pages()).collect::<Vec<_>>());
     }
 
     #[test]

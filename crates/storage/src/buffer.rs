@@ -2,7 +2,7 @@
 //! page checksums and bounded retry.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -223,9 +223,13 @@ struct Shard {
 ///   re-issue counted in the `retries` stat) before the error surfaces.
 /// * `read`/`write`/`allocate`/`flush_all` are the infallible wrappers
 ///   the write-once build paths use; they panic on storage errors.
-/// * `try_flush_all` seals (checksums) and writes back every dirty page
-///   and empties the cache — this is the paper's "the database and system
-///   buffer is flushed before each test".
+/// * `try_write_back` seals (checksums) and writes back every dirty page
+///   and keeps it resident — a commit. `try_flush_all` does the same and
+///   then empties the cache — the paper's "the database and system buffer
+///   is flushed before each test".
+/// * `release` hands pages back: `try_allocate` reuses the lowest
+///   released id before it grows the store. The caller decides when a
+///   page is garbage; a pool that never releases only ever appends.
 ///
 /// # Concurrency
 ///
@@ -255,6 +259,8 @@ pub struct BufferPool {
     max_retries: u32,
     /// Sidecars built since open (a statistic: publishes no other data).
     decoded_builds: AtomicU64,
+    /// Released page ids, reused lowest first by [`Self::try_allocate`].
+    free: Mutex<BTreeSet<PageId>>,
 }
 
 impl BufferPool {
@@ -281,6 +287,7 @@ impl BufferPool {
             stats: Arc::new(AccessStats::new()),
             max_retries: DEFAULT_MAX_RETRIES,
             decoded_builds: AtomicU64::new(0),
+            free: Mutex::new(BTreeSet::new()),
         }
     }
 
@@ -303,18 +310,46 @@ impl BufferPool {
         &self.shards[id as usize % self.shards.len()]
     }
 
-    /// Allocate a fresh zeroed page in the store and cache it.
+    /// Allocate a zeroed page and cache it: the lowest released id if
+    /// there is one (see [`Self::release`]), else a fresh page at the end
+    /// of the store.
     ///
     /// Allocation itself is not counted as a read: it is part of dataset
     /// construction, which the paper excludes ("not measured are those
     /// once-off costs"). The new frame starts dirty so the page is sealed
-    /// with a checksum on its first flush/evict even if never written.
+    /// with a checksum on its first flush/evict even if never written. A
+    /// reused id's old content is never read: a resident frame of it is
+    /// zeroed in place and loses its sidecar.
     pub fn try_allocate(&self) -> StorageResult<PageId> {
-        let id = self.store.allocate()?;
+        let reused = self.free.lock().pop_first();
+        let id = match reused {
+            Some(id) => id,
+            None => self.store.allocate()?,
+        };
         let shard = self.shard(id);
         let mut inner = shard.inner.lock();
+        if let Some(slot) = inner.touch(id) {
+            let frame = &mut inner.frames[slot as usize];
+            frame.buf.fill(0);
+            frame.dirty = true;
+            frame.visited = false;
+            frame.decoded = None;
+            return Ok(id);
+        }
         self.install(shard, &mut inner, id, zeroed_page(), true)?;
         Ok(id)
+    }
+
+    /// Hand `pages` back for reuse by [`Self::try_allocate`]. The caller
+    /// guarantees that nothing reads them any more: no live handle names
+    /// them, and no durable root a recovery could fall back to does.
+    pub fn release(&self, pages: &[PageId]) {
+        self.free.lock().extend(pages.iter().copied());
+    }
+
+    /// The released ids not yet reused, ascending.
+    pub fn free_pages(&self) -> Vec<PageId> {
+        self.free.lock().iter().copied().collect()
     }
 
     /// Infallible [`Self::try_allocate`] for build paths.
@@ -418,32 +453,48 @@ impl BufferPool {
     }
 
     /// Write back all dirty pages (sealing each with its checksum) and
-    /// drop the entire cache. After this call every page access is a miss
-    /// — a cold buffer.
+    /// sync the store, keeping every frame resident and now clean — a
+    /// commit that leaves readers their working set.
     ///
-    /// Shards are flushed one at a time in index order (never two locks
-    /// at once). Concurrent readers may repopulate already-flushed shards
-    /// before the call returns; flushing is a quiescent-state operation,
-    /// exactly like the measurement protocol that uses it.
+    /// Shards are written one at a time in index order (never two locks
+    /// at once). The first error is returned after every shard has been
+    /// visited; a page whose write failed stays dirty.
+    pub fn try_write_back(&self) -> StorageResult<()> {
+        self.write_back(false)
+    }
+
+    /// [`Self::try_write_back`], then drop the entire cache. After this
+    /// call every page access is a miss — a cold buffer.
+    ///
+    /// Concurrent readers may repopulate already-flushed shards before
+    /// the call returns; flushing is a quiescent-state operation, exactly
+    /// like the measurement protocol that uses it.
     ///
     /// On error the cache is still emptied (the failed page's data may be
     /// lost — that is the fault being simulated), and the first error is
     /// returned.
     pub fn try_flush_all(&self) -> StorageResult<()> {
+        self.write_back(true)
+    }
+
+    fn write_back(&self, clear: bool) -> StorageResult<()> {
         let mut first_err = None;
         for shard in &self.shards {
             let mut inner = shard.inner.lock();
-            for frame in inner.frames.iter_mut() {
-                if frame.dirty {
-                    self.stats.record_write();
-                    shard.stats.record_write();
-                    seal_page(&mut frame.buf);
-                    if let Err(e) = self.store.write_page(frame.id, &frame.buf) {
+            for frame in inner.frames.iter_mut().filter(|f| f.dirty) {
+                self.stats.record_write();
+                shard.stats.record_write();
+                seal_page(&mut frame.buf);
+                match self.store.write_page(frame.id, &frame.buf) {
+                    Ok(()) => frame.dirty = false,
+                    Err(e) => {
                         first_err.get_or_insert(e);
                     }
                 }
             }
-            inner.clear();
+            if clear {
+                inner.clear();
+            }
         }
         match self.store.sync() {
             Err(e) if first_err.is_none() => Err(e),
@@ -1447,6 +1498,48 @@ mod tests {
         assert_eq!(p.stats().writes, 0, "writes deferred until flush/evict");
         p.flush_all();
         assert_eq!(p.stats().writes, 1);
+    }
+
+    #[test]
+    fn write_back_keeps_the_cache_warm_and_clean() {
+        let p = pool(8);
+        let a = p.allocate();
+        p.write(a, |b| b[0] = 7);
+        p.reset_stats();
+        p.try_write_back().unwrap();
+        assert_eq!((p.stats().writes, p.resident()), (1, 1));
+        p.try_write_back().unwrap();
+        assert_eq!(p.stats().writes, 1, "a written-back frame is clean");
+        assert_eq!(p.read(a, |b| b[0]), 7);
+        assert_eq!(p.stats().reads, 0, "still resident");
+    }
+
+    #[test]
+    fn released_pages_are_reused_lowest_first_and_zeroed() {
+        let p = pool(8);
+        let ids: Vec<PageId> = (0..4).map(|_| p.allocate()).collect();
+        for &id in &ids {
+            p.write(id, |b| b[0] = 0xEE);
+        }
+        p.flush_all();
+        // Page 2 resident with a sidecar, page 1 not resident at all.
+        assert!(matches!(dec(&p, ids[2]), PageRead::Raw(0xEE)));
+        assert!(matches!(dec(&p, ids[2]), PageRead::Decoded(_)));
+        p.release(&[ids[2], ids[1]]);
+        assert_eq!(p.free_pages(), vec![ids[1], ids[2]]);
+        p.reset_stats();
+        assert_eq!((p.allocate(), p.allocate()), (ids[1], ids[2]));
+        assert_eq!(p.stats().reads, 0, "reuse never reads the old content");
+        assert_eq!(p.decoded_stats().frames, 0, "the old sidecar is gone");
+        assert_eq!(p.read(ids[1], |b| b[0]) + p.read(ids[2], |b| b[0]), 0);
+        assert_eq!(p.allocate(), 4, "an empty free list appends");
+        assert_eq!(p.num_pages(), 5);
+        p.flush_all();
+        assert_eq!(
+            p.read(ids[2], |b| b[0]),
+            0,
+            "the zeroed page reached the store"
+        );
     }
 
     #[test]

@@ -166,7 +166,7 @@ mod pclmul {
     #[target_feature(enable = "pclmulqdq,sse4.1")]
     unsafe fn fold(crc: u32, data: &[u8]) -> u32 {
         let len = data.len();
-        assert!(len >= MIN_LEN && len % 16 == 0);
+        assert!(len >= MIN_LEN && len.is_multiple_of(16));
         let lane = |at: usize| {
             let bytes: &[u8] = &data[at..at + 16];
             // SAFETY: `bytes` is 16 readable bytes, and the load is the

@@ -8,6 +8,7 @@
 
 use std::fmt;
 use std::io;
+use std::path::PathBuf;
 
 use crate::page::PageId;
 
@@ -35,6 +36,10 @@ pub enum StorageError {
     Format { detail: String },
     /// A record larger than any page can hold.
     RecordTooLarge { len: usize, max: usize },
+    /// Another handle holds the store's advisory lock in a conflicting
+    /// mode: the one writer excludes every other handle, readers share.
+    /// Reported at once, never waited for.
+    Locked { path: PathBuf },
 }
 
 impl StorageError {
@@ -53,7 +58,8 @@ impl StorageError {
             StorageError::OutOfBounds { .. }
             | StorageError::ShortFile { .. }
             | StorageError::Format { .. }
-            | StorageError::RecordTooLarge { .. } => false,
+            | StorageError::RecordTooLarge { .. }
+            | StorageError::Locked { .. } => false,
         }
     }
 
@@ -90,6 +96,11 @@ impl fmt::Display for StorageError {
             StorageError::RecordTooLarge { len, max } => {
                 write!(f, "record of {len} bytes exceeds page capacity {max}")
             }
+            StorageError::Locked { path } => write!(
+                f,
+                "{} is locked: one writer excludes every other handle",
+                path.display()
+            ),
         }
     }
 }
@@ -135,6 +146,10 @@ mod tests {
         .is_retryable());
         assert!(!StorageError::ShortFile { page: 1 }.is_retryable());
         assert!(!StorageError::format("bad magic").is_retryable());
+        assert!(!StorageError::Locked {
+            path: PathBuf::from("t.dmdb")
+        }
+        .is_retryable());
         assert!(!StorageError::RecordTooLarge {
             len: 9000,
             max: 8180

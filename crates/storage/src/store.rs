@@ -1,6 +1,6 @@
 //! Page stores: the "disk" under the buffer pool.
 
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
@@ -125,13 +125,34 @@ impl FileStore {
         })
     }
 
-    /// Open a store file that may carry a crash tail: a trailing partial
-    /// page (a page write died mid-sector) is rounded away by truncation
-    /// instead of rejecting the whole file. Committed pages are never in
-    /// the tail — the root file's `store_pages` bounds them — so this
-    /// loses only uncommitted copy-on-write garbage.
-    pub fn open_trimmed(path: &Path) -> io::Result<Self> {
+    /// Open a store file under an advisory lock, held for as long as
+    /// this store lives: `exclusive` for the store's one writer, shared
+    /// for its readers. A conflicting holder — another process, or
+    /// another handle in this one — is [`StorageError::Locked`] at once,
+    /// never a wait. This is what makes page reuse safe: no handle reads
+    /// a page that a writer elsewhere may have handed to a new owner.
+    ///
+    /// Once locked, a crash tail is trimmed: a trailing partial page (a
+    /// page write died mid-sector) is rounded away by truncation instead
+    /// of rejecting the whole file. Committed pages are never in the
+    /// tail — the root file's `store_pages` bounds them — so this loses
+    /// only uncommitted copy-on-write garbage.
+    pub fn open_locked(path: &Path, exclusive: bool) -> StorageResult<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let locked = if exclusive {
+            file.try_lock()
+        } else {
+            file.try_lock_shared()
+        };
+        match locked {
+            Ok(()) => {}
+            Err(TryLockError::WouldBlock) => {
+                return Err(StorageError::Locked {
+                    path: path.to_path_buf(),
+                })
+            }
+            Err(TryLockError::Error(e)) => return Err(e.into()),
+        }
         let len = file.metadata()?.len();
         let whole = len - len % PAGE_SIZE as u64;
         if whole != len {
@@ -307,6 +328,23 @@ mod tests {
             PAGE_SIZE as u64,
             "rejected write must leave the file untouched"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn one_writer_excludes_every_other_handle() {
+        let path = std::env::temp_dir().join(format!("dm_lock_{}.db", std::process::id()));
+        FileStore::create(&path).unwrap().allocate().unwrap();
+        let locked = |r: StorageResult<FileStore>| matches!(r, Err(StorageError::Locked { .. }));
+        let reader = FileStore::open_locked(&path, false).unwrap();
+        let second_reader = FileStore::open_locked(&path, false).unwrap();
+        assert!(locked(FileStore::open_locked(&path, true)));
+        drop((reader, second_reader));
+        let writer = FileStore::open_locked(&path, true).unwrap();
+        assert!(locked(FileStore::open_locked(&path, true)));
+        assert!(locked(FileStore::open_locked(&path, false)));
+        drop(writer);
+        FileStore::open_locked(&path, false).unwrap();
         std::fs::remove_file(&path).ok();
     }
 

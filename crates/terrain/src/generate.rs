@@ -55,7 +55,11 @@ pub fn diamond_square(n: u32, seed: u64, roughness: f64) -> Heightfield {
         }
         // Square step: edge midpoints.
         for row in (0..size).step_by(half) {
-            let col_start = if (row / half) % 2 == 0 { half } else { 0 };
+            let col_start = if (row / half).is_multiple_of(2) {
+                half
+            } else {
+                0
+            };
             for col in (col_start..size).step_by(step) {
                 let mut sum = 0.0;
                 let mut cnt = 0.0;

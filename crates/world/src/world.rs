@@ -186,11 +186,16 @@ fn remap_node(mut n: PmNode, base: u32, offset: Vec2) -> PmNode {
 /// root (`<store>.root`, written by the live edit path) to the current
 /// catalog page; a store without a root file reads its catalog at page
 /// 0, exactly like [`DirectMeshDb::create_in`] left it.
+///
+/// The pool holds a shared lock on the file, taken before the root is
+/// read, so a live writer cannot reuse a page under it: opening a store
+/// that a [`dm_core::LiveDb`] holds fails with `StorageError::Locked`.
 pub fn open_region_store(
     path: &Path,
     cache_pages: usize,
     fault: Option<FaultConfig>,
 ) -> StorageResult<(Arc<BufferPool>, dm_storage::PageId)> {
+    let store = FileStore::open_locked(path, false)?;
     let root = dm_storage::wal::root_path(path);
     let catalog_page = if root.exists() {
         let (_f, rec) = RootFile::open(&root)?;
@@ -198,7 +203,6 @@ pub fn open_region_store(
     } else {
         0
     };
-    let store = FileStore::open_trimmed(path)?;
     let store: Box<dyn PageStore> = match fault {
         Some(cfg) => Box::new(FaultInjector::new(Box::new(store), cfg)),
         None => Box::new(store),

@@ -249,6 +249,7 @@ DM=target/release/dm
 "$DM" generate --kind mining --size 65 --seed 11 -o "$CRASH_DIR/t.dmh" >/dev/null
 "$DM" build "$CRASH_DIR/t.dmh" -o "$CRASH_DIR/a.dmdb" >/dev/null
 cp "$CRASH_DIR/a.dmdb" "$CRASH_DIR/b.dmdb"
+cp "$CRASH_DIR/a.dmdb" "$CRASH_DIR/c.dmdb"
 "$DM" patch "$CRASH_DIR/a.dmdb" --region 20,20,44,44 --raise 3.5 >/dev/null
 if "$DM" patch "$CRASH_DIR/b.dmdb" --region 20,20,44,44 --raise 3.5 --kill-after 1 \
     >/dev/null 2>&1; then
@@ -264,6 +265,17 @@ grep -qx "crc32: *$(grep -qw pclmulqdq /proc/cpuinfo && grep -qw sse4_1 /proc/cp
 diff <("$DM" query "$CRASH_DIR/a.dmdb" --keep 0.5) \
      <("$DM" query "$CRASH_DIR/b.dmdb" --keep 0.5) \
     || { echo "recovered store answers differently from the clean edit"; exit 1; }
+# Space reuse across processes: every `dm patch` is a process of its own,
+# and the first patch after an open frees what earlier ones retired, so
+# after the first edit the file stops growing.
+SIZES=("$(stat -c %s "$CRASH_DIR/c.dmdb")")
+for _ in 1 2 3; do
+    "$DM" patch "$CRASH_DIR/c.dmdb" --region 20,20,44,44 --raise 1.5 >/dev/null
+    SIZES+=("$(stat -c %s "$CRASH_DIR/c.dmdb")")
+done
+[ "${SIZES[3]}" -le $((2 * SIZES[1] - SIZES[0])) ] \
+    || { echo "repeated dm patch keeps growing the store: ${SIZES[*]} bytes"; exit 1; }
+"$DM" verify "$CRASH_DIR/c.dmdb" >/dev/null
 rm -rf "$CRASH_DIR"
 
 echo "== server bench smoke (loopback, tiny terrain)"

@@ -8,6 +8,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use dm_core::catalog::{read_catalog, IdIndexRoot};
 use dm_core::record::RecordCodec;
 use dm_core::{
     verify_store, BoundaryPolicy, DirectMeshDb, DmBuildOptions, EditOp, IntegrityReport, LiveDb,
@@ -16,7 +17,7 @@ use dm_core::{
 use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuild, PmBuildConfig};
 use dm_mtm::PlaneTarget;
-use dm_storage::{BufferPool, FileStore};
+use dm_storage::{BTree, BufferPool, FileStore, PageId};
 use dm_terrain::{generate, TriMesh};
 
 /// The answer of a query that must have lost no data.
@@ -268,12 +269,110 @@ fn legacy_stores_open_answer_scrub_and_patch_like_a_v4_build() {
             Some(so.n_records)
         );
         assert_same_answers(&old, &new, &format!("{label} patched"));
+        // The snapshots keep their writers' locks; a reader opens after.
+        drop((old, new));
         for path in [&old_path, &new_path] {
             let (pool, catalog) = dm_world::open_region_store(path, 2048, None).unwrap();
             let scrub = verify_store(&pool, catalog).unwrap();
             assert!(scrub.ok(), "{label}: {scrub}");
         }
+        cleanup(&old_path);
+        cleanup(&new_path);
+    }
+}
+
+/// Page reuse on a version-2/3 store: its B+-tree pages stay reachable,
+/// so never free, until the first patch writes the id directory and
+/// retires them. A second patch builds on retired space, and after a
+/// reopen the older store still answers like a version-4 build that took
+/// the same two patches, and both scrub clean.
+#[test]
+fn legacy_b_tree_pages_stay_reachable_until_the_first_patch_retires_them() {
+    let hf =
+        dm_terrain::io::read_dmh(std::fs::File::open(fixture("mining17.dmh")).unwrap()).unwrap();
+    let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+    for (file, codec, version) in [
+        ("legacy_v2.dmdb", RecordCodec::Flat, 2),
+        ("legacy_v3.dmdb", RecordCodec::Compact, 3),
+    ] {
+        let label = format!("v{version}");
+        let old_path = tmp(&format!("reuse_v{version}"));
+        cleanup(&old_path);
+        std::fs::copy(fixture(file), &old_path).unwrap();
+        let new_path = tmp(&format!("reuse_v{version}_as_v4"));
+        cleanup(&new_path);
+        let new = DirectMeshDb::create_in(
+            Arc::new(BufferPool::new(
+                Box::new(FileStore::create(&new_path).unwrap()),
+                2048,
+            )),
+            &pm,
+            &DmBuildOptions {
+                codec,
+                ..Default::default()
+            },
+        );
+        let bounds = new.bounds;
+        drop(new);
+        let btree_pages = {
+            let pool = file_pool(&old_path);
+            let IdIndexRoot::BTree(root, height, len) = read_catalog(&pool, 0).unwrap().ids else {
+                panic!("{label}: a legacy store indexes ids in a B+-tree");
+            };
+            BTree::from_parts(pool, root, len, height)
+                .try_node_pages()
+                .unwrap()
+        };
+        let reaches = |set: &[PageId], p: &PageId| set.binary_search(p).is_ok();
+
+        let edits = [
+            (
+                Rect::centered_square(bounds.center(), bounds.width() * 0.4),
+                2.5,
+            ),
+            (
+                Rect::centered_square(bounds.min, bounds.width() * 0.3),
+                -1.0,
+            ),
+        ];
+        for path in [&old_path, &new_path] {
+            let (live, _) = LiveDb::open(path, &LiveOptions::default()).unwrap();
+            let before = live.snapshot().page_set().unwrap();
+            let first = live
+                .apply_patch(&edits[0].0, &EditOp::Raise(edits[0].1))
+                .unwrap();
+            let after = live.snapshot().page_set().unwrap();
+            if path == &old_path {
+                assert!(btree_pages.iter().all(|p| reaches(&before, p)), "{label}");
+                assert!(!btree_pages.iter().any(|p| reaches(&after, p)), "{label}");
+            }
+            assert_eq!(
+                first.pages_reused, 0,
+                "{label}: a fresh store has no garbage"
+            );
+            let second = live
+                .apply_patch(&edits[1].0, &EditOp::Raise(edits[1].1))
+                .unwrap();
+            assert!(
+                second.pages_reused > 0,
+                "{label}: the first patch's retired pages"
+            );
+        }
+        let reopen = |path: &Path| {
+            LiveDb::open(path, &LiveOptions::default())
+                .unwrap()
+                .0
+                .snapshot()
+        };
+        let (old, new) = (reopen(&old_path), reopen(&new_path));
+        assert_same_answers(&old, &new, &format!("{label} patched twice"));
         drop((old, new));
+        for path in [&old_path, &new_path] {
+            let (pool, catalog) = dm_world::open_region_store(path, 2048, None).unwrap();
+            let scrub = verify_store(&pool, catalog).unwrap();
+            assert!(scrub.ok(), "{label}: {scrub}");
+            assert!(scrub.free_pages > 0, "{label}: {scrub}");
+        }
         cleanup(&old_path);
         cleanup(&new_path);
     }

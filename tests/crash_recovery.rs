@@ -11,16 +11,21 @@
 //! The same schedules are also replayed under the existing 1% transient
 //! read-fault injection (the buffer pool's retries must absorb it), and
 //! every final state is cross-checked through a degraded open.
+//!
+//! A second property adds pinned snapshots to the schedule: commits reuse
+//! retired pages, and none may be one a live snapshot can still read.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dm_core::{DirectMeshDb, DmBuildOptions, EditOp, IntegrityReport, LiveDb, LiveOptions};
+use dm_core::{
+    DirectMeshDb, DmBuildOptions, DmRecord, EditOp, IntegrityReport, LiveDb, LiveOptions,
+};
 use dm_geom::{Box3, Rect, Vec2, Vec3};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
 use dm_storage::wal::root_path;
-use dm_storage::{BufferPool, FaultConfig, FileStore, MemStore, RootFile};
+use dm_storage::{BufferPool, FaultConfig, FileStore, MemStore, RootFile, StorageError};
 use dm_terrain::{generate, TriMesh};
 use proptest::prelude::*;
 
@@ -199,6 +204,163 @@ proptest! {
         let db = DirectMeshDb::open_degraded_at(pool, catalog, &mut report).unwrap();
         prop_assert!(report.is_clean(), "degraded open found damage: {:?}", report);
         prop_assert_eq!(db.all_records(), shadow.all_records());
+        cleanup(&path);
+    }
+}
+
+/// A snapshot held across later steps, with what it read when it was
+/// taken.
+struct Pin {
+    snap: Arc<DirectMeshDb>,
+    records: Vec<(u32, DmRecord)>,
+    answer: Vec<(u32, u64)>,
+}
+
+fn sorted_records(db: &DirectMeshDb) -> Vec<(u32, DmRecord)> {
+    let mut out: Vec<(u32, DmRecord)> = db.all_records().into_iter().collect();
+    out.sort_unstable_by_key(|&(id, _)| id);
+    out
+}
+
+fn committed_catalog(path: &Path) -> u32 {
+    let (_root, committed) = RootFile::open(&root_path(path)).unwrap();
+    committed.map_or(0, |r| r.catalog_page)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Page reuse under readers: the edit / crash / reopen schedule with
+    /// snapshots pinned and unpinned in between. After every step no
+    /// page on the free list is reachable from any live snapshot, every
+    /// pinned snapshot still reads exactly what it read when pinned, the
+    /// store matches the serial reference, a degraded open of the
+    /// committed version finds no damage, and — once nothing is pinned —
+    /// the file holds at most two patches beyond the live pages and what
+    /// it grew by while pins held space back.
+    #[test]
+    fn pinned_snapshots_never_read_a_reused_page(
+        seed in 0u64..10_000,
+        // (mode, fx, fy, half-extent, dz, kill-after-N-writes)
+        // mode 0–2: committed edit; 3: crashed edit; 4: reopen;
+        // 5–6: pin the latest snapshot; 7: unpin the oldest pin.
+        ops in collection::vec(
+            (0u8..8, 0.15..0.85f64, 0.15..0.85f64, 0.05..0.3f64, -6.0..6.0f64, 0u64..12),
+            4..12,
+        ),
+    ) {
+        let path = tmp_path();
+        let mut shadow = build_stores(&path, 9, seed);
+        let opts = LiveOptions { cache_pages: 2048, fault: None };
+        let (mut live, _) = LiveDb::open(&path, &opts).unwrap();
+        let mut epoch = 0u64;
+        let mut pins: Vec<Pin> = Vec::new();
+        // Most pages one patch (or one replay) allocated, and the file's
+        // growth over steps that began with a pin held.
+        let mut largest = 0u32;
+        let mut pinned_growth = 0u32;
+
+        for (i, &(mode, fx, fy, half, dz, kill_n)) in ops.iter().enumerate() {
+            let pages_before = live.pool().num_pages();
+            let pinned = !pins.is_empty();
+            match mode {
+                0..=2 => {
+                    let region = region_from(&live.snapshot(), fx, fy, half);
+                    let op = EditOp::Raise(dz);
+                    let stats = live.apply_patch(&region, &op).unwrap();
+                    epoch += 1;
+                    let grown = live.pool().num_pages() - pages_before;
+                    largest = largest.max(grown + stats.pages_reused as u32);
+                    shadow = shadow.apply_patch(&region, &op).unwrap().db;
+                }
+                3 | 4 => {
+                    let region = region_from(&live.snapshot(), fx, fy, half);
+                    let op = EditOp::Raise(dz);
+                    drop(live);
+                    if pinned {
+                        // A pinned snapshot keeps the writer's lock.
+                        let reopen = LiveDb::open(&path, &opts).map(|_| ());
+                        prop_assert!(
+                            matches!(reopen, Err(StorageError::Locked { .. })),
+                            "a reopen under a pin must be locked out"
+                        );
+                        pins.clear();
+                    }
+                    let mut res = Err(StorageError::format("no edit attempted"));
+                    if mode == 3 {
+                        let crash = FaultConfig::new(seed.wrapping_mul(37).wrapping_add(i as u64))
+                            .with_fail_writes_after(kill_n);
+                        let crash_opts = LiveOptions { cache_pages: 2048, fault: Some(crash) };
+                        let (crashy, _) = LiveDb::open(&path, &crash_opts).unwrap();
+                        res = crashy.apply_patch(&region, &op).map(|_| ());
+                    }
+                    let (reopened, info) = LiveDb::open(&path, &opts).unwrap();
+                    if info.epoch == epoch + 1 {
+                        prop_assert_eq!(mode, 3);
+                        epoch += 1;
+                        shadow = shadow.apply_patch(&region, &op).unwrap().db;
+                    } else {
+                        prop_assert_eq!(info.epoch, epoch);
+                        prop_assert!(mode == 4 || res.is_err());
+                    }
+                    // A replay is a patch too.
+                    largest = largest.max(reopened.pool().num_pages().saturating_sub(pages_before));
+                    live = reopened;
+                }
+                5 | 6 => {
+                    let snap = live.snapshot();
+                    pins.push(Pin {
+                        records: sorted_records(&snap),
+                        answer: query_fingerprint(&snap),
+                        snap,
+                    });
+                }
+                _ => {
+                    if !pins.is_empty() {
+                        pins.remove(0);
+                    }
+                }
+            }
+            if pinned {
+                pinned_growth += live.pool().num_pages().saturating_sub(pages_before);
+            }
+
+            let snap = live.snapshot();
+            prop_assert_eq!(snap.all_records(), shadow.all_records());
+            prop_assert_eq!(query_fingerprint(&snap), query_fingerprint(&shadow));
+            let free = live.pool().free_pages();
+            for reader in pins.iter().map(|p| &p.snap).chain([&snap]) {
+                let reach = reader.page_set().unwrap();
+                prop_assert!(
+                    free.iter().all(|p| reach.binary_search(p).is_err()),
+                    "step {}: a free page is reachable from a live snapshot", i
+                );
+            }
+            for pin in &pins {
+                prop_assert!(sorted_records(&pin.snap) == pin.records, "step {}: pin moved", i);
+                prop_assert_eq!(&query_fingerprint(&pin.snap), &pin.answer);
+            }
+            // A second open would be locked out: the degraded census runs
+            // through the writer's own pool.
+            let mut report = IntegrityReport::default();
+            let degraded = DirectMeshDb::open_degraded_at(
+                Arc::clone(live.pool()),
+                committed_catalog(&path),
+                &mut report,
+            )
+            .unwrap();
+            prop_assert!(report.is_clean(), "degraded open found damage: {:?}", report);
+            prop_assert!(degraded.all_records() == snap.all_records());
+            if pins.is_empty() {
+                let live_pages = snap.page_set().unwrap().len() as u32;
+                prop_assert!(
+                    live.pool().num_pages() <= live_pages + 2 * largest + pinned_growth,
+                    "step {}: {} pages for {} live, largest patch {}, {} grown under pins",
+                    i, live.pool().num_pages(), live_pages, largest, pinned_growth
+                );
+            }
+        }
+        drop((pins, live));
         cleanup(&path);
     }
 }

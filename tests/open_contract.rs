@@ -232,19 +232,97 @@ fn patched_stores_open_to_the_heap_scan_derived_regions() {
     let built = build(&path, 33, 15, &DmBuildOptions::default());
     let b = built.bounds;
     drop(built);
-    let (live, _) = LiveDb::open(&path, &LiveOptions::default()).unwrap();
+    let (mut live, _) = LiveDb::open(&path, &LiveOptions::default()).unwrap();
     for n in 1..=20usize {
         // Small regions marching across the terrain; some patches split
-        // pages, so rewritten pages land out of file order.
+        // pages and others reuse retired ones, so rewritten pages land
+        // out of file order.
         let t = n as f64 / 21.0;
         let c = Vec2::new(b.min.x + t * b.width(), b.min.y + (1.0 - t) * b.height());
         let region = Rect::centered_square(c, b.width() * 0.12);
         live.apply_patch(&region, &EditOp::Raise(0.5 + t)).unwrap();
         if [1, 5, 20].contains(&n) {
+            // Readers open the file only while no writer holds it.
+            drop(live);
             assert_index_derived_equals_heap_derived(&format!("after {n} patches"), &path);
+            live = LiveDb::open(&path, &LiveOptions::default()).unwrap().0;
         }
     }
     drop(live);
+    cleanup(&path);
+}
+
+/// The live write path reuses every page outside `page_set`, so the set
+/// must hold everything a reader can touch: after a cold start, VI, VD,
+/// point lookups and a patch's slab scan on a patched snapshot leave
+/// only pages of its set resident.
+#[test]
+fn page_set_holds_every_page_a_reader_touches() {
+    let path = tmp("page_set.db");
+    let b = build(&path, 33, 21, &DmBuildOptions::default()).bounds;
+    let (live, _) = LiveDb::open(&path, &LiveOptions::default()).unwrap();
+    for (fx, dz) in [(0.3, 2.0), (0.6, -1.5)] {
+        let c = Vec2::new(b.min.x + fx * b.width(), b.center().y);
+        let region = Rect::centered_square(c, b.width() * 0.2);
+        live.apply_patch(&region, &EditOp::Raise(dz)).unwrap();
+    }
+    let snap = live.snapshot();
+    let pages = snap.page_set().unwrap();
+    let (near, far) = (
+        snap.e_for_points_fraction(0.4),
+        snap.e_for_points_fraction(0.05),
+    );
+    snap.try_cold_start().unwrap();
+    let (vi, report) = snap.try_vi_query(&b, near).unwrap();
+    assert!(report.is_clean() && vi.front.num_triangles() > 0);
+    let vd = viewer_query(b, near, far.max(near), true);
+    let (_, report) = snap
+        .try_vd_multi_base(&vd, dm_core::BoundaryPolicy::FetchOnMiss, 8)
+        .unwrap();
+    assert!(report.is_clean(), "{report}");
+    for id in (0..snap.n_records as u32).step_by(7) {
+        assert!(snap.try_fetch_by_id(id).unwrap().is_some());
+    }
+    let slab = Box3::prism(
+        Rect::centered_square(b.center(), b.width() * 0.3),
+        0.0,
+        snap.e_cap(),
+    );
+    snap.range_scan(
+        &[slab],
+        true,
+        &mut IntegrityReport::default(),
+        &mut dm_core::FetchCounters::default(),
+    )
+    .unwrap();
+    let pool = snap.pool();
+    assert!(pool.resident() > 0);
+    assert_eq!(pool.resident(), pool.resident_among(&pages));
+    drop((snap, live));
+    cleanup(&path);
+}
+
+/// One writer per store: while a [`LiveDb`] — or any snapshot of it —
+/// is alive, a second writer and a read-only open both fail at once with
+/// `Locked`; readers share the store, and shut a writer out in turn.
+#[test]
+fn one_writer_excludes_every_other_open_until_it_drops() {
+    let path = tmp("locked.db");
+    drop(build(&path, 17, 3, &DmBuildOptions::default()));
+    let opts = LiveOptions::default();
+    let locked = |e: StorageError| matches!(e, StorageError::Locked { .. });
+    let (live, _) = LiveDb::open(&path, &opts).unwrap();
+    assert!(LiveDb::open(&path, &opts).map(|_| ()).is_err_and(locked));
+    assert!(open_region_store(&path, 64, None).is_err_and(locked));
+    let snap = live.snapshot();
+    drop(live);
+    assert!(open_region_store(&path, 64, None).is_err_and(locked));
+    drop(snap);
+    let reader = open_region_store(&path, 64, None).unwrap();
+    let second_reader = open_region_store(&path, 64, None).unwrap();
+    assert!(LiveDb::open(&path, &opts).map(|_| ()).is_err_and(locked));
+    drop((reader, second_reader));
+    LiveDb::open(&path, &opts).unwrap();
     cleanup(&path);
 }
 

@@ -90,7 +90,7 @@ fn degraded_db() -> &'static DirectMeshDb {
             .unwrap();
         f.sync_all().unwrap();
         let pool = Arc::new(BufferPool::new(
-            Box::new(FileStore::open_trimmed(&cut).unwrap()),
+            Box::new(FileStore::open_locked(&cut, false).unwrap()),
             POOL_PAGES,
         ));
         let mut report = IntegrityReport::default();

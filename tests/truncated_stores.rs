@@ -103,7 +103,7 @@ fn truncated_stores_fail_strict_opens_and_serve_surviving_prefix_degraded() {
             // database open must fail with a typed error: pages the
             // catalog promises are gone.
             let pool = Arc::new(BufferPool::new(
-                Box::new(FileStore::open_trimmed(&cut).unwrap()),
+                Box::new(FileStore::open_locked(&cut, false).unwrap()),
                 2048,
             ));
             let strict = DirectMeshDb::open(Arc::clone(&pool));
@@ -159,7 +159,7 @@ fn truncated_stores_fail_strict_opens_and_serve_surviving_prefix_degraded() {
 
 fn file_pool(path: &Path) -> Arc<BufferPool> {
     Arc::new(BufferPool::new(
-        Box::new(FileStore::open_trimmed(path).unwrap()),
+        Box::new(FileStore::open_locked(path, false).unwrap()),
         2048,
     ))
 }
