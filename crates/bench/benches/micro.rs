@@ -7,13 +7,15 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::HashMap;
 use std::hint::black_box;
+use std::sync::Arc;
 
 use dm_bench::{build_dataset, vd_query, Terrain};
 use dm_core::faces::{extract_faces_dense_owned, DenseAdjacency};
 use dm_core::navigation::waypoint_path;
 use dm_core::query::uniform_cut;
 use dm_core::{
-    BoundaryPolicy, FetchCounters, FetchedSet, IntegrityReport, NavigationSession, VdQuery,
+    BoundaryPolicy, DirectMeshDb, DmBuildOptions, FetchCounters, FetchedSet, IntegrityReport,
+    NavigationSession, VdQuery,
 };
 use dm_geom::{Box3, Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
@@ -27,6 +29,28 @@ fn bench_pm_build(c: &mut Criterion) {
         b.iter(|| {
             let mesh = TriMesh::from_heightfield(black_box(&hf));
             build_pm(mesh, &PmBuildConfig::default())
+        })
+    });
+}
+
+/// The set-up every `dmbench` workload pays: the 257² PM build (large
+/// enough for the collapse queue's stale-entry sweeps to matter), then
+/// the v3 store over it.
+fn bench_build_257(c: &mut Criterion) {
+    let hf = generate::fractal_terrain(257, 257, 42);
+    c.bench_function("pm_build_257x257", |b| {
+        b.iter(|| {
+            build_pm(
+                TriMesh::from_heightfield(black_box(&hf)),
+                &PmBuildConfig::default(),
+            )
+        })
+    });
+    let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+    c.bench_function("store_build_257x257", |b| {
+        b.iter(|| {
+            let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 4096));
+            DirectMeshDb::create_in(pool, black_box(&pm), &DmBuildOptions::default())
         })
     });
 }
@@ -259,6 +283,6 @@ fn bench_refinement(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pm_build, bench_queries, bench_pool_hit, bench_refinement
+    targets = bench_pm_build, bench_build_257, bench_queries, bench_pool_hit, bench_refinement
 }
 criterion_main!(benches);

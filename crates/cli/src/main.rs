@@ -238,10 +238,12 @@ fn cmd_build(args: Args) -> Result<(), String> {
     println!("terrain: {}×{} samples", hf.width(), hf.height());
 
     // PM construction, with an optional cache of the expensive part.
+    let t0 = std::time::Instant::now();
     let pm = match args.get("pm-cache") {
         Some(cache) if std::path::Path::new(cache).exists() => {
             let f = std::fs::File::open(cache).map_err(|e| format!("{cache}: {e}"))?;
             let pm = dm_mtm::persist::load_pm(f).map_err(|e| format!("{cache}: {e}"))?;
+            check_pm_terrain(&pm, &hf).map_err(|e| format!("{cache}: {e}"))?;
             println!(
                 "loaded PM hierarchy from {cache} ({} nodes)",
                 pm.hierarchy.len()
@@ -249,12 +251,16 @@ fn cmd_build(args: Args) -> Result<(), String> {
             pm
         }
         cache => {
-            let t0 = std::time::Instant::now();
             let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+            let st = pm.stats;
             println!(
-                "built PM hierarchy: {} nodes in {:.1}s",
+                "built PM hierarchy: {} nodes in {:.2}s ({} pops, {} stale, {} sweeps, peak queue {})",
                 pm.hierarchy.len(),
-                t0.elapsed().as_secs_f64()
+                t0.elapsed().as_secs_f64(),
+                st.pops,
+                st.stale_pops,
+                st.sweeps,
+                st.peak_queue
             );
             if let Some(cache) = cache {
                 let f = std::fs::File::create(cache).map_err(|e| format!("{cache}: {e}"))?;
@@ -264,12 +270,14 @@ fn cmd_build(args: Args) -> Result<(), String> {
             pm
         }
     };
+    let pm_s = t0.elapsed().as_secs_f64();
 
     let codec = match args.get("codec").unwrap_or("v3") {
         "v2" | "flat" => dm_core::record::RecordCodec::Flat,
         "v3" | "compact" => dm_core::record::RecordCodec::Compact,
         other => return Err(format!("unknown --codec {other:?} (v2|v3)")),
     };
+    let t1 = std::time::Instant::now();
     let store = FileStore::create(std::path::Path::new(out)).map_err(|e| format!("{out}: {e}"))?;
     let pool = Arc::new(BufferPool::new(Box::new(store), 4096));
     let db = DirectMeshDb::create_in(
@@ -280,6 +288,7 @@ fn cmd_build(args: Args) -> Result<(), String> {
             ..Default::default()
         },
     );
+    let store_s = t1.elapsed().as_secs_f64();
     println!(
         "{out}: {} records over {} pages, {} codec (e_max {:.2})",
         db.n_records,
@@ -287,6 +296,32 @@ fn cmd_build(args: Args) -> Result<(), String> {
         db.codec().name(),
         db.e_max
     );
+    println!(
+        "build time: PM {pm_s:.2}s, store {store_s:.2}s, total {:.2}s",
+        pm_s + store_s
+    );
+    Ok(())
+}
+
+/// A cached PM must come from this very terrain: one leaf per sample, at
+/// the sample's world position bit for bit.
+fn check_pm_terrain(pm: &dm_mtm::PmBuild, hf: &Heightfield) -> Result<(), String> {
+    let (w, h) = (hf.width(), hf.height());
+    let n = pm.hierarchy.n_leaves;
+    if n != w * h {
+        return Err(format!(
+            "cached PM has {n} leaves, the terrain {w}×{h} samples"
+        ));
+    }
+    let bits = |p: dm_geom::Vec3| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()];
+    for (id, node) in pm.hierarchy.nodes[..n].iter().enumerate() {
+        let (col, row) = (id % w, id / w);
+        if bits(node.pos) != bits(hf.world(col, row)) {
+            return Err(format!(
+                "cached PM leaf {id} is not the terrain's sample ({col}, {row})"
+            ));
+        }
+    }
     Ok(())
 }
 
@@ -1494,5 +1529,16 @@ mod tests {
             parse_waypoints("1,2;3.5,4"),
             Ok(vec![Vec2::new(1.0, 2.0), Vec2::new(3.5, 4.0)])
         );
+    }
+
+    #[test]
+    fn a_pm_cache_must_come_from_the_terrain_it_builds() {
+        let hf = generate::fractal_terrain(9, 9, 1);
+        let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+        assert_eq!(check_pm_terrain(&pm, &hf), Ok(()));
+        let other_heights = generate::fractal_terrain(9, 9, 2);
+        assert!(check_pm_terrain(&pm, &other_heights).is_err());
+        let other_size = generate::fractal_terrain(9, 10, 1);
+        assert!(check_pm_terrain(&pm, &other_size).is_err());
     }
 }

@@ -426,24 +426,28 @@ impl DirectMeshDb {
 
         // Connection lists: ever-adjacent pairs with overlapping LOD
         // intervals ("similar LOD").
-        let mut conn: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for &(a, b) in &pm.edges {
-            if h.interval(a).overlaps(&h.interval(b)) {
-                conn[a as usize].push(b);
-                conn[b as usize].push(a);
-            }
+        // Counted first, so every list is allocated once at its size.
+        let similar = |&&(a, b): &&(u32, u32)| h.interval(a).overlaps(&h.interval(b));
+        let mut degree = vec![0usize; n];
+        for &(a, b) in pm.edges.iter().filter(similar) {
+            degree[a as usize] += 1;
+            degree[b as usize] += 1;
         }
+        let mut conn: Vec<Vec<u32>> = degree.into_iter().map(Vec::with_capacity).collect();
+        for &(a, b) in pm.edges.iter().filter(similar) {
+            conn[a as usize].push(b);
+            conn[b as usize].push(a);
+        }
+        // Each record is built once, indexed by id.
+        let records: Vec<DmRecord> = h
+            .nodes
+            .iter()
+            .zip(conn)
+            .map(|(&node, conn)| DmRecord { node, conn })
+            .collect();
 
         let e_max = h.e_max;
         let e_cap = e_max * 1.001 + 1e-9;
-        let seg = |node: &PmNode| {
-            let hi = if node.e_hi.is_finite() {
-                node.e_hi.min(e_cap)
-            } else {
-                e_cap
-            };
-            Box3::vertical_segment(node.pos.xy(), node.e_lo, hi)
-        };
 
         // Heap placement order, in page-sized groups. The spatial index
         // below is page-granular, so a page whose records straddle an STR
@@ -453,10 +457,13 @@ impl DirectMeshDb {
         // codec packs ~1.5× more records per page, so its tiles are sized
         // from sampled encodings and every group boundary forces a page
         // break — each data page's MBR stays a single STR tile.
+        let mut encoded: Vec<Vec<u8>> = Vec::new();
         let order_groups: Vec<Vec<u32>> = match opts.clustering {
             Clustering::StrLeaf => {
-                let items: Vec<(Box3, u64)> = (0..n as u32)
-                    .map(|id| (seg(h.node(id)), id as u64))
+                let items: Vec<(Box3, u64)> = records
+                    .iter()
+                    .enumerate()
+                    .map(|(id, r)| (segment(&r.node, e_cap), id as u64))
                     .collect();
                 match opts.codec {
                     RecordCodec::Flat => {
@@ -469,23 +476,17 @@ impl DirectMeshDb {
                         // Exact packing simulation: the group weight IS
                         // the record's on-page cost against the group's
                         // real slot-0 base, so groups map 1:1 onto pages.
-                        let base_of = |id: u32| {
-                            let b = h.node(id);
-                            BaseVals {
-                                id: b.id,
-                                x: b.pos.x.to_bits(),
-                                y: b.pos.y.to_bits(),
-                                z: b.pos.z.to_bits(),
-                                e_lo: b.e_lo.to_bits(),
-                            }
-                        };
+                        // The bytes each record was last weighed as are
+                        // kept: placement writes them while the page its
+                        // group opened is still open.
+                        encoded = vec![Vec::new(); n];
                         let weight = |opener: Option<u64>, id: u64| {
-                            let rec = DmRecord {
-                                node: *h.node(id as u32),
-                                conn: conn[id as usize].clone(),
-                            };
-                            let base = opener.map_or(BaseVals::ZERO, |a| base_of(a as u32));
-                            encode_compact(&rec, &base).len() + HEAP_SLOT
+                            let base = opener
+                                .map_or(BaseVals::ZERO, |a| base_vals(&records[a as usize].node));
+                            let bytes = encode_compact(&records[id as usize], &base);
+                            let w = bytes.len() + HEAP_SLOT;
+                            encoded[id as usize] = bytes;
+                            w
                         };
                         // Size runs at ~85% of the estimated page
                         // capacity: the estimate is a sampled mean, and
@@ -493,7 +494,7 @@ impl DirectMeshDb {
                         // slightly spills a near-empty remainder page
                         // whose MBR still spans the whole tile — the
                         // margin keeps almost every run on one page.
-                        let cap_hint = (estimate_compact_capacity(h, &conn, &items, opts.rtree_fill)
+                        let cap_hint = (estimate_compact_capacity(&records, &items, opts.rtree_fill)
                             as f64
                             * 0.85) as usize;
                         dm_index::rstar::str_leaf_groups_weighted(
@@ -522,87 +523,19 @@ impl DirectMeshDb {
         };
 
         let mut heap = HeapFile::create(Arc::clone(&pool));
-        let mut rids: Vec<RecordId> = vec![RecordId { page: 0, slot: 0 }; n];
-        // Compact codec: slot 0 of each page is the base the rest of the
-        // page deltas against. `base` tracks the open (last) page's base;
-        // when a delta-encoded record no longer fits there — or a new
-        // placement group starts — the record re-encodes against ZERO and
-        // opens the next page as its base.
-        let force_breaks = order_groups.len() > 1;
-        let mut base = BaseVals::ZERO;
-        for group in &order_groups {
-            let mut first_in_group = true;
-            for &id in group {
-                let rec = DmRecord {
-                    node: *h.node(id),
-                    conn: std::mem::take(&mut conn[id as usize]),
-                };
-                rids[id as usize] = match opts.codec {
-                    RecordCodec::Flat => heap.insert(&rec.encode()),
-                    RecordCodec::Compact => {
-                        let fits = if force_breaks && first_in_group {
-                            None
-                        } else {
-                            let delta = encode_compact(&rec, &base);
-                            heap.fits_in_last_page(delta.len())
-                                .unwrap_or_else(|e| panic!("heap probe: {e}"))
-                                .then_some(delta)
-                        };
-                        match fits {
-                            Some(delta) => heap.insert(&delta),
-                            None => {
-                                let opener = encode_compact(&rec, &BaseVals::ZERO);
-                                base = crate::record::RawRecord::parse_compact(
-                                    &opener,
-                                    &BaseVals::ZERO,
-                                )
-                                .base_vals();
-                                heap.try_insert_new_page(&opener)
-                                    .unwrap_or_else(|e| panic!("heap insert: {e}"))
-                            }
-                        }
-                    }
-                };
-                first_in_group = false;
-            }
-        }
-
+        let rids = place_records(&mut heap, &records, &order_groups, opts.codec, encoded);
         let ids =
             IdDirectory::try_build(Arc::clone(&pool), (0..n as u32).zip(rids.iter().copied()))
                 .unwrap_or_else(|e| panic!("id directory: {e}"));
-
-        // The spatial index is page-granular: one entry per heap page,
-        // keyed by the MBR of the vertical segments stored on it. With
-        // STR-ordered placement each page is an (x, y, e) tile, so this
-        // behaves like a clustering R-tree (an R-tree-organized table): a
-        // range query reads the few index pages plus exactly the data
-        // pages whose contents can match.
-        let mut page_boxes: HashMap<dm_storage::PageId, Box3> = HashMap::new();
-        for id in 0..n as u32 {
-            let b = seg(h.node(id));
-            let page = rids[id as usize].page;
-            page_boxes
-                .entry(page)
-                .and_modify(|acc| *acc = acc.union(&b))
-                .or_insert(b);
-        }
-        let items: Vec<(Box3, u64)> = page_boxes.iter().map(|(&p, &b)| (b, p as u64)).collect();
-        let rtree = if opts.dynamic_rtree {
-            let mut t = RStarTree::new(Arc::clone(&pool));
-            for &(b, p) in &items {
-                t.insert(b, p);
-            }
-            t
-        } else {
-            RStarTree::bulk_load(Arc::clone(&pool), items, opts.rtree_fill)
-        };
-
-        let space = Box3::prism(h.bounds, 0.0, e_cap);
-        // Optimizer statistics: the data-page boxes (what a range query
-        // actually fetches) plus the index node regions (the descent).
-        let mut stat_regions: Vec<Box3> = page_boxes.values().copied().collect();
-        stat_regions.extend(rtree.collect_node_regions());
-        let cost = Arc::new(RtreeCostModel::new(&stat_regions, space));
+        let (rtree, cost) = index_heap_pages(
+            &pool,
+            heap.page_ids(),
+            rids.iter()
+                .zip(&records)
+                .map(|(rid, r)| (rid.page, segment(&r.node, e_cap))),
+            Box3::prism(h.bounds, 0.0, e_cap),
+            opts,
+        );
 
         DirectMeshDb {
             pool,
@@ -661,35 +594,27 @@ impl DirectMeshDb {
         records.sort_unstable_by_key(|r| r.node.id);
         let n = records.len();
         let e_cap = e_max * 1.001 + 1e-9;
-        let seg = |node: &PmNode| {
-            let hi = if node.e_hi.is_finite() {
-                node.e_hi.min(e_cap)
-            } else {
-                e_cap
-            };
-            Box3::vertical_segment(node.pos.xy(), node.e_lo, hi)
-        };
 
         // Heap placement order (indices into `records`). One group: the
         // compact codec's fits-probe opens pages as needed, the same
         // packing rule `build` uses for its non-grouped orders.
-        let order: Vec<usize> = match opts.clustering {
+        let order: Vec<u32> = match opts.clustering {
             Clustering::StrLeaf => {
                 let items: Vec<(Box3, u64)> = records
                     .iter()
                     .enumerate()
-                    .map(|(i, r)| (seg(&r.node), i as u64))
+                    .map(|(i, r)| (segment(&r.node, e_cap), i as u64))
                     .collect();
                 dm_index::rstar::str_leaf_order(&items, opts.rtree_fill)
                     .into_iter()
-                    .map(|v| v as usize)
+                    .map(|v| v as u32)
                     .collect()
             }
             Clustering::Hilbert => {
-                let mut order: Vec<usize> = (0..n).collect();
+                let mut order: Vec<u32> = (0..n as u32).collect();
                 let ext = (bounds.width().max(1e-12), bounds.height().max(1e-12));
                 order.sort_by_key(|&i| {
-                    let p = records[i].node.pos;
+                    let p = records[i as usize].node.pos;
                     dm_geom::hilbert::continuous_key(
                         16,
                         p.x,
@@ -700,62 +625,25 @@ impl DirectMeshDb {
                 });
                 order
             }
-            Clustering::IdOrder => (0..n).collect(),
+            Clustering::IdOrder => (0..n as u32).collect(),
         };
 
         let mut heap = HeapFile::create(Arc::clone(&pool));
-        let mut rids: Vec<RecordId> = vec![RecordId { page: 0, slot: 0 }; n];
-        let mut base = BaseVals::ZERO;
-        for &i in &order {
-            let rec = &records[i];
-            rids[i] = match opts.codec {
-                RecordCodec::Flat => heap.insert(&rec.encode()),
-                RecordCodec::Compact => {
-                    let delta = encode_compact(rec, &base);
-                    let fits = heap
-                        .fits_in_last_page(delta.len())
-                        .unwrap_or_else(|e| panic!("heap probe: {e}"));
-                    if fits {
-                        heap.insert(&delta)
-                    } else {
-                        let opener = encode_compact(rec, &BaseVals::ZERO);
-                        base = RawRecord::parse_compact(&opener, &BaseVals::ZERO).base_vals();
-                        heap.try_insert_new_page(&opener)
-                            .unwrap_or_else(|e| panic!("heap insert: {e}"))
-                    }
-                }
-            };
-        }
-
+        let rids = place_records(&mut heap, &records, &[order], opts.codec, Vec::new());
         let ids = IdDirectory::try_build(
             Arc::clone(&pool),
             records.iter().map(|r| r.node.id).zip(rids.iter().copied()),
         )
         .unwrap_or_else(|e| panic!("id directory: {e}"));
-
-        let mut page_boxes: HashMap<dm_storage::PageId, Box3> = HashMap::new();
-        for (i, r) in records.iter().enumerate() {
-            let b = seg(&r.node);
-            page_boxes
-                .entry(rids[i].page)
-                .and_modify(|acc| *acc = acc.union(&b))
-                .or_insert(b);
-        }
-        let items: Vec<(Box3, u64)> = page_boxes.iter().map(|(&p, &b)| (b, p as u64)).collect();
-        let rtree = if opts.dynamic_rtree {
-            let mut t = RStarTree::new(Arc::clone(&pool));
-            for &(b, p) in &items {
-                t.insert(b, p);
-            }
-            t
-        } else {
-            RStarTree::bulk_load(Arc::clone(&pool), items, opts.rtree_fill)
-        };
-
-        let space = Box3::prism(bounds, 0.0, e_cap);
-        let mut stat_regions: Vec<Box3> = page_boxes.values().copied().collect();
-        stat_regions.extend(rtree.collect_node_regions());
-        let cost = Arc::new(RtreeCostModel::new(&stat_regions, space));
+        let (rtree, cost) = index_heap_pages(
+            &pool,
+            heap.page_ids(),
+            rids.iter()
+                .zip(&records)
+                .map(|(rid, r)| (rid.page, segment(&r.node, e_cap))),
+            Box3::prism(bounds, 0.0, e_cap),
+            opts,
+        );
 
         let present: std::collections::HashSet<u32> = records.iter().map(|r| r.node.id).collect();
         let roots: Vec<u32> = records
@@ -1712,18 +1600,135 @@ fn write_fresh_heap_page<'a>(
     Ok(page)
 }
 
+/// A record's vertical segment `(x, y) × [e_lo, e_hi]` in the spatial
+/// index, with the root's unbounded top capped at `e_cap`.
+fn segment(node: &PmNode, e_cap: f64) -> Box3 {
+    let hi = if node.e_hi.is_finite() {
+        node.e_hi.min(e_cap)
+    } else {
+        e_cap
+    };
+    Box3::vertical_segment(node.pos.xy(), node.e_lo, hi)
+}
+
+/// The values the compact codec deltas a page against when `node`'s
+/// record opens it.
+fn base_vals(node: &PmNode) -> BaseVals {
+    BaseVals {
+        id: node.id,
+        x: node.pos.x.to_bits(),
+        y: node.pos.y.to_bits(),
+        z: node.pos.z.to_bits(),
+        e_lo: node.e_lo.to_bits(),
+    }
+}
+
+/// Write `records` to a fresh heap, group by group (indices into
+/// `records`), and return each record's `RecordId` in `records` order.
+///
+/// Compact codec: slot 0 of each page is the base the rest of the page
+/// deltas against. When a delta-encoded record no longer fits the open
+/// page, it re-encodes against [`BaseVals::ZERO`] and opens the next page
+/// as its base. `encoded` is empty, or holds per record the bytes the
+/// weighted STR grouping last sized it as: then every group opens a page
+/// of its own, and its records are written as sized while that page is
+/// still open.
+fn place_records(
+    heap: &mut HeapFile,
+    records: &[DmRecord],
+    groups: &[Vec<u32>],
+    codec: RecordCodec,
+    mut encoded: Vec<Vec<u8>>,
+) -> Vec<RecordId> {
+    let mut rids = vec![RecordId { page: 0, slot: 0 }; records.len()];
+    let mut base = BaseVals::ZERO;
+    let mut on_group_page = false;
+    for group in groups {
+        for (k, &i) in group.iter().enumerate() {
+            let i = i as usize;
+            let rec = &records[i];
+            rids[i] = match codec {
+                RecordCodec::Flat => heap.insert(&rec.encode()),
+                RecordCodec::Compact if k == 0 && !encoded.is_empty() => {
+                    base = base_vals(&rec.node);
+                    on_group_page = true;
+                    heap.try_insert_new_page(&std::mem::take(&mut encoded[i]))
+                        .unwrap_or_else(|e| panic!("heap insert: {e}"))
+                }
+                RecordCodec::Compact => {
+                    let delta = if on_group_page {
+                        std::mem::take(&mut encoded[i])
+                    } else {
+                        encode_compact(rec, &base)
+                    };
+                    let fits = heap
+                        .fits_in_last_page(delta.len())
+                        .unwrap_or_else(|e| panic!("heap probe: {e}"));
+                    if fits {
+                        heap.insert(&delta)
+                    } else {
+                        base = base_vals(&rec.node);
+                        on_group_page = false;
+                        heap.try_insert_new_page(&encode_compact(rec, &BaseVals::ZERO))
+                            .unwrap_or_else(|e| panic!("heap insert: {e}"))
+                    }
+                }
+            };
+        }
+    }
+    rids
+}
+
+/// The page-granular spatial index over a freshly placed heap, and the
+/// cost model over its regions. `placed` yields every record's page and
+/// segment. The index holds one entry per heap page, keyed by the MBR of
+/// the segments stored on it; with STR-ordered placement each page is an
+/// (x, y, e) tile, so this behaves like a clustering R-tree: a range
+/// query reads the few index pages plus exactly the data pages whose
+/// contents can match. A build's heap pages are dense and ascending, so
+/// the boxes are gathered in page order and neither the tree nor the
+/// statistics depend on a hash order.
+fn index_heap_pages(
+    pool: &Arc<BufferPool>,
+    heap_pages: &[PageId],
+    placed: impl Iterator<Item = (PageId, Box3)>,
+    space: Box3,
+    opts: &DmBuildOptions,
+) -> (RStarTree, Arc<RtreeCostModel>) {
+    let first = heap_pages.first().copied().unwrap_or(0);
+    debug_assert!(heap_pages.iter().zip(first..).all(|(&p, q)| p == q));
+    let mut boxes = vec![Box3::EMPTY; heap_pages.len()];
+    for (page, b) in placed {
+        let acc = &mut boxes[(page - first) as usize];
+        *acc = acc.union(&b);
+    }
+    let items: Vec<(Box3, u64)> = boxes
+        .iter()
+        .zip(heap_pages)
+        .map(|(&b, &p)| (b, p as u64))
+        .collect();
+    let rtree = if opts.dynamic_rtree {
+        let mut t = RStarTree::new(Arc::clone(pool));
+        for &(b, p) in &items {
+            t.insert(b, p);
+        }
+        t
+    } else {
+        RStarTree::bulk_load(Arc::clone(pool), items, opts.rtree_fill)
+    };
+    // Optimizer statistics: the data-page boxes (what a range query
+    // actually fetches) plus the index node regions (the descent).
+    boxes.extend(rtree.collect_node_regions());
+    (rtree, Arc::new(RtreeCostModel::new(&boxes, space)))
+}
+
 /// Rough records-per-page for the compact codec, used only to shape the
 /// STR slab/run geometry (the byte-exact grouping happens per run in
 /// [`dm_index::rstar::str_leaf_groups_weighted`]). Samples delta
 /// encodings between records adjacent in a provisional STR order — the
 /// same neighbourhood they will delta against on a real page.
 /// Deterministic (stride sampling); cheap relative to the build.
-fn estimate_compact_capacity(
-    h: &dm_mtm::PmHierarchy,
-    conn: &[Vec<u32>],
-    items: &[(Box3, u64)],
-    fill: f64,
-) -> usize {
+fn estimate_compact_capacity(records: &[DmRecord], items: &[(Box3, u64)], fill: f64) -> usize {
     let provisional = dm_index::rstar::str_leaf_order(items, fill);
     let n = provisional.len();
     if n < 2 {
@@ -1733,21 +1738,9 @@ fn estimate_compact_capacity(
     let (mut sum, mut count) = (0.0f64, 0usize);
     let mut j = 1;
     while j < n {
-        let a = provisional[j - 1] as u32;
-        let b = provisional[j] as u32;
-        let na = h.node(a);
-        let base = BaseVals {
-            id: na.id,
-            x: na.pos.x.to_bits(),
-            y: na.pos.y.to_bits(),
-            z: na.pos.z.to_bits(),
-            e_lo: na.e_lo.to_bits(),
-        };
-        let rec = DmRecord {
-            node: *h.node(b),
-            conn: conn[b as usize].clone(),
-        };
-        sum += (encode_compact(&rec, &base).len() + HEAP_SLOT) as f64;
+        let base = base_vals(&records[provisional[j - 1] as usize].node);
+        let rec = &records[provisional[j] as usize];
+        sum += (encode_compact(rec, &base).len() + HEAP_SLOT) as f64;
         count += 1;
         j += stride;
     }

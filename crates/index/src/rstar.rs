@@ -806,7 +806,7 @@ pub fn str_leaf_groups_weighted(
     items: &[(Box3, u64)],
     cap_hint: usize,
     budget: usize,
-    weight: impl Fn(Option<u64>, u64) -> usize,
+    mut weight: impl FnMut(Option<u64>, u64) -> usize,
 ) -> Vec<Vec<u64>> {
     let entries: Vec<Entry> = items
         .iter()
@@ -821,13 +821,7 @@ pub fn str_leaf_groups_weighted(
         // positive for every query plane it now straddles. Top order
         // pushes the tall segments to the run's tail where they group
         // with each other.
-        run.sort_by(|a, b| {
-            a.bbox
-                .max
-                .z
-                .partial_cmp(&b.bbox.max.z)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        sort_by_coord(&mut run, |e| e.bbox.max.z);
         let mut group: Vec<u64> = Vec::new();
         let mut used = 0usize;
         for e in run {
@@ -872,11 +866,30 @@ fn str_pack_level(
 }
 
 fn sort_by_center(items: &mut [Entry], d: usize) {
-    items.sort_by(|a, b| {
-        axis(a.bbox.center(), d)
-            .partial_cmp(&axis(b.bbox.center(), d))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    sort_by_coord(items, |e| axis(e.bbox.center(), d));
+}
+
+/// Stable sort by an `f64` coordinate of each entry. Sorts `(key, index)`
+/// pairs and permutes once: the key is the coordinate in
+/// `f64::total_cmp` order with `-0.0` folded into `0.0`, so for non-NaN
+/// coordinates the pair order is exactly the stable `partial_cmp` order.
+fn sort_by_coord(items: &mut [Entry], coord: impl Fn(&Entry) -> f64) {
+    let mut keyed: Vec<(u64, u32)> = items
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let bits = (coord(e) + 0.0).to_bits();
+            let ord = if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | 1 << 63
+            };
+            (ord, i as u32)
+        })
+        .collect();
+    keyed.sort_unstable();
+    let sorted: Vec<Entry> = keyed.iter().map(|&(_, i)| items[i as usize]).collect();
+    items.copy_from_slice(&sorted);
 }
 
 fn read_node(pool: &BufferPool, page: PageId) -> Node {
@@ -943,6 +956,32 @@ mod tests {
     use dm_storage::MemStore;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The key sort is the stable `partial_cmp` sort it replaced, ties
+    /// and signed zeros included.
+    #[test]
+    fn key_sort_is_the_stable_partial_order_sort() {
+        let mut rng = StdRng::seed_from_u64(35);
+        for _ in 0..200 {
+            let n = rng.random_range(0..60usize);
+            let coords = [0.0, -0.0, 1.5, -2.0, 1e-310, f64::INFINITY, 3.0];
+            let mut items: Vec<Entry> = (0..n)
+                .map(|i| {
+                    let z = coords[rng.random_range(0..coords.len())];
+                    let p = Vec3::new(0.0, 0.0, z);
+                    Entry {
+                        bbox: Box3::new(p, p),
+                        val: i as u64,
+                    }
+                })
+                .collect();
+            let mut want = items.clone();
+            want.sort_by(|a, b| a.bbox.max.z.partial_cmp(&b.bbox.max.z).unwrap());
+            sort_by_coord(&mut items, |e| e.bbox.max.z);
+            let vals = |v: &[Entry]| v.iter().map(|e| e.val).collect::<Vec<_>>();
+            assert_eq!(vals(&items), vals(&want));
+        }
+    }
 
     fn pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::new(Box::new(MemStore::new()), 512))

@@ -13,12 +13,23 @@
 //! exists exactly while both endpoints are alive, i.e. during the overlap
 //! of their LOD intervals — this is the raw material for the Direct Mesh
 //! connection lists.
+//!
+//! The collapse queue holds one packed `u128` per edge (cost in
+//! `total_cmp` order, then the two ids), so it pops in exactly the
+//! `(cost, u, v)` order. Retry counts sit in a side table keyed by the
+//! pair. An entry dies with either endpoint and never revives, so once
+//! the entries orphaned since the last sweep exceed a quarter of the
+//! queue they are all dropped in one `retain`, and most pops find a live
+//! edge. DESIGN.md §19 has the proof and the counts; [`PmBuild::stats`]
+//! reports them per build.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use dm_geom::Vec3;
+use dm_terrain::mesh::NIL;
 use dm_terrain::TriMesh;
+use fxhash::FxHashMap;
 
 use crate::hierarchy::{PmHierarchy, PmNode, NIL_ID};
 use crate::quadric::Quadric;
@@ -48,41 +59,64 @@ pub struct PmBuild {
     /// Raw QEM collapse costs in creation order (before the monotone
     /// normalization). Diagnostics: how much the running max inflates.
     pub raw_costs: Vec<f64>,
+    /// Collapse-queue counters of the build that made this value. Not
+    /// persisted: all zero after [`crate::persist::load_pm`].
+    pub stats: PmBuildStats,
 }
 
-struct HeapEdge {
-    cost: f64,
-    u: u32,
-    v: u32,
-    /// Times this edge failed to collapse and was re-queued with a
-    /// penalty. Without retries a temporarily illegal edge (link
-    /// condition, fold-over) is lost forever, the cheap supply drains,
-    /// and the builder is forced into expensive out-of-order collapses.
-    retries: u8,
+/// Collapse-queue counters of one [`build_pm`] run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PmBuildStats {
+    /// Entries popped, live and stale.
+    pub pops: u64,
+    /// Pops of an entry whose edge had already collapsed away.
+    pub stale_pops: u64,
+    /// Bulk sweeps of stale entries.
+    pub sweeps: u64,
+    /// Most entries the queue held at once.
+    pub peak_queue: u64,
 }
 
-/// Retry budget per edge; each retry doubles the queue cost.
+/// Retry budget per edge; each retry doubles the queue cost. Without
+/// retries a temporarily illegal edge (link condition, fold-over) is lost
+/// forever, the cheap supply drains, and the builder is forced into
+/// expensive out-of-order collapses.
 const MAX_RETRIES: u8 = 16;
 
-impl PartialEq for HeapEdge {
-    fn eq(&self, o: &Self) -> bool {
-        self.cost == o.cost && self.u == o.u && self.v == o.v
-    }
+/// The queue is swept once the entries orphaned since the last sweep
+/// exceed `1 / SWEEP_SHARE` of it.
+const SWEEP_SHARE: usize = 4;
+
+/// A queue entry as one integer whose order is the collapse order: cost
+/// in `f64::total_cmp` order, then `u`, then `v`. The cost's bits take
+/// `total_cmp`'s sign flip (negatives invert, the rest set the sign bit),
+/// so unsigned integer order is `total_cmp` order.
+fn pack(cost: f64, u: u32, v: u32) -> u128 {
+    let bits = cost.to_bits();
+    let ord = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (ord as u128) << 64 | (u as u128) << 32 | v as u128
 }
-impl Eq for HeapEdge {}
-impl PartialOrd for HeapEdge {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
+
+/// Inverse of [`pack`].
+fn unpack(key: u128) -> (f64, u32, u32) {
+    let ord = (key >> 64) as u64;
+    let bits = if ord >> 63 == 1 { ord ^ 1 << 63 } else { !ord };
+    (f64::from_bits(bits), (key >> 32) as u32, key as u32)
 }
-impl Ord for HeapEdge {
-    fn cmp(&self, o: &Self) -> Ordering {
-        // Min-heap by cost (BinaryHeap is a max-heap), deterministic ties.
-        o.cost
-            .total_cmp(&self.cost)
-            .then_with(|| o.u.cmp(&self.u))
-            .then_with(|| o.v.cmp(&self.v))
-    }
+
+/// Whether a queued `(u, v)` is still a mesh edge. Every entry was an
+/// edge when queued, and a collapse removes only edges at the two
+/// vertices it kills (its dropped triangles hold both), so a queued edge
+/// lives exactly as long as both its endpoints. Once false it stays
+/// false: nothing revives a dead vertex.
+fn is_live(mesh: &TriMesh, u: u32, v: u32) -> bool {
+    let live = mesh.is_vertex_alive(u) && mesh.is_vertex_alive(v);
+    debug_assert!(!live || mesh.has_edge(u, v), "queued ({u}, {v}) is no edge");
+    live
 }
 
 /// Build the PM hierarchy from a full-resolution terrain mesh.
@@ -107,7 +141,7 @@ pub fn build_pm(mut mesh: TriMesh, cfg: &PmBuildConfig) -> PmBuild {
     // --- Initial edges (and boundary constraints) ------------------------
     let mut initial_edges: Vec<(u32, u32)> = Vec::new();
     {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = fxhash::FxHashSet::default();
         for t in mesh.live_triangles() {
             let tri = mesh.triangle(t);
             for i in 0..3 {
@@ -121,7 +155,7 @@ pub fn build_pm(mut mesh: TriMesh, cfg: &PmBuildConfig) -> PmBuild {
     }
     if cfg.boundary_weight > 0.0 {
         for &(a, b) in &initial_edges {
-            if mesh.triangles_with_edge(a, b).len() == 1 {
+            if mesh.edge_triangle_count(a, b) == 1 {
                 let q = Quadric::boundary_constraint(
                     mesh.position(a),
                     mesh.position(b),
@@ -134,24 +168,32 @@ pub fn build_pm(mut mesh: TriMesh, cfg: &PmBuildConfig) -> PmBuild {
     }
 
     // --- Priority queue ---------------------------------------------------
-    let mut heap: BinaryHeap<HeapEdge> = BinaryHeap::with_capacity(initial_edges.len() * 2);
-    let push_edge =
-        |heap: &mut BinaryHeap<HeapEdge>, quadrics: &[Quadric], mesh: &TriMesh, u: u32, v: u32| {
-            let q = quadrics[u as usize].add(&quadrics[v as usize]);
-            let cost = candidate_positions(&q, mesh.position(u), mesh.position(v))
-                .into_iter()
-                .map(|p| q.eval(p).max(0.0))
-                .fold(f64::INFINITY, f64::min);
-            heap.push(HeapEdge {
-                cost,
-                u,
-                v,
-                retries: 0,
-            });
-        };
-    for &(u, v) in &initial_edges {
-        push_edge(&mut heap, &quadrics, &mesh, u, v);
-    }
+    // A min-heap of packed keys. No two entries share a `(u, v)`: initial
+    // edges are distinct, later ones all end at a vertex newer than any
+    // queued entry, and a retry re-queues the entry it just popped. So
+    // the retry count lives beside the queue, keyed by the pair.
+    let entry = |quadrics: &[Quadric], mesh: &TriMesh, u: u32, v: u32| {
+        let q = quadrics[u as usize].add(&quadrics[v as usize]);
+        let (cands, n) = candidate_positions(&q, mesh.position(u), mesh.position(v));
+        let cost = cands[..n]
+            .iter()
+            .map(|&p| q.eval(p).max(0.0))
+            .fold(f64::INFINITY, f64::min);
+        Reverse(pack(cost, u, v))
+    };
+    // Collecting heapifies the initial edges in one pass.
+    let mut heap: BinaryHeap<_> = initial_edges
+        .iter()
+        .map(|&(u, v)| entry(&quadrics, &mesh, u, v))
+        .collect();
+    let mut retries: FxHashMap<(u32, u32), u8> = FxHashMap::default();
+    let mut stats = PmBuildStats {
+        peak_queue: heap.len() as u64,
+        ..Default::default()
+    };
+    // Entries made stale since the last sweep (an upper bound: an edge
+    // whose retries ran out is counted though no longer queued).
+    let mut orphans = 0usize;
 
     // --- Collapse loop ----------------------------------------------------
     let mut nodes: Vec<PmNode> = (0..n_leaves as u32)
@@ -171,19 +213,18 @@ pub fn build_pm(mut mesh: TriMesh, cfg: &PmBuildConfig) -> PmBuild {
     let mut last_e = 0.0f64;
     let mut raw_costs: Vec<f64> = Vec::new();
 
-    while let Some(HeapEdge {
-        cost,
-        u,
-        v,
-        retries,
-    }) = heap.pop()
-    {
-        if !mesh.is_vertex_alive(u) || !mesh.is_vertex_alive(v) || !mesh.has_edge(u, v) {
-            continue; // stale entry
+    while let Some(Reverse(key)) = heap.pop() {
+        stats.pops += 1;
+        let (cost, u, v) = unpack(key);
+        if !is_live(&mesh, u, v) {
+            stats.stale_pops += 1;
+            orphans = orphans.saturating_sub(1);
+            continue;
         }
         let q = quadrics[u as usize].add(&quadrics[v as usize]);
         let mut success = None;
-        let mut cands = candidate_positions(&q, mesh.position(u), mesh.position(v));
+        let (mut cands, n) = candidate_positions(&q, mesh.position(u), mesh.position(v));
+        let cands = &mut cands[..n];
         cands.sort_by(|a, b| q.eval(*a).total_cmp(&q.eval(*b)));
         // Never collapse at a position dramatically worse than this
         // edge's best candidate: that would assign a wild error to a
@@ -191,7 +232,7 @@ pub fn build_pm(mut mesh: TriMesh, cfg: &PmBuildConfig) -> PmBuild {
         // positions are legal right now, retry the edge later instead.
         let best = q.eval(cands[0]).max(0.0);
         let acceptable = best * 16.0 + 1e-12;
-        for pos in cands {
+        for &pos in cands.iter() {
             if q.eval(pos).max(0.0) > acceptable {
                 break;
             }
@@ -204,13 +245,10 @@ pub fn build_pm(mut mesh: TriMesh, cfg: &PmBuildConfig) -> PmBuild {
             // Not collapsible right now (link condition / fold-over /
             // boundary rule). Re-queue with a penalty so it is retried
             // after its neighbourhood evolves.
-            if retries < MAX_RETRIES {
-                heap.push(HeapEdge {
-                    cost: (cost.max(1e-12)) * 2.0,
-                    u,
-                    v,
-                    retries: retries + 1,
-                });
+            let tries = retries.entry((u, v)).or_insert(0);
+            if *tries < MAX_RETRIES {
+                *tries += 1;
+                heap.push(Reverse(pack(cost.max(1e-12) * 2.0, u, v)));
             }
             continue;
         };
@@ -231,7 +269,8 @@ pub fn build_pm(mut mesh: TriMesh, cfg: &PmBuildConfig) -> PmBuild {
         // side. The refinement engine relies on this orientation to
         // partition the neighbour fan deterministically at split time.
         let (mut wing1, mut wing2) = (NIL_ID, NIL_ID);
-        for &wv in &res.wings {
+        let wings = &res.wings[..if res.wings[1] == NIL { 1 } else { 2 }];
+        for &wv in wings {
             let o = dm_geom::tri::orient2d(
                 nodes[u as usize].pos.xy(),
                 nodes[v as usize].pos.xy(),
@@ -260,9 +299,23 @@ pub fn build_pm(mut mesh: TriMesh, cfg: &PmBuildConfig) -> PmBuild {
         });
         quadrics.push(q);
 
-        for n in mesh.neighbors(w) {
+        // Every other edge of `u` or `v` just went stale: as many as `w`
+        // has neighbours, plus one per wing (both endpoints had an edge
+        // to it; `w` has one).
+        let neighbours = mesh.neighbors(w);
+        orphans += neighbours.len() + wings.len();
+        for n in neighbours {
             edges_ever.push((n.min(w), n.max(w)));
-            push_edge(&mut heap, &quadrics, &mesh, w, n);
+            heap.push(entry(&quadrics, &mesh, w, n));
+        }
+        stats.peak_queue = stats.peak_queue.max(heap.len() as u64);
+        if orphans * SWEEP_SHARE > heap.len() {
+            heap.retain(|&Reverse(k)| {
+                let (_, a, b) = unpack(k);
+                is_live(&mesh, a, b)
+            });
+            stats.sweeps += 1;
+            orphans = 0;
         }
     }
 
@@ -276,25 +329,24 @@ pub fn build_pm(mut mesh: TriMesh, cfg: &PmBuildConfig) -> PmBuild {
         hierarchy,
         edges: edges_ever,
         raw_costs,
+        stats,
     }
 }
 
 /// Candidate placements for the merged vertex: QEM-optimal point when the
-/// system is solvable, then midpoint and both endpoints.
-fn candidate_positions(q: &Quadric, pu: Vec3, pv: Vec3) -> Vec<Vec3> {
-    let mut cands = Vec::with_capacity(4);
+/// system is solvable, then midpoint and both endpoints. Returns the
+/// slots and how many of them are filled.
+fn candidate_positions(q: &Quadric, pu: Vec3, pv: Vec3) -> ([Vec3; 4], usize) {
+    let mid = (pu + pv) / 2.0;
     if let Some(p) = q.optimal_point() {
         // Reject wild solutions far outside the edge neighbourhood (badly
         // conditioned systems can fling the point away).
         let span = pu.dist(pv) * 4.0 + 1e-9;
-        if p.dist((pu + pv) / 2.0) <= span {
-            cands.push(p);
+        if p.dist(mid) <= span {
+            return ([p, mid, pu, pv], 4);
         }
     }
-    cands.push((pu + pv) / 2.0);
-    cands.push(pu);
-    cands.push(pv);
-    cands
+    ([mid, pu, pv, mid], 3)
 }
 
 #[cfg(test)]
@@ -510,25 +562,124 @@ mod tests {
 #[cfg(test)]
 mod heap_order_tests {
     use super::*;
+    use dm_terrain::generate;
+    use proptest::prelude::*;
 
     #[test]
     fn heap_pops_cheapest_first() {
-        let mut heap = std::collections::BinaryHeap::new();
+        let mut heap = BinaryHeap::new();
         for (i, c) in [5.0, 0.0, 15.0, 0.0, 3.0, 0.596, 0.0]
             .into_iter()
             .enumerate()
         {
-            heap.push(HeapEdge {
-                cost: c,
-                u: i as u32,
-                v: 100 + i as u32,
-                retries: 0,
-            });
+            heap.push(Reverse(pack(c, i as u32, 100 + i as u32)));
         }
         let mut popped = Vec::new();
-        while let Some(e) = heap.pop() {
-            popped.push(e.cost);
+        while let Some(Reverse(k)) = heap.pop() {
+            popped.push(unpack(k).0);
         }
         assert_eq!(popped, vec![0.0, 0.0, 0.0, 0.596, 3.0, 5.0, 15.0]);
+    }
+
+    /// A cost from one of the shapes the queue meets or must survive:
+    /// zero, infinity, subnormals, the smallest normal, ordinary positive
+    /// values and arbitrary bit patterns (negatives and NaNs included).
+    fn cost_of(shape: u8, bits: u64) -> f64 {
+        match shape {
+            0 => 0.0,
+            1 => f64::INFINITY,
+            2 => f64::from_bits(bits & ((1 << 52) - 1)),
+            3 => f64::MIN_POSITIVE,
+            4 => f64::from_bits(bits >> 2),
+            _ => f64::from_bits(bits),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The packed key orders entries exactly like `(cost, u, v)` with
+        /// `f64::total_cmp` on the cost, and unpacks to the same bits.
+        #[test]
+        fn packed_key_orders_like_cost_then_ids(
+            a in (0u8..6, any::<u64>(), 0u32..4, 0u32..4),
+            b in (0u8..6, any::<u64>(), 0u32..4, 0u32..4),
+        ) {
+            let (ca, cb) = (cost_of(a.0, a.1), cost_of(b.0, b.1));
+            let old = ca.total_cmp(&cb).then(a.2.cmp(&b.2)).then(a.3.cmp(&b.3));
+            let (ka, kb) = (pack(ca, a.2, a.3), pack(cb, b.2, b.3));
+            prop_assert_eq!(ka.cmp(&kb), old);
+            let (c, u, v) = unpack(ka);
+            prop_assert_eq!((c.to_bits(), u, v), (ca.to_bits(), a.2, a.3));
+        }
+    }
+
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= b as u64;
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// FNV-1a over every node field, the edge episodes, the raw costs,
+    /// the roots and the root mesh.
+    fn pm_digest(b: &PmBuild) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for n in &b.hierarchy.nodes {
+            for w in [n.id, n.parent, n.child1, n.child2, n.wing1, n.wing2] {
+                fnv(&mut h, &w.to_le_bytes());
+            }
+            for f in [n.pos.x, n.pos.y, n.pos.z, n.e_lo, n.e_hi] {
+                fnv(&mut h, &f.to_bits().to_le_bytes());
+            }
+        }
+        for &(a, c) in &b.edges {
+            fnv(&mut h, &a.to_le_bytes());
+            fnv(&mut h, &c.to_le_bytes());
+        }
+        for c in &b.raw_costs {
+            fnv(&mut h, &c.to_bits().to_le_bytes());
+        }
+        for r in &b.hierarchy.roots {
+            fnv(&mut h, &r.to_le_bytes());
+        }
+        for t in &b.hierarchy.root_mesh {
+            for c in t {
+                fnv(&mut h, &c.to_le_bytes());
+            }
+        }
+        h
+    }
+
+    /// Builds pinned to the digests of the per-entry heap that the packed
+    /// queue replaced: same collapses, same order, same bits.
+    #[test]
+    fn pinned_builds_are_bit_identical() {
+        for (name, hf, digest) in [
+            (
+                "fractal 65²",
+                generate::fractal_terrain(65, 65, 42),
+                0x3840_d5e5_f4cb_386d,
+            ),
+            (
+                "crater 65²",
+                generate::crater_terrain(65, 65, 42),
+                0xa7b3_4141_d3be_8022,
+            ),
+            (
+                "fractal 129²",
+                generate::fractal_terrain(129, 129, 42),
+                0x7423_1399_b3cb_fe54,
+            ),
+        ] {
+            let b = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+            assert_eq!(pm_digest(&b), digest, "{name}: {:#018x}", pm_digest(&b));
+            let st = b.stats;
+            assert!(
+                st.stale_pops < st.pops && st.peak_queue > 0,
+                "{name}: {st:?}"
+            );
+            assert!(st.sweeps > 0, "{name} never swept its queue: {st:?}");
+        }
     }
 }

@@ -28,6 +28,6 @@ pub mod persist;
 pub mod quadric;
 pub mod refine;
 
-pub use builder::{build_pm, PmBuild, PmBuildConfig};
+pub use builder::{build_pm, PmBuild, PmBuildConfig, PmBuildStats};
 pub use hierarchy::{PmHierarchy, PmNode, NIL_ID};
 pub use refine::{refine, FrontMesh, LodTarget, PlaneTarget, RecordSource, UniformTarget};

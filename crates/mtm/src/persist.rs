@@ -462,6 +462,7 @@ pub fn load_pm(reader: impl Read) -> io::Result<PmBuild> {
         hierarchy,
         edges,
         raw_costs,
+        stats: Default::default(),
     })
 }
 

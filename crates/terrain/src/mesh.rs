@@ -36,18 +36,15 @@ pub enum CollapseError {
 }
 
 /// Outcome of a successful collapse.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct CollapseResult {
     /// Id of the newly created vertex.
     pub new_vertex: u32,
     /// Wing vertices: third corners of the triangles that shared the
-    /// collapsed edge (2 for an interior edge, 1 on the boundary). These
-    /// are the paper's `wing1`/`wing2` fields.
-    pub wings: Vec<u32>,
-    /// Triangles removed by the collapse.
-    pub removed_tris: Vec<u32>,
-    /// Triangles whose corner was redirected to the new vertex.
-    pub retargeted_tris: Vec<u32>,
+    /// collapsed edge, in incidence order. These are the paper's
+    /// `wing1`/`wing2` fields; a boundary edge has one wing and [`NIL`]
+    /// in the second slot.
+    pub wings: [u32; 2],
 }
 
 /// Editable triangle mesh with vertex→triangle incidence.
@@ -207,33 +204,41 @@ impl TriMesh {
             .any(|&t| self.tris[t as usize].contains(&v))
     }
 
-    /// Live triangles containing both `u` and `v`.
-    pub fn triangles_with_edge(&self, u: u32, v: u32) -> Vec<u32> {
-        self.vert_tris[u as usize]
-            .iter()
-            .copied()
-            .filter(|&t| self.tris[t as usize].contains(&v))
-            .collect()
-    }
-
-    /// Vertices adjacent to both `u` and `v`.
-    pub fn common_neighbors(&self, u: u32, v: u32) -> Vec<u32> {
-        let nv = self.neighbors(v);
-        self.neighbors(u)
-            .into_iter()
-            .filter(|n| nv.contains(n))
-            .collect()
-    }
-
     /// A vertex is on the boundary when one of its edges borders only one
     /// triangle.
     pub fn is_boundary_vertex(&self, v: u32) -> bool {
-        for n in self.neighbors(v) {
-            if self.triangles_with_edge(v, n).len() < 2 {
-                return true;
+        self.vert_tris[v as usize].iter().any(|&t| {
+            self.tris[t as usize]
+                .iter()
+                .any(|&n| n != v && self.edge_triangle_count(v, n) < 2)
+        })
+    }
+
+    /// Number of live triangles containing both `u` and `v`.
+    pub fn edge_triangle_count(&self, u: u32, v: u32) -> usize {
+        self.vert_tris[u as usize]
+            .iter()
+            .filter(|&&t| self.tris[t as usize].contains(&v))
+            .count()
+    }
+
+    /// Number of distinct vertices adjacent to both `u` and `v`, counted
+    /// without building either neighbour list.
+    fn common_neighbor_count(&self, u: u32, v: u32) -> usize {
+        let ut = &self.vert_tris[u as usize];
+        let mut count = 0;
+        for (i, &t) in ut.iter().enumerate() {
+            for &n in &self.tris[t as usize] {
+                if n == u || n == v || !self.has_edge(v, n) {
+                    continue;
+                }
+                // Count `n` at its first sighting only.
+                if !ut[..i].iter().any(|&s| self.tris[s as usize].contains(&n)) {
+                    count += 1;
+                }
             }
         }
-        false
+        count
     }
 
     /// Full-edge collapse `(u, v) → w` where `w` is a *new* vertex at
@@ -247,50 +252,61 @@ impl TriMesh {
         if u == v || !self.is_vertex_alive(u) || !self.is_vertex_alive(v) {
             return Err(CollapseError::BadVertices);
         }
-        let shared = self.triangles_with_edge(u, v);
-        if shared.is_empty() {
-            return Err(CollapseError::NotAnEdge);
-        }
-        if shared.len() > 2 {
-            return Err(CollapseError::NonManifold);
-        }
-        // Wing vertices: third corner of each shared triangle.
-        let mut wings = Vec::with_capacity(2);
-        for &t in &shared {
-            for &o in &self.tris[t as usize] {
-                if o != u && o != v {
-                    wings.push(o);
+        // Shared triangles, and their third corners: the wings.
+        let (mut shared, mut wings, mut n_shared) = ([NIL; 2], [NIL; 2], 0);
+        for &t in &self.vert_tris[u as usize] {
+            let tri = self.tris[t as usize];
+            if tri.contains(&v) {
+                if n_shared < 2 {
+                    shared[n_shared] = t;
+                    wings[n_shared] = tri
+                        .into_iter()
+                        .find(|&o| o != u && o != v)
+                        .expect("a live triangle has three distinct corners");
                 }
+                n_shared += 1;
             }
         }
-        if wings.len() == 2 && wings[0] == wings[1] {
+        if n_shared == 0 {
+            return Err(CollapseError::NotAnEdge);
+        }
+        if n_shared > 2 {
+            return Err(CollapseError::NonManifold);
+        }
+        if n_shared == 2 && wings[0] == wings[1] {
             return Err(CollapseError::NonManifold);
         }
         // Link condition: the only common neighbours are the wings.
-        let commons = self.common_neighbors(u, v);
-        if commons.len() != wings.len() {
+        if self.common_neighbor_count(u, v) != n_shared {
             return Err(CollapseError::LinkCondition);
         }
         // Boundary rule: two boundary endpoints may only collapse along a
         // boundary edge.
-        if shared.len() == 2 && self.is_boundary_vertex(u) && self.is_boundary_vertex(v) {
+        if n_shared == 2 && self.is_boundary_vertex(u) && self.is_boundary_vertex(v) {
             return Err(CollapseError::BoundaryViolation);
         }
         // Wings must survive with at least one triangle.
-        for &wv in &wings {
-            let remaining = self.vert_tris[wv as usize]
+        for &wv in &wings[..n_shared] {
+            if self.vert_tris[wv as usize]
                 .iter()
-                .filter(|t| !shared.contains(t))
-                .count();
-            if remaining == 0 {
+                .all(|t| shared.contains(t))
+            {
                 return Err(CollapseError::WouldOrphanWing);
             }
         }
-        // Fold-over test on every retargeted triangle.
-        let mut retargeted: Vec<u32> = Vec::new();
+        // Fold-over test on every retargeted triangle: every triangle of
+        // either endpoint but the shared ones (a triangle holding both
+        // endpoints holds the edge, so none is seen twice).
+        let pos_of = |x: u32| {
+            if x == u || x == v {
+                new_pos
+            } else {
+                self.position(x)
+            }
+        };
         for &endpoint in &[u, v] {
             for &t in &self.vert_tris[endpoint as usize] {
-                if shared.contains(&t) || retargeted.contains(&t) {
+                if shared.contains(&t) {
                     continue;
                 }
                 let tri = self.tris[t as usize];
@@ -299,13 +315,6 @@ impl TriMesh {
                     self.position(tri[1]).xy(),
                     self.position(tri[2]).xy(),
                 );
-                let pos_of = |x: u32| {
-                    if x == u || x == v {
-                        new_pos
-                    } else {
-                        self.position(x)
-                    }
-                };
                 let after = orient2d(
                     pos_of(tri[0]).xy(),
                     pos_of(tri[1]).xy(),
@@ -314,32 +323,32 @@ impl TriMesh {
                 if after.signum() != before.signum() || after.abs() < 1e-12 {
                     return Err(CollapseError::Foldover);
                 }
-                retargeted.push(t);
             }
         }
 
         // --- Commit ---
         let w = self.add_vertex(new_pos);
-        for &t in &shared {
+        for &t in &shared[..n_shared] {
             self.kill_triangle(t);
         }
-        for &t in &retargeted {
-            let tri = &mut self.tris[t as usize];
-            for corner in tri.iter_mut() {
+        // What is left on the endpoints' lists is exactly the retargeted
+        // triangles, `u`'s first: they become `w`'s list.
+        let mut fan = std::mem::take(&mut self.vert_tris[u as usize]);
+        fan.extend_from_slice(&self.vert_tris[v as usize]);
+        for &t in &fan {
+            for corner in self.tris[t as usize].iter_mut() {
                 if *corner == u || *corner == v {
                     *corner = w;
                 }
             }
-            self.vert_tris[w as usize].push(t);
         }
+        self.vert_tris[w as usize] = fan;
         self.kill_vertex(u);
         self.kill_vertex(v);
 
         Ok(CollapseResult {
             new_vertex: w,
             wings,
-            removed_tris: shared,
-            retargeted_tris: retargeted,
         })
     }
 
@@ -462,6 +471,24 @@ mod tests {
     use super::*;
     use crate::generate;
 
+    /// Live triangles containing both `u` and `v`.
+    fn triangles_with_edge(m: &TriMesh, u: u32, v: u32) -> Vec<u32> {
+        m.vert_tris[u as usize]
+            .iter()
+            .copied()
+            .filter(|&t| m.tris[t as usize].contains(&v))
+            .collect()
+    }
+
+    /// Vertices adjacent to both `u` and `v`.
+    fn common_neighbors(m: &TriMesh, u: u32, v: u32) -> Vec<u32> {
+        let nv = m.neighbors(v);
+        m.neighbors(u)
+            .into_iter()
+            .filter(|n| nv.contains(n))
+            .collect()
+    }
+
     fn grid(n: usize) -> TriMesh {
         TriMesh::from_heightfield(&generate::ramp(n, n, 0.5))
     }
@@ -496,9 +523,9 @@ mod tests {
         let v = 13u32; // (3,2)
         let mid = (m.position(u) + m.position(v)) / 2.0;
         let before_tris = m.num_live_triangles();
+        assert_eq!(triangles_with_edge(&m, u, v).len(), 2);
         let res = m.collapse_edge(u, v, mid).expect("interior collapse");
-        assert_eq!(res.removed_tris.len(), 2);
-        assert_eq!(res.wings.len(), 2);
+        assert!(!res.wings.contains(&NIL), "an interior edge has two wings");
         assert_eq!(m.num_live_triangles(), before_tris - 2);
         assert!(!m.is_vertex_alive(u) && !m.is_vertex_alive(v));
         assert!(m.is_vertex_alive(res.new_vertex));
@@ -509,11 +536,11 @@ mod tests {
     #[test]
     fn wings_are_common_neighbors() {
         let mut m = grid(5);
-        let commons = m.common_neighbors(12, 13);
+        let commons = common_neighbors(&m, 12, 13);
         let res = m
             .collapse_edge(12, 13, (m.position(12) + m.position(13)) / 2.0)
             .unwrap();
-        let mut w = res.wings.clone();
+        let mut w = res.wings.to_vec();
         let mut c = commons;
         w.sort();
         c.sort();
@@ -558,11 +585,11 @@ mod tests {
     fn boundary_edge_collapse() {
         let mut m = grid(5);
         // (1,0)–(2,0) is a boundary edge (shared by one triangle).
-        let shared = m.triangles_with_edge(1, 2);
+        let shared = triangles_with_edge(&m, 1, 2);
         assert_eq!(shared.len(), 1);
         let mid = (m.position(1) + m.position(2)) / 2.0;
         let res = m.collapse_edge(1, 2, mid).expect("boundary collapse");
-        assert_eq!(res.wings.len(), 1);
+        assert!(res.wings[0] != NIL && res.wings[1] == NIL, "one wing");
         m.validate().expect("valid after boundary collapse");
     }
 
@@ -579,7 +606,7 @@ mod tests {
             ],
             &[[0, 1, 2], [0, 2, 3]],
         );
-        assert_eq!(m.triangles_with_edge(0, 2).len(), 2);
+        assert_eq!(triangles_with_edge(&m, 0, 2).len(), 2);
         assert!(m.is_boundary_vertex(0) && m.is_boundary_vertex(2));
         let err = m
             .collapse_edge(0, 2, Vec3::new(0.5, 0.5, 0.0))
@@ -619,6 +646,40 @@ mod tests {
     }
 
     #[test]
+    fn counted_link_and_boundary_tests_match_the_listed_ones() {
+        let mut m = TriMesh::from_heightfield(&generate::fractal_terrain(9, 9, 11));
+        for step in 0..40u32 {
+            let verts: Vec<u32> = m.live_vertices().collect();
+            for &u in &verts {
+                for v in m.neighbors(u) {
+                    assert_eq!(
+                        m.common_neighbor_count(u, v),
+                        common_neighbors(&m, u, v).len()
+                    );
+                    assert_eq!(
+                        m.edge_triangle_count(u, v),
+                        triangles_with_edge(&m, u, v).len()
+                    );
+                }
+                let listed = m
+                    .neighbors(u)
+                    .into_iter()
+                    .any(|n| triangles_with_edge(&m, u, n).len() < 2);
+                assert_eq!(m.is_boundary_vertex(u), listed);
+            }
+            // Collapse some edge to vary the valences.
+            let u = verts[(step as usize * 7) % verts.len()];
+            for v in m.neighbors(u) {
+                let mid = (m.position(u) + m.position(v)) / 2.0;
+                if m.collapse_edge(u, v, mid).is_ok() {
+                    break;
+                }
+            }
+        }
+        m.validate().unwrap();
+    }
+
+    #[test]
     fn from_parts_roundtrip() {
         let m = TriMesh::from_parts(
             vec![
@@ -633,7 +694,7 @@ mod tests {
         m.validate().unwrap();
         assert!(m.has_edge(1, 2));
         assert!(!m.has_edge(0, 3));
-        assert_eq!(m.triangles_with_edge(1, 2).len(), 2);
+        assert_eq!(triangles_with_edge(&m, 1, 2).len(), 2);
     }
 
     #[test]

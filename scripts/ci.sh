@@ -200,6 +200,38 @@ if "$DM" walkthrough "$PLAN_DIR/t.dmdb" --frames 2 --window 0 >/dev/null 2>&1; t
 fi
 rm -rf "$PLAN_DIR"
 
+echo "== build determinism and the PM cache (dm build --pm-cache)"
+# Two plain builds of one terrain write the same file, with either codec
+# (page boxes reach the R*-tree in page order, never in a hash order). A
+# build from a PM cache written by an earlier build is that same file. A
+# cache from another terrain is refused, and no store is written.
+BUILD_DIR=$(mktemp -d "${TMPDIR:-/tmp}/dm-build-smoke.XXXXXX")
+DM=target/release/dm
+"$DM" generate --kind mining --size 65 --seed 9 -o "$BUILD_DIR/a.dmh" >/dev/null
+"$DM" generate --kind mining --size 65 --seed 10 -o "$BUILD_DIR/b.dmh" >/dev/null
+for codec in v2 v3; do
+    for run in 1 2; do
+        "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/$codec.$run.dmdb" --codec $codec >/dev/null
+    done
+    cmp "$BUILD_DIR/$codec.1.dmdb" "$BUILD_DIR/$codec.2.dmdb" \
+        || { echo "two $codec builds of one terrain differ"; exit 1; }
+done
+"$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/cached.dmdb" --pm-cache "$BUILD_DIR/a.dmpm" >/dev/null
+"$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/loaded.dmdb" --pm-cache "$BUILD_DIR/a.dmpm" \
+    > "$BUILD_DIR/loaded.log"
+grep -q "loaded PM hierarchy" "$BUILD_DIR/loaded.log" \
+    || { echo "the PM cache was not loaded"; exit 1; }
+cmp "$BUILD_DIR/cached.dmdb" "$BUILD_DIR/loaded.dmdb" \
+    || { echo "a build from the PM cache differs"; exit 1; }
+cmp "$BUILD_DIR/v3.1.dmdb" "$BUILD_DIR/loaded.dmdb" \
+    || { echo "a build from the PM cache differs from a plain build"; exit 1; }
+if "$DM" build "$BUILD_DIR/b.dmh" -o "$BUILD_DIR/other.dmdb" --pm-cache "$BUILD_DIR/a.dmpm" \
+    >/dev/null 2>&1; then
+    echo "dm build accepted a PM cache of another terrain"; exit 1
+fi
+[ ! -e "$BUILD_DIR/other.dmdb" ] || { echo "a refused PM cache left a store"; exit 1; }
+rm -rf "$BUILD_DIR"
+
 echo "== compact codec bench smoke + size-regression guard"
 # Smoke-run the codec comparison on the tiny terrain (the bench itself
 # asserts byte-identical query results between the v2 and v3 stores),

@@ -377,3 +377,34 @@ fn legacy_b_tree_pages_stay_reachable_until_the_first_patch_retires_them() {
         cleanup(&new_path);
     }
 }
+
+/// A v3 build of `mining17.dmh` is pinned byte for byte, digest taken
+/// from the builder that encoded every record twice and gathered the page
+/// boxes through a hash map: encoding once, sorting by key and
+/// collecting the boxes in page order change no byte of the file.
+#[test]
+fn v3_store_file_bytes_are_pinned() {
+    let hf =
+        dm_terrain::io::read_dmh(std::fs::File::open(fixture("mining17.dmh")).unwrap()).unwrap();
+    let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+    let path = tmp("pinned_v3");
+    cleanup(&path);
+    DirectMeshDb::create_in(
+        Arc::new(BufferPool::new(
+            Box::new(FileStore::create(&path).unwrap()),
+            2048,
+        )),
+        &pm,
+        &DmBuildOptions::default(),
+    );
+    let bytes = std::fs::read(&path).unwrap();
+    cleanup(&path);
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        (bytes.len(), digest),
+        (57344, 0xdb1c_c512_7f48_da54),
+        "{digest:#018x}"
+    );
+}
