@@ -190,8 +190,8 @@ fn bench_queries(c: &mut Criterion) {
     // one lap before timing, so every page it touches is resident. Each
     // window is seen like `warm_walkthrough` sees it: the detail of the
     // keep-0.4 cut at its south edge, falling off to keep 0.05 at the
-    // north. One iteration is one frame: plan, ΔROI fetch, working set,
-    // seed front, refinement.
+    // north. One iteration is one frame: plan, fetch, record arena, seed
+    // front, refinement.
     let at = |fx: f64, fy: f64| Vec2::new(b.min.x + fx * b.width(), b.min.y + fy * b.height());
     let corners = [
         at(0.3, 0.3),

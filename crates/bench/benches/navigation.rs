@@ -1,24 +1,16 @@
-//! Incremental navigation vs. per-frame cold requery.
+//! Navigation under pool pressure.
 //!
-//! Walks a fixed waypoint path over the mining terrain twice with the
-//! same [`NavigationSession`] machinery, once per frame strategy:
+//! Walks a fixed waypoint path over the mining terrain with one
+//! [`NavigationSession`] per buffer-pool capacity: 100 %, 25 %, 10 % and
+//! 5 % of the store's pages. Every frame fetches its whole cube set, so
+//! what a warm frame reads from disk is exactly what the pool no longer
+//! holds. Two facts are *asserted*, not just reported:
 //!
-//! * `full` — every frame refetches its whole cube set (the paper's
-//!   isolated-query protocol),
-//! * `incremental` — delta planning + working-set reuse (the front is
-//!   rebuilt from the working set every frame, like a cold query's).
-//!
-//! Both strategies share one code path and must produce identical
-//! meshes; only the I/O may differ. Three facts are *asserted*, not just
-//! reported:
-//!
-//! * per-frame vertex counts agree across both strategies,
-//! * over the warm frames (all but frame 0) the incremental session
-//!   fetches AND decodes at least 50% fewer records than full requery
-//!   (on walkthrough-density paths), and
-//! * warm incremental frames *examine* at most half the records full
-//!   requery examines — the page-MBR pre-filter keeps the batched delta
-//!   fetch from rescanning shared pages.
+//! * per-frame vertex counts agree at every capacity (pool pressure
+//!   changes cost, never answers), and
+//! * warm disk accesses never fall as the pool shrinks (the pool is LRU
+//!   per shard, and the page reference string does not depend on the
+//!   capacity).
 //!
 //! Numbers land in `BENCH_navigation.json`. `DM_NAV_FRAMES` overrides the
 //! path length (default 32); `DM_SCALE` picks the terrain size.
@@ -34,16 +26,17 @@ use dm_mtm::builder::{build_pm, PmBuildConfig};
 use dm_storage::{BufferPool, MemStore};
 use dm_terrain::{generate, TriMesh};
 
+/// Pool capacities walked, in percent of the store's pages.
+const POOL_PCTS: [usize; 4] = [100, 25, 10, 5];
+
 struct Frame {
     stats: FrameStats,
     secs: f64,
 }
 
-fn walk(db: &DirectMeshDb, path: &[Rect], e_min: f64, full: bool) -> Vec<Frame> {
+fn walk(db: &DirectMeshDb, path: &[Rect], e_min: f64) -> Vec<Frame> {
     db.try_cold_start().unwrap();
-    let mut session = NavigationSession::new(db, BoundaryPolicy::Skip)
-        .with_max_cubes(16)
-        .with_full_requery(full);
+    let mut session = NavigationSession::new(db, BoundaryPolicy::Skip).with_max_cubes(16);
     path.iter()
         .map(|roi| {
             let q = vd_query(roi, db.e_max, e_min, 0.5);
@@ -58,31 +51,21 @@ fn walk(db: &DirectMeshDb, path: &[Rect], e_min: f64, full: bool) -> Vec<Frame> 
         .collect()
 }
 
+#[derive(Default)]
 struct Totals {
     disk: u64,
-    fetch: u64,
     dec: u64,
     exam: u64,
     secs: f64,
 }
 
 fn totals(frames: &[Frame]) -> Totals {
-    frames.iter().fold(
-        Totals {
-            disk: 0,
-            fetch: 0,
-            dec: 0,
-            exam: 0,
-            secs: 0.0,
-        },
-        |acc, f| Totals {
-            disk: acc.disk + f.stats.disk_accesses,
-            fetch: acc.fetch + f.stats.fetched_records as u64,
-            dec: acc.dec + f.stats.decoded_records,
-            exam: acc.exam + f.stats.examined_records,
-            secs: acc.secs + f.secs,
-        },
-    )
+    frames.iter().fold(Totals::default(), |acc, f| Totals {
+        disk: acc.disk + f.stats.disk_accesses,
+        dec: acc.dec + f.stats.decoded_records,
+        exam: acc.exam + f.stats.examined_records,
+        secs: acc.secs + f.secs,
+    })
 }
 
 fn json_array<T: std::fmt::Display>(xs: impl Iterator<Item = T>) -> String {
@@ -101,8 +84,10 @@ fn main() {
     let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
     let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), POOL_PAGES));
     let db = DirectMeshDb::build(pool, &pm, &DmBuildOptions::default());
+    let store_pages = db.pool().num_pages() as usize;
     eprintln!(
-        "# navigation: {side}×{side} mining terrain, {} records, {frames} frames",
+        "# navigation: {side}×{side} mining terrain, {} records, {store_pages} pages, \
+         {frames} frames",
         db.n_records
     );
 
@@ -125,156 +110,89 @@ fn main() {
     // on trivially coarse cuts) and coarsens across the window.
     let e_min = db.e_for_points_fraction(0.35);
 
-    let full = walk(&db, &path, e_min, true);
-    let incr = walk(&db, &path, e_min, false);
+    let walks: Vec<(usize, usize, Vec<Frame>)> = POOL_PCTS
+        .iter()
+        .map(|&pct| {
+            db.pool().set_capacity((store_pages * pct / 100).max(1));
+            (pct, db.pool().capacity(), walk(&db, &path, e_min))
+        })
+        .collect();
 
-    for i in 0..path.len() {
-        assert_eq!(
-            full[i].stats.vertices, incr[i].stats.vertices,
-            "frame {i}: incremental mesh diverged from full requery"
+    let (_, _, roomy) = &walks[0];
+    // Warm-frame totals (frame 0 is a cold start in every walk).
+    let warm: Vec<Totals> = walks.iter().map(|(_, _, w)| totals(&w[1..])).collect();
+    for (k, (pct, _, w)) in walks.iter().enumerate().skip(1) {
+        for i in 0..path.len() {
+            assert_eq!(
+                w[i].stats.vertices, roomy[i].stats.vertices,
+                "frame {i}: a {pct} % pool changed the answer"
+            );
+        }
+        assert!(
+            warm[k].disk >= warm[k - 1].disk,
+            "a {pct} % pool read {} pages over warm frames, a larger one {}",
+            warm[k].disk,
+            warm[k - 1].disk
         );
     }
 
-    // Warm-frame totals (frame 0 is a cold start in both walks).
-    let f = totals(&full[1..]);
-    let n = totals(&incr[1..]);
-    // The ≥50% saving is a claim about walkthrough-density paths. A short
-    // smoke run strides a large fraction of the window per frame, where
-    // the overlap physically can't reach 50% — there only strict
-    // improvement is required.
-    let mean_step = path
-        .windows(2)
-        .map(|w| w[1].center().dist(w[0].center()))
-        .sum::<f64>()
-        / (path.len() - 1).max(1) as f64;
-    if mean_step <= window * 0.2 {
-        assert!(
-            2 * n.fetch <= f.fetch,
-            "incremental fetched {} records over warm frames, \
-             full requery {}: less than the required 50% saving",
-            n.fetch,
-            f.fetch
-        );
-        assert!(
-            2 * n.dec <= f.dec,
-            "incremental decoded {} records over warm frames, \
-             full requery {}: less than the required 50% saving",
-            n.dec,
-            f.dec
-        );
-        // The delta pieces are geometric subsets of the frame's cubes, so
-        // with the batched fetch (one scan per candidate page, page MBR
-        // pre-filtering the piece list) incremental frames can never
-        // examine more than full requery does. The old per-sliver path
-        // violated this badly — shared pages were rescanned once per
-        // overlapping piece, examining ~1.5× what full requery did.
-        assert!(
-            n.exam <= f.exam,
-            "incremental examined {} records over warm frames, full \
-             requery {}: the examined≫decoded blow-up is back",
-            n.exam,
-            f.exam
-        );
-    } else {
-        eprintln!(
-            "# sparse path (step {:.2} of window): 50% criterion waived",
-            mean_step / window
-        );
-        assert!(
-            n.fetch < f.fetch && n.dec < f.dec,
-            "incremental not cheaper"
-        );
-    }
-
-    println!(
-        "\n## Navigation — {frames}-frame walkthrough, window {:.0}%",
-        35.0
-    );
+    println!("\n## Navigation — {frames}-frame walkthrough, window 35%, {store_pages}-page store");
     println!(
         "{}",
         dm_bench::row(
-            "frame",
+            "pool",
             &[
-                "full DA".into(),
-                "incr DA".into(),
-                "full exam".into(),
-                "incr exam".into(),
-                "incr +s/-s".into(),
-                "verts".into(),
+                "pages".into(),
+                "warm DA".into(),
+                "decoded".into(),
+                "examined".into(),
+                "secs".into(),
             ]
         )
     );
-    for (i, (fr, nr)) in full.iter().zip(&incr).enumerate() {
+    for ((pct, cap, _), t) in walks.iter().zip(&warm) {
         println!(
             "{}",
             dm_bench::row(
-                &i.to_string(),
+                &format!("{pct} %"),
                 &[
-                    fr.stats.disk_accesses.to_string(),
-                    nr.stats.disk_accesses.to_string(),
-                    fr.stats.examined_records.to_string(),
-                    nr.stats.examined_records.to_string(),
-                    format!("+{}/-{}", nr.stats.seeds_added, nr.stats.seeds_removed),
-                    nr.stats.vertices.to_string(),
+                    cap.to_string(),
+                    t.disk.to_string(),
+                    t.dec.to_string(),
+                    t.exam.to_string(),
+                    format!("{:.4}", t.secs),
                 ]
             )
         );
     }
-    let pct = |x: u64, base: u64| 100.0 * (1.0 - x as f64 / base.max(1) as f64);
-    println!(
-        "{:>10}  warm frames: disk {}→{} ({:.1}% saved), \
-         fetched {}→{} ({:.1}% saved), examined {}→{} ({:.1}% saved), \
-         full {:.3}s / incr {:.3}s",
-        "total",
-        f.disk,
-        n.disk,
-        pct(n.disk, f.disk),
-        f.fetch,
-        n.fetch,
-        pct(n.fetch, f.fetch),
-        f.exam,
-        n.exam,
-        pct(n.exam, f.exam),
-        f.secs,
-        n.secs,
-    );
 
-    let warm_json = |t: &Totals| {
+    let capacity_json = |(pct, cap, fs): &(usize, usize, Vec<Frame>), t: &Totals| {
         format!(
-            "{{\"disk_accesses\": {}, \"fetched_records\": {}, \
-             \"decoded_records\": {}, \"examined_records\": {}, \"secs\": {:.6}}}",
-            t.disk, t.fetch, t.dec, t.exam, t.secs
-        )
-    };
-    let mode_json = |name: &str, fs: &[Frame]| {
-        format!(
-            "    \"{name}\": {{\n      \"disk_accesses\": {},\n      \
-             \"fetched_records\": {},\n      \"decoded_records\": {},\n      \
-             \"examined_records\": {},\n      \"frame_secs\": {}\n    }}",
+            "    {{\"pool_pct\": {pct}, \"pool_pages\": {cap}, \
+             \"warm_totals\": {{\"disk_accesses\": {}, \"decoded_records\": {}, \
+             \"examined_records\": {}, \"secs\": {:.6}}},\n      \
+             \"disk_accesses\": {},\n      \"frame_secs\": {}}}",
+            t.disk,
+            t.dec,
+            t.exam,
+            t.secs,
             json_array(fs.iter().map(|f| f.stats.disk_accesses)),
-            json_array(fs.iter().map(|f| f.stats.fetched_records)),
-            json_array(fs.iter().map(|f| f.stats.decoded_records)),
-            json_array(fs.iter().map(|f| f.stats.examined_records)),
             json_array(fs.iter().map(|f| format!("{:.6}", f.secs))),
         )
     };
+    let rows: Vec<String> = walks
+        .iter()
+        .zip(&warm)
+        .map(|(w, t)| capacity_json(w, t))
+        .collect();
     let json = format!(
         "{{\n  \"bench\": \"navigation\",\n  \"dataset\": \"mining-{side}\",\n  \
          \"frames\": {frames},\n  \"window_frac\": 0.35,\n  \"max_cubes\": 16,\n  \
-         \"warm_totals\": {{\n    \
-         \"full_requery\": {},\n    \
-         \"incremental\": {},\n    \
-         \"fetch_saved_pct\": {:.2},\n    \"decode_saved_pct\": {:.2},\n    \
-         \"examined_saved_pct\": {:.2},\n    \"disk_saved_pct\": {:.2}\n  }},\n  \
-         \"per_frame\": {{\n{},\n{}\n  }}\n}}\n",
-        warm_json(&f),
-        warm_json(&n),
-        pct(n.fetch, f.fetch),
-        pct(n.dec, f.dec),
-        pct(n.exam, f.exam),
-        pct(n.disk, f.disk),
-        mode_json("full_requery", &full),
-        mode_json("incremental", &incr),
+         \"store_pages\": {store_pages},\n  \"fetched_records\": {},\n  \
+         \"vertices\": {},\n  \"capacities\": [\n{}\n  ]\n}}\n",
+        json_array(roomy.iter().map(|f| f.stats.fetched_records)),
+        json_array(roomy.iter().map(|f| f.stats.vertices)),
+        rows.join(",\n"),
     );
     let out = std::env::var("DM_NAV_OUT").unwrap_or_else(|_| "BENCH_navigation.json".to_string());
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));

@@ -46,7 +46,7 @@ fn run(argv: Vec<String>) -> Result<(), String> {
         print_help();
         return Ok(());
     };
-    let args = Args::parse_with_flags(rest, &["degraded", "full", "cold", "chunked", "world"])?;
+    let args = Args::parse_with_flags(rest, &["degraded", "cold", "chunked", "world"])?;
     match cmd.as_str() {
         "generate" => cmd_generate(args),
         "build" => cmd_build(args),
@@ -90,7 +90,7 @@ build options:
   query <db.dmdb> [--keep <frac> | --lod <e>] [--roi x0,y0,x1,y1] [-o mesh.obj]
   vd <db.dmdb> [--near-keep <frac>] [--far-keep <frac>] [--roi ...] [-o mesh.obj]
   walkthrough <db.dmdb> [--frames <n>] [--window <frac>]
-              [--waypoints x0,y0;x1,y1;...] [--full] [-o last-frame.obj]
+              [--waypoints x0,y0;x1,y1;...] [-o last-frame.obj]
 
 viewpoint-dependent options (vd / walkthrough):
   --policy <skip|fetch> boundary policy: leave ROI borders coarser, or
@@ -104,10 +104,6 @@ walkthrough options:
                         (default 0.5)
   --waypoints <list>    fly a polyline of x,y points (semicolon-
                         separated) instead of the south→north slide
-  --full                re-run the cold multi-base query every frame
-                        (comparison baseline); by default a frame reuses
-                        the previous frame's records and fetches only
-                        the ΔROI
 
 parallel execution (query / vd):
   --threads <n>         worker threads (default 1; 0 = all hardware
@@ -192,7 +188,7 @@ network service:
                         byte-identical results
   remote-walkthrough --addr <host:port> [--frames <n>] [--window <frac>]
                [--near-keep <f>] [--far-keep <f>] [--policy ...]
-               [--max-cubes <n>] [--full] [--degraded]
+               [--max-cubes <n>] [--degraded]
                [--stream <delta|full|auto>] [--verify-local <db.dmdb>]
                         fly a server-side navigation session; --stream
                         picks the frame transport: `delta` ships ΔROI
@@ -663,18 +659,14 @@ fn cmd_walkthrough(args: Args) -> Result<(), String> {
     let window_frac = parse_window(&args)?;
     let policy = parse_policy(&args)?;
     let max_cubes: usize = args.parse_or("max-cubes", 16)?;
-    let full = args.has("full");
     let degraded = args.has("degraded");
 
     let (rois, e_min, e_far) = walkthrough_path(&args, &db)?;
-    let mut session = dm_core::NavigationSession::new(&db, policy)
-        .with_max_cubes(max_cubes)
-        .with_full_requery(full);
+    let mut session = dm_core::NavigationSession::new(&db, policy).with_max_cubes(max_cubes);
     db.try_cold_start().map_err(|e| e.to_string())?;
 
     println!(
-        "{} walkthrough: {} frames, window {:.0}%, policy {:?}, max {} cubes",
-        if full { "full" } else { "incremental" },
+        "walkthrough: {} frames, window {:.0}%, policy {:?}, max {} cubes",
         rois.len(),
         window_frac * 100.0,
         policy,
@@ -1388,7 +1380,6 @@ fn cmd_remote_walkthrough(args: Args) -> Result<(), String> {
     let policy = parse_policy(&args)?;
     let max_cubes: u32 = args.parse_or("max-cubes", 16)?;
     let degraded = args.has("degraded");
-    let full = args.has("full");
     let stream = match args.get("stream").unwrap_or("auto") {
         "delta" => dm_net::StreamMode::Delta,
         "full" => dm_net::StreamMode::Full,
@@ -1410,19 +1401,16 @@ fn cmd_remote_walkthrough(args: Args) -> Result<(), String> {
         Some(p) => Some(open_db(p, &args)?),
         None => None,
     };
-    let mut local_session = local_db.as_ref().map(|db| {
-        dm_core::NavigationSession::new(db, policy)
-            .with_max_cubes(max_cubes as usize)
-            .with_full_requery(full)
-    });
+    let mut local_session = local_db
+        .as_ref()
+        .map(|db| dm_core::NavigationSession::new(db, policy).with_max_cubes(max_cubes as usize));
 
     let session = client
-        .open_session(policy, max_cubes, full)
+        .open_session(policy, max_cubes, false)
         .map_err(|e| e.to_string())?;
     println!(
-        "remote {} walkthrough on {addr}: {} frames, window {:.0}%, policy {policy:?}, \
+        "remote walkthrough on {addr}: {} frames, window {:.0}%, policy {policy:?}, \
          stream {stream:?}",
-        if full { "full-requery" } else { "incremental" },
         rois.len(),
         window_frac * 100.0
     );

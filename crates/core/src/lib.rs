@@ -35,7 +35,7 @@
 //! fetch paths), [`faces`] (planar face extraction from connection
 //! lists), [`query`] (the three query algorithms and the optimizer),
 //! [`stats`] (the §4 connection-point statistics), [`catalog`]
-//! (persistence), [`navigation`] (incremental walkthroughs).
+//! (persistence), [`navigation`] (walkthrough sessions).
 //!
 //! ```
 //! use std::sync::Arc;

@@ -239,7 +239,7 @@ impl LiveDb {
         if reclaim.live.is_none() {
             let live = snap.page_set()?;
             self.pool
-                .release(&difference(0..self.pool.num_pages(), &live));
+                .release(&pages_not_in(0..self.pool.num_pages(), &live));
             reclaim.live = Some(live);
         }
         while let Some((reader, _)) = reclaim.retired.front() {
@@ -266,7 +266,7 @@ impl LiveDb {
         // Publish to readers, and retire what only older snapshots reach.
         *self.current.write().unwrap() = Arc::new(out.db);
         self.epoch.store(epoch, Ordering::Release);
-        let retired = difference(reclaim.live.iter().flatten().copied(), &next_live);
+        let retired = pages_not_in(reclaim.live.iter().flatten().copied(), &next_live);
         reclaim.retired.push_back((Arc::downgrade(&snap), retired));
         reclaim.live = Some(next_live);
         Ok(PatchStats {
@@ -279,7 +279,7 @@ impl LiveDb {
 }
 
 /// The pages of ascending `pages` that ascending `minus` lacks.
-fn difference(pages: impl Iterator<Item = PageId>, minus: &[PageId]) -> Vec<PageId> {
+fn pages_not_in(pages: impl Iterator<Item = PageId>, minus: &[PageId]) -> Vec<PageId> {
     let mut rest = minus.iter().peekable();
     pages
         .filter(|&p| {

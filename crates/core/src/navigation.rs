@@ -1,33 +1,27 @@
-//! Incremental viewpoint navigation — an extension beyond the paper.
+//! Viewpoint navigation — an extension beyond the paper.
 //!
 //! The paper evaluates isolated queries over a cold buffer. A real
 //! terrain walkthrough issues a *sequence* of viewpoint-dependent queries
 //! from nearby viewpoints; almost all data of frame *n* is still valid in
-//! frame *n + 1*. [`NavigationSession`] exploits that overlap at the
-//! query level, not just the buffer level:
+//! frame *n + 1*. [`NavigationSession`] keeps that reuse in the buffer
+//! pool and recycles the rest:
 //!
-//! 1. **Delta planning.** The session remembers the query cubes of the
-//!    previous frame. Each new cube is reduced by box subtraction
-//!    ([`dm_geom::subtract_boxes`]) to the parts not covered last frame,
-//!    and only those slivers hit the R\*-tree. For a smoothly moving
-//!    window the per-frame I/O drops from `O(ROI)` to `O(ΔROI)`.
-//! 2. **Working set.** Fetched records live in a session cache, one
-//!    arena slot per node id. Each frame rebuilds it: the records whose
-//!    indexed vertical segment still meets the new cubes, then the delta
-//!    fetch — by construction the cache then equals exactly what a cold
-//!    multi-base query would have fetched, so results are identical.
-//! 3. **Per-frame reconstruction.** Every frame seeds its front from
-//!    the working set with the cold path's own `assemble_topmost_front`
+//! 1. **One fetch a frame.** Every frame plans its strips and cubes like
+//!    a cold multi-base query and fetches the whole cube set in one
+//!    batched range query. Pages the previous frames read are still
+//!    resident with their decoded records (the pool's sidecars), so a
+//!    warm frame costs disk accesses only for the pages it newly
+//!    touches — DESIGN.md §8 measures why no second, session-side record
+//!    cache pays on top of that.
+//! 2. **Per-frame reconstruction.** Every frame seeds its front from the
+//!    fetched records with the cold path's own `assemble_topmost_front`
 //!    and refines it to the query plane — the same code a fresh
 //!    multi-base query runs over the same records, so a frame is a pure
-//!    function of (working set, query) and cannot drift with the
-//!    session's past. Reconstruction CPU stays `O(ROI)` while all I/O is
-//!    `O(ΔROI)`. (The paper observes that reconstruction cost is
-//!    negligible next to retrieval; a seed front patched in place across
-//!    frames cost 2.3× this rebuild — DESIGN.md §8.)
-//! 4. **Boundary nodes.** Records that refinement falls through for
+//!    function of (records, query) and cannot drift with the session's
+//!    past. The record arena and the front are recycled across frames.
+//! 3. **Boundary nodes.** Records that refinement falls through for
 //!    under [`BoundaryPolicy::FetchOnMiss`] are kept from one frame to
-//!    the next — only the ones the latest frame touched, so the cache is
+//!    the next — only the ones the latest frame touched, so the map is
 //!    bounded by one frame's boundary — and cost an id-directory point
 //!    lookup only on first touch.
 //!
@@ -35,7 +29,7 @@
 //! thread-local read counter, so concurrent sessions on one shared pool
 //! don't inflate each other's [`FrameStats`].
 
-use dm_geom::{subtract_boxes, Box3, Rect, Vec2};
+use dm_geom::{Rect, Vec2};
 use dm_mtm::refine::{FrontMesh, RefineStats};
 use dm_mtm::PmNode;
 use dm_storage::StorageResult;
@@ -47,15 +41,11 @@ use crate::query::{
 use crate::record::IndexedSet;
 use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
 
-/// Box-subtraction fragmentation cap: beyond this many pieces the delta
-/// planner falls back to refetching the whole cube (correct, just
-/// cheaper to execute as one range query than as many slivers).
-const MAX_DELTA_PIECES: usize = 48;
-
 /// How one frame was executed.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PlanDecision {
-    /// Whether the frame executed as a full requery of its cubes.
+    /// Whether the frame executed as a full requery of its cubes: always
+    /// `true`, since every frame fetches its whole cube set.
     pub chose_full: bool,
 }
 
@@ -64,7 +54,7 @@ pub struct PlanDecision {
 pub struct FrameStats {
     /// Logical disk accesses by this frame (this thread only).
     pub disk_accesses: u64,
-    /// Records fetched by this frame's (delta) range queries.
+    /// Records fetched by this frame's range query over its cubes.
     pub fetched_records: usize,
     /// Records fully decoded while scanning heap pages this frame.
     pub decoded_records: u64,
@@ -82,7 +72,7 @@ pub struct FrameStats {
     /// Refinement counters.
     pub refine: RefineStats,
     /// Id-directory point lookups this frame's refinement made for records
-    /// outside the working set ([`BoundaryPolicy::FetchOnMiss`]); nodes
+    /// outside its fetch ([`BoundaryPolicy::FetchOnMiss`]); nodes
     /// the previous frame already touched cost none.
     pub boundary_fetches: usize,
     /// Front size after the frame.
@@ -96,26 +86,17 @@ pub struct NavigationSession<'a> {
     db: &'a DirectMeshDb,
     policy: BoundaryPolicy,
     max_cubes: usize,
-    /// Every frame a full requery of its cubes instead of a ΔROI fetch.
-    full: bool,
     /// The refined mesh of the last frame; the next frame rebuilds it in
     /// place.
     front: FrontMesh,
-    /// Session record cache — always exactly the union fetch set of the
-    /// last frame's cubes.
-    working: IndexedSet,
-    /// The working set's other buffer: the next frame's cache is built
-    /// here, then the two swap.
-    spare: IndexedSet,
-    /// The query cubes executed last frame (delta-planning baseline).
-    prev_cubes: Vec<Box3>,
+    /// The last frame's fetch, one slot per id; the next frame refills
+    /// it in place.
+    records: IndexedSet,
     /// Seed ids of the last frame's front, ascending (what
     /// [`FrameStats::seeds_added`] / `seeds_removed` are counted against).
     prev_seeds: Vec<u32>,
-    /// Out-of-working-set nodes the last frame's refinement touched.
+    /// Nodes outside its fetch that the last frame's refinement touched.
     boundary: FxHashMap<u32, PmNode>,
-    /// The ΔROI piece list, reused across frames.
-    pieces: Vec<Box3>,
 }
 
 impl<'a> NavigationSession<'a> {
@@ -125,29 +106,16 @@ impl<'a> NavigationSession<'a> {
             db,
             policy,
             max_cubes: 16,
-            full: false,
             front: FrontMesh::default(),
-            working: IndexedSet::default(),
-            spare: IndexedSet::default(),
-            prev_cubes: Vec::new(),
+            records: IndexedSet::default(),
             prev_seeds: Vec::new(),
             boundary: FxHashMap::default(),
-            pieces: Vec::new(),
         }
     }
 
     /// Cap on the multi-base strip decomposition (default 16 cubes).
     pub fn with_max_cubes(mut self, max_cubes: usize) -> Self {
         self.max_cubes = max_cubes.max(1);
-        self
-    }
-
-    /// Disable incremental reuse: every frame runs a cold-style
-    /// multi-base query (the baseline the benchmarks compare against).
-    /// Both strategies produce byte-identical meshes; they differ only in
-    /// cost.
-    pub fn with_full_requery(mut self, full: bool) -> Self {
-        self.full = full;
         self
     }
 
@@ -162,7 +130,7 @@ impl<'a> NavigationSession<'a> {
     }
 
     /// Boundary nodes kept for the next frame: exactly those the last
-    /// frame's refinement needed from outside the working set.
+    /// frame's refinement needed from outside its fetch.
     pub fn boundary_nodes(&self) -> usize {
         self.boundary.len()
     }
@@ -178,51 +146,24 @@ impl<'a> NavigationSession<'a> {
         let mut counters = FetchCounters::default();
 
         // Plan this frame's strips and cubes (same planner as a cold
-        // multi-base query, so coverage is identical).
+        // multi-base query, so coverage is identical) and fetch them as
+        // ONE batch: a single index descent for all boxes, every
+        // candidate heap page scanned once with its MBR pre-filtering the
+        // box list. The fetch completes before any session state changes,
+        // so an `Err` leaves the session consistent.
         let strips = self.db.plan_multi_base(q, self.max_cubes);
-        let new_cubes = staircase(self.db, q, &strips);
-
-        // Execute the frame as ONE batched fetch: a single index descent
-        // for all boxes, every candidate heap page scanned once with its
-        // MBR pre-filtering the box list. A full requery fetches the new
-        // cubes; an incremental frame only the parts of them that the
-        // previous frame's cubes did not cover. All fetches complete
-        // before any session state changes, so an `Err` leaves the
-        // session consistent.
-        let exec: &[Box3] = if self.full {
-            &new_cubes
-        } else {
-            self.pieces.clear();
-            for cube in &new_cubes {
-                self.pieces
-                    .extend(subtract_boxes(cube, &self.prev_cubes, MAX_DELTA_PIECES));
-            }
-            &self.pieces
-        };
-        let fresh = self.db.fetch(exec, &mut report, &mut counters)?;
+        let cubes = staircase(self.db, q, &strips);
+        let fresh = self.db.fetch(&cubes, &mut report, &mut counters)?;
 
         // Nothing below can fail: from here on the session's buffers are
-        // recycled. Working-set update, into the spare arena: the records
-        // whose indexed segment still meets a new cube, then the delta
-        // fetch. The cache now equals the union fetch set of a cold query
-        // over `new_cubes`.
-        let db = self.db;
-        self.spare.clear();
-        self.spare.absorb(self.working.set(), |n| {
-            let seg = db.record_segment(n);
-            new_cubes.iter().any(|c| seg.intersects(c))
-        });
-        self.spare.absorb(&fresh, |_| true);
-        std::mem::swap(&mut self.working, &mut self.spare);
-        self.prev_cubes = new_cubes;
-
-        // Result mesh: the cold path's seed front over the working set,
-        // rebuilt into last frame's front and refined to the query plane
-        // reading records straight out of the working set (no per-frame
-        // node-map rebuild). Boundary fetches stay out of the working
-        // set; the ones this frame touched are kept for the next.
+        // recycled. The result mesh is the cold path's seed front over
+        // the fetch, rebuilt into last frame's front and refined to the
+        // query plane. Boundary fetches stay out of the record set; the
+        // ones this frame touched are kept for the next.
+        self.records.clear();
+        self.records.absorb(&fresh);
         let front = &mut self.front;
-        assemble_topmost_front_into(&self.working, &q.roi, front);
+        assemble_topmost_front_into(&self.records, &q.roi, front);
         let mut seeds: Vec<u32> = front.vertex_ids().collect();
         seeds.sort_unstable();
         let (seeds_added, seeds_removed) = sorted_diff_counts(&seeds, &self.prev_seeds);
@@ -230,7 +171,7 @@ impl<'a> NavigationSession<'a> {
         let (refine, boundary_fetches) = refine_accounted(
             front,
             self.db,
-            &self.working,
+            &self.records,
             &mut self.boundary,
             self.policy,
             q,
@@ -247,9 +188,7 @@ impl<'a> NavigationSession<'a> {
             refine,
             boundary_fetches,
             vertices: front.num_vertices(),
-            plan: PlanDecision {
-                chose_full: self.full,
-            },
+            plan: PlanDecision { chose_full: true },
         };
         Ok((stats, report))
     }
@@ -258,8 +197,7 @@ impl<'a> NavigationSession<'a> {
     /// or `DirectMeshDb::try_cold_start` to measure cold costs again).
     pub fn reset(&mut self) {
         self.front = FrontMesh::default();
-        self.working.clear();
-        self.prev_cubes.clear();
+        self.records.clear();
         self.prev_seeds.clear();
         self.boundary = FxHashMap::default();
     }
@@ -306,8 +244,7 @@ pub fn flight_path(bounds: &Rect, window_frac: f64, frames: usize) -> Vec<Rect> 
 /// A general flight path: `frames` square windows of side `window`
 /// whose centers slide along the polyline through `waypoints` at
 /// constant arc-length speed. Waypoints may turn sharply or revisit
-/// earlier territory — exactly the motions that distinguish delta
-/// planning from a simple sliding window.
+/// earlier territory — motions a simple sliding window never makes.
 pub fn waypoint_path(waypoints: &[Vec2], window: f64, frames: usize) -> Vec<Rect> {
     assert!(!waypoints.is_empty(), "waypoint_path needs waypoints");
     let mut cum = vec![0.0];
@@ -467,30 +404,37 @@ mod tests {
     }
 
     /// `try_move_to`'s `Err` promise under recycled buffers: a frame
-    /// whose index descent fails leaves the front, the working set and
+    /// whose index descent fails leaves the front, the record arena and
     /// the boundary as they were, so the next frame answers like a
     /// session that never saw the failure.
     #[test]
     fn a_failed_frame_leaves_the_session_unchanged() {
         let hf = generate::fractal_terrain(33, 33, 77);
         let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+        // Four entries a node: a deep index, so the two windows' descents
+        // share few nodes.
+        let opts = DmBuildOptions {
+            rtree_fill: 0.03,
+            ..DmBuildOptions::default()
+        };
         let build = |cfg: FaultConfig| {
             let inj = FaultInjector::new(Box::new(MemStore::new()), cfg);
             let counters = inj.counters();
             let pool = Arc::new(BufferPool::new(Box::new(inj), 4096));
-            (
-                DirectMeshDb::build(pool, &pm, &DmBuildOptions::default()),
-                counters,
-            )
+            let db = DirectMeshDb::build(pool, &pm, &opts);
+            db.try_cold_start().unwrap();
+            (db, counters)
         };
         let (healthy, reads) = build(FaultConfig::new(1));
-        let path = flight_path(&healthy.bounds, 0.5, 4);
+        let path = flight_path(&healthy.bounds, 0.3, 4);
         let (home, away) = (query_at(&healthy, path[0]), query_at(&healthy, path[3]));
         let mut clean = NavigationSession::new(&healthy, BoundaryPolicy::FetchOnMiss);
         unwrap_clean(clean.try_move_to(&home));
 
         // The same store on a device that dies after the reads of the
-        // build and the first frame.
+        // build and the first frame, from an empty pool: every page
+        // `home` needs stays resident, and `away` descends into index
+        // nodes `home` never read.
         let (db, _) = build(FaultConfig::new(1).with_fail_reads_after(reads.reads()));
         let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
         unwrap_clean(session.try_move_to(&home));
@@ -498,27 +442,25 @@ mod tests {
             (
                 face_set(s.front()),
                 s.front().num_vertices(),
-                s.working.set().nodes.clone(),
-                s.prev_cubes.clone(),
+                s.records.set().nodes.clone(),
                 s.prev_seeds.clone(),
                 s.boundary_nodes(),
             )
         };
         let before = snapshot(&session);
-        // An empty pool: the next descent must read, and cannot.
-        db.try_cold_start().unwrap();
         assert!(session.try_move_to(&away).is_err());
         assert!(
             snapshot(&session) == before,
             "a failed frame changed the session"
         );
 
-        // Back home: the frame needs no read, and answers as if the
-        // failure never happened.
+        // Back home: the frame reads only resident pages, and answers as
+        // if the failure never happened.
         let (got, report) = session
             .try_move_to(&home)
-            .expect("a frame that reads nothing");
+            .expect("a frame over resident pages");
         assert!(report.is_clean());
+        assert_eq!(got.disk_accesses, 0);
         let want = unwrap_clean(clean.try_move_to(&home));
         assert_eq!(
             (got.refine, got.vertices, got.boundary_fetches),
@@ -535,49 +477,6 @@ mod tests {
             ids
         };
         assert_eq!(ids(&session), ids(&clean));
-    }
-
-    #[test]
-    fn small_shift_fetches_strictly_less_than_a_cold_requery() {
-        let db = db();
-        let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
-        let path = flight_path(&db.bounds, 0.5, 12); // small steps
-        unwrap_clean(session.try_move_to(&query_at(&db, path[0])));
-        let s1 = unwrap_clean(session.try_move_to(&query_at(&db, path[1])));
-        let fresh = unwrap_clean(db.try_vd_multi_base(
-            &query_at(&db, path[1]),
-            BoundaryPolicy::FetchOnMiss,
-            16,
-        ));
-        assert!(
-            s1.fetched_records < fresh.fetched_records,
-            "delta fetch ({}) must undercut a cold requery ({})",
-            s1.fetched_records,
-            fresh.fetched_records
-        );
-        assert!(
-            (s1.decoded_records as usize) < fresh.fetched_records,
-            "delta decode count ({}) must undercut a cold requery ({})",
-            s1.decoded_records,
-            fresh.fetched_records
-        );
-    }
-
-    #[test]
-    fn full_requery_mode_matches_incremental_results() {
-        let db = db();
-        let mut inc = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
-        let mut full =
-            NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss).with_full_requery(true);
-        for roi in flight_path(&db.bounds, 0.5, 6) {
-            let q = query_at(&db, roi);
-            let si = unwrap_clean(inc.try_move_to(&q));
-            let sf = unwrap_clean(full.try_move_to(&q));
-            assert!(!si.plan.chose_full && sf.plan.chose_full);
-            assert_eq!(si.vertices, sf.vertices);
-            assert_eq!(face_set(inc.front()), face_set(full.front()));
-            assert!(si.fetched_records <= sf.fetched_records);
-        }
     }
 
     #[test]

@@ -189,8 +189,8 @@ pub trait RecordStore: Sync {
     fn clamp_e(&self, e: f64) -> f64;
 
     /// Every record whose vertical segment intersects any of `boxes`: a
-    /// VI query plane (one flat box), a VD staircase, one navigation
-    /// frame's ΔROI pieces. Unreadable heap pages are skipped and
+    /// VI query plane (one flat box), a VD staircase (a cold query's or
+    /// one navigation frame's). Unreadable heap pages are skipped and
     /// accounted in `report`; `Err` means an index descent (or a region
     /// open) failed.
     fn fetch(
@@ -240,9 +240,9 @@ impl RecordStore for DirectMeshDb {
 /// store.
 struct StoreSource<'a, S: RecordStore + ?Sized> {
     store: &'a S,
-    /// The fetched records (a cold query's union fetch, or a navigation
-    /// session's working set). Never written — boundary fetches land in
-    /// `touched` so they cannot leak into the working set.
+    /// The fetched records (a cold query's or a navigation frame's union
+    /// fetch). Never written — boundary fetches land in `touched` so they
+    /// cannot leak into the fetch.
     base: &'a IndexedSet,
     /// Boundary nodes the caller's previous frame ended with (empty for
     /// a one-shot query) …
@@ -437,7 +437,7 @@ pub(crate) fn assemble_refine<S: RecordStore + ?Sized>(
     let fetched_records = fetched.iter().map(FetchedSet::len).sum();
     let mut all = IndexedSet::default();
     for set in fetched {
-        all.absorb(set, |_| true);
+        all.absorb(set);
     }
     let mut front = assemble_topmost_front(&all, &q.roi);
     let (refine, boundary_fetches) = refine_accounted(
@@ -1092,7 +1092,7 @@ mod tests {
         let mut report = IntegrityReport::default();
         let set = RecordStore::fetch(&db, &healthy.cubes, &mut report, &mut counters).unwrap();
         let mut all = IndexedSet::default();
-        all.absorb(&set, |_| true);
+        all.absorb(&set);
         let seed = assemble_topmost_front(&all, &roi);
         let ceiling = seed.vertex_ids().max().unwrap();
         let failing = FailingAbove { db: &db, ceiling };

@@ -495,8 +495,8 @@ impl FetchedSet {
 
 /// A [`FetchedSet`] holding each id once, with the id → slot view every
 /// viewpoint-dependent consumer reads it through: the cold tail over one
-/// fetch, a navigation session's working set over kept ∪ fresh, the
-/// parallel stitch over per-strip fetches. A fetch may deliver an id more
+/// fetch, a navigation session's recycled per-frame copy of its fetch,
+/// the parallel stitch over per-strip fetches. A fetch may deliver an id more
 /// than once (overlapping strips, regions sharing a seam); the first
 /// copy absorbed wins.
 #[derive(Default)]
@@ -506,14 +506,10 @@ pub(crate) struct IndexedSet {
 }
 
 impl IndexedSet {
-    /// Append every record of `src` that passes `keep` and whose id is
-    /// not held yet.
-    pub(crate) fn absorb(&mut self, src: &FetchedSet, keep: impl Fn(&PmNode) -> bool) {
+    /// Append every record of `src` whose id is not held yet.
+    pub(crate) fn absorb(&mut self, src: &FetchedSet) {
         self.slot_of.reserve(src.len());
         for (i, n) in src.nodes.iter().enumerate() {
-            if !keep(n) {
-                continue;
-            }
             if let Entry::Vacant(slot) = self.slot_of.entry(n.id) {
                 slot.insert(self.set.len() as u32);
                 self.set.push(*n, src.conn_of(i).iter().copied());

@@ -18,8 +18,8 @@ use crate::record::{
     encode_compact, BaseVals, DmRecord, FetchedSet, PageDecoder, RawRecord, RecordCodec,
 };
 
-/// Counters for one range-fetch operation, used by the navigation bench
-/// to show what delta planning saves beyond raw page reads.
+/// Counters for one range-fetch operation: the work a fetch does beyond
+/// its raw page reads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FetchCounters {
     /// Candidate heap pages the index descent produced (deduplicated).
@@ -1001,8 +1001,8 @@ impl DirectMeshDb {
 
     /// The one range scan: every record whose vertical segment
     /// intersects *any* box, each once, into a [`FetchedSet`] arena. A
-    /// VI query plane is a one-box batch; a VD staircase or one
-    /// navigation frame's ΔROI pieces are many. One index descent for
+    /// VI query plane is a one-box batch; a VD staircase (a cold query's
+    /// or one navigation frame's) is many. One index descent for
     /// the whole batch, then each candidate heap page is header-scanned
     /// *once* — its stored MBR first pre-filters the batch down to the
     /// boxes that can match on that page, its slot-0 base is decoded

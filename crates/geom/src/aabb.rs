@@ -162,47 +162,6 @@ impl Rect {
             Rect { min, max }
         }
     }
-
-    /// `self \ o` as at most four disjoint-interior closed rectangles.
-    ///
-    /// Because both operands are closed, the exact set difference is not a
-    /// union of closed rectangles; the pieces returned here cover its
-    /// *closure* — points on the shared boundary with `o` may appear in a
-    /// piece. Delta-query planning wants exactly that: over-covering a
-    /// boundary re-fetches a record (deduplicated downstream), while
-    /// under-covering would lose one.
-    pub fn difference(&self, o: &Rect) -> Vec<Rect> {
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let i = self.intersection(o);
-        if i.is_empty() {
-            return vec![*self];
-        }
-        if o.contains_rect(self) {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(4);
-        if self.min.x < i.min.x {
-            out.push(Rect::new(self.min, Vec2::new(i.min.x, self.max.y)));
-        }
-        if i.max.x < self.max.x {
-            out.push(Rect::new(Vec2::new(i.max.x, self.min.y), self.max));
-        }
-        if self.min.y < i.min.y {
-            out.push(Rect::new(
-                Vec2::new(i.min.x, self.min.y),
-                Vec2::new(i.max.x, i.min.y),
-            ));
-        }
-        if i.max.y < self.max.y {
-            out.push(Rect::new(
-                Vec2::new(i.min.x, i.max.y),
-                Vec2::new(i.max.x, self.max.y),
-            ));
-        }
-        out
-    }
 }
 
 /// A 3D axis-aligned box `[min, max]`.
@@ -412,92 +371,6 @@ impl Box3 {
     pub fn overlap(&self, o: &Box3) -> f64 {
         self.intersection(o).volume()
     }
-
-    /// `self \ o` as at most six disjoint-interior closed boxes.
-    ///
-    /// Same closure semantics as [`Rect::difference`]: pieces may share
-    /// boundary points with `o`, never lose interior points of `self \ o`.
-    pub fn difference(&self, o: &Box3) -> Vec<Box3> {
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let i = self.intersection(o);
-        if i.is_empty() {
-            return vec![*self];
-        }
-        if o.contains_box(self) {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(6);
-        // Two x-slabs spanning the full y/z extent, then y-slabs within
-        // the intersection's x-span, then z-slabs within its xy-span.
-        if self.min.x < i.min.x {
-            out.push(Box3::new(
-                self.min,
-                Vec3::new(i.min.x, self.max.y, self.max.z),
-            ));
-        }
-        if i.max.x < self.max.x {
-            out.push(Box3::new(
-                Vec3::new(i.max.x, self.min.y, self.min.z),
-                self.max,
-            ));
-        }
-        if self.min.y < i.min.y {
-            out.push(Box3::new(
-                Vec3::new(i.min.x, self.min.y, self.min.z),
-                Vec3::new(i.max.x, i.min.y, self.max.z),
-            ));
-        }
-        if i.max.y < self.max.y {
-            out.push(Box3::new(
-                Vec3::new(i.min.x, i.max.y, self.min.z),
-                Vec3::new(i.max.x, self.max.y, self.max.z),
-            ));
-        }
-        if self.min.z < i.min.z {
-            out.push(Box3::new(
-                Vec3::new(i.min.x, i.min.y, self.min.z),
-                Vec3::new(i.max.x, i.max.y, i.min.z),
-            ));
-        }
-        if i.max.z < self.max.z {
-            out.push(Box3::new(
-                Vec3::new(i.min.x, i.min.y, i.max.z),
-                Vec3::new(i.max.x, i.max.y, self.max.z),
-            ));
-        }
-        out
-    }
-}
-
-/// Subtract every box in `subs` from `base`, returning covering pieces.
-///
-/// Repeated subtraction fragments: each sub can split every surviving
-/// piece into up to six. If the running piece count ever exceeds `cap`
-/// the helper gives up and returns `vec![base]` — always a *correct*
-/// answer under the covering semantics of [`Box3::difference`] (the
-/// caller just fetches more than the minimal delta). An empty result
-/// means `subs` covers all of `base`.
-pub fn subtract_boxes(base: &Box3, subs: &[Box3], cap: usize) -> Vec<Box3> {
-    if base.is_empty() {
-        return Vec::new();
-    }
-    let mut pieces = vec![*base];
-    for s in subs {
-        let mut next = Vec::new();
-        for p in &pieces {
-            next.extend(p.difference(s));
-        }
-        if next.len() > cap {
-            return vec![*base];
-        }
-        pieces = next;
-        if pieces.is_empty() {
-            break;
-        }
-    }
-    pieces
 }
 
 #[cfg(test)]
@@ -611,148 +484,6 @@ mod tests {
     fn rect_projection_of_box() {
         let a = b(1.0, 2.0, 3.0, 4.0, 5.0, 6.0);
         assert_eq!(a.rect(), r(1.0, 2.0, 4.0, 5.0));
-    }
-
-    /// Sample a grid of interior points and check piecewise membership
-    /// matches set membership of the difference.
-    fn check_rect_difference(a: Rect, o: Rect) {
-        let pieces = a.difference(&o);
-        assert!(pieces.len() <= 4);
-        for p in &pieces {
-            assert!(!p.is_empty());
-            assert!(a.contains_rect(p), "piece {p:?} escapes {a:?}");
-        }
-        // Pairwise-disjoint interiors.
-        for (i, p) in pieces.iter().enumerate() {
-            for q in &pieces[i + 1..] {
-                let inter = p.intersection(q);
-                assert!(inter.area() < 1e-12, "pieces overlap: {p:?} {q:?}");
-            }
-        }
-        let n = 23;
-        for ix in 0..=n {
-            for iy in 0..=n {
-                let pt = Vec2::new(
-                    a.min.x + a.width() * ix as f64 / n as f64,
-                    a.min.y + a.height() * iy as f64 / n as f64,
-                );
-                let in_diff = a.contains(pt) && !o.contains(pt);
-                let in_pieces = pieces.iter().any(|p| p.contains(pt));
-                // Covering semantics: pieces ⊇ difference; boundary points
-                // of `o` may also be covered, so only check one direction.
-                if in_diff {
-                    assert!(in_pieces, "lost {pt:?} from {a:?} \\ {o:?}");
-                }
-                if in_pieces {
-                    assert!(a.contains(pt));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rect_difference_cases() {
-        let a = r(0.0, 0.0, 4.0, 4.0);
-        check_rect_difference(a, r(1.0, 1.0, 3.0, 3.0)); // hole: 4 pieces
-        check_rect_difference(a, r(-1.0, -1.0, 2.0, 5.0)); // left bite
-        check_rect_difference(a, r(2.0, -1.0, 5.0, 2.0)); // corner bite
-        check_rect_difference(a, r(5.0, 5.0, 6.0, 6.0)); // disjoint
-        check_rect_difference(a, r(-1.0, -1.0, 5.0, 5.0)); // covered
-        check_rect_difference(a, a); // self
-        check_rect_difference(a, r(1.0, -1.0, 3.0, 5.0)); // vertical band
-        assert_eq!(a.difference(&r(5.0, 5.0, 6.0, 6.0)), vec![a]);
-        assert!(a.difference(&r(-1.0, -1.0, 5.0, 5.0)).is_empty());
-        assert!(a.difference(&a).is_empty());
-        assert_eq!(a.difference(&r(1.0, 1.0, 3.0, 3.0)).len(), 4);
-        assert!(Rect::EMPTY.difference(&a).is_empty());
-    }
-
-    fn check_box_difference(a: Box3, o: Box3) {
-        let pieces = a.difference(&o);
-        assert!(pieces.len() <= 6);
-        for p in &pieces {
-            assert!(!p.is_empty());
-            assert!(a.contains_box(p));
-        }
-        for (i, p) in pieces.iter().enumerate() {
-            for q in &pieces[i + 1..] {
-                assert!(p.intersection(q).volume() < 1e-12);
-            }
-        }
-        let n = 11;
-        for ix in 0..=n {
-            for iy in 0..=n {
-                for iz in 0..=n {
-                    let e = a.extent();
-                    let pt = Vec3::new(
-                        a.min.x + e.x * ix as f64 / n as f64,
-                        a.min.y + e.y * iy as f64 / n as f64,
-                        a.min.z + e.z * iz as f64 / n as f64,
-                    );
-                    if a.contains(pt) && !o.contains(pt) {
-                        assert!(
-                            pieces.iter().any(|p| p.contains(pt)),
-                            "lost {pt:?} from {a:?} \\ {o:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn box3_difference_cases() {
-        let a = b(0.0, 0.0, 0.0, 4.0, 4.0, 4.0);
-        check_box_difference(a, b(1.0, 1.0, 1.0, 3.0, 3.0, 3.0)); // hole: 6 pieces
-        check_box_difference(a, b(-1.0, -1.0, -1.0, 2.0, 5.0, 5.0)); // slab bite
-        check_box_difference(a, b(2.0, 2.0, -1.0, 5.0, 5.0, 2.0)); // corner bite
-        check_box_difference(a, b(5.0, 5.0, 5.0, 6.0, 6.0, 6.0)); // disjoint
-        check_box_difference(a, b(-1.0, -1.0, -1.0, 5.0, 5.0, 5.0)); // covered
-                                                                     // The navigation shape: same footprint, e-range grew. Difference
-                                                                     // must be exactly the new top slab.
-        let old = b(0.0, 0.0, 0.0, 4.0, 4.0, 2.0);
-        let new = b(0.0, 0.0, 0.0, 4.0, 4.0, 3.0);
-        let d = new.difference(&old);
-        assert_eq!(d, vec![b(0.0, 0.0, 2.0, 4.0, 4.0, 3.0)]);
-        assert_eq!(a.difference(&b(1.0, 1.0, 1.0, 3.0, 3.0, 3.0)).len(), 6);
-    }
-
-    #[test]
-    fn subtract_boxes_covers_and_caps() {
-        let base = b(0.0, 0.0, 0.0, 8.0, 8.0, 2.0);
-        // Shifted copy of itself: one remaining slab.
-        let old = b(2.0, 0.0, 0.0, 10.0, 8.0, 2.0);
-        let d = subtract_boxes(&base, &[old], 32);
-        assert_eq!(d, vec![b(0.0, 0.0, 0.0, 2.0, 8.0, 2.0)]);
-        // Full cover → empty.
-        assert!(subtract_boxes(&base, &[b(-1.0, -1.0, -1.0, 9.0, 9.0, 3.0)], 32).is_empty());
-        // No subtrahends → the base itself.
-        assert_eq!(subtract_boxes(&base, &[], 32), vec![base]);
-        // Fragmentation cap: many small holes blow past cap=2, so the
-        // helper falls back to the whole base (correct over-covering).
-        let holes: Vec<Box3> = (0..4)
-            .map(|i| {
-                let x = 1.0 + 1.5 * i as f64;
-                b(x, 1.0, 0.5, x + 0.5, 1.5, 1.0)
-            })
-            .collect();
-        assert_eq!(subtract_boxes(&base, &holes, 2), vec![base]);
-        // With a generous cap the same subtraction stays exact: sampled
-        // points inside a hole are excluded, others covered.
-        let pieces = subtract_boxes(&base, &holes, 64);
-        assert!(pieces.len() > 4);
-        let inside_hole = Vec3::new(1.2, 1.2, 0.7);
-        let outside = Vec3::new(5.0, 5.0, 1.0);
-        assert!(!pieces.iter().any(|p| {
-            p.contains(inside_hole)
-                && inside_hole.x > p.min.x
-                && inside_hole.x < p.max.x
-                && inside_hole.y > p.min.y
-                && inside_hole.y < p.max.y
-                && inside_hole.z > p.min.z
-                && inside_hole.z < p.max.z
-        }));
-        assert!(pieces.iter().any(|p| p.contains(outside)));
     }
 
     #[test]

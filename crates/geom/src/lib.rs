@@ -21,6 +21,6 @@ pub mod interval;
 pub mod tri;
 pub mod vec;
 
-pub use aabb::{subtract_boxes, Box3, Rect};
+pub use aabb::{Box3, Rect};
 pub use interval::Interval;
 pub use vec::{Vec2, Vec3};

@@ -31,57 +31,6 @@ fn arb_interval() -> impl Strategy<Value = Interval> {
     (0.0..1000.0f64, 0.0..500.0f64).prop_map(|(lo, len)| Interval::new(lo, lo + len))
 }
 
-/// A box on a small integer lattice. Deliberately allows degenerate
-/// shapes: zero extent in any subset of axes (faces, edges, points), the
-/// canonical empty box, and boxes that exactly touch or share faces —
-/// the cases where open/closed boundary handling goes wrong.
-fn lattice_box() -> impl Strategy<Value = Box3> {
-    (-4i8..=3, -4i8..=3, -4i8..=3, 0i8..=5, 0i8..=5, 0i8..=5).prop_map(|(x, y, z, w, h, d)| {
-        if w == 5 && h == 5 && d == 5 {
-            // Reserve one corner of the extent space for the
-            // canonical empty box (inverted bounds, ±∞).
-            Box3::EMPTY
-        } else {
-            let min = Vec3::new(x as f64, y as f64, z as f64);
-            Box3::new(
-                min,
-                Vec3::new(
-                    min.x + (w % 5) as f64,
-                    min.y + (h % 5) as f64,
-                    min.z + (d % 5) as f64,
-                ),
-            )
-        }
-    })
-}
-
-/// Half-integer sample points spanning `b` (including its boundary).
-fn sample_points(b: &Box3) -> Vec<Vec3> {
-    let axis = |lo: f64, hi: f64| {
-        let mut v = Vec::new();
-        let mut t = lo;
-        while t <= hi + 1e-12 {
-            v.push(t);
-            t += 0.5;
-        }
-        v
-    };
-    let (xs, ys, zs) = (
-        axis(b.min.x, b.max.x),
-        axis(b.min.y, b.max.y),
-        axis(b.min.z, b.max.z),
-    );
-    let mut out = Vec::with_capacity(xs.len() * ys.len() * zs.len());
-    for &x in &xs {
-        for &y in &ys {
-            for &z in &zs {
-                out.push(Vec3::new(x, y, z));
-            }
-        }
-    }
-    out
-}
-
 proptest! {
     #[test]
     fn rect_union_contains_both(a in arb_rect(), b in arb_rect()) {
@@ -193,95 +142,5 @@ proptest! {
         // arithmetic; allow rounding slack.
         let o3 = orient2d(b, c, a);
         prop_assert!((o1 - o3).abs() <= 1e-9 * o1.abs().max(1.0));
-    }
-}
-
-proptest! {
-    /// `subtract_boxes` must return pieces inside the base that cover
-    /// everything the subtrahends do not — for arbitrary degenerate,
-    /// empty, touching and overlapping inputs, and under any cap.
-    #[test]
-    fn subtract_boxes_is_a_conservative_cover(
-        b in lattice_box(),
-        s1 in lattice_box(),
-        s2 in lattice_box(),
-        s3 in lattice_box(),
-        cap_i in 0usize..5,
-    ) {
-        let cap = [0usize, 1, 4, 64, 4096][cap_i];
-        let base = b;
-        let subs = [s1, s2, s3];
-        let pieces = dm_geom::subtract_boxes(&base, &subs, cap);
-        if base.is_empty() {
-            prop_assert!(pieces.is_empty());
-            return Ok(());
-        }
-        for p in &pieces {
-            prop_assert!(base.contains_box(p), "piece {p:?} escapes base {base:?}");
-        }
-        // Covering semantics: any point of the base not claimed by a
-        // subtrahend must lie in some piece (pieces may legitimately
-        // over-cover, e.g. the cap fallback returns the whole base).
-        for pt in sample_points(&base) {
-            if subs.iter().any(|s| s.contains(pt)) {
-                continue;
-            }
-            prop_assert!(
-                pieces.iter().any(|p| p.contains(pt)),
-                "uncovered point {pt:?} (cap {cap})"
-            );
-        }
-    }
-
-    /// One subtraction step is an exact partition: the pieces plus the
-    /// clipped subtrahend tile the base with disjoint interiors.
-    #[test]
-    fn single_box_difference_partitions_volume(
-        b in lattice_box(),
-        s in lattice_box(),
-    ) {
-        if b.is_empty() {
-            return Ok(());
-        }
-        let pieces = b.difference(&s);
-        let clipped = b.intersection(&s);
-        let clipped_vol = if clipped.is_empty() { 0.0 } else { clipped.volume() };
-        let pieces_vol: f64 = pieces.iter().map(|p| p.volume()).sum();
-        let total = b.volume().max(1.0);
-        prop_assert!(
-            (pieces_vol + clipped_vol - b.volume()).abs() <= 1e-9 * total,
-            "pieces {pieces_vol} + clipped {clipped_vol} != base {}",
-            b.volume()
-        );
-        for i in 0..pieces.len() {
-            for j in i + 1..pieces.len() {
-                let overlap = pieces[i].intersection(&pieces[j]);
-                let v = if overlap.is_empty() { 0.0 } else { overlap.volume() };
-                prop_assert!(v <= 1e-9 * total, "pieces {i} and {j} overlap by {v}");
-            }
-        }
-    }
-
-    /// Subtracting nothing, empty boxes, or fully-disjoint boxes returns
-    /// the base unchanged; subtracting the base itself (or a superset)
-    /// returns nothing.
-    #[test]
-    fn subtract_boxes_identities(b in lattice_box()) {
-        if b.is_empty() {
-            return Ok(());
-        }
-        prop_assert_eq!(dm_geom::subtract_boxes(&b, &[], 16), vec![b]);
-        prop_assert_eq!(dm_geom::subtract_boxes(&b, &[Box3::EMPTY], 16), vec![b]);
-        let far = Box3::new(
-            Vec3::new(100.0, 100.0, 100.0),
-            Vec3::new(101.0, 101.0, 101.0),
-        );
-        prop_assert_eq!(dm_geom::subtract_boxes(&b, &[far], 16), vec![b]);
-        prop_assert!(dm_geom::subtract_boxes(&b, &[b], 16).is_empty());
-        let superset = Box3::new(
-            Vec3::new(b.min.x - 1.0, b.min.y - 1.0, b.min.z - 1.0),
-            Vec3::new(b.max.x + 1.0, b.max.y + 1.0, b.max.z + 1.0),
-        );
-        prop_assert!(dm_geom::subtract_boxes(&b, &[superset], 16).is_empty());
     }
 }

@@ -350,8 +350,8 @@ impl RStarTree {
     /// called at most once per matching leaf entry — the union of what
     /// per-box [`Self::try_query`] calls would visit, but interior pages
     /// on paths shared between boxes are read once instead of once per
-    /// box. Batch fetches (one navigation frame's ΔROI pieces) use this
-    /// to keep index I/O independent of how finely the ΔROI fragments.
+    /// box. Batch fetches (one VD staircase, a cube per strip) use this
+    /// to keep index I/O independent of how many cubes a plan has.
     pub fn try_query_multi(
         &self,
         qs: &[Box3],

@@ -393,6 +393,8 @@ impl Client {
     }
 
     /// Open a server-side navigation session; returns its id.
+    /// `full_requery` still travels on the wire but the server ignores
+    /// it: every session frame is a full requery of its cubes.
     pub fn open_session(
         &mut self,
         policy: BoundaryPolicy,

@@ -138,6 +138,9 @@ pub enum Request {
     OpenSession {
         policy: BoundaryPolicy,
         max_cubes: u32,
+        /// Kept on the wire so the encoding does not change; the server
+        /// accepts and ignores it, since every session frame is a full
+        /// requery of its cubes.
         full_requery: bool,
     },
     /// Advance an open session to a new viewpoint. `stream` picks the

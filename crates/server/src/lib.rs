@@ -32,8 +32,8 @@
 //!   of queueing unboundedly. Permits are taken at dispatch time on the
 //!   reactor, so refusals still come back in request order,
 //! * **sessions**: `OpenSession` creates a server-side
-//!   [`NavigationSession`]; frames advance it incrementally exactly like
-//!   a local walkthrough. Sessions are connection-scoped and bounded;
+//!   [`NavigationSession`]; frames advance it exactly like a local
+//!   walkthrough. Sessions are connection-scoped and bounded;
 //!   their state travels with each job and returns with its completion,
 //!   preserving the one-request-one-thread attribution contract.
 
@@ -298,7 +298,7 @@ trait FrameNav: Send {
     fn front(&self) -> &FrontMesh;
 }
 
-/// The incremental single-store session.
+/// The single-store session.
 impl FrameNav for NavigationSession<'_> {
     fn advance(&mut self, q: &VdQuery) -> dm_storage::StorageResult<ResultTail> {
         let (stats, report) = self.try_move_to(q)?;
@@ -1335,10 +1335,10 @@ fn handle_request<'db>(
                 Err(resp) => vec![*resp],
             }
         }
+        // `full_requery` is accepted and ignored: every session frame is
+        // a full requery of its cubes.
         Request::OpenSession {
-            policy,
-            max_cubes,
-            full_requery,
+            policy, max_cubes, ..
         } => {
             if conn.sessions.len() >= shared.config.max_sessions_per_conn {
                 return vec![Response::Error {
@@ -1350,11 +1350,9 @@ fn handle_request<'db>(
             conn.next_session += 1;
             let max_cubes = max_cubes.max(1) as usize;
             let nav: Box<dyn FrameNav + 'db> = match host {
-                Host::Single(db) => Box::new(
-                    NavigationSession::new(db, policy)
-                        .with_max_cubes(max_cubes)
-                        .with_full_requery(full_requery),
-                ),
+                Host::Single(db) => {
+                    Box::new(NavigationSession::new(db, policy).with_max_cubes(max_cubes))
+                }
                 Host::World(world) => Box::new(WorldNav {
                     world,
                     session: WorldSession::new(policy, max_cubes),

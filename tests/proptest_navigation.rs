@@ -1,5 +1,5 @@
-//! Property-based navigation tests: an incremental [`NavigationSession`]
-//! must produce exactly the mesh a fresh multi-base query produces, frame
+//! Property-based navigation tests: a [`NavigationSession`] must produce
+//! exactly the mesh a fresh multi-base query produces, frame
 //! by frame, along arbitrary waypoint paths — including under transient
 //! read faults and on a database opened in degraded mode over persistent
 //! corruption.
@@ -165,11 +165,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The headline equivalence: along a random waypoint path, every
-    /// incremental frame has exactly the vertex set AND face set of a
-    /// cold multi-base query — for either boundary policy and arbitrary
-    /// cube budgets.
+    /// session frame has exactly the vertex set AND face set of a cold
+    /// multi-base query — for either boundary policy and arbitrary cube
+    /// budgets.
     #[test]
-    fn incremental_session_matches_fresh_queries_on_random_paths(
+    fn session_matches_fresh_queries_on_random_paths(
         terrain_seed in 0u64..10_000,
         side in 13usize..20,
         fracs in collection::vec((0.2..0.8f64, 0.2..0.8f64), 2..5),
@@ -207,59 +207,12 @@ proptest! {
         }
     }
 
-    /// The frame strategy is a cost choice, not a semantics change:
-    /// along a random waypoint path, a full-requery session produces frame
-    /// by frame exactly the vertex and face sets of an incremental one,
-    /// and each session's stats advertise the strategy it runs.
-    #[test]
-    fn full_requery_matches_incremental_on_random_paths(
-        terrain_seed in 0u64..10_000,
-        side in 13usize..20,
-        fracs in collection::vec((0.2..0.8f64, 0.2..0.8f64), 2..5),
-        window_frac in 0.25..0.5f64,
-        frames in 4usize..8,
-        fetch_on_miss in any::<bool>(),
-        max_cubes in 4usize..24,
-    ) {
-        let db = build_db(side, terrain_seed);
-        let policy = if fetch_on_miss {
-            BoundaryPolicy::FetchOnMiss
-        } else {
-            BoundaryPolicy::Skip
-        };
-        let (path, _) = path_in_bounds(&db, &fracs, window_frac, frames);
-        let mut incr_s = NavigationSession::new(&db, policy).with_max_cubes(max_cubes);
-        let mut full_s = NavigationSession::new(&db, policy)
-            .with_max_cubes(max_cubes)
-            .with_full_requery(true);
-        for roi in &path {
-            let q = query_at(&db, *roi);
-            let si = unwrap_clean(incr_s.try_move_to(&q));
-            let sf = unwrap_clean(full_s.try_move_to(&q));
-            prop_assert!(si.vertices > 0);
-            prop_assert!(!si.plan.chose_full, "an incremental session must report incremental");
-            prop_assert!(sf.plan.chose_full, "a full-requery session must report full-requery");
-            prop_assert_eq!(si.vertices, sf.vertices);
-            prop_assert_eq!(
-                vertex_set(incr_s.front()),
-                vertex_set(full_s.front()),
-                "incremental vs full-requery vertices diverge at roi {:?}",
-                roi
-            );
-            prop_assert_eq!(
-                face_set(incr_s.front()),
-                face_set(full_s.front()),
-                "incremental vs full-requery faces diverge at roi {:?}",
-                roi
-            );
-        }
-    }
-
     /// With ~1% transient read faults the pool's retries usually heal the
     /// frame, and a healed frame must still match a fresh query exactly.
     /// A frame that exhausts retries degrades: it reports losses instead
-    /// of failing, the mesh stays valid, and equivalence is only waived
-    /// from that point on (the session legitimately kept fewer records).
+    /// of failing and the mesh stays valid; equivalence is waived for
+    /// that frame only, since every frame fetches its whole cube set and
+    /// the session keeps no earlier frame's losses.
     #[test]
     fn transient_read_faults_heal_or_degrade_cleanly(
         terrain_seed in 0u64..10_000,
@@ -268,7 +221,7 @@ proptest! {
         window_frac in 0.3..0.5f64,
         fetch_on_miss in any::<bool>(),
     ) {
-        // Under `FetchOnMiss` the sessions also carry boundary nodes from
+        // Under `FetchOnMiss` the session also carries boundary nodes from
         // frame to frame; a kept node must never turn a frame that should
         // report a loss into a clean one that then fails the equivalence.
         let policy = if fetch_on_miss {
@@ -296,45 +249,18 @@ proptest! {
 
         let (path, _) = path_in_bounds(&db, &fracs, window_frac, 6);
         let mut session = NavigationSession::new(&db, policy);
-        let mut tainted = false;
-        // A full-requery session rides the same fault stream and must
-        // obey the same contract: healed frames match a fresh query,
-        // faulted frames taint it and waive equivalence from then on.
-        let mut full_session = NavigationSession::new(&db, policy).with_full_requery(true);
-        let mut full_tainted = false;
         for roi in &path {
             let q = query_at(&db, *roi);
-            let full_clean = match full_session.try_move_to(&q) {
-                Ok((stats, report)) => {
-                    prop_assert!(stats.vertices > 0);
-                    let (mesh, _) = full_session.front().to_trimesh();
-                    prop_assert!(mesh.validate().is_ok(), "{:?}", mesh.validate());
-                    if !report.is_clean() {
-                        full_tainted = true;
-                    }
-                    !full_tainted
-                }
-                Err(_) => {
-                    full_tainted = true;
-                    false
-                }
-            };
             let (stats, report) = match session.try_move_to(&q) {
                 Ok(ok) => ok,
                 // An index-page read that exhausted its retries aborts the
                 // frame; the session must stay usable (no partial state).
-                Err(_) => {
-                    tainted = true;
-                    continue;
-                }
+                Err(_) => continue,
             };
             prop_assert!(stats.vertices > 0);
             let (mesh, _) = session.front().to_trimesh();
             prop_assert!(mesh.validate().is_ok(), "{:?}", mesh.validate());
             if !report.is_clean() {
-                tainted = true;
-            }
-            if tainted && !full_clean {
                 continue;
             }
             // Healed frame: exact equivalence against a fresh query, which
@@ -347,14 +273,8 @@ proptest! {
             if !fresh_report.is_clean() {
                 continue;
             }
-            if !tainted {
-                prop_assert_eq!(vertex_set(session.front()), vertex_set(&fresh.front));
-                prop_assert_eq!(face_set(session.front()), face_set(&fresh.front));
-            }
-            if full_clean {
-                prop_assert_eq!(vertex_set(full_session.front()), vertex_set(&fresh.front));
-                prop_assert_eq!(face_set(full_session.front()), face_set(&fresh.front));
-            }
+            prop_assert_eq!(vertex_set(session.front()), vertex_set(&fresh.front));
+            prop_assert_eq!(face_set(session.front()), face_set(&fresh.front));
         }
         std::fs::remove_file(&file).ok();
     }
@@ -365,7 +285,7 @@ proptest! {
 /// deterministically — same surviving records as a cold query on the same
 /// wounded database — report its losses, and never yield an invalid mesh.
 #[test]
-fn degraded_database_supports_incremental_navigation() {
+fn degraded_database_supports_navigation() {
     let file = tmp("degraded_walk");
     let hf = generate::fractal_terrain(25, 25, 4242);
     let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
@@ -413,23 +333,16 @@ fn degraded_database_supports_incremental_navigation() {
 
     let fracs = [(0.3, 0.3), (0.7, 0.4), (0.5, 0.7)];
     let (path, _) = path_in_bounds(&db, &fracs, 0.45, 8);
-    // Under `FetchOnMiss` the sessions also carry boundary nodes from
+    // Under `FetchOnMiss` the session also carries boundary nodes from
     // frame to frame, and lookups that land on a scribbled page fail.
     for policy in [BoundaryPolicy::Skip, BoundaryPolicy::FetchOnMiss] {
         let mut session = NavigationSession::new(&db, policy);
-        let mut full_s = NavigationSession::new(&db, policy).with_full_requery(true);
         let mut merged = IntegrityReport::default();
         for roi in &path {
             let q = query_at(&db, *roi);
             let (stats, report) = session
                 .try_move_to(&q)
                 .expect("index pages untouched; heap losses must degrade, not abort");
-            let (_, full_report) = full_s
-                .try_move_to(&q)
-                .expect("full-requery session degrades the same way");
-            assert_eq!(vertex_set(full_s.front()), vertex_set(session.front()));
-            assert_eq!(face_set(full_s.front()), face_set(session.front()));
-            merged.merge(report);
             assert!(
                 stats.vertices > 0,
                 "a third of the heap is not the whole mesh"
@@ -440,18 +353,19 @@ fn degraded_database_supports_incremental_navigation() {
             }
 
             // The corruption is persistent and deterministic, so the session's
-            // surviving working set equals a cold query's — frames still match.
+            // surviving records equal a cold query's — frames still match.
             // A cold query keeps no boundary nodes, so every lookup it makes is
-            // a first touch: had a kept node masked a loss, the full-requery
-            // session (same fetch, same refinement) would report fewer points
-            // lost than this — and a failed lookup is never kept, so it fails
+            // a first touch: had a kept node masked a loss, the session (same
+            // fetch, same refinement) would report fewer points lost than the
+            // cold query — and a failed lookup is never kept, so it fails
             // again, and is reported again, on every frame that needs it.
             let (fresh, fresh_report) = db
                 .try_vd_multi_base(&q, policy, 16)
                 .expect("cold query degrades the same way");
             assert_eq!(vertex_set(session.front()), vertex_set(&fresh.front));
             assert_eq!(face_set(session.front()), face_set(&fresh.front));
-            assert_eq!(full_report, fresh_report);
+            assert_eq!(report, fresh_report);
+            merged.merge(report);
 
             // The wounded mesh never invents geometry: every vertex it shows
             // also exists in the clean twin's full record set. (It may show
@@ -479,32 +393,6 @@ fn degraded_database_supports_incremental_navigation() {
         }
     }
     std::fs::remove_file(&file).ok();
-}
-
-/// Regression guard at the integration level: nudging the window by a
-/// quarter of its width must fetch strictly fewer records than the cold
-/// requery answering the same frame.
-#[test]
-fn small_shift_beats_cold_requery() {
-    let db = build_db(21, 99);
-    let b = db.bounds;
-    let window = b.width().min(b.height()) * 0.5;
-    let start = b.center();
-    let step = Vec2::new(window * 0.25, 0.0);
-    let r0 = Rect::centered_square(start, window);
-    let r1 = Rect::centered_square(Vec2::new(start.x + step.x, start.y + step.y), window);
-
-    let mut session = NavigationSession::new(&db, BoundaryPolicy::FetchOnMiss);
-    unwrap_clean(session.try_move_to(&query_at(&db, r0)));
-    let warm = unwrap_clean(session.try_move_to(&query_at(&db, r1)));
-    let fresh =
-        unwrap_clean(db.try_vd_multi_base(&query_at(&db, r1), BoundaryPolicy::FetchOnMiss, 16));
-    assert!(
-        warm.fetched_records < fresh.fetched_records,
-        "warm frame fetched {} records, cold requery fetched {}",
-        warm.fetched_records,
-        fresh.fetched_records
-    );
 }
 
 /// PR 11 findings: "a `NavigationSession` frame can differ with the
