@@ -318,7 +318,5 @@ fn main() {
         mean(&vd.disk_v2),
         mean(&vd.disk_v3),
     );
-    let out = std::env::var("DM_COMPACT_OUT").unwrap_or_else(|_| "BENCH_compact.json".to_string());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("# wrote {out}");
+    dm_bench::write_bench_json(Some("DM_COMPACT_OUT"), "BENCH_compact.json", &json);
 }

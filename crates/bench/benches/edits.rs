@@ -172,9 +172,7 @@ fn main() {
         json_array(records_updated.iter()),
         json_array(pages_reused.iter()),
     );
-    let out = std::env::var("DM_EDITS_OUT").unwrap_or_else(|_| "BENCH_edits.json".to_string());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("# wrote {out}");
+    dm_bench::write_bench_json(Some("DM_EDITS_OUT"), "BENCH_edits.json", &json);
 
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(dm_storage::wal::wal_path(&path));

@@ -194,7 +194,5 @@ fn main() {
         json_array(roomy.iter().map(|f| f.stats.vertices)),
         rows.join(",\n"),
     );
-    let out = std::env::var("DM_NAV_OUT").unwrap_or_else(|_| "BENCH_navigation.json".to_string());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("# wrote {out}");
+    dm_bench::write_bench_json(Some("DM_NAV_OUT"), "BENCH_navigation.json", &json);
 }

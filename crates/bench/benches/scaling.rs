@@ -155,6 +155,5 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_scaling.json", &json).expect("write BENCH_scaling.json");
-    eprintln!("# wrote BENCH_scaling.json");
+    dm_bench::write_bench_json(None, "BENCH_scaling.json", &json);
 }

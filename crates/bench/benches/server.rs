@@ -390,7 +390,5 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    let out = std::env::var("DM_SERVER_OUT").unwrap_or_else(|_| "BENCH_server.json".to_string());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("# wrote {out}");
+    dm_bench::write_bench_json(Some("DM_SERVER_OUT"), "BENCH_server.json", &json);
 }

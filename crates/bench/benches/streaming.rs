@@ -342,7 +342,5 @@ fn main() {
     ));
     json.push_str("  \"lockstep_bit_identity\": true,\n");
     json.push_str("  \"scratch_steady_state\": true\n}\n");
-    let out = std::env::var("DM_STREAM_OUT").unwrap_or_else(|_| "BENCH_streaming.json".to_string());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("# wrote {out}");
+    dm_bench::write_bench_json(Some("DM_STREAM_OUT"), "BENCH_streaming.json", &json);
 }

@@ -358,8 +358,6 @@ fn main() {
     ));
     json.push_str("  \"lazy_open\": true,\n");
     json.push_str("  \"cap_respected\": true\n}\n");
-    let out = std::env::var("DM_WORLD_OUT").unwrap_or_else(|_| "BENCH_world.json".to_string());
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("# wrote {out}");
+    dm_bench::write_bench_json(Some("DM_WORLD_OUT"), "BENCH_world.json", &json);
     std::fs::remove_dir_all(&dir).ok();
 }

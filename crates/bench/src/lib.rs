@@ -13,6 +13,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dm_baselines::{HdovDb, PmDb};
@@ -24,6 +25,18 @@ use dm_storage::{BufferPool, MemStore};
 use dm_terrain::{generate, Heightfield, TriMesh};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Write a bench's JSON report to the path in the environment variable
+/// `var` when it is set, else to `name` at the workspace root, where the
+/// committed `BENCH_*.json` files live (`cargo bench` runs in this crate).
+pub fn write_bench_json(var: Option<&str>, name: &str, json: &str) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let out = var
+        .and_then(std::env::var_os)
+        .map_or(root.join(name), PathBuf::from);
+    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+    eprintln!("# wrote {}", out.display());
+}
 
 /// Grid sizes for the two datasets and the query repeat count.
 #[derive(Clone, Copy, Debug)]

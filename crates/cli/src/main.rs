@@ -24,7 +24,7 @@ use dm_core::{
 use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
 use dm_mtm::PlaneTarget;
-use dm_storage::{BufferPool, FaultConfig, FaultInjector, FileStore, PageStore};
+use dm_storage::{BufferPool, FaultConfig, FaultInjector, FileStore, PageStore, StorageResult};
 use dm_terrain::{generate, io as tio, obj, Heightfield, TriMesh};
 
 mod args;
@@ -105,7 +105,7 @@ walkthrough options:
   --waypoints <list>    fly a polyline of x,y points (semicolon-
                         separated) instead of the south→north slide
 
-parallel execution (query / vd):
+parallel execution (query):
   --threads <n>         worker threads (default 1; 0 = all hardware
                         threads); results are identical to sequential
   --batch <n>           query only: split the ROI into an n×n grid of
@@ -383,6 +383,21 @@ fn print_report(report: &IntegrityReport) {
     }
 }
 
+/// A one-shot query's answer as the CLI accepts it: under `--degraded`
+/// whatever survived, with its integrity report printed; otherwise only
+/// an answer that lost no data.
+fn accept<T>(args: &Args, answer: StorageResult<(T, IntegrityReport)>) -> Result<T, String> {
+    let (res, report) = answer.map_err(|e| e.to_string())?;
+    if args.has("degraded") {
+        print_report(&report);
+    } else if !report.is_clean() {
+        return Err(format!(
+            "query lost data ({report}); rerun with --degraded to accept a partial mesh"
+        ));
+    }
+    Ok(res)
+}
+
 fn cmd_info(args: Args) -> Result<(), String> {
     let path = args.positional(0)?;
     let db = open_db(path, &args)?;
@@ -502,21 +517,7 @@ fn cmd_query(args: Args) -> Result<(), String> {
         );
         return Ok(());
     }
-    let res = if args.has("degraded") {
-        let (res, report) = db.try_vi_query(&roi, e).map_err(|e| e.to_string())?;
-        print_report(&report);
-        res
-    } else {
-        db.try_vi_query(&roi, e)
-            .map_err(|e| e.to_string())
-            .and_then(|(res, report)| {
-                if report.is_clean() {
-                    Ok(res)
-                } else {
-                    Err(format!("query lost data ({report}); rerun with --degraded to accept a partial mesh"))
-                }
-            })?
-    };
+    let res = accept(&args, db.try_vi_query(&roi, e))?;
     println!(
         "LOD {e:.4}: {} points, {} triangles, {} disk accesses",
         res.points,
@@ -563,32 +564,8 @@ fn cmd_vd(args: Args) -> Result<(), String> {
     let e_min = keep_to_lod(&db, near)?;
     let e_far = keep_to_lod(&db, far)?.max(e_min);
     let q = vd_query(roi, e_min, e_far);
-    let threads: usize = args.parse_or("threads", 1)?;
     db.try_cold_start().map_err(|e| e.to_string())?;
-    // One thread → the sequential algorithm; more → per-strip fetches in
-    // parallel with a deterministic stitch (identical results).
-    let run_query = || {
-        if threads == 1 {
-            db.try_vd_multi_base(&q, policy, max_cubes)
-        } else {
-            dm_core::parallel::vd_multi_base_parallel(&db, &q, policy, max_cubes, threads)
-        }
-    };
-    let res = if args.has("degraded") {
-        let (res, report) = run_query().map_err(|e| e.to_string())?;
-        print_report(&report);
-        res
-    } else {
-        run_query()
-            .map_err(|e| e.to_string())
-            .and_then(|(res, report)| {
-                if report.is_clean() {
-                    Ok(res)
-                } else {
-                    Err(format!("query lost data ({report}); rerun with --degraded to accept a partial mesh"))
-                }
-            })?
-    };
+    let res = accept(&args, db.try_vd_multi_base(&q, policy, max_cubes))?;
     println!(
         "viewpoint-dependent ({} → {} keep): {} points, {} triangles, {} cubes, {} disk accesses",
         near,

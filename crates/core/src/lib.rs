@@ -78,8 +78,8 @@ pub use live::{LiveDb, LiveOptions, PatchStats, RecoveryInfo};
 pub use navigation::{FrameStats, NavigationSession, PlanDecision};
 pub use parallel::{vd_query_batch, vi_query_batch};
 pub use query::{
-    equal_strips, uniform_cut, BoundaryPolicy, ElevationStats, RecordStore, VdQuery, VdResult,
-    ViFlatResult, ViResult,
+    equal_strips, uniform_cut, BoundaryPolicy, RecordStore, VdQuery, VdResult, ViFlatResult,
+    ViResult,
 };
 pub use record::{DmRecord, FetchedSet};
 pub use store::{

@@ -4,7 +4,9 @@
 //! terrain walkthrough issues a *sequence* of viewpoint-dependent queries
 //! from nearby viewpoints; almost all data of frame *n* is still valid in
 //! frame *n + 1*. [`NavigationSession`] keeps that reuse in the buffer
-//! pool and recycles the rest:
+//! pool and recycles the rest. It walks any [`RecordStore`] — one
+//! store, or a world catalog of regions — with the one-shot queries' own
+//! planner, fetch and refinement:
 //!
 //! 1. **One fetch a frame.** Every frame plans its strips and cubes like
 //!    a cold multi-base query and fetches the whole cube set in one
@@ -14,7 +16,7 @@
 //!    touches — DESIGN.md §8 measures why no second, session-side record
 //!    cache pays on top of that.
 //! 2. **Per-frame reconstruction.** Every frame seeds its front from the
-//!    fetched records with the cold path's own `assemble_topmost_front`
+//!    fetched records with the cold path's own topmost-record assembly
 //!    and refines it to the query plane — the same code a fresh
 //!    multi-base query runs over the same records, so a frame is a pure
 //!    function of (records, query) and cannot drift with the session's
@@ -36,7 +38,8 @@ use dm_storage::StorageResult;
 use fxhash::FxHashMap;
 
 use crate::query::{
-    assemble_topmost_front_into, refine_accounted, staircase, BoundaryPolicy, RecordStore, VdQuery,
+    assemble_topmost_front_into, plan_multi_base, refine_accounted, staircase, BoundaryPolicy,
+    RecordStore, VdQuery,
 };
 use crate::record::IndexedSet;
 use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
@@ -56,6 +59,8 @@ pub struct FrameStats {
     pub disk_accesses: u64,
     /// Records fetched by this frame's range query over its cubes.
     pub fetched_records: usize,
+    /// Query cubes of this frame's strip plan.
+    pub cubes: usize,
     /// Records fully decoded while scanning heap pages this frame.
     pub decoded_records: u64,
     /// Record headers examined during page scans (no allocation; the
@@ -81,9 +86,11 @@ pub struct FrameStats {
     pub plan: PlanDecision,
 }
 
-/// A stateful walkthrough over one Direct Mesh database.
-pub struct NavigationSession<'a> {
-    db: &'a DirectMeshDb,
+/// A stateful walkthrough over one record store: a Direct Mesh database
+/// by default, or any other [`RecordStore`] (a world catalog, or a
+/// `dyn RecordStore` when the host is chosen at run time).
+pub struct NavigationSession<'a, S: RecordStore + ?Sized = DirectMeshDb> {
+    store: &'a S,
     policy: BoundaryPolicy,
     max_cubes: usize,
     /// The refined mesh of the last frame; the next frame rebuilds it in
@@ -99,11 +106,11 @@ pub struct NavigationSession<'a> {
     boundary: FxHashMap<u32, PmNode>,
 }
 
-impl<'a> NavigationSession<'a> {
+impl<'a, S: RecordStore + ?Sized> NavigationSession<'a, S> {
     /// Start a session; the first `try_move_to` pays the full (cold) cost.
-    pub fn new(db: &'a DirectMeshDb, policy: BoundaryPolicy) -> Self {
+    pub fn new(store: &'a S, policy: BoundaryPolicy) -> Self {
         NavigationSession {
-            db,
+            store,
             policy,
             max_cubes: 16,
             front: FrontMesh::default(),
@@ -119,11 +126,6 @@ impl<'a> NavigationSession<'a> {
         self
     }
 
-    /// The session's boundary policy.
-    pub fn policy(&self) -> BoundaryPolicy {
-        self.policy
-    }
-
     /// The current front (mesh of the last frame).
     pub fn front(&self) -> &FrontMesh {
         &self.front
@@ -137,9 +139,10 @@ impl<'a> NavigationSession<'a> {
 
     /// Advance to a new viewpoint-dependent query and return per-frame
     /// statistics; the reconstructed mesh is available via
-    /// [`Self::front`]. Unreadable heap pages degrade the frame (details in the [`IntegrityReport`]) instead of failing it;
-    /// `Err` means an index descent failed and the session state is
-    /// unchanged from the previous frame.
+    /// [`Self::front`]. Unreadable heap pages degrade the frame (details
+    /// in the [`IntegrityReport`]) instead of failing it; `Err` means the
+    /// plan probe or an index descent (or a region open) failed and the
+    /// session state is unchanged from the previous frame.
     pub fn try_move_to(&mut self, q: &VdQuery) -> StorageResult<(FrameStats, IntegrityReport)> {
         let reads_before = dm_storage::thread_reads();
         let mut report = IntegrityReport::default();
@@ -151,9 +154,9 @@ impl<'a> NavigationSession<'a> {
         // candidate heap page scanned once with its MBR pre-filtering the
         // box list. The fetch completes before any session state changes,
         // so an `Err` leaves the session consistent.
-        let strips = self.db.plan_multi_base(q, self.max_cubes);
-        let cubes = staircase(self.db, q, &strips);
-        let fresh = self.db.fetch(&cubes, &mut report, &mut counters)?;
+        let strips = plan_multi_base(self.store, q, self.max_cubes)?;
+        let cubes = staircase(self.store, q, &strips);
+        let fresh = self.store.fetch(&cubes, &mut report, &mut counters)?;
 
         // Nothing below can fail: from here on the session's buffers are
         // recycled. The result mesh is the cold path's seed front over
@@ -170,7 +173,7 @@ impl<'a> NavigationSession<'a> {
         self.prev_seeds = seeds;
         let (refine, boundary_fetches) = refine_accounted(
             front,
-            self.db,
+            self.store,
             &self.records,
             &mut self.boundary,
             self.policy,
@@ -180,6 +183,7 @@ impl<'a> NavigationSession<'a> {
         let stats = FrameStats {
             disk_accesses: dm_storage::thread_reads() - reads_before,
             fetched_records: fresh.len(),
+            cubes: cubes.len(),
             decoded_records: counters.records_decoded,
             examined_records: counters.records_examined,
             pages_scanned: counters.pages_scanned,

@@ -18,11 +18,8 @@
 use dm_geom::Rect;
 use dm_storage::StorageResult;
 
-use crate::query::{
-    assemble_refine, staircase, BoundaryPolicy, RecordStore, VdQuery, VdResult, ViResult,
-};
-use crate::record::FetchedSet;
-use crate::store::{DirectMeshDb, FetchCounters, IntegrityReport};
+use crate::query::{BoundaryPolicy, VdQuery, VdResult, ViResult};
+use crate::store::{DirectMeshDb, IntegrityReport};
 
 /// Resolve a caller-facing thread count: `0` means "use the current
 /// rayon context width" (the installed pool inside
@@ -94,50 +91,6 @@ pub fn vd_query_batch(
     threads: usize,
 ) -> Vec<StorageResult<(VdResult, IntegrityReport)>> {
     par_map(queries, threads, |q| db.try_vd_single_base(q, policy))
-}
-
-/// Parallel multi-base query: plan the strip decomposition like
-/// [`DirectMeshDb::try_vd_multi_base`], fetch the per-strip cubes on up
-/// to `threads` workers, then stitch deterministically — the shared tail
-/// absorbs the per-strip arenas in strip order (keeping the first
-/// strip's copy of a shared id, matching the sequential pass) and the
-/// per-strip [`IntegrityReport`]s merge in the same order — before the
-/// single global refinement.
-pub fn vd_multi_base_parallel(
-    db: &DirectMeshDb,
-    q: &VdQuery,
-    policy: BoundaryPolicy,
-    max_cubes: usize,
-    threads: usize,
-) -> StorageResult<(VdResult, IntegrityReport)> {
-    let strips = db.plan_multi_base(q, max_cubes);
-    let cubes = staircase(db, q, &strips);
-
-    // Fan the strip fetches out; each worker degrades and accounts into
-    // its own report (retry deltas are thread-attributed, so concurrent
-    // retries on a shared page never double-count).
-    type StripFetch = StorageResult<(FetchedSet, IntegrityReport)>;
-    let fetched: Vec<StripFetch> = par_map(&cubes, threads, |cube| {
-        let mut report = IntegrityReport::default();
-        let set = db.fetch(
-            std::slice::from_ref(cube),
-            &mut report,
-            &mut FetchCounters::default(),
-        )?;
-        Ok((set, report))
-    });
-
-    // Deterministic stitch in strip order. An index-descent error in any
-    // strip fails the query with the *first* strip's error, exactly as
-    // the sequential loop would have.
-    let mut report = IntegrityReport::default();
-    let mut sets: Vec<FetchedSet> = Vec::with_capacity(fetched.len());
-    for strip in fetched {
-        let (set, strip_report) = strip?;
-        report.merge(strip_report);
-        sets.push(set);
-    }
-    Ok(assemble_refine(db, q, policy, cubes, &sets, report))
 }
 
 #[cfg(test)]
@@ -231,28 +184,6 @@ mod tests {
             pi.sort_unstable();
             assert_eq!(si, pi);
             assert_eq!(sr.front.num_triangles(), pr.front.num_triangles());
-        }
-    }
-
-    #[test]
-    fn multi_base_parallel_matches_sequential() {
-        let db = small_db();
-        for frac in [0.3, 0.8] {
-            let q = vd_query(&db, frac);
-            let (seq, seq_rep) = db
-                .try_vd_multi_base(&q, BoundaryPolicy::Skip, 8)
-                .expect("clean db");
-            let (par, par_rep) =
-                vd_multi_base_parallel(&db, &q, BoundaryPolicy::Skip, 8, 4).expect("clean db");
-            assert_eq!(seq.cubes, par.cubes, "same plan, same cubes");
-            assert_eq!(seq.fetched_records, par.fetched_records);
-            let mut si: Vec<u32> = seq.front.vertex_ids().collect();
-            let mut pi: Vec<u32> = par.front.vertex_ids().collect();
-            si.sort_unstable();
-            pi.sort_unstable();
-            assert_eq!(si, pi);
-            assert_eq!(seq.front.num_triangles(), par.front.num_triangles());
-            assert!(seq_rep.is_clean() && par_rep.is_clean());
         }
     }
 

@@ -140,27 +140,6 @@ impl NormalizedOr for Vec2 {
     }
 }
 
-/// Elevation aggregate over one approximation (see
-/// [`DirectMeshDb::elevation_stats`]).
-#[derive(Clone, Copy, Debug)]
-pub struct ElevationStats {
-    pub points: usize,
-    pub min_z: f64,
-    pub max_z: f64,
-    pub mean_z: f64,
-}
-
-impl Default for ElevationStats {
-    fn default() -> Self {
-        ElevationStats {
-            points: 0,
-            min_z: f64::INFINITY,
-            max_z: f64::NEG_INFINITY,
-            mean_z: 0.0,
-        }
-    }
-}
-
 /// Result of a viewpoint-dependent query.
 pub struct VdResult {
     pub front: FrontMesh,
@@ -399,8 +378,10 @@ pub fn vd_multi_base<S: RecordStore + ?Sized>(
 
 /// Viewpoint-dependent query over a fixed strip decomposition: fetch the
 /// staircase cubes in one batch, seed the front with the locally topmost
-/// records, refine once to the query plane. A single strip covering the
-/// ROI is the paper's single-base Algorithm 1.
+/// records (the staircase cubes provide each strip's top level; topmost
+/// seeding handles the strip steps and the ROI clipping in one rule),
+/// refine once to the query plane with its boundary fetches accounted. A
+/// single strip covering the ROI is the paper's single-base Algorithm 1.
 ///
 /// Unreadable heap pages are skipped (the mesh completes from the
 /// surviving records' connection lists, slightly coarser where data
@@ -416,30 +397,10 @@ pub fn vd_with_strips<S: RecordStore + ?Sized>(
     let mut report = IntegrityReport::default();
     let cubes = staircase(store, q, strips);
     let set = store.fetch(&cubes, &mut report, counters)?;
-    Ok(assemble_refine(store, q, policy, cubes, &[set], report))
-}
-
-/// The viewpoint-dependent tail every path shares: deduplicate the
-/// fetched sets (first writer wins — strip order, ascending region
-/// order), seed the front with the locally topmost records (the
-/// staircase cubes provide each strip's top level; topmost seeding
-/// handles the strip steps and the ROI clipping in one rule), then one
-/// global refinement to the query plane with its boundary fetches
-/// accounted.
-pub(crate) fn assemble_refine<S: RecordStore + ?Sized>(
-    store: &S,
-    q: &VdQuery,
-    policy: BoundaryPolicy,
-    cubes: Vec<Box3>,
-    fetched: &[FetchedSet],
-    mut report: IntegrityReport,
-) -> (VdResult, IntegrityReport) {
-    let fetched_records = fetched.iter().map(FetchedSet::len).sum();
     let mut all = IndexedSet::default();
-    for set in fetched {
-        all.absorb(set);
-    }
-    let mut front = assemble_topmost_front(&all, &q.roi);
+    all.absorb(&set);
+    let mut front = FrontMesh::default();
+    assemble_topmost_front_into(&all, &q.roi, &mut front);
     let (refine, boundary_fetches) = refine_accounted(
         &mut front,
         store,
@@ -449,16 +410,16 @@ pub(crate) fn assemble_refine<S: RecordStore + ?Sized>(
         q,
         &mut report,
     );
-    (
+    Ok((
         VdResult {
             front,
             refine,
-            fetched_records,
+            fetched_records: set.len(),
             cubes,
             boundary_fetches,
         },
         report,
-    )
+    ))
 }
 
 /// Refine `front` to the query plane reading `base` (falling through to
@@ -551,38 +512,6 @@ impl DirectMeshDb {
         vd_with_strips(self, q, policy, &[q.roi], &mut FetchCounters::default())
     }
 
-    /// Aggregate query: elevation statistics of the approximation at LOD
-    /// `e` inside `roi` — the database-style use the paper's introduction
-    /// motivates ("use them together with other types of data"). Same
-    /// I/O as [`Self::try_vi_query`], no topology reconstruction.
-    pub fn elevation_stats(&self, roi: &Rect, e: f64) -> ElevationStats {
-        let e = self.clamp_e(e);
-        let plane = Box3::prism(*roi, e, e);
-        let set = self
-            .range_scan(
-                &[plane],
-                true,
-                &mut IntegrityReport::default(),
-                &mut FetchCounters::default(),
-            )
-            .unwrap_or_else(|e| panic!("elevation stats: {e}"));
-        let mut out = ElevationStats::default();
-        let mut sum = 0.0;
-        for n in &set.nodes {
-            if !n.interval().contains(e) || !roi.contains(n.pos.xy()) {
-                continue;
-            }
-            out.points += 1;
-            out.min_z = out.min_z.min(n.pos.z);
-            out.max_z = out.max_z.max(n.pos.z);
-            sum += n.pos.z;
-        }
-        if out.points > 0 {
-            out.mean_z = sum / out.points as f64;
-        }
-        out
-    }
-
     /// [`plan_multi_base`] on this store.
     pub fn plan_multi_base(&self, q: &VdQuery, max_cubes: usize) -> Vec<Rect> {
         plan_multi_base(self, q, max_cubes).expect("a store's cost model is in memory")
@@ -613,22 +542,16 @@ impl DirectMeshDb {
     }
 }
 
-/// Build the initial front from the *locally topmost* fetched records:
-/// every in-ROI record whose parent is not an in-ROI fetched record (the
+/// Rebuild `front` from the *locally topmost* fetched records: every
+/// in-ROI record whose parent is not an in-ROI fetched record (the
 /// parent is either coarser than the cube top — making the record a
 /// top-plane cut member — or positioned outside the ROI). Topology comes
 /// from the connection lists wherever the seeds' LOD intervals overlap.
 /// Seeds are sorted by id (dense order must agree with id order, which
 /// face emission relies on), so the map's iteration order is irrelevant
-/// and the front is a pure function of the record set and the ROI.
-pub(crate) fn assemble_topmost_front(all: &IndexedSet, roi: &Rect) -> FrontMesh {
-    let mut front = FrontMesh::default();
-    assemble_topmost_front_into(all, roi, &mut front);
-    front
-}
-
-/// [`assemble_topmost_front`] into a front the caller recycles: its
-/// contents are replaced, its allocations kept.
+/// and the front is a pure function of the record set and the ROI. The
+/// front's contents are replaced, its allocations kept, so a caller may
+/// recycle it.
 pub(crate) fn assemble_topmost_front_into(all: &IndexedSet, roi: &Rect, front: &mut FrontMesh) {
     let set = all.set();
     let node = |slot: usize| &set.nodes[slot];
@@ -722,7 +645,7 @@ impl IdTable {
 
 thread_local! {
     // Per-thread scratch of [`uniform_cut`] and
-    // [`assemble_topmost_front`] (neither calls the other).
+    // [`assemble_topmost_front_into`] (neither calls the other).
     static ID_TABLE: RefCell<IdTable> = const {
         RefCell::new(IdTable { slots: Vec::new(), gen: 0 })
     };
@@ -1093,7 +1016,8 @@ mod tests {
         let set = RecordStore::fetch(&db, &healthy.cubes, &mut report, &mut counters).unwrap();
         let mut all = IndexedSet::default();
         all.absorb(&set);
-        let seed = assemble_topmost_front(&all, &roi);
+        let mut seed = FrontMesh::default();
+        assemble_topmost_front_into(&all, &roi, &mut seed);
         let ceiling = seed.vertex_ids().max().unwrap();
         let failing = FailingAbove { db: &db, ceiling };
 
@@ -1153,33 +1077,6 @@ mod tests {
         assert!(res.front.num_vertices() > 0);
         let (mesh, _) = res.front.to_trimesh();
         mesh.validate().unwrap();
-    }
-
-    #[test]
-    fn elevation_stats_match_vi_query() {
-        let (_, _, db) = setup(17, 31);
-        let e = db.e_for_points_fraction(0.2);
-        let roi = Rect::centered_square(db.bounds.center(), db.bounds.width() * 0.6);
-        let stats = db.elevation_stats(&roi, e);
-        let res = unwrap_clean(db.try_vi_query(&roi, e));
-        assert_eq!(stats.points, res.points);
-        let (zmin, zmax) = res
-            .front
-            .vertex_ids()
-            .map(|v| res.front.node(v).unwrap().pos.z)
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), z| {
-                (lo.min(z), hi.max(z))
-            });
-        assert_eq!(stats.min_z, zmin);
-        assert_eq!(stats.max_z, zmax);
-        assert!(stats.mean_z >= zmin && stats.mean_z <= zmax);
-        // Same I/O as the mesh query (aggregation is free).
-        db.try_cold_start().unwrap();
-        let _ = db.elevation_stats(&roi, e);
-        let agg_da = db.disk_accesses();
-        db.try_cold_start().unwrap();
-        let _ = unwrap_clean(db.try_vi_query(&roi, e));
-        assert_eq!(agg_da, db.disk_accesses());
     }
 
     fn test_query(db: &DirectMeshDb, angle_frac: f64) -> VdQuery {

@@ -494,11 +494,10 @@ impl FetchedSet {
 }
 
 /// A [`FetchedSet`] holding each id once, with the id → slot view every
-/// viewpoint-dependent consumer reads it through: the cold tail over one
-/// fetch, a navigation session's recycled per-frame copy of its fetch,
-/// the parallel stitch over per-strip fetches. A fetch may deliver an id more
-/// than once (overlapping strips, regions sharing a seam); the first
-/// copy absorbed wins.
+/// viewpoint-dependent consumer reads it through: a one-shot query's copy
+/// of its one fetch, a navigation session's recycled per-frame copy. A
+/// fetch may deliver an id more than once (overlapping strips, regions
+/// sharing a seam); the first copy absorbed wins.
 #[derive(Default)]
 pub(crate) struct IndexedSet {
     set: FetchedSet,

@@ -32,7 +32,9 @@
 //!   of queueing unboundedly. Permits are taken at dispatch time on the
 //!   reactor, so refusals still come back in request order,
 //! * **sessions**: `OpenSession` creates a server-side
-//!   [`NavigationSession`]; frames advance it exactly like a local
+//!   [`NavigationSession`] over the host's record store — a world
+//!   session also pins the regions under its latest frame
+//!   ([`WorldSession`]); frames advance it exactly like a local
 //!   walkthrough. Sessions are connection-scoped and bounded;
 //!   their state travels with each job and returns with its completion,
 //!   preserving the one-request-one-thread attribution contract.
@@ -53,7 +55,6 @@ use dm_core::{
     BoundaryPolicy, DirectMeshDb, FetchCounters, NavigationSession, RecordStore, VdQuery,
 };
 use dm_geom::Rect;
-use dm_mtm::refine::FrontMesh;
 use dm_net::frame::{encode_frame, FrameAssembler};
 use dm_net::mesh::{
     canonical_flat, canonical_mesh, canonical_mesh_into, MeshResult, ResultTail, WireVertex,
@@ -288,24 +289,45 @@ impl Default for StreamState {
     }
 }
 
-/// A navigation session as the `FrameQuery` handler sees it, whichever
-/// host it walks.
-trait FrameNav: Send {
-    /// Advance one frame and hand back its accounting tail; the frame's
-    /// mesh is then [`Self::front`].
-    fn advance(&mut self, q: &VdQuery) -> dm_storage::StorageResult<ResultTail>;
-
-    fn front(&self) -> &FrontMesh;
+/// The pins of a session over a world ([`WorldSession`]). Dropping the
+/// guard releases them — on explicit close, on connection teardown and
+/// on server drain alike — so eviction never wedges on a vanished
+/// client.
+struct WorldPins<'db> {
+    world: &'db WorldDb,
+    session: WorldSession,
 }
 
-/// The single-store session.
-impl FrameNav for NavigationSession<'_> {
+impl Drop for WorldPins<'_> {
+    fn drop(&mut self) {
+        self.session.close(self.world);
+    }
+}
+
+/// A navigation session over the host's record store, the pins it holds
+/// on a world host, and its wire-stream state.
+struct SessionSlot<'db> {
+    nav: NavigationSession<'db, dyn RecordStore + 'db>,
+    pins: Option<WorldPins<'db>>,
+    stream: StreamState,
+}
+
+impl SessionSlot<'_> {
+    /// Advance the session one frame, inside its pins on a world host,
+    /// and hand back the frame's accounting tail; the frame's mesh is
+    /// then `self.nav.front()`.
     fn advance(&mut self, q: &VdQuery) -> dm_storage::StorageResult<ResultTail> {
-        let (stats, report) = self.try_move_to(q)?;
+        let nav = &mut self.nav;
+        let (stats, report) = match &mut self.pins {
+            Some(p) => p
+                .session
+                .pinned_around(p.world, &q.roi, || nav.try_move_to(q))?,
+            None => nav.try_move_to(q)?,
+        };
         Ok(ResultTail {
             fetched_records: stats.fetched_records as u64,
             disk_accesses: stats.disk_accesses,
-            cubes: 0,
+            cubes: stats.cubes as u32,
             counters: FetchCounters {
                 pages_scanned: stats.pages_scanned,
                 records_examined: stats.examined_records,
@@ -314,53 +336,6 @@ impl FrameNav for NavigationSession<'_> {
             report,
         })
     }
-
-    fn front(&self) -> &FrontMesh {
-        NavigationSession::front(self)
-    }
-}
-
-/// A world walkthrough: re-plans and re-queries the catalog every frame
-/// (full requery is implied); the session's job is pinning the regions it
-/// touches. Dropping it releases the pins — on explicit close, on
-/// connection teardown and on server drain alike — so eviction never
-/// wedges on a vanished client.
-struct WorldNav<'db> {
-    world: &'db WorldDb,
-    session: WorldSession,
-    front: FrontMesh,
-}
-
-impl FrameNav for WorldNav<'_> {
-    fn advance(&mut self, q: &VdQuery) -> dm_storage::StorageResult<ResultTail> {
-        let reads_before = dm_storage::thread_reads();
-        let mut counters = FetchCounters::default();
-        let (res, report) = self.session.frame(self.world, q, &mut counters)?;
-        self.front = res.front;
-        Ok(ResultTail {
-            fetched_records: res.fetched_records as u64,
-            disk_accesses: dm_storage::thread_reads() - reads_before,
-            cubes: res.cubes.len() as u32,
-            counters,
-            report,
-        })
-    }
-
-    fn front(&self) -> &FrontMesh {
-        &self.front
-    }
-}
-
-impl Drop for WorldNav<'_> {
-    fn drop(&mut self) {
-        self.session.close(self.world);
-    }
-}
-
-/// A navigation session plus its wire-stream state.
-struct SessionSlot<'db> {
-    nav: Box<dyn FrameNav + 'db>,
-    stream: StreamState,
 }
 
 /// Per-connection state: the navigation sessions this client opened.
@@ -1349,20 +1324,21 @@ fn handle_request<'db>(
             let id = conn.next_session;
             conn.next_session += 1;
             let max_cubes = max_cubes.max(1) as usize;
-            let nav: Box<dyn FrameNav + 'db> = match host {
-                Host::Single(db) => {
-                    Box::new(NavigationSession::new(db, policy).with_max_cubes(max_cubes))
-                }
-                Host::World(world) => Box::new(WorldNav {
+            let (store, pins): (&'db dyn RecordStore, _) = match host {
+                Host::Single(db) => (db, None),
+                Host::World(world) => (
                     world,
-                    session: WorldSession::new(policy, max_cubes),
-                    front: FrontMesh::default(),
-                }),
+                    Some(WorldPins {
+                        world,
+                        session: WorldSession::new(policy, max_cubes),
+                    }),
+                ),
             };
             conn.sessions.insert(
                 id,
                 SessionSlot {
-                    nav,
+                    nav: NavigationSession::new(store, policy).with_max_cubes(max_cubes),
+                    pins,
                     stream: StreamState::default(),
                 },
             );
@@ -1380,11 +1356,10 @@ fn handle_request<'db>(
                     message: format!("session {session} is not open on this connection"),
                 }];
             };
-            let SessionSlot { nav, stream: st } = slot;
             // Advance the session, leaving the frame's canonical mesh in
             // the scratch buffers. Errors break the delta chain — the
             // client never saw this frame, so the next answer resets.
-            let advanced = match nav.advance(&query) {
+            let advanced = match slot.advance(&query) {
                 Err(e) => Err(*storage_error(e)),
                 Ok(tail) if !degraded && !tail.report.is_clean() => Err(Response::Error {
                     code: ErrorCode::DataLoss,
@@ -1392,13 +1367,14 @@ fn handle_request<'db>(
                 }),
                 Ok(tail) => {
                     canonical_mesh_into(
-                        nav.front(),
-                        &mut st.scratch_vertices,
-                        &mut st.scratch_faces,
+                        slot.nav.front(),
+                        &mut slot.stream.scratch_vertices,
+                        &mut slot.stream.scratch_faces,
                     );
                     Ok(tail)
                 }
             };
+            let st = &mut slot.stream;
             match advanced {
                 Err(resp) => {
                     st.has_prev = false;

@@ -14,10 +14,11 @@
 //!   cross-tile fan-out, and world-frame VI/VD queries that are
 //!   bit-identical to single-store answers for split worlds,
 //! * [`WorldScope`] — the borrowed view (whole world or one region) that
-//!   implements `dm_core`'s query seam, so every query body is the
-//!   single store's,
-//! * [`WorldSession`] — server-side walkthrough sessions that pin the
-//!   regions they touch,
+//!   implements `dm_core`'s query seam, so every query body — and the
+//!   navigation session — is the single store's; the [`WorldDb`] itself
+//!   implements it as the whole-world view,
+//! * [`WorldSession`] — the pins a walkthrough holds on the regions
+//!   under its latest frame,
 //! * [`build`] — splitting one store into a tiled world and assembling
 //!   independent stores into one (`dm world-build`).
 

@@ -19,8 +19,9 @@
 //! overlapping region's frame, fetches with the *same* boxes the
 //! single-store path would use, and translates the records back. That
 //! is all a world adds: [`WorldScope`] implements the query seam
-//! ([`dm_core::RecordStore`]) this way, and the cut, the planner and the
-//! assemble-refine tail that run over it are the single store's own
+//! ([`dm_core::RecordStore`]) this way, as does the [`WorldDb`] itself
+//! for the whole world, and the cut, the planner, the VD tail and the
+//! navigation session that run over it are the single store's own
 //! ([`dm_core::query`]). For a world split out of one store (offsets
 //! zero, `id_base` zero) the records partition exactly, so the merged set
 //! — and therefore every derived mesh — is bit-identical to the single
@@ -363,8 +364,9 @@ impl WorldDb {
     }
 
     /// Release one pin. Pins let the open count overshoot the handle
-    /// cap (see [`Self::make_room`]); the unpin that takes a region's
-    /// pins to 0 re-establishes it.
+    /// cap: an open that finds every other open region pinned exceeds it
+    /// rather than failing. The unpin that takes a region's pins to 0
+    /// re-establishes it.
     pub fn unpin_region(&self, idx: usize) {
         let mut state = self.state.lock();
         let slot = &mut state.slots[idx];
@@ -620,7 +622,7 @@ impl WorldDb {
         e: f64,
         counters: &mut FetchCounters,
     ) -> StorageResult<(ViFlatResult, IntegrityReport)> {
-        query::vi_query_flat(&self.scoped(None), roi, e, counters)
+        query::vi_query_flat(self, roi, e, counters)
     }
 
     /// Viewpoint-dependent cross-tile query with the world's own plan
@@ -632,7 +634,7 @@ impl WorldDb {
         max_cubes: usize,
         counters: &mut FetchCounters,
     ) -> StorageResult<(VdResult, IntegrityReport)> {
-        query::vd_multi_base(&self.scoped(None), q, policy, max_cubes, counters)
+        query::vd_multi_base(self, q, policy, max_cubes, counters)
     }
 
     /// The world-frame cubes that can hold records of region `idx`,
@@ -651,29 +653,6 @@ impl WorldDb {
             })
             .map(|c| c.translated_xy(neg(meta.offset)))
             .collect()
-    }
-
-    /// Fetch one node by *world* id, probing regions in ascending
-    /// order. Worlds assembled from independent stores carry disjoint
-    /// `[id_base, id_base + n_records)` ranges, so at most one region is
-    /// opened; split worlds share the id space (`id_base == 0`) and fall
-    /// back to an in-order probe.
-    pub fn try_fetch_node_by_id(&self, id: u32) -> StorageResult<Option<PmNode>> {
-        let ranged = self.ranged_ids();
-        for (i, meta) in self.regions.iter().enumerate() {
-            if id < meta.id_base {
-                continue;
-            }
-            let local = id - meta.id_base;
-            if ranged && local >= meta.n_records {
-                continue;
-            }
-            let db = self.region(i)?;
-            if let Some(node) = db.try_fetch_node_by_id(local)? {
-                return Ok(Some(remap_node(node, meta.id_base, meta.offset)));
-            }
-        }
-        Ok(None)
     }
 
     /// Whether the regions' id ranges are pairwise disjoint (assembled
@@ -814,13 +793,57 @@ impl RecordStore for WorldScope<'_> {
     }
 }
 
-/// A server-side viewpoint-dependent session over a world: every frame
-/// re-plans and re-queries (cross-tile results stay canonical for the
-/// delta streamer), while the regions the session has touched stay
-/// *pinned* so LRU pressure from other clients cannot close a store
-/// this walkthrough is about to revisit. Pins are released by
-/// [`Self::close`] — the server calls it on `CloseSession` and on
-/// connection teardown.
+/// The whole world as one record store — [`WorldDb::scoped`]`(None)` —
+/// so a [`dm_core::NavigationSession`] can walk it like a single store.
+impl RecordStore for WorldDb {
+    fn clamp_e(&self, e: f64) -> f64 {
+        WorldDb::clamp_e(self, e)
+    }
+
+    fn fetch(
+        &self,
+        boxes: &[Box3],
+        report: &mut IntegrityReport,
+        counters: &mut FetchCounters,
+    ) -> StorageResult<FetchedSet> {
+        self.scoped(None).fetch(boxes, report, counters)
+    }
+
+    /// Fetch one node by *world* id, probing regions in ascending
+    /// order. Worlds assembled from independent stores carry disjoint
+    /// `[id_base, id_base + n_records)` ranges, so at most one region is
+    /// opened; split worlds share the id space (`id_base == 0`) and fall
+    /// back to an in-order probe.
+    fn try_fetch_node_by_id(&self, id: u32) -> StorageResult<Option<PmNode>> {
+        let ranged = self.ranged_ids();
+        for (i, meta) in self.regions.iter().enumerate() {
+            if id < meta.id_base {
+                continue;
+            }
+            let local = id - meta.id_base;
+            if ranged && local >= meta.n_records {
+                continue;
+            }
+            let db = self.region(i)?;
+            if let Some(node) = db.try_fetch_node_by_id(local)? {
+                return Ok(Some(remap_node(node, meta.id_base, meta.offset)));
+            }
+        }
+        Ok(None)
+    }
+
+    fn union_page_counts(&self, roi: &Rect, plans: &[Vec<Box3>]) -> StorageResult<Vec<usize>> {
+        self.scoped(None).union_page_counts(roi, plans)
+    }
+}
+
+/// The pins of a walkthrough over a world: the regions under the latest
+/// frame stay *pinned*, so LRU pressure from other clients cannot close
+/// a store this walkthrough is about to revisit. [`Self::pinned_around`]
+/// wraps a frame in that bookkeeping — around a served
+/// [`dm_core::NavigationSession`] or [`Self::frame`]'s one-shot query —
+/// and [`Self::close`] releases every pin; the server calls it on
+/// `CloseSession` and on connection teardown.
 pub struct WorldSession {
     policy: BoundaryPolicy,
     max_cubes: usize,
@@ -842,19 +865,19 @@ impl WorldSession {
         &self.pinned
     }
 
-    /// Answer one frame, pinning every region the frame's ROI reaches
-    /// before querying — so the handles cannot be evicted mid-frame or
+    /// Run `frame`, a frame over `roi`, with every region the ROI reaches
+    /// pinned first — so the handles cannot be evicted mid-frame or
     /// between consecutive frames over the same ground. Pins on regions
     /// the viewer has left are released after the frame: a session
     /// sweeping a large world protects only the terrain under it, and
     /// never wedges LRU eviction by accumulating the whole world.
-    pub fn frame(
+    pub fn pinned_around<R>(
         &mut self,
         world: &WorldDb,
-        q: &VdQuery,
-        counters: &mut FetchCounters,
-    ) -> StorageResult<(VdResult, IntegrityReport)> {
-        let probe = Box3::prism(q.roi, 0.0, world.e_cap());
+        roi: &Rect,
+        frame: impl FnOnce() -> StorageResult<R>,
+    ) -> StorageResult<R> {
+        let probe = Box3::prism(*roi, 0.0, world.e_cap());
         let needed = world.regions_for(&probe)?;
         for &i in &needed {
             if !self.pinned.contains(&i) {
@@ -862,17 +885,26 @@ impl WorldSession {
                 self.pinned.push(i);
             }
         }
-        let res = world.try_vd_query_counted(q, self.policy, self.max_cubes, counters);
-        let mut kept = Vec::with_capacity(needed.len());
-        for i in self.pinned.drain(..) {
-            if needed.contains(&i) {
-                kept.push(i);
-            } else {
-                world.unpin_region(i);
-            }
+        let res = frame();
+        for &i in self.pinned.iter().filter(|i| !needed.contains(i)) {
+            world.unpin_region(i);
         }
-        self.pinned = kept;
+        self.pinned.retain(|i| needed.contains(i));
         res
+    }
+
+    /// Answer one frame with a fresh cross-tile query
+    /// ([`WorldDb::try_vd_query_counted`]) inside [`Self::pinned_around`].
+    pub fn frame(
+        &mut self,
+        world: &WorldDb,
+        q: &VdQuery,
+        counters: &mut FetchCounters,
+    ) -> StorageResult<(VdResult, IntegrityReport)> {
+        let (policy, max_cubes) = (self.policy, self.max_cubes);
+        self.pinned_around(world, &q.roi, || {
+            world.try_vd_query_counted(q, policy, max_cubes, counters)
+        })
     }
 
     /// Release every pin this session holds. Idempotent.

@@ -10,8 +10,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo doc (dangling intra-doc links are errors)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps
+echo "== cargo doc (dangling or private intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps
 
 echo "== cargo build --release"
 cargo build --release --workspace

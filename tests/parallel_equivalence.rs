@@ -7,7 +7,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use dm_core::parallel::{vd_multi_base_parallel, vd_query_batch, vi_query_batch};
+use dm_core::parallel::{vd_query_batch, vi_query_batch};
 use dm_core::{BoundaryPolicy, DirectMeshDb, DmBuildOptions, VdQuery};
 use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
@@ -169,26 +169,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_multi_base_equals_sequential(
-        seed in 0u64..10_000,
-        angle in 0.1..0.9f64,
-    ) {
-        let db = clean_db();
-        let mut batch = random_vd_batch(db, seed, 1);
-        batch[0].target.slope *= angle.max(0.05);
-        let q = batch[0];
-        let (seq, seq_rep) = db
-            .try_vd_multi_base(&q, BoundaryPolicy::Skip, 8)
-            .expect("clean db");
-        let (par, par_rep) =
-            vd_multi_base_parallel(db, &q, BoundaryPolicy::Skip, 8, 4).expect("clean db");
-        prop_assert!(seq_rep.is_clean() && par_rep.is_clean());
-        prop_assert_eq!(seq.cubes, par.cubes);
-        prop_assert_eq!(seq.fetched_records, par.fetched_records);
-        prop_assert_eq!(mesh_signature(&seq.front), mesh_signature(&par.front));
-    }
-
-    #[test]
     fn parallel_batches_survive_fault_injection_identically(
         seed in 0u64..10_000,
         n in 1usize..8,
@@ -200,21 +180,5 @@ proptest! {
         // differently across workers.
         check_vi_equivalence(faulty_db(), seed, n, threads);
         check_vd_equivalence(faulty_db(), seed, n.min(4), threads);
-    }
-
-    #[test]
-    fn multi_base_under_faults_equals_sequential(
-        seed in 0u64..10_000,
-    ) {
-        let db = faulty_db();
-        let q = random_vd_batch(db, seed, 1)[0];
-        let (seq, _) = db
-            .try_vd_multi_base(&q, BoundaryPolicy::Skip, 8)
-            .expect("faults must heal within budget");
-        let (par, _) = vd_multi_base_parallel(db, &q, BoundaryPolicy::Skip, 8, 4)
-            .expect("faults must heal within budget");
-        prop_assert_eq!(seq.cubes, par.cubes);
-        prop_assert_eq!(seq.fetched_records, par.fetched_records);
-        prop_assert_eq!(mesh_signature(&seq.front), mesh_signature(&par.front));
     }
 }

@@ -369,3 +369,33 @@ fn corrupted_mirror_resyncs_through_a_full_frame() {
         client.close_session(session).expect("close session");
     });
 }
+
+/// A single-store session frame reports the cubes its plan fetched, on
+/// the streamed and the monolithic transport alike: the count a cold
+/// multi-base query over the same window executes.
+#[test]
+fn streamed_session_frames_report_their_cubes() {
+    let db = clean_db();
+    let queries: Vec<VdQuery> = (0..4)
+        .map(|i| query_from_fracs(db, f64::from(i) / 4.0, 0.1, 0.9, 0.9))
+        .collect();
+    with_server(db, |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        let session = client
+            .open_session(BoundaryPolicy::FetchOnMiss, 8, false)
+            .expect("open session");
+        let mut mirror = FrontMirror::new();
+        for (i, q) in queries.iter().enumerate() {
+            let (cold, _) = db
+                .try_vd_multi_base(q, BoundaryPolicy::FetchOnMiss, 8)
+                .expect("cold query");
+            let (streamed, _) = client
+                .frame_query_streamed(session, *q, false, StreamMode::Auto, &mut mirror)
+                .expect("streamed frame");
+            assert_eq!(streamed.cubes as usize, cold.cubes.len(), "frame {i}");
+            let full = client.frame_query(session, *q, false).expect("full frame");
+            assert_eq!(full.cubes as usize, cold.cubes.len(), "frame {i}");
+        }
+        client.close_session(session).expect("close session");
+    });
+}

@@ -9,13 +9,20 @@
 //! read faults on every tile store and a degraded open of one tile must
 //! still produce bit-identical answers whenever the query reports clean
 //! (retries healed every fault), and valid degraded meshes otherwise.
+//!
+//! A walkthrough is held to it too: one `NavigationSession` type walks
+//! either host, and over a world its every frame is a fresh cross-tile
+//! query's answer and the unsplit store's.
 
 use std::sync::Arc;
 
+use std::collections::BTreeSet;
+
+use dm_core::navigation::waypoint_path;
 use dm_core::query::{plan_multi_base, uniform_cut, vd_with_strips, RecordStore};
 use dm_core::{
     BoundaryPolicy, DirectMeshDb, DmBuildOptions, FetchCounters, FetchedSet, IntegrityReport,
-    VdQuery,
+    NavigationSession, VdQuery,
 };
 use dm_geom::{Box3, Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
@@ -57,6 +64,96 @@ fn mesh_fingerprint(front: &dm_mtm::FrontMesh) -> (Vec<u32>, Vec<[f64; 3]>, Vec<
         .collect();
     let tris = mesh.live_triangles().map(|t| mesh.triangle(t)).collect();
     (ids, verts, tris)
+}
+
+/// A front's vertex ids and its faces, each face rotated to lead with
+/// its smallest id.
+fn front_sets(front: &dm_mtm::FrontMesh) -> (BTreeSet<u32>, BTreeSet<[u32; 3]>) {
+    let faces = front
+        .triangles()
+        .map(|mut t| {
+            let k = (0..3).min_by_key(|&i| t[i]).unwrap();
+            t.rotate_left(k);
+            t
+        })
+        .collect();
+    (front.vertex_ids().collect(), faces)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// One session type for both hosts: a `NavigationSession` over a 2×2
+    /// split world walks a random waypoint path, and every frame has the
+    /// vertex and face sets of a fresh cross-tile query and of the same
+    /// session over the unsplit store, under either boundary policy. The
+    /// same walk over the tiles behind 1% transient read faults (opened
+    /// degraded) must agree on every frame that reports clean.
+    #[test]
+    fn world_session_equals_fresh_and_unsplit(
+        terrain_seed in 0u64..1_000,
+        fault_seed in 0u64..1_000,
+        side in 17usize..28,
+        fracs in collection::vec((0.1..0.9f64, 0.1..0.9f64), 2..5),
+        window_frac in 0.25..0.6f64,
+        frames in 3usize..8,
+    ) {
+        let db = build_db(side, terrain_seed);
+        let world = split_world_in_memory(
+            &db, 2, 2, 4096, &DmBuildOptions::default(), WorldOptions::default(),
+        ).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "dm_world_session_{}_{terrain_seed}_{fault_seed}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = write_split_world(&db, 2, 2, &dir, &DmBuildOptions::default()).unwrap();
+        let faulty = WorldDb::open(
+            &manifest,
+            WorldOptions {
+                degraded: true,
+                fault: Some(FaultConfig::new(fault_seed).with_read_fail_rate(0.01)),
+                ..WorldOptions::default()
+            },
+        )
+        .unwrap();
+        let b = db.bounds;
+        let pts: Vec<Vec2> = fracs
+            .iter()
+            .map(|&(fx, fy)| Vec2::new(b.min.x + fx * b.width(), b.min.y + fy * b.height()))
+            .collect();
+        let window = b.width().min(b.height()) * window_frac;
+        let path = waypoint_path(&pts, window, frames);
+        for policy in [BoundaryPolicy::Skip, BoundaryPolicy::FetchOnMiss] {
+            let mut tiled = NavigationSession::new(&world, policy);
+            let mut unsplit = NavigationSession::new(&db, policy);
+            let mut wounded = NavigationSession::new(&faulty, policy);
+            for roi in &path {
+                // The viewer half a window south of the ROI, looking north.
+                let eye = Vec2::new(roi.center().x, roi.min.y - window / 2.0);
+                let q = vd_query(db.e_max, *roi, eye);
+                let (_, report) = tiled.try_move_to(&q).unwrap();
+                prop_assert!(report.is_clean());
+                let (_, report) = unsplit.try_move_to(&q).unwrap();
+                prop_assert!(report.is_clean());
+                let (fresh, report) = world
+                    .try_vd_query_counted(&q, policy, 16, &mut FetchCounters::default())
+                    .unwrap();
+                prop_assert!(report.is_clean());
+                let want = front_sets(&fresh.front);
+                prop_assert_eq!(&front_sets(tiled.front()), &want, "world session ≠ fresh under {:?}", policy);
+                prop_assert_eq!(&front_sets(unsplit.front()), &want, "unsplit session ≠ fresh under {:?}", policy);
+                // A faulted frame that failed or lost data is waived;
+                // a failed one leaves the session as it was.
+                if let Ok((_, report)) = wounded.try_move_to(&q) {
+                    if report.is_clean() {
+                        prop_assert_eq!(&front_sets(wounded.front()), &want, "healed session ≠ fresh under {:?}", policy);
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 proptest! {

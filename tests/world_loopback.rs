@@ -202,6 +202,7 @@ fn world_sessions_match_local_and_release_pins_on_close() {
             let (lv, lf) = canonical_mesh(&res.front);
             assert_mesh_eq(&format!("world frame {i}"), &remote, &lv, &lf);
             assert_eq!(remote.fetched_records, res.fetched_records as u64);
+            assert_eq!(remote.cubes as usize, res.cubes.len());
         }
         // The flight path crosses tiles, so the server session holds
         // pins: our local twin pinned the same regions, hence counts are
