@@ -78,15 +78,8 @@ fn print_help() {
 
 commands:
   generate --kind <mining|crater|ramp> --size <n> [--seed <s>] -o <file.dmh|.asc>
-  build <terrain.dmh|.asc> -o <db.dmdb> [--pm-cache <file.dmpm>] [--codec v2|v3]
+  build <terrain.dmh|.asc> -o <db.dmdb> [--pm-cache <file.dmpm>]
   info <db.dmdb>
-
-build options:
-  --codec <v2|v3>       on-disk record codec: v3 (default) packs records
-                        with page-local delta compression; v2 writes the
-                        flat layout. Either way the catalog is version 4
-                        (id directory); `open` also reads the version-2/3
-                        catalogs of older builds.
   query <db.dmdb> [--keep <frac> | --lod <e>] [--roi x0,y0,x1,y1] [-o mesh.obj]
   vd <db.dmdb> [--near-keep <frac>] [--far-keep <frac>] [--roi ...] [-o mesh.obj]
   walkthrough <db.dmdb> [--frames <n>] [--window <frac>]
@@ -228,6 +221,11 @@ fn cmd_generate(args: Args) -> Result<(), String> {
 }
 
 fn cmd_build(args: Args) -> Result<(), String> {
+    if args.get("codec").is_some() {
+        return Err(
+            "--codec is not accepted: builds write v3 records; v2 stores still open".into(),
+        );
+    }
     let input = args.positional(0)?;
     let out = args.require("o")?;
     let hf = read_heightfield(input)?;
@@ -268,22 +266,10 @@ fn cmd_build(args: Args) -> Result<(), String> {
     };
     let pm_s = t0.elapsed().as_secs_f64();
 
-    let codec = match args.get("codec").unwrap_or("v3") {
-        "v2" | "flat" => dm_core::record::RecordCodec::Flat,
-        "v3" | "compact" => dm_core::record::RecordCodec::Compact,
-        other => return Err(format!("unknown --codec {other:?} (v2|v3)")),
-    };
     let t1 = std::time::Instant::now();
     let store = FileStore::create(std::path::Path::new(out)).map_err(|e| format!("{out}: {e}"))?;
     let pool = Arc::new(BufferPool::new(Box::new(store), 4096));
-    let db = DirectMeshDb::create_in(
-        pool,
-        &pm,
-        &DmBuildOptions {
-            codec,
-            ..Default::default()
-        },
-    );
+    let db = DirectMeshDb::create_in(pool, &pm, &DmBuildOptions::default());
     let store_s = t1.elapsed().as_secs_f64();
     println!(
         "{out}: {} records over {} pages, {} codec (e_max {:.2})",

@@ -26,7 +26,8 @@
 //! a B+-tree there instead, as `u32(root) u32(height) u64(len)`; they
 //! still open and read, and the first patch on such a store writes a
 //! version-4 catalog with the store's directory. Every build writes
-//! version 4, whatever its record codec.
+//! version 4 with compact records; version-4 stores of flat records,
+//! from older builds, still open and take patches.
 //!
 //! Each page chunk stays inside [`PAGE_DATA`] so the buffer pool's
 //! per-page checksum trailer is never overwritten. The per-page checksum
@@ -41,7 +42,7 @@
 use std::sync::Arc;
 
 use dm_index::RStarTree;
-use dm_storage::page::{PageId, NO_PAGE, PAGE_DATA};
+use dm_storage::page::{Cursor, PageId, NO_PAGE, PAGE_DATA};
 use dm_storage::{crc32, BTree, BufferPool, StorageError, StorageResult};
 
 use crate::record::RecordCodec;
@@ -153,7 +154,7 @@ impl CatalogData {
         let (body, trailer) = b.split_at(b.len() - 4);
         let stored = u32::from_le_bytes(trailer.try_into().unwrap());
         let computed = crc32(body);
-        let mut cur = Cursor { b: body, off: 0 };
+        let mut cur = Cursor::new(body, "catalog");
         let magic = cur.take(4)?;
         if magic != MAGIC {
             return Err(StorageError::format(
@@ -319,34 +320,6 @@ fn read_catalog_chain(
         }
     }
     Ok((CatalogData::decode(&bytes)?, chain))
-}
-
-struct Cursor<'a> {
-    b: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> StorageResult<&'a [u8]> {
-        if self.off + n > self.b.len() {
-            return Err(StorageError::format("catalog truncated"));
-        }
-        let s = &self.b[self.off..self.off + n];
-        self.off += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> StorageResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> StorageResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> StorageResult<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
 }
 
 #[cfg(test)]

@@ -40,12 +40,12 @@ pub struct DmRecord {
 }
 
 /// Which record codec a database stores its heap records in.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecordCodec {
-    /// The v2 fixed layout ([`DmRecord::encode`]).
+    /// The v2 fixed layout ([`DmRecord::encode`]): read and patched in
+    /// place, never built.
     Flat,
-    /// The v3 page-delta layout ([`encode_compact`]) — the default.
-    #[default]
+    /// The v3 page-delta layout ([`encode_compact`]) every build writes.
     Compact,
 }
 

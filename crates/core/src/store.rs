@@ -167,9 +167,6 @@ pub struct DmBuildOptions {
     /// Build the R\*-tree by repeated R\* insertion instead of STR bulk
     /// loading (slower, different node shapes; ablation A2).
     pub dynamic_rtree: bool,
-    /// On-disk record codec (compact by default; flat keeps databases
-    /// readable by pre-v3 binaries).
-    pub codec: RecordCodec,
 }
 
 impl Default for DmBuildOptions {
@@ -178,7 +175,6 @@ impl Default for DmBuildOptions {
             rtree_fill: 0.7,
             clustering: Clustering::StrLeaf,
             dynamic_rtree: false,
-            codec: RecordCodec::default(),
         }
     }
 }
@@ -419,16 +415,17 @@ impl DirectMeshDb {
         e.clamp(0.0, self.e_max * 1.0005 + 1e-12)
     }
 
-    /// Build the database from a finished PM construction.
+    /// Build the database from a finished PM construction: the
+    /// connection lists, then [`Self::build_from_records`] over every
+    /// node.
     pub fn build(pool: Arc<BufferPool>, pm: &PmBuild, opts: &DmBuildOptions) -> Self {
         let h = &pm.hierarchy;
-        let n = h.len();
 
         // Connection lists: ever-adjacent pairs with overlapping LOD
         // intervals ("similar LOD").
         // Counted first, so every list is allocated once at its size.
         let similar = |&&(a, b): &&(u32, u32)| h.interval(a).overlaps(&h.interval(b));
-        let mut degree = vec![0usize; n];
+        let mut degree = vec![0usize; h.len()];
         for &(a, b) in pm.edges.iter().filter(similar) {
             degree[a as usize] += 1;
             degree[b as usize] += 1;
@@ -438,123 +435,13 @@ impl DirectMeshDb {
             conn[a as usize].push(b);
             conn[b as usize].push(a);
         }
-        // Each record is built once, indexed by id.
         let records: Vec<DmRecord> = h
             .nodes
             .iter()
             .zip(conn)
             .map(|(&node, conn)| DmRecord { node, conn })
             .collect();
-
-        let e_max = h.e_max;
-        let e_cap = e_max * 1.001 + 1e-9;
-
-        // Heap placement order, in page-sized groups. The spatial index
-        // below is page-granular, so a page whose records straddle an STR
-        // run boundary gets an MBR spanning both runs and matches almost
-        // every query in its slab. The flat codec's fixed record size is
-        // what the default STR tile capacity was tuned for; the compact
-        // codec packs ~1.5× more records per page, so its tiles are sized
-        // from sampled encodings and every group boundary forces a page
-        // break — each data page's MBR stays a single STR tile.
-        let mut encoded: Vec<Vec<u8>> = Vec::new();
-        let order_groups: Vec<Vec<u32>> = match opts.clustering {
-            Clustering::StrLeaf => {
-                let items: Vec<(Box3, u64)> = records
-                    .iter()
-                    .enumerate()
-                    .map(|(id, r)| (segment(&r.node, e_cap), id as u64))
-                    .collect();
-                match opts.codec {
-                    RecordCodec::Flat => {
-                        vec![dm_index::rstar::str_leaf_order(&items, opts.rtree_fill)
-                            .into_iter()
-                            .map(|v| v as u32)
-                            .collect()]
-                    }
-                    RecordCodec::Compact => {
-                        // Exact packing simulation: the group weight IS
-                        // the record's on-page cost against the group's
-                        // real slot-0 base, so groups map 1:1 onto pages.
-                        // The bytes each record was last weighed as are
-                        // kept: placement writes them while the page its
-                        // group opened is still open.
-                        encoded = vec![Vec::new(); n];
-                        let weight = |opener: Option<u64>, id: u64| {
-                            let base = opener
-                                .map_or(BaseVals::ZERO, |a| base_vals(&records[a as usize].node));
-                            let bytes = encode_compact(&records[id as usize], &base);
-                            let w = bytes.len() + HEAP_SLOT;
-                            encoded[id as usize] = bytes;
-                            w
-                        };
-                        // Size runs at ~85% of the estimated page
-                        // capacity: the estimate is a sampled mean, and
-                        // a run that overshoots the byte budget even
-                        // slightly spills a near-empty remainder page
-                        // whose MBR still spans the whole tile — the
-                        // margin keeps almost every run on one page.
-                        let cap_hint = (estimate_compact_capacity(&records, &items, opts.rtree_fill)
-                            as f64
-                            * 0.85) as usize;
-                        dm_index::rstar::str_leaf_groups_weighted(
-                            &items,
-                            cap_hint,
-                            dm_storage::PAGE_DATA - HEAP_HEADER,
-                            weight,
-                        )
-                        .into_iter()
-                        .map(|g| g.into_iter().map(|v| v as u32).collect())
-                        .collect()
-                    }
-                }
-            }
-            Clustering::Hilbert => {
-                let mut order: Vec<u32> = (0..n as u32).collect();
-                let b = h.bounds;
-                let ext = (b.width().max(1e-12), b.height().max(1e-12));
-                order.sort_by_key(|&id| {
-                    let p = h.node(id).pos;
-                    dm_geom::hilbert::continuous_key(16, p.x, p.y, (b.min.x, b.min.y), ext)
-                });
-                vec![order]
-            }
-            Clustering::IdOrder => vec![(0..n as u32).collect()],
-        };
-
-        let mut heap = HeapFile::create(Arc::clone(&pool));
-        let rids = place_records(&mut heap, &records, &order_groups, opts.codec, encoded);
-        let ids =
-            IdDirectory::try_build(Arc::clone(&pool), (0..n as u32).zip(rids.iter().copied()))
-                .unwrap_or_else(|e| panic!("id directory: {e}"));
-        let (rtree, cost) = index_heap_pages(
-            &pool,
-            heap.page_ids(),
-            rids.iter()
-                .zip(&records)
-                .map(|(rid, r)| (rid.page, segment(&r.node, e_cap))),
-            Box3::prism(h.bounds, 0.0, e_cap),
-            opts,
-        );
-
-        DirectMeshDb {
-            pool,
-            heap,
-            ids: IdIndex::Directory(ids),
-            rtree,
-            cost,
-            bounds: h.bounds,
-            e_max,
-            n_records: n,
-            n_leaves: h.n_leaves,
-            roots: h.roots.clone(),
-            intervals: LazyIntervals::filled(IntervalStats::new(
-                h.nodes.iter().map(|nd| (nd.e_lo, nd.e_hi)),
-            )),
-            codec: opts.codec,
-            rtree_lost: false,
-            catalog_page: 0,
-        }
+        Self::build_from_records(pool, records, h.bounds, h.e_max, opts)
     }
 
     /// Build into an *empty* store and persist the catalog at page 0, so
@@ -572,8 +459,9 @@ impl DirectMeshDb {
     }
 
     /// Build a database over an explicit, already-constructed record set
-    /// — how the world catalog's tile splitter materializes one region:
-    /// ids, links and connection lists are stored verbatim, so references
+    /// — the one builder: [`Self::build`] hands it every node, the world
+    /// catalog's tile splitter one region's subset. Ids, links and
+    /// connection lists are stored verbatim, so references
     /// that cross the subset boundary (seam-crossing connection points,
     /// out-of-tile parents) survive and resolve against the neighbouring
     /// tiles at query time. `bounds` and `e_max` come from the *source*
@@ -595,20 +483,51 @@ impl DirectMeshDb {
         let n = records.len();
         let e_cap = e_max * 1.001 + 1e-9;
 
-        // Heap placement order (indices into `records`). One group: the
-        // compact codec's fits-probe opens pages as needed, the same
-        // packing rule `build` uses for its non-grouped orders.
-        let order: Vec<u32> = match opts.clustering {
+        // Heap placement order (indices into `records`), in page-sized
+        // groups. The spatial index below is page-granular, so a page
+        // whose records straddle an STR run boundary gets an MBR spanning
+        // both runs and matches almost every query in its slab. So STR
+        // tiles are sized from sampled encodings and every group boundary
+        // forces a page break: each data page's MBR stays a single tile.
+        // The ablation orders are one group that the fits-probe pages.
+        let mut encoded: Vec<Vec<u8>> = Vec::new();
+        let groups: Vec<Vec<u32>> = match opts.clustering {
             Clustering::StrLeaf => {
                 let items: Vec<(Box3, u64)> = records
                     .iter()
                     .enumerate()
                     .map(|(i, r)| (segment(&r.node, e_cap), i as u64))
                     .collect();
-                dm_index::rstar::str_leaf_order(&items, opts.rtree_fill)
-                    .into_iter()
-                    .map(|v| v as u32)
-                    .collect()
+                // Exact packing simulation: the group weight IS the
+                // record's on-page cost against the group's real slot-0
+                // base, so groups map 1:1 onto pages. The bytes each
+                // record was last weighed as are kept: placement writes
+                // them while the page its group opened is still open.
+                encoded = vec![Vec::new(); n];
+                let weight = |opener: Option<u64>, i: u64| {
+                    let base =
+                        opener.map_or(BaseVals::ZERO, |a| base_vals(&records[a as usize].node));
+                    let bytes = encode_compact(&records[i as usize], &base);
+                    let w = bytes.len() + HEAP_SLOT;
+                    encoded[i as usize] = bytes;
+                    w
+                };
+                // Size runs at ~85% of the estimated page capacity: the
+                // estimate is a sampled mean, and a run that overshoots
+                // the byte budget even slightly spills a near-empty
+                // remainder page whose MBR still spans the whole tile —
+                // the margin keeps almost every run on one page.
+                let cap_hint = (estimate_compact_capacity(&records, &items, opts.rtree_fill) as f64
+                    * 0.85) as usize;
+                dm_index::rstar::str_leaf_groups_weighted(
+                    &items,
+                    cap_hint,
+                    dm_storage::PAGE_DATA - HEAP_HEADER,
+                    weight,
+                )
+                .into_iter()
+                .map(|g| g.into_iter().map(|v| v as u32).collect())
+                .collect()
             }
             Clustering::Hilbert => {
                 let mut order: Vec<u32> = (0..n as u32).collect();
@@ -623,13 +542,13 @@ impl DirectMeshDb {
                         ext,
                     )
                 });
-                order
+                vec![order]
             }
-            Clustering::IdOrder => (0..n as u32).collect(),
+            Clustering::IdOrder => vec![(0..n as u32).collect()],
         };
 
         let mut heap = HeapFile::create(Arc::clone(&pool));
-        let rids = place_records(&mut heap, &records, &[order], opts.codec, Vec::new());
+        let rids = place_records(&mut heap, &records, &groups, encoded);
         let ids = IdDirectory::try_build(
             Arc::clone(&pool),
             records.iter().map(|r| r.node.id).zip(rids.iter().copied()),
@@ -667,7 +586,7 @@ impl DirectMeshDb {
             intervals: LazyIntervals::filled(IntervalStats::new(
                 records.iter().map(|r| (r.node.e_lo, r.node.e_hi)),
             )),
-            codec: opts.codec,
+            codec: RecordCodec::Compact,
             rtree_lost: false,
             catalog_page: 0,
         }
@@ -1626,18 +1545,17 @@ fn base_vals(node: &PmNode) -> BaseVals {
 /// Write `records` to a fresh heap, group by group (indices into
 /// `records`), and return each record's `RecordId` in `records` order.
 ///
-/// Compact codec: slot 0 of each page is the base the rest of the page
-/// deltas against. When a delta-encoded record no longer fits the open
-/// page, it re-encodes against [`BaseVals::ZERO`] and opens the next page
-/// as its base. `encoded` is empty, or holds per record the bytes the
-/// weighted STR grouping last sized it as: then every group opens a page
-/// of its own, and its records are written as sized while that page is
-/// still open.
+/// Slot 0 of each page is the base the rest of the page deltas against.
+/// When a delta-encoded record no longer fits the open page, it
+/// re-encodes against [`BaseVals::ZERO`] and opens the next page as its
+/// base. `encoded` is empty, or holds per record the bytes the weighted
+/// STR grouping last sized it as: then every group opens a page of its
+/// own, and its records are written as sized while that page is still
+/// open.
 fn place_records(
     heap: &mut HeapFile,
     records: &[DmRecord],
     groups: &[Vec<u32>],
-    codec: RecordCodec,
     mut encoded: Vec<Vec<u8>>,
 ) -> Vec<RecordId> {
     let mut rids = vec![RecordId { page: 0, slot: 0 }; records.len()];
@@ -1647,32 +1565,29 @@ fn place_records(
         for (k, &i) in group.iter().enumerate() {
             let i = i as usize;
             let rec = &records[i];
-            rids[i] = match codec {
-                RecordCodec::Flat => heap.insert(&rec.encode()),
-                RecordCodec::Compact if k == 0 && !encoded.is_empty() => {
-                    base = base_vals(&rec.node);
-                    on_group_page = true;
-                    heap.try_insert_new_page(&std::mem::take(&mut encoded[i]))
-                        .unwrap_or_else(|e| panic!("heap insert: {e}"))
-                }
-                RecordCodec::Compact => {
-                    let delta = if on_group_page {
-                        std::mem::take(&mut encoded[i])
-                    } else {
-                        encode_compact(rec, &base)
-                    };
-                    let fits = heap
-                        .fits_in_last_page(delta.len())
-                        .unwrap_or_else(|e| panic!("heap probe: {e}"));
-                    if fits {
-                        heap.insert(&delta)
-                    } else {
-                        base = base_vals(&rec.node);
-                        on_group_page = false;
-                        heap.try_insert_new_page(&encode_compact(rec, &BaseVals::ZERO))
-                            .unwrap_or_else(|e| panic!("heap insert: {e}"))
-                    }
-                }
+            if k == 0 && !encoded.is_empty() {
+                base = base_vals(&rec.node);
+                on_group_page = true;
+                rids[i] = heap
+                    .try_insert_new_page(&std::mem::take(&mut encoded[i]))
+                    .unwrap_or_else(|e| panic!("heap insert: {e}"));
+                continue;
+            }
+            let delta = if on_group_page {
+                std::mem::take(&mut encoded[i])
+            } else {
+                encode_compact(rec, &base)
+            };
+            let fits = heap
+                .fits_in_last_page(delta.len())
+                .unwrap_or_else(|e| panic!("heap probe: {e}"));
+            rids[i] = if fits {
+                heap.insert(&delta)
+            } else {
+                base = base_vals(&rec.node);
+                on_group_page = false;
+                heap.try_insert_new_page(&encode_compact(rec, &BaseVals::ZERO))
+                    .unwrap_or_else(|e| panic!("heap insert: {e}"))
             };
         }
     }
@@ -1756,6 +1671,15 @@ mod tests {
     use dm_mtm::builder::{build_pm, PmBuildConfig};
     use dm_storage::MemStore;
     use dm_terrain::{generate, TriMesh};
+
+    /// The committed flat-codec store of `mining17.dmh` (see
+    /// `tests/codec_compat.rs`) copied to `path`: builds write the
+    /// compact codec only.
+    fn copy_flat_fixture(path: &std::path::Path) {
+        let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/legacy_v4_flat.dmdb");
+        std::fs::copy(fixture, path).unwrap();
+    }
 
     fn small_db() -> DirectMeshDb {
         let hf = generate::fractal_terrain(9, 9, 3);
@@ -1939,18 +1863,22 @@ mod tests {
                 codec.name()
             ));
             let _ = std::fs::remove_file(&path);
-            let hf = generate::fractal_terrain(33, 33, 3);
-            let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
             let file_pool = || {
                 let store = dm_storage::FileStore::open(&path).unwrap();
                 Arc::new(BufferPool::new(Box::new(store), 1024))
             };
-            drop(dm_storage::FileStore::create(&path).unwrap());
-            let opts = DmBuildOptions {
-                codec,
-                ..Default::default()
+            let db = match codec {
+                RecordCodec::Flat => {
+                    copy_flat_fixture(&path);
+                    DirectMeshDb::open(file_pool()).unwrap()
+                }
+                RecordCodec::Compact => {
+                    let hf = generate::fractal_terrain(33, 33, 3);
+                    let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+                    drop(dm_storage::FileStore::create(&path).unwrap());
+                    DirectMeshDb::create_in(file_pool(), &pm, &DmBuildOptions::default())
+                }
             };
-            let db = DirectMeshDb::create_in(file_pool(), &pm, &opts);
             let all = db.all_records();
 
             // Overlapping, disjoint, plane-thin and duplicate boxes.
@@ -2011,11 +1939,14 @@ mod tests {
             // all-miss, all-build and all-reuse; on a pool of one-frame
             // shards holding two thirds of the heap some pages evict each
             // other mid-batch and the rest stay, so every pass mixes both
-            // loops; behind a store failing 1 % of reads every fault is
+            // loops; behind a store failing 5 % of reads every fault is
             // still met on a miss, retried and counted, and nothing is
-            // lost.
-            let batches: Vec<Vec<Box3>> = std::iter::once(boxes.clone())
-                .chain((0..5).map(|_| random_batch()))
+            // lost. The batch with the whole-terrain plane goes last: on
+            // the 8-page flat store it is the one that overflows the
+            // small pool.
+            let batches: Vec<Vec<Box3>> = (0..5)
+                .map(|_| random_batch())
+                .chain(std::iter::once(boxes.clone()))
                 .collect();
             let frames = db.n_heap_pages() * 2 / 3;
             let small = {
@@ -2025,7 +1956,7 @@ mod tests {
             };
             let (faulty, fault_counters) = {
                 let store = dm_storage::FileStore::open(&path).unwrap();
-                let cfg = dm_storage::FaultConfig::new(24).with_read_fail_rate(0.01);
+                let cfg = dm_storage::FaultConfig::new(24).with_read_fail_rate(0.05);
                 let inj = dm_storage::FaultInjector::new(Box::new(store), cfg);
                 let counters = inj.counters();
                 let pool = BufferPool::with_shard_count(Box::new(inj), frames, frames);
@@ -2108,13 +2039,19 @@ mod tests {
     fn point_lookup_through_a_sidecar_matches_bytes() {
         let hf = generate::fractal_terrain(33, 33, 3);
         let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+        let path = std::env::temp_dir().join(format!("dm_lookup_{}.db", std::process::id()));
         for codec in [RecordCodec::Flat, RecordCodec::Compact] {
-            let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 1024));
-            let opts = DmBuildOptions {
-                codec,
-                ..Default::default()
+            let db = match codec {
+                RecordCodec::Flat => {
+                    copy_flat_fixture(&path);
+                    let store = dm_storage::FileStore::open(&path).unwrap();
+                    DirectMeshDb::open(Arc::new(BufferPool::new(Box::new(store), 1024))).unwrap()
+                }
+                RecordCodec::Compact => {
+                    let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 1024));
+                    DirectMeshDb::build(pool, &pm, &DmBuildOptions::default())
+                }
             };
-            let db = DirectMeshDb::build(pool, &pm, &opts);
             let all = db.all_records();
             // Each id through both verbs: the record, and the node alone.
             let sweep = || -> Vec<(Option<DmRecord>, Option<PmNode>)> {
@@ -2142,6 +2079,7 @@ mod tests {
                 assert_eq!(*node, rec.as_ref().map(|r| r.node));
             }
         }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -2225,47 +2163,6 @@ mod tests {
         db.try_cold_start().unwrap();
         assert_eq!(db.try_fetch_node_by_id(n).unwrap(), None);
         assert_eq!(db.disk_accesses(), 1);
-    }
-
-    #[test]
-    fn compact_codec_matches_flat_and_uses_fewer_pages() {
-        // Big enough that both codecs span many pages (a 2-page database
-        // cannot show a page-count ratio).
-        let hf = generate::fractal_terrain(33, 33, 3);
-        let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
-        let mk = |codec: RecordCodec| {
-            let pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 1024));
-            DirectMeshDb::build(
-                pool,
-                &pm,
-                &DmBuildOptions {
-                    codec,
-                    ..Default::default()
-                },
-            )
-        };
-        let flat = mk(RecordCodec::Flat);
-        let compact = mk(RecordCodec::Compact);
-        let a = flat.all_records();
-        let b = compact.all_records();
-        assert_eq!(a.len(), b.len());
-        for (id, rec) in &a {
-            assert_eq!(&b[id], rec, "record {id} differs between codecs");
-        }
-        // Point lookups agree too (the compact path goes through the
-        // page-base view).
-        for id in [0u32, 1, 17, flat.n_records as u32 - 1] {
-            assert_eq!(
-                flat.try_fetch_by_id(id).unwrap(),
-                compact.try_fetch_by_id(id).unwrap()
-            );
-        }
-        assert!(
-            (compact.n_heap_pages() as f64) < 0.75 * flat.n_heap_pages() as f64,
-            "compact codec should cut heap pages by ≥25% ({} vs {})",
-            compact.n_heap_pages(),
-            flat.n_heap_pages()
-        );
     }
 
     fn corner_region(db: &DirectMeshDb, frac: f64) -> Rect {

@@ -1,5 +1,7 @@
 //! Pages and little-endian field codecs.
 
+use crate::{StorageError, StorageResult};
+
 /// Size of every page in bytes. 8 KiB matches the common DBMS block size
 /// (Oracle's default block size in the paper's era).
 pub const PAGE_SIZE: usize = 8192;
@@ -30,6 +32,56 @@ pub fn zeroed_page() -> PageBuf {
         .into_boxed_slice()
         .try_into()
         .expect("PAGE_SIZE slice")
+}
+
+/// A bounds-checked little-endian reader over a persisted payload (the
+/// catalog, the world manifest): reading past the end is a
+/// [`StorageError::Format`] that says
+/// `"{what} truncated"`.
+pub struct Cursor<'a> {
+    b: &'a [u8],
+    off: usize,
+    what: &'static str,
+}
+
+impl<'a> Cursor<'a> {
+    pub fn new(b: &'a [u8], what: &'static str) -> Self {
+        Cursor { b, off: 0, what }
+    }
+
+    pub fn take(&mut self, n: usize) -> StorageResult<&'a [u8]> {
+        let s = self
+            .b
+            .get(self.off..self.off + n)
+            .ok_or_else(|| StorageError::format(format!("{} truncated", self.what)))?;
+        self.off += n;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> StorageResult<[u8; N]> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    }
+
+    pub fn u16(&mut self) -> StorageResult<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    pub fn u32(&mut self) -> StorageResult<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    pub fn u64(&mut self) -> StorageResult<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    pub fn f64(&mut self) -> StorageResult<f64> {
+        self.array().map(f64::from_le_bytes)
+    }
+
+    /// Every byte has been read.
+    pub fn at_end(&self) -> bool {
+        self.off == self.b.len()
+    }
 }
 
 /// Little-endian read/write helpers over a byte slice. All offsets are in

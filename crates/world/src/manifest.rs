@@ -26,6 +26,7 @@
 use std::path::{Path, PathBuf};
 
 use dm_geom::{Rect, Vec2};
+use dm_storage::page::Cursor;
 use dm_storage::{crc32, StorageError, StorageResult};
 
 const MAGIC: &[u8; 4] = b"DMWM";
@@ -108,7 +109,7 @@ impl WorldManifest {
         let (body, trailer) = b.split_at(b.len() - 4);
         let stored = u32::from_le_bytes(trailer.try_into().unwrap());
         let computed = crc32(body);
-        let mut cur = Cursor { b: body, off: 0 };
+        let mut cur = Cursor::new(body, "world manifest");
         if cur.take(4)? != MAGIC {
             return Err(StorageError::format(
                 "not a Direct Mesh world manifest (bad magic)",
@@ -150,7 +151,7 @@ impl WorldManifest {
                 path: PathBuf::from(path),
             });
         }
-        if cur.off != body.len() {
+        if !cur.at_end() {
             return Err(StorageError::format("world manifest has trailing bytes"));
         }
         Ok(WorldManifest { e_max, regions })
@@ -186,34 +187,6 @@ impl WorldManifest {
             out = out.union(&r.world_bounds());
         }
         out
-    }
-}
-
-struct Cursor<'a> {
-    b: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> StorageResult<&'a [u8]> {
-        if self.off + n > self.b.len() {
-            return Err(StorageError::format("world manifest truncated"));
-        }
-        let s = &self.b[self.off..self.off + n];
-        self.off += n;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> StorageResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> StorageResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> StorageResult<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 }
 

@@ -72,8 +72,8 @@ pub struct WorldOptions {
     /// Worker threads for the per-region query fan-out (0 = auto).
     pub threads: usize,
     /// Open regions with [`DirectMeshDb::open_degraded_at`]: unreadable
-    /// heap pages are skipped (losses land in the slot's open report)
-    /// instead of failing the open.
+    /// heap pages are skipped instead of failing the open, and each query
+    /// that meets one reports the loss in its own `IntegrityReport`.
     pub degraded: bool,
     /// Wrap each region's file store in a deterministic
     /// [`FaultInjector`] (tests and fault drills).
@@ -129,8 +129,6 @@ struct RegionSlot {
     /// In-memory regions ([`WorldDb::from_regions`]) have no file to
     /// reopen from, so they are never evicted.
     evictable: bool,
-    /// What a degraded open had to skip (empty for clean opens).
-    open_report: IntegrityReport,
 }
 
 struct WorldState {
@@ -280,7 +278,6 @@ impl WorldDb {
                 last_used: 0,
                 pins: 0,
                 evictable: !in_memory,
-                open_report: IntegrityReport::default(),
             })
             .collect();
         for c in counters.iter().take(n_open) {
@@ -390,12 +387,6 @@ impl WorldDb {
         self.state.lock().slots[idx].pins
     }
 
-    /// What a degraded open of this region had to skip (empty while the
-    /// region is closed or after a clean open).
-    pub fn region_open_report(&self, idx: usize) -> IntegrityReport {
-        self.state.lock().slots[idx].open_report.clone()
-    }
-
     /// Per-region lifecycle counters, ascending by region index.
     pub fn region_stats(&self) -> Vec<RegionStats> {
         let state = self.state.lock();
@@ -462,9 +453,8 @@ impl WorldDb {
 
         let meta = &self.regions[idx];
         let (pool, catalog_page) = open_region_store(&meta.path, initial, self.opts.fault)?;
-        let mut report = IntegrityReport::default();
         let db = if self.opts.degraded {
-            DirectMeshDb::open_degraded_at(pool, catalog_page, &mut report)?
+            DirectMeshDb::open_degraded_at(pool, catalog_page, &mut IntegrityReport::default())?
         } else {
             DirectMeshDb::open_at(pool, catalog_page)?
         };
@@ -479,7 +469,6 @@ impl WorldDb {
         let evicted = self.make_room(&mut state);
         state.slots[idx].db = Some(Arc::clone(&db));
         state.slots[idx].last_used = tick;
-        state.slots[idx].open_report = report;
         state.n_open += 1;
         self.counters[idx].opens.fetch_add(1, Ordering::Relaxed);
         self.rebalance_budgets(&mut state);
@@ -522,7 +511,6 @@ impl WorldDb {
             match victim {
                 Some(v) => {
                     evicted.extend(state.slots[v].db.take());
-                    state.slots[v].open_report = IntegrityReport::default();
                     state.n_open -= 1;
                     self.counters[v].evictions.fetch_add(1, Ordering::Relaxed);
                 }

@@ -109,39 +109,37 @@ if bad:
     sys.exit("dmbench warm smokes FAILED\n  " + "\n  ".join(bad))
 PY
 
-echo "== dmbench world_walkthrough smoke (traced; a region open must stay index-only)"
+echo "== dmbench world_walkthrough smoke (traced; exact counts at seed 1)"
 # Two regions reopen every lap, inside viewers' requests: every answer
-# must verify, and the traced open must cost what a catalog + index read
-# costs (hundreds of microseconds), not what a heap scan costs (4-5 ms
-# on this store before opens went index-only).
-# The traced pass's counts are fixed at seed 1 by which pages the small
-# per-region pools evict: a pool that picks a different LRU victim moves
-# them, and so does a tile whose index pages land on other pool shards.
-# A shard is page id mod 16: the id directory is smaller than the
-# B+-tree it replaced, so every tile's R*-tree pages got lower ids and
-# these counts moved from 9.6944 / 12.1111. ROADMAP item 10's
-# BENCH_counts.json will absorb this check.
+# must verify. The traced pass's counts are fixed at seed 1 by which
+# pages the small per-region pools evict and by the tiles' page layout:
+# a pool that picks a different LRU victim moves them, so does a tile
+# whose index pages land on other pool shards (a shard is page id mod
+# 16), and so does a region open that reads heap pages, since its reads
+# count in storage.page_reads_per_op. They moved from 10.3056 / 12.6111
+# when tiles took the single store's one-STR-tile-per-page placement.
+# world.open_us is printed, not gated: on a loaded 2-core box the same
+# tree reads 0.75-1.5 ms. The open's index-only contract is held by
+# tests/open_contract.rs and the world bench guard below. ROADMAP item
+# 10's BENCH_counts.json will absorb this check.
 cargo run --release --offline --quiet --manifest-path dmbench/Cargo.toml -- \
     --workload world_walkthrough --seed 1 --seconds 2 --trace 1 | tail -1 | python3 -c '
 import json, sys
 result = json.loads(sys.stdin.read())
 layer = {k: v["value"] for k, v in result["metrics"].items()}
-open_us = layer["world.open_us"]
 bad = []
 if result["correct"] is not True:
     bad.append("correct: %r" % result["correct"])
 if result["failed"] > 0:
     bad.append("failed: %d of %d" % (result["failed"], result["attempted"]))
-if open_us > 1000:
-    bad.append("world.open_us: %.0f (limit 1000)" % open_us)
-for name, want in (("disk_accesses_per_op", 10.3056), ("storage.page_reads_per_op", 12.6111),
+for name, want in (("disk_accesses_per_op", 5.1667), ("storage.page_reads_per_op", 7.4722),
                    ("world.region_opens", 12), ("world.region_evictions", 12)):
     if round(layer[name], 4) != want:
         bad.append("%s: %.4f (exact-LRU victims give %g)" % (name, layer[name], want))
 if bad:
     sys.exit("dmbench world_walkthrough smoke FAILED\n  " + "\n  ".join(bad))
 print("dmbench world_walkthrough ok: %d ops, 0 failed, region open %.0f us, exact-LRU counts held"
-      % (result["attempted"], open_us))
+      % (result["attempted"], layer["world.open_us"]))
 '
 
 echo "== benches compile"
@@ -175,21 +173,23 @@ fi
 rm -rf "$PLAN_DIR"
 
 echo "== build determinism and the PM cache (dm build --pm-cache)"
-# Two plain builds of one terrain write the same file, with either codec
-# (page boxes reach the R*-tree in page order, never in a hash order). A
-# build from a PM cache written by an earlier build is that same file. A
-# cache from another terrain is refused, and no store is written.
+# Two plain builds of one terrain write the same file (page boxes reach
+# the R*-tree in page order, never in a hash order). A build from a PM
+# cache written by an earlier build is that same file. A cache from
+# another terrain is refused, and no store is written. Builds write v3
+# only: a --codec is refused, not ignored.
 BUILD_DIR=$(mktemp -d "${TMPDIR:-/tmp}/dm-build-smoke.XXXXXX")
 DM=target/release/dm
 "$DM" generate --kind mining --size 65 --seed 9 -o "$BUILD_DIR/a.dmh" >/dev/null
 "$DM" generate --kind mining --size 65 --seed 10 -o "$BUILD_DIR/b.dmh" >/dev/null
-for codec in v2 v3; do
-    for run in 1 2; do
-        "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/$codec.$run.dmdb" --codec $codec >/dev/null
-    done
-    cmp "$BUILD_DIR/$codec.1.dmdb" "$BUILD_DIR/$codec.2.dmdb" \
-        || { echo "two $codec builds of one terrain differ"; exit 1; }
+for run in 1 2; do
+    "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/v3.$run.dmdb" >/dev/null
 done
+cmp "$BUILD_DIR/v3.1.dmdb" "$BUILD_DIR/v3.2.dmdb" \
+    || { echo "two builds of one terrain differ"; exit 1; }
+if "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/v2.dmdb" --codec v2 >/dev/null 2>&1; then
+    echo "dm build accepted --codec v2"; exit 1
+fi
 "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/cached.dmdb" --pm-cache "$BUILD_DIR/a.dmpm" >/dev/null
 "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/loaded.dmdb" --pm-cache "$BUILD_DIR/a.dmpm" \
     > "$BUILD_DIR/loaded.log"
@@ -205,38 +205,6 @@ if "$DM" build "$BUILD_DIR/b.dmh" -o "$BUILD_DIR/other.dmdb" --pm-cache "$BUILD_
 fi
 [ ! -e "$BUILD_DIR/other.dmdb" ] || { echo "a refused PM cache left a store"; exit 1; }
 rm -rf "$BUILD_DIR"
-
-echo "== compact codec bench smoke + size-regression guard"
-# Smoke-run the codec comparison on the tiny terrain (the bench itself
-# asserts byte-identical query results between the v2 and v3 stores),
-# then hold the small-scale build to the committed official run's
-# thresholds: bytes-per-record must not regress past baseline × 1.15,
-# and the VI/VD heap-page savings must stay within 10 points of the
-# official numbers. The margins absorb scale effects (65² here vs the
-# official 513²), not real regressions — dropping the placement logic
-# trips the VI/VD floors, bloating the codec trips the byte ceiling.
-DM_SCALE=ci DM_COMPACT_OUT="$PWD/target/BENCH_compact.ci.json" \
-    cargo bench -p dm-bench --bench compact >/dev/null
-python3 - "$PWD/BENCH_compact.json" "$PWD/target/BENCH_compact.ci.json" << 'PY'
-import json, sys
-base = json.load(open(sys.argv[1]))
-ci = json.load(open(sys.argv[2]))
-checks = [
-    ("bytes_per_record_v3", ci["bytes_per_record_v3"],
-     "<=", base["bytes_per_record_v3"] * 1.15),
-    ("vi_heap_saved_pct", ci["vi_heap_saved_pct"],
-     ">=", base["vi_heap_saved_pct"] - 10.0),
-    ("vd_heap_saved_pct", ci["vd_heap_saved_pct"],
-     ">=", base["vd_heap_saved_pct"] - 10.0),
-]
-bad = [f"{k}: {v:.2f} not {op} {lim:.2f}"
-       for k, v, op, lim in checks
-       if not (v <= lim if op == "<=" else v >= lim)]
-if bad:
-    sys.exit("size-regression guard FAILED\n  " + "\n  ".join(bad))
-print("size-regression guard ok: " +
-      ", ".join(f"{k}={v:.2f}" for k, v, _, _ in checks))
-PY
 
 echo "== edits bench smoke (live write path, tiny terrain)"
 # The bench itself asserts the injected crash fails the edit and that

@@ -1,9 +1,9 @@
-//! Backward compatibility across format upgrades. A database built with
-//! the flat record codec answers VI/VD queries like a compact one of the
-//! same terrain, and the degraded open path still works on it. Stores
-//! written before catalog version 4, whose id index is a B+-tree, open,
-//! answer, scrub and take patches like a version-4 build of the same
-//! terrain.
+//! Backward compatibility across format upgrades. Builds write the
+//! compact record codec only, and a committed flat-codec store answers
+//! VI/VD queries like a compact build of the same terrain, and the
+//! degraded open path still works on it. Stores written before catalog
+//! version 4, whose id index is a B+-tree, open, answer, scrub and take
+//! patches like a version-4 store of the same terrain and codec.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -15,10 +15,10 @@ use dm_core::{
     LiveOptions, VdQuery,
 };
 use dm_geom::{Rect, Vec2};
-use dm_mtm::builder::{build_pm, PmBuild, PmBuildConfig};
+use dm_mtm::builder::{build_pm, PmBuildConfig};
 use dm_mtm::PlaneTarget;
 use dm_storage::{BTree, BufferPool, FileStore, PageId};
-use dm_terrain::{generate, TriMesh};
+use dm_terrain::TriMesh;
 
 /// The answer of a query that must have lost no data.
 fn unwrap_clean<T>(answer: dm_storage::StorageResult<(T, dm_core::IntegrityReport)>) -> T {
@@ -44,32 +44,40 @@ fn file_pool(path: &Path) -> Arc<BufferPool> {
     ))
 }
 
-fn sample_pm() -> PmBuild {
-    let hf = generate::fractal_terrain(21, 21, 5);
-    build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default())
+/// `legacy_v2.dmdb` and `legacy_v3.dmdb` were written before catalog
+/// version 4 by `dm build --codec v2|v3` (git commit 69077db), and
+/// `legacy_v4_flat.dmdb` by `dm build --codec v2` at git commit 979c831,
+/// the last builder that wrote the flat codec. All three are of `dm
+/// generate --kind mining --size 17 --seed 1`, which is `mining17.dmh`.
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures")
+        .join(name)
 }
 
-/// Create a file-backed database with the given codec and drop it, then
-/// reopen it from the file alone.
-fn persist_and_reopen(name: &str, pm: &PmBuild, codec: RecordCodec) -> DirectMeshDb {
-    let path = tmp(name);
-    cleanup(&path);
-    {
-        let pool = Arc::new(BufferPool::new(
-            Box::new(FileStore::create(&path).unwrap()),
-            2048,
-        ));
-        let db = DirectMeshDb::create_in(
-            pool,
-            pm,
-            &DmBuildOptions {
-                codec,
-                ..Default::default()
-            },
-        );
-        assert_eq!(db.codec(), codec);
+/// A version-4 store of `mining17.dmh` at `path`: the flat one is the
+/// committed fixture, the compact one a fresh build.
+fn v4_store(path: &Path, codec: RecordCodec) {
+    cleanup(path);
+    match codec {
+        RecordCodec::Flat => {
+            std::fs::copy(fixture("legacy_v4_flat.dmdb"), path).unwrap();
+        }
+        RecordCodec::Compact => {
+            let hf =
+                dm_terrain::io::read_dmh(std::fs::File::open(fixture("mining17.dmh")).unwrap())
+                    .unwrap();
+            let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+            DirectMeshDb::create_in(
+                Arc::new(BufferPool::new(
+                    Box::new(FileStore::create(path).unwrap()),
+                    2048,
+                )),
+                &pm,
+                &DmBuildOptions::default(),
+            );
+        }
     }
-    DirectMeshDb::open(file_pool(&path)).unwrap()
 }
 
 fn vd_query(db: &DirectMeshDb, roi: Rect) -> VdQuery {
@@ -139,71 +147,41 @@ fn assert_same_answers(a: &DirectMeshDb, b: &DirectMeshDb, label: &str) {
 
 #[test]
 fn v2_database_opens_and_answers_queries_identically() {
-    let pm = sample_pm();
-    let v2 = persist_and_reopen("v2", &pm, RecordCodec::Flat);
-    let v3 = persist_and_reopen("v3", &pm, RecordCodec::Compact);
+    let (v2_path, v3_path) = (tmp("v2"), tmp("v3"));
+    v4_store(&v2_path, RecordCodec::Flat);
+    v4_store(&v3_path, RecordCodec::Compact);
+    let v2 = DirectMeshDb::open(file_pool(&v2_path)).unwrap();
+    let v3 = DirectMeshDb::open(file_pool(&v3_path)).unwrap();
     assert_eq!(v2.codec(), RecordCodec::Flat, "codec survives reopen");
     assert_eq!(v3.codec(), RecordCodec::Compact);
     assert_eq!(v2.n_records, v3.n_records);
     assert_same_answers(&v2, &v3, "flat vs compact");
-    for name in ["v2", "v3"] {
-        cleanup(&tmp(name));
-    }
+    cleanup(&v2_path);
+    cleanup(&v3_path);
 }
 
 #[test]
 fn v2_database_still_opens_degraded() {
-    let pm = sample_pm();
     let path = tmp("v2_degraded");
-    let _ = std::fs::remove_file(&path);
-    {
-        let pool = Arc::new(BufferPool::new(
-            Box::new(FileStore::create(&path).unwrap()),
-            2048,
-        ));
-        DirectMeshDb::create_in(
-            pool,
-            &pm,
-            &DmBuildOptions {
-                codec: RecordCodec::Flat,
-                ..Default::default()
-            },
-        );
-    }
-    let pool = Arc::new(BufferPool::new(
-        Box::new(FileStore::open(&path).unwrap()),
-        2048,
-    ));
+    v4_store(&path, RecordCodec::Flat);
     let mut report = IntegrityReport::default();
-    let db = DirectMeshDb::open_degraded(pool, &mut report).unwrap();
+    let db = DirectMeshDb::open_degraded(file_pool(&path), &mut report).unwrap();
     assert!(report.is_clean(), "healthy v2 file reports clean: {report}");
     assert_eq!(db.codec(), RecordCodec::Flat);
     let e = db.e_for_points_fraction(0.2);
     let res = unwrap_clean(db.try_vi_query(&db.bounds.clone(), e));
     assert!(res.front.num_triangles() > 0);
-    let _ = std::fs::remove_file(&path);
-}
-
-/// A store written before catalog version 4 by `dm build --codec v2|v3`
-/// (git commit 69077db) from `dm generate --kind mining --size 17 --seed
-/// 1`, which is `mining17.dmh`.
-fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures")
-        .join(name)
+    cleanup(&path);
 }
 
 /// A version-2 or version-3 store opens strict and degraded, answers
-/// every query above like a version-4 build of the same terrain and
+/// every query above like a version-4 store of the same terrain and
 /// codec, and scrubs clean. Both then take the same patch through the
 /// live write path: the older store's first commit writes its id
 /// directory as a version-4 catalog, and the two still answer alike,
 /// reopen and scrub clean.
 #[test]
 fn legacy_stores_open_answer_scrub_and_patch_like_a_v4_build() {
-    let hf =
-        dm_terrain::io::read_dmh(std::fs::File::open(fixture("mining17.dmh")).unwrap()).unwrap();
-    let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
     for (file, codec, version) in [
         ("legacy_v2.dmdb", RecordCodec::Flat, 2),
         ("legacy_v3.dmdb", RecordCodec::Compact, 3),
@@ -213,18 +191,7 @@ fn legacy_stores_open_answer_scrub_and_patch_like_a_v4_build() {
         cleanup(&old_path);
         std::fs::copy(fixture(file), &old_path).unwrap();
         let new_path = tmp(&format!("legacy_v{version}_as_v4"));
-        cleanup(&new_path);
-        DirectMeshDb::create_in(
-            Arc::new(BufferPool::new(
-                Box::new(FileStore::create(&new_path).unwrap()),
-                2048,
-            )),
-            &pm,
-            &DmBuildOptions {
-                codec,
-                ..Default::default()
-            },
-        );
+        v4_store(&new_path, codec);
 
         let old = DirectMeshDb::open(file_pool(&old_path)).unwrap();
         let new = DirectMeshDb::open(file_pool(&new_path)).unwrap();
@@ -284,13 +251,10 @@ fn legacy_stores_open_answer_scrub_and_patch_like_a_v4_build() {
 /// Page reuse on a version-2/3 store: its B+-tree pages stay reachable,
 /// so never free, until the first patch writes the id directory and
 /// retires them. A second patch builds on retired space, and after a
-/// reopen the older store still answers like a version-4 build that took
+/// reopen the older store still answers like a version-4 store that took
 /// the same two patches, and both scrub clean.
 #[test]
 fn legacy_b_tree_pages_stay_reachable_until_the_first_patch_retires_them() {
-    let hf =
-        dm_terrain::io::read_dmh(std::fs::File::open(fixture("mining17.dmh")).unwrap()).unwrap();
-    let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
     for (file, codec, version) in [
         ("legacy_v2.dmdb", RecordCodec::Flat, 2),
         ("legacy_v3.dmdb", RecordCodec::Compact, 3),
@@ -300,20 +264,8 @@ fn legacy_b_tree_pages_stay_reachable_until_the_first_patch_retires_them() {
         cleanup(&old_path);
         std::fs::copy(fixture(file), &old_path).unwrap();
         let new_path = tmp(&format!("reuse_v{version}_as_v4"));
-        cleanup(&new_path);
-        let new = DirectMeshDb::create_in(
-            Arc::new(BufferPool::new(
-                Box::new(FileStore::create(&new_path).unwrap()),
-                2048,
-            )),
-            &pm,
-            &DmBuildOptions {
-                codec,
-                ..Default::default()
-            },
-        );
-        let bounds = new.bounds;
-        drop(new);
+        v4_store(&new_path, codec);
+        let bounds = DirectMeshDb::open(file_pool(&new_path)).unwrap().bounds;
         let btree_pages = {
             let pool = file_pool(&old_path);
             let IdIndexRoot::BTree(root, height, len) = read_catalog(&pool, 0).unwrap().ids else {

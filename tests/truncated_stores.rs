@@ -43,24 +43,31 @@ fn scan_everywhere(
     Ok((0..set.len()).map(|i| set.record(i)).collect())
 }
 
-/// Build a file-backed database; returns its full record set and the
-/// total page count of the healthy file.
+/// A healthy file-backed database at `path`: the committed flat-codec
+/// store of `mining17.dmh` (see `tests/codec_compat.rs`; builds write the
+/// compact codec only), or a compact build. Returns its full record set
+/// and the total page count of the healthy file.
 fn build(path: &Path, codec: RecordCodec) -> (HashMap<u32, DmRecord>, u32) {
     let _ = std::fs::remove_file(path);
-    let hf = generate::fractal_terrain(33, 33, 3);
-    let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
-    let pool = Arc::new(BufferPool::new(
-        Box::new(FileStore::create(path).unwrap()),
-        2048,
-    ));
-    let db = DirectMeshDb::create_in(
-        Arc::clone(&pool),
-        &pm,
-        &DmBuildOptions {
-            codec,
-            ..DmBuildOptions::default()
-        },
-    );
+    let pool = match codec {
+        RecordCodec::Flat => {
+            let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../../tests/fixtures/legacy_v4_flat.dmdb");
+            std::fs::copy(fixture, path).unwrap();
+            file_pool(path)
+        }
+        RecordCodec::Compact => {
+            let hf = generate::fractal_terrain(33, 33, 3);
+            let pm = build_pm(TriMesh::from_heightfield(&hf), &PmBuildConfig::default());
+            let pool = Arc::new(BufferPool::new(
+                Box::new(FileStore::create(path).unwrap()),
+                2048,
+            ));
+            DirectMeshDb::create_in(Arc::clone(&pool), &pm, &DmBuildOptions::default());
+            pool
+        }
+    };
+    let db = DirectMeshDb::open(Arc::clone(&pool)).unwrap();
     let full: HashMap<u32, DmRecord> = scan_everywhere(&db, true, &mut IntegrityReport::default())
         .unwrap()
         .into_iter()

@@ -12,7 +12,8 @@
 //!
 //! A walkthrough is held to it too: one `NavigationSession` type walks
 //! either host, and over a world its every frame is a fresh cross-tile
-//! query's answer and the unsplit store's.
+//! query's answer and the unsplit store's. The tiles also cost what the
+//! store costs: they are placed the same way, one STR tile per page.
 
 use std::sync::Arc;
 
@@ -617,4 +618,62 @@ fn evicted_region_reopens_without_reading_the_heap_and_answers_identically() {
     let (single, _) = db.try_vi_query_flat_counted(&roi, e, &mut c).unwrap();
     assert_eq!((single.nodes, single.faces, single.fetched_records), first);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A tile is placed like a store: one STR tile per heap page. So a 4×1
+/// split of a 129² store, asked the same fetch boxes as the store (VI
+/// planes at three LODs over 30 % ROIs, and four-step LOD staircases
+/// over the same ROIs), fetches the same records and examines at most
+/// 1.5× the records the store examines (1.18×); tiles packed across STR
+/// tiles examine 2.92×.
+#[test]
+fn split_tiles_examine_about_what_the_unsplit_store_examines() {
+    let db = build_db(129, 42);
+    let world = split_world_in_memory(
+        &db,
+        4,
+        1,
+        4096,
+        &DmBuildOptions::default(),
+        WorldOptions::default(),
+    )
+    .unwrap();
+    let b = db.bounds;
+    let keeps = [0.35, 0.10, 0.02];
+    let e: Vec<f64> = keeps.iter().map(|&k| db.e_for_points_fraction(k)).collect();
+    let mut batches: Vec<Vec<Box3>> = Vec::new();
+    for fx in [0.2, 0.45, 0.5, 0.8] {
+        for fy in [0.2, 0.5, 0.8] {
+            let centre = Vec2::new(b.min.x + fx * b.width(), b.min.y + fy * b.height());
+            let roi = Rect::centered_square(centre, b.width() * 0.3);
+            batches.extend(e.iter().map(|&e| vec![Box3::prism(roi, e, e)]));
+            let h = roi.height() / 4.0;
+            let stairs = (0..4)
+                .map(|i| {
+                    let y0 = roi.min.y + h * i as f64;
+                    let strip =
+                        Rect::from_corners(Vec2::new(roi.min.x, y0), Vec2::new(roi.max.x, y0 + h));
+                    let (lo, hi) = (e[(i + 1).min(2)], e[i.min(2)]);
+                    Box3::prism(strip, lo.min(hi), lo.max(hi))
+                })
+                .collect();
+            batches.push(stairs);
+        }
+    }
+    let ids = |set: &FetchedSet| -> BTreeSet<u32> { set.nodes.iter().map(|n| n.id).collect() };
+    let (mut single, mut tiled) = (FetchCounters::default(), FetchCounters::default());
+    for boxes in &batches {
+        let mut report = IntegrityReport::default();
+        let a = db.fetch(boxes, &mut report, &mut single).unwrap();
+        let t = world.fetch(boxes, &mut report, &mut tiled).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(ids(&a), ids(&t), "tiles fetch what the store fetches");
+    }
+    let ratio = tiled.records_examined as f64 / single.records_examined as f64;
+    assert!(
+        ratio <= 1.5,
+        "tiles examine {ratio:.2}× the store's records ({} vs {})",
+        tiled.records_examined,
+        single.records_examined
+    );
 }
