@@ -68,6 +68,14 @@ impl Args {
             .ok_or_else(|| format!("missing required option --{key}"))
     }
 
+    /// Refuse a removed option: naming it is an error that says `why`.
+    pub fn refuse(&self, key: &str, why: &str) -> Result<(), String> {
+        match self.get(key) {
+            Some(_) => Err(format!("--{key} is not accepted: {why}")),
+            None => Ok(()),
+        }
+    }
+
     /// All positionals, in order (for commands taking a variable list).
     pub fn positionals(&self) -> &[String] {
         &self.positionals
@@ -134,6 +142,14 @@ mod tests {
     fn require_reports_missing() {
         let a = parse(&[]).unwrap();
         assert!(a.require("o").is_err());
+    }
+
+    #[test]
+    fn refuse_rejects_only_a_present_option() {
+        let a = parse(&["--threads", "2"]).unwrap();
+        let err = a.refuse("threads", "why").unwrap_err();
+        assert_eq!(err, "--threads is not accepted: why");
+        assert!(a.refuse("codec", "why").is_ok());
     }
 
     #[test]

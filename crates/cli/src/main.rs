@@ -98,12 +98,10 @@ walkthrough options:
   --waypoints <list>    fly a polyline of x,y points (semicolon-
                         separated) instead of the south→north slide
 
-parallel execution (query):
-  --threads <n>         worker threads (default 1; 0 = all hardware
-                        threads); results are identical to sequential
+batch execution (query):
   --batch <n>           query only: split the ROI into an n×n grid of
-                        sub-queries and fan them across the workers,
-                        printing aggregate figures
+                        sub-queries, run them in order and print
+                        aggregate figures
 
 fault tolerance (query / vd / walkthrough / info / serve):
   --degraded            open the database and complete queries past
@@ -168,7 +166,7 @@ network service:
                         and --write-budget bound one connection's queued
                         requests and unread response bytes
   remote-query --addr <host:port> [--keep <frac> | --lod <e>]
-               [--roi ...] [--batch <n>] [--threads <n>] [--cold]
+               [--roi ...] [--batch <n>] [--cold]
                [--pipeline <window>] [--degraded] [--chunked]
                [--region <id>] [--verify-local <db.dmdb>] [-o mesh.obj]
                         run VI queries against a server; --cold asks the
@@ -221,11 +219,7 @@ fn cmd_generate(args: Args) -> Result<(), String> {
 }
 
 fn cmd_build(args: Args) -> Result<(), String> {
-    if args.get("codec").is_some() {
-        return Err(
-            "--codec is not accepted: builds write v3 records; v2 stores still open".into(),
-        );
-    }
+    args.refuse("codec", "builds write v3 records; v2 stores still open")?;
     let input = args.positional(0)?;
     let out = args.require("o")?;
     let hf = read_heightfield(input)?;
@@ -463,6 +457,9 @@ fn roi_grid(roi: &Rect, n: usize) -> Vec<Rect> {
     cells
 }
 
+/// Why `query`, `remote-query` and `serve` refuse `--threads`.
+const ONE_WORKER: &str = "a query runs on one worker thread";
+
 fn cmd_query(args: Args) -> Result<(), String> {
     let path = args.positional(0)?;
     let db = open_db(path, &args)?;
@@ -474,15 +471,15 @@ fn cmd_query(args: Args) -> Result<(), String> {
             keep_to_lod(&db, keep)?
         }
     };
-    let threads: usize = args.parse_or("threads", 1)?;
+    args.refuse("threads", ONE_WORKER)?;
     let batch: usize = args.parse_or("batch", 0)?;
     db.try_cold_start().map_err(|e| e.to_string())?;
     if batch > 1 {
         let queries: Vec<(Rect, f64)> = roi_grid(&roi, batch).into_iter().map(|r| (r, e)).collect();
         let mut merged = IntegrityReport::default();
         let (mut points, mut triangles, mut fetched) = (0usize, 0usize, 0usize);
-        for r in dm_core::vi_query_batch(&db, &queries, threads) {
-            let (res, report) = r.map_err(|e| e.to_string())?;
+        for (roi, e) in &queries {
+            let (res, report) = db.try_vi_query(roi, *e).map_err(|e| e.to_string())?;
             merged.merge(report);
             points += res.points;
             triangles += res.front.num_triangles();
@@ -496,9 +493,8 @@ fn cmd_query(args: Args) -> Result<(), String> {
             ));
         }
         println!(
-            "batch {batch}×{batch} at LOD {e:.4} on {} threads: {points} points, \
+            "batch {batch}×{batch} at LOD {e:.4}: {points} points, \
              {triangles} triangles, {fetched} records fetched, {} disk accesses",
-            dm_core::parallel::resolve_threads(threads),
             db.disk_accesses()
         );
         return Ok(());
@@ -982,6 +978,7 @@ fn cmd_stats(args: Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: Args) -> Result<(), String> {
+    args.refuse("threads", ONE_WORKER)?;
     let path = args.positional(0)?;
     // `--world` serves a multi-region world manifest instead of one
     // database: regions open lazily on first touch and are LRU-evicted
@@ -994,7 +991,6 @@ fn cmd_serve(args: Args) -> Result<(), String> {
             max_open: args.parse_or("max-open", defaults.max_open)?,
             page_budget: args.parse_or("page-budget", defaults.page_budget)?,
             region_floor: args.parse_or("region-floor", defaults.region_floor)?,
-            threads: args.parse_or("threads", defaults.threads)?,
             degraded: args.has("degraded"),
             fault: if fault_rate > 0.0 {
                 let seed: u64 = args.parse_or("fault-seed", 1)?;
@@ -1002,6 +998,7 @@ fn cmd_serve(args: Args) -> Result<(), String> {
             } else {
                 None
             },
+            ..defaults
         };
         Some(
             dm_world::WorldDb::open(std::path::Path::new(path), opts)
@@ -1204,6 +1201,7 @@ fn verify_local(
 }
 
 fn cmd_remote_query(args: Args) -> Result<(), String> {
+    args.refuse("threads", ONE_WORKER)?;
     let addr = args.require("addr")?;
     let mut client = dm_net::Client::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
     let keep: f64 = args.parse_or("keep", 0.25)?;
@@ -1224,7 +1222,6 @@ fn cmd_remote_query(args: Args) -> Result<(), String> {
             None => dm_net::QueryScope::World,
         },
     };
-    let threads: u32 = args.parse_or("threads", 1)?;
     let batch: usize = args.parse_or("batch", 0)?;
     let pipeline: usize = args.parse_or("pipeline", 1)?;
     if opts.chunked && (batch > 1 || pipeline > 1) {
@@ -1234,7 +1231,7 @@ fn cmd_remote_query(args: Args) -> Result<(), String> {
     if pipeline > 1 {
         // Client-side pipelining: sub-queries stream down one connection
         // with `pipeline` requests in flight (contrast --batch, which
-        // sends one request the server fans out across its workers).
+        // sends one request that one server worker runs in order).
         let grid = if batch > 1 { batch } else { 4 };
         let queries: Vec<(Rect, f64)> = roi_grid(&roi, grid).into_iter().map(|r| (r, e)).collect();
         let items = client
@@ -1262,13 +1259,13 @@ fn cmd_remote_query(args: Args) -> Result<(), String> {
     if batch > 1 {
         let queries: Vec<(Rect, f64)> = roi_grid(&roi, batch).into_iter().map(|r| (r, e)).collect();
         let (total_disk, items) = client
-            .batch_query(opts, queries.clone(), threads)
+            .batch_query(opts, queries.clone())
             .map_err(|e| e.to_string())?;
         let points: usize = items.iter().map(|m| m.vertices.len()).sum();
         let triangles: usize = items.iter().map(|m| m.faces.len()).sum();
         let fetched: u64 = items.iter().map(|m| m.fetched_records).sum();
         println!(
-            "remote batch {batch}×{batch} at LOD {e:.4} ({threads} server threads): \
+            "remote batch {batch}×{batch} at LOD {e:.4}: \
              {points} points, {triangles} triangles, {fetched} records fetched, \
              {total_disk} disk accesses"
         );

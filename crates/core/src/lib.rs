@@ -67,7 +67,6 @@ pub mod catalog;
 pub mod faces;
 pub mod live;
 pub mod navigation;
-pub mod parallel;
 pub mod query;
 pub mod record;
 pub mod stats;
@@ -76,7 +75,6 @@ pub mod verify;
 
 pub use live::{LiveDb, LiveOptions, PatchStats, RecoveryInfo};
 pub use navigation::{FrameStats, NavigationSession, PlanDecision};
-pub use parallel::{vd_query_batch, vi_query_batch};
 pub use query::{
     equal_strips, uniform_cut, BoundaryPolicy, RecordStore, VdQuery, VdResult, ViFlatResult,
     ViResult,

@@ -1688,6 +1688,14 @@ mod tests {
         DirectMeshDb::build(pool, &pm, &DmBuildOptions::default())
     }
 
+    /// The server shares one `&DirectMeshDb` among its workers.
+    #[test]
+    fn db_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<DirectMeshDb>();
+        assert_send_sync::<Arc<DirectMeshDb>>();
+    }
+
     #[test]
     fn build_from_records_answers_like_the_source() {
         let db = small_db();

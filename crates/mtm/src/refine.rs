@@ -950,9 +950,9 @@ mod tests {
 
     #[test]
     fn refinement_types_are_shareable_across_threads() {
-        // The parallel query paths in dm-core move fronts and targets
-        // into worker threads and share node data by reference; these
-        // bounds are load-bearing, not incidental.
+        // A server session's front and targets travel with each job to
+        // whichever worker runs it, and workers share node data by
+        // reference; these bounds are load-bearing, not incidental.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<PmNode>();
         assert_send_sync::<FrontMesh>();

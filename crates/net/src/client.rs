@@ -374,13 +374,8 @@ impl Client {
         &mut self,
         opts: QueryOpts,
         queries: Vec<(Rect, f64)>,
-        threads: u32,
     ) -> WireResult<(u64, Vec<MeshResult>)> {
-        match self.roundtrip(&Request::BatchQuery {
-            opts,
-            queries,
-            threads,
-        })? {
+        match self.roundtrip(&Request::BatchQuery { opts, queries })? {
             Response::Batch {
                 total_disk_accesses,
                 items,

@@ -79,57 +79,6 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> WireResult<
     Ok(())
 }
 
-/// Write one frame with a total wall-clock deadline.
-///
-/// Built for servers facing untrusted peers: a client that stops reading
-/// stalls `write_all` forever once the socket buffers fill, pinning a
-/// worker thread. Here the stream must carry a per-syscall write timeout
-/// (`TcpStream::set_write_timeout`); each short or timed-out write loops
-/// back and re-checks the *cumulative* deadline, so total blocking time
-/// is bounded no matter how the peer trickles its reads. Exceeding the
-/// deadline yields the typed [`WireError::WriteTimeout`] so the caller
-/// can count and disconnect deliberately rather than hang.
-pub fn write_frame_deadline<W: Write>(
-    w: &mut W,
-    kind: u8,
-    payload: &[u8],
-    deadline: std::time::Duration,
-) -> WireResult<()> {
-    debug_assert!(payload.len() as u32 <= MAX_PAYLOAD);
-    let bytes = encode_frame(kind, payload);
-    let start = std::time::Instant::now();
-    let mut written = 0usize;
-    while written < bytes.len() {
-        if start.elapsed() >= deadline {
-            return Err(WireError::WriteTimeout {
-                written,
-                total: bytes.len(),
-            });
-        }
-        match w.write(&bytes[written..]) {
-            Ok(0) => {
-                return Err(WireError::Io(std::io::Error::new(
-                    ErrorKind::WriteZero,
-                    "peer stopped accepting bytes mid-frame",
-                )))
-            }
-            Ok(n) => written += n,
-            // Interrupted or per-syscall timeout: no progress this round;
-            // the loop head re-checks the cumulative deadline.
-            Err(e) if e.kind() == ErrorKind::Interrupted || is_timeout(&e) => continue,
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    match w.flush() {
-        Ok(()) => Ok(()),
-        Err(e) if is_timeout(&e) => Err(WireError::WriteTimeout {
-            written,
-            total: bytes.len(),
-        }),
-        Err(e) => Err(WireError::Io(e)),
-    }
-}
-
 fn is_timeout(e: &std::io::Error) -> bool {
     // Unix reports a timed-out socket read as WouldBlock, Windows as
     // TimedOut; treat both as "no data yet".
@@ -363,67 +312,6 @@ mod tests {
             read_frame(&mut Cursor::new(bytes)),
             Err(WireError::FrameTooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn deadline_write_disconnects_a_peer_that_never_reads() {
-        use std::net::{TcpListener, TcpStream};
-        use std::time::{Duration, Instant};
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // The peer connects and then never reads a byte.
-        let peer = TcpStream::connect(addr).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
-        server_side
-            .set_write_timeout(Some(Duration::from_millis(20)))
-            .unwrap();
-
-        // Far more than any socket buffer pair will absorb.
-        let payload = vec![0xABu8; 16 << 20];
-        let deadline = Duration::from_millis(300);
-        let start = Instant::now();
-        let got = write_frame_deadline(&mut server_side, 3, &payload, deadline);
-        let elapsed = start.elapsed();
-        match got {
-            Err(WireError::WriteTimeout { written, total }) => {
-                assert_eq!(total, HEADER_LEN + payload.len() + 4);
-                assert!(written < total, "a non-reading peer cannot drain 16 MiB");
-            }
-            other => panic!("expected WriteTimeout, got {other:?}"),
-        }
-        // The whole point: blocking time is bounded by the deadline, not
-        // by the peer's (absent) read schedule.
-        assert!(
-            elapsed < deadline + Duration::from_secs(2),
-            "write returned after {elapsed:?}"
-        );
-        drop(peer);
-    }
-
-    #[test]
-    fn deadline_write_succeeds_for_a_reading_peer() {
-        use std::net::{TcpListener, TcpStream};
-        use std::time::Duration;
-
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let reader = std::thread::spawn(move || {
-            let mut peer = TcpStream::connect(addr).unwrap();
-            match read_frame(&mut peer).unwrap() {
-                FrameEvent::Frame(f) => f,
-                other => panic!("expected frame, got {other:?}"),
-            }
-        });
-        let (mut server_side, _) = listener.accept().unwrap();
-        server_side
-            .set_write_timeout(Some(Duration::from_millis(20)))
-            .unwrap();
-        let payload = vec![0x5Au8; 8 << 20];
-        write_frame_deadline(&mut server_side, 7, &payload, Duration::from_secs(30)).unwrap();
-        let frame = reader.join().unwrap();
-        assert_eq!(frame.kind, 7);
-        assert_eq!(frame.payload, payload);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub const RESP_WORLD_STATS: u8 = 0x8B;
 /// server).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueryScope {
-    /// The whole catalog: fan out to every region the ROI overlaps.
+    /// The whole catalog: every region the ROI overlaps, in turn.
     #[default]
     World,
     /// Restrict the query to one region, by manifest region id.
@@ -127,12 +127,12 @@ pub enum Request {
         policy: BoundaryPolicy,
         max_cubes: u32,
     },
-    /// Many VI queries answered in one round trip; `threads > 1` lets
-    /// the server fan the batch out over its worker pool.
+    /// Many VI queries answered in one round trip, in order, on the one
+    /// server worker that takes the request. The wire keeps a `threads`
+    /// varint after the options: it is written as 1 and ignored on read.
     BatchQuery {
         opts: QueryOpts,
         queries: Vec<(Rect, f64)>,
-        threads: u32,
     },
     /// Open a server-side [`dm_core::NavigationSession`].
     OpenSession {
@@ -259,8 +259,7 @@ pub enum Response {
     /// Result of a VI, VD, or frame query.
     Mesh(MeshResult),
     /// Results of a batch, in request order. `total_disk_accesses` is
-    /// the pool-level read delta for the whole batch (per-item
-    /// attribution is exact only for serial batches).
+    /// the sum of the items' disk accesses.
     Batch {
         total_disk_accesses: u64,
         items: Vec<MeshResult>,
@@ -413,13 +412,9 @@ impl Request {
                 put_policy(&mut w, *policy);
                 w.varint(u64::from(*max_cubes));
             }
-            Request::BatchQuery {
-                opts,
-                queries,
-                threads,
-            } => {
+            Request::BatchQuery { opts, queries } => {
                 put_opts(&mut w, *opts);
-                w.varint(u64::from(*threads));
+                w.varint(1); // the retired `threads` field
                 w.varint(queries.len() as u64);
                 for (roi, e) in queries {
                     put_rect(&mut w, roi);
@@ -476,7 +471,7 @@ impl Request {
             },
             REQ_BATCH => {
                 let opts = get_opts(&mut r)?;
-                let threads = r.varint_u32("threads")?;
+                r.varint_u32("threads")?; // retired: read and discarded
                 let n = r.varint()? as usize;
                 if n > r.remaining() {
                     return Err(WireError::Malformed(format!(
@@ -489,11 +484,7 @@ impl Request {
                     let e = r.f64()?;
                     queries.push((roi, e));
                 }
-                Request::BatchQuery {
-                    opts,
-                    queries,
-                    threads,
-                }
+                Request::BatchQuery { opts, queries }
             }
             REQ_OPEN_SESSION => Request::OpenSession {
                 policy: get_policy(&mut r)?,
@@ -790,7 +781,6 @@ mod tests {
                     scope: QueryScope::Region(3),
                 },
                 queries: vec![(roi, 0.1), (roi, f64::NAN)],
-                threads: 4,
             },
             Request::OpenSession {
                 policy: BoundaryPolicy::Skip,

@@ -38,9 +38,6 @@ pub enum WireError {
     Truncated(&'static str),
     /// Payload decoded but a field held an impossible value.
     Malformed(String),
-    /// A bounded write could not drain the frame before its deadline —
-    /// the peer is reading too slowly (or not at all).
-    WriteTimeout { written: usize, total: usize },
     /// The server answered with a typed error response.
     Remote { code: u8, message: String },
     /// The server refused the request under load; retry after the hint.
@@ -67,9 +64,6 @@ impl fmt::Display for WireError {
             WireError::UnknownKind(k) => write!(f, "unknown frame kind {k:#04x}"),
             WireError::Truncated(what) => write!(f, "truncated payload: {what}"),
             WireError::Malformed(what) => write!(f, "malformed payload: {what}"),
-            WireError::WriteTimeout { written, total } => {
-                write!(f, "write deadline exceeded after {written}/{total} bytes")
-            }
             WireError::Remote { code, message } => write!(f, "server error {code}: {message}"),
             WireError::Overloaded { retry_after_ms } => {
                 write!(f, "server overloaded (retry after {retry_after_ms} ms)")

@@ -49,7 +49,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dm_core::parallel::par_map;
 use dm_core::query::{vd_multi_base, vi_query_flat};
 use dm_core::{
     BoundaryPolicy, DirectMeshDb, FetchCounters, NavigationSession, RecordStore, VdQuery,
@@ -485,8 +484,8 @@ impl Server {
         self.serve_host(Host::Single(db))
     }
 
-    /// Serve a multi-region world catalog until shut down. Queries fan
-    /// out across regions (or one region under `QueryScope::Region`);
+    /// Serve a multi-region world catalog until shut down. A query visits
+    /// its regions in turn (or one region under `QueryScope::Region`);
     /// sessions pin the regions they touch, released on close *and* on
     /// connection teardown so eviction can proceed.
     pub fn serve_world(&self, world: &WorldDb) -> io::Result<ServerStats> {
@@ -1225,37 +1224,25 @@ fn mesh_answer(
     }
 }
 
-/// Fan a batch of VI queries over up to `threads` workers (contiguous
-/// chunks, one spawned task per worker, input order — [`par_map`]). Each
-/// item runs entirely on one thread, so its thread-attributed counters
-/// stay exact even under parallel execution.
+/// Run a batch of VI queries in order on the calling worker; the first
+/// failing item answers for the whole batch.
 fn exec_batch(
     store: &dyn RecordStore,
     queries: &[(Rect, f64)],
-    threads: u32,
     degraded: bool,
 ) -> Result<(u64, Vec<MeshResult>), Box<Response>> {
-    let results = par_map(queries, threads as usize, |(roi, e)| {
-        exec_vi(store, roi, *e, degraded, None)
-    });
-    let mut items = Vec::with_capacity(results.len());
+    let mut items = Vec::with_capacity(queries.len());
     let mut total = 0u64;
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Ok(m) => {
-                total += m.disk_accesses;
-                items.push(m);
-            }
-            Err(resp) => {
-                return Err(match *resp {
-                    Response::Error { code, message } => Box::new(Response::Error {
-                        code,
-                        message: format!("batch item {i}: {message}"),
-                    }),
-                    other => Box::new(other),
-                });
-            }
-        }
+    for (i, (roi, e)) in queries.iter().enumerate() {
+        let m = exec_vi(store, roi, *e, degraded, None).map_err(|resp| match *resp {
+            Response::Error { code, message } => Box::new(Response::Error {
+                code,
+                message: format!("batch item {i}: {message}"),
+            }),
+            other => Box::new(other),
+        })?;
+        total += m.disk_accesses;
+        items.push(m);
     }
     Ok((total, items))
 }
@@ -1291,16 +1278,12 @@ fn handle_request<'db>(
             });
             mesh_answer(done, opts.chunked, &coarseness)
         }
-        Request::BatchQuery {
-            opts,
-            queries,
-            threads,
-        } => {
+        Request::BatchQuery { opts, queries } => {
             // An empty batch is answered (after the scope check) without
             // the cold flush.
             let cold = opts.cold && !queries.is_empty();
             let done = host.with_scope(opts.scope, cold, |store| {
-                exec_batch(store, &queries, threads, opts.degraded)
+                exec_batch(store, &queries, opts.degraded)
             });
             match done {
                 Ok((total_disk_accesses, items)) => vec![Response::Batch {

@@ -48,6 +48,6 @@ pub use fault::{FaultConfig, FaultCounters, FaultInjector, KillSwitch, WriteVerd
 pub use heap::{HeapFile, PageView, RecordId};
 pub use iddir::{DirectoryWalk, IdDirectory};
 pub use page::{PageId, PAGE_DATA, PAGE_SIZE};
-pub use stats::{credit_thread_reads, thread_reads, thread_retries, AccessStats, StatsSnapshot};
+pub use stats::{thread_reads, thread_retries, AccessStats, StatsSnapshot};
 pub use store::{FileStore, MemStore, PageStore};
 pub use wal::{RootFile, RootRecord, Wal, WalRecovery};

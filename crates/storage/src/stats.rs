@@ -43,15 +43,6 @@ pub fn thread_reads() -> u64 {
     THREAD_READS.with(|c| c.get())
 }
 
-/// Add `n` page reads to the calling thread's [`thread_reads`] tally
-/// without touching any pool counter: a request that fanned part of its
-/// work out to helper threads credits itself the reads those helpers
-/// recorded on its behalf, so its before/after delta stays the whole
-/// request's disk accesses whatever the fan-out width.
-pub fn credit_thread_reads(n: u64) {
-    THREAD_READS.with(|c| c.set(c.get() + n));
-}
-
 /// Monotonic counters for page traffic between buffer pool and store.
 #[derive(Default, Debug)]
 pub struct AccessStats {

@@ -11,7 +11,7 @@
 //! * [`WorldDb`] — lazy region opens behind an LRU handle cap, a shared
 //!   page budget weighted per region (separate pools: a viral region
 //!   can never evict a cold one's pages), a region-level R\*-tree for
-//!   cross-tile fan-out, and world-frame VI/VD queries that are
+//!   cross-tile routing, and world-frame VI/VD queries that are
 //!   bit-identical to single-store answers for split worlds,
 //! * [`WorldScope`] — the borrowed view (whole world or one region) that
 //!   implements `dm_core`'s query seam, so every query body — and the

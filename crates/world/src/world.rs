@@ -25,15 +25,14 @@
 //! ([`dm_core::query`]). For a world split out of one store (offsets
 //! zero, `id_base` zero) the records partition exactly, so the merged set
 //! — and therefore every derived mesh — is bit-identical to the single
-//! store's answer by construction. The per-region fan-out reuses
-//! [`dm_core::parallel::par_map`], whose output order never depends on
-//! scheduling, and all merges run in ascending region order.
+//! store's answer by construction. A request visits its regions one
+//! after another on the thread that runs it, and every merge runs in
+//! ascending region order.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dm_core::parallel::par_map;
 use dm_geom::{Box3, Rect, Vec2};
 use dm_index::RStarTree;
 use dm_mtm::{PmNode, NIL_ID};
@@ -69,7 +68,8 @@ pub struct WorldOptions {
     /// Minimum pool pages an open region is guaranteed, whatever its
     /// weight.
     pub region_floor: usize,
-    /// Worker threads for the per-region query fan-out (0 = auto).
+    /// Ignored: a query visits its regions one after another on the
+    /// thread that runs it. Kept so existing callers still compile.
     pub threads: usize,
     /// Open regions with [`DirectMeshDb::open_degraded_at`]: unreadable
     /// heap pages are skipped instead of failing the open, and each query
@@ -690,11 +690,8 @@ impl WorldScope<'_> {
     }
 
     /// Fetch `boxes` (world frame) from every region of `idxs`, each in
-    /// its own frame, on the fan-out workers, and return the sets in that
-    /// (ascending) order, with the per-region reports and counters merged
-    /// in the same order. Disk reads a worker recorded on another thread
-    /// are credited to the calling thread, so the request's
-    /// `thread_reads` delta does not depend on [`WorldOptions::threads`].
+    /// its own frame, in that (ascending) order on the calling thread,
+    /// merging the per-region reports and counters in the same order.
     fn fan_out(
         &self,
         idxs: &[usize],
@@ -703,29 +700,15 @@ impl WorldScope<'_> {
         counters: &mut FetchCounters,
     ) -> StorageResult<Vec<FetchedSet>> {
         let world = self.world;
-        let requester = std::thread::current().id();
-        type RegionFetch = StorageResult<(FetchedSet, IntegrityReport, FetchCounters, u64)>;
-        let fetched: Vec<RegionFetch> = par_map(idxs, world.opts.threads, |&i| {
-            let reads_before = dm_storage::thread_reads();
+        let mut outs = Vec::with_capacity(idxs.len());
+        for &i in idxs {
             let db = world.region(i)?;
             world.counters[i].queries.fetch_add(1, Ordering::Relaxed);
             let mut rep = IntegrityReport::default();
             let mut ctr = FetchCounters::default();
-            let out = db.fetch(&world.cubes_for_region(i, boxes), &mut rep, &mut ctr)?;
-            let elsewhere = if std::thread::current().id() == requester {
-                0
-            } else {
-                dm_storage::thread_reads() - reads_before
-            };
-            Ok((out, rep, ctr, elsewhere))
-        });
-        let mut outs = Vec::with_capacity(idxs.len());
-        for r in fetched {
-            let (out, rep, ctr, elsewhere) = r?;
+            outs.push(db.fetch(&world.cubes_for_region(i, boxes), &mut rep, &mut ctr)?);
             report.merge(rep);
             counters.merge(&ctr);
-            dm_storage::credit_thread_reads(elsewhere);
-            outs.push(out);
         }
         Ok(outs)
     }

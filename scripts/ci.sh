@@ -177,7 +177,7 @@ echo "== build determinism and the PM cache (dm build --pm-cache)"
 # the R*-tree in page order, never in a hash order). A build from a PM
 # cache written by an earlier build is that same file. A cache from
 # another terrain is refused, and no store is written. Builds write v3
-# only: a --codec is refused, not ignored.
+# only: a --codec is refused, not ignored, and so is a query's --threads.
 BUILD_DIR=$(mktemp -d "${TMPDIR:-/tmp}/dm-build-smoke.XXXXXX")
 DM=target/release/dm
 "$DM" generate --kind mining --size 65 --seed 9 -o "$BUILD_DIR/a.dmh" >/dev/null
@@ -189,6 +189,9 @@ cmp "$BUILD_DIR/v3.1.dmdb" "$BUILD_DIR/v3.2.dmdb" \
     || { echo "two builds of one terrain differ"; exit 1; }
 if "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/v2.dmdb" --codec v2 >/dev/null 2>&1; then
     echo "dm build accepted --codec v2"; exit 1
+fi
+if "$DM" query "$BUILD_DIR/v3.1.dmdb" --keep 0.2 --threads 2 >/dev/null 2>&1; then
+    echo "dm query accepted --threads 2"; exit 1
 fi
 "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/cached.dmdb" --pm-cache "$BUILD_DIR/a.dmpm" >/dev/null
 "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/loaded.dmdb" --pm-cache "$BUILD_DIR/a.dmpm" \

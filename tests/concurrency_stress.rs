@@ -9,14 +9,19 @@
 //!   the same workload (parallelism must not change the paper's metric),
 //! * retry accounting stays exact when several workers retry the same
 //!   pages: per-operation reports sum to the global retry counter, and
-//!   retries never leak into the logical-read figures.
+//!   retries never leak into the logical-read figures,
+//! * concurrent ≡ serial: every VI and VD answer that workers compute
+//!   concurrently on a store with 5% transient faults is the clean
+//!   store's sequential answer (same vertices, same triangles).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dm_core::{DirectMeshDb, DmBuildOptions};
+use dm_core::{BoundaryPolicy, DirectMeshDb, DmBuildOptions, VdQuery};
 use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
+use dm_mtm::PlaneTarget;
+use dm_net::canonical_mesh;
 use dm_storage::{BufferPool, FaultConfig, FaultInjector, MemStore, StatsSnapshot};
 use dm_terrain::{generate, TriMesh};
 
@@ -43,6 +48,25 @@ fn workload(db: &DirectMeshDb) -> Vec<(Rect, f64)> {
         qs.push((Rect::centered_square(c, side), db.e_max * f.min(0.85)));
     }
     qs
+}
+
+/// Viewpoint-dependent twins of [`workload`]: the viewer on each ROI's
+/// south edge, the LOD plane rising from a fifth of the probe's LOD to
+/// the coarsest level at the far edge.
+fn vd_workload(db: &DirectMeshDb) -> Vec<VdQuery> {
+    workload(db)
+        .into_iter()
+        .map(|(roi, e)| VdQuery {
+            roi,
+            target: PlaneTarget {
+                origin: roi.min,
+                dir: Vec2::new(0.0, 1.0),
+                e_min: e * 0.2,
+                slope: (db.e_max - e * 0.2) / roi.height().max(1e-9),
+                e_max: db.e_max,
+            },
+        })
+        .collect()
 }
 
 fn sum_shards(per_shard: &[StatsSnapshot]) -> StatsSnapshot {
@@ -139,7 +163,25 @@ fn concurrent_retry_accounting_is_exact() {
     // workers retrying the *same* pages concurrently must each report
     // exactly their own retry spend — the per-operation reports sum to
     // the pool's global retry counter, with nothing double-counted and
-    // nothing leaked into the logical-read figures.
+    // nothing leaked into the logical-read figures. Every answer they
+    // compute is the clean store's sequential one.
+    let clean_pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 8192));
+    let clean_db = build_db(clean_pool);
+    let vi_reference: Vec<_> = workload(&clean_db)
+        .iter()
+        .map(|(roi, e)| canonical_mesh(&clean_db.try_vi_query(roi, *e).unwrap().0.front))
+        .collect();
+    let vd_reference: Vec<_> = vd_workload(&clean_db)
+        .iter()
+        .map(|q| {
+            clean_db
+                .try_vd_single_base(q, BoundaryPolicy::Skip)
+                .unwrap()
+                .0
+        })
+        .map(|res| canonical_mesh(&res.front))
+        .collect();
+
     let injector = FaultInjector::new(
         Box::new(MemStore::new()),
         FaultConfig::new(3)
@@ -149,24 +191,34 @@ fn concurrent_retry_accounting_is_exact() {
     let pool = Arc::new(BufferPool::new(Box::new(injector), 8192).with_max_retries(16));
     let db = build_db(pool);
     let qs = workload(&db);
+    let vds = vd_workload(&db);
 
     db.try_cold_start().unwrap();
     let reported_retries = AtomicU64::new(0);
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let db = &db;
-            let qs = &qs;
+            let (db, qs, vds) = (&db, &qs, &vds);
+            let (vi_reference, vd_reference) = (&vi_reference, &vd_reference);
             let reported_retries = &reported_retries;
             s.spawn(move || {
                 for i in 0..40 {
                     for k in 0..qs.len() {
-                        let (roi, e) = &qs[(k + t + i) % qs.len()];
-                        let (_res, rep) = db
+                        let idx = (k + t + i) % qs.len();
+                        let (roi, e) = &qs[idx];
+                        let (res, rep) = db
                             .try_vi_query(roi, *e)
                             .expect("faults must heal within the retry budget");
                         assert!(rep.is_clean(), "healed faults must not report loss");
+                        assert_eq!(canonical_mesh(&res.front), vi_reference[idx], "VI {idx}");
                         reported_retries.fetch_add(rep.retries, Ordering::Relaxed);
                     }
+                    let idx = (t + i) % vds.len();
+                    let (res, rep) = db
+                        .try_vd_single_base(&vds[idx], BoundaryPolicy::Skip)
+                        .expect("faults must heal within the retry budget");
+                    assert!(rep.is_clean(), "healed faults must not report loss");
+                    assert_eq!(canonical_mesh(&res.front), vd_reference[idx], "VD {idx}");
+                    reported_retries.fetch_add(rep.retries, Ordering::Relaxed);
                 }
             });
         }
@@ -188,8 +240,6 @@ fn concurrent_retry_accounting_is_exact() {
 
     // Retries are not logical disk accesses: the same workload on a
     // fault-free store reads exactly as many pages.
-    let clean_pool = Arc::new(BufferPool::new(Box::new(MemStore::new()), 8192));
-    let clean_db = build_db(clean_pool);
     clean_db.try_cold_start().unwrap();
     for (roi, e) in &workload(&clean_db) {
         let _ = clean_db.try_vi_query(roi, *e).expect("clean store");

@@ -1,13 +1,12 @@
-//! Property-based equivalence: the parallel batch engine must return
-//! results bit-identical to sequential execution — same point sets, same
-//! face sets, same fetched-record counts — for arbitrary query batches,
-//! on a clean database and on one whose store injects transient faults
-//! (which the buffer pool's retry budget heals, so degraded semantics
-//! never actually lose data).
+//! Property-based equivalence: a query batch split across worker threads
+//! sharing one `&DirectMeshDb` must return results bit-identical to
+//! sequential execution — same point sets, same face sets, same
+//! fetched-record counts — for arbitrary batches, on a clean database and
+//! on one whose store injects transient faults (which the buffer pool's
+//! retry budget heals, so degraded semantics never actually lose data).
 
 use std::sync::{Arc, OnceLock};
 
-use dm_core::parallel::{vd_query_batch, vi_query_batch};
 use dm_core::{BoundaryPolicy, DirectMeshDb, DmBuildOptions, VdQuery};
 use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
@@ -46,6 +45,23 @@ fn clean_db() -> &'static DirectMeshDb {
 fn faulty_db() -> &'static DirectMeshDb {
     static DB: OnceLock<DirectMeshDb> = OnceLock::new();
     DB.get_or_init(|| build_db(true))
+}
+
+/// Runs `f` over `batch` on `threads` scoped workers, each taking a
+/// contiguous chunk, and returns the results in batch order.
+fn par_map<T: Sync, R: Send>(batch: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let chunk = batch.len().div_ceil(threads.max(1)).max(1);
+    let f = &f;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = batch
+            .chunks(chunk)
+            .map(|part| s.spawn(move || part.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("worker panicked"))
+            .collect()
+    })
 }
 
 /// Canonical form of a front mesh: sorted vertex ids and the face set
@@ -111,7 +127,7 @@ fn random_vd_batch(db: &DirectMeshDb, seed: u64, n: usize) -> Vec<VdQuery> {
 fn check_vi_equivalence(db: &DirectMeshDb, seed: u64, n: usize, threads: usize) {
     let batch = random_vi_batch(db, seed, n);
     let seq: Vec<_> = batch.iter().map(|(r, e)| db.try_vi_query(r, *e)).collect();
-    let par = vi_query_batch(db, &batch, threads);
+    let par = par_map(&batch, threads, |(r, e)| db.try_vi_query(r, *e));
     assert_eq!(seq.len(), par.len());
     for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
         let (sr, s_rep) = s.as_ref().expect("faults must heal within budget");
@@ -133,7 +149,9 @@ fn check_vd_equivalence(db: &DirectMeshDb, seed: u64, n: usize, threads: usize) 
         .iter()
         .map(|q| db.try_vd_single_base(q, BoundaryPolicy::Skip))
         .collect();
-    let par = vd_query_batch(db, &batch, BoundaryPolicy::Skip, threads);
+    let par = par_map(&batch, threads, |q| {
+        db.try_vd_single_base(q, BoundaryPolicy::Skip)
+    });
     for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
         let (sr, s_rep) = s.as_ref().expect("faults must heal within budget");
         let (pr, p_rep) = p.as_ref().expect("faults must heal within budget");

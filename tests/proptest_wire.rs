@@ -23,6 +23,7 @@ use dm_mtm::PlaneTarget;
 use dm_net::{
     encode_frame, read_frame, ErrorCode, Frame, FrameAssembler, FrameDelta, FrameEvent, MeshChunk,
     MeshResult, QueryOpts, QueryScope, Request, Response, StreamCounters, StreamMode, WireVertex,
+    Writer,
 };
 use proptest::prelude::*;
 
@@ -105,7 +106,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
         0u8..8,
         (arb_opts(), arb_rect(), bits_f64()),
         (arb_vd_query(), arb_policy(), 0u32..1000),
-        (collection::vec((arb_rect(), bits_f64()), 0..8), 0u32..64),
+        collection::vec((arb_rect(), bits_f64()), 0..8),
         (
             any::<u64>(),
             any::<bool>(),
@@ -118,7 +119,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
                 sel,
                 (opts, roi, e),
                 (query, policy, max_cubes),
-                (queries, threads),
+                queries,
                 (session, flag, resolve_keep, stream),
             )| match sel {
                 0 => Request::ViQuery { opts, roi, e },
@@ -128,11 +129,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
                     policy,
                     max_cubes,
                 },
-                2 => Request::BatchQuery {
-                    opts,
-                    queries,
-                    threads,
-                },
+                2 => Request::BatchQuery { opts, queries },
                 3 => Request::OpenSession {
                     policy,
                     max_cubes,
@@ -399,6 +396,29 @@ proptest! {
         let frame = Frame { kind: req.kind(), payload: payload.clone() };
         let back = Request::decode(&frame).expect("own encoding must decode");
         prop_assert_eq!(back.kind(), req.kind());
+        prop_assert_eq!(back.encode(), payload);
+    }
+
+    /// A batch from an older client decodes whatever `threads` varint it
+    /// carries, to the request that re-encodes with `threads = 1`. The
+    /// varint follows the options: an empty batch ends with it and a
+    /// zero item count.
+    #[test]
+    fn batch_threads_varint_is_read_and_ignored(
+        opts in arb_opts(),
+        queries in collection::vec((arb_rect(), bits_f64()), 0..8),
+        threads in any::<u32>(),
+    ) {
+        let empty = Request::BatchQuery { opts, queries: Vec::new() }.encode();
+        let at = empty.len() - 2;
+        let req = Request::BatchQuery { opts, queries };
+        let payload = req.encode();
+        prop_assert_eq!(payload[at], 1);
+        let mut w = Writer::new();
+        w.varint(u64::from(threads));
+        let older = [&payload[..at], &w.into_inner()[..], &payload[at + 1..]].concat();
+        let back = Request::decode(&Frame { kind: req.kind(), payload: older })
+            .expect("any threads varint decodes");
         prop_assert_eq!(back.encode(), payload);
     }
 

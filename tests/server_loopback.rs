@@ -115,7 +115,12 @@ fn remote_vi_vd_and_batch_match_local_bit_for_bit() {
         },
     ];
 
-    with_server(&db, |addr| {
+    // One worker: a batch runs in order on the worker that takes it.
+    let one_worker = ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    with_server_cfg(&db, one_worker, |addr| {
         let mut client = Client::connect(addr).expect("connect");
 
         // --- VI: mesh, fetch count and cold disk accesses all match. ---
@@ -166,13 +171,41 @@ fn remote_vi_vd_and_batch_match_local_bit_for_bit() {
             }
         }
 
-        // --- Batch (serial, cold): per-item meshes and the pool-level
-        // disk-access total both match a local serial run. ---
-        let batch: Vec<(Rect, f64)> = rois.iter().map(|r| (*r, e)).collect();
+        // --- Batch (cold): per-item meshes and the disk-access total
+        // both match a local serial run, and a raw frame asking for
+        // u32::MAX threads gets the same bytes. ---
+        let flight = dm_core::navigation::flight_path(&b, 0.5, 13);
+        let batch: Vec<(Rect, f64)> = rois.iter().chain(&flight).map(|r| (*r, e)).collect();
         let (remote_total, items) = client
-            .batch_query(COLD, batch.clone(), 1)
+            .batch_query(COLD, batch.clone())
             .expect("remote batch");
-        assert_eq!(items.len(), batch.len());
+        assert_eq!(items.len(), 16);
+        let req = Request::BatchQuery {
+            opts: COLD,
+            queries: batch.clone(),
+        };
+        // The retired `threads` varint follows the options, which an
+        // empty batch ends with; the encoder writes it as 1.
+        let empty = Request::BatchQuery {
+            opts: COLD,
+            queries: Vec::new(),
+        };
+        let at = empty.encode().len() - 2;
+        let mut older = req.encode();
+        assert_eq!(older[at], 1);
+        let mut w = dm_net::Writer::new();
+        w.varint(u64::from(u32::MAX));
+        older.splice(at..at + 1, w.into_inner());
+        let mut raw = TcpStream::connect(addr).unwrap();
+        write_frame(&mut raw, req.kind(), &older).unwrap();
+        let Ok(FrameEvent::Frame(f)) = read_frame(&mut raw) else {
+            panic!("raw batch unanswered");
+        };
+        let expected = Response::Batch {
+            total_disk_accesses: remote_total,
+            items: items.clone(),
+        };
+        assert_eq!(f.payload, expected.encode(), "raw batch answer bytes");
 
         db.try_cold_start().unwrap();
         let reads0 = thread_reads();

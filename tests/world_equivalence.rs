@@ -365,67 +365,6 @@ proptest! {
     }
 }
 
-/// A request's disk accesses are the request's, whatever the fan-out
-/// width: region fetches that ran on `par_map` workers credit their
-/// reads to the requesting thread, so cold VI and VD answers carry the
-/// same `thread_reads` delta (what the server reports as
-/// `disk_accesses`), fetch counters and meshes at `threads` 1 and 4.
-#[test]
-fn cold_disk_accesses_do_not_depend_on_fanout_threads() {
-    let db = build_db(33, 5);
-    let dir = std::env::temp_dir().join(format!("dm_world_threads_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let manifest = write_split_world(&db, 2, 2, &dir, &DmBuildOptions::default()).unwrap();
-    let roi = seam_roi(db.bounds, 0.1, 0.1, 0.9, 0.9);
-    let e = db.e_for_points_fraction(0.3);
-    let eye = Vec2::new(db.bounds.min.x - 1.0, db.bounds.center().y);
-    let q = vd_query(db.e_max, roi, eye);
-
-    let run = |threads: usize| {
-        let world = WorldDb::open(
-            &manifest,
-            WorldOptions {
-                threads,
-                ..WorldOptions::default()
-            },
-        )
-        .unwrap();
-        // Open every region first: a lazy open scans the tile's heap,
-        // which is I/O of its own.
-        world
-            .try_vi_query_flat_counted(&db.bounds, e, &mut FetchCounters::default())
-            .unwrap();
-
-        world.try_cold_start().unwrap();
-        let mut vi_counters = FetchCounters::default();
-        let before = dm_storage::thread_reads();
-        let (vi, vi_report) = world
-            .try_vi_query_flat_counted(&roi, e, &mut vi_counters)
-            .unwrap();
-        let vi_reads = dm_storage::thread_reads() - before;
-
-        world.try_cold_start().unwrap();
-        let mut vd_counters = FetchCounters::default();
-        let before = dm_storage::thread_reads();
-        let (vd, vd_report) = world
-            .try_vd_query_counted(&q, BoundaryPolicy::FetchOnMiss, 8, &mut vd_counters)
-            .unwrap();
-        let vd_reads = dm_storage::thread_reads() - before;
-
-        assert!(vi_report.is_clean() && vd_report.is_clean());
-        (
-            (vi.nodes, vi.faces, vi_counters, vi_reads),
-            (mesh_fingerprint(&vd.front), vd_counters, vd_reads),
-        )
-    };
-    let (vi1, vd1) = run(1);
-    let (vi4, vd4) = run(4);
-    assert!(vi1.3 > 0 && vd1.2 > 0, "cold queries must read pages");
-    assert_eq!(vi1, vi4, "VI differs between threads 1 and 4");
-    assert_eq!(vd1, vd4, "VD differs between threads 1 and 4");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A split world's VI answer is cut from the tiles' fetches concatenated
 /// in region order, yet leaves the cut in the wire's canonical order —
 /// and so does a cut over that arena with every record arriving twice,
@@ -574,7 +513,6 @@ fn evicted_region_reopens_without_reading_the_heap_and_answers_identically() {
         &manifest,
         WorldOptions {
             max_open: 1,
-            threads: 1,
             ..WorldOptions::default()
         },
     )
