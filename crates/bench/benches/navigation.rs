@@ -194,5 +194,5 @@ fn main() {
         json_array(roomy.iter().map(|f| f.stats.vertices)),
         rows.join(",\n"),
     );
-    dm_bench::write_bench_json(Some("DM_NAV_OUT"), "BENCH_navigation.json", &json);
+    dm_bench::write_bench_json("DM_NAV_OUT", "BENCH_navigation.json", &json);
 }

@@ -390,5 +390,5 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    dm_bench::write_bench_json(Some("DM_SERVER_OUT"), "BENCH_server.json", &json);
+    dm_bench::write_bench_json("DM_SERVER_OUT", "BENCH_server.json", &json);
 }

@@ -76,6 +76,23 @@ impl Args {
         }
     }
 
+    /// The first given option or flag, in name order, that is not named
+    /// in `options` or `flags` (space-separated names).
+    pub fn unknown(&self, options: &[&str], flags: &str) -> Option<&str> {
+        let known = |names: &[&str], key: &str| {
+            names
+                .iter()
+                .flat_map(|n| n.split_whitespace())
+                .any(|n| n == key)
+        };
+        self.options
+            .keys()
+            .filter(|k| !known(options, k))
+            .chain(self.flags.iter().filter(|k| !known(&[flags], k)))
+            .map(String::as_str)
+            .min()
+    }
+
     /// All positionals, in order (for commands taking a variable list).
     pub fn positionals(&self) -> &[String] {
         &self.positionals
@@ -150,6 +167,18 @@ mod tests {
         let err = a.refuse("threads", "why").unwrap_err();
         assert_eq!(err, "--threads is not accepted: why");
         assert!(a.refuse("codec", "why").is_ok());
+    }
+
+    #[test]
+    fn unknown_names_an_option_or_flag_outside_the_lists() {
+        let argv: Vec<String> = ["db.dmdb", "--kep", "0.05", "--cold", "-o", "m.obj"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let a = Args::parse_with_flags(&argv, &["cold"]).unwrap();
+        assert_eq!(a.unknown(&["keep", "o"], "degraded"), Some("cold"));
+        assert_eq!(a.unknown(&["keep o"], "cold"), Some("kep"));
+        assert_eq!(a.unknown(&["kep", "o"], "cold"), None);
     }
 
     #[test]

@@ -41,35 +41,107 @@ fn main() -> ExitCode {
     }
 }
 
+/// A command's body.
+type Run = fn(Args) -> Result<(), String>;
+
+/// What [`open_db`] reads, besides `--degraded`.
+const STORE: &str = "fault-rate fault-seed max-retries";
+
+/// Every `dm` command: its name, the options and the flags it reads
+/// (space-separated names), the only ones `run` lets through to it, and
+/// its body. A refused option (`threads`, `codec`) is listed so
+/// [`Args::refuse`] can say why.
+const COMMANDS: &[(&str, &[&str], &str, Run)] = &[
+    ("generate", &["kind size seed o"], "", cmd_generate),
+    ("build", &["o pm-cache codec"], "", cmd_build),
+    ("info", &[STORE], "degraded", cmd_info),
+    ("stats", &["addr keep", STORE], "degraded", cmd_stats),
+    (
+        "query",
+        &["keep lod roi batch o threads", STORE],
+        "degraded",
+        cmd_query,
+    ),
+    (
+        "vd",
+        &["near-keep far-keep roi policy max-cubes o", STORE],
+        "degraded",
+        cmd_vd,
+    ),
+    (
+        "walkthrough",
+        &[
+            "frames window waypoints near-keep far-keep policy max-cubes o",
+            STORE,
+        ],
+        "degraded",
+        cmd_walkthrough,
+    ),
+    (
+        "patch",
+        &["region raise kill-after fault-seed"],
+        "",
+        cmd_patch,
+    ),
+    ("recover", &[], "", cmd_recover),
+    ("verify", &["catalog"], "", cmd_verify),
+    ("world-build", &["o gap"], "", cmd_world_build),
+    ("world-verify", &[], "", cmd_world_verify),
+    (
+        "serve",
+        &[
+            "addr workers max-inflight max-pipeline write-budget port-file threads",
+            "max-open page-budget region-floor",
+            STORE,
+        ],
+        "world degraded",
+        cmd_serve,
+    ),
+    (
+        "remote-query",
+        &[
+            "addr keep lod roi batch pipeline region verify-local o threads",
+            STORE,
+        ],
+        "cold degraded chunked",
+        cmd_remote_query,
+    ),
+    (
+        "remote-walkthrough",
+        &[
+            "addr frames window near-keep far-keep policy max-cubes stream verify-local",
+            STORE,
+        ],
+        "degraded",
+        cmd_remote_walkthrough,
+    ),
+    ("remote-shutdown", &["addr"], "", cmd_remote_shutdown),
+];
+
 fn run(argv: Vec<String>) -> Result<(), String> {
-    let Some((cmd, rest)) = argv.split_first() else {
+    let Some((name, rest)) = argv.split_first() else {
         print_help();
         return Ok(());
     };
-    let args = Args::parse_with_flags(rest, &["degraded", "cold", "chunked", "world"])?;
-    match cmd.as_str() {
-        "generate" => cmd_generate(args),
-        "build" => cmd_build(args),
-        "info" => cmd_info(args),
-        "stats" => cmd_stats(args),
-        "query" => cmd_query(args),
-        "vd" => cmd_vd(args),
-        "walkthrough" => cmd_walkthrough(args),
-        "patch" => cmd_patch(args),
-        "recover" => cmd_recover(args),
-        "verify" => cmd_verify(args),
-        "world-build" => cmd_world_build(args),
-        "world-verify" => cmd_world_verify(args),
-        "serve" => cmd_serve(args),
-        "remote-query" => cmd_remote_query(args),
-        "remote-walkthrough" => cmd_remote_walkthrough(args),
-        "remote-shutdown" => cmd_remote_shutdown(args),
-        "help" | "--help" | "-h" => {
-            print_help();
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}; try `dm help`")),
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print_help();
+        return Ok(());
     }
+    let &(_, options, flags, body) = COMMANDS
+        .iter()
+        .find(|c| c.0 == name)
+        .ok_or_else(|| format!("unknown command {name:?}; try `dm help`"))?;
+    // Any command's flag parses as a flag, so one given to another
+    // command is named as unknown rather than taking the next token.
+    let all_flags: Vec<&str> = COMMANDS
+        .iter()
+        .flat_map(|c| c.2.split_whitespace())
+        .collect();
+    let args = Args::parse_with_flags(rest, &all_flags)?;
+    if let Some(key) = args.unknown(options, flags) {
+        return Err(format!("unknown option --{key} for dm {name}"));
+    }
+    body(args)
 }
 
 fn print_help() {
@@ -1477,6 +1549,23 @@ mod tests {
             parse_waypoints("1,2;3.5,4"),
             Ok(vec![Vec2::new(1.0, 2.0), Vec2::new(3.5, 4.0)])
         );
+    }
+
+    #[test]
+    fn an_option_the_command_does_not_read_is_refused_before_it_runs() {
+        let dm = |argv: &[&str]| run(argv.iter().map(|s| s.to_string()).collect());
+        // The store does not exist: had the command run, it would say so.
+        assert_eq!(
+            dm(&["query", "missing.dmdb", "--kep", "0.05"]),
+            Err("unknown option --kep for dm query".to_string())
+        );
+        assert_eq!(
+            dm(&["query", "missing.dmdb", "--cold"]),
+            Err("unknown option --cold for dm query".to_string())
+        );
+        assert!(dm(&["query", "missing.dmdb", "--keep", "0.05"])
+            .unwrap_err()
+            .starts_with("missing.dmdb"));
     }
 
     #[test]

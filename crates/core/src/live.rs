@@ -485,6 +485,25 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_after_the_wal_append_replays_once() {
+        let path = tmp("replay");
+        build_store(&path);
+        // The WAL append (write #0) survives; the first page write dies.
+        let opts = LiveOptions {
+            cache_pages: 2048,
+            fault: Some(FaultConfig::new(99).with_fail_writes_after(1)),
+        };
+        let (live, _) = LiveDb::open(&path, &opts).unwrap();
+        let region = mid_region(&live.snapshot());
+        assert!(live.apply_patch(&region, &EditOp::Raise(-2.0)).is_err());
+        drop(live);
+        let (_, info) = LiveDb::open(&path, &LiveOptions::default()).unwrap();
+        assert_eq!(info.replayed, 1, "the WAL tail is replayed");
+        let (_, again) = LiveDb::open(&path, &LiveOptions::default()).unwrap();
+        assert_eq!((again.replayed, again.epoch), (0, info.epoch));
+    }
+
+    #[test]
     fn crash_during_commit_recovers_to_pre_or_post_state() {
         let path = tmp("crash");
         build_store(&path);

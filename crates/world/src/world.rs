@@ -1021,6 +1021,74 @@ mod tests {
     }
 
     #[test]
+    fn a_hot_region_cannot_evict_a_cold_regions_pages() {
+        let db = build_db(17, 65);
+        let dir = std::env::temp_dir().join(format!("dm_world_iso_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = write_split_world(&db, 2, 1, &dir, &DmBuildOptions::default()).unwrap();
+        let world = WorldDb::open(
+            &manifest,
+            WorldOptions {
+                max_open: 2,
+                page_budget: 32,
+                region_floor: 8,
+                ..WorldOptions::default()
+            },
+        )
+        .unwrap();
+        let e = world.e_for_points_fraction(0.5).unwrap();
+        // The four quadrants of a region's tile, shrunk off its edges so
+        // a query reaches no neighbour.
+        let quadrants = |idx: usize| -> Vec<Rect> {
+            let b = world.region_meta(idx).world_bounds();
+            let (c, w, h) = (b.center(), b.width() * 0.24, b.height() * 0.24);
+            [(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)]
+                .iter()
+                .map(|&(sx, sy)| {
+                    let far = Vec2::new(c.x + sx * 2.0 * w, c.y + sy * 2.0 * h);
+                    Rect::from_corners(c, far)
+                })
+                .collect()
+        };
+        let (cold, hot) = (0, 1);
+        let mut ctr = FetchCounters::default();
+        // Open both regions (the last open re-splits the budget) and give
+        // the cold one a working set.
+        world.region(hot).unwrap();
+        for roi in quadrants(cold) {
+            world.try_vi_query_flat_counted(&roi, e, &mut ctr).unwrap();
+        }
+        let before = world.region_stats();
+        assert!(before[cold].open && before[hot].open);
+        assert!(before[cold].resident_pages > 0);
+        let hot_db = world.region(hot).unwrap();
+        let hot_cap = hot_db.pool().capacity();
+        assert!(
+            hot_db.n_heap_pages() > hot_cap,
+            "the hot region fits its pool"
+        );
+
+        let reads = dm_storage::thread_reads();
+        let n = 16;
+        for roi in quadrants(hot).iter().cycle().take(n) {
+            let (res, report) = world.try_vi_query_flat_counted(roi, e, &mut ctr).unwrap();
+            assert!(report.is_clean() && !res.nodes.is_empty());
+        }
+        assert!(
+            dm_storage::thread_reads() - reads > hot_cap as u64,
+            "the hot region never evicted"
+        );
+        let after = world.region_stats();
+        assert_eq!(after[hot].queries, before[hot].queries + n as u64);
+        assert_eq!(after[cold].queries, before[cold].queries);
+        assert_eq!(
+            after[cold].resident_pages, before[cold].resident_pages,
+            "hot-region traffic moved the cold region's pages"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn cold_open_does_not_stall_hits_on_other_regions() {
         use std::sync::mpsc;
         use std::time::Duration;

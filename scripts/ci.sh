@@ -120,8 +120,8 @@ echo "== dmbench world_walkthrough smoke (traced; exact counts at seed 1)"
 # when tiles took the single store's one-STR-tile-per-page placement.
 # world.open_us is printed, not gated: on a loaded 2-core box the same
 # tree reads 0.75-1.5 ms. The open's index-only contract is held by
-# tests/open_contract.rs and the world bench guard below. ROADMAP item
-# 10's BENCH_counts.json will absorb this check.
+# tests/open_contract.rs. ROADMAP item 10's BENCH_counts.json will
+# absorb this check.
 cargo run --release --offline --quiet --manifest-path dmbench/Cargo.toml -- \
     --workload world_walkthrough --seed 1 --seconds 2 --trace 1 | tail -1 | python3 -c '
 import json, sys
@@ -177,7 +177,7 @@ echo "== build determinism and the PM cache (dm build --pm-cache)"
 # the R*-tree in page order, never in a hash order). A build from a PM
 # cache written by an earlier build is that same file. A cache from
 # another terrain is refused, and no store is written. Builds write v3
-# only: a --codec is refused, not ignored, and so is a query's --threads.
+# only: a --codec is refused, not ignored, as are --threads and typos.
 BUILD_DIR=$(mktemp -d "${TMPDIR:-/tmp}/dm-build-smoke.XXXXXX")
 DM=target/release/dm
 "$DM" generate --kind mining --size 65 --seed 9 -o "$BUILD_DIR/a.dmh" >/dev/null
@@ -192,6 +192,9 @@ if "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/v2.dmdb" --codec v2 >/dev/null 
 fi
 if "$DM" query "$BUILD_DIR/v3.1.dmdb" --keep 0.2 --threads 2 >/dev/null 2>&1; then
     echo "dm query accepted --threads 2"; exit 1
+fi
+if "$DM" query "$BUILD_DIR/v3.1.dmdb" --kep 0.2 >/dev/null 2>&1; then
+    echo "dm query accepted a misspelled --kep"; exit 1
 fi
 "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/cached.dmdb" --pm-cache "$BUILD_DIR/a.dmpm" >/dev/null
 "$DM" build "$BUILD_DIR/a.dmh" -o "$BUILD_DIR/loaded.dmdb" --pm-cache "$BUILD_DIR/a.dmpm" \
@@ -208,13 +211,6 @@ if "$DM" build "$BUILD_DIR/b.dmh" -o "$BUILD_DIR/other.dmdb" --pm-cache "$BUILD_
 fi
 [ ! -e "$BUILD_DIR/other.dmdb" ] || { echo "a refused PM cache left a store"; exit 1; }
 rm -rf "$BUILD_DIR"
-
-echo "== edits bench smoke (live write path, tiny terrain)"
-# The bench itself asserts the injected crash fails the edit and that
-# exactly one WAL entry is replayed on the recovering reopen; anchored
-# output keeps smoke runs from clobbering the committed BENCH_edits.json.
-DM_SCALE=ci DM_EDITS_OUT="$PWD/target/BENCH_edits.ci.json" \
-    cargo bench -p dm-bench --bench edits >/dev/null
 
 echo "== crash-recovery smoke (patch --kill-after / recover / verify / query equality)"
 # Two byte-identical stores get the same edit: one cleanly, one dying
@@ -256,96 +252,13 @@ done
 rm -rf "$CRASH_DIR"
 
 echo "== server bench smoke (loopback, tiny terrain)"
-# Asserts serial cold remote ≡ local inside the bench itself; anchored
-# output keeps smoke runs from clobbering the committed BENCH_server.json.
+# Asserts serial cold remote ≡ local inside the bench itself. Both bench
+# smokes write under target/; the diff fails a smoke that loses its
+# DM_*_OUT override and so rewrites a committed BENCH_*.json.
 DM_SCALE=ci DM_SERVER_OUT="$PWD/target/BENCH_server.ci.json" \
     cargo bench -p dm-bench --bench server >/dev/null
-
-echo "== streaming bench smoke + wire-cost regression guard"
-# Smoke-run the delta-streaming bench on the tiny terrain (the bench
-# itself asserts lockstep bit-identity for every streamed frame and the
-# scratch-buffer steady state), then hold the committed official run to
-# the PR's acceptance bar: the delta transport must ship at most half
-# the full transport's bytes on the warm 32-frame walkthrough, auto must
-# never ship more than full, and chunked time-to-first-triangle must not
-# exceed the monolithic response time.
-DM_SCALE=ci DM_STREAM_OUT="$PWD/target/BENCH_streaming.ci.json" \
-    cargo bench -p dm-bench --bench streaming >/dev/null
-python3 - "$PWD/BENCH_streaming.json" << 'PY'
-import json, sys
-base = json.load(open(sys.argv[1]))
-full, delta, auto = base["full_bytes"], base["delta_bytes"], base["auto_bytes"]
-ttft = base["ttft"]
-checks = [
-    ("delta_bytes", delta, "<=", 0.5 * full),
-    ("auto_bytes", auto, "<=", full),
-    ("ttft_chunked_us", ttft["chunked_us"], "<=", ttft["monolithic_us"]),
-]
-bad = [f"{k}: {v:.0f} not {op} {lim:.0f}"
-       for k, v, op, lim in checks if not v <= lim]
-if not base.get("lockstep_bit_identity"):
-    bad.append("lockstep_bit_identity missing or false")
-if bad:
-    sys.exit("streaming regression guard FAILED\n  " + "\n  ".join(bad))
-print("streaming guard ok: "
-      f"delta/full={delta / max(full, 1):.3f}, "
-      f"ttft chunked/monolithic={ttft['chunked_us'] / max(ttft['monolithic_us'], 1):.3f}")
-PY
-
-echo "== world bench smoke + region-eviction regression guard"
-# Smoke-run the multi-terrain world bench on tiny tiles (the bench
-# itself asserts lazy open, the handle cap, that a region open reads no
-# heap page, and that hot-region traffic cannot evict a cold region's
-# pages), then hold that run to the committed official run: the
-# thresholds are BENCH_world.json's own numbers, and every check is
-# structural or scales down with the tiles, so the tiny run answers it.
-# Same lifecycle counts per sweep (each region opened exactly once cold,
-# the same evictions, the handle cap respected), warm hits present, the
-# weighted pool smaller than the world so the isolation result is
-# meaningful, and an evict->reopen no dearer in page reads than the
-# official run's (smaller tiles have no more index pages).
-DM_SCALE=ci DM_WORLD_OUT="$PWD/target/BENCH_world.ci.json" \
-    cargo bench -p dm-bench --bench world >/dev/null
-python3 - BENCH_world.json "$PWD/target/BENCH_world.ci.json" << 'PY'
-import json, sys
-want, got = (json.load(open(p)) for p in sys.argv[1:3])
-cold, warm, iso, reopen = got["cold"], got["warm"], got["isolation"], got["reopen"]
-bad = []
-for key in ("regions", "max_open"):
-    if got[key] != want[key]:
-        bad.append(f"{key} {got[key]}, committed run has {want[key]}")
-for sweep in ("cold", "warm"):
-    for key in ("opens", "evictions"):
-        if got[sweep][key] != want[sweep][key]:
-            bad.append(f"{sweep} sweep: {got[sweep][key]} {key}, "
-                       f"committed run has {want[sweep][key]}")
-    if got[sweep]["max_open_seen"] > want["max_open"]:
-        bad.append(f"handle cap {want['max_open']} violated on the {sweep} sweep "
-                   f"({got[sweep]['max_open_seen']} open)")
-if warm["hits"] == 0:
-    bad.append("warm sweep produced no hits on open regions")
-if not iso["held"] or iso["cold_resident_after"] != iso["cold_resident_before"]:
-    bad.append(f"weighted pool isolation broken: cold residency "
-               f"{iso['cold_resident_before']} -> {iso['cold_resident_after']}")
-if got["page_budget"] >= got["total_pages"]:
-    bad.append("pool budget covers the whole world; eviction pressure untested")
-if not got.get("lazy_open") or not got.get("cap_respected"):
-    bad.append("lazy_open / cap_respected flags missing or false")
-if reopen["opens"] != want["reopen"]["opens"]:
-    bad.append(f"{reopen['opens']} evict->reopen cycles, committed run has {want['reopen']['opens']}")
-if reopen["heap_pages_resident_after_open"] != want["reopen"]["heap_pages_resident_after_open"]:
-    bad.append(f"a region open left {reopen['heap_pages_resident_after_open']} heap pages resident")
-if reopen["page_reads_per_open"] > want["reopen"]["page_reads_per_open"]:
-    bad.append(f"{reopen['page_reads_per_open']} page reads per region open, "
-               f"committed run reads {want['reopen']['page_reads_per_open']}")
-if bad:
-    sys.exit("world regression guard FAILED\n  " + "\n  ".join(bad))
-print("world guard ok: "
-      f"{got['regions']} regions, {cold['evictions']} cold evictions, "
-      f"{warm['hits']} warm hits, {reopen['page_reads_per_open']} page reads per reopen "
-      f"(committed {want['reopen']['page_reads_per_open']}), isolation held "
-      f"({iso['cold_resident_before']} pages untouched)")
-PY
+git diff --exit-code -- 'BENCH_*.json' \
+    || { echo "a bench smoke rewrote a committed BENCH_*.json"; exit 1; }
 
 echo "== server smoke (serve / remote-query / remote-shutdown over loopback)"
 # End-to-end through the installed binaries: build a tiny database, serve

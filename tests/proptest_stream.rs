@@ -21,7 +21,10 @@ use dm_geom::{Rect, Vec2};
 use dm_mtm::builder::{build_pm, PmBuildConfig};
 use dm_mtm::PlaneTarget;
 use dm_net::wire::{Reader, Writer};
-use dm_net::{canonical_mesh, Client, FrameDelta, FrontMirror, MeshResult, StreamMode};
+use dm_net::{
+    canonical_mesh, canonical_mesh_into, diff_frames, Client, FrameDelta, FrontMirror, MeshResult,
+    ResultTail, StreamMode,
+};
 use dm_server::{Server, ServerConfig};
 use dm_storage::{BufferPool, FaultConfig, FaultInjector, FileStore, MemStore, PageStore};
 use dm_terrain::{generate, TriMesh};
@@ -398,4 +401,52 @@ fn streamed_session_frames_report_their_cubes() {
         }
         client.close_session(session).expect("close session");
     });
+}
+
+/// The per-frame server flow — canonicalize into reused buffers, diff
+/// against the previous frame, encode into a reused writer — reaches a
+/// steady state: a second pass down the same tour starts at the first
+/// pass's high-water capacities and ends there too.
+#[test]
+fn frame_scratch_buffers_stop_growing_on_a_repeated_tour() {
+    let db = clean_db();
+    let queries: Vec<VdQuery> = (0..8)
+        .map(|i| query_from_fracs(db, f64::from(i) / 8.0, f64::from(i) / 10.0, 0.6, 0.6))
+        .collect();
+    let (mut prev_v, mut prev_f) = (Vec::new(), Vec::new());
+    let (mut next_v, mut next_f) = (Vec::new(), Vec::new());
+    let mut enc = Writer::new();
+    let mut caps = Vec::new();
+    for _pass in 0..2 {
+        let mut nav =
+            dm_core::NavigationSession::new(db, BoundaryPolicy::FetchOnMiss).with_max_cubes(8);
+        for (i, q) in queries.iter().enumerate() {
+            nav.try_move_to(q).expect("local frame");
+            canonical_mesh_into(nav.front(), &mut next_v, &mut next_f);
+            if i > 0 {
+                let (rv, av, rf, af) = diff_frames(&prev_v, &prev_f, &next_v, &next_f);
+                let patch = FrameDelta {
+                    seq: i as u64,
+                    base_seq: i as u64 - 1,
+                    is_delta: true,
+                    removed_vertices: rv,
+                    added_vertices: av,
+                    removed_faces: rf,
+                    added_faces: af,
+                    tail: ResultTail::default(),
+                };
+                enc.reset();
+                patch.encode(&mut enc);
+            }
+            std::mem::swap(&mut prev_v, &mut next_v);
+            std::mem::swap(&mut prev_f, &mut next_f);
+        }
+        caps.push([
+            prev_v.capacity(),
+            prev_f.capacity(),
+            next_v.capacity(),
+            next_f.capacity(),
+        ]);
+    }
+    assert_eq!(caps[0], caps[1], "scratch buffers grew on the second pass");
 }
